@@ -11,7 +11,7 @@
 //!   batch API, and the best the per-candidate interface allows);
 //! * **batched** — one [`MaxMinSolver::solve_batch`]: a single logged
 //!   solve whose frozen freeze-round prefix is replayed per candidate in
-//!   `O(rounds · path)` with early exit.
+//!   `O(rounds + events on its path)` with early exit.
 //!
 //! The two sides must agree **bit for bit** on every candidate (asserted
 //! per run). A [`ScenarioPool`] section additionally reports the parallel

@@ -886,7 +886,7 @@ impl FlowSim {
     /// freeze-round log of the committed allocation, and the probe walks
     /// that shared frozen prefix until one of its own resources would
     /// become the bottleneck — bit-identical to adding the flow and
-    /// re-solving, but `O(rounds · path)` and **observably
+    /// re-solving, but `O(rounds + events on the path)` and **observably
     /// side-effect-free**: the arena is never touched, so the simulation
     /// state is exactly as it was (only solver scratch is written).
     pub fn probe_rate(&mut self, src: NodeId, dst: NodeId, hose: Option<HoseId>) -> f64 {

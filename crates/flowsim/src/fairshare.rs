@@ -537,8 +537,16 @@ impl ProbeBatch {
 /// only the shares of `S` (each gains one user), so the base rounds replay
 /// unchanged until the first round whose bottleneck key is beaten by a
 /// candidate share — at which point the candidate itself freezes, because
-/// the winning resource is one of its own. Replay therefore costs
-/// `O(rounds · |S|)` with early exit, not a full solve.
+/// the winning resource is one of its own.
+///
+/// A candidate's `(slack, users)` only change in the rounds that touch one
+/// of *its* resources, so probes read the deltas through a **per-resource
+/// event index** (`ev_start` / `events`: CSR by resource, `(round, delta)`
+/// in round order). It is built lazily by the first probe after the log is
+/// re-recorded — one stable counting pass, `O(touched + resources)`, never
+/// paid by a solve no probe follows — and a replay then costs `O(rounds +
+/// events on S)`: one integer compare per round, a share recomputed only
+/// when an event on that resource fires.
 ///
 /// Crate-visible (fields included) so the sharded solve in
 /// [`crate::shard`] can merge per-shard logs into one global-order log;
@@ -546,8 +554,11 @@ impl ProbeBatch {
 #[derive(Debug, Default)]
 pub(crate) struct SolveLog {
     /// Per round: version-stripped bottleneck [`ShareKey`] at pop time.
-    /// Strictly increasing within one log: freeze levels never decrease,
-    /// and at equal level the lower resource id pops first.
+    /// **Not** monotone: mathematically freeze levels never decrease, but a
+    /// resource tied with the popped bottleneck can come out of the round's
+    /// `(slack − d·level) / (users − d)` an ulp *below* the level it just
+    /// tied at, so the next key may dip under its predecessor. Readers must
+    /// compare against every key in order, never skip ahead on ordering.
     pub(crate) keys: Vec<u128>,
     /// Per round: the freeze level (the key's share, clamped to ≥ 0).
     pub(crate) levels: Vec<f64>,
@@ -561,6 +572,15 @@ pub(crate) struct SolveLog {
     pub(crate) freeze_slots: Vec<u32>,
     /// Per round: end offset (exclusive) into `freeze_slots`.
     pub(crate) freeze_end: Vec<u32>,
+    /// Event index: resource `r`'s events are `events[ev_start[r]..
+    /// ev_start[r + 1]]`. Meaningful only while `indexed`.
+    ev_start: Vec<u32>,
+    /// Event index: packed `(round, delta)` transposed from `touched_*`,
+    /// grouped by resource, round order kept within each group.
+    events: Vec<u64>,
+    /// Does the event index describe the rounds above? Reset by `clear`,
+    /// i.e. whenever the log is re-recorded (cold, warm or shard-merged).
+    indexed: bool,
     /// Arena generation the log was recorded against.
     pub(crate) generation: u64,
     /// Resource-space size at record time.
@@ -578,7 +598,43 @@ impl SolveLog {
         self.touched_delta.clear();
         self.freeze_slots.clear();
         self.freeze_end.clear();
+        self.indexed = false;
         self.valid = false;
+    }
+
+    /// Build the per-resource event index if this log does not have one
+    /// yet: count events per resource, prefix-sum, then scatter the rounds
+    /// in order (stable, so each resource's events stay in round order).
+    /// Allocation-free once the buffers are warm.
+    fn ensure_index(&mut self) {
+        if self.indexed {
+            return;
+        }
+        let nr = self.n_resources as usize;
+        // Counts land two slots up so that after the prefix sum
+        // `ev_start[r + 1]` is resource `r`'s write cursor, and after the
+        // scatter it has advanced to `r + 1`'s start — leaving
+        // `ev_start[..=nr]` as the finished offsets with no second pass.
+        self.ev_start.clear();
+        self.ev_start.resize(nr + 2, 0);
+        for &r in &self.touched_res {
+            self.ev_start[r as usize + 2] += 1;
+        }
+        for r in 2..nr + 2 {
+            self.ev_start[r] += self.ev_start[r - 1];
+        }
+        self.events.clear();
+        self.events.resize(self.touched_res.len(), 0);
+        let mut t0 = 0usize;
+        for (k, &t1) in self.round_end.iter().enumerate() {
+            for t in t0..t1 as usize {
+                let cursor = &mut self.ev_start[self.touched_res[t] as usize + 1];
+                self.events[*cursor as usize] = pack(k as u32, self.touched_delta[t]);
+                *cursor += 1;
+            }
+            t0 = t1 as usize;
+        }
+        self.indexed = true;
     }
 }
 
@@ -591,9 +647,9 @@ impl SolveLog {
 /// [`MaxMinSolver::solve_logged`] additionally records the freeze-round
 /// sequence, unlocking the batched what-if APIs ([`MaxMinSolver::probe`],
 /// [`MaxMinSolver::probe_batch`], [`MaxMinSolver::solve_batch`]): rate a
-/// hypothetical extra flow in `O(rounds · path)` by replaying the shared
-/// frozen prefix, bit-identical to adding the flow and solving from
-/// scratch.
+/// hypothetical extra flow in `O(rounds + events on its path)` by
+/// replaying the shared frozen prefix, bit-identical to adding the flow
+/// and solving from scratch.
 #[derive(Debug, Default)]
 pub struct MaxMinSolver {
     /// Backing buffer for the lazy min-heap of per-resource shares; kept
@@ -628,13 +684,8 @@ pub struct MaxMinSolver {
     /// Warm-solve scratch: resource → position in `wheap` (`WPOS_NONE`
     /// when absent).
     wpos: Vec<u32>,
-    /// Probe scratch: resource → index in the candidate's list (or
-    /// `PROBE_NONE`), sized to the resource space.
-    probe_mark: Vec<u32>,
-    /// Probe scratch: per-candidate-resource remaining capacity.
-    probe_slack: Vec<f64>,
-    /// Probe scratch: per-candidate-resource unfrozen *base* flow count.
-    probe_users: Vec<u32>,
+    /// Probe scratch: one replay cursor per candidate resource.
+    probe_cur: Vec<ProbeCursor>,
     /// Warm-solve scratch: copy of the arena's dirty window, taken before
     /// the walk closes it (the walk borrows the arena mutably).
     seed_buf: Vec<u32>,
@@ -651,8 +702,37 @@ pub struct MaxMinSolver {
     last_probe_replay_rounds: u64,
 }
 
-/// `probe_mark` sentinel: resource not crossed by the current candidate.
-const PROBE_NONE: u32 = u32::MAX;
+/// Replay state of one candidate resource: its `(slack, users)` as of the
+/// round the replay stands at, the share key they imply with the candidate
+/// as one extra user, and its unread span of the log's event index.
+#[derive(Debug, Clone, Copy)]
+struct ProbeCursor {
+    slack: f64,
+    users: u32,
+    /// Next unread entry of `SolveLog::events` / one past the last.
+    next: u32,
+    end: u32,
+    key: u128,
+}
+
+impl ProbeCursor {
+    /// Round of the next unread event (`u32::MAX` once exhausted).
+    #[inline]
+    fn next_round(&self, events: &[u64]) -> u32 {
+        if self.next < self.end {
+            unpack(events[self.next as usize]).0
+        } else {
+            u32::MAX
+        }
+    }
+
+    /// Re-derive `key` after `(slack, users)` changed.
+    #[inline]
+    fn rekey(&mut self, r: u32) {
+        let share = (self.slack / (self.users + 1) as f64).max(0.0);
+        self.key = ShareKey::new(share, r, 0).0;
+    }
+}
 
 /// `wpos` sentinel: resource has no entry in the warm heap.
 const WPOS_NONE: u32 = u32::MAX;
@@ -920,9 +1000,6 @@ impl MaxMinSolver {
         self.last_replayed_rounds = 0;
         self.perturbed.clear();
         self.perturbed.resize(nr, false);
-        if self.probe_mark.len() < nr {
-            self.probe_mark.resize(nr, PROBE_NONE);
-        }
         let remaining = arena.n_flows();
 
         self.log.clear();
@@ -1224,9 +1301,6 @@ impl MaxMinSolver {
             self.log.clear();
             self.log.generation = arena.generation();
             self.log.n_resources = nr as u32;
-            if self.probe_mark.len() < nr {
-                self.probe_mark.resize(nr, PROBE_NONE);
-            }
             self.log.valid = true;
         }
         let nslots = arena.slot_bound();
@@ -1361,7 +1435,9 @@ impl MaxMinSolver {
     /// if it joined the flow set last solved by
     /// [`MaxMinSolver::solve_logged`] — **bit-identical** to adding the
     /// flow to `arena`, solving from scratch, and reading its rate, but in
-    /// `O(rounds · path)` by replaying the logged frozen prefix.
+    /// `O(rounds + events on the path)` by replaying the logged frozen
+    /// prefix through its per-resource event index (built by the first
+    /// probe after each re-record, `O(touched + resources)`).
     ///
     /// The committed solution is untouched: neither `arena` nor the base
     /// rates change (the only writes are to internal scratch), so probing
@@ -1376,6 +1452,7 @@ impl MaxMinSolver {
             "probe without a current logged solve (call solve_logged first)"
         );
         assert!(capacities.len() >= self.log.n_resources as usize, "capacities too short");
+        self.log.ensure_index();
         self.last_probe_replay_rounds = 0;
         self.replay(capacities, arena, resources)
     }
@@ -1396,6 +1473,7 @@ impl MaxMinSolver {
             "probe_batch without a current logged solve (call solve_logged first)"
         );
         assert!(capacities.len() >= self.log.n_resources as usize, "capacities too short");
+        self.log.ensure_index();
         self.last_probe_replay_rounds = 0;
         out.clear();
         out.reserve(batch.len());
@@ -1426,79 +1504,84 @@ impl MaxMinSolver {
     /// Before the candidate freezes it only *adds one user* to each of its
     /// resources — it consumes nothing — so every base round whose
     /// bottleneck key beats all candidate shares executes exactly as
-    /// logged. The walk maintains `(slack, users)` for the candidate's
-    /// resources only, applying each round's logged deltas with the same
-    /// arithmetic (`slack -= d × level`) the solver used, and stops at the
-    /// first round where a candidate share wins the pop: that resource is
-    /// the candidate's bottleneck and the share is its rate. If no round
-    /// fires, the base set froze entirely and the candidate gets the
-    /// smallest remaining slack on its path.
+    /// logged. The walk keeps one [`ProbeCursor`] per candidate resource
+    /// into the log's event index and stops at the first round where the
+    /// smallest candidate key wins the pop: that resource is the
+    /// candidate's bottleneck and the share is its rate. Between events on
+    /// its own resources that smallest key cannot move, so those rounds
+    /// cost one `u128` compare each (every logged key is still compared,
+    /// in order — `SolveLog::keys` is not monotone); when an event fires,
+    /// the round's delta is applied with the solver's own arithmetic
+    /// (`slack -= d × level`, per resource in round order) and only that
+    /// resource's share is recomputed. If no round fires, the base set
+    /// froze entirely and the candidate gets the smallest remaining share
+    /// on its path. `O(rounds + events on s)`.
     fn replay(&mut self, capacities: &[f64], arena: &FlowArena, s: &[u32]) -> f64 {
         assert!(!s.is_empty(), "probe flow traverses no resources");
-        let nr = self.log.n_resources as usize;
-        if self.probe_slack.len() < s.len() {
-            self.probe_slack.resize(s.len(), 0.0);
-            self.probe_users.resize(s.len(), 0);
-        }
+        let log = &self.log;
+        debug_assert!(log.indexed, "replay without the event index");
+        let nr = log.n_resources as usize;
+        let cur = &mut self.probe_cur;
+        cur.clear();
+        // The candidate's best (share, resource) key with one extra user
+        // on each of its resources, and the next round that can move it.
+        let mut cmin = u128::MAX;
+        let mut next_ev = u32::MAX;
         for (i, &r) in s.iter().enumerate() {
             let ri = r as usize;
             assert!(ri < nr, "probe: bad resource {r}");
             debug_assert!(
-                self.probe_mark[ri] == PROBE_NONE,
+                !s[..i].contains(&r),
                 "probe flow lists resource {r} twice (it would be double-charged)"
             );
-            self.probe_mark[ri] = i as u32;
-            self.probe_slack[i] = capacities[ri];
-            self.probe_users[i] = arena.users(r) as u32;
+            let mut c = ProbeCursor {
+                slack: capacities[ri],
+                users: arena.users(r) as u32,
+                next: log.ev_start[ri],
+                end: log.ev_start[ri + 1],
+                key: 0,
+            };
+            c.rekey(r);
+            cmin = cmin.min(c.key);
+            next_ev = next_ev.min(c.next_round(&log.events));
+            cur.push(c);
         }
-        let mut rate = None;
-        let mut t0 = 0usize;
-        for k in 0..self.log.keys.len() {
-            self.last_probe_replay_rounds += 1;
-            // The candidate's best (share, resource) key, with one extra
-            // user on each of its resources.
-            let mut cmin = ShareKey(u128::MAX);
-            for (i, &r) in s.iter().enumerate() {
-                let share = (self.probe_slack[i] / (self.probe_users[i] + 1) as f64).max(0.0);
-                let key = ShareKey::new(share, r, 0);
-                if key < cmin {
-                    cmin = key;
+        let rounds = log.keys.len();
+        let mut k = 0usize;
+        let walked = loop {
+            // Rounds up to and including the next event see today's
+            // `cmin`. A hit means a candidate resource saturates before
+            // (or exactly as) the logged bottleneck: the candidate
+            // freezes there.
+            let stop = rounds.min(next_ev as usize + 1);
+            if let Some(hit) = log.keys[k..stop].iter().position(|&key| cmin <= key) {
+                break k + hit + 1;
+            }
+            if next_ev as usize >= rounds {
+                // Every base flow froze without saturating the candidate's
+                // path: it bottlenecks on its smallest remaining share.
+                break rounds;
+            }
+            // Round `next_ev` executes as logged; apply its deltas to the
+            // candidate resources it touches.
+            k = next_ev as usize;
+            let level = log.levels[k];
+            (cmin, next_ev) = (u128::MAX, u32::MAX);
+            for (c, &r) in cur.iter_mut().zip(s) {
+                while c.next_round(&log.events) as usize == k {
+                    let d = unpack(log.events[c.next as usize]).1;
+                    c.users -= d;
+                    c.slack -= d as f64 * level;
+                    c.next += 1;
+                    c.rekey(r);
                 }
+                cmin = cmin.min(c.key);
+                next_ev = next_ev.min(c.next_round(&log.events));
             }
-            if cmin.0 <= self.log.keys[k] {
-                // A candidate resource saturates before (or exactly as)
-                // the logged bottleneck: the candidate freezes here.
-                rate = Some(cmin.share());
-                break;
-            }
-            // Round executes as logged; apply its deltas to the
-            // candidate's resources.
-            let t1 = self.log.round_end[k] as usize;
-            let level = self.log.levels[k];
-            for t in t0..t1 {
-                let i = self.probe_mark[self.log.touched_res[t] as usize];
-                if i != PROBE_NONE {
-                    let d = self.log.touched_delta[t];
-                    self.probe_users[i as usize] -= d;
-                    self.probe_slack[i as usize] -= d as f64 * level;
-                }
-            }
-            t0 = t1;
-        }
-        let rate = rate.unwrap_or_else(|| {
-            // Every base flow froze without saturating the candidate's
-            // path: it bottlenecks on its smallest remaining slack.
-            let mut best = f64::INFINITY;
-            for i in 0..s.len() {
-                let share = (self.probe_slack[i] / (self.probe_users[i] + 1) as f64).max(0.0);
-                best = best.min(share);
-            }
-            best
-        });
-        for &r in s {
-            self.probe_mark[r as usize] = PROBE_NONE;
-        }
-        rate
+            k += 1;
+        };
+        self.last_probe_replay_rounds += walked as u64;
+        ShareKey(cmin).share()
     }
 }
 
@@ -1735,30 +1818,67 @@ mod tests {
         rates[probe.0 as usize]
     }
 
+    /// Solve `base` logged, rate `candidates` both as one batch and one by
+    /// one, and bit-compare every answer with [`full_solve_probe`].
+    fn assert_probes_bitmatch(
+        caps: &[f64],
+        base: &[Vec<u32>],
+        candidates: &[&[u32]],
+    ) -> MaxMinSolver {
+        let mut arena = FlowArena::new(caps.len());
+        for f in base {
+            arena.add(f);
+        }
+        let mut batch = ProbeBatch::new();
+        for c in candidates {
+            batch.push(c);
+        }
+        let mut solver = MaxMinSolver::new();
+        let (mut rates, mut out) = (Vec::new(), Vec::new());
+        solver.solve_batch(caps, &arena, &batch, &mut rates, &mut out);
+        assert_eq!(out.len(), candidates.len());
+        for (c, got) in candidates.iter().zip(&out) {
+            let want = full_solve_probe(caps, base, c);
+            assert_eq!(got.to_bits(), want.to_bits(), "batched {c:?}: {got} vs {want}");
+            let solo = solver.probe(caps, &arena, c);
+            assert_eq!(solo.to_bits(), want.to_bits(), "probe {c:?}: {solo} vs {want}");
+        }
+        solver
+    }
+
     #[test]
     fn probe_batch_bitmatches_full_solves() {
         // Mixed bottlenecks: shared link, private links, a hose-like cap.
         let caps = [10.0, 10.0, 6.0, 300.0];
         let base: Vec<Vec<u32>> = vec![vec![0, 1], vec![0], vec![1], vec![2], vec![2, 3]];
-        let mut arena = FlowArena::new(caps.len());
-        for f in &base {
-            arena.add(f);
-        }
-        let mut solver = MaxMinSolver::new();
-        let mut rates = Vec::new();
-        let mut batch = ProbeBatch::new();
-        let candidates: Vec<Vec<u32>> =
-            vec![vec![0], vec![1], vec![2], vec![3], vec![0, 1], vec![0, 2, 3], vec![1, 3]];
-        for c in &candidates {
-            batch.push(c);
-        }
-        let mut out = Vec::new();
-        solver.solve_batch(&caps, &arena, &batch, &mut rates, &mut out);
-        assert_eq!(out.len(), candidates.len());
-        for (c, got) in candidates.iter().zip(&out) {
-            let want = full_solve_probe(&caps, &base, c);
-            assert_eq!(got.to_bits(), want.to_bits(), "candidate {c:?}: {got} vs {want}");
-        }
+        assert_probes_bitmatch(
+            &caps,
+            &base,
+            &[&[0], &[1], &[2], &[3], &[0, 1], &[0, 2, 3], &[1, 3]],
+        );
+    }
+
+    #[test]
+    fn probes_bitmatch_full_solves_on_a_log_with_a_key_inversion() {
+        // Resources 0 and 1 tie at level L = 31/26; 0 pops first (lower
+        // id) and freezes the shared flow, and resource 1's recomputed
+        // share `(3L − L) / 2` rounds an ulp *below* L — the log's second
+        // key is smaller than its first. Replays must still compare every
+        // key in order.
+        let l = 31.0 / 26.0;
+        let caps = [l * 6.0, l * 3.0, 5.0, 100.0];
+        let mut base: Vec<Vec<u32>> = vec![vec![0, 1], vec![1], vec![1], vec![2], vec![2]];
+        base.extend(std::iter::repeat_n(vec![0], 5));
+        let solver = assert_probes_bitmatch(
+            &caps,
+            &base,
+            &[&[0], &[1], &[2], &[3], &[0, 1], &[1, 2], &[1, 3], &[0, 2, 3], &[3, 2, 1, 0]],
+        );
+        assert!(
+            solver.log.keys.windows(2).any(|w| w[1] < w[0]),
+            "instance no longer produces an inversion: {:?}",
+            solver.log.levels
+        );
     }
 
     #[test]

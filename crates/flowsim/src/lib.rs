@@ -45,7 +45,9 @@
 //!
 //! * **[`ProbeBatch`]** — [`MaxMinSolver::solve_batch`] runs *one* logged
 //!   solve and replays its frozen freeze-round prefix per candidate
-//!   (`O(rounds · path)` each, early exit at the candidate's bottleneck),
+//!   (`O(rounds + events on the candidate's resources)` each after one
+//!   `O(touched + resources)` event-index build per log, early exit at
+//!   the candidate's bottleneck),
 //!   bit-identical to a full solve per candidate. [`FlowSim::probe_rate`]
 //!   and [`FlowSim::probe_rates`] ride on it, which also makes probing
 //!   observably side-effect-free — no arena round-trip.
@@ -68,8 +70,10 @@
 //! 2. **Logged** — after [`MaxMinSolver::solve_logged`] (or
 //!    [`MaxMinSolver::solve_batch`]): the log records every freeze round
 //!    (bottleneck key, level, frozen slots, per-resource deltas) and is
-//!    stamped with the arena's generation. Probes replay it in
-//!    `O(rounds · path)`; the stamp must match the arena exactly
+//!    stamped with the arena's generation. The first probe transposes
+//!    the deltas into a per-resource event index (`O(touched +
+//!    resources)`, once per log); each replay is then `O(rounds + events
+//!    on the candidate's resources)`. The stamp must match the arena exactly
 //!    ([`MaxMinSolver::log_matches`]) — any mutation staled it.
 //! 3. **Warm** — after [`MaxMinSolver::solve_warm`]: the solver *replayed*
 //!    the previous log against the mutated arena, re-running live only

@@ -23,11 +23,13 @@
 //!    to a cold shard solve), dispatched as jobs to a persistent
 //!    [`SolvePool`] of parked workers (spawned once,
 //!    on the first multi-shard solve, and reused for every solve after).
-//! 3. **Reconcile.** Because shard resource sets are disjoint and freeze
-//!    keys strictly increase within a log, the merge of the shard logs
-//!    by bottleneck key *is* the freeze-round log a cold solve of all
-//!    local flows together would record — and since pairwise merges of
-//!    disjoint sorted sequences associate, the driver merges each shard
+//! 3. **Reconcile.** Shard resource sets are disjoint, so each log's
+//!    next key is what that shard would offer one global heap: taking
+//!    the smallest head key, round after round, *is* the freeze-round
+//!    log a cold solve of all local flows together would record (this
+//!    needs no ordering inside a log — keys are not monotone, see
+//!    `SolveLog::keys`) — and since such head merges associate, the
+//!    driver merges each shard
 //!    log **as its solve completes** (completion order) instead of
 //!    joining all shards first, overlapping late shards with the merge
 //!    of early ones and with the reconciliation walk's O(resources)
@@ -647,8 +649,9 @@ impl ShardedSolver {
     /// `self.merged`, remapping shard-local freeze slots to global ones.
     ///
     /// Shards own disjoint resource sets, so no two logs share a key, and
-    /// keys strictly increase within each log — the merge order is the
-    /// global freeze order of a solve of all local flows together.
+    /// the smallest head key is what a global heap would pop next — the
+    /// merge order is the global freeze order of a solve of all local
+    /// flows together.
     fn merge_shard_logs(&mut self, arena: &FlowArena) {
         let n_pods = self.view.n_pods();
         let m = &mut self.merged;
@@ -703,8 +706,8 @@ unsafe impl Sync for ShardedSolver {}
 /// global) and shard log `b` (sub-arena freeze slots, remapped through
 /// `map`) into `dst`, which inherits `a`'s stamp.
 ///
-/// Keys are disjoint across shards and strictly increase within each
-/// log, so pairwise merging associates: folding shard logs into a
+/// Keys are disjoint across shards and each step takes the smaller
+/// head, so pairwise merging associates: folding shard logs into a
 /// running merge in **any** order — in particular, job completion
 /// order — produces exactly the k-way merge of
 /// [`ShardedSolver::merge_shard_logs`].

@@ -92,6 +92,9 @@ pub struct OnlineScheduler {
     active: usize,
     /// Scratch: candidate-host subset of the current placement attempt.
     cand: Vec<u32>,
+    /// Scratch: CPU capacities of `cand`, lent to each attempt's
+    /// [`Machines`] view.
+    sub_cpu: Vec<f64>,
     /// Pod partition of the topology — buckets the per-pod
     /// capacity-lost gauges (observational only).
     pods: PodPartition,
@@ -153,6 +156,7 @@ impl OnlineScheduler {
             links_down: 0,
             active: 0,
             cand: Vec::new(),
+            sub_cpu: Vec::new(),
             pods,
             pod_lost: Vec::new(),
             shape_events,
@@ -580,13 +584,20 @@ impl OnlineScheduler {
         order.clear();
         order.extend(0..n as u32);
         let free = |h: u32| self.machines.cpu[h as usize] - self.load.cpu_used[h as usize];
-        order.sort_unstable_by(|&a, &b| {
-            free(b).partial_cmp(&free(a)).expect("finite").then(a.cmp(&b))
-        });
-        order.truncate(k);
+        let by_room =
+            |a: &u32, b: &u32| free(*b).partial_cmp(&free(*a)).expect("finite").then(a.cmp(b));
+        // A total order, so partitioning off the top k and sorting only
+        // those yields exactly the first k of a full sort.
+        if k < n {
+            order.select_nth_unstable_by(k, by_room);
+            order.truncate(k);
+        }
+        order.sort_unstable_by(by_room);
         self.cand = order;
-        let sub_machines =
-            Machines { cpu: self.cand.iter().map(|&h| self.machines.cpu[h as usize]).collect() };
+        let mut cpu = std::mem::take(&mut self.sub_cpu);
+        cpu.clear();
+        cpu.extend(self.cand.iter().map(|&h| self.machines.cpu[h as usize]));
+        let sub_machines = Machines { cpu };
         let local = match policy {
             PlacementPolicy::Greedy => {
                 // CPU comes from the global ledger; network counters stay
@@ -599,14 +610,16 @@ impl OnlineScheduler {
                     sub_load.cpu_used[i] = self.load.cpu_used[h as usize];
                 }
                 let mut rater = LiveRater::new(&mut self.sim, &self.hosts, &self.cand);
-                GreedyPlacer.place_with_rater(app, &sub_machines, &mut rater, &sub_load).ok()?
+                GreedyPlacer.place_with_rater(app, &sub_machines, &mut rater, &sub_load).ok()
             }
             PlacementPolicy::Random(_) => {
                 // The network-oblivious baseline reads nothing from live
                 // probes, so the projected sub-load is the right view.
-                self.random.place(app, &sub_machines, &self.load.project(&self.cand)).ok()?
+                self.random.place(app, &sub_machines, &self.load.project(&self.cand)).ok()
             }
         };
+        self.sub_cpu = sub_machines.cpu;
+        let local = local?;
         let cand = &self.cand;
         Some(Placement { assignment: local.assignment.iter().map(|&v| cand[v as usize]).collect() })
     }
@@ -747,17 +760,20 @@ impl OnlineScheduler {
     /// blocking — a large tenant at the front cannot starve small ones
     /// behind it).
     fn retry_queue(&mut self) {
-        let mut i = 0;
-        while i < self.queue.len() {
-            let (id, app, intensity) = self.queue[i].clone();
-            if let Some(placement) = self.try_place(&app, self.cfg.policy) {
-                self.queue.remove(i);
-                self.admit(id, app, placement, DecisionKind::QueueAdmit, intensity);
-                self.stats.queue_admitted += 1;
-                self.metrics.queue_admitted.inc();
-                self.metrics.admissions.get(&ReasonLabel("queue_admitted")).inc();
-            } else {
-                i += 1;
+        // One rotation of the deque: each entry comes off the front and,
+        // if it still does not fit, goes to the back — after `len` steps
+        // the survivors stand in arrival order again, and no profile was
+        // cloned to get past the borrow of `self`.
+        for _ in 0..self.queue.len() {
+            let (id, app, intensity) = self.queue.pop_front().expect("counted above");
+            match self.try_place(&app, self.cfg.policy) {
+                Some(placement) => {
+                    self.admit(id, app, placement, DecisionKind::QueueAdmit, intensity);
+                    self.stats.queue_admitted += 1;
+                    self.metrics.queue_admitted.inc();
+                    self.metrics.admissions.get(&ReasonLabel("queue_admitted")).inc();
+                }
+                None => self.queue.push_back((id, app, intensity)),
             }
         }
     }

@@ -152,7 +152,9 @@ impl<R: CandidateRater> PlaceCtx<'_, R> {
     /// Runs in three phases: enumerate the feasible candidates, submit the
     /// cache misses to the rater as **one batch for the whole transfer**,
     /// then apply the sharing adjustment and maximize. The cache
-    /// guarantees no pair is ever rated twice within one placement.
+    /// guarantees no pair is ever rated twice within one placement. A
+    /// transfer with a feasible co-located candidate skips the last two:
+    /// co-location rates `+∞` and no measured (finite) rate beats it.
     fn best_pair(&mut self, i: usize, j: usize) -> Result<(u32, u32), PlaceError> {
         let n_vms = self.machines.len() as u32;
         // Phase 1: feasible candidates, in deterministic tie-break order.
@@ -197,13 +199,19 @@ impl<R: CandidateRater> PlaceCtx<'_, R> {
                 (Some(m), Some(n)) => return Ok((m, n)),
             }
         }
+        // Co-location wins outright, the first such pair in tie-break
+        // order (nothing compares above `+∞`, not even another `+∞`) — so
+        // this transfer's batch never reaches the rater.
+        if let Some(&pair) = self.scratch.cands.iter().find(|(m, n)| m == n) {
+            return Ok(pair);
+        }
         // Phase 2: the cache filters the batch — only never-rated pairs
         // reach the rater, as one call for the whole transfer.
         {
             let PlaceCtx { rater, cache, scratch, .. } = self;
             scratch.misses.clear();
             for &(m, n) in &scratch.cands {
-                if m != n && cache.get(m, n).is_none() {
+                if cache.get(m, n).is_none() {
                     scratch.misses.push((m, n));
                 }
             }
@@ -220,12 +228,8 @@ impl<R: CandidateRater> PlaceCtx<'_, R> {
         let mut best: Option<(f64, u32, u32)> = None;
         for idx in 0..self.scratch.cands.len() {
             let (m, n) = self.scratch.cands[idx];
-            let rate = if m == n {
-                f64::INFINITY
-            } else {
-                let raw_path = self.cache.get(m, n).expect("batched above");
-                self.shared_rate(model, m, n, raw_path)
-            };
+            let raw_path = self.cache.get(m, n).expect("batched above");
+            let rate = self.shared_rate(model, m, n, raw_path);
             let better = match best {
                 None => true,
                 Some((br, bm, bn)) => {

@@ -15,7 +15,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use choreo_repro::flowsim::{FlowArena, FlowSim, MaxMinSolver, ResourcePartition, ShardedSolver};
+use choreo_repro::flowsim::{
+    FlowArena, FlowSim, FlowSlot, MaxMinSolver, ProbeBatch, ResourcePartition, ShardedSolver,
+};
 use choreo_repro::topology::route::splitmix64;
 use choreo_repro::topology::{
     dumbbell, LinkSpec, MultiRootedTreeSpec, RouteTable, GBIT, MICROS, SECS,
@@ -141,6 +143,40 @@ fn steady_state_reallocation_allocates_nothing() {
     let warm_allocs = alloc_count() - before;
     assert!(warm_checksum > 0.0, "warm solves produced rates");
     assert_eq!(warm_allocs, 0, "steady-state warm-started reallocation must not allocate");
+
+    // --------------------------------------- churn → probe-batch cycles
+    // Every warm solve re-records the log, so the first probe after it
+    // rebuilds the per-resource event index — into buffers that travel
+    // with the two alternating logs — and each candidate replays through
+    // the solver's cursor scratch. One warm-up pass sizes all of them (a
+    // pass overwrites every slot, so the measured pass retraces its
+    // trajectory and its high-water marks); after that a placement-style
+    // loop of churn, re-solve, score a candidate batch allocates nothing.
+    let mut batch = ProbeBatch::new();
+    for candidate in &churn[..32] {
+        batch.push(candidate);
+    }
+    let mut what_if = Vec::new();
+    let mut churn_probe_pass = |arena: &mut FlowArena, slots: &mut [FlowSlot]| -> f64 {
+        let mut sum = 0.0;
+        for round in 0..3 {
+            for (i, arrival) in churn[n_flows as usize..].iter().enumerate() {
+                let k = (i + round) % slots.len();
+                arena.remove(slots[k]);
+                slots[k] = arena.add(arrival);
+                warm_solver.solve_warm(&caps, arena, &mut warm_rates);
+                warm_solver.probe_batch(&caps, arena, &batch, &mut what_if);
+                sum += what_if.iter().sum::<f64>();
+            }
+        }
+        sum
+    };
+    churn_probe_pass(&mut arena, &mut slots);
+    let before = alloc_count();
+    let probe_checksum = churn_probe_pass(&mut arena, &mut slots);
+    let churn_probe_allocs = alloc_count() - before;
+    assert!(probe_checksum > 0.0, "probe batches produced rates");
+    assert_eq!(churn_probe_allocs, 0, "churn → index rebuild → probe batch must not allocate");
 
     // -------------------------------------------------- sharded re-solves
     // The sharded path rebuilds the per-pod sub-arenas from scratch every

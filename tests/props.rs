@@ -188,6 +188,42 @@ proptest! {
 
 // ------------------------------------------------- warm-started solves
 
+/// Reference for a what-if probe: add `cand` to a copy of `arena` for
+/// real, solve from scratch, read its rate.
+fn full_solve_probe(caps: &[f64], arena: &FlowArena, cand: &[u32]) -> f64 {
+    let mut ref_arena = arena.clone();
+    let slot = ref_arena.add(cand);
+    let mut rates = Vec::new();
+    MaxMinSolver::new().solve(&caps[..ref_arena.n_resources()], &ref_arena, &mut rates);
+    rates[slot.0 as usize]
+}
+
+/// Rate `cands` over `solver`'s current log — as one batch (the first
+/// probe after a re-record, so the event index is rebuilt) and then one
+/// by one over the index that batch left behind — and bit-compare every
+/// answer with [`full_solve_probe`].
+fn check_probes_bitmatch(
+    solver: &mut MaxMinSolver,
+    caps: &[f64],
+    arena: &FlowArena,
+    cands: &[Vec<u32>],
+    what: &str,
+) {
+    let mut batch = ProbeBatch::new();
+    for c in cands {
+        batch.push(c);
+    }
+    let mut out = Vec::new();
+    solver.probe_batch(caps, arena, &batch, &mut out);
+    assert_eq!(out.len(), cands.len());
+    for (c, got) in cands.iter().zip(&out) {
+        let want = full_solve_probe(caps, arena, c);
+        assert_eq!(got.to_bits(), want.to_bits(), "{what}: batched {c:?}: {got} vs {want}");
+        let solo = solver.probe(caps, arena, c);
+        assert_eq!(solo.to_bits(), want.to_bits(), "{what}: probe {c:?}: {solo} vs {want}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
     #[test]
@@ -268,18 +304,16 @@ proptest! {
                     "op {opno}: slot {slot} warm {} vs cold {}", got, cold_rates[slot]
                 );
             }
-            // The warm-maintained log also serves probes: a what-if probe
-            // against it must bit-match adding the candidate for real.
-            let cand = norm(path, nr);
-            let got = warm.probe(&caps[..arena.n_resources()], &arena, &cand);
-            let mut ref_arena = arena.clone();
-            let probe_slot = ref_arena.add(&cand);
-            let mut ref_solver = MaxMinSolver::new();
-            let mut ref_rates = Vec::new();
-            ref_solver.solve(&caps[..ref_arena.n_resources()], &ref_arena, &mut ref_rates);
-            prop_assert_eq!(
-                got.to_bits(), ref_rates[probe_slot.0 as usize].to_bits(),
-                "op {opno}: probe over the warm log diverged"
+            // The warm-maintained log also serves probes — through an
+            // event index rebuilt after every one of these re-records:
+            // the op's own path, every single resource (each one's whole
+            // event list) and the full resource set (all cursors live at
+            // once) must bit-match adding the candidate for real.
+            let n_res = arena.n_resources() as u32;
+            let mut cands = vec![norm(path, nr), (0..n_res).collect()];
+            cands.extend((0..n_res).map(|r| vec![r]));
+            check_probes_bitmatch(
+                &mut warm, &caps[..n_res as usize], &arena, &cands, &format!("op {opno}, warm log"),
             );
         }
     }
@@ -437,19 +471,18 @@ proptest! {
                     );
                 }
             }
-            // The reconciled log serves probes: a what-if over it must
-            // bit-match adding the candidate for real.
-            let cand = path_of(b, a, h ^ 0x51ED, &hoses, false);
-            let mut ref_arena = arenas[3].clone();
-            let probe_slot = ref_arena.add(&cand);
-            let mut ref_solver = MaxMinSolver::new();
-            let mut ref_rates = Vec::new();
-            ref_solver.solve(&caps, &ref_arena, &mut ref_rates);
+            // The reconciled (shard-merged) log serves probes at every
+            // worker count: what-ifs over its event index — a routed
+            // path, its reverse under the latest hose, a loopback — must
+            // bit-match adding each candidate for real.
+            let cands = [
+                path_of(b, a, h ^ 0x51ED, &hoses, false),
+                path_of(a, b, h ^ 0xC0DE, &hoses, true),
+                path_of(c, c, h, &hoses, false),
+            ];
             for (i, (_, main, _)) in stacks.iter_mut().enumerate() {
-                let got = main.probe(&caps, &arenas[i], &cand);
-                prop_assert_eq!(
-                    got.to_bits(), ref_rates[probe_slot.0 as usize].to_bits(),
-                    "op {}: probe over the sharded log diverged", opno
+                check_probes_bitmatch(
+                    main, &caps, &arenas[i], &cands, &format!("op {opno}, sharded stack {i}"),
                 );
             }
         }
