@@ -92,10 +92,10 @@ struct Flow {
     slot: u32,
     /// Remaining payload bytes; `None` = unbounded.
     remaining: Option<f64>,
-    /// Cumulative delivered bytes.
+    /// Delivered bytes as of eviction from the arena. While the flow is
+    /// live the counter is `FlowSim::delivered[slot]`; this is 0 until it
+    /// is settled here.
     delivered: f64,
-    /// Current allocated rate, bits/s.
-    rate: f64,
     status: FlowStatus,
     started_at: Nanos,
     /// Caller-assigned grouping tag (e.g. application id).
@@ -170,7 +170,10 @@ struct OnOff {
 /// The active flow set lives in a persistent [`FlowArena`] that is
 /// updated incrementally as flows start and stop; reallocation reuses a
 /// [`MaxMinSolver`]'s scratch state, so the steady-state
-/// `reallocate_if_dirty` path performs no heap allocation.
+/// `reallocate_if_dirty` path performs no heap allocation. A live
+/// flow's rate and byte counter live in arena-slot-indexed columns, not
+/// in its record, so advancing time is one streaming pass over the
+/// slots plus `O(byte-bounded flows)` (see the crate docs).
 pub struct FlowSim {
     topo: Arc<Topology>,
     routes: Arc<RouteTable>,
@@ -196,11 +199,23 @@ pub struct FlowSim {
     peak_active: usize,
     /// Active flows, indexed by arena slot.
     arena: FlowArena,
-    /// Arena slot → flow index, for writing rates back after a solve.
+    /// Arena slot → flow record index (`NO_SLOT` for a vacant slot): how
+    /// the bounded-flow passes reach a live flow's `remaining`.
     slot_owner: Vec<u32>,
     solver: MaxMinSolver,
-    /// Rate buffer reused across solves (indexed by arena slot).
-    rates_scratch: Vec<f64>,
+    /// Allocated rate of the flow in each arena slot, bits/s — the
+    /// solver's output buffer, and the only place a live flow's rate is
+    /// stored. Vacant slots hold 0: a solve zero-fills them, eviction
+    /// zeroes its slot at once.
+    rates: Vec<f64>,
+    /// Bytes delivered so far by the flow in each arena slot (vacant
+    /// slots hold 0); settled into the record at eviction.
+    delivered: Vec<f64>,
+    /// Slots of the live flows with a byte bound, in no particular
+    /// order — the only flows that can complete on their own.
+    bounded: Vec<u32>,
+    /// Scratch: slots found finished by one `finish_completed` call.
+    finished: Vec<u32>,
     /// Resource-list scratch for probes.
     probe_scratch: Vec<u32>,
     /// Candidate batch reused by [`FlowSim::probe_rates`].
@@ -343,7 +358,10 @@ impl FlowSim {
             arena,
             slot_owner: Vec::new(),
             solver: MaxMinSolver::new(),
-            rates_scratch: Vec::new(),
+            rates: Vec::new(),
+            delivered: Vec::new(),
+            bounded: Vec::new(),
+            finished: Vec::new(),
             probe_scratch: Vec::new(),
             probe_batch: ProbeBatch::new(),
             sources: Vec::new(),
@@ -501,8 +519,10 @@ impl FlowSim {
     /// trailing entry for the shared spine (core links and pod uplinks,
     /// the links [`PodPartition::pod_of_link`] maps to `None`). Each
     /// entry is lost/nominal *within that bucket*, 0 for a bucket with
-    /// no links. Observational only — the service's per-pod gauges read
-    /// this; nothing in the trajectory does.
+    /// no links. Observational only — nothing in the trajectory reads
+    /// it. This is the from-scratch form: the online service refreshes
+    /// its per-pod gauges on every network event from precomputed link
+    /// buckets, and is tested to produce these exact bits.
     pub fn pod_capacity_lost_fractions(&self, pods: &PodPartition, out: &mut Vec<f64>) {
         let n = pods.n_pods() + 1;
         let mut nominal = vec![0.0; n];
@@ -528,8 +548,7 @@ impl FlowSim {
     }
 
     fn host_loopback_res(&self, host: NodeId) -> u32 {
-        let idx = self.topo.hosts().iter().position(|&h| h == host).expect("not a host");
-        (self.topo.link_count() * 2 + idx) as u32
+        (self.topo.link_count() * 2 + self.routes.host_index(host)) as u32
     }
 
     /// Fill `buf` with the resource list of a flow from `src` to `dst`.
@@ -578,7 +597,9 @@ impl FlowSim {
         (i < self.flows.len() && self.flows[i].generation == key.generation()).then_some(i)
     }
 
-    /// Put an activating flow into the arena.
+    /// Put an activating flow into the arena. Its slot's columns already
+    /// read 0 (vacant slots always do): no rate until the next solve,
+    /// nothing delivered yet.
     fn arena_insert(&mut self, index: usize) {
         let f = &mut self.flows[index];
         let slot = self.arena.add(&f.resources);
@@ -586,17 +607,33 @@ impl FlowSim {
         let s = slot.0 as usize;
         if self.slot_owner.len() <= s {
             self.slot_owner.resize(s + 1, NO_SLOT);
+            self.rates.resize(s + 1, 0.0);
+            self.delivered.resize(s + 1, 0.0);
         }
         self.slot_owner[s] = index as u32;
+        if f.remaining.is_some() {
+            self.bounded.push(slot.0);
+        }
         self.peak_active = self.peak_active.max(self.arena.n_flows());
     }
 
-    /// Drop a deactivating flow from the arena.
+    /// Drop a deactivating flow from the arena, settling its byte counter
+    /// into the record and returning its slot's columns to 0.
     fn arena_evict(&mut self, index: usize) {
         let f = &mut self.flows[index];
         if f.slot != NO_SLOT {
+            let s = f.slot as usize;
             self.arena.remove(FlowSlot(f.slot));
-            self.slot_owner[f.slot as usize] = NO_SLOT;
+            self.slot_owner[s] = NO_SLOT;
+            f.delivered = std::mem::take(&mut self.delivered[s]);
+            self.rates[s] = 0.0;
+            if f.remaining.is_some() {
+                // A linear search, but over the bounded flows only — the
+                // online path has none, and the scans this list replaced
+                // walked every slot on every event.
+                let at = self.bounded.iter().position(|&b| b == f.slot);
+                self.bounded.swap_remove(at.expect("live bounded flows are listed"));
+            }
             f.slot = NO_SLOT;
         }
     }
@@ -628,7 +665,6 @@ impl FlowSim {
                     slot: NO_SLOT,
                     remaining: None,
                     delivered: 0.0,
-                    rate: 0.0,
                     status: FlowStatus::Pending,
                     started_at: 0,
                     tag: 0,
@@ -647,7 +683,6 @@ impl FlowSim {
             slot: NO_SLOT,
             remaining: bytes.map(|b| b as f64),
             delivered: 0.0,
-            rate: 0.0,
             status: FlowStatus::Pending,
             started_at: at,
             tag,
@@ -661,15 +696,15 @@ impl FlowSim {
     }
 
     /// Transition a pending/active flow to `Done` at the current time:
-    /// rate zeroed, arena slot evicted, tag/completion bookkeeping
-    /// updated. No-op if the flow already retired.
+    /// arena slot evicted (rate zeroed, byte counter settled),
+    /// tag/completion bookkeeping updated. No-op if the flow already
+    /// retired.
     fn retire(&mut self, index: usize) {
         let f = &mut self.flows[index];
         if !matches!(f.status, FlowStatus::Pending | FlowStatus::Active) {
             return;
         }
         f.status = FlowStatus::Done(self.now);
-        f.rate = 0.0;
         if f.remaining.is_some() {
             self.unfinished_bounded -= 1;
         }
@@ -811,13 +846,26 @@ impl FlowSim {
 
     /// Cumulative bytes delivered by a flow.
     pub fn delivered_bytes(&self, key: FlowKey) -> u64 {
-        self.flows[self.idx(key)].delivered as u64
+        self.delivered_of(self.idx(key)) as u64
+    }
+
+    /// The byte counter of record `index`: the slot column while the flow
+    /// is live, the settled record value otherwise.
+    fn delivered_of(&self, index: usize) -> f64 {
+        let f = &self.flows[index];
+        match f.slot {
+            NO_SLOT => f.delivered,
+            slot => self.delivered[slot as usize],
+        }
     }
 
     /// Current allocated rate of a flow (bits/s); 0 unless active.
     pub fn rate_bps(&mut self, key: FlowKey) -> f64 {
         self.reallocate_if_dirty();
-        self.flows[self.idx(key)].rate
+        match self.flows[self.idx(key)].slot {
+            NO_SLOT => 0.0,
+            slot => self.rates[slot as usize],
+        }
     }
 
     /// Completion time of a finished flow.
@@ -870,10 +918,9 @@ impl FlowSim {
         if !self.solver.log_matches(&self.arena) {
             // The flow set is unchanged since the last committed
             // allocation (otherwise `dirty` would have forced a solve), so
-            // a warm solve into the scratch buffer revalidates the whole
-            // log and reproduces the committed rates; no write-back
-            // needed.
-            self.solver.solve_warm(&self.capacities, &mut self.arena, &mut self.rates_scratch);
+            // a warm solve revalidates the whole log and rewrites the
+            // committed rates with the same values.
+            self.solver.solve_warm(&self.capacities, &mut self.arena, &mut self.rates);
         }
     }
 
@@ -944,7 +991,7 @@ impl FlowSim {
         let key = self.start_flow(src, dst, None, hose, start, u64::MAX);
         self.stop_flow_at(key, start + duration);
         self.run_until(start + duration);
-        let delivered = self.flows[self.idx(key)].delivered;
+        let delivered = self.delivered_of(self.idx(key));
         // The stop event above fired during `run_until`, so the flow is
         // retired and its one stat is harvested: reclaim the record.
         self.release_flow(key);
@@ -982,14 +1029,54 @@ impl FlowSim {
         self.stats
     }
 
+    /// Check that the slot columns, the bounded list and the record table
+    /// agree with the arena (test hook; panics on violation):
+    ///
+    /// * `slot_owner`, `rates` and `delivered` span exactly the arena's
+    ///   slots, and `slot_owner` marks live precisely the arena's live
+    ///   slots, each owned by the one `Active` record that names it;
+    /// * a vacant slot reads rate 0 and delivered 0, and a live flow's
+    ///   record holds no settled bytes yet;
+    /// * `bounded` lists exactly the live slots whose flow has a byte
+    ///   bound, each once.
+    pub fn check_invariants(&self) {
+        self.arena.check_invariants();
+        let n = self.arena.slot_bound();
+        assert_eq!(self.slot_owner.len(), n, "slot_owner spans the arena's slots");
+        assert_eq!(self.rates.len(), n, "rate column spans the arena's slots");
+        assert_eq!(self.delivered.len(), n, "delivered column spans the arena's slots");
+        let mut bounded = Vec::new();
+        for (slot, &owner) in self.slot_owner.iter().enumerate() {
+            let live = self.arena.is_live(FlowSlot(slot as u32));
+            assert_eq!(owner != NO_SLOT, live, "slot {slot}: slot_owner mirrors the arena");
+            if !live {
+                assert_eq!(self.rates[slot], 0.0, "vacant slot {slot} holds a rate");
+                assert_eq!(self.delivered[slot], 0.0, "vacant slot {slot} holds bytes");
+                continue;
+            }
+            let f = &self.flows[owner as usize];
+            assert_eq!(f.slot as usize, slot, "slot {slot}: owner record names another slot");
+            assert_eq!(f.status, FlowStatus::Active, "slot {slot}: owner is not active");
+            assert_eq!(f.delivered, 0.0, "slot {slot}: live flow's bytes settled early");
+            if f.remaining.is_some() {
+                bounded.push(slot as u32);
+            }
+        }
+        let in_arena = self.flows.iter().filter(|f| f.slot != NO_SLOT).count();
+        assert_eq!(in_arena, self.arena.n_flows(), "records in the arena vs live slots");
+        let mut listed = self.bounded.clone();
+        listed.sort_unstable();
+        assert_eq!(listed, bounded, "bounded lists the live byte-bounded slots");
+    }
+
     // ------------------------------------------------------------ dynamics
 
     /// Recompute the max-min allocation if the active flow set changed.
     ///
     /// The arena already reflects every start/stop, so this is a single
-    /// solver run into the reusable rate buffer followed by a write-back —
-    /// no per-call `Vec` construction (the old implementation cloned every
-    /// active flow's resource list here). The solve is **warm-started**:
+    /// solver run straight into the slot-indexed rate column — no
+    /// per-call `Vec` construction, and no pass over the flow records
+    /// afterwards. The solve is **warm-started**:
     /// flow starts, stops and ON–OFF toggles leave the previous solve's
     /// freeze-round log hot, and the solver replays its validated prefix
     /// instead of cold-solving, falling back to live filling only from the
@@ -1020,7 +1107,7 @@ impl FlowSim {
                     &mut self.arena,
                     &sh.part,
                     &mut self.solver,
-                    &mut self.rates_scratch,
+                    &mut self.rates,
                 );
                 drop(timer);
                 self.stats.sharded_solves += 1;
@@ -1030,7 +1117,7 @@ impl FlowSim {
             _ => {
                 let cold = self.solver.will_solve_cold(&self.arena);
                 let timer = span::start(if cold { "solve_cold" } else { "solve_warm" });
-                self.solver.solve_warm(&self.capacities, &mut self.arena, &mut self.rates_scratch);
+                self.solver.solve_warm(&self.capacities, &mut self.arena, &mut self.rates);
                 drop(timer);
                 if cold {
                     self.stats.cold_solves += 1;
@@ -1047,71 +1134,62 @@ impl FlowSim {
             span::value("solve_live_rounds", self.solver.last_live_rounds() as f64);
             span::value("solve_replayed_rounds", self.solver.last_replayed_rounds() as f64);
         }
-        for (slot, &owner) in self.slot_owner.iter().enumerate() {
-            if owner != NO_SLOT {
-                self.flows[owner as usize].rate = self.rates_scratch[slot];
-            }
-        }
     }
 
-    /// Advance all active flows by `dt` nanoseconds at current rates.
+    /// Advance all active flows by `dt` nanoseconds at current rates: one
+    /// streaming add over the slot columns (a vacant or rate-less slot
+    /// adds `0.0`, which leaves its counter as it was), then the byte
+    /// budgets of the bounded flows.
     fn integrate(&mut self, dt: Nanos) {
         if dt == 0 {
             return;
         }
         let secs = dt as f64 / 1e9;
-        for &owner in &self.slot_owner {
-            if owner == NO_SLOT {
-                continue;
-            }
-            let f = &mut self.flows[owner as usize];
-            if f.rate > 0.0 {
-                let bytes = f.rate * secs / 8.0;
-                f.delivered += bytes;
-                if let Some(rem) = &mut f.remaining {
-                    *rem -= bytes;
-                }
-            }
+        for (delivered, &rate) in self.delivered.iter_mut().zip(&self.rates) {
+            *delivered += rate * secs / 8.0;
         }
+        for &slot in &self.bounded {
+            let f = &mut self.flows[self.slot_owner[slot as usize] as usize];
+            let rem = f.remaining.as_mut().expect("listed flows are bounded");
+            *rem -= self.rates[slot as usize] * secs / 8.0;
+        }
+    }
+
+    /// Remaining byte budget of the bounded flow in `slot`.
+    fn remaining_in(&self, slot: u32) -> f64 {
+        let f = &self.flows[self.slot_owner[slot as usize] as usize];
+        f.remaining.expect("listed flows are bounded")
     }
 
     /// Earliest completion among active bounded flows.
     fn next_completion(&self) -> Option<Nanos> {
         let mut best: Option<f64> = None;
-        for &owner in &self.slot_owner {
-            if owner == NO_SLOT {
-                continue;
-            }
-            let f = &self.flows[owner as usize];
-            if let Some(rem) = f.remaining {
-                if f.rate > 0.0 {
-                    let dt = (rem.max(0.0)) * 8.0 / f.rate * 1e9;
-                    best = Some(best.map_or(dt, |b: f64| b.min(dt)));
-                } else if rem <= DONE_EPS {
-                    best = Some(0.0);
-                }
+        for &slot in &self.bounded {
+            let rem = self.remaining_in(slot);
+            let rate = self.rates[slot as usize];
+            if rate > 0.0 {
+                let dt = (rem.max(0.0)) * 8.0 / rate * 1e9;
+                best = Some(best.map_or(dt, |b: f64| b.min(dt)));
+            } else if rem <= DONE_EPS {
+                best = Some(0.0);
             }
         }
         best.map(|dt| self.now + dt.ceil() as Nanos)
     }
 
+    /// Retire every bounded flow whose budget is spent — in ascending
+    /// slot order, whatever order `bounded` lists them in: retire order
+    /// is the order the arena's free list hands the slots out again, so
+    /// it decides which slot every later flow lands in.
     fn finish_completed(&mut self) {
-        // `slot_owner` mirrors the arena's live slots (holes are exactly
-        // the arena's free slots), so this scan — like `integrate` and
-        // `next_completion` — is bounded by peak *concurrent* flows, not
-        // all-time arrivals.
-        for slot in 0..self.slot_owner.len() {
-            let owner = self.slot_owner[slot];
-            if owner == NO_SLOT {
-                continue;
-            }
-            let f = &self.flows[owner as usize];
-            if let Some(rem) = f.remaining {
-                if rem <= DONE_EPS {
-                    self.retire(owner as usize);
-                }
-            }
+        let mut finished = std::mem::take(&mut self.finished);
+        finished.clear();
+        finished.extend(self.bounded.iter().filter(|&&slot| self.remaining_in(slot) <= DONE_EPS));
+        finished.sort_unstable();
+        for &slot in &finished {
+            self.retire(self.slot_owner[slot as usize] as usize);
         }
+        self.finished = finished;
     }
 
     fn dispatch(&mut self, ev: Ev) {
@@ -1650,6 +1728,32 @@ mod tests {
     }
 
     #[test]
+    fn simultaneous_completions_retire_in_ascending_slot_order() {
+        let mut s = sim(2, GBIT);
+        let h = s.topology().hosts().to_vec();
+        // Slots 0, 1, 2; stopping the first swaps the bounded list to
+        // [2, 1], so list order and slot order disagree.
+        let a = s.start_flow_now(h[0], h[2], Some(50_000_000), None, 1);
+        let b = s.start_flow_now(h[1], h[3], Some(1_000_000), None, 2);
+        let c = s.start_flow_now(h[1], h[3], Some(1_000_000), None, 3);
+        s.stop_flows_now(&[a]);
+        assert_eq!(s.bounded, vec![2, 1]);
+        s.check_invariants();
+        // b and c share every resource and every byte count: they finish
+        // in the same instant, and must free slot 1 before slot 2 — the
+        // arena hands slots back out last-freed-first.
+        let end = s.run_to_completion();
+        assert_eq!(s.completion_time(b), Some(end));
+        assert_eq!(s.completion_time(c), Some(end));
+        assert_eq!(s.delivered_bytes(b), s.delivered_bytes(c));
+        s.check_invariants();
+        let d = s.start_flow_now(h[0], h[2], None, None, 4);
+        let e = s.start_flow_now(h[0], h[2], Some(1), None, 5);
+        assert_eq!((s.flows[d.index() as usize].slot, s.flows[e.index() as usize].slot), (2, 1));
+        s.check_invariants();
+    }
+
+    #[test]
     fn arena_stays_consistent_through_churn() {
         let mut s = sim(4, GBIT);
         let h = s.topology().hosts().to_vec();
@@ -1666,6 +1770,7 @@ mod tests {
             keys.push(f);
         }
         s.run_to_completion();
+        s.check_invariants();
         assert_eq!(s.active_flows(), 0, "all evicted from the arena");
         for k in keys {
             assert!(matches!(s.status(k), FlowStatus::Done(_)));

@@ -116,6 +116,28 @@
 //! flow history than memory would otherwise allow. The scheduler layers
 //! above (`choreo-online`) release at every departure point.
 //!
+//! # Where a live flow's rate and bytes live, and what an advance costs
+//!
+//! A flow *record* (tag, status, resource list, generation stamp,
+//! remaining byte budget) is addressed by its [`FlowKey`] and outlives
+//! the flow. A *live* flow's hot state is not in the record: it sits in
+//! columns indexed by the flow's arena slot. The solver's output buffer
+//! is the one owner of the allocated rate — [`FlowSim::rate_bps`] reads
+//! `rates[slot]`, nothing copies rates back into records after a solve —
+//! and a parallel `delivered` column holds the byte counter, settled
+//! into the record when the flow leaves the arena. Vacant slots hold
+//! `0.0` in both. A dense list names the slots of the byte-bounded
+//! flows, the only ones that can complete on their own.
+//!
+//! So advancing time over `n` live slots of which `b` are bounded costs
+//! one streaming `delivered[slot] += rates[slot] · secs / 8` pass —
+//! `O(n)`, branch-free, no record touched — plus `O(b)` for the bounded
+//! flows' budgets, the next-completion search and completion detection.
+//! An online placement service runs only unbounded flows (`b = 0`): an
+//! event there costs what it changes (the warm solve over its dirty
+//! window) plus the streaming add, not a walk over every flow in the
+//! cluster. Simultaneous completions retire in ascending slot order.
+//!
 //! # Sharded solves: partition → local solve → reconcile
 //!
 //! On pod-structured topologies the solve itself parallelizes

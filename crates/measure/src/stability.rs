@@ -28,13 +28,7 @@ impl StabilitySeries {
     /// number of intervals.
     pub fn relative_errors(&self, tau: Nanos) -> Vec<f64> {
         let lag = (tau / self.interval).max(1) as usize;
-        self.samples
-            .iter()
-            .enumerate()
-            .skip(lag)
-            .filter(|&(_, &cur)| cur > 0.0)
-            .map(|(i, &cur)| (cur - self.samples[i - lag]).abs() / cur)
-            .collect()
+        (lag..self.samples.len()).filter_map(|c| relative_error_at(&self.samples, c, lag)).collect()
     }
 
     /// Median of the relative errors at lag τ.
@@ -48,6 +42,23 @@ impl StabilitySeries {
         assert!(!e.is_empty(), "series shorter than lag");
         e.iter().sum::<f64>() / e.len() as f64
     }
+}
+
+/// `|λ_c − λ_{c−lag}| / λ_c` for sample `c ≥ lag`; `None` when `λ_c` is not
+/// positive (the error relative to nothing is undefined).
+fn relative_error_at(samples: &[f64], c: usize, lag: usize) -> Option<f64> {
+    let cur = samples[c];
+    (cur > 0.0).then(|| (cur - samples[c - lag]).abs() / cur)
+}
+
+/// The last entry [`StabilitySeries::relative_errors`] would return for
+/// `samples` at a lag of `lag` samples (at least 1), without building the
+/// series or the error vector: the prediction error of the most recent
+/// positive sample that has a predecessor `lag` back. The online drift
+/// detector asks this once per tenant per epoch.
+pub fn last_relative_error(samples: &[f64], lag: usize) -> Option<f64> {
+    let lag = lag.max(1);
+    (lag..samples.len()).rev().find_map(|c| relative_error_at(samples, c, lag))
 }
 
 /// p-th percentile (0 ≤ p ≤ 1) of an unsorted slice (sorted in place).
@@ -105,6 +116,29 @@ mod tests {
         let errs = s.relative_errors(SECS);
         // |80 - 100| / 80 = 0.25.
         assert_eq!(errs, vec![0.25]);
+    }
+
+    #[test]
+    fn last_relative_error_is_the_tail_of_relative_errors() {
+        // Trailing zeros are skipped exactly as the vector form skips
+        // them, short series and oversized lags have no error at all.
+        let series: [&[f64]; 6] = [
+            &[],
+            &[3.0],
+            &[100.0, 80.0],
+            &[0.0, 2.0, 0.0, 4.0, 0.0],
+            &[1e9, 7e8, 0.0, 0.0],
+            &[5.0, 6.0, 7.0, 9.0, 4.0],
+        ];
+        for samples in series {
+            for lag in 1..4usize {
+                let s = StabilitySeries::new(SECS, samples.to_vec());
+                let all = s.relative_errors(lag as u64 * SECS);
+                let last = last_relative_error(samples, lag);
+                assert_eq!(last.map(f64::to_bits), all.last().map(|e| e.to_bits()), "{samples:?}");
+            }
+        }
+        assert_eq!(last_relative_error(&[100.0, 80.0], 0), Some(0.25), "lag clamps to 1");
     }
 
     #[test]

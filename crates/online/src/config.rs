@@ -56,9 +56,10 @@ impl Default for MigrationConfig {
 /// stability result (≤ 6 % relative error for 95 % of paths over a
 /// 30-minute horizon) to measure *infrequently*. The online service
 /// inverts that: it re-measures each running tenant's service score on a
-/// cadence, keeps the per-epoch scores in a
-/// [`choreo_measure::stability::StabilitySeries`], and treats a
-/// last-epoch relative error **above** the paper's envelope as network
+/// cadence, keeps the last few per-epoch scores, and treats a
+/// last-epoch relative error
+/// ([`choreo_measure::stability::last_relative_error`]) **above** the
+/// paper's envelope as network
 /// drift — something moved underneath the tenant (congestion, a
 /// degraded or recovered link), so the tenant is routed into the
 /// migration planner ahead of its normal cadence.

@@ -56,8 +56,8 @@
 //!    dirty window; the next reallocation re-solves bit-identical to a
 //!    cold solve at the new capacities, for any worker count;
 //! 2. **detect** — a re-measurement cadence ([`DriftConfig`]) refreshes
-//!    every running tenant's service score into a
-//!    [`choreo_measure::stability::StabilitySeries`]; an
+//!    every running tenant's service score into a bounded epoch
+//!    series ([`choreo_measure::stability::last_relative_error`]); an
 //!    epoch-over-epoch relative error above the paper's §4.1 stability
 //!    envelope (6 %) is *drift* — the network moved under the tenant.
 //!    Link failures additionally scan for stranded tenants on the spot;
@@ -315,6 +315,38 @@ mod tests {
             "trace explains the forced move"
         );
         s.check_invariants();
+    }
+
+    #[test]
+    fn pod_gauges_hold_the_bits_of_the_from_scratch_breakdown() {
+        use crate::metrics::PodLabel;
+        use choreo_profile::{NetworkEvent, NetworkEventKind};
+        use choreo_topology::{MultiRootedTreeSpec, PodPartition};
+        // The gauges refresh off precomputed link buckets; after every
+        // event they must read exactly what a from-scratch per-pod sum
+        // over the simulator's capacities gives.
+        let topo = Arc::new(MultiRootedTreeSpec { pods: 3, ..Default::default() }.build());
+        let routes = Arc::new(RouteTable::new(&topo));
+        let mut s = SchedulerBuilder::new(topo.clone(), routes).build();
+        let pods = PodPartition::of(&topo);
+        let kinds = [
+            NetworkEventKind::LinkDegrade { fraction: 0.3 },
+            NetworkEventKind::LinkFail,
+            NetworkEventKind::DrainStart { fraction: 0.7 },
+            NetworkEventKind::LinkRecover,
+        ];
+        let mut expect = Vec::new();
+        for (i, link) in (0..topo.links().len() as u32).step_by(3).enumerate() {
+            let kind = kinds[i % kinds.len()];
+            s.network_step(&NetworkEvent { at: i as u64, link, kind });
+            s.sim_mut().pod_capacity_lost_fractions(&pods, &mut expect);
+            for (bucket, lost) in expect.iter().enumerate() {
+                let pod = if bucket == pods.n_pods() { u32::MAX } else { bucket as u32 };
+                let gauge = s.metrics().pod_capacity_lost.get(&PodLabel(pod)).get();
+                assert_eq!(gauge.to_bits(), lost.to_bits(), "event {i}, bucket {bucket}");
+            }
+        }
+        assert!(expect.iter().any(|&lost| lost > 0.0), "the events cut some capacity");
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! ([`ServiceMetrics::detached`]) records into unexported handles at the
 //! same (negligible) cost.
 
+use choreo_flowsim::FlowSim;
 use choreo_metrics::{Counter, Family, Gauge, Histogram, LabelSet, Registry};
+use choreo_topology::{PodPartition, Topology};
 
 /// Placement-latency histogram bounds: 1 µs … ~0.5 s, ×2 per bucket.
 fn latency_bounds() -> Vec<f64> {
@@ -75,6 +77,67 @@ impl LabelSet for PodLabel {
             vec!["spine".to_string()]
         } else {
             vec![self.0.to_string()]
+        }
+    }
+}
+
+/// Refreshes the `choreo_pod_capacity_lost_fraction` family after a
+/// network event. Everything that does not change between events — which
+/// bucket each link falls in, each bucket's nominal capacity, the gauge
+/// handle of each bucket — is worked out once, so a refresh is one pass
+/// over the links and one `set` per bucket: no allocation, no
+/// `pod_of_link`, no family lookup. The sums run in link order, exactly
+/// as [`FlowSim::pod_capacity_lost_fractions`] runs them, so the gauges
+/// hold the same bits.
+#[derive(Debug)]
+pub(crate) struct PodLossGauges {
+    /// Per link: its bucket — the pod id, or `n_pods` for the spine.
+    link_bucket: Vec<u32>,
+    /// Per bucket: nominal capacity of its links, both directions.
+    nominal: Vec<f64>,
+    /// Scratch: per-bucket current capacity.
+    current: Vec<f64>,
+    /// Per-bucket series of the family, resolved by the first refresh so
+    /// a run without network events still exports an empty family.
+    gauges: Vec<Gauge>,
+}
+
+impl PodLossGauges {
+    pub(crate) fn new(topo: &Topology) -> PodLossGauges {
+        let pods = PodPartition::of(topo);
+        let spine = pods.n_pods();
+        let mut nominal = vec![0.0; spine + 1];
+        let link_bucket: Vec<u32> = topo
+            .links()
+            .iter()
+            .map(|link| {
+                let bucket = pods.pod_of_link(link).map_or(spine, |p| p as usize);
+                nominal[bucket] += 2.0 * link.spec.rate_bps;
+                bucket as u32
+            })
+            .collect();
+        let current = vec![0.0; spine + 1];
+        PodLossGauges { link_bucket, nominal, current, gauges: Vec::new() }
+    }
+
+    /// Set every bucket's gauge from `sim`'s current link capacities.
+    pub(crate) fn refresh(&mut self, sim: &FlowSim, family: &Family<PodLabel, Gauge>) {
+        if self.gauges.is_empty() {
+            let spine = self.nominal.len() - 1;
+            self.gauges.extend((0..=spine).map(|bucket| {
+                family.get(&PodLabel(if bucket == spine { u32::MAX } else { bucket as u32 }))
+            }));
+        }
+        self.current.fill(0.0);
+        for (l, &bucket) in self.link_bucket.iter().enumerate() {
+            let fwd = 2 * l as u32;
+            self.current[bucket as usize] += sim.capacity(fwd) + sim.capacity(fwd + 1);
+        }
+        for ((gauge, &nominal), &current) in
+            self.gauges.iter().zip(&self.nominal).zip(&self.current)
+        {
+            let lost = if nominal <= 0.0 { 0.0 } else { ((nominal - current) / nominal).max(0.0) };
+            gauge.set(lost);
         }
     }
 }

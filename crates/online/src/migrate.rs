@@ -34,7 +34,7 @@ use choreo_place::problem::Placement;
 use choreo_profile::TenantId;
 
 use crate::config::PlacementPolicy;
-use crate::scheduler::OnlineScheduler;
+use crate::scheduler::{service_score, OnlineScheduler};
 use crate::stats::{Cause, DecisionKind};
 
 /// A move the planner decided to execute.
@@ -82,20 +82,19 @@ impl OnlineScheduler {
         // searches are side-effect-free, so the score cannot drift
         // between the phases). Forced tenants skip the cooldown and the
         // degradation arm.
+        let loopback = self.cfg.loopback.rate_bps;
         let mut degraded: Vec<(TenantId, f64)> = Vec::new();
-        for id in 0..self.tenants.len() {
-            let Some(t) = self.tenants[id].as_ref() else { continue };
+        for (id, t) in self.tenants.iter().enumerate() {
+            let Some(t) = t.as_ref() else { continue };
             let forced_in = is_forced(id as TenantId);
             if !forced_in && now.saturating_sub(t.last_move_at) < cooldown {
                 continue;
             }
-            if t.flows.iter().all(|fl| fl.is_empty()) {
-                continue; // fully co-located: nothing the network can degrade
+            if !t.is_networked() {
+                continue;
             }
-            let flows = t.flows.clone();
-            let baseline = t.baseline;
-            let current = self.service_score(&flows);
-            if forced_in || current < degraded_fraction * baseline {
+            let current = service_score(&mut self.sim, loopback, &t.flows);
+            if forced_in || current < degraded_fraction * t.baseline {
                 degraded.push((id as TenantId, current));
             }
         }
@@ -208,7 +207,7 @@ impl OnlineScheduler {
         self.sim.release_flows(&old_keys);
         self.load.apply(&t.app, &placement);
         let flows = self.start_transfer_flows(id, &placement, &t.transfers, t.intensity);
-        let baseline = self.service_score(&flows);
+        let baseline = service_score(&mut self.sim, self.cfg.loopback.rate_bps, &flows);
         self.stats.migrations += 1;
         self.metrics.migrations.inc();
         self.stats.note(0x56); // 'V' — a move

@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use choreo_flowsim::{FlowKey, FlowSim, SolverMode};
-use choreo_measure::stability::StabilitySeries;
+use choreo_measure::stability::last_relative_error;
 use choreo_metrics::Counter;
 use choreo_place::greedy::GreedyPlacer;
 use choreo_place::problem::{validate, Machines, NetworkLoad, Placement};
@@ -12,11 +12,11 @@ use choreo_profile::{
     AppProfile, NetworkEvent, NetworkEventKind, ServiceEvent, TenantEvent, TenantEventKind,
     TenantId,
 };
-use choreo_topology::{Nanos, NodeId, PodPartition};
+use choreo_topology::{Nanos, NodeId};
 
 use crate::builder::SchedulerBuilder;
 use crate::config::{OnlineConfig, PlacementPolicy};
-use crate::metrics::{PodLabel, ReasonLabel, ServiceMetrics, ShapeLabel, TenantBucket};
+use crate::metrics::{PodLossGauges, ReasonLabel, ServiceMetrics, ShapeLabel, TenantBucket};
 use crate::rater::LiveRater;
 use crate::stats::{Cause, DecisionKind, RejectReason, ServiceStats};
 
@@ -41,10 +41,18 @@ pub(crate) struct Tenant {
     pub(crate) last_move_at: Nanos,
     /// Per-epoch service scores from the re-measurement pass (bounded
     /// by [`crate::DriftConfig::window`]) — the drift detector's
-    /// [`StabilitySeries`] input. Reset on every (re)placement and
+    /// [`last_relative_error`] input. Reset on every (re)placement and
     /// intensity change: drift means the *network* moved under an
     /// unchanged tenant.
     pub(crate) epoch_scores: Vec<f64>,
+}
+
+impl Tenant {
+    /// Does any modeled transfer cross the network? A fully co-located
+    /// tenant has nothing the network can degrade.
+    pub(crate) fn is_networked(&self) -> bool {
+        self.flows.iter().any(|fl| !fl.is_empty())
+    }
 }
 
 /// The online multi-tenant placement service.
@@ -95,11 +103,8 @@ pub struct OnlineScheduler {
     /// Scratch: CPU capacities of `cand`, lent to each attempt's
     /// [`Machines`] view.
     sub_cpu: Vec<f64>,
-    /// Pod partition of the topology — buckets the per-pod
-    /// capacity-lost gauges (observational only).
-    pods: PodPartition,
-    /// Scratch: per-pod lost-capacity fractions.
-    pod_lost: Vec<f64>,
+    /// The per-pod capacity-lost gauges (observational only).
+    pod_loss: PodLossGauges,
     /// Cached `choreo_shape_events_total{shape=...}` series for this
     /// run's [`OnlineConfig::workload_shape`] — resolved once so the
     /// event hot path skips the family lookup.
@@ -137,7 +142,7 @@ impl OnlineScheduler {
         let next_migration_at = cfg.migration.cadence.unwrap_or(Nanos::MAX);
         let next_measure_at = cfg.drift.cadence.unwrap_or(Nanos::MAX);
         let n_links = topo.links().len();
-        let pods = PodPartition::of(&topo);
+        let pod_loss = PodLossGauges::new(&topo);
         let shape_events = metrics.shape_events.get(&ShapeLabel(cfg.workload_shape.clone()));
         OnlineScheduler {
             sim,
@@ -157,8 +162,7 @@ impl OnlineScheduler {
             active: 0,
             cand: Vec::new(),
             sub_cpu: Vec::new(),
-            pods,
-            pod_lost: Vec::new(),
+            pod_loss,
             shape_events,
         }
     }
@@ -227,30 +231,24 @@ impl OnlineScheduler {
     /// come from the live allocation without touching the digest.
     pub fn slo_attainment(&mut self, fraction: f64) -> (u64, u64) {
         assert!((0.0..=1.0).contains(&fraction), "SLO fraction must be in [0, 1]");
-        let snapshot: Vec<(TenantId, Vec<Vec<FlowKey>>, f64)> = self
-            .tenants
-            .iter()
-            .enumerate()
-            .filter_map(|(id, slot)| slot.as_ref().map(|t| (id as TenantId, t)))
-            .filter(|(_, t)| t.flows.iter().any(|fl| !fl.is_empty()))
-            .map(|(id, t)| (id, t.flows.clone(), t.baseline))
-            .collect();
-        let total = snapshot.len() as u64;
-        let mut met = 0u64;
-        let nb = crate::metrics::TENANT_BUCKETS as usize;
-        let mut bucket_met = vec![0u64; nb];
-        let mut bucket_total = vec![0u64; nb];
-        for (id, flows, baseline) in &snapshot {
-            let bucket = (id % crate::metrics::TENANT_BUCKETS) as usize;
+        let loopback = self.cfg.loopback.rate_bps;
+        let (mut met, mut total) = (0u64, 0u64);
+        const NB: usize = crate::metrics::TENANT_BUCKETS as usize;
+        let mut bucket_met = [0u64; NB];
+        let mut bucket_total = [0u64; NB];
+        for (id, t) in self.tenants.iter().enumerate() {
+            let Some(t) = t.as_ref().filter(|t| t.is_networked()) else { continue };
+            let bucket = id % NB;
+            total += 1;
             bucket_total[bucket] += 1;
-            if self.service_score(flows) >= fraction * baseline {
+            if service_score(&mut self.sim, loopback, &t.flows) >= fraction * t.baseline {
                 met += 1;
                 bucket_met[bucket] += 1;
             }
         }
         let attainment = if total == 0 { 1.0 } else { met as f64 / total as f64 };
         self.metrics.slo_attainment.set(attainment);
-        for b in 0..nb {
+        for b in 0..NB {
             if bucket_total[b] > 0 {
                 let frac = bucket_met[b] as f64 / bucket_total[b] as f64;
                 self.metrics.tenant_slo.get(&TenantBucket(b as u8)).set(frac);
@@ -265,18 +263,13 @@ impl OnlineScheduler {
     /// the live allocation without touching the digest — the bench's
     /// failure/recovery probe.
     pub fn mean_networked_score(&mut self) -> Option<f64> {
-        let snapshot: Vec<Vec<Vec<FlowKey>>> = self
-            .tenants
-            .iter()
-            .flatten()
-            .filter(|t| t.flows.iter().any(|fl| !fl.is_empty()))
-            .map(|t| t.flows.clone())
-            .collect();
-        if snapshot.is_empty() {
-            return None;
+        let loopback = self.cfg.loopback.rate_bps;
+        let (mut sum, mut count) = (0.0, 0usize);
+        for t in self.tenants.iter().flatten().filter(|t| t.is_networked()) {
+            sum += service_score(&mut self.sim, loopback, &t.flows);
+            count += 1;
         }
-        let sum: f64 = snapshot.iter().map(|flows| self.service_score(flows)).sum();
-        Some(sum / snapshot.len() as f64)
+        (count > 0).then(|| sum / count as f64)
     }
 
     // ----------------------------------------------------------- the loop
@@ -385,15 +378,10 @@ impl OnlineScheduler {
         let now = self.sim.now();
         self.stats.decide(now, TenantId::MAX, DecisionKind::NetworkEvent, fraction);
         self.metrics.capacity_lost.set(self.sim.capacity_lost_fraction());
-        // Per-pod breakdown: network events are rare, so refreshing the
-        // whole family here is cheap. The trailing bucket is the spine.
-        let mut pod_lost = std::mem::take(&mut self.pod_lost);
-        self.sim.pod_capacity_lost_fractions(&self.pods, &mut pod_lost);
-        for (bucket, &lost) in pod_lost.iter().enumerate() {
-            let pod = if bucket == self.pods.n_pods() { u32::MAX } else { bucket as u32 };
-            self.metrics.pod_capacity_lost.get(&PodLabel(pod)).set(lost);
-        }
-        self.pod_lost = pod_lost;
+        // Per-pod breakdown. A failure-heavy stream is mostly network
+        // events, so the refresh runs off precomputed link buckets and
+        // resolved gauge handles (see [`PodLossGauges`]).
+        self.pod_loss.refresh(&self.sim, &self.metrics.pod_capacity_lost);
         if matches!(ev.kind, NetworkEventKind::LinkFail) {
             // Failure-stranded tenants must not wait out the cadence:
             // force everyone the failure actually degraded into a pass
@@ -410,15 +398,11 @@ impl OnlineScheduler {
     /// degraded fraction of their baseline, in id order.
     fn degraded_tenant_ids(&mut self) -> Vec<TenantId> {
         let frac = self.cfg.migration.degraded_fraction;
+        let loopback = self.cfg.loopback.rate_bps;
         let mut out = Vec::new();
-        for id in 0..self.tenants.len() {
-            let Some(t) = self.tenants[id].as_ref() else { continue };
-            if t.flows.iter().all(|fl| fl.is_empty()) {
-                continue;
-            }
-            let flows = t.flows.clone();
-            let baseline = t.baseline;
-            if self.service_score(&flows) < frac * baseline {
+        for (id, t) in self.tenants.iter().enumerate() {
+            let Some(t) = t.as_ref().filter(|t| t.is_networked()) else { continue };
+            if service_score(&mut self.sim, loopback, &t.flows) < frac * t.baseline {
                 out.push(id as TenantId);
             }
         }
@@ -426,7 +410,7 @@ impl OnlineScheduler {
     }
 
     /// One re-measurement epoch: refresh every running networked
-    /// tenant's service score into its [`StabilitySeries`] and compare
+    /// tenant's service score into its epoch series and compare
     /// against the previous epoch. A relative error above the drift
     /// threshold (the paper's §4.1 stability envelope — more change
     /// than a healthy cloud path shows) marks the tenant drifted; all
@@ -435,30 +419,25 @@ impl OnlineScheduler {
     fn measurement_pass(&mut self) {
         self.stats.measurement_passes += 1;
         self.stats.note(0x50); // 'P'
-        let interval = self.cfg.drift.cadence.expect("measurement runs only with a cadence");
         let threshold = self.cfg.drift.threshold;
         let window = self.cfg.drift.window;
+        let loopback = self.cfg.loopback.rate_bps;
         let now = self.sim.now();
         let mut drifted: Vec<(TenantId, f64)> = Vec::new();
-        for id in 0..self.tenants.len() {
-            let Some(t) = self.tenants[id].as_ref() else { continue };
-            if t.flows.iter().all(|fl| fl.is_empty()) {
-                continue; // co-located: no network under it to drift
-            }
-            let flows = t.flows.clone();
-            let score = self.service_score(&flows);
+        for (id, t) in self.tenants.iter_mut().enumerate() {
+            // Co-located tenants have no network under them to drift.
+            let Some(t) = t.as_mut().filter(|t| t.is_networked()) else { continue };
+            let score = service_score(&mut self.sim, loopback, &t.flows);
             self.stats.note_f64(score);
-            let t = self.tenants[id].as_mut().expect("still running");
             t.epoch_scores.push(score);
             if t.epoch_scores.len() > window {
                 t.epoch_scores.remove(0);
             }
-            if t.epoch_scores.len() >= 2 {
-                let series = StabilitySeries::new(interval, t.epoch_scores.clone());
-                if let Some(&err) = series.relative_errors(interval).last() {
-                    if err > threshold {
-                        drifted.push((id as TenantId, err));
-                    }
+            // Epochs are one cadence apart and compared at a lag of one
+            // cadence: the latest error of the series at lag 1.
+            if let Some(err) = last_relative_error(&t.epoch_scores, 1) {
+                if err > threshold {
+                    drifted.push((id as TenantId, err));
                 }
             }
         }
@@ -649,7 +628,7 @@ impl OnlineScheduler {
             .collect();
         let intensity = intensity.max(1);
         let flows = self.start_transfer_flows(id, &placement, &transfers, intensity);
-        let baseline = self.service_score(&flows);
+        let baseline = service_score(&mut self.sim, self.cfg.loopback.rate_bps, &flows);
         self.stats.note(0x41); // 'A'
         self.stats.note(intensity as u64);
         for &h in &placement.assignment {
@@ -693,28 +672,6 @@ impl OnlineScheduler {
             .collect()
     }
 
-    /// The service-quality score of a flow layout: mean over modeled
-    /// transfers of the transfer's mean per-connection rate, with
-    /// co-located transfers counting the loopback rate. One metric for
-    /// baselines, degradation checks, move predictions and the departed-
-    /// tenant quality headline.
-    pub(crate) fn service_score(&mut self, flows: &[Vec<FlowKey>]) -> f64 {
-        let loopback = self.cfg.loopback.rate_bps;
-        if flows.is_empty() {
-            return loopback;
-        }
-        let mut sum = 0.0;
-        for fl in flows {
-            if fl.is_empty() {
-                sum += loopback;
-            } else {
-                let s: f64 = fl.iter().map(|&k| self.sim.rate_bps(k)).sum();
-                sum += s / fl.len() as f64;
-            }
-        }
-        sum / flows.len() as f64
-    }
-
     // ---------------------------------------------------------- lifecycle
 
     fn depart(&mut self, id: TenantId) {
@@ -741,7 +698,7 @@ impl OnlineScheduler {
         self.stats.departures += 1;
         self.metrics.departures.inc();
         self.active -= 1;
-        let score = self.service_score(&t.flows);
+        let score = service_score(&mut self.sim, self.cfg.loopback.rate_bps, &t.flows);
         self.stats.record_departed_rate(score);
         let now = self.sim.now();
         self.stats.decide(now, id, DecisionKind::Depart, score);
@@ -913,6 +870,28 @@ impl OnlineScheduler {
             self.sim.active_flows()
         );
     }
+}
+
+/// The service-quality score of a flow layout: mean over modeled
+/// transfers of the transfer's mean per-connection rate, with co-located
+/// transfers counting the `loopback` rate. One metric for baselines,
+/// degradation checks, move predictions and the departed-tenant quality
+/// headline. A free function over the simulator alone, so a pass can
+/// score a tenant's flow lists in place while it walks the tenant table.
+pub(crate) fn service_score(sim: &mut FlowSim, loopback: f64, flows: &[Vec<FlowKey>]) -> f64 {
+    if flows.is_empty() {
+        return loopback;
+    }
+    let mut sum = 0.0;
+    for fl in flows {
+        if fl.is_empty() {
+            sum += loopback;
+        } else {
+            let s: f64 = fl.iter().map(|&k| sim.rate_bps(k)).sum();
+            sum += s / fl.len() as f64;
+        }
+    }
+    sum / flows.len() as f64
 }
 
 fn event_code(kind: &TenantEventKind) -> u64 {

@@ -207,13 +207,34 @@ impl TraceRing {
         TraceRing { buf: Vec::new(), capacity: capacity.max(1), total: 0 }
     }
 
-    fn push(&mut self, d: Decision) {
+    /// Record one decision, overwriting the oldest once the ring is full.
+    pub fn push(&mut self, d: Decision) {
         if self.buf.len() < self.capacity {
             self.buf.push(d);
         } else {
             self.buf[(self.total % self.capacity as u64) as usize] = d;
         }
         self.total += 1;
+    }
+
+    /// Bring this ring up to date with `src`, a ring of the same
+    /// capacity this one has only ever been synced from: append the
+    /// decisions `src` recorded since the last sync (its
+    /// [`TraceRing::total`] ran ahead by that many), or take over its
+    /// contents when more than a ring's worth went by. Afterwards the
+    /// two rings are equal. This is how the service loop publishes its
+    /// trace to the scrape thread — the cost is the delta, not the ring.
+    pub fn sync_from(&mut self, src: &TraceRing) {
+        assert_eq!(self.capacity, src.capacity, "synced rings share a capacity");
+        debug_assert!(self.total <= src.total, "the mirror never runs ahead of its source");
+        if src.total - self.total >= src.buf.len() as u64 {
+            self.buf.clone_from(&src.buf);
+            self.total = src.total;
+        } else {
+            for at in self.total..src.total {
+                self.push(src.buf[(at % src.capacity as u64) as usize]);
+            }
+        }
     }
 
     /// All-time decisions recorded.
@@ -448,6 +469,27 @@ mod tests {
         let mut t = ServiceStats::with_trace_capacity(8);
         t.decide(1, 0, DecisionKind::Queue, 0.0);
         assert_eq!(t.decisions().recent().len(), 1);
+    }
+
+    #[test]
+    fn synced_ring_mirrors_its_source_across_wrap_around() {
+        // Sync after bursts shorter than, equal to and longer than the
+        // ring: the mirror must equal the source every time (same
+        // contents at the same positions, same total), and a sync with
+        // nothing new must change nothing.
+        let mut s = ServiceStats::with_trace_capacity(4);
+        let mut mirror = TraceRing::new(4);
+        let mut at = 0u64;
+        for burst in [0usize, 1, 2, 0, 3, 4, 1, 9, 0, 2] {
+            for _ in 0..burst {
+                s.decide(at, at, DecisionKind::Admit, at as f64);
+                at += 1;
+            }
+            mirror.sync_from(s.decisions());
+            assert_eq!(&mirror, s.decisions(), "after a burst of {burst}");
+            assert_eq!(mirror.to_jsonl(3), s.decisions().to_jsonl(3));
+        }
+        assert_eq!(mirror.total(), at);
     }
 
     #[test]

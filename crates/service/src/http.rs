@@ -3,18 +3,20 @@
 //!
 //! Just enough HTTP/1.0 for a prometheus scraper or `curl`: read the
 //! request line, answer `GET /metrics` with the registry's text
-//! exposition (and, when a trace snapshot was wired in via
+//! exposition (and, when a decision ring was wired in via
 //! [`MetricsServer::start_with_trace`], `GET /trace?n=K` with the last
-//! `K` decision-trace JSON lines), answer everything else with 404,
-//! close the connection. No keep-alive, no chunking, no dependencies.
+//! `K` decision-trace JSON lines, rendered here on the scrape thread),
+//! answer everything else with 404, close the connection. No
+//! keep-alive, no chunking, no dependencies.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use choreo_metrics::Registry;
+use choreo_online::TraceRing;
 
 /// A running metrics endpoint.
 pub struct MetricsServer {
@@ -32,12 +34,14 @@ impl MetricsServer {
     }
 
     /// Like [`MetricsServer::start`], but also serve `GET /trace?n=K`
-    /// from `trace` — a decision-trace JSONL snapshot the service loop
-    /// keeps fresh ([`crate::PlacementService::trace_export`]).
+    /// from `trace` — the mirror of the decision ring the service loop
+    /// keeps current ([`crate::PlacementService::trace_export`]). The
+    /// JSON is rendered per scrape, on this server's thread; the service
+    /// loop never renders for it.
     pub fn start_with_trace<A: ToSocketAddrs>(
         addr: A,
         registry: Arc<Registry>,
-        trace: Arc<Mutex<String>>,
+        trace: Arc<Mutex<TraceRing>>,
     ) -> std::io::Result<Self> {
         Self::start_inner(addr, registry, Some(trace))
     }
@@ -45,25 +49,21 @@ impl MetricsServer {
     fn start_inner<A: ToSocketAddrs>(
         addr: A,
         registry: Arc<Registry>,
-        trace: Option<Arc<Mutex<String>>>,
+        trace: Option<Arc<Mutex<TraceRing>>>,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let handle = {
             let stop = stop.clone();
+            // The thread blocks in `accept`; `shutdown` raises `stop` and
+            // then connects to the listener so the wait returns.
             std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let _ = Self::serve_one(stream, &registry, trace.as_deref());
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(std::time::Duration::from_millis(10));
-                        }
-                        Err(_) => break,
+                while let Ok((stream, _)) = listener.accept() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
                     }
+                    let _ = Self::serve_one(stream, &registry, trace.as_deref());
                 }
             })
         };
@@ -78,7 +78,7 @@ impl MetricsServer {
     fn serve_one(
         stream: TcpStream,
         registry: &Registry,
-        trace: Option<&Mutex<String>>,
+        trace: Option<&Mutex<TraceRing>>,
     ) -> std::io::Result<()> {
         stream.set_read_timeout(Some(std::time::Duration::from_secs(2)))?;
         let mut reader = BufReader::new(stream);
@@ -101,8 +101,10 @@ impl MetricsServer {
         } else if is_get && route == "/trace" {
             match trace {
                 Some(t) => {
-                    let full = t.lock().expect("trace export poisoned").clone();
-                    ("200 OK", last_lines(&full, trace_limit(query)))
+                    // Copy the ring out and render outside the lock: the
+                    // service loop waits on it at most for a memcpy.
+                    let ring = t.lock().expect("trace export poisoned").clone();
+                    ("200 OK", ring.to_jsonl(trace_limit(query)))
                 }
                 None => ("404 Not Found", "no trace source wired in\n".to_string()),
             }
@@ -119,10 +121,21 @@ impl MetricsServer {
 
     /// Stop serving (idempotent; also runs on drop).
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        let Some(handle) = self.handle.take() else { return };
+        self.stop.store(true, Ordering::SeqCst);
+        // Wake the thread out of `accept`. A wildcard bind address is
+        // not connectable everywhere; its loopback is.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // If the wake-up cannot connect the thread stays parked in
+        // `accept` until the process exits; joining it would hang.
+        if TcpStream::connect_timeout(&wake, std::time::Duration::from_secs(1)).is_ok() {
+            let _ = handle.join();
         }
     }
 }
@@ -141,20 +154,6 @@ fn trace_limit(query: &str) -> usize {
         .find_map(|kv| kv.strip_prefix("n="))
         .and_then(|v| v.parse().ok())
         .unwrap_or(usize::MAX)
-}
-
-/// The last `n` lines of `text`, newline-terminated (empty for `n = 0`
-/// or empty input).
-fn last_lines(text: &str, n: usize) -> String {
-    let total = text.lines().count();
-    if n >= total {
-        return text.to_string();
-    }
-    let mut out: String = text.lines().skip(total - n).collect::<Vec<_>>().join("\n");
-    if !out.is_empty() {
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -190,10 +189,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_route_serves_the_snapshot_with_a_limit() {
-        let trace = Arc::new(Mutex::new(
-            "{\"at\":1,\"kind\":\"admit\"}\n{\"at\":2,\"kind\":\"depart\"}\n".to_string(),
-        ));
+    fn trace_route_renders_the_shared_ring_with_a_limit() {
+        use choreo_online::{Decision, DecisionKind};
+        let mut ring = TraceRing::new(8);
+        for (at, kind) in [(1, DecisionKind::Admit), (2, DecisionKind::Depart)] {
+            ring.push(Decision { at, tenant: 7, kind, value: 0.5, cause: None });
+        }
+        let trace = Arc::new(Mutex::new(ring));
         let server =
             MetricsServer::start_with_trace(("127.0.0.1", 0), Arc::new(Registry::new()), trace)
                 .unwrap();

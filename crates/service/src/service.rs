@@ -11,7 +11,7 @@
 use std::sync::{Arc, Mutex};
 
 use choreo_metrics::{Counter, Registry};
-use choreo_online::{OnlineConfig, OnlineScheduler, SchedulerBuilder};
+use choreo_online::{OnlineConfig, OnlineScheduler, SchedulerBuilder, TraceRing};
 use choreo_profile::{NetworkEvent, TenantEvent, TenantEventKind};
 use choreo_topology::{Nanos, RouteTable, Topology};
 use choreo_wire::{ServiceRequest, ServiceResponse, ServiceStatsReply};
@@ -70,10 +70,12 @@ pub struct PlacementService<E: ServiceEnv> {
     invalid_horizons: Counter,
     env: E,
     stopped: bool,
-    /// Shared JSONL snapshot of the decision trace for the HTTP
-    /// `/trace` endpoint; refreshed after every served request once
-    /// [`PlacementService::trace_export`] has been called.
-    trace_export: Option<Arc<Mutex<String>>>,
+    /// Mirror of the decision ring shared with the HTTP `/trace`
+    /// endpoint, once [`PlacementService::trace_export`] has been called.
+    trace_export: Option<Arc<Mutex<TraceRing>>>,
+    /// The scheduler ring's [`TraceRing::total`] at the last publish:
+    /// the loop takes the lock only when a request decided something.
+    trace_published: u64,
 }
 
 impl<E: ServiceEnv> PlacementService<E> {
@@ -110,6 +112,7 @@ impl<E: ServiceEnv> PlacementService<E> {
             env,
             stopped: false,
             trace_export: None,
+            trace_published: 0,
         }
     }
 
@@ -164,10 +167,7 @@ impl<E: ServiceEnv> PlacementService<E> {
                 let shutdown = matches!(req, ServiceRequest::Shutdown);
                 let resp = self.handle(at, req);
                 self.env.send(conn, &resp);
-                if let Some(export) = &self.trace_export {
-                    *export.lock().expect("trace export poisoned") =
-                        self.scheduler.stats().decisions().to_jsonl(usize::MAX);
-                }
+                self.publish_trace();
                 if shutdown {
                     self.stopped = true;
                     return false;
@@ -306,17 +306,34 @@ impl<E: ServiceEnv> PlacementService<E> {
         self.scheduler.stats().decisions().to_jsonl(n)
     }
 
-    /// A shared decision-trace snapshot for the HTTP `/trace` endpoint
-    /// ([`crate::MetricsServer::start_with_trace`]): after this call the
-    /// loop re-renders the ring's JSONL into the handle after every
-    /// served request. Observational only — exporting never touches the
-    /// clock or the digest.
-    pub fn trace_export(&mut self) -> Arc<Mutex<String>> {
-        let export =
-            self.trace_export.get_or_insert_with(|| Arc::new(Mutex::new(String::new()))).clone();
-        *export.lock().expect("trace export poisoned") =
-            self.scheduler.stats().decisions().to_jsonl(usize::MAX);
+    /// A shared mirror of the decision ring for the HTTP `/trace`
+    /// endpoint ([`crate::MetricsServer::start_with_trace`]). The loop
+    /// shares decisions, not text: after each served request it appends
+    /// the decisions that request produced (when there are none, the
+    /// lock is not even taken), and the scrape thread renders JSONL from
+    /// its side, byte-identical to
+    /// [`PlacementService::trace_jsonl`] for the same state.
+    /// Observational only — exporting never touches the clock or the
+    /// digest.
+    pub fn trace_export(&mut self) -> Arc<Mutex<TraceRing>> {
+        let capacity = self.scheduler.stats().decisions().capacity();
+        let export = self
+            .trace_export
+            .get_or_insert_with(|| Arc::new(Mutex::new(TraceRing::new(capacity))))
+            .clone();
+        self.publish_trace();
         export
+    }
+
+    /// Append the decisions made since the last publish to the shared
+    /// mirror, if one was handed out.
+    fn publish_trace(&mut self) {
+        let Some(export) = &self.trace_export else { return };
+        let ring = self.scheduler.stats().decisions();
+        if ring.total() != self.trace_published {
+            export.lock().expect("trace export poisoned").sync_from(ring);
+            self.trace_published = ring.total();
+        }
     }
 
     fn stats_reply(&self) -> ServiceStatsReply {

@@ -213,3 +213,69 @@ fn loopback_service_serves_admit_stats_metrics_shutdown() {
     let hash = server.join().expect("service thread");
     assert!(hash != 0, "trajectory digested");
 }
+
+/// The `/trace` endpoint renders on the scrape side from the mirror the
+/// loop publishes deltas into: what it serves must be, byte for byte,
+/// what the in-band `trace_jsonl` renders from the scheduler's own ring
+/// — before the ring wraps, after it wraps, and for any `n` — and a
+/// request that decides nothing must leave the mirror as it was.
+#[test]
+fn http_trace_matches_in_band_trace_across_wrap_around() {
+    use std::io::{Read, Write};
+    let http_trace = |addr: std::net::SocketAddr, n: usize| -> String {
+        let mut c = std::net::TcpStream::connect(addr).expect("connect");
+        write!(c, "GET /trace?n={n} HTTP/1.0\r\n\r\n").expect("send");
+        let mut reply = String::new();
+        c.read_to_string(&mut reply).expect("recv");
+        let (head, body) = reply.split_once("\r\n\r\n").expect("header/body split");
+        assert!(head.starts_with("HTTP/1.0 200"), "{head}");
+        body.to_string()
+    };
+    // Admit/depart pairs: two decisions each, 400 in all against the
+    // default 256-entry ring, with a `Stats` (no decision) after each.
+    let script: Vec<(Nanos, ConnId, ServiceRequest)> = (0..200u64)
+        .flat_map(|i| {
+            let at = i * 3_000_000;
+            [
+                (at, 1, ServiceRequest::Admit { tenant: i, app: app_for(i, 3) }),
+                (at + 1_000_000, 1, ServiceRequest::Depart { tenant: i }),
+                (at + 2_000_000, 1, ServiceRequest::Stats),
+            ]
+        })
+        .collect();
+    let (topo, routes) = small_topo();
+    let mut svc =
+        PlacementService::new(topo, routes, ServiceConfig::default(), SimEnv::new(script));
+    let shared = svc.trace_export();
+    let server = choreo_service::MetricsServer::start_with_trace(
+        ("127.0.0.1", 0),
+        svc.registry(),
+        shared.clone(),
+    )
+    .expect("bind scrape endpoint");
+    let capacity = svc.scheduler().stats().decisions().capacity();
+    let (mut polls, mut quiet_polls) = (0usize, 0usize);
+    loop {
+        let before = shared.lock().expect("mirror").clone();
+        let decided_before = svc.scheduler().stats().decisions().total();
+        if !svc.poll() {
+            break;
+        }
+        let after = shared.lock().expect("mirror").clone();
+        if svc.scheduler().stats().decisions().total() == decided_before {
+            assert_eq!(after, before, "poll {polls} decided nothing, mirror untouched");
+            quiet_polls += 1;
+        }
+        assert_eq!(&after, svc.scheduler().stats().decisions(), "mirror equals the ring");
+        // Scrape at a few points either side of the wrap.
+        if polls % 97 == 0 {
+            for n in [0, 1, 64, capacity, capacity + 50] {
+                assert_eq!(http_trace(server.local_addr(), n), svc.trace_jsonl(n), "n = {n}");
+            }
+        }
+        polls += 1;
+    }
+    assert!(quiet_polls >= 200, "every Stats request was a quiet poll");
+    assert_eq!(http_trace(server.local_addr(), capacity), svc.trace_jsonl(capacity));
+    assert!(svc.scheduler().stats().decisions().total() > capacity as u64, "the ring wrapped");
+}

@@ -168,14 +168,16 @@ impl RouteTable {
         cur
     }
 
-    fn idx(&self, host: NodeId) -> usize {
+    /// Position of `host` in [`Topology::hosts`] (O(1)); panics for a
+    /// node that is not a host.
+    pub fn host_index(&self, host: NodeId) -> usize {
         self.host_index[host.0 as usize].unwrap_or_else(|| panic!("{host:?} is not a host"))
             as usize
     }
 
     /// All equal-cost shortest paths from `src` to `dst` (both hosts).
     pub fn paths(&self, src: NodeId, dst: NodeId) -> &[Path] {
-        &self.paths[self.idx(src)][self.idx(dst)]
+        &self.paths[self.host_index(src)][self.host_index(dst)]
     }
 
     /// The path a flow with hash `flow_hash` uses (ECMP selection).

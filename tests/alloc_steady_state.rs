@@ -5,8 +5,11 @@
 //! churn of flow replacements plus reallocations — warm-started delta
 //! solves included — and the engine's what-if probe path must not
 //! allocate at all. This pins down the tentpole guarantee:
-//! `reallocate_if_dirty` (arena maintenance + warm solve + write-back)
-//! does no per-call `Vec` construction.
+//! `reallocate_if_dirty` (arena maintenance + a warm solve straight into
+//! the slot-indexed rate column) does no per-call `Vec` construction —
+//! and neither does anything above it on the advance path: `run_until`
+//! across bounded completions, and `OnlineScheduler::advance_to` across
+//! a drift epoch and a migration tick.
 //!
 //! Kept in its own integration-test binary with a single `#[test]` so no
 //! concurrent test pollutes the counter.
@@ -18,6 +21,8 @@ use std::sync::Arc;
 use choreo_repro::flowsim::{
     FlowArena, FlowSim, FlowSlot, MaxMinSolver, ProbeBatch, ResourcePartition, ShardedSolver,
 };
+use choreo_repro::online::{DriftConfig, MigrationConfig, OnlineConfig, SchedulerBuilder};
+use choreo_repro::profile::{AppProfile, TenantEvent, TenantEventKind, TrafficMatrix};
 use choreo_repro::topology::route::splitmix64;
 use choreo_repro::topology::{
     dumbbell, LinkSpec, MultiRootedTreeSpec, RouteTable, GBIT, MICROS, SECS,
@@ -317,13 +322,22 @@ fn steady_state_reallocation_allocates_nothing() {
     // record table must not grow by even one entry.
     let ms = SECS / 1000;
     let mut t_now = sim.now();
+    // Each cycle also runs a pair of equal bounded flows on one path, so
+    // `run_until` crosses a two-flow completion instant and the engine's
+    // finished-slot scratch is exercised (and reused) every time.
     let cycle = |sim: &mut FlowSim, t_now: &mut u64, i: u64| -> f64 {
         *t_now += 5 * ms;
         let key = sim.start_flow(h[0], h[4], Some(10_000), None, *t_now, 90 + (i % 4));
+        let twins = [
+            sim.start_flow(h[1], h[5], Some(20_000), None, *t_now, 94),
+            sim.start_flow(h[1], h[5], Some(20_000), None, *t_now, 94),
+        ];
         *t_now += 5 * ms;
-        sim.run_until(*t_now); // 10 kB at ≥ a fair share: long done by now
-        let delivered = sim.delivered_bytes(key) as f64;
+        sim.run_until(*t_now); // 10–20 kB at ≥ a fair share: long done by now
+        assert_eq!(sim.completion_time(twins[0]), sim.completion_time(twins[1]));
+        let delivered = sim.delivered_bytes(key) as f64 + sim.delivered_bytes(twins[1]) as f64;
         sim.release_flow(key);
+        sim.release_flows(&twins);
         delivered
     };
     for i in 0..100 {
@@ -339,4 +353,47 @@ fn steady_state_reallocation_allocates_nothing() {
     assert!(acc > 0.0);
     assert_eq!(sim.flow_records(), records, "record table grew under release churn");
     assert_eq!(recycle_allocs, 0, "steady-state recycling churn must not allocate");
+
+    // ------------------------------- scheduler advance: epochs and ticks
+    // `OnlineScheduler::advance_to` over a drift re-measurement epoch and
+    // a migration tick that moves nobody: every networked tenant is
+    // scored in place (no flow-list clones), the drift check reads the
+    // epoch window without building a series, the planner finds nothing
+    // degraded. Once the epoch windows and the (deliberately small)
+    // decision ring are full, a whole cadence period allocates nothing.
+    let topo = Arc::new(spec.build());
+    let routes = Arc::new(RouteTable::new(&topo));
+    let cfg = OnlineConfig {
+        cores_per_host: 1.0, // one task per host: every tenant is networked
+        migration: MigrationConfig { cadence: Some(SECS), ..MigrationConfig::default() },
+        drift: DriftConfig { cadence: Some(SECS), threshold: 0.06, window: 4 },
+        ..OnlineConfig::default()
+    };
+    let mut sched =
+        SchedulerBuilder::new(topo, routes).config(cfg).seed(7).trace_capacity(8).build();
+    for tenant in 0..6u64 {
+        let mut m = TrafficMatrix::zeros(3);
+        m.set(0, 1, 1_000_000_000);
+        m.set(1, 2, 500_000_000);
+        let app = Box::new(AppProfile::new("steady", vec![1.0; 3], m, 0));
+        sched.step(&TenantEvent { at: tenant, tenant, kind: TenantEventKind::Arrive { app } });
+    }
+    assert_eq!(sched.active_tenants(), 6);
+    let mut epoch = 0u64;
+    let mut advance = |sched: &mut choreo_repro::online::OnlineScheduler, periods: u64| {
+        for _ in 0..periods {
+            epoch += 1;
+            sched.advance_to(epoch * SECS + SECS / 2);
+        }
+    };
+    advance(&mut sched, 8);
+    let passes = (sched.stats().measurement_passes, sched.stats().migration_passes);
+    let before = alloc_count();
+    advance(&mut sched, 8);
+    let advance_allocs = alloc_count() - before;
+    assert_eq!(sched.stats().measurement_passes, passes.0 + 8, "one drift epoch per period");
+    assert_eq!(sched.stats().migration_passes, passes.1 + 8, "one migration tick per period");
+    assert_eq!(sched.stats().migrations, 0, "a settled cluster moves nobody");
+    assert_eq!(advance_allocs, 0, "advance_to across epochs and no-move ticks must not allocate");
+    sched.check_invariants();
 }

@@ -1,0 +1,147 @@
+//! A pinned `FlowSim` trajectory.
+//!
+//! One seeded program mixes every way a flow enters and leaves the
+//! engine — scheduled bounded and unbounded flows, ON–OFF background
+//! sources, `start_flow_now` / `stop_flows_now` / `release_flows` tenant
+//! churn, a timed stop, and two bounded flows that finish in the same
+//! instant — and folds every observable (`completion_time`,
+//! `delivered_bytes`, `rate_bps` bits, and the recycled `FlowKey`s
+//! themselves) into one FNV-1a digest. The constant was recorded before
+//! the engine's per-flow state moved into slot-indexed columns; any
+//! change to integration arithmetic, completion detection, rate
+//! read-out or record recycling moves it. (The order simultaneous
+//! completions retire in is pinned by a unit test beside the engine:
+//! it decides slot reuse, which no public observable shows.)
+
+use std::sync::Arc;
+
+use choreo_repro::flowsim::{FlowKey, FlowSim, FlowStatus};
+use choreo_repro::topology::route::splitmix64;
+use choreo_repro::topology::{LinkSpec, MultiRootedTreeSpec, RouteTable, GBIT, MBIT, MICROS};
+
+const MILLIS: u64 = 1_000_000;
+
+fn fnv1a(digest: u64, word: u64) -> u64 {
+    (digest ^ word).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
+/// Fold everything the public API says about `key` right now.
+fn observe(sim: &mut FlowSim, digest: u64, key: FlowKey) -> u64 {
+    let mut d = fnv1a(digest, key.0 as u64);
+    d = fnv1a(d, sim.completion_time(key).unwrap_or(u64::MAX));
+    d = fnv1a(d, sim.delivered_bytes(key));
+    fnv1a(d, sim.rate_bps(key).to_bits())
+}
+
+#[test]
+fn seeded_mixed_traffic_trajectory_is_pinned() {
+    let topo = Arc::new(
+        MultiRootedTreeSpec {
+            cores: 2,
+            pods: 2,
+            aggs_per_pod: 2,
+            tors_per_pod: 2,
+            hosts_per_tor: 3,
+            ..Default::default()
+        }
+        .build(),
+    );
+    let routes = Arc::new(RouteTable::new(&topo));
+    let mut sim = FlowSim::new(topo.clone(), routes, LinkSpec::new(4.2 * GBIT, 20 * MICROS), 7);
+    let h = topo.hosts().to_vec();
+    let n = h.len() as u64;
+    let hose = sim.add_hose(300.0 * MBIT);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+
+    // Background: two ON–OFF sources and a hosed unbounded flow that a
+    // timed stop retires mid-run.
+    sim.add_onoff(h[1], h[8], None, 30 * MILLIS, 20 * MILLIS, 0);
+    sim.add_onoff(h[4], h[10], Some(hose), 15 * MILLIS, 25 * MILLIS, 5 * MILLIS);
+    let timed = sim.start_flow(h[2], h[9], None, Some(hose), 3 * MILLIS, 500);
+    sim.stop_flow_at(timed, 140 * MILLIS);
+
+    // Two equal bounded flows between two hosts of one rack (one path, so
+    // identical resource lists), started in the same instant: max-min
+    // gives them the same rate through every reallocation, so they drain
+    // in lockstep and finish in the same instant.
+    let twin_a = sim.start_flow(h[0], h[1], Some(3_000_000), None, 0, 600);
+    let twin_b = sim.start_flow(h[0], h[1], Some(3_000_000), None, 0, 601);
+
+    // Tracked flows, harvested and released once they retire.
+    let mut scheduled: Vec<FlowKey> = vec![timed, twin_a, twin_b];
+    // Tenant-style flow sets driven through the immediate hooks.
+    let mut tenants: Vec<Vec<FlowKey>> = Vec::new();
+
+    for step in 0..120u64 {
+        let r = splitmix64(0xC0FFEE ^ step);
+        let (a, b) = (h[(r % n) as usize], h[((r >> 8) % n) as usize]);
+        match (r >> 16) % 6 {
+            // A scheduled bounded flow, a little in the future.
+            0 | 1 => {
+                let bytes = 20_000 + (r >> 24) % 2_000_000;
+                let at = sim.now() + (r >> 48) % (3 * MILLIS);
+                scheduled.push(sim.start_flow(a, b, Some(bytes), None, at, step));
+            }
+            // A tenant arrives: two or three immediate flows (one of them
+            // bounded), all in one dirty window.
+            2 | 3 => {
+                let c = h[((r >> 32) % n) as usize];
+                let mut set = vec![
+                    sim.start_flow_now(a, b, None, None, 1_000 + step),
+                    sim.start_flow_now(b, c, None, Some(hose), 1_000 + step),
+                ];
+                if r & 1 == 1 {
+                    set.push(sim.start_flow_now(c, a, Some(400_000), None, 1_000 + step));
+                }
+                tenants.push(set);
+            }
+            // A tenant departs: observe, stop, observe again, release.
+            4 if !tenants.is_empty() => {
+                let set = tenants.remove((r >> 40) as usize % tenants.len());
+                for &k in &set {
+                    digest = observe(&mut sim, digest, k);
+                }
+                sim.stop_flows_now(&set);
+                for &k in &set {
+                    digest = observe(&mut sim, digest, k);
+                }
+                sim.release_flows(&set);
+            }
+            _ => {}
+        }
+        sim.run_until((step + 1) * 2 * MILLIS);
+        for set in &tenants {
+            for &k in set {
+                digest = observe(&mut sim, digest, k);
+            }
+        }
+        scheduled.retain(|&k| {
+            digest = observe(&mut sim, digest, k);
+            let done = matches!(sim.status(k), FlowStatus::Done(_));
+            if done && k != twin_a && k != twin_b {
+                sim.release_flow(k);
+            }
+            !done || k == twin_a || k == twin_b
+        });
+        digest = fnv1a(digest, sim.active_flows() as u64);
+    }
+
+    // Drain the bounded stragglers (tenants' unbounded flows and the
+    // ON–OFF sources keep running underneath).
+    let end = sim.run_to_completion();
+    digest = fnv1a(digest, end);
+    for &k in scheduled.iter().chain(tenants.iter().flatten()) {
+        digest = observe(&mut sim, digest, k);
+    }
+    digest = fnv1a(digest, sim.flow_records() as u64);
+    digest = fnv1a(digest, sim.peak_active_flows() as u64);
+
+    let (ta, tb) = (sim.completion_time(twin_a), sim.completion_time(twin_b));
+    assert!(ta.is_some() && ta == tb, "the twins must finish in the same instant: {ta:?} {tb:?}");
+    assert_eq!(sim.delivered_bytes(twin_a), sim.delivered_bytes(twin_b));
+    assert_eq!(digest, GOLDEN, "trajectory digest moved: {digest:#018x}");
+}
+
+/// Recorded at commit 7196337 (PR 13), the last with per-record `rate` /
+/// `delivered` fields and all-slot scans.
+const GOLDEN: u64 = 0x96d6_8730_6f98_01a9;

@@ -601,6 +601,127 @@ proptest! {
     }
 }
 
+// ------------------------------------------------ slot-indexed columns
+
+/// One flow as the pre-column engine kept it: its byte counter and
+/// remaining budget live in the record and every advance touches it.
+struct RefFlow {
+    key: FlowKey,
+    delivered: f64,
+    remaining: Option<f64>,
+    done_at: Option<u64>,
+}
+
+/// Advance `sim` to `t` while integrating `flows` the per-record way:
+/// sample each live flow's allocated rate, find the earliest completion
+/// among the bounded ones, add `rate * secs / 8.0` to every live record
+/// up to that instant (or `t`), retire the records whose budget is
+/// spent, repeat. The engine walks the same instants on its own; this
+/// is the arithmetic it used to do record by record.
+fn advance_with_reference(sim: &mut FlowSim, flows: &mut [RefFlow], t: u64) {
+    const DONE_EPS: f64 = 0.5;
+    loop {
+        let now = sim.now();
+        let rates: Vec<f64> = flows
+            .iter()
+            .map(|f| if f.done_at.is_none() { sim.rate_bps(f.key) } else { 0.0 })
+            .collect();
+        let mut next_done: Option<f64> = None;
+        for (f, &rate) in flows.iter().zip(&rates) {
+            let (None, Some(rem)) = (f.done_at, f.remaining) else { continue };
+            if rate > 0.0 {
+                let dt = rem.max(0.0) * 8.0 / rate * 1e9;
+                next_done = Some(next_done.map_or(dt, |b| b.min(dt)));
+            } else if rem <= DONE_EPS {
+                next_done = Some(0.0);
+            }
+        }
+        let target = next_done.map_or(t, |dt| t.min(now + dt.ceil() as u64));
+        let secs = (target - now) as f64 / 1e9;
+        for (f, &rate) in flows.iter_mut().zip(&rates) {
+            if f.done_at.is_none() && rate > 0.0 && target > now {
+                let bytes = rate * secs / 8.0;
+                f.delivered += bytes;
+                if let Some(rem) = &mut f.remaining {
+                    *rem -= bytes;
+                }
+            }
+        }
+        sim.run_until(target);
+        sim.check_invariants();
+        for f in flows.iter_mut() {
+            if f.done_at.is_none() && f.remaining.is_some_and(|rem| rem <= DONE_EPS) {
+                f.done_at = Some(target);
+            }
+        }
+        if target == t {
+            return;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(proptest::resolve_cases(32)))]
+    #[test]
+    fn slot_columns_match_per_record_reference_under_recycling(
+        topo_kind in 0u8..4,
+        workers in 0usize..3,
+        ops in prop::collection::vec((0u8..5, any::<u16>(), any::<u16>(), 1u64..40), 1..30),
+    ) {
+        // Immediate starts (bounded and unbounded), immediate stops and
+        // record releases at step boundaries, bounded completions in
+        // between: after every step each tracked flow — live or retired —
+        // must report the bytes and the completion time a per-record
+        // integrator arrives at, and the engine's column invariants must
+        // hold after every advance.
+        let topo = Arc::new(sharded_topology(topo_kind));
+        let routes = Arc::new(RouteTable::new(&topo));
+        let hosts = topo.hosts().to_vec();
+        let mut sim = FlowSim::new(topo.clone(), routes, LinkSpec::new(10.0 * GBIT, MICROS), 42);
+        if workers > 0 {
+            sim.set_solver_mode(SolverMode::sharded(workers));
+        }
+        let mut flows: Vec<RefFlow> = Vec::new();
+        for (opno, &(op, a, b, n)) in ops.iter().enumerate() {
+            let live: Vec<usize> =
+                (0..flows.len()).filter(|&i| flows[i].done_at.is_none()).collect();
+            match op {
+                // Stop a live flow on the spot.
+                3 if !live.is_empty() => {
+                    let f = &mut flows[live[a as usize % live.len()]];
+                    sim.stop_flows_now(&[f.key]);
+                    f.done_at = Some(sim.now());
+                }
+                // Harvest done: release every retired record for reuse.
+                4 => {
+                    let retired: Vec<FlowKey> =
+                        flows.iter().filter(|f| f.done_at.is_some()).map(|f| f.key).collect();
+                    sim.release_flows(&retired);
+                    flows.retain(|f| f.done_at.is_none());
+                }
+                // Start a flow now: odd ops bounded, even unbounded.
+                _ => {
+                    let src = hosts[a as usize % hosts.len()];
+                    let dst = hosts[b as usize % hosts.len()];
+                    let bytes = (op % 2 == 1).then_some(n * 20_000);
+                    let key = sim.start_flow_now(src, dst, bytes, None, opno as u64);
+                    let remaining = bytes.map(|b| b as f64);
+                    flows.push(RefFlow { key, delivered: 0.0, remaining, done_at: None });
+                }
+            }
+            sim.check_invariants();
+            advance_with_reference(&mut sim, &mut flows, (opno as u64 + 1) * 300_000);
+            for f in &flows {
+                prop_assert_eq!(sim.delivered_bytes(f.key), f.delivered as u64, "op {}", opno);
+                prop_assert_eq!(sim.completion_time(f.key), f.done_at, "op {}", opno);
+                if f.done_at.is_some() {
+                    prop_assert_eq!(sim.rate_bps(f.key), 0.0, "retired flows read no rate");
+                }
+            }
+        }
+    }
+}
+
 // ------------------------------------------------- batched what-if probes
 
 proptest! {
