@@ -205,8 +205,11 @@ pub struct FlowSim {
     solver: MaxMinSolver,
     /// Allocated rate of the flow in each arena slot, bits/s — the
     /// solver's output buffer, and the only place a live flow's rate is
-    /// stored. Vacant slots hold 0: a solve zero-fills them, eviction
-    /// zeroes its slot at once.
+    /// stored. It is also solver *state*: a warm or sharded solve leaves
+    /// the rates of the rounds it carries over where the previous solve
+    /// wrote them, so nothing but `solver` may write a live slot (see
+    /// [`FlowSim::reallocate_if_dirty`]). Vacant slots hold 0: eviction
+    /// zeroes its slot at once, growth zero-fills.
     rates: Vec<f64>,
     /// Bytes delivered so far by the flow in each arena slot (vacant
     /// slots hold 0); settled into the record at eviction.
@@ -301,7 +304,7 @@ pub struct SolveStats {
     /// over all reallocations (every round of a cold solve; only the
     /// perturbed rounds of a warm or sharded one).
     pub live_rounds: u64,
-    /// Freeze rounds replayed verbatim from a previous log.
+    /// Freeze rounds carried over from the previous log untouched.
     pub replayed_rounds: u64,
     /// Dirty-window sizes (resources perturbed since the previous
     /// solve), summed over all reallocations.
@@ -918,8 +921,9 @@ impl FlowSim {
         if !self.solver.log_matches(&self.arena) {
             // The flow set is unchanged since the last committed
             // allocation (otherwise `dirty` would have forced a solve), so
-            // a warm solve revalidates the whole log and rewrites the
-            // committed rates with the same values.
+            // a warm solve finds nothing perturbed: it carries every round
+            // (one key compare each), leaves the committed rates alone and
+            // re-stamps the log.
             self.solver.solve_warm(&self.capacities, &mut self.arena, &mut self.rates);
         }
     }
@@ -1078,10 +1082,17 @@ impl FlowSim {
     /// per-call `Vec` construction, and no pass over the flow records
     /// afterwards. The solve is **warm-started**:
     /// flow starts, stops and ON–OFF toggles leave the previous solve's
-    /// freeze-round log hot, and the solver replays its validated prefix
-    /// instead of cold-solving, falling back to live filling only from the
-    /// first round the churn actually perturbed — bit-identical either
-    /// way, so the simulation's trajectory is unchanged.
+    /// freeze-round log hot, and the solver edits it in place — carrying
+    /// the rounds the churn left alone, running live only the ones it
+    /// perturbed — instead of cold-solving; bit-identical either way, so
+    /// the simulation's trajectory is unchanged.
+    ///
+    /// Contract with the solver ([`MaxMinSolver::solve_warm`],
+    /// [`ShardedSolver::solve_sharded`]): `self.rates` is the buffer the
+    /// previous solve filled, and between solves the engine only ever
+    /// zeroes vacant slots in it ([`FlowSim::arena_evict`]) and
+    /// zero-extends it ([`FlowSim::arena_insert`]) — a carried round's
+    /// flows still read the rate that solve gave them.
     fn reallocate_if_dirty(&mut self) {
         if !self.dirty {
             return;

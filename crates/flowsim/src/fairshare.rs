@@ -23,11 +23,16 @@
 //!   `frozen`, the heap, per-round scratch) is retained between calls;
 //!   after the first solve at a given problem size, a solve allocates
 //!   nothing. [`MaxMinSolver::solve_logged`] additionally records the
-//!   freeze-round sequence (`SolveLog`), which powers both the batched
-//!   what-if probes and [`MaxMinSolver::solve_warm`] — the warm-started
-//!   delta solve that replays the log after arena churn and runs live
-//!   rounds only for the perturbed cascade (see the crate docs for the
-//!   cold → logged → warm lifecycle).
+//!   freeze-round sequence into the solver's **persistent log**
+//!   (`SolveLog`: rounds with stable ids, their per-resource deltas and
+//!   frozen slots in append-only pools, a per-resource event index and a
+//!   per-slot round index kept *with* the log), which powers both the
+//!   batched what-if probes and [`MaxMinSolver::solve_warm`] — the
+//!   warm-started delta solve that, after arena churn, edits that log in
+//!   place: rounds the churn left alone are carried over for one key
+//!   compare each, and only the perturbed cascade is re-run live (see
+//!   the crate docs for the cold → logged → warm lifecycle and the cost
+//!   model).
 //!
 //! # Arena invariants
 //!
@@ -302,16 +307,17 @@ impl FlowArena {
     /// Record an **external** perturbation of resource `r` — a capacity
     /// change — in the same dirty window flow churn uses.
     ///
-    /// The solver rebuilds per-resource slack from the caller's
-    /// `capacities` slice on every solve, so a capacity change needs no
-    /// state transfer: seeding `r` as perturbed is enough for
-    /// [`MaxMinSolver::solve_warm`] (and the sharded reconciliation) to
-    /// re-validate every logged round `r` participates in and fall back
-    /// to live filling from the first round the new capacity actually
-    /// changes — bit-identical to a cold solve at the new capacity.
-    /// Bumps the generation, so probe logs recorded against the old
-    /// capacity stop matching ([`MaxMinSolver::log_matches`]) and are
-    /// re-recorded before the next what-if.
+    /// The solver derives a perturbed resource's slack from the caller's
+    /// `capacities` slice when the resource joins the perturbation set,
+    /// so a capacity change needs no state transfer: seeding `r` as
+    /// perturbed is enough for [`MaxMinSolver::solve_warm`] (and the
+    /// sharded reconciliation) to re-apply every logged round `r`
+    /// participates in at the new capacity and fall back to live filling
+    /// from the first round it actually changes — bit-identical to a cold
+    /// solve at the new capacity. Bumps the generation, so a log recorded
+    /// against the old capacity stops matching
+    /// ([`MaxMinSolver::log_matches`]) and is brought current by a warm
+    /// solve before the next what-if.
     pub fn touch_resource(&mut self, r: u32) {
         assert!((r as usize) < self.rev.len(), "touch: bad resource {r}");
         self.mark_dirty(r);
@@ -345,17 +351,17 @@ impl FlowArena {
     }
 
     /// Resources mutated since the dirty window was last closed (warm
-    /// solves consume and re-open it), in first-touch order. This is the perturbation set
-    /// [`MaxMinSolver::solve_warm`] re-validates logged freeze rounds
-    /// against; it is deliberately an *over*-approximation (entries are
-    /// only removed by a clear), which is always safe — a falsely-dirty
-    /// resource just gets an explicit share check.
+    /// solves consume and re-open it), in first-touch order. This is the
+    /// set [`MaxMinSolver::solve_warm`] seeds its perturbation tracking
+    /// with; it is deliberately an *over*-approximation (entries are only
+    /// removed by a clear), which is always safe — a falsely-dirty
+    /// resource just gets its share tracked explicitly.
     pub fn dirty_resources(&self) -> &[u32] {
         &self.dirty
     }
 
     /// Open a new dirty window. Called by [`MaxMinSolver::solve_warm`] at
-    /// the moment its log is re-recorded against this arena, which keeps
+    /// the moment its log is brought current for this arena, which keeps
     /// the invariant warm solving relies on: the dirty set always covers
     /// every mutation since the solver's log was written. (This is also
     /// why at most one warm-chaining solver should drive a given arena —
@@ -528,114 +534,313 @@ impl ProbeBatch {
     }
 }
 
-/// Round log of one progressive-filling solve — the *shared frozen prefix*
-/// that candidate replays walk instead of re-running the solve.
+/// `round_of` / chain sentinel: no round, end of chain.
+const NONE: u32 = u32::MAX;
+/// `RoundLog::pos` mid-walk: the round was dropped by this walk.
+const POS_DROPPED: u32 = u32::MAX;
+/// `RoundLog::pos` mid-walk: the round was created by this walk.
+const POS_CREATED: u32 = u32::MAX - 1;
+
+/// Panic text shared by the warm walk's divergence guards.
+const DIVERGED: &str = "was this solver's log recorded against a different arena?";
+
+/// Pool ranges of one freeze round, by round id.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    t0: u32,
+    t_len: u32,
+    f0: u32,
+    f_len: u32,
+}
+
+impl Span {
+    /// The round's range in [`RoundLog::touched`].
+    fn touched(self) -> std::ops::Range<usize> {
+        self.t0 as usize..(self.t0 + self.t_len) as usize
+    }
+
+    /// The round's range in [`RoundLog::freeze`].
+    fn freeze(self) -> std::ops::Range<usize> {
+        self.f0 as usize..(self.f0 + self.f_len) as usize
+    }
+}
+
+/// The freeze rounds of one progressive-filling solve, in freeze order.
 ///
-/// Per freeze round it records the popped bottleneck key (version bits
-/// zeroed), the freeze level, and the per-resource `(id, frozen-count)`
-/// deltas the round applied. A candidate crossing resources `S` perturbs
-/// only the shares of `S` (each gains one user), so the base rounds replay
-/// unchanged until the first round whose bottleneck key is beaten by a
-/// candidate share — at which point the candidate itself freezes, because
-/// the winning resource is one of its own.
+/// A round has a **stable id** for as long as it stays in the log. What
+/// is stored where:
 ///
-/// A candidate's `(slack, users)` only change in the rounds that touch one
-/// of *its* resources, so probes read the deltas through a **per-resource
-/// event index** (`ev_start` / `events`: CSR by resource, `(round, delta)`
-/// in round order). It is built lazily by the first probe after the log is
-/// re-recorded — one stable counting pass, `O(touched + resources)`, never
-/// paid by a solve no probe follows — and a replay then costs `O(rounds +
-/// events on S)`: one integer compare per round, a share recomputed only
-/// when an event on that resource fires.
+/// * **by position** (freeze order) — `keys`, `levels`, `ids`: the only
+///   arrays a warm solve rewrites (`O(rounds)`: carried runs are bulk
+///   copies, nothing per flow);
+/// * **by id** — `pos` (the inverse of `ids`) and the round's ranges in
+///   the two pools;
+/// * **pools** — `touched` (`(resource, flows frozen crossing it)` per
+///   round) and `freeze` (the arena slots a round froze), append-only:
+///   a round dropped by a warm solve leaves its ranges behind as
+///   garbage, and both pools are compacted in place once garbage
+///   outweighs live entries.
 ///
-/// Crate-visible (fields included) so the sharded solve in
-/// [`crate::shard`] can merge per-shard logs into one global-order log;
-/// everything else should go through [`MaxMinSolver`].
+/// This is the part of the log the sharded solve ([`crate::shard`])
+/// builds by merging shard logs, through [`RoundLog::round`] and
+/// [`RoundLog::push_round`]; the per-resource and per-slot indexes the
+/// solver keeps *with* its own log live in `SolveLog`.
 #[derive(Debug, Default)]
-pub(crate) struct SolveLog {
-    /// Per round: version-stripped bottleneck [`ShareKey`] at pop time.
+pub(crate) struct RoundLog {
+    /// Per position: version-stripped bottleneck [`ShareKey`] at pop time.
     /// **Not** monotone: mathematically freeze levels never decrease, but a
     /// resource tied with the popped bottleneck can come out of the round's
     /// `(slack − d·level) / (users − d)` an ulp *below* the level it just
     /// tied at, so the next key may dip under its predecessor. Readers must
     /// compare against every key in order, never skip ahead on ordering.
-    pub(crate) keys: Vec<u128>,
-    /// Per round: the freeze level (the key's share, clamped to ≥ 0).
-    pub(crate) levels: Vec<f64>,
-    /// Per round: end offset (exclusive) into the `touched_*` arrays.
-    pub(crate) round_end: Vec<u32>,
-    /// Flattened `(resource, flows frozen crossing it)` deltas, by round.
-    pub(crate) touched_res: Vec<u32>,
-    pub(crate) touched_delta: Vec<u32>,
-    /// Flattened arena slots frozen per round (warm replay walks these
-    /// sequentially instead of chasing the reverse index).
-    pub(crate) freeze_slots: Vec<u32>,
-    /// Per round: end offset (exclusive) into `freeze_slots`.
-    pub(crate) freeze_end: Vec<u32>,
-    /// Event index: resource `r`'s events are `events[ev_start[r]..
-    /// ev_start[r + 1]]`. Meaningful only while `indexed`.
-    ev_start: Vec<u32>,
-    /// Event index: packed `(round, delta)` transposed from `touched_*`,
-    /// grouped by resource, round order kept within each group.
-    events: Vec<u64>,
-    /// Does the event index describe the rounds above? Reset by `clear`,
-    /// i.e. whenever the log is re-recorded (cold, warm or shard-merged).
-    indexed: bool,
-    /// Arena generation the log was recorded against.
-    pub(crate) generation: u64,
-    /// Resource-space size at record time.
-    pub(crate) n_resources: u32,
-    /// False until the first logged solve, and after a plain `solve`.
-    pub(crate) valid: bool,
+    keys: Vec<u128>,
+    /// Per position: the freeze level (the key's share, clamped to ≥ 0).
+    levels: Vec<f64>,
+    /// Per position: the round's id.
+    ids: Vec<u32>,
+    /// Per id: the round's position (`POS_*` sentinels mid-walk only;
+    /// stale for free ids).
+    pos: Vec<u32>,
+    /// Per id: the round's pool ranges.
+    spans: Vec<Span>,
+    /// Ids of no round, reusable.
+    free_ids: Vec<u32>,
+    /// Packed `(resource, delta)` entries, one range per round.
+    touched: Vec<u64>,
+    /// Frozen arena slots, one range per round. A round's two ranges are
+    /// appended together, so both pools hold the rounds in one order.
+    freeze: Vec<u32>,
+    /// `touched` entries owned by a round still in the log.
+    touched_live: usize,
+    /// `freeze` entries owned by a round still in the log — the number of
+    /// flows the log freezes.
+    frozen: usize,
+    /// Compaction scratch: `(t0, id)` of the live rounds.
+    order: Vec<(u32, u32)>,
+    /// Test observability: pool compactions run and round ids reused, all
+    /// time ([`MaxMinSolver::log_churn`]).
+    compactions: u64,
+    recycled_ids: u64,
 }
 
-impl SolveLog {
+impl RoundLog {
     pub(crate) fn clear(&mut self) {
         self.keys.clear();
         self.levels.clear();
-        self.round_end.clear();
-        self.touched_res.clear();
-        self.touched_delta.clear();
-        self.freeze_slots.clear();
-        self.freeze_end.clear();
-        self.indexed = false;
-        self.valid = false;
+        self.ids.clear();
+        self.pos.clear();
+        self.spans.clear();
+        self.free_ids.clear();
+        self.touched.clear();
+        self.freeze.clear();
+        self.touched_live = 0;
+        self.frozen = 0;
     }
 
-    /// Build the per-resource event index if this log does not have one
-    /// yet: count events per resource, prefix-sum, then scatter the rounds
-    /// in order (stable, so each resource's events stay in round order).
-    /// Allocation-free once the buffers are warm.
-    fn ensure_index(&mut self) {
-        if self.indexed {
+    /// Number of rounds.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Bottleneck key of the round at position `k`.
+    pub(crate) fn key(&self, k: usize) -> u128 {
+        self.keys[k]
+    }
+
+    /// The round at position `k`: key, level, packed `(resource, delta)`
+    /// entries and frozen slots.
+    pub(crate) fn round(&self, k: usize) -> (u128, f64, &[u64], &[u32]) {
+        let id = self.ids[k];
+        (self.keys[k], self.levels[k], self.touched_of(id), self.freeze_of(id))
+    }
+
+    fn touched_of(&self, id: u32) -> &[u64] {
+        &self.touched[self.spans[id as usize].touched()]
+    }
+
+    fn freeze_of(&self, id: u32) -> &[u32] {
+        &self.freeze[self.spans[id as usize].freeze()]
+    }
+
+    /// Append a round after the current last one.
+    pub(crate) fn push_round(
+        &mut self,
+        key: u128,
+        level: f64,
+        touched: &[u64],
+        freeze: impl Iterator<Item = u32>,
+    ) {
+        let (t0, f0) = (self.touched.len(), self.freeze.len());
+        self.touched.extend_from_slice(touched);
+        self.freeze.extend(freeze);
+        self.commit(key, level, t0, f0);
+    }
+
+    /// Append the round whose entries are the pools' tails from `t0` /
+    /// `f0` on.
+    fn commit(&mut self, key: u128, level: f64, t0: usize, f0: usize) {
+        let id = self.new_id();
+        self.seal(id, t0, f0);
+        self.pos[id as usize] = self.keys.len() as u32;
+        self.keys.push(key);
+        self.levels.push(level);
+        self.ids.push(id);
+    }
+
+    /// An id for a new round (position and ranges still to be set).
+    fn new_id(&mut self) -> u32 {
+        if let Some(id) = self.free_ids.pop() {
+            self.recycled_ids += 1;
+            return id;
+        }
+        self.pos.push(NONE);
+        self.spans.push(Span::default());
+        self.pos.len() as u32 - 1
+    }
+
+    /// Give round `id` the pools' tails from `t0` / `f0` on.
+    fn seal(&mut self, id: u32, t0: usize, f0: usize) {
+        let span = Span {
+            t0: t0 as u32,
+            t_len: (self.touched.len() - t0) as u32,
+            f0: f0 as u32,
+            f_len: (self.freeze.len() - f0) as u32,
+        };
+        self.touched_live += span.t_len as usize;
+        self.frozen += span.f_len as usize;
+        self.spans[id as usize] = span;
+    }
+
+    /// Take round `id` out of the log mid-walk: its pool ranges become
+    /// garbage. The caller recycles the id once the walk ends.
+    fn release(&mut self, id: u32) {
+        let span = self.spans[id as usize];
+        self.touched_live -= span.t_len as usize;
+        self.frozen -= span.f_len as usize;
+        self.pos[id as usize] = POS_DROPPED;
+    }
+
+    /// Squeeze the garbage out of both pools, in place, once it outweighs
+    /// the live entries. Allocation-free once `order` is warm.
+    fn compact_if_sparse(&mut self) {
+        if self.touched.len() <= 2 * self.touched_live && self.freeze.len() <= 2 * self.frozen {
             return;
         }
-        let nr = self.n_resources as usize;
-        // Counts land two slots up so that after the prefix sum
-        // `ev_start[r + 1]` is resource `r`'s write cursor, and after the
-        // scatter it has advanced to `r + 1`'s start — leaving
-        // `ev_start[..=nr]` as the finished offsets with no second pass.
-        self.ev_start.clear();
-        self.ev_start.resize(nr + 2, 0);
-        for &r in &self.touched_res {
-            self.ev_start[r as usize + 2] += 1;
+        self.order.clear();
+        self.order.extend(self.ids.iter().map(|&id| (self.spans[id as usize].t0, id)));
+        self.order.sort_unstable();
+        let (mut tw, mut fw) = (0u32, 0u32);
+        for &(_, id) in &self.order {
+            let s = &mut self.spans[id as usize];
+            self.touched.copy_within(s.touched(), tw as usize);
+            self.freeze.copy_within(s.freeze(), fw as usize);
+            (s.t0, s.f0) = (tw, fw);
+            tw += s.t_len;
+            fw += s.f_len;
         }
-        for r in 2..nr + 2 {
-            self.ev_start[r] += self.ev_start[r - 1];
-        }
-        self.events.clear();
-        self.events.resize(self.touched_res.len(), 0);
-        let mut t0 = 0usize;
-        for (k, &t1) in self.round_end.iter().enumerate() {
-            for t in t0..t1 as usize {
-                let cursor = &mut self.ev_start[self.touched_res[t] as usize + 1];
-                self.events[*cursor as usize] = pack(k as u32, self.touched_delta[t]);
-                *cursor += 1;
-            }
-            t0 = t1 as usize;
-        }
-        self.indexed = true;
+        self.touched.truncate(tw as usize);
+        self.freeze.truncate(fw as usize);
+        self.compactions += 1;
     }
+}
+
+/// Grow `list`'s capacity to that of the arena's reverse-index list for
+/// the same resource. An event freezes at least one flow crossing the
+/// resource, so the event list is never longer than the reverse list —
+/// sized like it, it allocates only when the arena itself just did.
+#[inline]
+fn size_like_rev(list: &mut Vec<u64>, arena: &FlowArena, r: usize) {
+    let want = arena.rev[r].capacity();
+    if list.capacity() < want {
+        list.reserve_exact(want - list.len());
+    }
+}
+
+/// The solver's persistent freeze-round log: the rounds of its last
+/// logged solve plus the two indexes probes and warm solves read them
+/// through, all kept current by every logged solve — cold, warm or
+/// shard-merged — so nothing is rebuilt on first use.
+///
+/// * **by resource** — `events[r]`: the `(round id, delta)` of every round
+///   that froze flows crossing `r`, in position order (the transpose of
+///   the rounds' touched lists), and `ev_users[r]`, the deltas' sum —
+///   the number of flows crossing `r` the log accounts for;
+/// * **by slot** — `round_of[slot]`: the round that froze the slot's flow.
+///
+/// A candidate crossing resources `S` perturbs only the shares of `S`
+/// (each gains one user), so a probe replays the base rounds unchanged
+/// until the first round whose bottleneck key is beaten by a candidate
+/// share, reading `(slack, users)` changes off `events` — `O(rounds +
+/// events on S)`. A warm solve does the same for the resources its dirty
+/// window perturbed, and edits the log in place as it goes (see
+/// [`MaxMinSolver::solve_warm`]).
+#[derive(Debug, Default)]
+struct SolveLog {
+    rounds: RoundLog,
+    events: Vec<Vec<u64>>,
+    ev_users: Vec<u32>,
+    round_of: Vec<u32>,
+    /// Arena generation the log was recorded against.
+    generation: u64,
+    /// Resource-space size at record time.
+    n_resources: u32,
+    /// Arena slot bound at record time — the length the caller's rate
+    /// buffer had when this log's solve filled it.
+    slot_bound: u32,
+    /// False until the first logged solve, and after a plain `solve`.
+    valid: bool,
+}
+
+impl SolveLog {
+    /// Rebuild both indexes from `rounds` and stamp the log current for
+    /// `arena`: `O(resources + slots + touched)`, paid by cold and
+    /// shard-merged solves only.
+    fn build_index(&mut self, arena: &FlowArena) {
+        let nr = arena.n_resources();
+        grow(&mut self.events, nr, Vec::new());
+        self.events.iter_mut().for_each(Vec::clear);
+        self.ev_users.clear();
+        self.ev_users.resize(nr, 0);
+        self.round_of.clear();
+        self.round_of.resize(arena.slot_bound(), NONE);
+        for &id in &self.rounds.ids {
+            for &e in self.rounds.touched_of(id) {
+                let (r, d) = unpack(e);
+                let list = &mut self.events[r as usize];
+                size_like_rev(list, arena, r as usize);
+                list.push(pack(id, d));
+                self.ev_users[r as usize] += d;
+            }
+            for &slot in self.rounds.freeze_of(id) {
+                self.round_of[slot as usize] = id;
+            }
+        }
+        self.stamp(arena);
+    }
+
+    fn stamp(&mut self, arena: &FlowArena) {
+        self.generation = arena.generation();
+        self.n_resources = arena.n_resources() as u32;
+        self.slot_bound = arena.slot_bound() as u32;
+        self.valid = true;
+    }
+}
+
+/// Extend `v` to `n` entries of `fill` (no-op when already that long).
+fn grow<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
+    if v.len() < n {
+        v.resize(n, fill);
+    }
+}
+
+/// One pending delta of the warm walk: when the round it hangs off is
+/// carried, perturbed resource `res` loses `delta` users at that round's
+/// level. `next` chains the entries of one round.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    res: u32,
+    delta: u32,
+    next: u32,
 }
 
 /// Progressive-filling solver with persistent scratch state.
@@ -658,43 +863,59 @@ pub struct MaxMinSolver {
     heap_buf: Vec<Reverse<ShareKey>>,
     /// Per-resource generation stamp, invalidating stale heap entries.
     version: Vec<u32>,
-    /// Remaining capacity per resource.
+    /// Remaining capacity per resource (warm solves: meaningful for the
+    /// perturbed resources only).
     slack: Vec<f64>,
-    /// Unfrozen flows per resource.
+    /// Unfrozen flows per resource (warm solves: as `slack`).
     users: Vec<u32>,
-    /// Per-slot frozen flag.
+    /// Per-slot frozen flag of the cold solves (a warm solve reads
+    /// frozenness off `SolveLog::round_of`).
     frozen: Vec<bool>,
     /// Scratch: resources touched by the current freeze round.
     touched: Vec<u32>,
     /// Scratch: per-resource count of flows frozen this round.
     delta: Vec<u32>,
-    /// Freeze-round log of the last `solve_logged`, replayed by probes.
+    /// The persistent freeze-round log: recorded by `solve_logged`,
+    /// edited in place by `solve_warm`, read by probes.
     log: SolveLog,
-    /// Spare log buffers: [`MaxMinSolver::solve_warm`] re-records the log
-    /// while reading the old one, so the two alternate between `log` and
-    /// `log_spare` (no allocation once both are warm).
-    log_spare: SolveLog,
-    /// Warm-solve scratch: resources whose state has left the logged
-    /// trajectory (the live-tracked perturbation set).
+    /// Warm-solve scratch: is the resource in the perturbation set — off
+    /// the logged trajectory, with its live `(slack, users)` materialised?
+    /// All-false between solves (reset through `perturbed_list`).
     perturbed: Vec<bool>,
+    /// Warm-solve scratch: the perturbation set's members, in join order.
+    perturbed_list: Vec<u32>,
     /// Warm-solve scratch: indexed min-heap over the perturbed resources'
-    /// current share keys — exactly one entry per tracked resource,
-    /// updated in place (no stale entries, O(1) min read).
+    /// current share keys — exactly one entry per tracked resource with
+    /// unfrozen flows, updated in place (no stale entries, O(1) min
+    /// read). Empty between solves.
     wheap: Vec<u128>,
     /// Warm-solve scratch: resource → position in `wheap` (`WPOS_NONE`
     /// when absent).
     wpos: Vec<u32>,
+    /// Warm-solve scratch: per old position, the head of the round's
+    /// chain in `chain` (`NONE` for a round that touches no perturbed
+    /// resource).
+    chain_head: Vec<u32>,
+    /// Warm-solve scratch: the deltas carried rounds still owe to
+    /// perturbed resources, filled as resources join.
+    chain: Vec<Link>,
+    /// Warm-solve scratch: the position arrays of the log being walked
+    /// into; swapped with the log's at the end of the walk.
+    next_keys: Vec<u128>,
+    next_levels: Vec<f64>,
+    next_ids: Vec<u32>,
+    /// Warm-solve scratch: ids of the rounds this walk dropped. Recycled
+    /// only once it ends — until then a slot of a dropped round still
+    /// names it in `round_of`, and must not alias a live round.
+    dropped: Vec<u32>,
     /// Probe scratch: one replay cursor per candidate resource.
     probe_cur: Vec<ProbeCursor>,
-    /// Warm-solve scratch: copy of the arena's dirty window, taken before
-    /// the walk closes it (the walk borrows the arena mutably).
-    seed_buf: Vec<u32>,
     /// Observability: freeze rounds the last solve ran with the full
     /// cold-solve arithmetic (every round of a cold solve; the perturbed
     /// rounds of a warm one). Never read by the solve itself.
     last_live_rounds: u64,
-    /// Observability: freeze rounds the last solve replayed verbatim
-    /// from the previous log (zero for a cold solve).
+    /// Observability: freeze rounds the last solve carried over from the
+    /// previous log untouched (zero for a cold solve).
     last_replayed_rounds: u64,
     /// Observability: logged rounds walked by the last
     /// [`MaxMinSolver::probe`] / [`MaxMinSolver::probe_batch`], summed
@@ -704,28 +925,22 @@ pub struct MaxMinSolver {
 
 /// Replay state of one candidate resource: its `(slack, users)` as of the
 /// round the replay stands at, the share key they imply with the candidate
-/// as one extra user, and its unread span of the log's event index.
+/// as one extra user, and its place in the resource's event list.
 #[derive(Debug, Clone, Copy)]
 struct ProbeCursor {
     slack: f64,
     users: u32,
-    /// Next unread entry of `SolveLog::events` / one past the last.
+    /// Next unread entry of the resource's event list.
     next: u32,
-    end: u32,
+    /// Position of that entry's round (`u32::MAX` once exhausted). Events
+    /// name rounds by id; caching the position here keeps the
+    /// id → position lookup off the per-round path — it is refreshed only
+    /// when the cursor advances.
+    next_pos: u32,
     key: u128,
 }
 
 impl ProbeCursor {
-    /// Round of the next unread event (`u32::MAX` once exhausted).
-    #[inline]
-    fn next_round(&self, events: &[u64]) -> u32 {
-        if self.next < self.end {
-            unpack(events[self.next as usize]).0
-        } else {
-            u32::MAX
-        }
-    }
-
     /// Re-derive `key` after `(slack, users)` changed.
     #[inline]
     fn rekey(&mut self, r: u32) {
@@ -742,7 +957,7 @@ const WPOS_NONE: u32 = u32::MAX;
 /// Unlike the cold solve's lazy `BinaryHeap` (push-per-touch, stale
 /// entries versioned out at pop time), every tracked resource has exactly
 /// one entry, moved in place when its share changes — the root is always
-/// the true minimum, so run-batched replay reads it in O(1). The pop
+/// the true minimum, so a carried run reads it in O(1). The pop
 /// sequence is the sequence of minima either way, so the two structures
 /// drive bit-identical solves.
 mod wheap {
@@ -855,390 +1070,524 @@ impl MaxMinSolver {
 
     /// [`MaxMinSolver::solve`], additionally recording the freeze-round
     /// log that [`MaxMinSolver::probe`] and [`MaxMinSolver::probe_batch`]
-    /// replay. Logging costs one append per round plus one per touched
-    /// resource — a few percent of the solve — and stays allocation-free
-    /// once the log buffers are warm.
+    /// replay and [`MaxMinSolver::solve_warm`] chains off. Logging costs
+    /// one append per round plus two per touched resource (the round's
+    /// own list and the resource's event list) and one per flow, and
+    /// stays allocation-free once the log buffers are warm.
     pub fn solve_logged(&mut self, capacities: &[f64], arena: &FlowArena, rates: &mut Vec<f64>) {
         self.solve_impl::<true>(capacities, arena, rates);
     }
 
     /// Warm-started [`MaxMinSolver::solve_logged`]: re-solve after arena
-    /// churn with live work proportional to the *perturbed* rounds, by
-    /// replaying the previous solve's freeze-round log.
+    /// churn at a cost that scales with what the churn perturbed, by
+    /// editing the previous solve's freeze-round log in place.
     ///
     /// The arena's dirty set ([`FlowArena::dirty_resources`]) seeds a
     /// **perturbation set** — resources whose state may have left the
-    /// logged trajectory. The walk interleaves two kinds of rounds, always
-    /// picking whichever saturates first (exactly what a cold solve's heap
-    /// would pop):
+    /// logged trajectory. Only those get a live `(slack, users)`: a
+    /// resource is materialised the moment it joins, from its capacity,
+    /// its arena user count and the deltas of its own logged events
+    /// before the cursor, in list order — the subtraction sequence a cold
+    /// solve would have applied, hence the same bits. Every other
+    /// resource sits exactly on the logged trajectory and is never
+    /// touched. The walk goes through the old rounds in position order,
+    /// always picking whichever saturates first (exactly what a cold
+    /// solve's heap would pop):
     ///
-    /// * **replayed** — the next logged round, valid while its bottleneck
+    /// * **carried** — the next logged round, valid while its bottleneck
     ///   is unperturbed and no perturbed resource's current share beats
-    ///   its key. Its level and user count are re-validated against the
-    ///   mutated arena (the freeze set comes from the live reverse index
-    ///   and is checked against the logged bottleneck delta), then the
-    ///   logged per-resource deltas apply verbatim: no shares computed, no
-    ///   heap traffic, no per-flow path walks.
-    /// * **live** — a perturbed resource pops first and freezes its flows
-    ///   with the full cold-solve arithmetic. Every resource it touches
-    ///   joins the perturbation set (its future logged deltas are stale).
+    ///   its key. It keeps its id, its pool ranges, and its flows keep the
+    ///   rate they already have in `rates`; the round costs one key
+    ///   compare and an `O(1)` bottleneck check, plus one `(slack, users)`
+    ///   update per *perturbed* resource it touches (found through a
+    ///   per-round chain filled when the resource joined — the round's
+    ///   touched list is not scanned). Runs of carried rounds move to
+    ///   their new positions as bulk copies of `keys` / `levels` / `ids`.
+    /// * **live** — a perturbed resource pops first and freezes its
+    ///   unfrozen flows with the full cold-solve arithmetic, as a new
+    ///   round with a fresh id. Every resource it touches joins the
+    ///   perturbation set. A flow counts as frozen when the round
+    ///   `round_of` names for its slot has been carried past or was
+    ///   created by this walk.
+    /// * **dropped** — a logged round whose bottleneck got perturbed: its
+    ///   touched resources join the perturbation set while their state
+    ///   still matches the old trajectory, its flows freeze through live
+    ///   rounds instead, and its pool ranges become garbage.
     ///
-    /// Logged rounds whose bottleneck got perturbed are skipped — their
-    /// touched resources join the perturbation set while their exact state
-    /// still matches the old trajectory, and their flows freeze through
-    /// live rounds instead. Single-flow churn therefore pays the flat log
-    /// replay plus a handful of live rounds around the churned flow's
-    /// freeze levels, not a full progressive filling.
+    /// So a solve costs `O(rounds)` key compares plus work on the
+    /// perturbation closure: the joins, the live and dropped rounds, and
+    /// the carried rounds that touch a perturbed resource. The
+    /// per-resource event lists are edited for perturbed resources only
+    /// (rebuilt in walk order as their events are re-applied), so the log
+    /// and both its indexes are current when the walk ends — probes and
+    /// the next warm solve chain off it with nothing to rebuild.
     ///
     /// The result is **bit-identical** to a cold
-    /// [`MaxMinSolver::solve_logged`] of the same arena, and the log is
-    /// re-recorded as the walk runs (replayed rounds copied, live rounds
-    /// freshly logged), so consecutive churn events chain warm and probes
-    /// keep working. With no valid log to start from, this *is* a cold
-    /// `solve_logged`. `capacities` must extend the slice used by the
-    /// previous solve: growth for new resources is always fine, and an
-    /// existing entry may change **only if** the resource was announced
-    /// through [`FlowArena::touch_resource`] since the previous solve —
-    /// the walk rebuilds slack from the current capacities and treats
-    /// touched resources as perturbed, so announced capacity changes
-    /// (link failure, degradation, recovery) re-solve bit-identical to a
-    /// cold solve at the new capacities.
+    /// [`MaxMinSolver::solve_logged`] of the same arena. With no valid log
+    /// to start from, this *is* a cold `solve_logged`. `capacities` must
+    /// extend the slice used by the previous solve: growth for new
+    /// resources is always fine, and an existing entry may change **only
+    /// if** the resource was announced through
+    /// [`FlowArena::touch_resource`] since the previous solve — touched
+    /// resources are seeded as perturbed and materialised from the
+    /// current capacities, so announced capacity changes (link failure,
+    /// degradation, recovery) re-solve bit-identical to a cold solve at
+    /// the new capacities.
+    ///
+    /// **`rates` is state.** Carried rounds do not rewrite their flows'
+    /// rates, so `rates` must be the buffer this solver's previous solve
+    /// filled, untouched since except that vacant slots may be zeroed
+    /// (the solve zeroes the window's vacated slots itself). Handing a
+    /// warm solver a buffer shorter than at its previous solve — a fresh
+    /// `Vec` — panics.
     ///
     /// Takes the arena mutably because the call *consumes* the dirty
     /// window (see [`FlowArena::dirty_resources`]); for the same reason at
-    /// most one warm-chaining solver should drive a given arena.
+    /// most one warm-chaining solver should drive a given arena. A log
+    /// that does not describe the arena — a second consumer closed the
+    /// window, or the solver was pointed at another arena — is caught, in
+    /// release builds too, by an `O(1)` check per carried round (the
+    /// arena's user count on the bottleneck must equal the log's) and a
+    /// conservation check when the walk ends (the log must freeze exactly
+    /// the arena's flows); both panic rather than return corrupt rates.
     pub fn solve_warm(&mut self, capacities: &[f64], arena: &mut FlowArena, rates: &mut Vec<f64>) {
         let nr = arena.n_resources();
         assert!(capacities.len() >= nr, "capacities shorter than resource space");
-        if !self.log.valid || self.log.n_resources as usize > nr {
+        if self.will_solve_cold(arena) {
             // Nothing to warm-start from: open a fresh dirty window at the
             // moment the log is recorded, so the next call chains warm.
             arena.clear_dirty();
             self.solve_logged(capacities, arena, rates);
             return;
         }
-        // The old log is read-only input; the new one is re-recorded into
-        // the spare buffers and swapped in (both stay warm across calls).
-        // The perturbation seed is the arena's dirty window, copied out
-        // before the walk closes it.
-        let old = std::mem::take(&mut self.log);
-        std::mem::swap(&mut self.log, &mut self.log_spare);
-        let mut seed = std::mem::take(&mut self.seed_buf);
-        seed.clear();
-        seed.extend_from_slice(arena.dirty_resources());
-        self.replay_walk(capacities, arena, rates, &old, &seed);
-        self.seed_buf = seed;
-        self.log_spare = old;
+        self.sync_slots(arena, rates);
+        self.walk(capacities, arena, rates, arena.dirty_resources());
+        arena.clear_dirty();
     }
 
-    /// The warm-solve engine behind [`MaxMinSolver::solve_warm`] and the
-    /// sharded solve's reconciliation pass ([`crate::shard`]): replay
-    /// `old` — the freeze-round log of a solve of some *subset* of the
-    /// arena's current flows — interleaved with live rounds for the
-    /// perturbed cascade, recording the result into `self.log`.
+    /// The sharded solve's reconciliation ([`crate::shard`]): adopt
+    /// `merged` — the freeze rounds of a solve of the arena's pod-local
+    /// flows, freeze slots already global — as this solver's log and run
+    /// the warm walk over it, seeded with `seed`, the resources whose
+    /// state the flows `merged` never saw (the boundary flows) or a
+    /// capacity change may have moved. Leaves the previous log's round
+    /// storage in `merged`, so the two alternate without allocating.
     ///
-    /// `seed` must cover every resource whose `(slack, users)` state may
-    /// deviate from `old`'s trajectory: for a warm solve, the resources
-    /// touched by arena mutations since `old` was recorded; for the
-    /// sharded reconciliation, the resources crossed by the boundary
-    /// flows `old`'s shard-local solves never saw. Over-approximation is
-    /// always safe. `old.freeze_slots` must name live, distinct slots of
-    /// `arena` (the caller remaps shard-local slots before merging).
-    ///
-    /// Consumes the arena's dirty window (it re-opens as this log is
-    /// recorded) and leaves `self.log` valid for the current arena, so
-    /// probes and further warm solves chain off it.
-    pub(crate) fn replay_walk(
+    /// Same contract and result as [`MaxMinSolver::solve_warm`]: consumes
+    /// the arena's dirty window, bit-identical to a cold solve, log
+    /// current afterwards.
+    pub(crate) fn solve_over(
         &mut self,
+        merged: &mut RoundLog,
         capacities: &[f64],
         arena: &mut FlowArena,
         rates: &mut Vec<f64>,
-        old: &SolveLog,
         seed: &[u32],
     ) {
-        let remaining = self.walk_init(capacities, arena, rates, seed);
-        self.walk_rounds(arena, rates, old, remaining);
-    }
-
-    /// First half of [`MaxMinSolver::replay_walk`]: rebuild the cold-solve
-    /// state (rates/frozen/slack/users), seed the perturbation set, stamp
-    /// the new log header and consume the arena's dirty window. Returns
-    /// the number of unfrozen flows for [`MaxMinSolver::walk_rounds`].
-    ///
-    /// Split out so the sharded solve can run this `O(resources)` setup
-    /// — and then merge shard logs — while its worker pool is still
-    /// solving shards: everything here is independent of `old`, which
-    /// does not need to exist yet.
-    pub(crate) fn walk_init(
-        &mut self,
-        capacities: &[f64],
-        arena: &mut FlowArena,
-        rates: &mut Vec<f64>,
-        seed: &[u32],
-    ) -> usize {
-        let nr = arena.n_resources();
-        assert!(capacities.len() >= nr, "capacities shorter than resource space");
-        // Cold-solve state init — the hybrid walk must evolve the exact
-        // state a from-scratch solve would, or bit-identity is lost.
-        let nslots = arena.slot_bound();
-        rates.clear();
-        rates.resize(nslots, 0.0);
-        self.frozen.clear();
-        self.frozen.resize(nslots, false);
-        self.slack.clear();
-        self.slack.extend_from_slice(&capacities[..nr]);
-        self.users.clear();
-        self.users.extend_from_slice(&arena.users_counts()[..nr]);
-        // `delta` is always all-zero between solves; it only needs sizing
-        // for growth. (`version` belongs to the cold solves' lazy heap —
-        // the warm path's indexed heap has no stale entries to stamp.)
-        if self.delta.len() < nr {
-            self.delta.resize(nr, 0);
+        assert!(capacities.len() >= arena.n_resources(), "capacities shorter than resource space");
+        if !self.log.valid {
+            // No previous solve of ours filled `rates`: start from zeros,
+            // as a cold solve would.
+            rates.clear();
         }
-        self.touched.clear();
-        self.last_live_rounds = 0;
-        self.last_replayed_rounds = 0;
-        self.perturbed.clear();
-        self.perturbed.resize(nr, false);
-        let remaining = arena.n_flows();
-
-        self.log.clear();
-        self.log.generation = arena.generation();
-        self.log.n_resources = nr as u32;
-        self.log.valid = true;
-
-        // Reset the indexed live heap (left-over entries from the last
-        // warm solve release their positions) and seed the perturbation
-        // set, then close the arena's dirty window — it re-opens exactly
-        // as this log is recorded.
-        for &k in &self.wheap {
-            self.wpos[ShareKey(k).res() as usize] = WPOS_NONE;
-        }
-        self.wheap.clear();
-        if self.wpos.len() < nr {
-            self.wpos.resize(nr, WPOS_NONE);
-        }
-        for &r in seed {
-            let ri = r as usize;
-            if !self.perturbed[ri] {
-                self.perturbed[ri] = true;
-                if self.users[ri] > 0 {
-                    let share = (self.slack[ri] / self.users[ri] as f64).max(0.0);
-                    wheap::insert(&mut self.wheap, &mut self.wpos, ShareKey::new(share, r, 0).0);
-                }
+        self.sync_slots(arena, rates);
+        std::mem::swap(&mut self.log.rounds, merged);
+        self.log.build_index(arena);
+        // The merged rounds are this walk's "previous solve": their flows
+        // must read their levels before carried rounds can leave them be.
+        for k in 0..self.log.rounds.len() {
+            let (_, level, _, freeze) = self.log.rounds.round(k);
+            for &slot in freeze {
+                rates[slot as usize] = level;
             }
         }
+        self.walk(capacities, arena, rates, seed);
         arena.clear_dirty();
-        remaining
     }
 
-    /// Second half of [`MaxMinSolver::replay_walk`]: the hybrid
-    /// replayed/live round loop over `old`, freezing the `remaining`
-    /// flows [`MaxMinSolver::walk_init`] counted. `old` must describe a
-    /// solve of a subset of the arena's current flows whose deviations
-    /// are covered by the seed already planted by `walk_init`.
-    pub(crate) fn walk_rounds(
-        &mut self,
-        arena: &FlowArena,
-        rates: &mut [f64],
-        old: &SolveLog,
-        mut remaining: usize,
-    ) {
-        let rounds = old.keys.len();
-        let mut kcur = 0usize;
-        let mut t0 = 0usize;
-        let mut f0 = 0usize;
-        while remaining > 0 {
-            // Advance the cursor past logged rounds whose bottleneck was
-            // perturbed: their freeze sets are stale, so their flows are
-            // handed to the live heap instead. Every resource such a round
-            // touched joins the perturbation set *now*, while its exact
-            // state still matches the old trajectory (its share is ≥ the
-            // skipped key, so it cannot have deserved an earlier pop).
+    /// Bring the slot-indexed state — the caller's `rates` and the log's
+    /// `round_of` — up to the arena's slot bound, and forget the dirty
+    /// window's slots: a vacated one reads rate 0, and none of them names
+    /// a round any more (a recycled slot's new flow was never frozen; a
+    /// stale id must not alias whatever round reuses it).
+    fn sync_slots(&mut self, arena: &FlowArena, rates: &mut Vec<f64>) {
+        assert!(
+            !self.log.valid || rates.len() >= self.log.slot_bound as usize,
+            "`rates` is shorter than at this solver's previous solve: a warm solve \
+             needs the buffer that solve filled (carried rounds keep their rates in it)"
+        );
+        let nslots = arena.slot_bound();
+        rates.resize(nslots, 0.0);
+        grow(&mut self.log.round_of, nslots, NONE);
+        for &slot in arena.dirty_slots() {
+            self.log.round_of[slot as usize] = NONE;
+            if !arena.is_live(FlowSlot(slot)) {
+                rates[slot as usize] = 0.0;
+            }
+        }
+    }
+
+    /// The warm-solve engine behind [`MaxMinSolver::solve_warm`] and
+    /// [`MaxMinSolver::solve_over`]: walk `self.log` — the freeze rounds
+    /// of a solve of some *subset* of the arena's current flows —
+    /// in place, interleaving live rounds for the perturbed cascade.
+    ///
+    /// `seed` must cover every resource whose `(slack, users)` state may
+    /// deviate from the log's trajectory; over-approximation is always
+    /// safe. `rates` must hold the logged level of every flow the log
+    /// freezes, and `round_of` must name no round for any other slot.
+    /// Leaves the log current for `arena`; the caller closes the dirty
+    /// window.
+    fn walk(&mut self, capacities: &[f64], arena: &FlowArena, rates: &mut [f64], seed: &[u32]) {
+        // Per-resource state only needs sizing for growth: `delta` is
+        // all-zero and `perturbed` all-false between solves, and `slack` /
+        // `users` are written when a resource joins.
+        let nr = arena.n_resources();
+        grow(&mut self.perturbed, nr, false);
+        grow(&mut self.wpos, nr, WPOS_NONE);
+        grow(&mut self.slack, nr, 0.0);
+        grow(&mut self.users, nr, 0);
+        grow(&mut self.delta, nr, 0);
+        grow(&mut self.log.events, nr, Vec::new());
+        grow(&mut self.log.ev_users, nr, 0);
+        let n_old = self.log.rounds.len();
+        self.chain_head.clear();
+        self.chain_head.resize(n_old, NONE);
+        self.chain.clear();
+        self.next_keys.clear();
+        self.next_levels.clear();
+        self.next_ids.clear();
+        self.last_live_rounds = 0;
+        self.last_replayed_rounds = 0;
+        debug_assert!(self.wheap.is_empty() && self.perturbed_list.is_empty());
+        for &r in seed {
+            self.join(capacities, arena, r, 0);
+        }
+        // `cur` is the position, in the old order, of the next logged
+        // round; `first_moved` the new position from which rounds no
+        // longer sit where the old log had them.
+        let mut cur = 0usize;
+        let mut first_moved = usize::MAX;
+        loop {
+            // Drop logged rounds whose bottleneck was perturbed: their
+            // freeze sets are stale, so their flows are handed to the live
+            // heap instead. Every resource such a round touched joins the
+            // perturbation set *now*, while its state still matches the
+            // old trajectory (its share is ≥ the dropped key, so it cannot
+            // have deserved an earlier pop).
             let logged_key = loop {
-                if kcur >= rounds {
+                if cur >= n_old {
                     break u128::MAX;
                 }
-                let key = old.keys[kcur];
+                let key = self.log.rounds.keys[cur];
                 if !self.perturbed[ShareKey(key).res() as usize] {
                     break key;
                 }
-                let t1 = old.round_end[kcur] as usize;
-                for t in t0..t1 {
-                    let r2 = old.touched_res[t];
-                    let ri = r2 as usize;
-                    if !self.perturbed[ri] {
-                        self.perturbed[ri] = true;
-                        if self.users[ri] > 0 {
-                            let share = (self.slack[ri] / self.users[ri] as f64).max(0.0);
-                            wheap::insert(
-                                &mut self.wheap,
-                                &mut self.wpos,
-                                ShareKey::new(share, r2, 0).0,
-                            );
-                        }
-                    }
+                let id = self.log.rounds.ids[cur];
+                for t in self.log.rounds.spans[id as usize].touched() {
+                    let r = unpack(self.log.rounds.touched[t]).0;
+                    self.join(capacities, arena, r, cur);
                 }
-                t0 = t1;
-                f0 = old.freeze_end[kcur] as usize;
-                kcur += 1;
+                self.log.rounds.release(id);
+                self.dropped.push(id);
+                first_moved = first_moved.min(self.next_keys.len());
+                cur += 1;
             };
             // Minimum over the live-tracked resources: the indexed heap's
-            // root, always current.
-            let live_key = self.wheap.first().map(|&k| ShareKey(k));
-            // Unperturbed resources sit exactly on the logged trajectory,
-            // so their shares are ≥ the next logged key: the true global
-            // minimum is whichever of (live top, logged key) is smaller,
-            // and a tie is impossible (the ids would have to match, but a
-            // perturbed bottleneck never reaches the comparison).
-            match live_key {
-                Some(k) if k.0 < logged_key => {
-                    // Live round: identical arithmetic to a cold round —
-                    // this body is a deliberate copy of `fill_rounds`'s
-                    // freeze-round core (over the indexed heap instead of
-                    // the lazy one) and must stay in lockstep with it.
-                    let popped = wheap::pop_min(&mut self.wheap, &mut self.wpos);
-                    debug_assert_eq!(popped, k.0);
-                    let b = k.res() as usize;
-                    let level = k.share();
-                    self.touched.clear();
-                    let mut froze = 0usize;
-                    for &e in &arena.rev[b] {
-                        let (slot, _) = unpack(e);
-                        let f = slot as usize;
-                        if self.frozen[f] {
-                            continue;
-                        }
-                        self.frozen[f] = true;
-                        rates[f] = level;
-                        froze += 1;
-                        self.log.freeze_slots.push(slot);
-                        for &r2 in arena.resources_unchecked(slot) {
-                            let r2 = r2 as usize;
-                            if self.delta[r2] == 0 {
-                                self.touched.push(r2 as u32);
-                            }
-                            self.delta[r2] += 1;
-                        }
-                    }
-                    debug_assert!(froze > 0, "live bottleneck had users but froze nothing");
-                    remaining -= froze;
-                    self.last_live_rounds += 1;
-                    self.log.keys.push(ShareKey::new(level, b as u32, 0).0);
-                    self.log.levels.push(level);
-                    self.log.freeze_end.push(self.log.freeze_slots.len() as u32);
-                    for i in 0..self.touched.len() {
-                        let r2 = self.touched[i] as usize;
-                        let d = self.delta[r2];
-                        self.delta[r2] = 0;
-                        self.users[r2] -= d;
-                        self.slack[r2] -= d as f64 * level;
-                        self.log.touched_res.push(r2 as u32);
-                        self.log.touched_delta.push(d);
-                        // A live freeze drags every touched resource off
-                        // the logged trajectory: it joins the live set.
-                        self.perturbed[r2] = true;
-                        self.wheap_upsert(r2);
-                    }
-                    self.log.round_end.push(self.log.touched_res.len() as u32);
+            // root, always current. Unperturbed resources sit exactly on
+            // the logged trajectory, so their shares are ≥ the next logged
+            // key: the true global minimum is whichever of (live top,
+            // logged key) is smaller, and a tie is impossible (the ids
+            // would have to match, but a perturbed bottleneck never
+            // reaches the comparison).
+            match self.wheap.first() {
+                Some(&k) if k < logged_key => {
+                    first_moved = first_moved.min(self.next_keys.len());
+                    self.live_round(capacities, arena, rates, cur);
                 }
-                _ if logged_key != u128::MAX => {
-                    // Replayed rounds: the logged freeze sets are still
-                    // exact (no flow crossing these bottlenecks was added,
-                    // removed or live-frozen — any of those would have
-                    // perturbed them), so the recorded slots and deltas
-                    // apply verbatim: sequential walks, no shares, no heap.
-                    // Consecutive clean rounds run as one batch — the heap
-                    // cannot change under them — and their log segment is
-                    // copied over in bulk afterwards.
-                    let k_start = kcur;
-                    let t_start = t0;
-                    let f_start = f0;
-                    loop {
-                        let key = old.keys[kcur];
-                        let b = ShareKey(key).res() as usize;
-                        let level = old.levels[kcur];
-                        let f1 = old.freeze_end[kcur] as usize;
-                        // Re-validate the bottleneck against the mutated
-                        // arena: its current unfrozen user count must
-                        // equal the logged freeze count (kept in release
-                        // builds — it is O(1) per round and turns a
-                        // contract violation, e.g. a solver driven across
-                        // two arenas or a second warm solver consuming
-                        // this one's dirty window, into a panic instead
-                        // of silently corrupt rates); each logged flow
-                        // must also still be live and unfrozen (debug).
-                        assert_eq!(
-                            self.users[b] as usize,
-                            f1 - f0,
-                            "replayed bottleneck user count diverged from the log \
-                             (was this solver's log recorded against a different arena?)"
-                        );
-                        for &slot in &old.freeze_slots[f0..f1] {
-                            let f = slot as usize;
-                            debug_assert!(
-                                arena.is_live(FlowSlot(slot)) && !self.frozen[f],
-                                "replayed freeze set diverged from the log"
-                            );
-                            self.frozen[f] = true;
-                            rates[f] = level;
-                        }
-                        remaining -= f1 - f0;
-                        let t1 = old.round_end[kcur] as usize;
-                        for (&r2, &d) in
-                            old.touched_res[t0..t1].iter().zip(&old.touched_delta[t0..t1])
-                        {
-                            let r2 = r2 as usize;
-                            self.users[r2] -= d;
-                            self.slack[r2] -= d as f64 * level;
-                            if self.perturbed[r2] {
-                                self.wheap_upsert(r2);
-                            }
-                        }
-                        f0 = f1;
-                        t0 = t1;
-                        kcur += 1;
-                        // Extend the run only while the decision the outer
-                        // loop would make is unchanged: flows left, next
-                        // round clean and still beating the live minimum
-                        // (the root read is O(1) and always current, so
-                        // perturbed touches inside the run are handled).
-                        if remaining == 0 || kcur >= rounds {
-                            break;
-                        }
-                        let nk = old.keys[kcur];
-                        if self.perturbed[ShareKey(nk).res() as usize]
-                            || self.wheap.first().is_some_and(|&k| k < nk)
-                        {
-                            break;
-                        }
-                    }
-                    self.last_replayed_rounds += (kcur - k_start) as u64;
-                    // Bulk-copy the run's log segment, shifting the
-                    // per-round end offsets onto the new log's bases.
-                    let nt_base = self.log.touched_res.len() as u32;
-                    let nf_base = self.log.freeze_slots.len() as u32;
-                    self.log.keys.extend_from_slice(&old.keys[k_start..kcur]);
-                    self.log.levels.extend_from_slice(&old.levels[k_start..kcur]);
-                    self.log.freeze_slots.extend_from_slice(&old.freeze_slots[f_start..f0]);
-                    self.log.touched_res.extend_from_slice(&old.touched_res[t_start..t0]);
-                    self.log.touched_delta.extend_from_slice(&old.touched_delta[t_start..t0]);
-                    for k in k_start..kcur {
-                        self.log.round_end.push(old.round_end[k] - t_start as u32 + nt_base);
-                        self.log.freeze_end.push(old.freeze_end[k] - f_start as u32 + nf_base);
-                    }
-                }
-                _ => {
-                    debug_assert!(false, "flows remain but no live or logged round to run");
-                    break;
-                }
+                _ if logged_key != u128::MAX => cur = self.carry_run(arena, rates, cur),
+                // Old log exhausted and no perturbed resource has an
+                // unfrozen flow left.
+                _ => break,
             }
+        }
+
+        let rl = &mut self.log.rounds;
+        std::mem::swap(&mut rl.keys, &mut self.next_keys);
+        std::mem::swap(&mut rl.levels, &mut self.next_levels);
+        std::mem::swap(&mut rl.ids, &mut self.next_ids);
+        for p in first_moved.min(rl.ids.len())..rl.ids.len() {
+            rl.pos[rl.ids[p] as usize] = p as u32;
+        }
+        rl.free_ids.append(&mut self.dropped);
+        // Every flow froze exactly once, or the log never described this
+        // arena (kept in release builds: it is the only check that sees a
+        // flow the log missed on a resource that bottlenecks no round).
+        assert_eq!(
+            rl.frozen,
+            arena.n_flows(),
+            "the log's freeze counts do not sum to the arena's flows ({DIVERGED})"
+        );
+        rl.compact_if_sparse();
+        for &r in &self.perturbed_list {
+            debug_assert_eq!(self.users[r as usize], 0, "heap drained with flows unfrozen");
+            self.perturbed[r as usize] = false;
+            self.log.ev_users[r as usize] = arena.users(r) as u32;
+        }
+        self.perturbed_list.clear();
+        self.log.stamp(arena);
+    }
+
+    /// Resource `r` leaves the logged trajectory with the walk's cursor at
+    /// old position `cur`: materialise its `(slack, users)` from its
+    /// logged events before the cursor (all carried — a dropped or live
+    /// round touching `r` would have made it join then), hang the events
+    /// from the cursor on off their rounds' chains, and start tracking its
+    /// share. Its event list keeps the folded prefix; the rest is
+    /// re-appended as the walk applies it. No-op for a member.
+    fn join(&mut self, capacities: &[f64], arena: &FlowArena, r: u32, cur: usize) {
+        let ri = r as usize;
+        if self.perturbed[ri] {
+            return;
+        }
+        self.perturbed[ri] = true;
+        self.perturbed_list.push(r);
+        let rl = &self.log.rounds;
+        let list = &mut self.log.events[ri];
+        let mut slack = capacities[ri];
+        let mut users = arena.users(r) as u32;
+        let mut folded = 0;
+        for &e in list.iter() {
+            let (id, d) = unpack(e);
+            let p = rl.pos[id as usize] as usize;
+            if p >= cur {
+                break;
+            }
+            users -= d;
+            slack -= d as f64 * rl.levels[p];
+            folded += 1;
+        }
+        for &e in &list[folded..] {
+            let (id, delta) = unpack(e);
+            let head = &mut self.chain_head[rl.pos[id as usize] as usize];
+            self.chain.push(Link { res: r, delta, next: *head });
+            *head = self.chain.len() as u32 - 1;
+        }
+        list.truncate(folded);
+        size_like_rev(list, arena, ri);
+        self.slack[ri] = slack;
+        self.users[ri] = users;
+        if users > 0 {
+            let share = (slack / users as f64).max(0.0);
+            wheap::insert(&mut self.wheap, &mut self.wpos, ShareKey::new(share, r, 0).0);
         }
     }
 
-    /// The freeze-round log of the last logged/warm solve (sharded merge).
-    pub(crate) fn solve_log(&self) -> &SolveLog {
-        &self.log
+    /// Carry the run of logged rounds starting at old position `cur` —
+    /// known clean and ahead of the live minimum — for as long as the
+    /// decision the walk would make is unchanged: next round's bottleneck
+    /// unperturbed and its key not beaten by the live minimum (the root
+    /// read is O(1) and always current, so the updates inside the run are
+    /// seen). Returns the position after the run.
+    fn carry_run(&mut self, arena: &FlowArena, rates: &[f64], mut cur: usize) -> usize {
+        let start = cur;
+        let n_old = self.log.rounds.len();
+        'run: while cur < n_old {
+            // Rounds that touch no perturbed resource: nothing moves, the
+            // live minimum included.
+            let live_min = self.wheap.first().copied().unwrap_or(u128::MAX);
+            loop {
+                let key = self.log.rounds.keys[cur];
+                let b = ShareKey(key).res();
+                if self.perturbed[b as usize] || live_min < key {
+                    break 'run;
+                }
+                // Re-validate the bottleneck against the mutated arena:
+                // every flow crossing it must be one the log froze (kept
+                // in release builds — it is O(1) per round and turns a
+                // contract violation, e.g. a solver driven across two
+                // arenas or a second warm solver consuming this one's
+                // dirty window, into a panic instead of silently corrupt
+                // rates).
+                assert_eq!(
+                    arena.users(b),
+                    self.log.ev_users[b as usize] as usize,
+                    "carried bottleneck's user count diverged from the log ({DIVERGED})"
+                );
+                let level = self.log.rounds.levels[cur];
+                debug_assert!(
+                    self.log.rounds.round(cur).3.iter().all(|&s| rates[s as usize] == level),
+                    "a carried round's flow no longer reads its level: `rates` is not the \
+                     buffer the previous solve filled"
+                );
+                if self.chain_head[cur] != NONE {
+                    break;
+                }
+                cur += 1;
+                if cur >= n_old {
+                    break 'run;
+                }
+            }
+            // This round executes as logged; the perturbed resources it
+            // touches take its deltas and get its event back.
+            let (id, level) = (self.log.rounds.ids[cur], self.log.rounds.levels[cur]);
+            let mut link = self.chain_head[cur];
+            while link != NONE {
+                let Link { res, delta, next } = self.chain[link as usize];
+                let r2 = res as usize;
+                self.users[r2] -= delta;
+                self.slack[r2] -= delta as f64 * level;
+                self.log.events[r2].push(pack(id, delta));
+                self.wheap_upsert(r2);
+                link = next;
+            }
+            cur += 1;
+        }
+        self.last_replayed_rounds += (cur - start) as u64;
+        let rl = &self.log.rounds;
+        self.next_keys.extend_from_slice(&rl.keys[start..cur]);
+        self.next_levels.extend_from_slice(&rl.levels[start..cur]);
+        self.next_ids.extend_from_slice(&rl.ids[start..cur]);
+        cur
+    }
+
+    /// Run one live round: the perturbed resource with the smallest share
+    /// pops, with the walk's cursor at old position `cur`.
+    ///
+    /// Identical arithmetic to a cold round — this body is a deliberate
+    /// copy of `fill_rounds`'s freeze-round core (over the indexed heap
+    /// instead of the lazy one) and must stay in lockstep with it.
+    fn live_round(&mut self, capacities: &[f64], arena: &FlowArena, rates: &mut [f64], cur: usize) {
+        let k = ShareKey(wheap::pop_min(&mut self.wheap, &mut self.wpos));
+        let b = k.res() as usize;
+        let level = k.share();
+        let id = self.log.rounds.new_id();
+        self.log.rounds.pos[id as usize] = POS_CREATED;
+        let (t0, f0) = (self.log.rounds.touched.len(), self.log.rounds.freeze.len());
+        self.touched.clear();
+        for &e in &arena.rev[b] {
+            let (slot, _) = unpack(e);
+            let f = slot as usize;
+            // Frozen already: its round was carried past, or this walk
+            // created it. (A dropped round, or one still ahead — which
+            // this freeze is about to get dropped — leaves it unfrozen.)
+            let of = self.log.round_of[f];
+            if of != NONE {
+                let p = self.log.rounds.pos[of as usize];
+                if (p as usize) < cur || p == POS_CREATED {
+                    continue;
+                }
+            }
+            self.log.round_of[f] = id;
+            rates[f] = level;
+            self.log.rounds.freeze.push(slot);
+            for &r2 in arena.resources_unchecked(slot) {
+                let r2 = r2 as usize;
+                if self.delta[r2] == 0 {
+                    self.touched.push(r2 as u32);
+                }
+                self.delta[r2] += 1;
+            }
+        }
+        assert!(
+            !self.touched.is_empty(),
+            "live bottleneck had users but froze nothing ({DIVERGED})"
+        );
+        self.last_live_rounds += 1;
+        for i in 0..self.touched.len() {
+            let r2 = self.touched[i] as usize;
+            let d = self.delta[r2];
+            self.delta[r2] = 0;
+            // A live freeze drags every touched resource off the logged
+            // trajectory: it joins the live set.
+            self.join(capacities, arena, r2 as u32, cur);
+            self.users[r2] -= d;
+            self.slack[r2] -= d as f64 * level;
+            self.log.rounds.touched.push(pack(r2 as u32, d));
+            self.log.events[r2].push(pack(id, d));
+            self.wheap_upsert(r2);
+        }
+        self.log.rounds.seal(id, t0, f0);
+        self.next_keys.push(ShareKey::new(level, b as u32, 0).0);
+        self.next_levels.push(level);
+        self.next_ids.push(id);
+    }
+
+    /// The freeze rounds of the last logged/warm solve (sharded merge).
+    pub(crate) fn solve_log(&self) -> &RoundLog {
+        &self.log.rounds
+    }
+
+    /// Internal consistency check of the persistent log against the
+    /// arena it was last solved for (tests only; panics on violation):
+    ///
+    /// * positions are dense and `pos` / `ids` are inverse; every id is
+    ///   either in the log or free, once;
+    /// * each resource's event list equals the transpose of the rounds'
+    ///   touched lists — so it is in position order — and its deltas sum
+    ///   to `ev_users`, which equals the arena's user count;
+    /// * every live slot is in exactly one round's freeze list, and
+    ///   `round_of` names that round; a round freezes only flows crossing
+    ///   its bottleneck;
+    /// * the pools' live counts match the rounds' ranges.
+    #[doc(hidden)]
+    pub fn check_log_invariants(&self, arena: &FlowArena) {
+        assert!(self.log_matches(arena), "log is not current for the arena");
+        let log = &self.log;
+        let rl = &log.rounds;
+        let n = rl.len();
+        assert!(rl.levels.len() == n && rl.ids.len() == n, "position arrays differ in length");
+        assert_eq!(rl.pos.len(), rl.spans.len(), "per-id arrays differ in length");
+        let mut owner = vec![0u8; rl.pos.len()];
+        for (p, &id) in rl.ids.iter().enumerate() {
+            assert_eq!(rl.pos[id as usize] as usize, p, "pos is not the inverse of ids");
+            owner[id as usize] += 1;
+        }
+        rl.free_ids.iter().for_each(|&id| owner[id as usize] += 1);
+        assert!(owner.iter().all(|&c| c == 1), "an id is neither live nor free, or both");
+        let nr = arena.n_resources();
+        let mut events = vec![Vec::new(); nr];
+        let mut frozen_in = vec![NONE; arena.slot_bound()];
+        let (mut touched_live, mut frozen) = (0, 0);
+        for k in 0..n {
+            let (key, level, touched, freeze) = rl.round(k);
+            let (id, b) = (rl.ids[k], ShareKey(key).res());
+            assert_eq!(key, ShareKey::new(level, b, 0).0, "round {k}: key is not (level, res)");
+            for &e in touched {
+                let (r, d) = unpack(e);
+                assert!(d > 0, "round {k}: empty delta on resource {r}");
+                assert!(r != b || d as usize == freeze.len(), "round {k}: bottleneck delta");
+                events[r as usize].push(pack(id, d));
+            }
+            for &slot in freeze {
+                assert!(arena.resources(FlowSlot(slot)).contains(&b), "round {k}: stray flow");
+                assert_eq!(frozen_in[slot as usize], NONE, "slot {slot} frozen twice");
+                frozen_in[slot as usize] = id;
+            }
+            touched_live += touched.len();
+            frozen += freeze.len();
+        }
+        assert_eq!((touched_live, frozen), (rl.touched_live, rl.frozen), "pool live counts");
+        assert!(rl.touched.len() >= touched_live && rl.freeze.len() >= frozen);
+        for (r, want) in events.iter().enumerate() {
+            assert_eq!(&log.events[r], want, "resource {r}: event list is not the transpose");
+            let sum: u32 = want.iter().map(|&e| unpack(e).1).sum();
+            assert_eq!(sum, log.ev_users[r], "resource {r}: ev_users is not the delta sum");
+            assert_eq!(sum as usize, arena.users(r as u32), "resource {r}: users unaccounted");
+        }
+        assert!(log.events[nr..].iter().all(Vec::is_empty), "events beyond the resource space");
+        for (slot, &id) in frozen_in.iter().enumerate() {
+            let live = arena.is_live(FlowSlot(slot as u32));
+            assert_eq!(id != NONE, live, "slot {slot}: frozen by the log iff live");
+            assert!(!live || log.round_of[slot] == id, "slot {slot}: round_of disagrees");
+        }
+    }
+
+    /// `(pool compactions, round ids reused)` by this solver's log so
+    /// far — lets tests assert that a churn chain actually crossed both.
+    #[doc(hidden)]
+    pub fn log_churn(&self) -> (u64, u64) {
+        (self.log.rounds.compactions, self.log.rounds.recycled_ids)
     }
 
     /// Would [`MaxMinSolver::solve_warm`] on `arena` fall back to a cold
@@ -1256,8 +1605,8 @@ impl MaxMinSolver {
         self.last_live_rounds
     }
 
-    /// Freeze rounds the last solve replayed verbatim from the previous
-    /// log (zero for a cold solve). Diagnostics only.
+    /// Freeze rounds the last solve carried over from the previous log
+    /// untouched (zero for a cold solve). Diagnostics only.
     pub fn last_replayed_rounds(&self) -> u64 {
         self.last_replayed_rounds
     }
@@ -1298,10 +1647,7 @@ impl MaxMinSolver {
         self.last_live_rounds = 0;
         self.last_replayed_rounds = 0;
         if LOG {
-            self.log.clear();
-            self.log.generation = arena.generation();
-            self.log.n_resources = nr as u32;
-            self.log.valid = true;
+            self.log.rounds.clear();
         }
         let nslots = arena.slot_bound();
         rates.clear();
@@ -1318,21 +1664,24 @@ impl MaxMinSolver {
         self.delta.resize(nr, 0);
         self.touched.clear();
         let remaining = arena.n_flows();
-        if remaining == 0 {
-            return;
-        }
-        // Build the initial heap by O(R) heapify over the retained buffer
-        // (cheaper than R sift-up pushes, and alloc-free after warm-up).
-        self.heap_buf.clear();
-        for r in 0..nr {
-            let u = arena.users(r as u32) as u32;
-            self.users[r] = u;
-            if u > 0 {
-                let share = (self.slack[r] / u as f64).max(0.0);
-                self.heap_buf.push(Reverse(ShareKey::new(share, r as u32, 0)));
+        if remaining > 0 {
+            // Build the initial heap by O(R) heapify over the retained
+            // buffer (cheaper than R sift-up pushes, and alloc-free after
+            // warm-up).
+            self.heap_buf.clear();
+            for r in 0..nr {
+                let u = arena.users(r as u32) as u32;
+                self.users[r] = u;
+                if u > 0 {
+                    let share = (self.slack[r] / u as f64).max(0.0);
+                    self.heap_buf.push(Reverse(ShareKey::new(share, r as u32, 0)));
+                }
             }
+            self.fill_rounds::<LOG>(arena, rates, remaining);
         }
-        self.fill_rounds::<LOG>(arena, rates, remaining);
+        if LOG {
+            self.log.build_index(arena);
+        }
     }
 
     /// Progressive filling from the solver's *current* `(slack, users,
@@ -1369,6 +1718,7 @@ impl MaxMinSolver {
             // `level`, accumulating per-resource counts so the slack
             // update is independent of reverse-index ordering.
             self.touched.clear();
+            let (t0, f0) = (self.log.rounds.touched.len(), self.log.rounds.freeze.len());
             for &e in &arena.rev[b] {
                 let (slot, _) = unpack(e);
                 let f = slot as usize;
@@ -1379,7 +1729,7 @@ impl MaxMinSolver {
                 rates[f] = level;
                 remaining -= 1;
                 if LOG {
-                    self.log.freeze_slots.push(slot);
+                    self.log.rounds.freeze.push(slot);
                 }
                 for &r2 in arena.resources_unchecked(slot) {
                     let r2 = r2 as usize;
@@ -1390,11 +1740,6 @@ impl MaxMinSolver {
                 }
             }
             debug_assert!(!self.touched.is_empty(), "bottleneck had users but froze nothing");
-            if LOG {
-                self.log.keys.push(ShareKey::new(level, b as u32, 0).0);
-                self.log.levels.push(level);
-                self.log.freeze_end.push(self.log.freeze_slots.len() as u32);
-            }
             for i in 0..self.touched.len() {
                 let r2 = self.touched[i] as usize;
                 let d = self.delta[r2];
@@ -1402,8 +1747,7 @@ impl MaxMinSolver {
                 self.users[r2] -= d;
                 self.slack[r2] -= d as f64 * level;
                 if LOG {
-                    self.log.touched_res.push(r2 as u32);
-                    self.log.touched_delta.push(d);
+                    self.log.rounds.touched.push(pack(r2 as u32, d));
                 }
                 let v = self.version[r2].wrapping_add(1);
                 self.version[r2] = v;
@@ -1413,7 +1757,7 @@ impl MaxMinSolver {
                 }
             }
             if LOG {
-                self.log.round_end.push(self.log.touched_res.len() as u32);
+                self.log.rounds.commit(ShareKey::new(level, b as u32, 0).0, level, t0, f0);
             }
         }
         // Return the heap's buffer for the next solve.
@@ -1422,9 +1766,10 @@ impl MaxMinSolver {
 
     /// Does the probe log describe the current state of `arena`?
     ///
-    /// True after a [`MaxMinSolver::solve_logged`] with no arena mutation
-    /// since. Probing requires this; callers that let the arena drift must
-    /// re-solve first.
+    /// True after a [`MaxMinSolver::solve_logged`] or
+    /// [`MaxMinSolver::solve_warm`] with no arena mutation since. Probing
+    /// requires this; callers that let the arena drift must re-solve
+    /// first.
     pub fn log_matches(&self, arena: &FlowArena) -> bool {
         self.log.valid
             && self.log.generation == arena.generation()
@@ -1436,8 +1781,8 @@ impl MaxMinSolver {
     /// [`MaxMinSolver::solve_logged`] — **bit-identical** to adding the
     /// flow to `arena`, solving from scratch, and reading its rate, but in
     /// `O(rounds + events on the path)` by replaying the logged frozen
-    /// prefix through its per-resource event index (built by the first
-    /// probe after each re-record, `O(touched + resources)`).
+    /// prefix through the log's per-resource event lists (kept current
+    /// by every logged or warm solve — a probe never builds anything).
     ///
     /// The committed solution is untouched: neither `arena` nor the base
     /// rates change (the only writes are to internal scratch), so probing
@@ -1452,7 +1797,6 @@ impl MaxMinSolver {
             "probe without a current logged solve (call solve_logged first)"
         );
         assert!(capacities.len() >= self.log.n_resources as usize, "capacities too short");
-        self.log.ensure_index();
         self.last_probe_replay_rounds = 0;
         self.replay(capacities, arena, resources)
     }
@@ -1473,7 +1817,6 @@ impl MaxMinSolver {
             "probe_batch without a current logged solve (call solve_logged first)"
         );
         assert!(capacities.len() >= self.log.n_resources as usize, "capacities too short");
-        self.log.ensure_index();
         self.last_probe_replay_rounds = 0;
         out.clear();
         out.reserve(batch.len());
@@ -1519,7 +1862,12 @@ impl MaxMinSolver {
     fn replay(&mut self, capacities: &[f64], arena: &FlowArena, s: &[u32]) -> f64 {
         assert!(!s.is_empty(), "probe flow traverses no resources");
         let log = &self.log;
-        debug_assert!(log.indexed, "replay without the event index");
+        let (keys, levels, pos) = (&log.rounds.keys, &log.rounds.levels, &log.rounds.pos);
+        // Position of the round behind entry `i` of an event list
+        // (`u32::MAX` past its end).
+        let pos_at = |list: &[u64], i: u32| {
+            list.get(i as usize).map_or(u32::MAX, |&e| pos[unpack(e).0 as usize])
+        };
         let nr = log.n_resources as usize;
         let cur = &mut self.probe_cur;
         cur.clear();
@@ -1537,16 +1885,16 @@ impl MaxMinSolver {
             let mut c = ProbeCursor {
                 slack: capacities[ri],
                 users: arena.users(r) as u32,
-                next: log.ev_start[ri],
-                end: log.ev_start[ri + 1],
+                next: 0,
+                next_pos: pos_at(&log.events[ri], 0),
                 key: 0,
             };
             c.rekey(r);
             cmin = cmin.min(c.key);
-            next_ev = next_ev.min(c.next_round(&log.events));
+            next_ev = next_ev.min(c.next_pos);
             cur.push(c);
         }
-        let rounds = log.keys.len();
+        let rounds = keys.len();
         let mut k = 0usize;
         let walked = loop {
             // Rounds up to and including the next event see today's
@@ -1554,7 +1902,7 @@ impl MaxMinSolver {
             // (or exactly as) the logged bottleneck: the candidate
             // freezes there.
             let stop = rounds.min(next_ev as usize + 1);
-            if let Some(hit) = log.keys[k..stop].iter().position(|&key| cmin <= key) {
+            if let Some(hit) = keys[k..stop].iter().position(|&key| cmin <= key) {
                 break k + hit + 1;
             }
             if next_ev as usize >= rounds {
@@ -1565,18 +1913,20 @@ impl MaxMinSolver {
             // Round `next_ev` executes as logged; apply its deltas to the
             // candidate resources it touches.
             k = next_ev as usize;
-            let level = log.levels[k];
+            let level = levels[k];
             (cmin, next_ev) = (u128::MAX, u32::MAX);
             for (c, &r) in cur.iter_mut().zip(s) {
-                while c.next_round(&log.events) as usize == k {
-                    let d = unpack(log.events[c.next as usize]).1;
+                if c.next_pos as usize == k {
+                    let list = &log.events[r as usize];
+                    let d = unpack(list[c.next as usize]).1;
                     c.users -= d;
                     c.slack -= d as f64 * level;
                     c.next += 1;
+                    c.next_pos = pos_at(list, c.next);
                     c.rekey(r);
                 }
                 cmin = cmin.min(c.key);
-                next_ev = next_ev.min(c.next_round(&log.events));
+                next_ev = next_ev.min(c.next_pos);
             }
             k += 1;
         };
@@ -1875,9 +2225,9 @@ mod tests {
             &[&[0], &[1], &[2], &[3], &[0, 1], &[1, 2], &[1, 3], &[0, 2, 3], &[3, 2, 1, 0]],
         );
         assert!(
-            solver.log.keys.windows(2).any(|w| w[1] < w[0]),
+            solver.log.rounds.keys.windows(2).any(|w| w[1] < w[0]),
             "instance no longer produces an inversion: {:?}",
-            solver.log.levels
+            solver.log.rounds.levels
         );
     }
 
@@ -1972,7 +2322,7 @@ mod tests {
         slots[4] = arena.add(&[0, 2, 4]);
         solver.solve_warm(&caps, &mut arena, &mut rates);
         assert_warm_matches_cold(&rates, &arena, &caps);
-        // No-op churn (identical flow set): the whole log revalidates.
+        // No-op churn (identical flow set): the whole log is carried.
         solver.solve_warm(&caps, &mut arena, &mut rates);
         assert_warm_matches_cold(&rates, &arena, &caps);
     }
@@ -2083,6 +2433,125 @@ mod tests {
         arena.add(&[0, 2]);
         solver.solve_warm(&caps, &mut arena, &mut rates);
         assert_warm_matches_cold(&rates, &arena, &caps);
+    }
+
+    #[test]
+    fn key_inversion_survives_a_bulk_carried_run() {
+        // The inversion instance above, reached through a warm chain:
+        // resource 3 ties the inverted pair at level L, its flows churn,
+        // and the warm solve carries the three clean rounds — the dip
+        // between the first two included — as one run while resource 3's
+        // live key `(L, 3)` waits behind both `(L, 0)` and `(L − ulp, 1)`.
+        let l = 31.0 / 26.0;
+        let caps = [l * 6.0, l * 3.0, 5.0, l * 2.0];
+        let mut arena = FlowArena::new(caps.len());
+        for f in [vec![0u32, 1], vec![1], vec![1], vec![2], vec![2], vec![3]] {
+            arena.add(&f);
+        }
+        for _ in 0..5 {
+            arena.add(&[0]);
+        }
+        let churned = arena.add(&[3]);
+        let mut solver = MaxMinSolver::new();
+        let mut rates = Vec::new();
+        solver.solve_warm(&caps, &mut arena, &mut rates);
+        arena.remove(churned);
+        arena.add(&[3]);
+        solver.solve_warm(&caps, &mut arena, &mut rates);
+        assert_eq!((solver.last_replayed_rounds(), solver.last_live_rounds()), (3, 1));
+        solver.check_log_invariants(&arena);
+        assert_warm_matches_cold(&rates, &arena, &caps);
+        let keys = &solver.log.rounds.keys;
+        assert!(keys[1] < keys[0], "the carried run no longer holds the inversion");
+        assert_eq!(ShareKey(keys[2]).res(), 3, "resource 3 re-froze between the carried rounds");
+        let base: Vec<Vec<u32>> = arena.iter().map(|(_, res)| res.to_vec()).collect();
+        for cand in [&[0u32][..], &[1], &[2], &[3], &[0, 1], &[1, 3], &[3, 2, 1, 0]] {
+            let got = solver.probe(&caps, &arena, cand);
+            let want = full_solve_probe(&caps, &base, cand);
+            assert_eq!(got.to_bits(), want.to_bits(), "probe {cand:?}: {got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn capacity_touch_that_beats_no_key_carries_every_round() {
+        // Resource 1 bottlenecks no round, and at its new capacity its
+        // share still beats no logged key: the re-solve is all carry.
+        let mut caps = [10.0, 100.0, 50.0];
+        let mut arena = FlowArena::new(3);
+        arena.add(&[0, 1]);
+        arena.add(&[0, 1]);
+        arena.add(&[2]);
+        let mut solver = MaxMinSolver::new();
+        let mut rates = Vec::new();
+        solver.solve_warm(&caps, &mut arena, &mut rates);
+        let before = rates.clone();
+        caps[1] = 80.0;
+        arena.touch_resource(1);
+        solver.solve_warm(&caps, &mut arena, &mut rates);
+        assert_eq!((solver.last_live_rounds(), solver.last_replayed_rounds()), (0, 2));
+        assert_eq!(rates, before);
+        assert_warm_matches_cold(&rates, &arena, &caps);
+        solver.check_log_invariants(&arena);
+    }
+
+    #[test]
+    #[should_panic(expected = "shorter than at this solver's previous solve")]
+    fn warm_solve_rejects_a_fresh_rate_buffer() {
+        let caps = [10.0];
+        let mut arena = FlowArena::new(1);
+        arena.add(&[0]);
+        let mut solver = MaxMinSolver::new();
+        solver.solve_warm(&caps, &mut arena, &mut Vec::new());
+        solver.solve_warm(&caps, &mut arena, &mut Vec::new());
+    }
+
+    // ------------------------------------------------- divergence guards
+
+    /// Solver `a` logs `arena`; then a flow crossing `unseen` joins and a
+    /// second warm solver closes the dirty window over it, so `a`'s next
+    /// warm solve walks a log that misses the flow with nothing seeded.
+    fn warm_solve_after_a_foreign_window_close(caps: &[f64], base: &[&[u32]], unseen: &[u32]) {
+        let mut arena = FlowArena::new(caps.len());
+        for f in base {
+            arena.add(f);
+        }
+        let (mut a, mut b) = (MaxMinSolver::new(), MaxMinSolver::new());
+        let (mut rates_a, mut rates_b) = (Vec::new(), Vec::new());
+        a.solve_warm(caps, &mut arena, &mut rates_a);
+        arena.add(unseen);
+        b.solve_warm(caps, &mut arena, &mut rates_b);
+        a.solve_warm(caps, &mut arena, &mut rates_a);
+    }
+
+    #[test]
+    #[should_panic(expected = "carried bottleneck's user count diverged from the log (was this \
+                               solver's log recorded against a different arena?)")]
+    fn unseen_flow_on_a_carried_bottleneck_trips_the_round_guard() {
+        warm_solve_after_a_foreign_window_close(&[10.0, 10.0], &[&[0], &[1]], &[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "freeze counts do not sum to the arena's flows (was this solver's \
+                               log recorded against a different arena?)")]
+    fn unseen_flow_off_every_bottleneck_trips_the_conservation_check() {
+        // Resource 1 bottlenecks no round, so every carried round checks
+        // out; only the flow count can tell the log missed a flow.
+        warm_solve_after_a_foreign_window_close(&[10.0, 100.0], &[&[0, 1]], &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "different arena")]
+    fn one_solver_across_two_arenas_trips_the_round_guard() {
+        let caps = [10.0, 10.0];
+        let (mut one, mut two) = (FlowArena::new(2), FlowArena::new(2));
+        for _ in 0..2 {
+            one.add(&[0]);
+            two.add(&[1]);
+        }
+        let mut solver = MaxMinSolver::new();
+        let mut rates = Vec::new();
+        solver.solve_warm(&caps, &mut one, &mut rates);
+        solver.solve_warm(&caps, &mut two, &mut rates);
     }
 
     #[test]

@@ -45,9 +45,9 @@
 //!
 //! * **[`ProbeBatch`]** — [`MaxMinSolver::solve_batch`] runs *one* logged
 //!   solve and replays its frozen freeze-round prefix per candidate
-//!   (`O(rounds + events on the candidate's resources)` each after one
-//!   `O(touched + resources)` event-index build per log, early exit at
-//!   the candidate's bottleneck),
+//!   (`O(rounds + events on the candidate's resources)` each, through
+//!   the per-resource event lists every logged solve keeps current,
+//!   early exit at the candidate's bottleneck),
 //!   bit-identical to a full solve per candidate. [`FlowSim::probe_rate`]
 //!   and [`FlowSim::probe_rates`] ride on it, which also makes probing
 //!   observably side-effect-free — no arena round-trip.
@@ -60,35 +60,68 @@
 //!
 //! # Warm-started delta solves: the `SolveLog` lifecycle
 //!
-//! The freeze-round log inside [`MaxMinSolver`] moves through three
-//! states, and knowing which one you are in tells you what the next solve
-//! costs:
+//! [`MaxMinSolver`] owns one **persistent** freeze-round log. It is
+//! recorded once and from then on edited in place; knowing what it holds
+//! tells you what the next solve costs.
+//!
+//! What is stored, and keyed by what:
+//!
+//! * **by position** (freeze order) — each round's bottleneck key, level
+//!   and id. These three arrays are the only thing a warm solve rewrites
+//!   wholesale (`O(rounds)`, bulk copies).
+//! * **by round id** — stable while the round stays in the log: its
+//!   position, and its ranges in two append-only pools holding the
+//!   per-resource frozen counts and the frozen slots. A round a warm
+//!   solve drops leaves its ranges behind; both pools are compacted in
+//!   place at the end of a solve once garbage outweighs live entries, and
+//!   dropped ids are recycled only after the walk that dropped them.
+//! * **by resource** — the `(round id, delta)` events of the rounds that
+//!   froze flows crossing it, in position order, plus their sum (the
+//!   flows on the resource the log accounts for).
+//! * **by slot** — the round that froze the slot's flow.
+//!
+//! The states:
 //!
 //! 1. **Cold** — after construction or a plain [`MaxMinSolver::solve`]:
 //!    no log (probes panic, a warm solve falls back to a full logged
 //!    solve).
 //! 2. **Logged** — after [`MaxMinSolver::solve_logged`] (or
-//!    [`MaxMinSolver::solve_batch`]): the log records every freeze round
-//!    (bottleneck key, level, frozen slots, per-resource deltas) and is
-//!    stamped with the arena's generation. The first probe transposes
-//!    the deltas into a per-resource event index (`O(touched +
-//!    resources)`, once per log); each replay is then `O(rounds + events
-//!    on the candidate's resources)`. The stamp must match the arena exactly
-//!    ([`MaxMinSolver::log_matches`]) — any mutation staled it.
-//! 3. **Warm** — after [`MaxMinSolver::solve_warm`]: the solver *replayed*
-//!    the previous log against the mutated arena, re-running live only
-//!    the rounds the mutations actually perturbed (the arena's dirty
-//!    resource set seeds the perturbation tracking), and re-recorded the
-//!    log for the new state — bit-identical to a cold `solve_logged`, at
-//!    a fraction of the cost for single-flow churn. The log is again
-//!    *logged* with a fresh generation stamp, so probes work and the next
-//!    churn event chains warm.
+//!    [`MaxMinSolver::solve_batch`]): every freeze round recorded, both
+//!    indexes built in one `O(touched + resources + slots)` pass, the log
+//!    stamped with the arena's generation. A probe replay is `O(rounds +
+//!    events on the candidate's resources)`. The stamp must match the
+//!    arena exactly ([`MaxMinSolver::log_matches`]) — any mutation
+//!    staled it.
+//! 3. **Warm** — after [`MaxMinSolver::solve_warm`]: the solver walked
+//!    the log against the mutated arena and edited it where the
+//!    mutations reached. The arena's dirty resource set seeds a
+//!    perturbation set; a resource gets a live `(slack, users)` only
+//!    when it joins, from its capacity, its arena user count and its own
+//!    logged events so far. Rounds with an unperturbed bottleneck are
+//!    **carried** — one key compare and an `O(1)` check each, a delta
+//!    applied only for the perturbed resources they touch, their flows'
+//!    rates left where the previous solve wrote them; rounds with a
+//!    perturbed bottleneck are **dropped** and their flows re-freeze in
+//!    **live** rounds with the full cold arithmetic. Cost model:
+//!    `O(rounds)` compares plus work on the perturbation closure —
+//!    bit-identical to a cold `solve_logged`. Event lists are edited for
+//!    perturbed resources only, so the log is again *logged*, indexes
+//!    included, with a fresh generation stamp: probes work at once and
+//!    the next churn event chains warm. [`SolveStats::replayed_rounds`]
+//!    counts the rounds carried, [`SolveStats::live_rounds`] the rounds
+//!    run live.
 //!
 //! Staleness rules: the generation stamp makes `probe`/`probe_batch`
 //! refuse a log recorded before any arena mutation; `solve_warm` instead
 //! *consumes* the mutations (via [`FlowArena::dirty_resources`], whose
 //! dirty window it closes) — which is why it takes the arena mutably and
-//! why at most one warm-chaining solver should drive a given arena.
+//! why at most one warm-chaining solver should drive a given arena. Two
+//! release-mode guards turn a log that does not describe its arena into
+//! a panic: every carried round checks its bottleneck's user count, and
+//! the walk ends on a conservation check (the log freezes exactly the
+//! arena's flows). Because carried rounds do not rewrite rates, the rate
+//! buffer passed to `solve_warm` is part of the solver's state: it must
+//! be the one the previous solve filled (vacant slots may be zeroed).
 //! [`FlowSim`]'s event loop keeps its log hot this way: flow starts,
 //! stops and ON–OFF toggles mutate the arena freely, and the next
 //! reallocation warm-starts from the last one's log instead of
@@ -151,10 +184,10 @@
 //! across simulators: [`FlowSim::set_solver_mode`] returns the previous
 //! [`SolverMode`] with the detached solver in its `pool` field, ready to
 //! attach elsewhere), and a reconciliation pass merges
-//! the shard logs pairwise in completion order — overlapping the main
-//! solver's walk setup while shards still run — and replays them on the
-//! main solver; live rounds run only where a boundary flow makes a
-//! shard-local level disagree. ([`ScenarioPool`] reuses the same pool
+//! the shard logs pairwise in completion order, hands the merged rounds
+//! to the main solver as its log and runs the warm walk over them; live
+//! rounds run only where a boundary flow makes a shard-local level
+//! disagree. ([`ScenarioPool`] reuses the same pool
 //! machinery for its scenario fan-outs.) The
 //! result is **bit-identical to a cold `solve_logged`** for any worker
 //! count and any partition, including the degenerate ones (single pod,

@@ -28,17 +28,21 @@
 //!    the smallest head key, round after round, *is* the freeze-round
 //!    log a cold solve of all local flows together would record (this
 //!    needs no ordering inside a log — keys are not monotone, see
-//!    `SolveLog::keys`) — and since such head merges associate, the
-//!    driver merges each shard
-//!    log **as its solve completes** (completion order) instead of
-//!    joining all shards first, overlapping late shards with the merge
-//!    of early ones and with the reconciliation walk's O(resources)
-//!    setup. The boundary flows are then exactly "flows added since
-//!    that log was recorded", which is the warm-solve contract: the
-//!    main solver replays the merged log (validating each shard-local
-//!    bottleneck in O(1) per round) and runs live rounds only where a
-//!    boundary flow's presence makes a shard-local level disagree — the
-//!    same walk, and therefore the same bit-identity argument, as
+//!    `RoundLog::keys`) — and since such head merges associate, the
+//!    driver merges each shard log **as its solve completes**
+//!    (completion order) instead of joining all shards first,
+//!    overlapping late shards with the merge of early ones. Merging goes
+//!    through the log's round-append API (`RoundLog::round` /
+//!    `RoundLog::push_round`), remapping shard-local freeze slots to
+//!    global ones. The boundary flows are then exactly "flows added
+//!    since that log was recorded", which is the warm-solve contract:
+//!    the main solver adopts the merged rounds as its own log (one bulk
+//!    build of the per-resource and per-slot indexes, the local flows'
+//!    rates written from their rounds) and runs the warm walk over it,
+//!    seeded with the boundary flows' resources — carrying each
+//!    shard-local round in O(1) and running live rounds only where a
+//!    boundary flow's presence makes a shard-local level disagree. It is
+//!    the same walk, and therefore the same bit-identity argument, as
 //!    [`MaxMinSolver::solve_warm`].
 //!
 //! The reconciliation leaves the main solver's log valid for the full
@@ -64,7 +68,7 @@
 use choreo_metrics::span;
 use choreo_topology::{PodPartition, Topology};
 
-use crate::fairshare::{FlowArena, FlowSlot, MaxMinSolver, SolveLog};
+use crate::fairshare::{FlowArena, FlowSlot, MaxMinSolver, RoundLog};
 use crate::pool::SolvePool;
 
 /// Maps solver resource ids to shards: pods `0..n_pods` plus the spine.
@@ -442,21 +446,25 @@ unsafe fn run_shard(p: *mut ()) {
 /// allocation and no thread spawn once warm, on the single- and
 /// multi-worker paths alike. The flip side of the chaining is the
 /// warm-solve contract: between consecutive `solve_sharded` calls on
-/// one arena, no other consumer may close the arena's dirty window and
-/// an existing resource's capacity may change only when announced
+/// one arena, no other consumer may close the arena's dirty window, an
+/// existing resource's capacity may change only when announced
 /// through [`FlowArena::touch_resource`] (growing the space for new
-/// resources is always fine). To re-point a solver (and its warm pool)
+/// resources is always fine), and `rates` must be the buffer the main
+/// solver's previous solve filled, changed at most by zeroing vacant
+/// slots ([`MaxMinSolver::solve_warm`] states why; a shorter buffer
+/// panics). To re-point a solver (and its warm pool)
 /// at a **different** arena, call [`ShardedSolver::reset`] first.
 #[derive(Debug, Default)]
 pub struct ShardedSolver {
     view: ShardedArena,
     ctxs: Vec<ShardCtx>,
-    merged: SolveLog,
+    /// The merged shard rounds; after a solve, the round storage the main
+    /// solver's log held before it (the two swap on adoption).
+    merged: RoundLog,
     /// Ping-pong buffer for the completion-order pairwise merge.
-    merge_tmp: SolveLog,
-    /// Per shard: (round, touched-start, freeze-start) merge cursors
-    /// (serial k-way merge path).
-    cursors: Vec<(u32, u32, u32)>,
+    merge_tmp: RoundLog,
+    /// Per shard: next round to merge (serial k-way merge path).
+    cursors: Vec<u32>,
     /// Job payloads for the pooled path (retained capacity; the raw
     /// pointers inside are dead between solves).
     tasks: Vec<ShardTask>,
@@ -565,7 +573,7 @@ impl ShardedSolver {
         self.last_dirty_shards = n_dirty as u32;
         if self.workers.min(n_dirty) <= 1 {
             // Serial path: solve the dirty shards in place, k-way merge,
-            // then the full reconciliation walk.
+            // then the reconciliation walk.
             for (p, (sub, ctx)) in
                 self.view.subs[..n_pods].iter_mut().zip(&mut self.ctxs[..n_pods]).enumerate()
             {
@@ -574,14 +582,14 @@ impl ShardedSolver {
                 }
             }
             self.view.sub_dirty[..n_pods].fill(false);
-            self.merge_shard_logs(arena);
-            solver.replay_walk(capacities, arena, rates, &self.merged, &self.view.boundary_res);
+            self.merge_shard_logs();
+            solver.solve_over(&mut self.merged, capacities, arena, rates, &self.view.boundary_res);
             return;
         }
         // Pipelined path: dispatch the dirty shards to the persistent
-        // pool, run the reconciliation walk's O(resources) setup and the
-        // clean shards' merge on this thread while the workers solve,
-        // then fold each dirty shard's log in the moment it completes.
+        // pool, merge the clean shards' logs on this thread while the
+        // workers solve, then fold each dirty shard's log in the moment it
+        // completes.
         // Pairwise merges of disjoint sorted key sequences associate, so
         // folding in completion order yields exactly the serial k-way
         // merge — worker scheduling cannot change a bit of the result.
@@ -609,16 +617,10 @@ impl ShardedSolver {
             // the scope's drain guard keeps them alive past any unwind.
             unsafe { scope.submit(t.pod, run_shard, (t as *mut ShardTask).cast()) };
         }
-        // Overlap 1: the walk setup only needs the boundary seed and the
-        // arena — neither is touched by the workers.
+        // Overlap: fold in the clean shards' retained logs. Shard state is
+        // read through the same raw bases the jobs hold (a reference into
+        // the vectors here would alias the workers' writes).
         self.merged.clear();
-        self.merged.generation = arena.generation();
-        self.merged.n_resources = arena.n_resources() as u32;
-        self.merged.valid = true;
-        let remaining = solver.walk_init(capacities, arena, rates, &self.view.boundary_res);
-        // Overlap 2: fold in the clean shards' retained logs. Shard state
-        // is read through the same raw bases the jobs hold (a reference
-        // into the vectors here would alias the workers' writes).
         for p in 0..n_pods {
             if !self.view.sub_dirty[p] {
                 // Safety: a clean shard has no job mutating it.
@@ -642,7 +644,7 @@ impl ShardedSolver {
         drop(pool_wait);
         drop(scope); // all jobs collected: instant drain, panics surface
         self.view.sub_dirty[..n_pods].fill(false);
-        solver.walk_rounds(arena, rates, &self.merged, remaining);
+        solver.solve_over(&mut self.merged, capacities, arena, rates, &self.view.boundary_res);
     }
 
     /// K-way merge of the shard logs by bottleneck key into
@@ -652,44 +654,26 @@ impl ShardedSolver {
     /// the smallest head key is what a global heap would pop next — the
     /// merge order is the global freeze order of a solve of all local
     /// flows together.
-    fn merge_shard_logs(&mut self, arena: &FlowArena) {
+    fn merge_shard_logs(&mut self) {
         let n_pods = self.view.n_pods();
-        let m = &mut self.merged;
-        m.clear();
-        m.generation = arena.generation();
-        m.n_resources = arena.n_resources() as u32;
-        m.valid = true;
+        self.merged.clear();
         self.cursors.clear();
-        self.cursors.resize(n_pods, (0, 0, 0));
+        self.cursors.resize(n_pods, 0);
         loop {
             let mut best: Option<(u128, usize)> = None;
             for (p, ctx) in self.ctxs[..n_pods].iter().enumerate() {
                 let log = ctx.solver.solve_log();
-                let k = self.cursors[p].0 as usize;
-                if k < log.keys.len() {
-                    let key = log.keys[k];
-                    if best.is_none_or(|(b, _)| key < b) {
-                        best = Some((key, p));
-                    }
+                let k = self.cursors[p] as usize;
+                if k < log.len() && best.is_none_or(|(b, _)| log.key(k) < b) {
+                    best = Some((log.key(k), p));
                 }
             }
             let Some((_, p)) = best else { break };
-            let log = self.ctxs[p].solver.solve_log();
-            let (k, t0, f0) = self.cursors[p];
-            let (k, t0, f0) = (k as usize, t0 as usize, f0 as usize);
-            let t1 = log.round_end[k] as usize;
-            let f1 = log.freeze_end[k] as usize;
-            m.keys.push(log.keys[k]);
-            m.levels.push(log.levels[k]);
+            let (key, level, touched, freeze) =
+                self.ctxs[p].solver.solve_log().round(self.cursors[p] as usize);
             let map = &self.view.sub_slots[p];
-            for &s in &log.freeze_slots[f0..f1] {
-                m.freeze_slots.push(map[s as usize]);
-            }
-            m.freeze_end.push(m.freeze_slots.len() as u32);
-            m.touched_res.extend_from_slice(&log.touched_res[t0..t1]);
-            m.touched_delta.extend_from_slice(&log.touched_delta[t0..t1]);
-            m.round_end.push(m.touched_res.len() as u32);
-            self.cursors[p] = ((k + 1) as u32, t1 as u32, f1 as u32);
+            self.merged.push_round(key, level, touched, freeze.iter().map(|&s| map[s as usize]));
+            self.cursors[p] += 1;
         }
     }
 }
@@ -704,45 +688,25 @@ unsafe impl Sync for ShardedSolver {}
 
 /// Two-pointer merge by bottleneck key of `a` (freeze slots already
 /// global) and shard log `b` (sub-arena freeze slots, remapped through
-/// `map`) into `dst`, which inherits `a`'s stamp.
+/// `map`) into `dst`.
 ///
 /// Keys are disjoint across shards and each step takes the smaller
 /// head, so pairwise merging associates: folding shard logs into a
 /// running merge in **any** order — in particular, job completion
 /// order — produces exactly the k-way merge of
 /// [`ShardedSolver::merge_shard_logs`].
-fn merge_pair(dst: &mut SolveLog, a: &SolveLog, b: &SolveLog, map: &[u32]) {
+fn merge_pair(dst: &mut RoundLog, a: &RoundLog, b: &RoundLog, map: &[u32]) {
     dst.clear();
-    dst.generation = a.generation;
-    dst.n_resources = a.n_resources;
-    dst.valid = a.valid;
     let (mut i, mut j) = (0usize, 0usize);
-    let (mut at0, mut af0) = (0usize, 0usize);
-    let (mut bt0, mut bf0) = (0usize, 0usize);
-    while i < a.keys.len() || j < b.keys.len() {
-        let take_a = j >= b.keys.len() || (i < a.keys.len() && a.keys[i] < b.keys[j]);
-        if take_a {
-            let (t1, f1) = (a.round_end[i] as usize, a.freeze_end[i] as usize);
-            dst.keys.push(a.keys[i]);
-            dst.levels.push(a.levels[i]);
-            dst.freeze_slots.extend_from_slice(&a.freeze_slots[af0..f1]);
-            dst.freeze_end.push(dst.freeze_slots.len() as u32);
-            dst.touched_res.extend_from_slice(&a.touched_res[at0..t1]);
-            dst.touched_delta.extend_from_slice(&a.touched_delta[at0..t1]);
-            dst.round_end.push(dst.touched_res.len() as u32);
-            (at0, af0, i) = (t1, f1, i + 1);
+    while i < a.len() || j < b.len() {
+        if j >= b.len() || (i < a.len() && a.key(i) < b.key(j)) {
+            let (key, level, touched, freeze) = a.round(i);
+            dst.push_round(key, level, touched, freeze.iter().copied());
+            i += 1;
         } else {
-            let (t1, f1) = (b.round_end[j] as usize, b.freeze_end[j] as usize);
-            dst.keys.push(b.keys[j]);
-            dst.levels.push(b.levels[j]);
-            for &s in &b.freeze_slots[bf0..f1] {
-                dst.freeze_slots.push(map[s as usize]);
-            }
-            dst.freeze_end.push(dst.freeze_slots.len() as u32);
-            dst.touched_res.extend_from_slice(&b.touched_res[bt0..t1]);
-            dst.touched_delta.extend_from_slice(&b.touched_delta[bt0..t1]);
-            dst.round_end.push(dst.touched_res.len() as u32);
-            (bt0, bf0, j) = (t1, f1, j + 1);
+            let (key, level, touched, freeze) = b.round(j);
+            dst.push_round(key, level, touched, freeze.iter().map(|&s| map[s as usize]));
+            j += 1;
         }
     }
 }

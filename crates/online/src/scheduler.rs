@@ -109,6 +109,39 @@ pub struct OnlineScheduler {
     /// run's [`OnlineConfig::workload_shape`] — resolved once so the
     /// event hot path skips the family lookup.
     shape_events: Counter,
+    /// Cached `choreo_admissions_total{reason=...}` series, by
+    /// [`Admission`]: each resolved from the family on its first
+    /// increment — so a series enters the exposition exactly when its
+    /// first outcome occurs — and kept, so arrivals and queue admissions
+    /// skip the family's lock-and-hash lookup from then on.
+    admission_series: [Option<Counter>; Admission::COUNT],
+}
+
+/// The admission outcomes `choreo_admissions_total` is labeled by.
+#[derive(Debug, Clone, Copy)]
+enum Admission {
+    Duplicate,
+    Admitted,
+    Queued,
+    RejectedFailure,
+    RejectedQueueFull,
+    QueueAdmitted,
+}
+
+impl Admission {
+    const COUNT: usize = Admission::QueueAdmitted as usize + 1;
+
+    /// The outcome's `reason` label value.
+    fn reason(self) -> &'static str {
+        match self {
+            Admission::Duplicate => "duplicate",
+            Admission::Admitted => "admitted",
+            Admission::Queued => "queued",
+            Admission::RejectedFailure => "rejected_failure",
+            Admission::RejectedQueueFull => "rejected_queue_full",
+            Admission::QueueAdmitted => "queue_admitted",
+        }
+    }
 }
 
 impl OnlineScheduler {
@@ -164,7 +197,15 @@ impl OnlineScheduler {
             sub_cpu: Vec::new(),
             pod_loss,
             shape_events,
+            admission_series: Default::default(),
         }
+    }
+
+    /// Count one admission outcome on its labeled series.
+    fn count_admission(&mut self, outcome: Admission) {
+        self.admission_series[outcome as usize]
+            .get_or_insert_with(|| self.metrics.admissions.get(&ReasonLabel(outcome.reason())))
+            .inc();
     }
 
     // ------------------------------------------------------------ queries
@@ -479,7 +520,7 @@ impl OnlineScheduler {
         if live || self.queue.iter().any(|(t, _, _)| *t == id) {
             self.stats.duplicate_arrivals += 1;
             self.metrics.duplicate_arrivals.inc();
-            self.metrics.admissions.get(&ReasonLabel("duplicate")).inc();
+            self.count_admission(Admission::Duplicate);
             self.stats.note(0x58); // 'X'
             let now = self.sim.now();
             self.stats.decide(now, id, DecisionKind::Duplicate, 0.0);
@@ -493,12 +534,12 @@ impl OnlineScheduler {
                 self.admit(id, app, placement, DecisionKind::Admit, 1);
                 self.stats.admitted += 1;
                 self.metrics.admitted.inc();
-                self.metrics.admissions.get(&ReasonLabel("admitted")).inc();
+                self.count_admission(Admission::Admitted);
             }
             None if self.queue.len() < self.cfg.queue_capacity => {
                 self.stats.queued += 1;
                 self.metrics.queued.inc();
-                self.metrics.admissions.get(&ReasonLabel("queued")).inc();
+                self.count_admission(Admission::Queued);
                 self.stats.note(0x51); // 'Q'
                 let now = self.sim.now();
                 self.stats.decide(now, id, DecisionKind::Queue, self.queue.len() as f64);
@@ -512,7 +553,7 @@ impl OnlineScheduler {
                 if self.links_down > 0 {
                     self.stats.failure_rejections += 1;
                     self.metrics.failure_rejections.inc();
-                    self.metrics.admissions.get(&ReasonLabel("rejected_failure")).inc();
+                    self.count_admission(Admission::RejectedFailure);
                     self.stats.note(0x72); // 'r'
                     let now = self.sim.now();
                     self.stats.decide_caused(
@@ -523,7 +564,7 @@ impl OnlineScheduler {
                         Cause::Reject(RejectReason::LinksDown),
                     );
                 } else {
-                    self.metrics.admissions.get(&ReasonLabel("rejected_queue_full")).inc();
+                    self.count_admission(Admission::RejectedQueueFull);
                     self.stats.note(0x52); // 'R'
                     let now = self.sim.now();
                     self.stats.decide_caused(
@@ -728,7 +769,7 @@ impl OnlineScheduler {
                     self.admit(id, app, placement, DecisionKind::QueueAdmit, intensity);
                     self.stats.queue_admitted += 1;
                     self.metrics.queue_admitted.inc();
-                    self.metrics.admissions.get(&ReasonLabel("queue_admitted")).inc();
+                    self.count_admission(Admission::QueueAdmitted);
                 }
                 None => self.queue.push_back((id, app, intensity)),
             }

@@ -116,72 +116,61 @@ fn steady_state_reallocation_allocates_nothing() {
     assert_eq!(solver_allocs, 0, "steady-state arena churn + reallocation must not allocate");
 
     // ------------------------------------------------ warm-started solves
-    // Warm-started delta solves chain off the previous event's freeze-round
-    // log (replaying it, re-recording into the spare log buffers, and
-    // tracking the perturbed cascade in the indexed live heap). After the
-    // same warm-up discipline as above, a sustained churn of single-flow
-    // events must not allocate at all.
+    // A warm solve edits the solver's persistent freeze-round log in
+    // place: carried rounds keep their ids and pool ranges, dropped rounds
+    // leave garbage in the append-only pools until a compaction squeezes
+    // it out, their ids are recycled, and the per-resource event lists of
+    // the perturbed resources are rebuilt within the capacity of the
+    // arena's own reverse lists. The log's indexes are current when the
+    // solve returns, so a probe batch straight after has nothing to
+    // rebuild. One pass of a placement-style loop — remove, re-solve,
+    // score a candidate batch, add, re-solve, score, retune a capacity,
+    // re-solve — warms every buffer; the measured pass retraces it, must
+    // cross pool compactions and id recycling (asserted), and must not
+    // allocate at all.
     let mut warm_solver = MaxMinSolver::new();
     let mut warm_rates = Vec::new();
-    warm_solver.solve_warm(&caps, &mut arena, &mut warm_rates);
-    for round in 0..3 {
-        for (i, arrival) in churn[n_flows as usize..].iter().enumerate() {
-            let k = (i + round) % slots.len();
-            arena.remove(slots[k]);
-            warm_solver.solve_warm(&caps, &mut arena, &mut warm_rates);
-            slots[k] = arena.add(arrival);
-            warm_solver.solve_warm(&caps, &mut arena, &mut warm_rates);
-        }
-    }
-    let before = alloc_count();
-    let mut warm_checksum = 0.0f64;
-    for round in 0..3 {
-        for (i, arrival) in churn[n_flows as usize..].iter().enumerate() {
-            let k = (i + round) % slots.len();
-            arena.remove(slots[k]);
-            warm_solver.solve_warm(&caps, &mut arena, &mut warm_rates);
-            slots[k] = arena.add(arrival);
-            warm_solver.solve_warm(&caps, &mut arena, &mut warm_rates);
-            warm_checksum += warm_rates[slots[k].0 as usize];
-        }
-    }
-    let warm_allocs = alloc_count() - before;
-    assert!(warm_checksum > 0.0, "warm solves produced rates");
-    assert_eq!(warm_allocs, 0, "steady-state warm-started reallocation must not allocate");
-
-    // --------------------------------------- churn → probe-batch cycles
-    // Every warm solve re-records the log, so the first probe after it
-    // rebuilds the per-resource event index — into buffers that travel
-    // with the two alternating logs — and each candidate replays through
-    // the solver's cursor scratch. One warm-up pass sizes all of them (a
-    // pass overwrites every slot, so the measured pass retraces its
-    // trajectory and its high-water marks); after that a placement-style
-    // loop of churn, re-solve, score a candidate batch allocates nothing.
+    let mut warm_caps = caps.clone();
     let mut batch = ProbeBatch::new();
     for candidate in &churn[..32] {
         batch.push(candidate);
     }
     let mut what_if = Vec::new();
-    let mut churn_probe_pass = |arena: &mut FlowArena, slots: &mut [FlowSlot]| -> f64 {
-        let mut sum = 0.0;
-        for round in 0..3 {
-            for (i, arrival) in churn[n_flows as usize..].iter().enumerate() {
-                let k = (i + round) % slots.len();
-                arena.remove(slots[k]);
-                slots[k] = arena.add(arrival);
-                warm_solver.solve_warm(&caps, arena, &mut warm_rates);
-                warm_solver.probe_batch(&caps, arena, &batch, &mut what_if);
-                sum += what_if.iter().sum::<f64>();
+    warm_solver.solve_warm(&warm_caps, &mut arena, &mut warm_rates);
+    let mut warm_pass =
+        |warm_solver: &mut MaxMinSolver, arena: &mut FlowArena, slots: &mut [FlowSlot]| -> f64 {
+            let mut sum = 0.0;
+            for round in 0..3 {
+                for (i, arrival) in churn[n_flows as usize..].iter().enumerate() {
+                    let k = (i + round) % slots.len();
+                    arena.remove(slots[k]);
+                    warm_solver.solve_warm(&warm_caps, arena, &mut warm_rates);
+                    warm_solver.probe_batch(&warm_caps, arena, &batch, &mut what_if);
+                    sum += what_if.iter().sum::<f64>();
+                    slots[k] = arena.add(arrival);
+                    warm_solver.solve_warm(&warm_caps, arena, &mut warm_rates);
+                    warm_solver.probe_batch(&warm_caps, arena, &batch, &mut what_if);
+                    sum += what_if.iter().sum::<f64>() + warm_rates[slots[k].0 as usize];
+                    // A link on the new flow's path degrades, then recovers.
+                    let link = arrival[i % arrival.len()] as usize;
+                    warm_caps[link] =
+                        if warm_caps[link] == caps[link] { caps[link] / 2.0 } else { caps[link] };
+                    arena.touch_resource(link as u32);
+                    warm_solver.solve_warm(&warm_caps, arena, &mut warm_rates);
+                }
             }
-        }
-        sum
-    };
-    churn_probe_pass(&mut arena, &mut slots);
+            sum
+        };
+    warm_pass(&mut warm_solver, &mut arena, &mut slots);
+    let churn_before = warm_solver.log_churn();
     let before = alloc_count();
-    let probe_checksum = churn_probe_pass(&mut arena, &mut slots);
-    let churn_probe_allocs = alloc_count() - before;
-    assert!(probe_checksum > 0.0, "probe batches produced rates");
-    assert_eq!(churn_probe_allocs, 0, "churn → index rebuild → probe batch must not allocate");
+    let warm_checksum = warm_pass(&mut warm_solver, &mut arena, &mut slots);
+    let warm_allocs = alloc_count() - before;
+    let churn_after = warm_solver.log_churn();
+    assert!(warm_checksum > 0.0, "warm solves and probe batches produced rates");
+    assert!(churn_after.0 > churn_before.0, "measured pass crossed no pool compaction");
+    assert!(churn_after.1 > churn_before.1, "measured pass recycled no round id");
+    assert_eq!(warm_allocs, 0, "steady-state warm re-solve → probe batch must not allocate");
 
     // -------------------------------------------------- sharded re-solves
     // The sharded path rebuilds the per-pod sub-arenas from scratch every

@@ -21,6 +21,8 @@ use choreo_repro::topology::{
 };
 use choreo_repro::wire::ControlMsg;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 // ---------------------------------------------------------------- max-min
 
@@ -198,10 +200,8 @@ fn full_solve_probe(caps: &[f64], arena: &FlowArena, cand: &[u32]) -> f64 {
     rates[slot.0 as usize]
 }
 
-/// Rate `cands` over `solver`'s current log — as one batch (the first
-/// probe after a re-record, so the event index is rebuilt) and then one
-/// by one over the index that batch left behind — and bit-compare every
-/// answer with [`full_solve_probe`].
+/// Rate `cands` over `solver`'s current log — as one batch and then one
+/// by one — and bit-compare every answer with [`full_solve_probe`].
 fn check_probes_bitmatch(
     solver: &mut MaxMinSolver,
     caps: &[f64],
@@ -294,6 +294,7 @@ proptest! {
             }
             arena.check_invariants();
             warm.solve_warm(&caps[..nr.max(arena.n_resources())], &mut arena, &mut rates);
+            warm.check_log_invariants(&arena);
             let mut cold = MaxMinSolver::new();
             let mut cold_rates = Vec::new();
             cold.solve(&caps[..arena.n_resources()], &arena, &mut cold_rates);
@@ -304,11 +305,11 @@ proptest! {
                     "op {opno}: slot {slot} warm {} vs cold {}", got, cold_rates[slot]
                 );
             }
-            // The warm-maintained log also serves probes — through an
-            // event index rebuilt after every one of these re-records:
-            // the op's own path, every single resource (each one's whole
-            // event list) and the full resource set (all cursors live at
-            // once) must bit-match adding the candidate for real.
+            // The warm-maintained log also serves probes — through event
+            // lists the warm solve itself just edited: the op's own path,
+            // every single resource (each one's whole event list) and the
+            // full resource set (all cursors live at once) must bit-match
+            // adding the candidate for real.
             let n_res = arena.n_resources() as u32;
             let mut cands = vec![norm(path, nr), (0..n_res).collect()];
             cands.extend((0..n_res).map(|r| vec![r]));
@@ -316,6 +317,197 @@ proptest! {
                 &mut warm, &caps[..n_res as usize], &arena, &cands, &format!("op {opno}, warm log"),
             );
         }
+    }
+}
+
+#[test]
+fn one_solver_survives_a_long_warm_chain() {
+    // One solver, one persistent log, thousands of dirty windows over a
+    // resource space big enough for logs of dozens of rounds: adds,
+    // removes, replace-style churn on recycled slots, resource-space
+    // growth, capacity retuning, one to four mutations per window, and
+    // probes in between. The chain is long enough to cross several pool
+    // compactions and to reuse round ids many times over (asserted);
+    // after every solve the log's invariants must hold and the rates must
+    // bit-match a cold solve.
+    const OPS: usize = 2400;
+    for seed in 0..3u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut nr = 64;
+        let mut caps: Vec<f64> =
+            (0..96).map(|_| 1.0 + rng.gen_range(0..999_000) as f64 / 1e3).collect();
+        let mut arena = FlowArena::new(nr);
+        let mut warm = MaxMinSolver::new();
+        let (mut rates, mut cold_rates) = (Vec::new(), Vec::new());
+        let mut cold = MaxMinSolver::new();
+        let mut live: Vec<FlowSlot> = Vec::new();
+        let path = |rng: &mut StdRng, nr: usize| -> Vec<u32> {
+            let mut f: Vec<u32> =
+                (0..1 + rng.gen_range(0..5)).map(|_| rng.gen_range(0..nr) as u32).collect();
+            f.sort_unstable();
+            f.dedup();
+            f
+        };
+        for opno in 0..OPS {
+            for _ in 0..1 + rng.gen_range(0..4) {
+                match rng.gen_range(0..10) {
+                    0..=2 if live.len() > 40 => {
+                        let victim = rng.gen_range(0..live.len());
+                        arena.remove(live.swap_remove(victim));
+                    }
+                    3..=4 if !live.is_empty() => {
+                        let victim = rng.gen_range(0..live.len());
+                        arena.remove(live[victim]);
+                        let slot = arena.add(&path(&mut rng, nr));
+                        assert_eq!(slot, live[victim], "recycled slot expected");
+                    }
+                    5 if nr < caps.len() && rng.gen_range(0..8) == 0 => {
+                        nr += 1;
+                        arena.grow_resources(nr);
+                    }
+                    6 => {
+                        let r = rng.gen_range(0..nr);
+                        caps[r] = 1.0 + rng.gen_range(0..999_000) as f64 / 1e3;
+                        arena.touch_resource(r as u32);
+                    }
+                    _ if live.len() < 160 => live.push(arena.add(&path(&mut rng, nr))),
+                    _ => {}
+                }
+            }
+            warm.solve_warm(&caps[..nr], &mut arena, &mut rates);
+            warm.check_log_invariants(&arena);
+            cold.solve(&caps[..nr], &arena, &mut cold_rates);
+            assert_eq!(rates.len(), cold_rates.len());
+            for (slot, (got, want)) in rates.iter().zip(&cold_rates).enumerate() {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "seed {seed} op {opno}: slot {slot} warm {got} vs cold {want}"
+                );
+            }
+            if opno % 16 == 0 {
+                let cands =
+                    [path(&mut rng, nr), path(&mut rng, nr), vec![rng.gen_range(0..nr) as u32]];
+                let what = format!("seed {seed} op {opno}");
+                check_probes_bitmatch(&mut warm, &caps[..nr], &arena, &cands, &what);
+            }
+        }
+        let (compactions, recycled_ids) = warm.log_churn();
+        assert!(compactions >= 3, "seed {seed}: only {compactions} pool compactions");
+        assert!(recycled_ids >= 1000, "seed {seed}: only {recycled_ids} round ids reused");
+    }
+}
+
+#[test]
+fn flowsim_survives_a_long_warm_and_sharded_chain() {
+    // The same discipline one level up: a `FlowSim` on a three-pod tree
+    // with unique paths (so the test can name every flow's resources)
+    // rides starts, stops, link degradations, failures and recoveries,
+    // late hoses, several mutations per reallocation, probe batches — and
+    // flips between the warm and the sharded route mid-chain, so each
+    // route keeps inheriting a log the other one left. After every step
+    // every live flow's rate must bit-match a cold solve of the flow set
+    // at the simulator's current capacities.
+    let topo = Arc::new(
+        MultiRootedTreeSpec {
+            cores: 1,
+            pods: 3,
+            aggs_per_pod: 1,
+            tors_per_pod: 2,
+            hosts_per_tor: 2,
+            ..Default::default()
+        }
+        .build(),
+    );
+    let routes = Arc::new(RouteTable::new(&topo));
+    let hosts = topo.hosts().to_vec();
+    let n_links = topo.link_count();
+    for seed in 0..2u64 {
+        let mut rng = StdRng::seed_from_u64(0xF10 ^ seed);
+        let mut sim =
+            FlowSim::new(topo.clone(), routes.clone(), LinkSpec::new(10.0 * GBIT, MICROS), 9);
+        let mut n_res = 2 * n_links + hosts.len();
+        let mut hoses = Vec::new();
+        // Live flows: key plus the resource list the simulator must be using.
+        let mut live: Vec<(FlowKey, Vec<u32>)> = Vec::new();
+        let mut out = Vec::new();
+        for opno in 0..1200u64 {
+            if opno % 97 == 0 {
+                let sharded = sim.sharded_pods().is_some();
+                sim.set_solver_mode(if sharded {
+                    SolverMode::Warm
+                } else {
+                    SolverMode::sharded(2)
+                });
+            }
+            for _ in 0..1 + rng.gen_range(0..3) {
+                match rng.gen_range(0..10) {
+                    0..=2 if live.len() > 12 => {
+                        let (key, _) = live.swap_remove(rng.gen_range(0..live.len()));
+                        sim.stop_flows_now(&[key]);
+                        sim.release_flow(key);
+                    }
+                    3 => match rng.gen_range(0..3) {
+                        0 => sim.degrade_link(
+                            rng.gen_range(0..n_links) as u32,
+                            0.1 + 0.2 * rng.gen_range(0..4) as f64,
+                        ),
+                        1 => sim.fail_link(rng.gen_range(0..n_links) as u32),
+                        _ => sim.recover_link(rng.gen_range(0..n_links) as u32),
+                    },
+                    4 if hoses.len() < 4 && rng.gen_range(0..6) == 0 => {
+                        hoses.push(sim.add_hose(2.5e8 + 1e6 * rng.gen_range(0..64) as f64));
+                        n_res += 1;
+                    }
+                    5 => {
+                        let probes: Vec<_> = (0..3)
+                            .map(|_| {
+                                (
+                                    hosts[rng.gen_range(0..hosts.len())],
+                                    hosts[rng.gen_range(0..hosts.len())],
+                                    None,
+                                )
+                            })
+                            .collect();
+                        sim.probe_rates(&probes, &mut out);
+                    }
+                    _ if live.len() < 60 => {
+                        let (a, b) = (rng.gen_range(0..hosts.len()), rng.gen_range(0..hosts.len()));
+                        let hose = (!hoses.is_empty() && a != b && rng.gen_range(0..4) == 0)
+                            .then(|| hoses[rng.gen_range(0..hoses.len())]);
+                        let mut res: Vec<u32> = if a == b {
+                            vec![(2 * n_links + a) as u32]
+                        } else {
+                            let paths = routes.paths(hosts[a], hosts[b]);
+                            assert_eq!(paths.len(), 1, "the tree must route uniquely");
+                            paths[0].hops.iter().map(hop_resource).collect()
+                        };
+                        res.extend(hose.map(|h| h.0));
+                        let key = sim.start_flow_now(hosts[a], hosts[b], None, hose, opno);
+                        live.push((key, res));
+                    }
+                    _ => {}
+                }
+            }
+            sim.run_until(sim.now() + 1000);
+            sim.check_invariants();
+            let caps: Vec<f64> = (0..n_res as u32).map(|r| sim.capacity(r)).collect();
+            let flows: Vec<Vec<u32>> = live.iter().map(|(_, res)| res.clone()).collect();
+            let want = max_min_rates(&caps, &flows);
+            for ((key, res), want) in live.iter().zip(&want) {
+                let got = sim.rate_bps(*key);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "seed {seed} op {opno}: flow over {res:?} got {got}, cold {want}"
+                );
+            }
+        }
+        let stats = sim.solve_stats();
+        assert!(
+            stats.warm_solves > 100 && stats.sharded_solves > 100,
+            "both routes must carry the chain: {stats:?}"
+        );
     }
 }
 
@@ -462,6 +654,7 @@ proptest! {
             cold.solve(&caps, &arenas[3], &mut cold_rates);
             for (i, (sharded, main, rates)) in stacks.iter_mut().enumerate() {
                 sharded.solve_sharded(&caps, &mut arenas[i], &part, main, rates);
+                main.check_log_invariants(&arenas[i]);
                 prop_assert_eq!(rates.len(), cold_rates.len());
                 for (slot, (got, want)) in rates.iter().zip(&cold_rates).enumerate() {
                     prop_assert_eq!(
@@ -767,6 +960,7 @@ proptest! {
         let mut solver = MaxMinSolver::new();
         let (mut rates, mut out) = (Vec::new(), Vec::new());
         solver.solve_batch(&caps, &arena, &batch, &mut rates, &mut out);
+        solver.check_log_invariants(&arena);
         prop_assert_eq!(out.len(), candidate_paths.len());
         // Reference: each candidate joins a from-scratch arena for real.
         for (c, got) in candidate_paths.iter().zip(&out) {
@@ -845,8 +1039,7 @@ proptest! {
         seed in 0u64..500,
         demands in prop::collection::vec(1u32..=8, 2..7),
     ) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut m = TrafficMatrix::zeros(n_tasks);
         for i in 0..n_tasks {
             for j in 0..n_tasks {
