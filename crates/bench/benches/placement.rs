@@ -74,74 +74,5 @@ fn bench_ilp_small(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batched what-if candidate scoring against one solve per candidate —
-/// the per-size curves behind `bench_placement_batch`'s tracked summary.
-fn bench_probe_batch(c: &mut Criterion) {
-    use choreo_flowsim::{FlowArena, MaxMinSolver, ProbeBatch};
-    use choreo_topology::route::splitmix64;
-    use choreo_topology::{MultiRootedTreeSpec, RouteTable};
-
-    let spec = MultiRootedTreeSpec {
-        cores: 2,
-        pods: 4,
-        aggs_per_pod: 2,
-        tors_per_pod: 4,
-        hosts_per_tor: 4,
-        ..Default::default()
-    };
-    let topo = spec.build();
-    let routes = RouteTable::new(&topo);
-    let caps: Vec<f64> =
-        topo.links().iter().flat_map(|l| [l.spec.rate_bps, l.spec.rate_bps]).collect();
-    let h = topo.hosts();
-    let path_of = |id: u64| -> Vec<u32> {
-        let a = h[(splitmix64(id) % h.len() as u64) as usize];
-        let mut b = h[(splitmix64(id ^ 0xDEAD) % h.len() as u64) as usize];
-        if a == b {
-            b = h[(h.iter().position(|&x| x == a).unwrap() + 1) % h.len()];
-        }
-        routes
-            .path_for_flow(a, b, splitmix64(id.wrapping_mul(0x9E37)))
-            .hops
-            .iter()
-            .map(choreo_flowsim::hop_resource)
-            .collect()
-    };
-    let candidates: Vec<Vec<u32>> = (1000..1256u64).map(path_of).collect();
-    let mut group = c.benchmark_group("probe_batch");
-    for flows in [50usize, 250] {
-        let mut arena = FlowArena::new(caps.len());
-        for id in 0..flows as u64 {
-            arena.add(&path_of(id));
-        }
-        let mut solver = MaxMinSolver::new();
-        let mut rates = Vec::new();
-        group.bench_with_input(BenchmarkId::new("per_candidate", flows), &(), |b, _| {
-            b.iter(|| {
-                let mut acc = 0.0;
-                for cand in &candidates {
-                    let probe = arena.add(cand);
-                    solver.solve(&caps, &arena, &mut rates);
-                    acc += rates[probe.0 as usize];
-                    arena.remove(probe);
-                }
-                black_box(acc)
-            })
-        });
-        let mut batch = ProbeBatch::new();
-        for cand in &candidates {
-            batch.push(cand);
-        }
-        let mut out = Vec::new();
-        group.bench_with_input(BenchmarkId::new("batched", flows), &(), |b, _| {
-            b.iter(|| {
-                solver.solve_batch(&caps, &arena, &batch, &mut rates, &mut out);
-                black_box(out.iter().sum::<f64>())
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_greedy_scaling, bench_ilp_small, bench_probe_batch);
+criterion_group!(benches, bench_greedy_scaling, bench_ilp_small);
 criterion_main!(benches);

@@ -9,75 +9,6 @@
 
 use choreo_measure::stability::percentile;
 
-/// Builder for the `BENCH_*.json` perf-trajectory reports the benchmark
-/// binaries emit and CI gates on.
-///
-/// Fields render in insertion order; the `bench` name always comes
-/// first. Keeping the emission in one place means every binary writes
-/// the same shape (flat object, fixed-precision numbers, `null` for
-/// skipped measurements) instead of hand-rolling `format!` blobs.
-#[derive(Debug, Clone)]
-pub struct JsonReport {
-    fields: Vec<(String, String)>,
-}
-
-impl JsonReport {
-    /// Start a report for the named benchmark.
-    pub fn new(bench: &str) -> JsonReport {
-        JsonReport { fields: vec![("bench".into(), format!("\"{bench}\""))] }
-    }
-
-    /// Add an integer field.
-    pub fn int(mut self, key: &str, value: u64) -> JsonReport {
-        self.fields.push((key.into(), value.to_string()));
-        self
-    }
-
-    /// Add a number field with fixed decimal precision.
-    pub fn num(mut self, key: &str, value: f64, decimals: usize) -> JsonReport {
-        assert!(value.is_finite(), "non-finite value for {key}");
-        self.fields.push((key.into(), format!("{value:.decimals$}")));
-        self
-    }
-
-    /// Add an optional number field; `None` renders as `null` (the
-    /// convention for measurements skipped on this machine, e.g. a
-    /// parallel speedup on a single-core runner).
-    pub fn opt_num(self, key: &str, value: Option<f64>, decimals: usize) -> JsonReport {
-        match value {
-            Some(v) => self.num(key, v, decimals),
-            None => {
-                let mut s = self;
-                s.fields.push((key.into(), "null".into()));
-                s
-            }
-        }
-    }
-
-    /// Add a boolean field.
-    pub fn bool(mut self, key: &str, value: bool) -> JsonReport {
-        self.fields.push((key.into(), value.to_string()));
-        self
-    }
-
-    /// Render the report as pretty-printed JSON.
-    pub fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            out.push_str(&format!("  \"{k}\": {v}"));
-            out.push_str(if i + 1 < self.fields.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// Write the report to `path` and log it, as every bench binary does.
-    pub fn write(&self, path: &str) {
-        std::fs::write(path, self.render()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("# wrote {path}");
-    }
-}
-
 /// Mean of a slice.
 pub fn mean(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty());
@@ -173,21 +104,6 @@ impl SpeedupSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_report_renders_flat_ordered_object() {
-        let r = JsonReport::new("demo")
-            .int("hosts", 64)
-            .num("speedup", 3.2456, 3)
-            .opt_num("pool_speedup", None, 3)
-            .opt_num("warm", Some(1.5), 1)
-            .bool("pass", true);
-        assert_eq!(
-            r.render(),
-            "{\n  \"bench\": \"demo\",\n  \"hosts\": 64,\n  \"speedup\": 3.246,\n  \
-             \"pool_speedup\": null,\n  \"warm\": 1.5,\n  \"pass\": true\n}\n"
-        );
-    }
 
     #[test]
     fn stats_basics() {

@@ -787,7 +787,7 @@ struct SolveLog {
     /// Arena slot bound at record time — the length the caller's rate
     /// buffer had when this log's solve filled it.
     slot_bound: u32,
-    /// False until the first logged solve, and after a plain `solve`.
+    /// False until the first solve.
     valid: bool,
 }
 
@@ -846,14 +846,14 @@ struct Link {
 /// Progressive-filling solver with persistent scratch state.
 ///
 /// Reuse one instance across solves: after the first call at a given
-/// problem size, [`MaxMinSolver::solve`] performs **no heap allocation**
-/// (verified by the workspace's allocation-counter test).
+/// problem size, [`MaxMinSolver::solve_logged`] performs **no heap
+/// allocation** (verified by the workspace's allocation-counter test).
 ///
-/// [`MaxMinSolver::solve_logged`] additionally records the freeze-round
-/// sequence, unlocking the batched what-if APIs ([`MaxMinSolver::probe`],
-/// [`MaxMinSolver::probe_batch`], [`MaxMinSolver::solve_batch`]): rate a
-/// hypothetical extra flow in `O(rounds + events on its path)` by
-/// replaying the shared frozen prefix, bit-identical to adding the flow
+/// Every solve records the freeze-round sequence, which is what the
+/// batched what-if APIs ([`MaxMinSolver::probe`],
+/// [`MaxMinSolver::probe_batch`], [`MaxMinSolver::solve_batch`]) replay:
+/// rate a hypothetical extra flow in `O(rounds + events on its path)`
+/// through the shared frozen prefix, bit-identical to adding the flow
 /// and solving from scratch.
 #[derive(Debug, Default)]
 pub struct MaxMinSolver {
@@ -868,7 +868,7 @@ pub struct MaxMinSolver {
     slack: Vec<f64>,
     /// Unfrozen flows per resource (warm solves: as `slack`).
     users: Vec<u32>,
-    /// Per-slot frozen flag of the cold solves (a warm solve reads
+    /// Per-slot frozen flag of the cold solve (a warm solve reads
     /// frozenness off `SolveLog::round_of`).
     frozen: Vec<bool>,
     /// Scratch: resources touched by the current freeze round.
@@ -1053,7 +1053,10 @@ impl MaxMinSolver {
         MaxMinSolver::default()
     }
 
-    /// Compute max-min fair rates for every live flow in `arena`.
+    /// Compute max-min fair rates for every live flow in `arena` from
+    /// scratch — the cold solve — recording the freeze-round log that
+    /// [`MaxMinSolver::probe`] and [`MaxMinSolver::probe_batch`] replay
+    /// and [`MaxMinSolver::solve_warm`] chains off.
     ///
     /// * `capacities[r]` — capacity of resource `r` (bits/s, must be > 0
     ///   for any resource a flow crosses).
@@ -1061,21 +1064,47 @@ impl MaxMinSolver {
     ///   `rates[slot]` is the allocated rate of the flow in `slot`
     ///   (vacant slots read 0).
     ///
-    /// Runs in `O(R + Σ_f path_f · log R)`. Invalidates any prior probe
-    /// log; use [`MaxMinSolver::solve_logged`] when probes will follow.
-    pub fn solve(&mut self, capacities: &[f64], arena: &FlowArena, rates: &mut Vec<f64>) {
-        self.log.valid = false;
-        self.solve_impl::<false>(capacities, arena, rates);
-    }
-
-    /// [`MaxMinSolver::solve`], additionally recording the freeze-round
-    /// log that [`MaxMinSolver::probe`] and [`MaxMinSolver::probe_batch`]
-    /// replay and [`MaxMinSolver::solve_warm`] chains off. Logging costs
-    /// one append per round plus two per touched resource (the round's
-    /// own list and the resource's event list) and one per flow, and
-    /// stays allocation-free once the log buffers are warm.
+    /// Runs in `O(R + Σ_f path_f · log R)`. Logging costs one append per
+    /// round plus two per touched resource (the round's own list and the
+    /// resource's event list) and one per flow, and stays allocation-free
+    /// once the log buffers are warm.
     pub fn solve_logged(&mut self, capacities: &[f64], arena: &FlowArena, rates: &mut Vec<f64>) {
-        self.solve_impl::<true>(capacities, arena, rates);
+        let nr = arena.n_resources();
+        assert!(capacities.len() >= nr, "capacities shorter than resource space");
+        self.last_live_rounds = 0;
+        self.last_replayed_rounds = 0;
+        self.log.rounds.clear();
+        let nslots = arena.slot_bound();
+        rates.clear();
+        rates.resize(nslots, 0.0);
+        self.frozen.clear();
+        self.frozen.resize(nslots, false);
+        self.slack.clear();
+        self.slack.extend_from_slice(&capacities[..nr]);
+        self.users.clear();
+        self.users.resize(nr, 0);
+        self.version.clear();
+        self.version.resize(nr, 0);
+        self.delta.clear();
+        self.delta.resize(nr, 0);
+        self.touched.clear();
+        let remaining = arena.n_flows();
+        if remaining > 0 {
+            // Build the initial heap by O(R) heapify over the retained
+            // buffer (cheaper than R sift-up pushes, and alloc-free after
+            // warm-up).
+            self.heap_buf.clear();
+            for r in 0..nr {
+                let u = arena.users(r as u32) as u32;
+                self.users[r] = u;
+                if u > 0 {
+                    let share = (self.slack[r] / u as f64).max(0.0);
+                    self.heap_buf.push(Reverse(ShareKey::new(share, r as u32, 0)));
+                }
+            }
+            self.fill_rounds(arena, rates, remaining);
+        }
+        self.log.build_index(arena);
     }
 
     /// Warm-started [`MaxMinSolver::solve_logged`]: re-solve after arena
@@ -1636,72 +1665,19 @@ impl MaxMinSolver {
         }
     }
 
-    fn solve_impl<const LOG: bool>(
-        &mut self,
-        capacities: &[f64],
-        arena: &FlowArena,
-        rates: &mut Vec<f64>,
-    ) {
-        let nr = arena.n_resources();
-        assert!(capacities.len() >= nr, "capacities shorter than resource space");
-        self.last_live_rounds = 0;
-        self.last_replayed_rounds = 0;
-        if LOG {
-            self.log.rounds.clear();
-        }
-        let nslots = arena.slot_bound();
-        rates.clear();
-        rates.resize(nslots, 0.0);
-        self.frozen.clear();
-        self.frozen.resize(nslots, false);
-        self.slack.clear();
-        self.slack.extend_from_slice(&capacities[..nr]);
-        self.users.clear();
-        self.users.resize(nr, 0);
-        self.version.clear();
-        self.version.resize(nr, 0);
-        self.delta.clear();
-        self.delta.resize(nr, 0);
-        self.touched.clear();
-        let remaining = arena.n_flows();
-        if remaining > 0 {
-            // Build the initial heap by O(R) heapify over the retained
-            // buffer (cheaper than R sift-up pushes, and alloc-free after
-            // warm-up).
-            self.heap_buf.clear();
-            for r in 0..nr {
-                let u = arena.users(r as u32) as u32;
-                self.users[r] = u;
-                if u > 0 {
-                    let share = (self.slack[r] / u as f64).max(0.0);
-                    self.heap_buf.push(Reverse(ShareKey::new(share, r as u32, 0)));
-                }
-            }
-            self.fill_rounds::<LOG>(arena, rates, remaining);
-        }
-        if LOG {
-            self.log.build_index(arena);
-        }
-    }
-
     /// Progressive filling from the solver's *current* `(slack, users,
     /// frozen, version)` state until `remaining` flows freeze. The heap is
     /// seeded by heapifying `heap_buf`, which must hold one entry per
     /// resource that still carries unfrozen flows, keyed at the current
-    /// share and version. Appends freeze rounds to the log when `LOG`.
+    /// share and version. Appends each freeze round to the log.
     ///
-    /// Used by the cold solves (state initialised from scratch).
+    /// Used by the cold solve (state initialised from scratch).
     /// [`MaxMinSolver::solve_warm`] does **not** call this: its live
     /// rounds deliberately duplicate this freeze-round arithmetic over
     /// the indexed warm heap — the two bodies must stay in lockstep
     /// (same operations in the same order) or bit-identity between warm
     /// and cold solves breaks; the workspace property suite pins that.
-    fn fill_rounds<const LOG: bool>(
-        &mut self,
-        arena: &FlowArena,
-        rates: &mut [f64],
-        mut remaining: usize,
-    ) {
+    fn fill_rounds(&mut self, arena: &FlowArena, rates: &mut [f64], mut remaining: usize) {
         let mut heap = BinaryHeap::from(std::mem::take(&mut self.heap_buf));
         while remaining > 0 {
             let Some(Reverse(key)) = heap.pop() else {
@@ -1728,9 +1704,7 @@ impl MaxMinSolver {
                 self.frozen[f] = true;
                 rates[f] = level;
                 remaining -= 1;
-                if LOG {
-                    self.log.rounds.freeze.push(slot);
-                }
+                self.log.rounds.freeze.push(slot);
                 for &r2 in arena.resources_unchecked(slot) {
                     let r2 = r2 as usize;
                     if self.delta[r2] == 0 {
@@ -1746,9 +1720,7 @@ impl MaxMinSolver {
                 self.delta[r2] = 0;
                 self.users[r2] -= d;
                 self.slack[r2] -= d as f64 * level;
-                if LOG {
-                    self.log.rounds.touched.push(pack(r2 as u32, d));
-                }
+                self.log.rounds.touched.push(pack(r2 as u32, d));
                 let v = self.version[r2].wrapping_add(1);
                 self.version[r2] = v;
                 if self.users[r2] > 0 {
@@ -1756,9 +1728,7 @@ impl MaxMinSolver {
                     heap.push(Reverse(ShareKey::new(share, r2 as u32, v)));
                 }
             }
-            if LOG {
-                self.log.rounds.commit(ShareKey::new(level, b as u32, 0).0, level, t0, f0);
-            }
+            self.log.rounds.commit(ShareKey::new(level, b as u32, 0).0, level, t0, f0);
         }
         // Return the heap's buffer for the next solve.
         self.heap_buf = heap.into_vec();
@@ -1937,10 +1907,11 @@ impl MaxMinSolver {
 
 /// Compute max-min fair rates from a one-shot flow list.
 ///
-/// Compatibility wrapper over [`FlowArena`] + [`MaxMinSolver`]: builds the
-/// arena, solves once, and returns one rate per flow (in input order).
-/// Long-lived callers that mutate the flow set should hold an arena and a
-/// solver instead — this wrapper reconstructs both on every call.
+/// The reference the test suites compare the engine against, not a
+/// production entry point: it builds a fresh [`FlowArena`] and
+/// [`MaxMinSolver`], runs one cold solve and returns one rate per flow
+/// (in input order). Anything that mutates a flow set holds an arena and
+/// a solver instead.
 ///
 /// * `capacities[r]` — capacity of resource `r` (bits/s, must be > 0).
 /// * `flows[f]` — indices of the resources flow `f` traverses (each must
@@ -1952,7 +1923,7 @@ pub fn max_min_rates(capacities: &[f64], flows: &[Vec<u32>]) -> Vec<f64> {
     }
     let mut solver = MaxMinSolver::new();
     let mut rates = Vec::new();
-    solver.solve(capacities, &arena, &mut rates);
+    solver.solve_logged(capacities, &arena, &mut rates);
     rates.truncate(flows.len());
     rates
 }
@@ -2109,16 +2080,16 @@ mod tests {
         let a = arena.add(&[0, 1]);
         let b = arena.add(&[0]);
         let c = arena.add(&[1]);
-        solver.solve(&caps, &arena, &mut rates);
+        solver.solve_logged(&caps, &arena, &mut rates);
         assert!(close(rates[a.0 as usize], 5.0));
         // Remove the long flow: b and c each get a full link.
         arena.remove(a);
-        solver.solve(&caps, &arena, &mut rates);
+        solver.solve_logged(&caps, &arena, &mut rates);
         assert!(close(rates[b.0 as usize], 10.0));
         assert!(close(rates[c.0 as usize], 10.0));
         // Re-adding an equivalent flow restores the original allocation.
         let a2 = arena.add(&[0, 1]);
-        solver.solve(&caps, &arena, &mut rates);
+        solver.solve_logged(&caps, &arena, &mut rates);
         assert!(close(rates[a2.0 as usize], 5.0));
         assert!(close(rates[b.0 as usize], 5.0));
         assert!(close(rates[c.0 as usize], 5.0));
@@ -2148,7 +2119,7 @@ mod tests {
         assert_eq!(a.users(3), 1);
         let mut solver = MaxMinSolver::new();
         let mut rates = Vec::new();
-        solver.solve(&[5.0, 5.0, 5.0, 7.0], &a, &mut rates);
+        solver.solve_logged(&[5.0, 5.0, 5.0, 7.0], &a, &mut rates);
         assert!(close(rates[s.0 as usize], 7.0));
     }
 
@@ -2164,7 +2135,7 @@ mod tests {
         let probe = arena.add(candidate);
         let mut solver = MaxMinSolver::new();
         let mut rates = Vec::new();
-        solver.solve(caps, &arena, &mut rates);
+        solver.solve_logged(caps, &arena, &mut rates);
         rates[probe.0 as usize]
     }
 
@@ -2271,25 +2242,13 @@ mod tests {
         let _ = solver.probe(&caps, &arena, &[0]);
     }
 
-    #[test]
-    #[should_panic(expected = "logged solve")]
-    fn plain_solve_invalidates_probe_log() {
-        let caps = [10.0];
-        let arena = FlowArena::new(1);
-        let mut solver = MaxMinSolver::new();
-        let mut rates = Vec::new();
-        solver.solve_logged(&caps, &arena, &mut rates);
-        solver.solve(&caps, &arena, &mut rates);
-        let _ = solver.probe(&caps, &arena, &[0]);
-    }
-
     // ------------------------------------------------- warm-started solves
 
     /// Bit-compare a warm-chained solver against per-step cold solves.
     fn assert_warm_matches_cold(warm: &[f64], arena: &FlowArena, caps: &[f64]) {
         let mut cold_solver = MaxMinSolver::new();
         let mut cold = Vec::new();
-        cold_solver.solve(caps, arena, &mut cold);
+        cold_solver.solve_logged(caps, arena, &mut cold);
         assert_eq!(warm.len(), cold.len());
         for (slot, (w, c)) in warm.iter().zip(&cold).enumerate() {
             assert_eq!(w.to_bits(), c.to_bits(), "slot {slot}: warm {w} vs cold {c}");

@@ -82,11 +82,11 @@
 //!
 //! The states:
 //!
-//! 1. **Cold** — after construction or a plain [`MaxMinSolver::solve`]:
-//!    no log (probes panic, a warm solve falls back to a full logged
-//!    solve).
-//! 2. **Logged** — after [`MaxMinSolver::solve_logged`] (or
-//!    [`MaxMinSolver::solve_batch`]): every freeze round recorded, both
+//! 1. **Cold** — after construction, the only time there is no log
+//!    (probes panic, a warm solve falls back to a full logged solve).
+//! 2. **Logged** — after [`MaxMinSolver::solve_logged`], the one cold
+//!    entry point (or [`MaxMinSolver::solve_batch`], which starts with
+//!    one): every freeze round recorded, both
 //!    indexes built in one `O(touched + resources + slots)` pass, the log
 //!    stamped with the arena's generation. A probe replay is `O(rounds +
 //!    events on the candidate's resources)`. The stamp must match the
@@ -215,8 +215,8 @@
 //! (`choreo-online`'s network-event step, `choreo-service`'s
 //! `InjectNetworkEvent` request) drive exactly these entry points.
 //!
-//! Entry point: [`FlowSim`]. One-shot callers can still use
-//! [`max_min_rates`].
+//! Entry point: [`FlowSim`]. [`max_min_rates`] is the one-shot
+//! reference the test suites compare against.
 
 pub mod engine;
 pub mod fairshare;

@@ -74,9 +74,7 @@ impl ScenarioCtx {
 /// assert_eq!(scores, vec![5.0, 4.0, 4.0]);
 /// ```
 ///
-/// [`ScenarioPool::default`] sizes the pool to the machine
-/// ([`std::thread::available_parallelism`]); worker count never affects
-/// results, only wall-clock.
+/// Worker count never affects results, only wall-clock.
 ///
 /// The worker threads are a persistent [`SolvePool`], spawned lazily on
 /// the first multi-worker [`ScenarioPool::evaluate`] and parked between
@@ -91,24 +89,12 @@ pub struct ScenarioPool {
     pool: Arc<OnceLock<SolvePool>>,
 }
 
-impl Default for ScenarioPool {
-    /// [`ScenarioPool::auto`]: one worker per available core.
-    fn default() -> ScenarioPool {
-        ScenarioPool::auto()
-    }
-}
-
 impl ScenarioPool {
     /// Pool with a fixed worker count (clamped to ≥ 1). Worker count
     /// affects wall-clock only, never results. No threads are spawned
     /// until the first [`ScenarioPool::evaluate`] that fans out.
     pub fn new(workers: usize) -> ScenarioPool {
         ScenarioPool { workers: workers.max(1), pool: Arc::new(OnceLock::new()) }
-    }
-
-    /// Pool sized to the machine's available parallelism.
-    pub fn auto() -> ScenarioPool {
-        ScenarioPool::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// Configured worker count.
@@ -279,7 +265,7 @@ mod tests {
         // cold-solves every scenario must produce the same bits.
         let cold = ScenarioPool::new(3).evaluate(&arena, &scen, |ctx, path: &Vec<u32>| {
             let probe = ctx.arena.add(path);
-            ctx.solver.solve(&caps, &ctx.arena, &mut ctx.rates);
+            ctx.solver.solve_logged(&caps, &ctx.arena, &mut ctx.rates);
             let rate = ctx.rates[probe.0 as usize];
             ctx.arena.remove(probe);
             rate.to_bits()
@@ -326,7 +312,7 @@ mod tests {
         let one = vec![vec![0u32]];
         let out = ScenarioPool::new(8).evaluate(&arena, &one, |ctx, p| {
             let probe = ctx.arena.add(p);
-            ctx.solver.solve(&caps, &ctx.arena, &mut ctx.rates);
+            ctx.solver.solve_logged(&caps, &ctx.arena, &mut ctx.rates);
             let r = ctx.rates[probe.0 as usize];
             ctx.arena.remove(probe);
             r
@@ -360,9 +346,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_pool_reports_at_least_one_worker() {
-        assert!(ScenarioPool::auto().workers() >= 1);
+    fn a_pool_has_at_least_one_worker() {
         assert_eq!(ScenarioPool::new(0).workers(), 1);
-        assert_eq!(ScenarioPool::default().workers(), ScenarioPool::auto().workers());
     }
 }

@@ -490,11 +490,6 @@ impl ShardedSolver {
         ShardedSolver { workers, ..ShardedSolver::default() }
     }
 
-    /// Solver sized to the machine's available parallelism.
-    pub fn auto() -> ShardedSolver {
-        ShardedSolver::new(0)
-    }
-
     /// Configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
@@ -732,7 +727,7 @@ mod tests {
         sharded.solve_sharded(caps, arena, part, &mut main, &mut rates);
         let mut cold = MaxMinSolver::new();
         let mut cold_rates = Vec::new();
-        cold.solve(caps, arena, &mut cold_rates);
+        cold.solve_logged(caps, arena, &mut cold_rates);
         assert_eq!(rates.len(), cold_rates.len());
         for (slot, (a, b)) in rates.iter().zip(&cold_rates).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "slot {slot}: sharded {a} vs cold {b}");
@@ -832,14 +827,14 @@ mod tests {
         let probe = ref_arena.add(&[0, 2]);
         let mut ref_solver = MaxMinSolver::new();
         let mut ref_rates = Vec::new();
-        ref_solver.solve(&caps, &ref_arena, &mut ref_rates);
+        ref_solver.solve_logged(&caps, &ref_arena, &mut ref_rates);
         assert_eq!(got.to_bits(), ref_rates[probe.0 as usize].to_bits());
         // A warm solve chains off the sharded log after churn.
         arena.add(&[3, 5]);
         main.solve_warm(&caps, &mut arena, &mut rates);
         let mut cold = MaxMinSolver::new();
         let mut cold_rates = Vec::new();
-        cold.solve(&caps, &arena, &mut cold_rates);
+        cold.solve_logged(&caps, &arena, &mut cold_rates);
         for (slot, (a, b)) in rates.iter().zip(&cold_rates).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "slot {slot}");
         }
@@ -871,7 +866,7 @@ mod tests {
     fn assert_matches_cold(caps: &[f64], arena: &FlowArena, rates: &[f64]) {
         let mut cold = MaxMinSolver::new();
         let mut cold_rates = Vec::new();
-        cold.solve(caps, arena, &mut cold_rates);
+        cold.solve_logged(caps, arena, &mut cold_rates);
         assert_eq!(rates.len(), cold_rates.len());
         for (slot, (a, b)) in rates.iter().zip(&cold_rates).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "slot {slot}: sharded {a} vs cold {b}");

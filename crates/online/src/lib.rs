@@ -75,10 +75,10 @@
 //! digested like any other decision, so fault-laden runs replay
 //! exactly. `crates/service` wraps this scheduler in a networked
 //! request loop and re-asserts the same digest equality through its
-//! simulated transport. `bench_online` measures the service at 10k+
-//! tenant events/sec on a 128-host topology and compares mean tenant
-//! service rates against the random-placement baseline
-//! (`BENCH_online.json`).
+//! simulated transport. The perf ledger (`BENCHMARK.json`,
+//! `benchmark/`) measures the service's throughput and latency on 128-
+//! and 512-host topologies and compares mean tenant service rates
+//! against the random-placement baseline (`rate_gain`).
 
 pub mod builder;
 pub mod config;

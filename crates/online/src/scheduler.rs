@@ -301,8 +301,9 @@ impl OnlineScheduler {
     /// Mean current service score over the running tenants with at
     /// least one networked transfer (`None` when no tenant is
     /// networked). Like [`OnlineScheduler::slo_attainment`] this reads
-    /// the live allocation without touching the digest — the bench's
-    /// failure/recovery probe.
+    /// the live allocation without touching the digest — the
+    /// failure/recovery probe of the scenario tests
+    /// (`tests/scenarios.rs`).
     pub fn mean_networked_score(&mut self) -> Option<f64> {
         let loopback = self.cfg.loopback.rate_bps;
         let (mut sum, mut count) = (0.0, 0usize);
@@ -319,8 +320,8 @@ impl OnlineScheduler {
     /// migration passes that come due on the way (measurement first at
     /// ties, so fresh drift verdicts feed the same instant's planner
     /// pass). [`OnlineScheduler::step`] does this itself; callers that
-    /// want to time the dispatch alone (the latency percentiles in
-    /// `bench_online`) advance first so the timed step is pure event
+    /// want to time the dispatch alone (the perf ledger's per-request
+    /// percentiles) advance first so the timed step is pure event
     /// handling.
     pub fn advance_to(&mut self, at: Nanos) {
         let at = at.max(self.sim.now());

@@ -278,8 +278,8 @@ impl TraceRing {
 /// Counters of one service run plus a running FNV-1a digest of every
 /// decision the service makes (admissions with their placements, queue
 /// verdicts, migrations, departure rates). Two runs with equal digests
-/// made bit-identical decisions — the property the determinism suite and
-/// `bench_online` check across repeats and worker counts.
+/// made bit-identical decisions — the property the determinism suite
+/// checks across repeats and worker counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
     /// Tenant events consumed.
@@ -416,8 +416,8 @@ impl ServiceStats {
     }
 
     /// Mean service rate over departed tenants (`None` before the first
-    /// departure) — the quality headline `bench_online` compares between
-    /// the greedy and random policies.
+    /// departure) — the quality headline the perf ledger compares
+    /// between the greedy and random policies (`rate_gain`).
     pub fn mean_departed_rate_bps(&self) -> Option<f64> {
         if self.departed == 0 {
             None

@@ -2,14 +2,15 @@
 //! registry.
 //!
 //! Just enough HTTP/1.0 for a prometheus scraper or `curl`: read the
-//! request line, answer `GET /metrics` with the registry's text
+//! request head (at most 8 KiB of it, from any peer), answer
+//! `GET /metrics` with the registry's text
 //! exposition (and, when a decision ring was wired in via
 //! [`MetricsServer::start_with_trace`], `GET /trace?n=K` with the last
 //! `K` decision-trace JSON lines, rendered here on the scrape thread),
 //! answer everything else with 404, close the connection. No
 //! keep-alive, no chunking, no dependencies.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -81,18 +82,20 @@ impl MetricsServer {
         trace: Option<&Mutex<TraceRing>>,
     ) -> std::io::Result<()> {
         stream.set_read_timeout(Some(std::time::Duration::from_secs(2)))?;
-        let mut reader = BufReader::new(stream);
-        let mut request_line = String::new();
-        reader.read_line(&mut request_line)?;
-        // Drain headers until the blank line so the client isn't left
-        // with an unread request body buffer on close.
-        loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line)? == 0 || line.trim().is_empty() {
-                break;
+        let request_line = match read_head(&stream) {
+            Ok(line) => line,
+            Err(HeadError::TooLarge) => {
+                return respond(
+                    &stream,
+                    "431 Request Header Fields Too Large",
+                    "request head too large\n",
+                );
             }
-        }
-        let mut stream = reader.into_inner();
+            Err(HeadError::Io(e)) if e.kind() == io::ErrorKind::InvalidData => {
+                return respond(&stream, "400 Bad Request", "request head is not UTF-8\n");
+            }
+            Err(HeadError::Io(e)) => return Err(e),
+        };
         let path = request_line.split_whitespace().nth(1).unwrap_or("");
         let (route, query) = path.split_once('?').unwrap_or((path, ""));
         let is_get = request_line.starts_with("GET");
@@ -111,12 +114,7 @@ impl MetricsServer {
         } else {
             ("404 Not Found", "only GET /metrics and GET /trace live here\n".to_string())
         };
-        write!(
-            stream,
-            "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        )?;
-        stream.flush()
+        respond(&stream, status, &body)
     }
 
     /// Stop serving (idempotent; also runs on drop).
@@ -146,6 +144,51 @@ impl Drop for MetricsServer {
     }
 }
 
+/// Most bytes of a request head (request line, headers and the blank
+/// line) the endpoint will read from a peer. A scrape's head is well
+/// under 1 KiB.
+const MAX_HEAD_BYTES: u64 = 8 * 1024;
+
+/// Why [`read_head`] gave up.
+#[derive(Debug)]
+enum HeadError {
+    /// [`MAX_HEAD_BYTES`] went by without the blank line.
+    TooLarge,
+    Io(io::Error),
+}
+
+/// Read one request head from `r` and return its request line, draining
+/// the headers through the blank line (or the peer's end of stream) so
+/// the client isn't left with unread request bytes on close. Consumes
+/// at most [`MAX_HEAD_BYTES`] of `r`, whatever the peer sends.
+fn read_head(r: impl Read) -> Result<String, HeadError> {
+    let mut reader = BufReader::new(r.take(MAX_HEAD_BYTES));
+    // One line into `line`; `TooLarge` when the cap, not the peer, cut
+    // it short.
+    let mut read_line = |line: &mut String| {
+        line.clear();
+        let n = reader.read_line(line).map_err(HeadError::Io)?;
+        if !line.ends_with('\n') && reader.get_ref().limit() == 0 {
+            return Err(HeadError::TooLarge);
+        }
+        Ok(n)
+    };
+    let mut request_line = String::new();
+    read_line(&mut request_line)?;
+    let mut header = String::new();
+    while read_line(&mut header)? > 0 && !header.trim().is_empty() {}
+    Ok(request_line)
+}
+
+fn respond(mut stream: &TcpStream, status: &str, body: &str) -> io::Result<()> {
+    write!(
+        stream,
+        "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )?;
+    stream.flush()
+}
+
 /// `n` from a `/trace` query string (`n=K`, `&`-separated); everything
 /// when absent or malformed.
 fn trace_limit(query: &str) -> usize {
@@ -159,7 +202,6 @@ fn trace_limit(query: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
 
     fn get(addr: SocketAddr, path: &str) -> String {
         let mut c = TcpStream::connect(addr).unwrap();
@@ -167,6 +209,57 @@ mod tests {
         let mut out = String::new();
         c.read_to_string(&mut out).unwrap();
         out
+    }
+
+    /// Counts the bytes handed out by the reader it wraps.
+    struct Counted<R>(R, u64);
+
+    impl<R: Read> Read for Counted<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.0.read(buf)?;
+            self.1 += n as u64;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn head_reader_stops_at_the_cap_on_an_endless_line() {
+        let mut peer = Counted(io::repeat(b'A'), 0);
+        assert!(matches!(read_head(&mut peer), Err(HeadError::TooLarge)));
+        assert!(peer.1 <= MAX_HEAD_BYTES, "read {} bytes past a {MAX_HEAD_BYTES} cap", peer.1);
+    }
+
+    #[test]
+    fn head_reader_caps_the_header_drain_too() {
+        let head = format!("GET /metrics HTTP/1.0\r\n{}", "X-Pad: 0123456789\r\n".repeat(1024));
+        let mut peer = Counted(head.as_bytes(), 0);
+        assert!(matches!(read_head(&mut peer), Err(HeadError::TooLarge)));
+        assert!(peer.1 <= MAX_HEAD_BYTES);
+    }
+
+    #[test]
+    fn head_reader_returns_the_request_line_and_drains_the_headers() {
+        let mut peer = "GET /trace?n=2 HTTP/1.0\r\nHost: test\r\n\r\nbody".as_bytes();
+        assert_eq!(read_head(&mut peer).unwrap(), "GET /trace?n=2 HTTP/1.0\r\n");
+        // A peer that closes before the blank line still gets an answer.
+        assert_eq!(
+            read_head("GET / HTTP/1.0\r\nHost: t".as_bytes()).unwrap(),
+            "GET / HTTP/1.0\r\n"
+        );
+    }
+
+    #[test]
+    fn an_over_cap_head_is_refused_and_the_next_scrape_still_answers() {
+        let server = MetricsServer::start(("127.0.0.1", 0), Arc::new(Registry::new())).unwrap();
+        // Exactly the cap and no newline: the server consumes all of it,
+        // so its close is clean and the refusal is readable.
+        let mut c = TcpStream::connect(server.local_addr()).unwrap();
+        c.write_all(&vec![b'A'; MAX_HEAD_BYTES as usize]).unwrap();
+        let mut out = String::new();
+        c.read_to_string(&mut out).unwrap();
+        assert!(out.starts_with("HTTP/1.0 431"), "{out}");
+        let body = get(server.local_addr(), "/metrics");
+        assert!(body.starts_with("HTTP/1.0 200 OK"), "{body}");
     }
 
     #[test]

@@ -97,7 +97,7 @@ fn steady_state_reallocation_allocates_nothing() {
             let k = (i + round) % slots.len();
             arena.remove(slots[k]);
             slots[k] = arena.add(arrival);
-            solver.solve(&caps, &arena, &mut rates);
+            solver.solve_logged(&caps, &arena, &mut rates);
         }
     }
     let before = alloc_count();
@@ -107,7 +107,7 @@ fn steady_state_reallocation_allocates_nothing() {
             let k = (i + round) % slots.len();
             arena.remove(slots[k]);
             slots[k] = arena.add(arrival);
-            solver.solve(&caps, &arena, &mut rates);
+            solver.solve_logged(&caps, &arena, &mut rates);
             checksum += rates[slots[k].0 as usize];
         }
     }

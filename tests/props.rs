@@ -153,7 +153,7 @@ proptest! {
                 live.push((slot, f));
             }
             arena.check_invariants();
-            solver.solve(&caps, &arena, &mut rates);
+            solver.solve_logged(&caps, &arena, &mut rates);
             let specs: Vec<Vec<u32>> = live.iter().map(|(_, f)| f.clone()).collect();
             let reference = reference_max_min(&caps, &specs);
             for ((slot, _), want) in live.iter().zip(&reference) {
@@ -196,7 +196,7 @@ fn full_solve_probe(caps: &[f64], arena: &FlowArena, cand: &[u32]) -> f64 {
     let mut ref_arena = arena.clone();
     let slot = ref_arena.add(cand);
     let mut rates = Vec::new();
-    MaxMinSolver::new().solve(&caps[..ref_arena.n_resources()], &ref_arena, &mut rates);
+    MaxMinSolver::new().solve_logged(&caps[..ref_arena.n_resources()], &ref_arena, &mut rates);
     rates[slot.0 as usize]
 }
 
@@ -297,7 +297,7 @@ proptest! {
             warm.check_log_invariants(&arena);
             let mut cold = MaxMinSolver::new();
             let mut cold_rates = Vec::new();
-            cold.solve(&caps[..arena.n_resources()], &arena, &mut cold_rates);
+            cold.solve_logged(&caps[..arena.n_resources()], &arena, &mut cold_rates);
             prop_assert_eq!(rates.len(), cold_rates.len());
             for (slot, got) in rates.iter().enumerate() {
                 prop_assert_eq!(
@@ -376,7 +376,7 @@ fn one_solver_survives_a_long_warm_chain() {
             }
             warm.solve_warm(&caps[..nr], &mut arena, &mut rates);
             warm.check_log_invariants(&arena);
-            cold.solve(&caps[..nr], &arena, &mut cold_rates);
+            cold.solve_logged(&caps[..nr], &arena, &mut cold_rates);
             assert_eq!(rates.len(), cold_rates.len());
             for (slot, (got, want)) in rates.iter().zip(&cold_rates).enumerate() {
                 assert_eq!(
@@ -651,7 +651,7 @@ proptest! {
                 }
             }
             arenas[3].check_invariants();
-            cold.solve(&caps, &arenas[3], &mut cold_rates);
+            cold.solve_logged(&caps, &arenas[3], &mut cold_rates);
             for (i, (sharded, main, rates)) in stacks.iter_mut().enumerate() {
                 sharded.solve_sharded(&caps, &mut arenas[i], &part, main, rates);
                 main.check_log_invariants(&arenas[i]);
@@ -971,7 +971,7 @@ proptest! {
             let probe = ref_arena.add(&norm(c));
             let mut ref_solver = MaxMinSolver::new();
             let mut ref_rates = Vec::new();
-            ref_solver.solve(&caps, &ref_arena, &mut ref_rates);
+            ref_solver.solve_logged(&caps, &ref_arena, &mut ref_rates);
             let want = ref_rates[probe.0 as usize];
             prop_assert_eq!(
                 got.to_bits(), want.to_bits(),
@@ -982,7 +982,7 @@ proptest! {
         // bit-matches a fresh solve of the same flow set.
         let mut check = Vec::new();
         let mut fresh = MaxMinSolver::new();
-        fresh.solve(&caps, &arena, &mut check);
+        fresh.solve_logged(&caps, &arena, &mut check);
         for (slot, _) in &live {
             prop_assert_eq!(
                 rates[slot.0 as usize].to_bits(),
@@ -1015,7 +1015,7 @@ proptest! {
         // Scenario: add a hypothetical flow, solve, score it, restore.
         let score = |ctx: &mut choreo_repro::flowsim::ScenarioCtx, path: &Vec<u32>| {
             let probe = ctx.arena.add(path);
-            ctx.solver.solve(&caps, &ctx.arena, &mut ctx.rates);
+            ctx.solver.solve_logged(&caps, &ctx.arena, &mut ctx.rates);
             let rate = ctx.rates[probe.0 as usize];
             ctx.arena.remove(probe);
             rate.to_bits()

@@ -1,0 +1,200 @@
+//! Whole-service robustness scenarios, asserted on simulated outcomes
+//! only: link and switch failover recovery, the offered-load rejection
+//! knee, and the adversarial workload shapes against the nominal
+//! stream. Fixed topologies, streams and seeds on the warm solve path;
+//! determinism across repeats and worker counts is `tests/online.rs`'s
+//! job, timing is the perf ledger's (`BENCHMARK.json`).
+
+use std::sync::Arc;
+
+use choreo_repro::online::{DriftConfig, OnlineConfig, OnlineScheduler, SchedulerBuilder};
+use choreo_repro::profile::{
+    switch_link_groups, AppPattern, FlashCrowdConfig, HeavyTailConfig, NetworkEvent,
+    NetworkEventKind, WorkloadGenConfig, WorkloadStream, WorkloadStreamConfig,
+};
+use choreo_repro::topology::{MultiRootedTreeSpec, RouteTable, Topology, SECS};
+
+/// `pods` × 4 ToRs × 4 hosts under two cores: 8 pods is the 128-host
+/// service cluster, 2 pods the 32-host one the load scenarios squeeze.
+fn tree(pods: usize) -> Arc<Topology> {
+    let spec = MultiRootedTreeSpec {
+        cores: 2,
+        pods,
+        aggs_per_pod: 2,
+        tors_per_pod: 4,
+        hosts_per_tor: 4,
+        ..Default::default()
+    };
+    let topo = spec.build();
+    assert_eq!(topo.hosts().len(), pods * 16);
+    Arc::new(topo)
+}
+
+fn service(topo: &Arc<Topology>, cfg: OnlineConfig) -> OnlineScheduler {
+    let routes = Arc::new(RouteTable::new(topo));
+    SchedulerBuilder::new(Arc::clone(topo), routes).config(cfg).seed(42).build()
+}
+
+/// The 128-host tenant stream: ~2 s mean inter-arrival against ~120 s
+/// median lifetimes keeps ~30 tenants and a busy wait queue on the
+/// cluster, with intensity changes the bulk of the event mix.
+fn steady_stream() -> WorkloadStream {
+    let cfg = WorkloadStreamConfig {
+        gen: WorkloadGenConfig {
+            tasks_min: 4,
+            tasks_max: 8,
+            mean_interarrival: 2 * SECS,
+            ..Default::default()
+        },
+        mean_intensity_change: 12 * SECS,
+        max_intensity: 3,
+        ..Default::default()
+    };
+    WorkloadStream::new(cfg, 7)
+}
+
+/// Drift re-measurement every 5 s, so three epochs fall inside a 16 s
+/// outage.
+fn failover_cfg() -> OnlineConfig {
+    OnlineConfig {
+        drift: DriftConfig { cadence: Some(5 * SECS), ..Default::default() },
+        ..Default::default()
+    }
+}
+
+fn set_links(svc: &mut OnlineScheduler, at: u64, links: &[u32], kind: NetworkEventKind) {
+    for &link in links {
+        svc.network_step(&NetworkEvent { at, link, kind });
+    }
+}
+
+/// The shared tail of both failover scenarios: repair `links` a second
+/// after the outage window closed, let re-measurement epochs settle,
+/// and require the drift detector plus forced migration passes to have
+/// carried the tenants back to at least half their pre-failure mean
+/// networked rate.
+fn recover_and_check(svc: &mut OnlineScheduler, t0: u64, links: &[u32], prefail: f64) {
+    svc.advance_to(t0 + 16 * SECS);
+    set_links(svc, t0 + 17 * SECS, links, NetworkEventKind::LinkRecover);
+    svc.advance_to(t0 + 60 * SECS);
+    let recovered = svc.mean_networked_score().expect("tenants still running");
+    assert!(
+        recovered / prefail >= 0.5,
+        "tenants recovered only {:.2}x of their pre-failure rate (need >= 0.5x)",
+        recovered / prefail
+    );
+    assert!(svc.stats().failure_migrations >= 1, "no forced migration answered the outage");
+}
+
+#[test]
+fn link_failover_recovers_half_the_prefailure_rate() {
+    let topo = tree(8);
+    let mut svc = service(&topo, failover_cfg());
+    for ev in steady_stream().take(2_500) {
+        svc.step(&ev);
+    }
+    let t0 = svc.now();
+    let prefail = svc.mean_networked_score().expect("networked tenants running");
+    let failed: Vec<u32> = (0..topo.links().len() as u32).step_by(4).collect();
+    set_links(&mut svc, t0 + SECS, &failed, NetworkEventKind::LinkFail);
+    recover_and_check(&mut svc, t0, &failed, prefail);
+    assert!(svc.stats().drift_detected >= 1, "the drift detector never fired");
+}
+
+#[test]
+fn switch_outage_under_tenant_churn_recovers_and_stays_consistent() {
+    let topo = tree(8);
+    let group = switch_link_groups(&topo, 4)
+        .into_iter()
+        .max_by_key(Vec::len)
+        .expect("the tree has core switches");
+    let mut svc = service(&topo, failover_cfg());
+    let mut events = steady_stream();
+    for ev in events.by_ref().take(2_500) {
+        svc.step(&ev);
+    }
+    let t0 = svc.now();
+    let prefail = svc.mean_networked_score().expect("networked tenants running");
+    set_links(&mut svc, t0, &group, NetworkEventKind::LinkFail);
+    // Tenant events keep landing while the switch is dark.
+    for ev in events.take_while(|ev| ev.at <= t0 + 16 * SECS) {
+        svc.step(&ev);
+    }
+    recover_and_check(&mut svc, t0, &group, prefail);
+    svc.check_invariants();
+}
+
+/// The load scenarios' base stream: nominal is one arrival per 30 s
+/// against the 32-host cluster.
+fn load_cfg() -> WorkloadStreamConfig {
+    WorkloadStreamConfig {
+        gen: WorkloadGenConfig {
+            tasks_min: 4,
+            tasks_max: 8,
+            mean_interarrival: 30 * SECS,
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+}
+
+/// 2 000 events of `cfg` (stream seed 13) through a fresh 32-host
+/// service whose wait queue holds 8, so pressure shows up in the
+/// queue/reject counters instead of disappearing into slack.
+fn run_squeezed(topo: &Arc<Topology>, cfg: WorkloadStreamConfig) -> OnlineScheduler {
+    let mut svc = service(topo, OnlineConfig { queue_capacity: 8, ..Default::default() });
+    for ev in WorkloadStream::new(cfg, 13).take(2_000) {
+        svc.step(&ev);
+    }
+    svc
+}
+
+#[test]
+fn offered_load_sweep_finds_a_rejection_knee_above_nominal() {
+    let topo = tree(2);
+    let rejected: Vec<(u64, u64)> = [1u64, 2, 4, 8]
+        .into_iter()
+        .map(|mult| {
+            let mut cfg = load_cfg();
+            cfg.gen.mean_interarrival = 30 * SECS / mult;
+            (mult, run_squeezed(&topo, cfg).stats().rejected)
+        })
+        .collect();
+    assert_eq!(rejected[0].1, 0, "nominal load must be rejection-free");
+    let knee = rejected.iter().find(|(_, r)| *r > 0).map(|(mult, _)| *mult);
+    assert!(knee.is_some_and(|mult| mult > 1), "no rejection knee above nominal: {rejected:?}");
+}
+
+#[test]
+fn workload_shapes_spend_the_headroom_nominal_load_keeps() {
+    let topo = tree(2);
+    let nominal = run_squeezed(&topo, load_cfg());
+    assert_eq!(nominal.stats().rejected, 0, "nominal shape baseline must be rejection-free");
+    assert!(nominal.stats().mean_departed_rate_bps().is_some(), "nominal saw no departures");
+
+    let mut heavy_tail = load_cfg();
+    heavy_tail.gen.tasks_max = 16;
+    heavy_tail.gen.heavy_tail = Some(HeavyTailConfig::default());
+    let heavy_tail = run_squeezed(&topo, heavy_tail);
+    assert!(
+        heavy_tail.stats().queued >= nominal.stats().queued,
+        "heavy-tailed tenants queued less than nominal — shape not biting"
+    );
+
+    let flash_knee = [2u64, 4, 8, 16].into_iter().find(|&peak| {
+        let mut cfg = load_cfg();
+        cfg.gen.flash_crowd = Some(FlashCrowdConfig {
+            mean_time_between: 1200 * SECS,
+            peak_multiplier: peak as f64,
+            onset: 5 * SECS,
+            decay: 180 * SECS,
+        });
+        run_squeezed(&topo, cfg).stats().rejected > 0
+    });
+    assert!(flash_knee.is_some(), "the peak sweep must locate a flash-crowd rejection knee");
+
+    let mut cross_pod = load_cfg();
+    cross_pod.gen.patterns = vec![AppPattern::CrossPod];
+    let cross_pod = run_squeezed(&topo, cross_pod);
+    assert!(cross_pod.stats().mean_departed_rate_bps().is_some(), "cross-pod saw no departures");
+}

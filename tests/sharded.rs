@@ -25,7 +25,7 @@ fn assert_bits_match_cold(caps: &[f64], arena: &mut FlowArena, part: &ResourcePa
         sharded.solve_sharded(caps, arena, part, &mut main, &mut rates);
         let mut cold = MaxMinSolver::new();
         let mut cold_rates = Vec::new();
-        cold.solve(caps, arena, &mut cold_rates);
+        cold.solve_logged(caps, arena, &mut cold_rates);
         assert_eq!(rates.len(), cold_rates.len());
         for (slot, (a, b)) in rates.iter().zip(&cold_rates).enumerate() {
             assert_eq!(
