@@ -11,8 +11,7 @@ use choreo_metrics::span;
 use choreo_topology::route::splitmix64;
 use choreo_topology::{LinkDir, LinkSpec, Nanos, NodeId, PodPartition, RouteTable, Topology};
 
-use crate::fairshare::{FlowArena, FlowSlot, MaxMinSolver, ProbeBatch};
-use crate::shard::{ResourcePartition, ShardedSolver};
+use crate::fairshare::{max_min_rates, FlowArena, FlowSlot, MaxMinSolver, ProbeBatch};
 
 /// Handle to a flow in a [`FlowSim`].
 ///
@@ -205,9 +204,9 @@ pub struct FlowSim {
     solver: MaxMinSolver,
     /// Allocated rate of the flow in each arena slot, bits/s — the
     /// solver's output buffer, and the only place a live flow's rate is
-    /// stored. It is also solver *state*: a warm or sharded solve leaves
-    /// the rates of the rounds it carries over where the previous solve
-    /// wrote them, so nothing but `solver` may write a live slot (see
+    /// stored. It is also solver *state*: a warm solve leaves the rates
+    /// of the rounds it carries over where the previous solve wrote
+    /// them, so nothing but `solver` may write a live slot (see
     /// [`FlowSim::reallocate_if_dirty`]). Vacant slots hold 0: eviction
     /// zeroes its slot at once, growth zero-fills.
     rates: Vec<f64>,
@@ -229,59 +228,8 @@ pub struct FlowSim {
     now: Nanos,
     dirty: bool,
     rng: StdRng,
-    /// Sharded solve path ([`FlowSim::set_solver_mode`]); `None` = warm
-    /// solves only.
-    sharded: Option<ShardedPath>,
     /// Cumulative solver-phase tallies ([`FlowSim::solve_stats`]).
     stats: SolveStats,
-}
-
-/// The sharded reallocation route: a pod partition of the topology plus
-/// the persistent sharded-solve driver.
-struct ShardedPath {
-    part: ResourcePartition,
-    solver: ShardedSolver,
-}
-
-/// How [`FlowSim`] re-solves the max-min allocation after churn
-/// ([`FlowSim::set_solver_mode`]).
-///
-/// The mode is a pure wall-clock knob: warm and sharded solves are
-/// bit-identical, so switching modes never changes a trajectory.
-// The variants differ hugely in size because `Sharded` can carry a
-// whole solver pool in the hand-off path; the enum only ever exists as
-// a transient argument/return value, never stored in bulk, so boxing
-// the pool would buy nothing but an extra indirection at every attach.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Default)]
-pub enum SolverMode {
-    /// Warm-started delta solves on the caller thread (the default).
-    #[default]
-    Warm,
-    /// Pod-sharded solves fanned across worker threads, reconciled on
-    /// the caller thread.
-    Sharded {
-        /// Worker threads (`0` = auto, one per core). Ignored when
-        /// `pool` is attached — the pool carries its own worker count.
-        workers: usize,
-        /// An existing solver to reuse — e.g. the one returned by a
-        /// previous [`FlowSim::set_solver_mode`] call on another
-        /// simulator — so its spawned worker pool and warm buffers
-        /// survive the hand-off. `None` builds a fresh solver.
-        pool: Option<ShardedSolver>,
-    },
-}
-
-impl SolverMode {
-    /// A sharded mode with a fresh solver over `workers` threads.
-    pub fn sharded(workers: usize) -> SolverMode {
-        SolverMode::Sharded { workers, pool: None }
-    }
-
-    /// True for [`SolverMode::Sharded`].
-    pub fn is_sharded(&self) -> bool {
-        matches!(self, SolverMode::Sharded { .. })
-    }
 }
 
 /// Cumulative solver-phase tallies of one [`FlowSim`]
@@ -298,20 +246,15 @@ pub struct SolveStats {
     pub cold_solves: u64,
     /// Reallocations that warm-started off the previous solve's log.
     pub warm_solves: u64,
-    /// Reallocations routed through the pod-sharded driver.
-    pub sharded_solves: u64,
     /// Freeze rounds run with the full cold-solve arithmetic, summed
     /// over all reallocations (every round of a cold solve; only the
-    /// perturbed rounds of a warm or sharded one).
+    /// perturbed rounds of a warm one).
     pub live_rounds: u64,
     /// Freeze rounds carried over from the previous log untouched.
     pub replayed_rounds: u64,
     /// Dirty-window sizes (resources perturbed since the previous
     /// solve), summed over all reallocations.
     pub dirty_resources: u64,
-    /// Dirty shards re-solved by sharded reallocations (their fan-out
-    /// widths), summed.
-    pub shard_fanout: u64,
     /// [`FlowSim::probe_rates`] batches evaluated.
     pub probe_batches: u64,
     /// What-if candidates rated (batched and single-probe).
@@ -373,55 +316,8 @@ impl FlowSim {
             now: 0,
             dirty: false,
             rng: StdRng::seed_from_u64(seed),
-            sharded: None,
             stats: SolveStats::default(),
         }
-    }
-
-    /// Select how reallocation solves run — the one switch that replaces
-    /// the old `enable_sharded` / `enable_sharded_with` /
-    /// `take_sharded_solver` / `disable_sharded` quartet.
-    ///
-    /// Returns the **previous** mode, carrying the previously attached
-    /// [`ShardedSolver`] (with its spawned worker pool and warm buffers)
-    /// in [`SolverMode::Sharded::pool`] so it can be handed to another
-    /// simulator:
-    ///
-    /// ```ignore
-    /// let prev = sim_a.set_solver_mode(SolverMode::Warm); // detach
-    /// sim_b.set_solver_mode(prev);                        // re-attach
-    /// ```
-    ///
-    /// Switching to [`SolverMode::Sharded`] partitions the topology into
-    /// pods ([`ResourcePartition::for_topology`]) and fans shard-local
-    /// solves across the worker threads (`workers == 0` = auto, one per
-    /// core; an attached `pool` supersedes `workers` and is
-    /// [`reset`](ShardedSolver::reset) to this simulation's arena).
-    /// Sharded and warm solves are **bit-identical**, so the mode never
-    /// changes the simulation trajectory — only wall-clock. When the
-    /// topology has no real pod structure — fewer than two pods owning
-    /// intra-pod links ([`ResourcePartition::link_pods`]; a dumbbell's
-    /// singleton-host pods carry no local flows) — the event loop keeps
-    /// using warm/cold solves ([`FlowSim::sharded_pods`] reports the
-    /// partition found). Hoses registered later land on the spine shard
-    /// and their flows are reconciled as boundary flows.
-    pub fn set_solver_mode(&mut self, mode: SolverMode) -> SolverMode {
-        let prev = match self.sharded.take() {
-            Some(sh) => SolverMode::Sharded { workers: sh.solver.workers(), pool: Some(sh.solver) },
-            None => SolverMode::Warm,
-        };
-        if let SolverMode::Sharded { workers, pool } = mode {
-            let mut solver = pool.unwrap_or_else(|| ShardedSolver::new(workers));
-            solver.reset();
-            let part = ResourcePartition::for_topology(&self.topo);
-            self.sharded = Some(ShardedPath { part, solver });
-        }
-        prev
-    }
-
-    /// Pods of the active sharded path (`None` when sharding is off).
-    pub fn sharded_pods(&self) -> Option<usize> {
-        self.sharded.as_ref().map(|s| s.part.n_pods())
     }
 
     /// Current simulated time.
@@ -455,9 +351,9 @@ impl FlowSim {
     /// Change one solver resource's capacity at runtime (bits/s, > 0).
     ///
     /// The resource is marked in the arena's dirty window
-    /// ([`FlowArena::touch_resource`]), so the next reallocation —
-    /// warm or sharded — re-solves **bit-identical** to a cold solve at
-    /// the new capacity: link failure is a cut to [`FAILED_LINK_BPS`],
+    /// ([`FlowArena::touch_resource`]), so the next reallocation
+    /// re-solves **bit-identical** to a cold solve at the new
+    /// capacity: link failure is a cut to [`FAILED_LINK_BPS`],
     /// recovery a restore, degradation a fractional cut. A no-op when
     /// the capacity is already exactly `bits_per_sec`.
     pub fn set_capacity(&mut self, resource: u32, bits_per_sec: f64) {
@@ -786,7 +682,7 @@ impl FlowSim {
     /// tenant's transfers become visible to the very next probe without
     /// an event-heap round trip, and a tenant's whole flow set lands in
     /// one arena dirty window, so the next reallocation is a single warm
-    /// (or sharded) delta solve covering all of them.
+    /// delta solve covering all of them.
     pub fn start_flow_now(
         &mut self,
         src: NodeId,
@@ -808,8 +704,8 @@ impl FlowSim {
     /// Stop a set of flows **immediately** (tenant teardown): every
     /// pending or active flow in `keys` is marked done at the current
     /// time and evicted from the arena, accumulating one combined dirty
-    /// window — the next reallocation is a single warm (or sharded)
-    /// delta solve over the whole departure instead of one per flow.
+    /// window — the next reallocation is a single warm delta solve over
+    /// the whole departure instead of one per flow.
     pub fn stop_flows_now(&mut self, keys: &[FlowKey]) {
         for &key in keys {
             let i = self.idx(key);
@@ -1026,7 +922,7 @@ impl FlowSim {
     }
 
     /// Cumulative solver-phase tallies since construction: solve counts
-    /// per path (cold / warm / sharded), the replayed-vs-live round mix,
+    /// per path (cold / warm), the replayed-vs-live round mix,
     /// dirty-window sizes and probe volume. Purely observational — see
     /// [`SolveStats`].
     pub fn solve_stats(&self) -> SolveStats {
@@ -1073,6 +969,26 @@ impl FlowSim {
         assert_eq!(listed, bounded, "bounded lists the live byte-bounded slots");
     }
 
+    /// Check every live flow's allocated rate, bit for bit, against the
+    /// reference oracle — a from-scratch [`max_min_rates`] solve of the
+    /// live flow set at the current capacities (test hook; applies any
+    /// pending reallocation first, panics on a mismatch).
+    #[doc(hidden)]
+    pub fn check_rates_against_cold(&mut self) {
+        self.reallocate_if_dirty();
+        let flows: Vec<Vec<u32>> = self.arena.iter().map(|(_, res)| res.to_vec()).collect();
+        let cold = max_min_rates(&self.capacities, &flows);
+        for ((slot, res), want) in self.arena.iter().zip(&cold) {
+            let got = self.rates[slot.0 as usize];
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "slot {}: flow over {res:?} holds {got}, a cold solve gives {want}",
+                slot.0
+            );
+        }
+    }
+
     // ------------------------------------------------------------ dynamics
 
     /// Recompute the max-min allocation if the active flow set changed.
@@ -1087,55 +1003,30 @@ impl FlowSim {
     /// perturbed — instead of cold-solving; bit-identical either way, so
     /// the simulation's trajectory is unchanged.
     ///
-    /// Contract with the solver ([`MaxMinSolver::solve_warm`],
-    /// [`ShardedSolver::solve_sharded`]): `self.rates` is the buffer the
-    /// previous solve filled, and between solves the engine only ever
-    /// zeroes vacant slots in it ([`FlowSim::arena_evict`]) and
-    /// zero-extends it ([`FlowSim::arena_insert`]) — a carried round's
-    /// flows still read the rate that solve gave them.
+    /// Contract with the solver ([`MaxMinSolver::solve_warm`]):
+    /// `self.rates` is the buffer the previous solve filled, and between
+    /// solves the engine only ever zeroes vacant slots in it
+    /// ([`FlowSim::arena_evict`]) and zero-extends it
+    /// ([`FlowSim::arena_insert`]) — a carried round's flows still read
+    /// the rate that solve gave them.
     fn reallocate_if_dirty(&mut self) {
         if !self.dirty {
             return;
         }
         self.dirty = false;
-        // Sharded path when enabled and the topology has real pod
-        // structure — at least two pods that own intra-pod links (a
-        // dumbbell's singleton-host pods carry no local flows, so
-        // sharding it would make every churn event a full live
-        // reconciliation); otherwise warm-start off the previous solve's
-        // log. Both are bit-identical to a cold solve and both leave the
-        // log hot, so the routes interchange freely event to event.
-        // Everything below the solve dispatch is observational: the span
-        // timers/values and `SolveStats` adds read already-computed
+        // Everything around the solve is observational: the span timer
+        // and values and the `SolveStats` adds read already-computed
         // state and feed nothing back, so instrumented and bare runs
         // follow bit-identical trajectories.
         let dirty_window = self.arena.dirty_len() as u64;
-        match &mut self.sharded {
-            Some(sh) if sh.part.link_pods() >= 2 => {
-                let timer = span::start("solve_sharded");
-                sh.solver.solve_sharded(
-                    &self.capacities,
-                    &mut self.arena,
-                    &sh.part,
-                    &mut self.solver,
-                    &mut self.rates,
-                );
-                drop(timer);
-                self.stats.sharded_solves += 1;
-                self.stats.shard_fanout += sh.solver.last_dirty_shards() as u64;
-                span::value("shard_fanout", sh.solver.last_dirty_shards() as f64);
-            }
-            _ => {
-                let cold = self.solver.will_solve_cold(&self.arena);
-                let timer = span::start(if cold { "solve_cold" } else { "solve_warm" });
-                self.solver.solve_warm(&self.capacities, &mut self.arena, &mut self.rates);
-                drop(timer);
-                if cold {
-                    self.stats.cold_solves += 1;
-                } else {
-                    self.stats.warm_solves += 1;
-                }
-            }
+        let cold = self.solver.will_solve_cold(&self.arena);
+        let timer = span::start(if cold { "solve_cold" } else { "solve_warm" });
+        self.solver.solve_warm(&self.capacities, &mut self.arena, &mut self.rates);
+        drop(timer);
+        if cold {
+            self.stats.cold_solves += 1;
+        } else {
+            self.stats.warm_solves += 1;
         }
         self.stats.dirty_resources += dirty_window;
         self.stats.live_rounds += self.solver.last_live_rounds();

@@ -99,7 +99,7 @@ pub struct FlowArena {
     /// Reverse index: resource id → packed `(slot, k)` of live crossings.
     rev: Vec<Vec<u64>>,
     /// Per-resource live-flow count (mirrors `rev[r].len()`, kept flat so
-    /// solvers read initial user counts with one memcpy).
+    /// the solver reads a user count without touching the list).
     users_cnt: Vec<u32>,
     n_live: usize,
     /// Mutation counter, bumped by every `add`/`remove`/`grow_resources`.
@@ -114,20 +114,13 @@ pub struct FlowArena {
     dirty: Vec<u32>,
     /// Per-resource membership flag for `dirty`.
     dirty_mark: Vec<bool>,
-    /// Slots added or removed in the same window (deduplicated via
-    /// `dirty_slot_mark`) — the flow-level view of the churn, consumed by
-    /// the sharded solve's incremental split alongside `dirty`.
+    /// Slots added or removed in the same window, in first-touch order
+    /// (deduplicated via `dirty_slot_mark`: a recycled slot — removed
+    /// then re-added — appears once) — the flow-level view of the churn:
+    /// the slots whose rate and frozen-by round a warm solve must forget.
     dirty_slots: Vec<u32>,
     /// Per-slot membership flag for `dirty_slots`.
     dirty_slot_mark: Vec<bool>,
-    /// Resources whose **capacity** changed in the same window
-    /// ([`FlowArena::touch_resource`]) — a subset of `dirty` kept
-    /// separately so the sharded split can propagate capacity changes to
-    /// the owning shards without treating every flow-churned resource as
-    /// capacity-churned.
-    dirty_caps: Vec<u32>,
-    /// Per-resource membership flag for `dirty_caps`.
-    dirty_cap_mark: Vec<bool>,
 }
 
 impl FlowArena {
@@ -137,7 +130,6 @@ impl FlowArena {
             rev: vec![Vec::new(); n_resources],
             users_cnt: vec![0; n_resources],
             dirty_mark: vec![false; n_resources],
-            dirty_cap_mark: vec![false; n_resources],
             ..FlowArena::default()
         }
     }
@@ -153,7 +145,6 @@ impl FlowArena {
             self.rev.resize_with(n_resources, Vec::new);
             self.users_cnt.resize(n_resources, 0);
             self.dirty_mark.resize(n_resources, false);
-            self.dirty_cap_mark.resize(n_resources, false);
             self.generation = self.generation.wrapping_add(1);
         }
     }
@@ -180,11 +171,6 @@ impl FlowArena {
     /// Number of live flows crossing resource `r`.
     pub fn users(&self, r: u32) -> usize {
         self.users_cnt[r as usize] as usize
-    }
-
-    /// Per-resource live-flow counts, indexed by resource id.
-    pub fn users_counts(&self) -> &[u32] {
-        &self.users_cnt
     }
 
     /// Is `slot` currently live?
@@ -310,44 +296,22 @@ impl FlowArena {
     /// The solver derives a perturbed resource's slack from the caller's
     /// `capacities` slice when the resource joins the perturbation set,
     /// so a capacity change needs no state transfer: seeding `r` as
-    /// perturbed is enough for [`MaxMinSolver::solve_warm`] (and the
-    /// sharded reconciliation) to re-apply every logged round `r`
-    /// participates in at the new capacity and fall back to live filling
-    /// from the first round it actually changes — bit-identical to a cold
-    /// solve at the new capacity. Bumps the generation, so a log recorded
-    /// against the old capacity stops matching
-    /// ([`MaxMinSolver::log_matches`]) and is brought current by a warm
-    /// solve before the next what-if.
+    /// perturbed is enough for [`MaxMinSolver::solve_warm`] to re-apply
+    /// every logged round `r` participates in at the new capacity and
+    /// fall back to live filling from the first round it actually
+    /// changes — bit-identical to a cold solve at the new capacity. Bumps
+    /// the generation, so a log recorded against the old capacity stops
+    /// matching ([`MaxMinSolver::log_matches`]) and is brought current by
+    /// a warm solve before the next what-if.
     pub fn touch_resource(&mut self, r: u32) {
         assert!((r as usize) < self.rev.len(), "touch: bad resource {r}");
         self.mark_dirty(r);
-        if !self.dirty_cap_mark[r as usize] {
-            self.dirty_cap_mark[r as usize] = true;
-            self.dirty_caps.push(r);
-        }
         self.generation = self.generation.wrapping_add(1);
-    }
-
-    /// Resources announced through [`FlowArena::touch_resource`] since the
-    /// dirty window was last closed — the capacity-churn subset of
-    /// [`FlowArena::dirty_resources`], consumed by the sharded split to
-    /// mark the owning shards dirty.
-    pub fn dirty_capacities(&self) -> &[u32] {
-        &self.dirty_caps
     }
 
     /// Dirty set size (tests / diagnostics).
     pub fn dirty_len(&self) -> usize {
         self.dirty.len()
-    }
-
-    /// Slots added or removed since the dirty window was last closed, in
-    /// first-touch order — the flow-level twin of
-    /// [`FlowArena::dirty_resources`], sharing its window (one clear
-    /// resets both). A recycled slot (removed then re-added) appears
-    /// once; consumers re-read its current state.
-    pub fn dirty_slots(&self) -> &[u32] {
-        &self.dirty_slots
     }
 
     /// Resources mutated since the dirty window was last closed (warm
@@ -375,10 +339,6 @@ impl FlowArena {
             self.dirty_slot_mark[f as usize] = false;
         }
         self.dirty_slots.clear();
-        for &r in &self.dirty_caps {
-            self.dirty_cap_mark[r as usize] = false;
-        }
-        self.dirty_caps.clear();
     }
 
     /// Hand slot `f`'s block (if any) to the free lists.
@@ -581,12 +541,10 @@ impl Span {
 ///   garbage, and both pools are compacted in place once garbage
 ///   outweighs live entries.
 ///
-/// This is the part of the log the sharded solve ([`crate::shard`])
-/// builds by merging shard logs, through [`RoundLog::round`] and
-/// [`RoundLog::push_round`]; the per-resource and per-slot indexes the
-/// solver keeps *with* its own log live in `SolveLog`.
+/// The per-resource and per-slot indexes the solver keeps *with* the
+/// rounds live in `SolveLog`.
 #[derive(Debug, Default)]
-pub(crate) struct RoundLog {
+struct RoundLog {
     /// Per position: version-stripped bottleneck [`ShareKey`] at pop time.
     /// **Not** monotone: mathematically freeze levels never decrease, but a
     /// resource tied with the popped bottleneck can come out of the round's
@@ -624,7 +582,7 @@ pub(crate) struct RoundLog {
 }
 
 impl RoundLog {
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.keys.clear();
         self.levels.clear();
         self.ids.clear();
@@ -638,18 +596,13 @@ impl RoundLog {
     }
 
     /// Number of rounds.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.keys.len()
-    }
-
-    /// Bottleneck key of the round at position `k`.
-    pub(crate) fn key(&self, k: usize) -> u128 {
-        self.keys[k]
     }
 
     /// The round at position `k`: key, level, packed `(resource, delta)`
     /// entries and frozen slots.
-    pub(crate) fn round(&self, k: usize) -> (u128, f64, &[u64], &[u32]) {
+    fn round(&self, k: usize) -> (u128, f64, &[u64], &[u32]) {
         let id = self.ids[k];
         (self.keys[k], self.levels[k], self.touched_of(id), self.freeze_of(id))
     }
@@ -660,20 +613,6 @@ impl RoundLog {
 
     fn freeze_of(&self, id: u32) -> &[u32] {
         &self.freeze[self.spans[id as usize].freeze()]
-    }
-
-    /// Append a round after the current last one.
-    pub(crate) fn push_round(
-        &mut self,
-        key: u128,
-        level: f64,
-        touched: &[u64],
-        freeze: impl Iterator<Item = u32>,
-    ) {
-        let (t0, f0) = (self.touched.len(), self.freeze.len());
-        self.touched.extend_from_slice(touched);
-        self.freeze.extend(freeze);
-        self.commit(key, level, t0, f0);
     }
 
     /// Append the round whose entries are the pools' tails from `t0` /
@@ -758,8 +697,8 @@ fn size_like_rev(list: &mut Vec<u64>, arena: &FlowArena, r: usize) {
 
 /// The solver's persistent freeze-round log: the rounds of its last
 /// logged solve plus the two indexes probes and warm solves read them
-/// through, all kept current by every logged solve — cold, warm or
-/// shard-merged — so nothing is rebuilt on first use.
+/// through, all kept current by every logged solve — cold or warm — so
+/// nothing is rebuilt on first use.
 ///
 /// * **by resource** — `events[r]`: the `(round id, delta)` of every round
 ///   that froze flows crossing `r`, in position order (the transpose of
@@ -793,8 +732,8 @@ struct SolveLog {
 
 impl SolveLog {
     /// Rebuild both indexes from `rounds` and stamp the log current for
-    /// `arena`: `O(resources + slots + touched)`, paid by cold and
-    /// shard-merged solves only.
+    /// `arena`: `O(resources + slots + touched)`, paid by cold solves
+    /// only.
     fn build_index(&mut self, arena: &FlowArena) {
         let nr = arena.n_resources();
         grow(&mut self.events, nr, Vec::new());
@@ -851,10 +790,9 @@ struct Link {
 ///
 /// Every solve records the freeze-round sequence, which is what the
 /// batched what-if APIs ([`MaxMinSolver::probe`],
-/// [`MaxMinSolver::probe_batch`], [`MaxMinSolver::solve_batch`]) replay:
-/// rate a hypothetical extra flow in `O(rounds + events on its path)`
-/// through the shared frozen prefix, bit-identical to adding the flow
-/// and solving from scratch.
+/// [`MaxMinSolver::probe_batch`]) replay: rate a hypothetical extra flow
+/// in `O(rounds + events on its path)` through the shared frozen prefix,
+/// bit-identical to adding the flow and solving from scratch.
 #[derive(Debug, Default)]
 pub struct MaxMinSolver {
     /// Backing buffer for the lazy min-heap of per-resource shares; kept
@@ -1190,47 +1128,7 @@ impl MaxMinSolver {
             return;
         }
         self.sync_slots(arena, rates);
-        self.walk(capacities, arena, rates, arena.dirty_resources());
-        arena.clear_dirty();
-    }
-
-    /// The sharded solve's reconciliation ([`crate::shard`]): adopt
-    /// `merged` — the freeze rounds of a solve of the arena's pod-local
-    /// flows, freeze slots already global — as this solver's log and run
-    /// the warm walk over it, seeded with `seed`, the resources whose
-    /// state the flows `merged` never saw (the boundary flows) or a
-    /// capacity change may have moved. Leaves the previous log's round
-    /// storage in `merged`, so the two alternate without allocating.
-    ///
-    /// Same contract and result as [`MaxMinSolver::solve_warm`]: consumes
-    /// the arena's dirty window, bit-identical to a cold solve, log
-    /// current afterwards.
-    pub(crate) fn solve_over(
-        &mut self,
-        merged: &mut RoundLog,
-        capacities: &[f64],
-        arena: &mut FlowArena,
-        rates: &mut Vec<f64>,
-        seed: &[u32],
-    ) {
-        assert!(capacities.len() >= arena.n_resources(), "capacities shorter than resource space");
-        if !self.log.valid {
-            // No previous solve of ours filled `rates`: start from zeros,
-            // as a cold solve would.
-            rates.clear();
-        }
-        self.sync_slots(arena, rates);
-        std::mem::swap(&mut self.log.rounds, merged);
-        self.log.build_index(arena);
-        // The merged rounds are this walk's "previous solve": their flows
-        // must read their levels before carried rounds can leave them be.
-        for k in 0..self.log.rounds.len() {
-            let (_, level, _, freeze) = self.log.rounds.round(k);
-            for &slot in freeze {
-                rates[slot as usize] = level;
-            }
-        }
-        self.walk(capacities, arena, rates, seed);
+        self.walk(capacities, arena, rates);
         arena.clear_dirty();
     }
 
@@ -1248,7 +1146,7 @@ impl MaxMinSolver {
         let nslots = arena.slot_bound();
         rates.resize(nslots, 0.0);
         grow(&mut self.log.round_of, nslots, NONE);
-        for &slot in arena.dirty_slots() {
+        for &slot in &arena.dirty_slots {
             self.log.round_of[slot as usize] = NONE;
             if !arena.is_live(FlowSlot(slot)) {
                 rates[slot as usize] = 0.0;
@@ -1256,18 +1154,17 @@ impl MaxMinSolver {
         }
     }
 
-    /// The warm-solve engine behind [`MaxMinSolver::solve_warm`] and
-    /// [`MaxMinSolver::solve_over`]: walk `self.log` — the freeze rounds
-    /// of a solve of some *subset* of the arena's current flows —
-    /// in place, interleaving live rounds for the perturbed cascade.
+    /// The warm-solve engine behind [`MaxMinSolver::solve_warm`]: walk
+    /// `self.log` — the freeze rounds of the previous solve — in place,
+    /// interleaving live rounds for the perturbed cascade.
     ///
-    /// `seed` must cover every resource whose `(slack, users)` state may
-    /// deviate from the log's trajectory; over-approximation is always
-    /// safe. `rates` must hold the logged level of every flow the log
-    /// freezes, and `round_of` must name no round for any other slot.
-    /// Leaves the log current for `arena`; the caller closes the dirty
-    /// window.
-    fn walk(&mut self, capacities: &[f64], arena: &FlowArena, rates: &mut [f64], seed: &[u32]) {
+    /// The arena's dirty window must cover every resource whose
+    /// `(slack, users)` state may deviate from the log's trajectory;
+    /// over-approximation is always safe. `rates` must hold the logged
+    /// level of every flow the log freezes, and `round_of` must name no
+    /// round for any other slot. Leaves the log current for `arena`; the
+    /// caller closes the dirty window.
+    fn walk(&mut self, capacities: &[f64], arena: &FlowArena, rates: &mut [f64]) {
         // Per-resource state only needs sizing for growth: `delta` is
         // all-zero and `perturbed` all-false between solves, and `slack` /
         // `users` are written when a resource joins.
@@ -1289,7 +1186,7 @@ impl MaxMinSolver {
         self.last_live_rounds = 0;
         self.last_replayed_rounds = 0;
         debug_assert!(self.wheap.is_empty() && self.perturbed_list.is_empty());
-        for &r in seed {
+        for &r in arena.dirty_resources() {
             self.join(capacities, arena, r, 0);
         }
         // `cur` is the position, in the old order, of the next logged
@@ -1542,11 +1439,6 @@ impl MaxMinSolver {
         self.next_ids.push(id);
     }
 
-    /// The freeze rounds of the last logged/warm solve (sharded merge).
-    pub(crate) fn solve_log(&self) -> &RoundLog {
-        &self.log.rounds
-    }
-
     /// Internal consistency check of the persistent log against the
     /// arena it was last solved for (tests only; panics on violation):
     ///
@@ -1629,7 +1521,7 @@ impl MaxMinSolver {
 
     /// Freeze rounds the last solve ran with the full cold-solve
     /// arithmetic (all of them for a cold solve; only the perturbed ones
-    /// for a warm or sharded-reconciliation solve). Diagnostics only.
+    /// for a warm solve). Diagnostics only.
     pub fn last_live_rounds(&self) -> u64 {
         self.last_live_rounds
     }
@@ -1794,22 +1686,6 @@ impl MaxMinSolver {
             let rate = self.replay(capacities, arena, batch.resources(i));
             out.push(rate);
         }
-    }
-
-    /// One logged solve plus a batched what-if evaluation: computes the
-    /// base allocation into `rates` and each candidate's rate into `out`.
-    /// This is the placement engine's entry point — one solver pass per
-    /// *batch*, not per candidate.
-    pub fn solve_batch(
-        &mut self,
-        capacities: &[f64],
-        arena: &FlowArena,
-        batch: &ProbeBatch,
-        rates: &mut Vec<f64>,
-        out: &mut Vec<f64>,
-    ) {
-        self.solve_logged(capacities, arena, rates);
-        self.probe_batch(capacities, arena, batch, out);
     }
 
     /// Replay the logged rounds for one candidate.
@@ -2156,7 +2032,8 @@ mod tests {
         }
         let mut solver = MaxMinSolver::new();
         let (mut rates, mut out) = (Vec::new(), Vec::new());
-        solver.solve_batch(caps, &arena, &batch, &mut rates, &mut out);
+        solver.solve_logged(caps, &arena, &mut rates);
+        solver.probe_batch(caps, &arena, &batch, &mut out);
         assert_eq!(out.len(), candidates.len());
         for (c, got) in candidates.iter().zip(&out) {
             let want = full_solve_probe(caps, base, c);
@@ -2322,16 +2199,16 @@ mod tests {
 
     #[test]
     fn touch_resource_invalidates_probe_log() {
-        let caps = [10.0];
-        let mut arena = FlowArena::new(1);
+        let caps = [10.0, 10.0];
+        let mut arena = FlowArena::new(2);
         arena.add(&[0]);
         let mut solver = MaxMinSolver::new();
         let mut rates = Vec::new();
         solver.solve_logged(&caps, &arena, &mut rates);
         assert!(solver.log_matches(&arena));
-        arena.touch_resource(0);
+        arena.touch_resource(1);
         assert!(!solver.log_matches(&arena), "stale capacities must not serve probes");
-        assert_eq!(arena.dirty_capacities(), &[0], "capacity touch recorded");
+        assert_eq!(arena.dirty_resources(), &[0, 1], "capacity touch joins the dirty window");
     }
 
     #[test]
@@ -2526,7 +2403,8 @@ mod tests {
         for _ in 0..3 {
             batch.push(&[0]);
         }
-        solver.solve_batch(&caps, &arena, &batch, &mut rates, &mut out);
+        solver.solve_logged(&caps, &arena, &mut rates);
+        solver.probe_batch(&caps, &arena, &batch, &mut out);
         for r in &out {
             assert!(close(*r, 4.5), "{r}");
         }

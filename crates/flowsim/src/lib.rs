@@ -37,26 +37,18 @@
 //! property suite checks exactly that. See [`fairshare`] for the full
 //! invariant list.
 //!
-//! # Batched & parallel what-if evaluation
+//! # Batched what-if evaluation
 //!
 //! Placement quality hinges on scoring many candidate flows against the
 //! same network state, and a solve per candidate is the scaling
-//! bottleneck. Two layers remove it:
-//!
-//! * **[`ProbeBatch`]** — [`MaxMinSolver::solve_batch`] runs *one* logged
-//!   solve and replays its frozen freeze-round prefix per candidate
-//!   (`O(rounds + events on the candidate's resources)` each, through
-//!   the per-resource event lists every logged solve keeps current,
-//!   early exit at the candidate's bottleneck),
-//!   bit-identical to a full solve per candidate. [`FlowSim::probe_rate`]
-//!   and [`FlowSim::probe_rates`] ride on it, which also makes probing
-//!   observably side-effect-free — no arena round-trip.
-//! * **[`ScenarioPool`]** — independent scenarios (placements, failures,
-//!   cross-traffic hypotheses) fan out across worker threads, one arena
-//!   clone + solver per worker, merged in scenario order. Results are
-//!   bit-identical for any worker count, and each worker chains
-//!   warm-started solves across its scenario sequence
-//!   ([`ScenarioCtx::solve`]).
+//! bottleneck. A [`ProbeBatch`] removes it:
+//! [`MaxMinSolver::probe_batch`] replays the frozen freeze-round prefix
+//! of *one* logged solve per candidate (`O(rounds + events on the
+//! candidate's resources)` each, through the per-resource event lists
+//! every logged solve keeps current, early exit at the candidate's
+//! bottleneck), bit-identical to a full solve per candidate.
+//! [`FlowSim::probe_rate`] and [`FlowSim::probe_rates`] ride on it, which
+//! also makes probing observably side-effect-free — no arena round-trip.
 //!
 //! # Warm-started delta solves: the `SolveLog` lifecycle
 //!
@@ -85,10 +77,9 @@
 //! 1. **Cold** — after construction, the only time there is no log
 //!    (probes panic, a warm solve falls back to a full logged solve).
 //! 2. **Logged** — after [`MaxMinSolver::solve_logged`], the one cold
-//!    entry point (or [`MaxMinSolver::solve_batch`], which starts with
-//!    one): every freeze round recorded, both
-//!    indexes built in one `O(touched + resources + slots)` pass, the log
-//!    stamped with the arena's generation. A probe replay is `O(rounds +
+//!    entry point: every freeze round recorded, both indexes built in
+//!    one `O(touched + resources + slots)` pass, the log stamped with
+//!    the arena's generation. A probe replay is `O(rounds +
 //!    events on the candidate's resources)`. The stamp must match the
 //!    arena exactly ([`MaxMinSolver::log_matches`]) — any mutation
 //!    staled it.
@@ -171,34 +162,9 @@
 //! window) plus the streaming add, not a walk over every flow in the
 //! cluster. Simultaneous completions retire in ascending slot order.
 //!
-//! # Sharded solves: partition → local solve → reconcile
-//!
-//! On pod-structured topologies the solve itself parallelizes
-//! ([`shard`]): a [`ResourcePartition`] groups resources by pod (links
-//! of each subtree under the aggregation roots; uplinks and core links
-//! on a shared spine), [`ShardedArena`] splits the live flow set into
-//! per-pod sub-arenas plus the boundary flows that cross pods, a
-//! [`ShardedSolver`] fans the shard-local logged solves across a
-//! persistent [`SolvePool`] of worker threads (spawned on the first
-//! parallel solve and reused for the solver's whole life — including
-//! across simulators: [`FlowSim::set_solver_mode`] returns the previous
-//! [`SolverMode`] with the detached solver in its `pool` field, ready to
-//! attach elsewhere), and a reconciliation pass merges
-//! the shard logs pairwise in completion order, hands the merged rounds
-//! to the main solver as its log and runs the warm walk over them; live
-//! rounds run only where a boundary flow makes a shard-local level
-//! disagree. ([`ScenarioPool`] reuses the same pool
-//! machinery for its scenario fan-outs.) The
-//! result is **bit-identical to a cold `solve_logged`** for any worker
-//! count and any partition, including the degenerate ones (single pod,
-//! all flows cross-pod, empty shards); see [`shard`] for the lifecycle
-//! and fallback rules. `FlowSim::set_solver_mode(SolverMode::sharded(n))`
-//! routes the event loop's reallocation through it when the topology has
-//! ≥ 2 pods, falling back to warm/cold solves otherwise.
-//!
 //! # Runtime network events: capacity as a first-class input
 //!
-//! Link capacities are no longer frozen at construction.
+//! Link capacities are an input the caller may move at any time.
 //! [`FlowSim::set_capacity`] changes one solver resource at runtime, and
 //! the link-level helpers express the paper's drift/failure vocabulary:
 //! [`FlowSim::degrade_link`] (fractional cut), [`FlowSim::fail_link`]
@@ -206,13 +172,12 @@
 //! [`FlowSim::recover_link`] (restore the construction-time spec). The
 //! lifecycle is *inject → dirty-window re-solve*: a capacity change marks
 //! its resource in the arena's existing dirty window
-//! ([`FlowArena::touch_resource`]), so the next reallocation — warm or
-//! sharded, any worker count — treats it as a perturbation and re-solves
-//! **bit-identical** to a cold solve at the new capacities. No special
-//! event type, no trajectory fork: capacity churn composes with flow
-//! churn in the same window, which is what keeps fault-laden runs
-//! deterministic across repeats and solver modes. The layers above
-//! (`choreo-online`'s network-event step, `choreo-service`'s
+//! ([`FlowArena::touch_resource`]), so the next reallocation treats it
+//! as a perturbation and re-solves **bit-identical** to a cold solve at
+//! the new capacities. No special event type, no trajectory fork:
+//! capacity churn composes with flow churn in the same window, which is
+//! what keeps fault-laden runs deterministic across repeats. The layers
+//! above (`choreo-online`'s network-event step, `choreo-service`'s
 //! `InjectNetworkEvent` request) drive exactly these entry points.
 //!
 //! Entry point: [`FlowSim`]. [`max_min_rates`] is the one-shot
@@ -220,14 +185,6 @@
 
 pub mod engine;
 pub mod fairshare;
-pub mod pool;
-pub mod scenario;
-pub mod shard;
 
-pub use engine::{
-    hop_resource, FlowKey, FlowSim, FlowStatus, HoseId, SolveStats, SolverMode, FAILED_LINK_BPS,
-};
+pub use engine::{hop_resource, FlowKey, FlowSim, FlowStatus, HoseId, SolveStats, FAILED_LINK_BPS};
 pub use fairshare::{max_min_rates, FlowArena, FlowSlot, MaxMinSolver, ProbeBatch};
-pub use pool::SolvePool;
-pub use scenario::{ScenarioCtx, ScenarioPool};
-pub use shard::{ResourcePartition, ShardedArena, ShardedSolver};

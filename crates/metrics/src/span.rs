@@ -2,8 +2,8 @@
 //!
 //! A [`Span`] measures one phase of work on the monotonic clock and
 //! reports it to the process-wide [`SpanRecorder`] when dropped;
-//! [`value`] reports a dimensionless sample (dirty-window size, shard
-//! fan-out, probe-batch depth) the same way. With no recorder installed
+//! [`value`] reports a dimensionless sample (dirty-window size,
+//! probe-batch depth) the same way. With no recorder installed
 //! — the default, and the state every benchmark baseline runs in — both
 //! compile down to one relaxed atomic load and no clock read, so
 //! instrumented code costs nothing measurable when nobody is watching.

@@ -1,16 +1,11 @@
 //! Construction of the online scheduler.
 //!
-//! [`SchedulerBuilder`] replaces the old positional
-//! `OnlineScheduler::new(topo, routes, cfg, seed)` constructor: the
-//! growing option set (metrics registry, solver mode, trace capacity)
-//! made positional arguments unreadable at call sites and impossible to
-//! extend without breaking every caller. Topology and routes are the
-//! only required inputs; everything else has the same defaults the old
-//! constructor hard-coded.
+//! Topology and routes are the only required inputs of a
+//! [`SchedulerBuilder`]; the configuration, the seed, the metrics sink
+//! and the decision-trace capacity each have a default and a setter.
 
 use std::sync::Arc;
 
-use choreo_flowsim::SolverMode;
 use choreo_metrics::Registry;
 use choreo_topology::{RouteTable, Topology};
 
@@ -39,14 +34,12 @@ pub struct SchedulerBuilder {
     pub(crate) cfg: OnlineConfig,
     pub(crate) seed: u64,
     pub(crate) metrics: ServiceMetrics,
-    pub(crate) solver_mode: Option<SolverMode>,
     pub(crate) trace_capacity: usize,
 }
 
 impl SchedulerBuilder {
-    /// Builder over `topo` with one VM per host, default config, seed 0,
-    /// detached metrics and a solver mode derived from
-    /// [`OnlineConfig::workers`].
+    /// Builder over `topo` with one VM per host, default config, seed 0
+    /// and detached metrics.
     pub fn new(topo: Arc<Topology>, routes: Arc<RouteTable>) -> SchedulerBuilder {
         SchedulerBuilder {
             topo,
@@ -54,7 +47,6 @@ impl SchedulerBuilder {
             cfg: OnlineConfig::default(),
             seed: 0,
             metrics: ServiceMetrics::detached(),
-            solver_mode: None,
             trace_capacity: 256,
         }
     }
@@ -84,16 +76,6 @@ impl SchedulerBuilder {
     /// component, or registered under different names).
     pub fn metrics(mut self, metrics: ServiceMetrics) -> SchedulerBuilder {
         self.metrics = metrics;
-        self
-    }
-
-    /// Route reallocation through an explicit [`SolverMode`] — including
-    /// handing over a warmed-up [`choreo_flowsim::ShardedSolver`] pool
-    /// via [`SolverMode::Sharded`]. Defaults to
-    /// `SolverMode::sharded(cfg.workers)` when `cfg.workers > 0`, warm
-    /// solves otherwise.
-    pub fn solver_mode(mut self, mode: SolverMode) -> SchedulerBuilder {
-        self.solver_mode = Some(mode);
         self
     }
 

@@ -106,10 +106,6 @@ pub struct OnlineConfig {
     pub queue_capacity: usize,
     /// Admission placer.
     pub policy: PlacementPolicy,
-    /// Worker threads for the sharded solve path (`0` = warm solves
-    /// only). Sharded and warm solves are bit-identical, so this changes
-    /// wall-clock only, never the trajectory.
-    pub workers: usize,
     /// Background migration planner knobs.
     pub migration: MigrationConfig,
     /// Re-measurement cadence and drift detector knobs.
@@ -130,7 +126,6 @@ impl Default for OnlineConfig {
             max_modeled_transfers: 12,
             queue_capacity: 64,
             policy: PlacementPolicy::Greedy,
-            workers: 0,
             migration: MigrationConfig::default(),
             drift: DriftConfig::default(),
             workload_shape: "nominal".to_string(),

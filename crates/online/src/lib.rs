@@ -54,7 +54,7 @@
 //!
 //! 1. **inject** — the event cuts or restores capacity in the arena's
 //!    dirty window; the next reallocation re-solves bit-identical to a
-//!    cold solve at the new capacities, for any worker count;
+//!    cold solve at the new capacities;
 //! 2. **detect** — a re-measurement cadence ([`DriftConfig`]) refreshes
 //!    every running tenant's service score into a bounded epoch
 //!    series ([`choreo_measure::stability::last_relative_error`]); an
@@ -70,12 +70,11 @@
 //!
 //! Whole service runs are **reproducible bit-for-bit**: the same event
 //! stream, seed and config give the same trajectory digest
-//! ([`ServiceStats::trace_hash`]) for any solver worker count, because
-//! warm and sharded solves are bit-identical — and network events are
-//! digested like any other decision, so fault-laden runs replay
-//! exactly. `crates/service` wraps this scheduler in a networked
-//! request loop and re-asserts the same digest equality through its
-//! simulated transport. The perf ledger (`BENCHMARK.json`,
+//! ([`ServiceStats::trace_hash`]) — network events are digested like
+//! any other decision, so fault-laden runs replay exactly.
+//! `crates/service` wraps this scheduler in a networked request loop
+//! and re-asserts the same digest equality through its simulated
+//! transport. The perf ledger (`BENCHMARK.json`,
 //! `benchmark/`) measures the service's throughput and latency on 128-
 //! and 512-host topologies and compares mean tenant service rates
 //! against the random-placement baseline (`rate_gain`).

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use choreo_flowsim::{FlowKey, FlowSim, SolverMode};
+use choreo_flowsim::{FlowKey, FlowSim};
 use choreo_measure::stability::last_relative_error;
 use choreo_metrics::Counter;
 use choreo_place::greedy::GreedyPlacer;
@@ -72,9 +72,7 @@ impl Tenant {
 ///   per-pass budget.
 ///
 /// Everything is deterministic: the same event stream, seed and config
-/// produce bit-identical trajectories ([`ServiceStats::trace_hash`]) for
-/// any [`OnlineConfig::workers`] count, because warm and sharded solves
-/// are bit-identical.
+/// produce bit-identical trajectories ([`ServiceStats::trace_hash`]).
 pub struct OnlineScheduler {
     pub(crate) sim: FlowSim,
     pub(crate) hosts: Vec<NodeId>,
@@ -148,7 +146,7 @@ impl OnlineScheduler {
     /// [`SchedulerBuilder::build`]'s target — all construction funnels
     /// through here.
     pub(crate) fn from_builder(b: SchedulerBuilder) -> Self {
-        let SchedulerBuilder { topo, routes, cfg, seed, metrics, solver_mode, trace_capacity } = b;
+        let SchedulerBuilder { topo, routes, cfg, seed, metrics, trace_capacity } = b;
         assert!(cfg.candidate_hosts >= 2, "placement needs at least two candidate hosts");
         assert!(cfg.max_modeled_transfers >= 1, "model at least one transfer per tenant");
         if let Some(c) = cfg.migration.cadence {
@@ -159,13 +157,7 @@ impl OnlineScheduler {
             assert!(cfg.drift.window >= 2, "drift needs at least two epochs");
             assert!(cfg.drift.threshold > 0.0, "drift threshold must be positive");
         }
-        let mut sim = FlowSim::new(topo.clone(), routes, cfg.loopback, seed);
-        let mode = solver_mode.unwrap_or(if cfg.workers > 0 {
-            SolverMode::sharded(cfg.workers)
-        } else {
-            SolverMode::Warm
-        });
-        sim.set_solver_mode(mode);
+        let sim = FlowSim::new(topo.clone(), routes, cfg.loopback, seed);
         let hosts = topo.hosts().to_vec();
         let n = hosts.len();
         let random_seed = match cfg.policy {
@@ -382,7 +374,7 @@ impl OnlineScheduler {
     /// cold at the new capacities), and, on a failure, route every
     /// tenant the failure degraded into a forced migration pass ahead
     /// of the cadence. Fully digested: fault-laden runs stay
-    /// bit-reproducible across repeats and solver worker counts.
+    /// bit-reproducible across repeats.
     pub fn network_step(&mut self, ev: &NetworkEvent) {
         self.advance_to(ev.at);
         self.stats.network_events += 1;

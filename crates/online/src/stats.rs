@@ -279,7 +279,7 @@ impl TraceRing {
 /// decision the service makes (admissions with their placements, queue
 /// verdicts, migrations, departure rates). Two runs with equal digests
 /// made bit-identical decisions — the property the determinism suite
-/// checks across repeats and worker counts.
+/// checks across repeats.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
     /// Tenant events consumed.

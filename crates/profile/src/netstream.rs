@@ -26,8 +26,8 @@
 //! exist before the network can strand it, and the rule must not depend
 //! on heap or iterator internals), and within each stream the original
 //! order is preserved. The merged sequence — and therefore the whole
-//! service trajectory, including the solver's, at any worker count — is
-//! a pure function of the two seeds.
+//! service trajectory, including the solver's — is a pure function of
+//! the two seeds.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};

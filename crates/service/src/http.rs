@@ -2,19 +2,23 @@
 //! registry.
 //!
 //! Just enough HTTP/1.0 for a prometheus scraper or `curl`: read the
-//! request head (at most 8 KiB of it, from any peer), answer
-//! `GET /metrics` with the registry's text
+//! request head (at most 8 KiB of it and for at most 2 s in all, from
+//! any peer), answer `GET /metrics` with the registry's text
 //! exposition (and, when a decision ring was wired in via
 //! [`MetricsServer::start_with_trace`], `GET /trace?n=K` with the last
 //! `K` decision-trace JSON lines, rendered here on the scrape thread),
 //! answer everything else with 404, close the connection. No
-//! keep-alive, no chunking, no dependencies.
+//! keep-alive, no chunking, no dependencies. One thread serves one
+//! connection at a time, so each direction of a connection has a total
+//! deadline: a peer that drips its request or drains its response byte
+//! by byte is dropped when it passes, not when it finishes.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use choreo_metrics::Registry;
 use choreo_online::TraceRing;
@@ -31,7 +35,7 @@ impl MetricsServer {
     /// thread. Port 0 binds an ephemeral port; see
     /// [`MetricsServer::local_addr`].
     pub fn start<A: ToSocketAddrs>(addr: A, registry: Arc<Registry>) -> std::io::Result<Self> {
-        Self::start_inner(addr, registry, None)
+        Self::start_inner(addr, registry, None, HEAD_DEADLINE)
     }
 
     /// Like [`MetricsServer::start`], but also serve `GET /trace?n=K`
@@ -44,13 +48,14 @@ impl MetricsServer {
         registry: Arc<Registry>,
         trace: Arc<Mutex<TraceRing>>,
     ) -> std::io::Result<Self> {
-        Self::start_inner(addr, registry, Some(trace))
+        Self::start_inner(addr, registry, Some(trace), HEAD_DEADLINE)
     }
 
     fn start_inner<A: ToSocketAddrs>(
         addr: A,
         registry: Arc<Registry>,
         trace: Option<Arc<Mutex<TraceRing>>>,
+        head_deadline: Duration,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -64,7 +69,7 @@ impl MetricsServer {
                     if stop.load(Ordering::SeqCst) {
                         break;
                     }
-                    let _ = Self::serve_one(stream, &registry, trace.as_deref());
+                    let _ = Self::serve_one(&stream, &registry, trace.as_deref(), head_deadline);
                 }
             })
         };
@@ -76,23 +81,33 @@ impl MetricsServer {
         self.addr
     }
 
+    /// Serve one connection: the whole request head must arrive within
+    /// `head_deadline`, the whole response must leave within
+    /// [`RESPONSE_DEADLINE`].
     fn serve_one(
-        stream: TcpStream,
+        stream: &TcpStream,
         registry: &Registry,
         trace: Option<&Mutex<TraceRing>>,
+        head_deadline: Duration,
     ) -> std::io::Result<()> {
-        stream.set_read_timeout(Some(std::time::Duration::from_secs(2)))?;
-        let request_line = match read_head(&stream) {
+        let request_line = match read_head(Deadlined::new(stream, head_deadline)) {
             Ok(line) => line,
             Err(HeadError::TooLarge) => {
                 return respond(
-                    &stream,
+                    stream,
                     "431 Request Header Fields Too Large",
                     "request head too large\n",
                 );
             }
             Err(HeadError::Io(e)) if e.kind() == io::ErrorKind::InvalidData => {
-                return respond(&stream, "400 Bad Request", "request head is not UTF-8\n");
+                return respond(stream, "400 Bad Request", "request head is not UTF-8\n");
+            }
+            // A socket timeout reads as `WouldBlock` on Unix and as
+            // `TimedOut` on Windows.
+            Err(HeadError::Io(e))
+                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+            {
+                return respond(stream, "408 Request Timeout", "request head took too long\n");
             }
             Err(HeadError::Io(e)) => return Err(e),
         };
@@ -114,7 +129,7 @@ impl MetricsServer {
         } else {
             ("404 Not Found", "only GET /metrics and GET /trace live here\n".to_string())
         };
-        respond(&stream, status, &body)
+        respond(stream, status, &body)
     }
 
     /// Stop serving (idempotent; also runs on drop).
@@ -149,6 +164,54 @@ impl Drop for MetricsServer {
 /// under 1 KiB.
 const MAX_HEAD_BYTES: u64 = 8 * 1024;
 
+/// Longest a peer may take over its whole request head. The socket's
+/// own timeout bounds one `read`, which a peer sending a byte at a time
+/// never trips.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Longest a peer may take to drain its whole response.
+const RESPONSE_DEADLINE: Duration = Duration::from_secs(2);
+
+/// A connection with one deadline for everything read from or written
+/// to it: every call gets the time still left as its socket timeout,
+/// and fails with `TimedOut` once none is.
+struct Deadlined<'a> {
+    stream: &'a TcpStream,
+    until: Instant,
+}
+
+impl<'a> Deadlined<'a> {
+    fn new(stream: &'a TcpStream, within: Duration) -> Self {
+        Deadlined { stream, until: Instant::now() + within }
+    }
+
+    /// The time left, as a socket timeout (which must not be zero).
+    fn remaining(&self) -> io::Result<Option<Duration>> {
+        match self.until.saturating_duration_since(Instant::now()) {
+            Duration::ZERO => Err(io::ErrorKind::TimedOut.into()),
+            left => Ok(Some(left)),
+        }
+    }
+}
+
+impl Read for Deadlined<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.set_read_timeout(self.remaining()?)?;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Deadlined<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stream.set_write_timeout(self.remaining()?)?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
 /// Why [`read_head`] gave up.
 #[derive(Debug)]
 enum HeadError {
@@ -180,7 +243,8 @@ fn read_head(r: impl Read) -> Result<String, HeadError> {
     Ok(request_line)
 }
 
-fn respond(mut stream: &TcpStream, status: &str, body: &str) -> io::Result<()> {
+fn respond(stream: &TcpStream, status: &str, body: &str) -> io::Result<()> {
+    let mut stream = Deadlined::new(stream, RESPONSE_DEADLINE);
     write!(
         stream,
         "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -258,6 +322,41 @@ mod tests {
         let mut out = String::new();
         c.read_to_string(&mut out).unwrap();
         assert!(out.starts_with("HTTP/1.0 431"), "{out}");
+        let body = get(server.local_addr(), "/metrics");
+        assert!(body.starts_with("HTTP/1.0 200 OK"), "{body}");
+    }
+
+    #[test]
+    fn a_peer_dripping_its_head_is_cut_off_and_the_next_scrape_still_answers() {
+        let deadline = Duration::from_millis(200);
+        let server =
+            MetricsServer::start_inner(("127.0.0.1", 0), Arc::new(Registry::new()), None, deadline)
+                .unwrap();
+        // One byte every 20 ms: each read returns long before any
+        // per-read timeout, the head never ends. The wait for a reply is
+        // the pause between bytes.
+        let mut c = TcpStream::connect(server.local_addr()).unwrap();
+        c.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
+        let started = Instant::now();
+        let mut reply = Vec::new();
+        let cut_off = loop {
+            if started.elapsed() > 20 * deadline {
+                break false;
+            }
+            if c.write_all(b"X").is_err() {
+                break true;
+            }
+            match c.read_to_end(&mut reply) {
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {}
+                // Closed: cleanly, or reset because a byte crossed the
+                // server's close on the wire.
+                Ok(_) | Err(_) => break true,
+            }
+        };
+        assert!(cut_off, "the peer held the connection for {:?}", started.elapsed());
+        // The refusal is readable unless the reset discarded it.
+        assert!(reply.is_empty() || reply.starts_with(b"HTTP/1.0 408"), "{reply:?}");
         let body = get(server.local_addr(), "/metrics");
         assert!(body.starts_with("HTTP/1.0 200 OK"), "{body}");
     }

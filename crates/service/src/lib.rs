@@ -22,8 +22,7 @@
 //!   deliver the same event sequence, so whole service runs are
 //!   bit-reproducible — the test suite asserts
 //!   [`choreo_online::ServiceStats::trace_hash`] equality across
-//!   repeats, solver worker counts, and against driving the scheduler
-//!   directly.
+//!   repeats and against driving the scheduler directly.
 //! * [`NetEnv`] — real `std::net` TCP sockets and the wall clock. The
 //!   identical dispatch code serves loopback smoke tests and real
 //!   deployments.

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use choreo_online::{OnlineConfig, SchedulerBuilder};
+use choreo_online::{OnlineScheduler, SchedulerBuilder};
 use choreo_profile::{AppProfile, TenantEvent, TenantEventKind, TrafficMatrix};
 use choreo_service::{
     ConnId, FaultPlan, NetEnv, PlacementService, ServiceConfig, ServiceRequest, ServiceResponse,
@@ -69,41 +69,42 @@ fn trace(ops: &[Op]) -> (Vec<TenantEvent>, Vec<(Nanos, ConnId, ServiceRequest)>)
     (events, script)
 }
 
-fn config(workers: usize) -> OnlineConfig {
-    OnlineConfig { workers, ..OnlineConfig::default() }
+/// The end-of-replay checks: the scheduler's invariants, and the
+/// simulator's rates against a from-scratch cold solve.
+fn check_at_end(sched: &mut OnlineScheduler) {
+    sched.check_invariants();
+    sched.sim_mut().check_rates_against_cold();
 }
 
-fn direct_hash(events: &[TenantEvent], workers: usize) -> u64 {
+fn direct_hash(events: &[TenantEvent]) -> u64 {
     let (topo, routes) = small_topo();
-    let mut sched = SchedulerBuilder::new(topo, routes).config(config(workers)).seed(11).build();
+    let mut sched = SchedulerBuilder::new(topo, routes).seed(11).build();
     sched.run(events.iter().cloned());
-    sched.check_invariants();
+    check_at_end(&mut sched);
     sched.stats().trace_hash()
 }
 
-fn service_hash(script: &[(Nanos, ConnId, ServiceRequest)], workers: usize) -> u64 {
+fn service_hash(script: &[(Nanos, ConnId, ServiceRequest)]) -> u64 {
     let (topo, routes) = small_topo();
-    let cfg = ServiceConfig { online: config(workers), seed: 11, ..ServiceConfig::default() };
+    let cfg = ServiceConfig { seed: 11, ..ServiceConfig::default() };
     let mut svc = PlacementService::new(topo, routes, cfg, SimEnv::new(script.to_vec()));
     svc.run();
-    svc.scheduler_mut().check_invariants();
+    check_at_end(svc.scheduler_mut());
     svc.trace_hash()
 }
 
 // The tentpole property: a request trace served through the sim-backed
 // service is bit-identical to feeding the scheduler the same tenant
-// events directly — across solver worker counts.
+// events directly, and both replay bit-identically.
 proptest! {
     #[test]
     fn sim_service_matches_direct_scheduler_drive(
         ops in prop::collection::vec((0u8..3, 0u64..10, 2usize..5), 4..32),
     ) {
         let (events, script) = trace(&ops);
-        let reference = direct_hash(&events, 1);
-        for workers in [1usize, 2, 8] {
-            prop_assert_eq!(direct_hash(&events, workers), reference, "direct, workers {}", workers);
-            prop_assert_eq!(service_hash(&script, workers), reference, "service, workers {}", workers);
-        }
+        let reference = direct_hash(&events);
+        prop_assert_eq!(direct_hash(&events), reference, "direct drive, repeated");
+        prop_assert_eq!(service_hash(&script), reference, "served through the sim transport");
     }
 }
 
@@ -133,7 +134,7 @@ proptest! {
             while svc.poll() {
                 svc.scheduler_mut().check_invariants();
             }
-            svc.scheduler_mut().check_invariants();
+            check_at_end(svc.scheduler_mut());
             svc.trace_hash()
         };
         prop_assert_eq!(run(), run());
@@ -152,7 +153,7 @@ fn duplicated_admissions_are_refused_not_replayed() {
     let env = SimEnv::with_faults(script, plan);
     let mut svc = PlacementService::new(topo, routes, ServiceConfig::default(), env);
     svc.run();
-    svc.scheduler_mut().check_invariants();
+    check_at_end(svc.scheduler_mut());
     let s = svc.scheduler().stats();
     assert_eq!(s.duplicate_arrivals, 6, "every copy refused");
     assert_eq!(s.admitted + s.queued + s.rejected, 6, "every original decided");

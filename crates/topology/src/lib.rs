@@ -15,8 +15,8 @@
 //!   (multi-rooted trees, the ns-2 dumbbell of Fig. 3(a), the two-rack cloud
 //!   of Fig. 3(b)).
 //! * [`pods`] — pod partitioning ([`PodPartition`]): spine switches vs
-//!   per-pod subtrees, the locality structure the sharded fair-share
-//!   solver in `choreo-flowsim` parallelizes over.
+//!   per-pod subtrees, the locality structure the per-pod capacity-loss
+//!   gauges report over.
 //! * [`route`] — equal-cost shortest-path enumeration and deterministic
 //!   per-flow path selection (ECMP by flow hash), used by both the
 //!   packet-level and the flow-level simulators.

@@ -6,7 +6,7 @@
 //! the aggregation↔core tier stitches pods together. Flows between hosts
 //! of the same pod never leave it, so the links of distinct pods form
 //! independent capacity subproblems between the rare cross-pod
-//! interactions — the locality the sharded fair-share solver exploits.
+//! interactions — which is why a failure is reported per pod.
 //!
 //! [`PodPartition::of`] derives the structure from an arbitrary
 //! [`Topology`] without assuming a generator:
@@ -108,10 +108,9 @@ impl PodPartition {
 
     /// Number of pods that own at least one intra-pod link.
     ///
-    /// The useful-parallelism measure for sharded solving: only such a
-    /// pod can carry pod-local *network* flows (a singleton-host pod —
-    /// the dumbbell degeneracy — has none, so every flow it sources is
-    /// boundary work for the reconciler).
+    /// Only such a pod can carry pod-local *network* flows: a
+    /// singleton-host pod — the dumbbell degeneracy — has none, so
+    /// every flow it sources crosses the spine.
     pub fn pods_with_links(&self, topo: &Topology) -> usize {
         let mut has_link = vec![false; self.n_pods as usize];
         for l in topo.links() {

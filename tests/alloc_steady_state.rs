@@ -18,9 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use choreo_repro::flowsim::{
-    FlowArena, FlowSim, FlowSlot, MaxMinSolver, ProbeBatch, ResourcePartition, ShardedSolver,
-};
+use choreo_repro::flowsim::{FlowArena, FlowSim, FlowSlot, MaxMinSolver, ProbeBatch};
 use choreo_repro::online::{DriftConfig, MigrationConfig, OnlineConfig, SchedulerBuilder};
 use choreo_repro::profile::{AppProfile, TenantEvent, TenantEventKind, TrafficMatrix};
 use choreo_repro::topology::route::splitmix64;
@@ -171,96 +169,6 @@ fn steady_state_reallocation_allocates_nothing() {
     assert!(churn_after.0 > churn_before.0, "measured pass crossed no pool compaction");
     assert!(churn_after.1 > churn_before.1, "measured pass recycled no round id");
     assert_eq!(warm_allocs, 0, "steady-state warm re-solve → probe batch must not allocate");
-
-    // -------------------------------------------------- sharded re-solves
-    // The sharded path rebuilds the per-pod sub-arenas from scratch every
-    // solve (split), runs one logged solve per shard, merges the shard
-    // logs and reconciles — and every buffer involved (sub-arenas, slot
-    // maps, boundary lists, per-shard solver scratch, the merged log, the
-    // main solver's walk state) is retained across solves. With a single
-    // worker (no thread spawns) a steady-state sharded re-solve must
-    // therefore allocate nothing per shard once warm. Warm-up runs two
-    // full passes of the measured churn so the measured pass revisits
-    // exactly the flow-set trajectory (and thus the high-water marks) the
-    // warm-up already reached.
-    let part = ResourcePartition::for_topology(&topo);
-    assert!(part.n_pods() >= 2, "workload tree must have pod structure");
-    let mut sharded = ShardedSolver::new(1);
-    let mut sh_solver = MaxMinSolver::new();
-    let mut sh_rates = Vec::new();
-    for _pass in 0..2 {
-        for round in 0..3 {
-            for (i, arrival) in churn[n_flows as usize..].iter().enumerate() {
-                let k = (i + round) % slots.len();
-                arena.remove(slots[k]);
-                sharded.solve_sharded(&caps, &mut arena, &part, &mut sh_solver, &mut sh_rates);
-                slots[k] = arena.add(arrival);
-                sharded.solve_sharded(&caps, &mut arena, &part, &mut sh_solver, &mut sh_rates);
-            }
-        }
-    }
-    let before = alloc_count();
-    let mut sh_checksum = 0.0f64;
-    for round in 0..3 {
-        for (i, arrival) in churn[n_flows as usize..].iter().enumerate() {
-            let k = (i + round) % slots.len();
-            arena.remove(slots[k]);
-            sharded.solve_sharded(&caps, &mut arena, &part, &mut sh_solver, &mut sh_rates);
-            slots[k] = arena.add(arrival);
-            sharded.solve_sharded(&caps, &mut arena, &part, &mut sh_solver, &mut sh_rates);
-            sh_checksum += sh_rates[slots[k].0 as usize];
-        }
-    }
-    let sharded_allocs = alloc_count() - before;
-    assert!(sh_checksum > 0.0, "sharded solves produced rates");
-    assert_eq!(sharded_allocs, 0, "steady-state sharded re-solve must not allocate once warm");
-
-    // --------------------------------- pooled sharded re-solves (2 workers)
-    // The persistent pool hands shard jobs to long-lived worker threads
-    // over a futex-backed Mutex/Condvar pair; the job and completion
-    // queues are `VecDeque`s whose capacities survive across solves, and
-    // the per-shard solver scratch lives in the retained shard contexts.
-    // Once the first pooled solve has spawned the threads and sized the
-    // queues, a steady-state pooled re-solve must not allocate — on any
-    // thread (the counter is global, so worker-side allocations count).
-    // Single-flow churn dirties at most one pod and takes the serial
-    // path; the pool engages on bulk reshuffles (≥ 2 dirty pods per
-    // solve), so this section replays the churn in epochs of 16
-    // replacements per re-solve — the workload sharding exists for.
-    let mut pooled = ShardedSolver::new(2);
-    let mut pl_solver = MaxMinSolver::new();
-    let mut pl_rates = Vec::new();
-    for _pass in 0..2 {
-        for round in 0..3 {
-            for (epoch, block) in churn[n_flows as usize..].chunks(16).enumerate() {
-                for (j, arrival) in block.iter().enumerate() {
-                    let k = (epoch * 16 + j + round) % slots.len();
-                    arena.remove(slots[k]);
-                    slots[k] = arena.add(arrival);
-                }
-                pooled.solve_sharded(&caps, &mut arena, &part, &mut pl_solver, &mut pl_rates);
-            }
-        }
-    }
-    assert!(pooled.pool_jobs_executed() > 0, "bulk churn never engaged the worker pool");
-    let warm_jobs = pooled.pool_jobs_executed();
-    let before = alloc_count();
-    let mut pl_checksum = 0.0f64;
-    for round in 0..3 {
-        for (epoch, block) in churn[n_flows as usize..].chunks(16).enumerate() {
-            for (j, arrival) in block.iter().enumerate() {
-                let k = (epoch * 16 + j + round) % slots.len();
-                arena.remove(slots[k]);
-                slots[k] = arena.add(arrival);
-            }
-            pooled.solve_sharded(&caps, &mut arena, &part, &mut pl_solver, &mut pl_rates);
-            pl_checksum += pl_rates[slots[epoch % slots.len()].0 as usize];
-        }
-    }
-    let pooled_allocs = alloc_count() - before;
-    assert!(pl_checksum > 0.0, "pooled solves produced rates");
-    assert!(pooled.pool_jobs_executed() > warm_jobs, "measured pass bypassed the pool");
-    assert_eq!(pooled_allocs, 0, "steady-state pooled sharded re-solve must not allocate");
 
     // ------------------------------------------------- engine what-if path
     // The probe joins the arena, the persistent solver reallocates, and

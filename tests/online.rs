@@ -1,7 +1,8 @@
 //! Property tests for the online placement service: whole service runs
-//! are deterministic (bit-identical across repeats and solver worker
-//! counts), and admission never violates the capacity / queue / validity
-//! invariants, at any point of any run.
+//! are deterministic (bit-identical across repeats), admission never
+//! violates the capacity / queue / validity invariants at any point of
+//! any run, and every 16th event the simulator's rates are bit-checked
+//! against a from-scratch cold solve.
 
 use std::sync::Arc;
 
@@ -20,8 +21,7 @@ use choreo_repro::topology::{MultiRootedTreeSpec, RouteTable, Topology, SECS};
 use proptest::prelude::*;
 
 /// A small pod-structured tree (4 pods × 2 ToRs × 2 hosts = 16 hosts):
-/// real shard structure so the worker-count property exercises the
-/// sharded solve path, small enough for many property cases.
+/// intra-pod and cross-pod paths, small enough for many property cases.
 fn test_tree() -> Topology {
     MultiRootedTreeSpec {
         cores: 2,
@@ -51,10 +51,9 @@ fn events(seed: u64, n: usize) -> Vec<TenantEvent> {
     WorkloadStream::new(cfg, seed).take(n).collect()
 }
 
-fn service_cfg(policy: PlacementPolicy, workers: usize) -> OnlineConfig {
+fn service_cfg(policy: PlacementPolicy) -> OnlineConfig {
     OnlineConfig {
         policy,
-        workers,
         candidate_hosts: 8,
         queue_capacity: 4,
         migration: MigrationConfig { cadence: Some(15 * SECS), ..Default::default() },
@@ -62,24 +61,33 @@ fn service_cfg(policy: PlacementPolicy, workers: usize) -> OnlineConfig {
     }
 }
 
-fn service(policy: PlacementPolicy, workers: usize, seed: u64) -> OnlineScheduler {
+fn service(policy: PlacementPolicy, seed: u64) -> OnlineScheduler {
     let topo = Arc::new(test_tree());
     let routes = Arc::new(RouteTable::new(&topo));
-    SchedulerBuilder::new(topo, routes).config(service_cfg(policy, workers)).seed(seed).build()
+    SchedulerBuilder::new(topo, routes).config(service_cfg(policy)).seed(seed).build()
+}
+
+/// Events between two `FlowSim::check_rates_against_cold` calls in the
+/// checked runs.
+const COLD_CHECK_EVERY: usize = 16;
+
+/// The per-event checks of every checked run: the scheduler's safety
+/// invariants, and on every [`COLD_CHECK_EVERY`]th event the simulator's
+/// warm-chained rates against the cold reference solve.
+fn check_after_event(svc: &mut OnlineScheduler, i: usize) {
+    svc.check_invariants();
+    if i.is_multiple_of(COLD_CHECK_EVERY) {
+        svc.sim_mut().check_rates_against_cold();
+    }
 }
 
 /// Run a full service over `evs`, checking the safety invariants after
 /// every event, and return the trajectory digest plus headline counters.
-fn run_checked(
-    policy: PlacementPolicy,
-    workers: usize,
-    seed: u64,
-    evs: &[TenantEvent],
-) -> (u64, u64, u64, u64) {
-    let mut svc = service(policy, workers, seed);
-    for ev in evs {
+fn run_checked(policy: PlacementPolicy, seed: u64, evs: &[TenantEvent]) -> (u64, u64, u64, u64) {
+    let mut svc = service(policy, seed);
+    for (i, ev) in evs.iter().enumerate() {
         svc.step(ev);
-        svc.check_invariants();
+        check_after_event(&mut svc, i);
     }
     let s = svc.stats();
     (s.trace_hash(), s.admitted + s.queue_admitted, s.rejected, s.migrations)
@@ -95,15 +103,9 @@ proptest! {
         let evs = events(stream_seed, 250);
         // Admission invariants hold after every event, and a repeat of
         // the run lands on the identical trajectory.
-        let a = run_checked(PlacementPolicy::Greedy, 0, sim_seed, &evs);
-        let b = run_checked(PlacementPolicy::Greedy, 0, sim_seed, &evs);
+        let a = run_checked(PlacementPolicy::Greedy, sim_seed, &evs);
+        let b = run_checked(PlacementPolicy::Greedy, sim_seed, &evs);
         prop_assert_eq!(a, b, "same stream + seed must replay bit-identically");
-        // Sharded solve fan-out is a wall-clock knob, never a trajectory
-        // knob: any worker count reproduces the warm-path run exactly.
-        for workers in [1usize, 2, 8] {
-            let w = run_checked(PlacementPolicy::Greedy, workers, sim_seed, &evs);
-            prop_assert_eq!(a, w, "worker count {} changed the trajectory", workers);
-        }
     }
 }
 
@@ -113,19 +115,19 @@ proptest! {
 /// rendered to JSONL both mid-run and at the end. Every piece is
 /// observational-only, so the digest and counters must match the bare
 /// run's bit for bit.
-fn run_instrumented(workers: usize, seed: u64, evs: &[TenantEvent]) -> (u64, u64, u64, u64) {
+fn run_instrumented(seed: u64, evs: &[TenantEvent]) -> (u64, u64, u64, u64) {
     let registry = Arc::new(Registry::new());
     span::install(RegistrySpans::new(Arc::clone(&registry)));
     let topo = Arc::new(test_tree());
     let routes = Arc::new(RouteTable::new(&topo));
     let mut svc = SchedulerBuilder::new(topo, routes)
-        .config(service_cfg(PlacementPolicy::Greedy, workers))
+        .config(service_cfg(PlacementPolicy::Greedy))
         .seed(seed)
         .metrics_registry(&registry)
         .build();
     for (i, ev) in evs.iter().enumerate() {
         svc.step(ev);
-        svc.check_invariants();
+        check_after_event(&mut svc, i);
         if i % 64 == 0 {
             // Exporting mid-run must not perturb the trajectory either.
             let _ = svc.stats().decisions().to_jsonl(16);
@@ -147,13 +149,11 @@ proptest! {
         sim_seed in 0u64..1000,
     ) {
         let evs = events(stream_seed, 250);
-        let bare = run_checked(PlacementPolicy::Greedy, 0, sim_seed, &evs);
-        // Live recorder + families + trace export, across worker
-        // counts: the digest may never move.
-        for workers in [1usize, 2, 8] {
-            let instr = run_instrumented(workers, sim_seed, &evs);
-            prop_assert_eq!(bare, instr, "instrumented run at {} workers diverged", workers);
-        }
+        let bare = run_checked(PlacementPolicy::Greedy, sim_seed, &evs);
+        // Live recorder + families + trace export: the digest may never
+        // move.
+        let instr = run_instrumented(sim_seed, &evs);
+        prop_assert_eq!(bare, instr, "instrumented run diverged");
     }
 }
 
@@ -176,11 +176,10 @@ fn fault_events(stream_seed: u64, net_seed: u64, n: usize) -> Vec<ServiceEvent> 
 /// Run a full service over a merged tenant + network stream with drift
 /// re-measurement on, checking the safety invariants after every event,
 /// and return the trajectory digest plus headline counters.
-fn run_checked_faults(workers: usize, seed: u64, evs: &[ServiceEvent]) -> (u64, u64, u64, u64) {
+fn run_checked_faults(seed: u64, evs: &[ServiceEvent]) -> (u64, u64, u64, u64) {
     let topo = Arc::new(test_tree());
     let routes = Arc::new(RouteTable::new(&topo));
     let cfg = OnlineConfig {
-        workers,
         candidate_hosts: 8,
         queue_capacity: 4,
         migration: MigrationConfig { cadence: Some(15 * SECS), ..Default::default() },
@@ -188,9 +187,9 @@ fn run_checked_faults(workers: usize, seed: u64, evs: &[ServiceEvent]) -> (u64, 
         ..Default::default()
     };
     let mut svc = SchedulerBuilder::new(topo, routes).config(cfg).seed(seed).build();
-    for ev in evs {
+    for (i, ev) in evs.iter().enumerate() {
         svc.service_step(ev);
-        svc.check_invariants();
+        check_after_event(&mut svc, i);
     }
     let s = svc.stats();
     (s.trace_hash(), s.network_events, s.drift_detected, s.failure_migrations + s.migrations)
@@ -210,16 +209,10 @@ proptest! {
         prop_assert!(evs.iter().any(|e| matches!(e, ServiceEvent::Network(_))));
         // Invariants hold after every tenant AND network event, and the
         // whole fault-laden trajectory replays bit-identically.
-        let a = run_checked_faults(0, 7, &evs);
-        let b = run_checked_faults(0, 7, &evs);
+        let a = run_checked_faults(7, &evs);
+        let b = run_checked_faults(7, &evs);
         prop_assert_eq!(a, b, "same streams + seed must replay bit-identically");
         prop_assert!(a.1 > 0, "network events must have been consumed");
-        // Worker count remains a wall-clock knob under faults too: the
-        // capacity dirty window re-solves bit-identical at any fan-out.
-        for workers in [1usize, 2, 8] {
-            let w = run_checked_faults(workers, 7, &evs);
-            prop_assert_eq!(a, w, "worker count {} changed the fault-laden trajectory", workers);
-        }
     }
 }
 
@@ -230,11 +223,11 @@ proptest! {
         stream_seed in 0u64..1000,
     ) {
         let evs = events(stream_seed, 200);
-        let a = run_checked(PlacementPolicy::Random(5), 0, 1, &evs);
-        let b = run_checked(PlacementPolicy::Random(5), 0, 1, &evs);
+        let a = run_checked(PlacementPolicy::Random(5), 1, &evs);
+        let b = run_checked(PlacementPolicy::Random(5), 1, &evs);
         prop_assert_eq!(a, b);
         // A different placement seed is a genuinely different service.
-        let c = run_checked(PlacementPolicy::Random(6), 0, 1, &evs);
+        let c = run_checked(PlacementPolicy::Random(6), 1, &evs);
         prop_assert!(a.0 != c.0, "random seed must matter");
     }
 }
@@ -304,8 +297,7 @@ fn shape_events(shape: u8, stream_seed: u64, net_seed: u64, n: usize) -> Vec<Ser
 proptest! {
     // The hostile-shape chaos suite: every adversarial stream shape
     // must keep the safety invariants after every event and replay
-    // bit-identically across repeats and solver worker counts 1/2/8.
-    // CI re-runs it at PROPTEST_CASES=256.
+    // bit-identically. CI re-runs it at PROPTEST_CASES=256.
     #![proptest_config(ProptestConfig::with_cases(proptest::resolve_cases(5)))]
     #[test]
     fn shape_runs_are_deterministic_and_safe(
@@ -314,13 +306,9 @@ proptest! {
         net_seed in 0u64..1000,
     ) {
         let evs = shape_events(shape, stream_seed, net_seed, 150);
-        let a = run_checked_faults(0, 7, &evs);
-        let b = run_checked_faults(0, 7, &evs);
+        let a = run_checked_faults(7, &evs);
+        let b = run_checked_faults(7, &evs);
         prop_assert_eq!(a, b, "shape {} must replay bit-identically", shape);
-        for workers in [1usize, 2, 8] {
-            let w = run_checked_faults(workers, 7, &evs);
-            prop_assert_eq!(a, w, "worker count {} changed shape {}'s trajectory", workers, shape);
-        }
     }
 }
 
@@ -331,7 +319,7 @@ fn every_shape_smokes_through_a_long_run() {
     // fire (arrivals happen, and for shape 3 correlated incidents hit).
     for shape in 0..N_SHAPES {
         let evs = shape_events(shape, 11, 13, 400);
-        let (hash, network_events, _, _) = run_checked_faults(0, 5, &evs);
+        let (hash, network_events, _, _) = run_checked_faults(5, &evs);
         assert_ne!(hash, 0, "shape {shape} produced a trajectory");
         if shape == 3 {
             assert!(network_events > 0, "switch-failure shape must hit the network");
@@ -371,7 +359,7 @@ fn depart_after_reject_is_not_counted_as_a_departure() {
     // the metric counter before discovering the tenant had been
     // rejected at arrival, so rejected tenants' Depart events
     // overcounted departures against admissions.
-    let mut svc = service(PlacementPolicy::Greedy, 0, 1);
+    let mut svc = service(PlacementPolicy::Greedy, 1);
     let cap = svc.config().queue_capacity as u64;
     // Fill the wait queue with unplaceable tenants, then overflow it.
     for id in 0..=cap {
@@ -394,7 +382,7 @@ fn depart_after_reject_is_not_counted_as_a_departure() {
     // The no-op is still digested: a run with the phantom Depart and a
     // run without it must not collide on the same trajectory hash.
     let run = |with_phantom: bool| {
-        let mut svc = service(PlacementPolicy::Greedy, 0, 1);
+        let mut svc = service(PlacementPolicy::Greedy, 1);
         for id in 0..=cap {
             svc.step(&TenantEvent {
                 at: 10 + id,
@@ -418,8 +406,7 @@ fn queued_tenant_intensity_survives_to_queue_admit() {
     // whole life (the stream never resends the change).
     let topo = Arc::new(test_tree());
     let routes = Arc::new(RouteTable::new(&topo));
-    let cfg =
-        OnlineConfig { workers: 0, candidate_hosts: 16, queue_capacity: 4, ..Default::default() };
+    let cfg = OnlineConfig { candidate_hosts: 16, queue_capacity: 4, ..Default::default() };
     let mut svc = SchedulerBuilder::new(topo, routes).config(cfg).seed(1).build();
     let cores = svc.machines().cpu[0];
     let n_hosts = svc.machines().len();
@@ -473,7 +460,7 @@ fn long_run_reaches_steady_state_churn() {
     // paths (admission, queueing, departure retries, intensity changes,
     // migration passes) actually fire under the default stream.
     let evs = events(11, 900);
-    let mut svc = service(PlacementPolicy::Greedy, 0, 3);
+    let mut svc = service(PlacementPolicy::Greedy, 3);
     for ev in &evs {
         svc.step(ev);
     }

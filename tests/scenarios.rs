@@ -1,9 +1,9 @@
 //! Whole-service robustness scenarios, asserted on simulated outcomes
 //! only: link and switch failover recovery, the offered-load rejection
 //! knee, and the adversarial workload shapes against the nominal
-//! stream. Fixed topologies, streams and seeds on the warm solve path;
-//! determinism across repeats and worker counts is `tests/online.rs`'s
-//! job, timing is the perf ledger's (`BENCHMARK.json`).
+//! stream. Fixed topologies, streams and seeds; determinism across
+//! repeats is `tests/online.rs`'s job, timing is the perf ledger's
+//! (`BENCHMARK.json`).
 
 use std::sync::Arc;
 
