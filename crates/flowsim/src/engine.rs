@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 
 use choreo_metrics::span;
 use choreo_topology::route::splitmix64;
-use choreo_topology::{LinkDir, LinkSpec, Nanos, NodeId, PodPartition, RouteTable, Topology};
+use choreo_topology::{LinkSpec, Nanos, NodeId, PodPartition, RouteTable, Topology};
 
 use crate::fairshare::{max_min_rates, FlowArena, FlowSlot, MaxMinSolver, ProbeBatch};
 
@@ -68,20 +68,18 @@ pub enum FlowStatus {
 /// Sentinel for "flow not in the arena".
 const NO_SLOT: u32 = u32::MAX;
 
-/// Engine resource id of a directed link hop.
+/// Engine resource id of a directed link hop: [`DirectedHop::index`].
 ///
 /// [`FlowSim`] lays capacities out as the `2·L` directed links first
-/// (forward then reverse, per link), followed by per-host loopbacks and
-/// hoses. This is *the* mapping for turning a routed path into solver
-/// resources — benches and tests that drive [`FlowArena`] directly must
-/// use it rather than re-encode the layout.
+/// (forward then reverse, per link — the order a hop packs to), followed
+/// by per-host loopbacks and hoses. This is *the* mapping for turning a
+/// routed path into solver resources — benches and tests that drive
+/// [`FlowArena`] directly must use it rather than re-encode the layout.
+///
+/// [`DirectedHop::index`]: choreo_topology::route::DirectedHop::index
 #[inline]
 pub fn hop_resource(hop: &choreo_topology::route::DirectedHop) -> u32 {
-    2 * hop.link.0
-        + match hop.dir {
-            LinkDir::Forward => 0,
-            LinkDir::Reverse => 1,
-        }
+    hop.index() as u32
 }
 
 #[derive(Debug)]
@@ -469,7 +467,7 @@ impl FlowSim {
         }
         let hash = splitmix64((seq << 32) | self.rng.gen::<u32>() as u64);
         let path = self.routes.path_for_flow(src, dst, hash);
-        buf.extend(path.hops.iter().map(hop_resource));
+        buf.extend(path.hops().iter().map(hop_resource));
         if let Some(h) = hose {
             buf.push(h.0);
         }
@@ -800,8 +798,8 @@ impl FlowSim {
         if src == dst {
             self.probe_scratch.push(self.host_loopback_res(src));
         } else {
-            let path = &self.routes.paths(src, dst)[0];
-            self.probe_scratch.extend(path.hops.iter().map(hop_resource));
+            let path = self.routes.path(src, dst, 0);
+            self.probe_scratch.extend(path.hops().iter().map(hop_resource));
             if let Some(h) = hose {
                 self.probe_scratch.push(h.0);
             }
@@ -1677,5 +1675,17 @@ mod tests {
         for k in keys {
             assert!(matches!(s.status(k), FlowStatus::Done(_)));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "no path from")]
+    fn probing_an_unroutable_pair_panics_by_name() {
+        // Two islands: hosts with no link between them.
+        let mut b = Topology::builder();
+        let hosts = b.hosts(2, "h");
+        let t = Arc::new(b.build());
+        let r = Arc::new(RouteTable::new(&t));
+        let mut s = FlowSim::new(t, r, LinkSpec::new(4.2 * GBIT, 20 * MICROS), 7);
+        s.probe_rate(hosts[0], hosts[1], None);
     }
 }

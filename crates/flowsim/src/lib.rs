@@ -11,7 +11,10 @@
 //!
 //! Resources are directed link capacities, per-host loopbacks (co-located
 //! VM traffic) and per-VM **hose** caps (§4.3/4.4: EC2 and Rackspace
-//! rate-limit each VM's egress). The engine advances time between discrete
+//! rate-limit each VM's egress). A routed hop's resource id is its packed
+//! `link << 1 | dir` value, `DirectedHop::index` ([`hop_resource`] is that,
+//! as a `u32`), so a path turns into solver resources without a table. The
+//! engine advances time between discrete
 //! events — flow arrivals, completions, scheduled stops and ON–OFF
 //! background toggles — recomputing the allocation whenever the flow set
 //! changes ([`fairshare`]), and integrates delivered bytes exactly between

@@ -4,11 +4,11 @@
 //! # Resource model
 //!
 //! Every transmission resource is a [`LinkQueue`] addressed by a flat index:
-//! directed link `l` in direction `d` is `2·l + d`; the per-host "memory
-//! loopback" (used by flows between co-located VMs, §2.2's ≈4 Gbit/s paths)
-//! is `2·L + host_index`. Packets carry their owning flow, a forward/reverse
-//! flag and a hop counter; the flow stores its ECMP-selected path, so
-//! forwarding is just an index lookup.
+//! directed link `l` in direction `d` is `2·l + d` (`DirectedHop::index`);
+//! the per-host "memory loopback" (used by flows between co-located VMs,
+//! §2.2's ≈4 Gbit/s paths) is `2·L + host_index`. Packets carry their owning
+//! flow, a forward/reverse flag and a hop counter; the flow stores its
+//! ECMP-selected path, so forwarding is just an index lookup.
 //!
 //! # Hose model
 //!
@@ -18,7 +18,6 @@
 //! bypasses shapers, which is how the paper's ≈4 Gbit/s same-machine paths
 //! coexist with a 1 Gbit/s hose.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -101,7 +100,6 @@ pub struct Sim {
     /// (kept here so the onoff module stays simulator-agnostic).
     source_endpoints: Vec<(NodeId, NodeId, Option<ShaperId>, Option<ShaperId>)>,
     samplers: Vec<Sampler>,
-    host_index: HashMap<NodeId, u32>,
     rng: StdRng,
     /// Total packets dropped anywhere (queues + shapers).
     pub total_drops: u64,
@@ -125,9 +123,7 @@ impl Sim {
                 resources.push(LinkQueue::new(l.spec.rate_bps, l.spec.delay, cap));
             }
         }
-        let mut host_index = HashMap::new();
-        for (i, &h) in topo.hosts().iter().enumerate() {
-            host_index.insert(h, i as u32);
+        for _ in topo.hosts() {
             resources.push(LinkQueue::new(
                 cfg.loopback.rate_bps,
                 cfg.loopback.delay,
@@ -146,7 +142,6 @@ impl Sim {
             sources: Vec::new(),
             source_endpoints: Vec::new(),
             samplers: Vec::new(),
-            host_index,
             rng: StdRng::seed_from_u64(seed),
             total_drops: 0,
         }
@@ -200,7 +195,7 @@ impl Sim {
             return Vec::new();
         }
         let hash = splitmix64((flow_id as u64) << 32 | self.rng.gen::<u32>() as u64);
-        self.routes.path_for_flow(src, dst, hash).hops.clone()
+        self.routes.path_for_flow(src, dst, hash).hops().to_vec()
     }
 
     /// Start a TCP flow at time `at` transferring `bytes` (`None` =
@@ -336,10 +331,10 @@ impl Sim {
                 * (self.cfg.loopback.delay
                     + tx_time(self.cfg.data_packet_bytes() as u64, self.cfg.loopback.rate_bps));
         }
-        let path = &self.routes.paths(src, dst)[0];
+        let path = self.routes.path(src, dst, 0);
         let mut rtt = 0;
-        for hop in &path.hops {
-            let spec = self.topo.link(hop.link).spec;
+        for hop in path.hops() {
+            let spec = self.topo.link(hop.link()).spec;
             rtt += 2 * spec.delay;
             rtt += tx_time(self.cfg.data_packet_bytes() as u64, spec.rate_bps);
             rtt += tx_time(self.cfg.ack_bytes as u64, spec.rate_bps);
@@ -354,16 +349,8 @@ impl Sim {
 
     // ------------------------------------------------------------ mechanics
 
-    fn res_index(&self, hop: DirectedHop) -> usize {
-        2 * hop.link.0 as usize
-            + match hop.dir {
-                choreo_topology::LinkDir::Forward => 0,
-                choreo_topology::LinkDir::Reverse => 1,
-            }
-    }
-
     fn loopback_index(&self, host: NodeId) -> usize {
-        2 * self.topo.link_count() + self.host_index[&host] as usize
+        2 * self.topo.link_count() + self.routes.host_index(host)
     }
 
     /// Path (hop list) a packet follows, given its direction.
@@ -375,8 +362,7 @@ impl Sim {
         let flow = &self.flows[pkt.flow.0 as usize];
         if pkt.reverse {
             let idx = flow.fwd.len() - 1 - pkt.hop as usize;
-            let h = flow.fwd[idx];
-            DirectedHop { link: h.link, dir: h.dir.flip() }
+            flow.fwd[idx].flip()
         } else {
             flow.fwd[pkt.hop as usize]
         }
@@ -399,7 +385,7 @@ impl Sim {
             return;
         }
         let hop = self.packet_hop(&pkt);
-        let res = self.res_index(hop);
+        let res = hop.index();
         pkt.hop += 1;
         self.enqueue_at(res, pkt);
     }
@@ -531,7 +517,7 @@ impl Sim {
             // the inter-burst gap starts when the local NIC/hypervisor has
             // accepted the burst: max(line-rate serialization, shaper drain).
             let line_rate = fwd_first
-                .map(|h| self.topo.link(h.link).spec.rate_bps)
+                .map(|h| self.topo.link(h.link()).spec.rate_bps)
                 .unwrap_or(self.cfg.loopback.rate_bps);
             let burst_bytes = config.burst_len as u64 * config.packet_bytes as u64;
             let serialize = tx_time(burst_bytes, line_rate);
@@ -815,5 +801,17 @@ mod tests {
         assert_eq!(sim.base_rtt(a, b), sim.base_rtt(b, a));
         assert!(sim.base_rtt(a, b) > 0);
         assert!(sim.base_rtt(a, a) > 0, "loopback RTT");
+    }
+
+    #[test]
+    #[should_panic(expected = "no path from")]
+    fn base_rtt_of_an_unroutable_pair_panics_by_name() {
+        // Two islands: hosts with no link between them.
+        let mut b = Topology::builder();
+        let hosts = b.hosts(2, "h");
+        let t = Arc::new(b.build());
+        let r = Arc::new(RouteTable::new(&t));
+        let sim = Sim::new(t, r, SimConfig::default(), 11);
+        sim.base_rtt(hosts[0], hosts[1]);
     }
 }

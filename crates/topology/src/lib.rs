@@ -17,9 +17,12 @@
 //! * [`pods`] — pod partitioning ([`PodPartition`]): spine switches vs
 //!   per-pod subtrees, the locality structure the per-pod capacity-loss
 //!   gauges report over.
-//! * [`route`] — equal-cost shortest-path enumeration and deterministic
-//!   per-flow path selection (ECMP by flow hash), used by both the
-//!   packet-level and the flow-level simulators.
+//! * [`route`] — equal-cost shortest paths and deterministic per-flow path
+//!   selection (ECMP by flow hash), used by both the packet-level and the
+//!   flow-level simulators: one shortest-path DAG per switch
+//!   ([`RouteTable`]), from which a pair's `k`-th [`Path`] is materialised
+//!   on demand and returned by value; a [`DirectedHop`] packs to the
+//!   simulators' resource index.
 //! * [`vmmap`] — the VM→host mapping layer ([`VmMap`]), VM-level hop counts
 //!   (`1` for co-located VMs, link count otherwise) and the traceroute
 //!   emulation with provider-specific visibility (Rackspace hides tiers;

@@ -245,7 +245,7 @@ mod tests {
         let t = spec.build();
         let rt = RouteTable::new(&t);
         let h = t.hosts();
-        assert_eq!(rt.paths(h[0], h[4]).len(), 2);
-        assert_eq!(rt.paths(h[0], h[8]).len(), 8);
+        assert_eq!(rt.path_count(h[0], h[4]), 2);
+        assert_eq!(rt.path_count(h[0], h[8]), 8);
     }
 }

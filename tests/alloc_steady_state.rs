@@ -67,15 +67,19 @@ fn steady_state_reallocation_allocates_nothing() {
     let caps: Vec<f64> =
         topo.links().iter().flat_map(|l| [l.spec.rate_bps, l.spec.rate_bps]).collect();
     let hosts = topo.hosts();
-    let path_of = |id: u64| -> Vec<u32> {
+    let pair_of = |id: u64| {
         let a = hosts[(splitmix64(id) % hosts.len() as u64) as usize];
         let mut b = hosts[(splitmix64(id ^ 0xBEEF) % hosts.len() as u64) as usize];
         if a == b {
             b = hosts[(hosts.iter().position(|&x| x == a).unwrap() + 1) % hosts.len()];
         }
+        (a, b)
+    };
+    let path_of = |id: u64| -> Vec<u32> {
+        let (a, b) = pair_of(id);
         routes
             .path_for_flow(a, b, splitmix64(id.wrapping_mul(0x9E37)))
-            .hops
+            .hops()
             .iter()
             .map(choreo_repro::flowsim::hop_resource)
             .collect()
@@ -112,6 +116,20 @@ fn steady_state_reallocation_allocates_nothing() {
     let solver_allocs = alloc_count() - before;
     assert!(checksum > 0.0, "solves produced rates");
     assert_eq!(solver_allocs, 0, "steady-state arena churn + reallocation must not allocate");
+
+    // ------------------------------------------------------ route lookups
+    // A path comes back by value with its hops inline: resolving a pair
+    // nobody asked about before — its first path or a flow's ECMP pick —
+    // allocates nothing.
+    let before = alloc_count();
+    let mut hops = 0;
+    for id in 10_000..12_000u64 {
+        let (a, b) = pair_of(id);
+        hops += routes.path(a, b, 0).len() + routes.path_for_flow(a, b, splitmix64(id)).len();
+    }
+    let route_allocs = alloc_count() - before;
+    assert!(hops >= 4 * 2_000, "every pair is at least two hops apart");
+    assert_eq!(route_allocs, 0, "path / path_for_flow must not allocate");
 
     // ------------------------------------------------ warm-started solves
     // A warm solve edits the solver's persistent freeze-round log in
@@ -209,6 +227,37 @@ fn steady_state_reallocation_allocates_nothing() {
     let batch_allocs = alloc_count() - before;
     assert!(acc > 0.0);
     assert_eq!(batch_allocs, 0, "warm probe_rates (batched what-if) must not allocate");
+
+    // ------------------------------------- batches over never-probed pairs
+    // The engine resolves each probe's path from the route table on the
+    // spot. One warm-up batch of inter-pod (longest-path) pairs sizes the
+    // batch buffers; after it, batches over pairs no earlier call touched
+    // allocate nothing.
+    let tree = Arc::new(spec.build());
+    let tree_routes = Arc::new(RouteTable::new(&tree));
+    let mut tree_sim = FlowSim::new(tree, tree_routes, LinkSpec::new(4.2 * GBIT, 20 * MICROS), 7);
+    for id in 0..40 {
+        let (a, b) = pair_of(id);
+        tree_sim.start_flow(a, b, None, None, 0, id);
+    }
+    tree_sim.run_until(SECS);
+    let per_pod = hosts.len() / spec.pods;
+    let far: Vec<_> = (0..16).map(|i| (hosts[i], hosts[per_pod + i], None)).collect();
+    let mut fresh = far.clone();
+    tree_sim.probe_rates(&far, &mut out);
+    let before = alloc_count();
+    let mut acc = 0.0;
+    for round in 0..100u64 {
+        for (i, probe) in fresh.iter_mut().enumerate() {
+            let (a, b) = pair_of(20_000 + 16 * round + i as u64);
+            *probe = (a, b, None);
+        }
+        tree_sim.probe_rates(&fresh, &mut out);
+        acc += out.iter().sum::<f64>();
+    }
+    let fresh_allocs = alloc_count() - before;
+    assert!(acc > 0.0);
+    assert_eq!(fresh_allocs, 0, "probe_rates over fresh pairs must not allocate");
 
     // ----------------------------------------- flow-record recycling churn
     // A sustained arrive → retire → release → re-arrive cycle through the

@@ -467,9 +467,17 @@ fn flowsim_survives_a_long_warm_chain() {
                         let mut res: Vec<u32> = if a == b {
                             vec![(2 * n_links + a) as u32]
                         } else {
-                            let paths = routes.paths(hosts[a], hosts[b]);
-                            assert_eq!(paths.len(), 1, "the tree must route uniquely");
-                            paths[0].hops.iter().map(hop_resource).collect()
+                            assert_eq!(
+                                routes.path_count(hosts[a], hosts[b]),
+                                1,
+                                "the tree must route uniquely"
+                            );
+                            routes
+                                .path(hosts[a], hosts[b], 0)
+                                .hops()
+                                .iter()
+                                .map(hop_resource)
+                                .collect()
                         };
                         res.extend(hose.map(|h| h.0));
                         let key = sim.start_flow_now(hosts[a], hosts[b], None, hose, opno);

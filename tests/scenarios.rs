@@ -1,8 +1,9 @@
 //! Whole-service robustness scenarios, asserted on simulated outcomes
 //! only: link and switch failover recovery, the offered-load rejection
-//! knee, and the adversarial workload shapes against the nominal
-//! stream. Fixed topologies, streams and seeds; determinism across
-//! repeats is `tests/online.rs`'s job, timing is the perf ledger's
+//! knee, the adversarial workload shapes against the nominal stream,
+//! and a 2 048-host cluster whose route table has to fit. Fixed
+//! topologies, streams and seeds; determinism across repeats is
+//! `tests/online.rs`'s job, timing is the perf ledger's
 //! (`BENCHMARK.json`).
 
 use std::sync::Arc;
@@ -197,4 +198,50 @@ fn workload_shapes_spend_the_headroom_nominal_load_keeps() {
     cross_pod.gen.patterns = vec![AppPattern::CrossPod];
     let cross_pod = run_squeezed(&topo, cross_pod);
     assert!(cross_pod.stats().mean_departed_rate_bps().is_some(), "cross-pod saw no departures");
+}
+
+#[test]
+fn a_2048_host_cluster_fits_and_schedules() {
+    let spec = MultiRootedTreeSpec {
+        cores: 8,
+        pods: 16,
+        aggs_per_pod: 4,
+        tors_per_pod: 16,
+        hosts_per_tor: 8,
+        ..Default::default()
+    };
+    let topo = Arc::new(spec.build());
+    assert_eq!(topo.hosts().len(), 2048);
+    let routes = Arc::new(RouteTable::with_max_paths(&topo, 4));
+    assert!(
+        routes.heap_bytes() <= 16 << 20,
+        "route table holds {} bytes for 2 048 hosts",
+        routes.heap_bytes()
+    );
+    let run = || {
+        let mut svc =
+            SchedulerBuilder::new(Arc::clone(&topo), Arc::clone(&routes)).seed(42).build();
+        let cfg = WorkloadStreamConfig {
+            gen: WorkloadGenConfig {
+                tasks_min: 3,
+                tasks_max: 6,
+                mean_interarrival: SECS / 8,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        for (i, ev) in WorkloadStream::new(cfg, 7).take(3_000).enumerate() {
+            svc.step(&ev);
+            if i % 64 == 0 {
+                svc.check_invariants();
+            }
+        }
+        svc.check_invariants();
+        let s = svc.stats();
+        (s.trace_hash(), s.admitted + s.queue_admitted, s.rejected)
+    };
+    let first = run();
+    assert_eq!(first, run(), "two identical runs diverged");
+    assert!(first.1 >= 400, "only {} tenants admitted", first.1);
+    assert_eq!(first.2, 0, "a 2 048-host cluster at this load rejects nobody");
 }
