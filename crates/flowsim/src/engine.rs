@@ -257,7 +257,10 @@ pub struct SolveStats {
     pub probe_batches: u64,
     /// What-if candidates rated (batched and single-probe).
     pub probes: u64,
-    /// Logged rounds walked by probe replays, summed over candidates.
+    /// Logged rounds walked on behalf of probes: each per-resource
+    /// record read off the solve log walks it once, a candidate whose
+    /// resources all have a record walks nothing — so this follows the
+    /// distinct resources probed per solve, not the candidates.
     pub probe_replay_rounds: u64,
 }
 
@@ -827,13 +830,16 @@ impl FlowSim {
     /// simulation. This is the flow-level analogue of starting a probe
     /// connection.
     ///
-    /// Implemented as a batched-what-if replay: the solver keeps the
-    /// freeze-round log of the committed allocation, and the probe walks
-    /// that shared frozen prefix until one of its own resources would
-    /// become the bottleneck — bit-identical to adding the flow and
-    /// re-solving, but `O(rounds + events on the path)` and **observably
-    /// side-effect-free**: the arena is never touched, so the simulation
-    /// state is exactly as it was (only solver scratch is written).
+    /// Implemented as a what-if read of the solver's freeze-round log of
+    /// the committed allocation: for each resource of the path, the first
+    /// logged round that resource would saturate by with one more user,
+    /// and the candidate freezes at the earliest of them — bit-identical
+    /// to adding the flow and re-solving. A resource's answer does not
+    /// depend on who asks, so the solver keeps it until the next solve:
+    /// `O(rounds + events)` **per distinct resource per solve**, `O(path)`
+    /// per probe after that. **Observably side-effect-free**: the arena is
+    /// never touched, so the simulation state is exactly as it was (only
+    /// the solver's record memo is written).
     pub fn probe_rate(&mut self, src: NodeId, dst: NodeId, hose: Option<HoseId>) -> f64 {
         self.ensure_probe_log();
         self.fill_probe_path(src, dst, hose);
@@ -850,7 +856,12 @@ impl FlowSim {
     /// `probes[i]`. All candidates are evaluated **independently** against
     /// the same committed network state (they do not see one another),
     /// sharing a single solve instead of paying one each — the entry
-    /// point for candidate scoring in placement.
+    /// point for candidate scoring in placement. The batch costs what its
+    /// *distinct* resources cost: the scheduler's `k(k − 1)` ordered pairs
+    /// over `k` hosts name `2k` access directions and a few fabric links,
+    /// each walked through the log once; every further candidate — in
+    /// this batch or any later one before the next solve — is a fold over
+    /// its path.
     pub fn probe_rates(&mut self, probes: &[(NodeId, NodeId, Option<HoseId>)], out: &mut Vec<f64>) {
         self.ensure_probe_log();
         let mut batch = std::mem::take(&mut self.probe_batch);
@@ -867,7 +878,12 @@ impl FlowSim {
         self.stats.probe_replay_rounds += self.solver.last_probe_replay_rounds();
         if span::enabled() {
             span::value("probe_batch_size", batch.len() as f64);
+            // Resources the batch had to walk the log for; against the
+            // batch size, the reuse the per-resource records bought.
+            span::value("probe_records_built", self.solver.last_probe_records_built() as f64);
             if !batch.is_empty() {
+                // Amortised: rounds walked for those records, spread over
+                // every candidate they served.
                 let depth = self.solver.last_probe_replay_rounds() as f64 / batch.len() as f64;
                 span::value("probe_replay_depth", depth);
             }

@@ -442,8 +442,10 @@ impl ShareKey {
 /// draining a batch allocates nothing once the buffers are warm — reuse
 /// one instance via [`ProbeBatch::clear`]. Every candidate is evaluated
 /// **independently**: "what rate would this flow get if it alone joined
-/// the current flow set", all candidates sharing the frozen prefix of a
-/// single logged solve instead of paying one full solve each.
+/// the current flow set", all candidates reading a single logged solve
+/// instead of paying one full solve each — and reading it through one
+/// record per *distinct* resource, so candidates that overlap (host
+/// pairs sharing access links) share that work too.
 #[derive(Debug, Default, Clone)]
 pub struct ProbeBatch {
     /// Flat candidate resource ids.
@@ -707,18 +709,29 @@ fn size_like_rev(list: &mut Vec<u64>, arena: &FlowArena, r: usize) {
 /// * **by slot** — `round_of[slot]`: the round that froze the slot's flow.
 ///
 /// A candidate crossing resources `S` perturbs only the shares of `S`
-/// (each gains one user), so a probe replays the base rounds unchanged
-/// until the first round whose bottleneck key is beaten by a candidate
-/// share, reading `(slack, users)` changes off `events` — `O(rounds +
-/// events on S)`. A warm solve does the same for the resources its dirty
-/// window perturbed, and edits the log in place as it goes (see
-/// [`MaxMinSolver::solve_warm`]).
+/// (each gains one user), and it consumes nothing before it freezes — so
+/// what the log says about one resource of `S` does not depend on the
+/// rest of `S`, nor on which candidate asks. Probes therefore read the
+/// log **per resource**: `records[r]` memoises where a candidate's share
+/// on `r` first beats a logged bottleneck key (see [`ProbeRecord`]),
+/// walked off `events[r]` in `O(rounds + events on r)` the first time a
+/// probe names `r` after a solve, and a probe over `S` is the fold of
+/// its resources' records. A warm solve walks the log the same way for
+/// the resources its dirty window perturbed, and edits it in place as it
+/// goes (see [`MaxMinSolver::solve_warm`]).
 #[derive(Debug, Default)]
 struct SolveLog {
     rounds: RoundLog,
     events: Vec<Vec<u64>>,
     ev_users: Vec<u32>,
     round_of: Vec<u32>,
+    /// Per resource: the probe memo, valid while its `epoch` is the
+    /// log's. Grown to the resource space by the first probe that needs
+    /// it.
+    records: Vec<ProbeRecord>,
+    /// Bumped by [`SolveLog::stamp`], i.e. by every solve: the one thing
+    /// that decides whether a record still describes the log.
+    epoch: u64,
     /// Arena generation the log was recorded against.
     generation: u64,
     /// Resource-space size at record time.
@@ -757,12 +770,78 @@ impl SolveLog {
         self.stamp(arena);
     }
 
+    /// Declare the log current for `arena` — the last thing every solve,
+    /// cold or warm, does to it. Whatever the solve absorbed (flow churn,
+    /// announced capacity changes, a grown resource space), the probe
+    /// records read from the log as it was are stale now: the new epoch
+    /// drops them all at once, and each is re-read when a probe next
+    /// names its resource.
     fn stamp(&mut self, arena: &FlowArena) {
         self.generation = arena.generation();
         self.n_resources = arena.n_resources() as u32;
         self.slot_bound = arena.slot_bound() as u32;
         self.valid = true;
+        self.epoch += 1;
     }
+
+    /// Read resource `r`'s [`ProbeRecord`] off the log: `(hit, key)`.
+    ///
+    /// Start from `(capacities[r], arena.users(r))`, key the share with
+    /// the candidate as one extra user, and go through the logged keys in
+    /// order — every one is compared, `RoundLog::keys` is not monotone.
+    /// Between two of `r`'s own events its key cannot move, so those
+    /// rounds cost one `u128` compare each; at an event the round's delta
+    /// is applied with the solver's arithmetic (`slack -= d × level`) and
+    /// the key re-derived. The round an event belongs to is compared
+    /// *before* the event applies: a round's bottleneck pops on the state
+    /// the previous rounds left. `O(rounds + events on r)`.
+    fn read_record(&self, capacities: &[f64], arena: &FlowArena, r: u32) -> (u32, u128) {
+        let (keys, levels, pos) = (&self.rounds.keys, &self.rounds.levels, &self.rounds.pos);
+        let (mut slack, mut users) = (capacities[r as usize], arena.users(r) as u32);
+        let mut key = candidate_key(slack, users, r);
+        let mut k = 0usize;
+        for &e in &self.events[r as usize] {
+            let (id, d) = unpack(e);
+            let at = pos[id as usize] as usize;
+            if let Some(hit) = keys[k..=at].iter().position(|&logged| key <= logged) {
+                return ((k + hit) as u32, key);
+            }
+            users -= d;
+            slack -= d as f64 * levels[at];
+            key = candidate_key(slack, users, r);
+            k = at + 1;
+        }
+        let tail = keys[k..].iter().position(|&logged| key <= logged);
+        (tail.map_or(keys.len(), |hit| k + hit) as u32, key)
+    }
+}
+
+/// What the log tells a candidate about one resource `r` of its path:
+/// with the candidate as one extra user on `r`, the first logged round
+/// `r` would saturate no later than, and the share it would saturate at.
+/// A function of `r`'s capacity, user count and logged events alone — not
+/// of the candidate — so it is read once per solve
+/// ([`SolveLog::read_record`]) and shared by every probe that names `r`
+/// until the next solve bumps [`SolveLog::epoch`].
+#[derive(Debug, Clone, Copy, Default)]
+struct ProbeRecord {
+    /// [`candidate_key`] of `r` as of round `hit` (after every logged
+    /// round, when none was hit).
+    key: u128,
+    /// [`SolveLog::epoch`] of the log this was read from. The first
+    /// solve stamps epoch 1, so a zeroed record is valid for no log.
+    epoch: u64,
+    /// Position of the first round with `key ≤ keys[hit]`; the number of
+    /// rounds if there is none (the base set froze without saturating
+    /// `r`).
+    hit: u32,
+}
+
+/// [`ShareKey`] bits of resource `r`'s fair share with a candidate as
+/// one user more than the `users` unfrozen flows sharing `slack`.
+#[inline]
+fn candidate_key(slack: f64, users: u32, r: u32) -> u128 {
+    ShareKey::new((slack / (users + 1) as f64).max(0.0), r, 0).0
 }
 
 /// Extend `v` to `n` entries of `fill` (no-op when already that long).
@@ -790,9 +869,11 @@ struct Link {
 ///
 /// Every solve records the freeze-round sequence, which is what the
 /// batched what-if APIs ([`MaxMinSolver::probe`],
-/// [`MaxMinSolver::probe_batch`]) replay: rate a hypothetical extra flow
-/// in `O(rounds + events on its path)` through the shared frozen prefix,
-/// bit-identical to adding the flow and solving from scratch.
+/// [`MaxMinSolver::probe_batch`]) read: rate a hypothetical extra flow
+/// bit-identical to adding it and solving from scratch, at `O(rounds +
+/// events)` **per distinct resource per solve** — one bottleneck record
+/// per resource, kept until the next solve — plus `O(path)` per
+/// candidate to fold the records of its path.
 #[derive(Debug, Default)]
 pub struct MaxMinSolver {
     /// Backing buffer for the lazy min-heap of per-resource shares; kept
@@ -846,8 +927,6 @@ pub struct MaxMinSolver {
     /// only once it ends — until then a slot of a dropped round still
     /// names it in `round_of`, and must not alias a live round.
     dropped: Vec<u32>,
-    /// Probe scratch: one replay cursor per candidate resource.
-    probe_cur: Vec<ProbeCursor>,
     /// Observability: freeze rounds the last solve ran with the full
     /// cold-solve arithmetic (every round of a cold solve; the perturbed
     /// rounds of a warm one). Never read by the solve itself.
@@ -856,35 +935,12 @@ pub struct MaxMinSolver {
     /// previous log untouched (zero for a cold solve).
     last_replayed_rounds: u64,
     /// Observability: logged rounds walked by the last
-    /// [`MaxMinSolver::probe`] / [`MaxMinSolver::probe_batch`], summed
-    /// over the batch's candidates.
+    /// [`MaxMinSolver::probe`] / [`MaxMinSolver::probe_batch`] — summed
+    /// over the records it had to read, zero when every resource it named
+    /// already had one.
     last_probe_replay_rounds: u64,
-}
-
-/// Replay state of one candidate resource: its `(slack, users)` as of the
-/// round the replay stands at, the share key they imply with the candidate
-/// as one extra user, and its place in the resource's event list.
-#[derive(Debug, Clone, Copy)]
-struct ProbeCursor {
-    slack: f64,
-    users: u32,
-    /// Next unread entry of the resource's event list.
-    next: u32,
-    /// Position of that entry's round (`u32::MAX` once exhausted). Events
-    /// name rounds by id; caching the position here keeps the
-    /// id → position lookup off the per-round path — it is refreshed only
-    /// when the cursor advances.
-    next_pos: u32,
-    key: u128,
-}
-
-impl ProbeCursor {
-    /// Re-derive `key` after `(slack, users)` changed.
-    #[inline]
-    fn rekey(&mut self, r: u32) {
-        let share = (self.slack / (self.users + 1) as f64).max(0.0);
-        self.key = ShareKey::new(share, r, 0).0;
-    }
+    /// Observability: probe records the last probe or batch read.
+    last_probe_records_built: u64,
 }
 
 /// `wpos` sentinel: resource has no entry in the warm heap.
@@ -1533,10 +1589,19 @@ impl MaxMinSolver {
     }
 
     /// Logged rounds walked by the last [`MaxMinSolver::probe`] or
-    /// [`MaxMinSolver::probe_batch`], summed over the batch's candidates
-    /// — the replay depth behind each what-if answer. Diagnostics only.
+    /// [`MaxMinSolver::probe_batch`], summed over the per-resource
+    /// records it read — zero when every resource it named had been
+    /// probed since the last solve. Diagnostics only.
     pub fn last_probe_replay_rounds(&self) -> u64 {
         self.last_probe_replay_rounds
+    }
+
+    /// Per-resource records the last [`MaxMinSolver::probe`] or
+    /// [`MaxMinSolver::probe_batch`] read off the log: the distinct
+    /// resources it named that no probe had since the last solve.
+    /// Diagnostics only.
+    pub fn last_probe_records_built(&self) -> u64 {
+        self.last_probe_records_built
     }
 
     /// Refresh perturbed resource `r2`'s entry in the warm heap after its
@@ -1641,32 +1706,29 @@ impl MaxMinSolver {
     /// Rate a hypothetical extra flow crossing `resources` would receive
     /// if it joined the flow set last solved by
     /// [`MaxMinSolver::solve_logged`] — **bit-identical** to adding the
-    /// flow to `arena`, solving from scratch, and reading its rate, but in
-    /// `O(rounds + events on the path)` by replaying the logged frozen
-    /// prefix through the log's per-resource event lists (kept current
-    /// by every logged or warm solve — a probe never builds anything).
+    /// flow to `arena`, solving from scratch, and reading its rate, but
+    /// folded from per-resource bottleneck records read off the log:
+    /// `O(rounds + events on r)` for each resource `r` of the path that
+    /// no probe has named since the last solve, `O(path)` otherwise.
     ///
     /// The committed solution is untouched: neither `arena` nor the base
-    /// rates change (the only writes are to internal scratch), so probing
-    /// is observably side-effect-free and allocation-free once warm.
+    /// rates change (the only writes are to the solver's record memo), so
+    /// probing is observably side-effect-free and allocation-free once
+    /// the memo spans the resource space.
     ///
     /// Panics if the log is missing or stale ([`MaxMinSolver::log_matches`]),
     /// or if `resources` is empty or out of range. `capacities` must be
     /// the slice passed to the logged solve.
     pub fn probe(&mut self, capacities: &[f64], arena: &FlowArena, resources: &[u32]) -> f64 {
-        assert!(
-            self.log_matches(arena),
-            "probe without a current logged solve (call solve_logged first)"
-        );
-        assert!(capacities.len() >= self.log.n_resources as usize, "capacities too short");
-        self.last_probe_replay_rounds = 0;
+        self.begin_probes(capacities, arena, "probe");
         self.replay(capacities, arena, resources)
     }
 
     /// [`MaxMinSolver::probe`] over a whole batch: `out[i]` becomes the
     /// what-if rate of `batch.resources(i)`. Candidates are independent —
-    /// each is rated against the base flow set alone, all sharing the one
-    /// logged solve.
+    /// each is rated against the base flow set alone — and share the one
+    /// logged solve resource by resource: the batch walks the log once
+    /// per *distinct* resource its candidates name, however many name it.
     pub fn probe_batch(
         &mut self,
         capacities: &[f64],
@@ -1674,12 +1736,7 @@ impl MaxMinSolver {
         batch: &ProbeBatch,
         out: &mut Vec<f64>,
     ) {
-        assert!(
-            self.log_matches(arena),
-            "probe_batch without a current logged solve (call solve_logged first)"
-        );
-        assert!(capacities.len() >= self.log.n_resources as usize, "capacities too short");
-        self.last_probe_replay_rounds = 0;
+        self.begin_probes(capacities, arena, "probe_batch");
         out.clear();
         out.reserve(batch.len());
         for i in 0..batch.len() {
@@ -1688,96 +1745,61 @@ impl MaxMinSolver {
         }
     }
 
-    /// Replay the logged rounds for one candidate.
+    /// Entry checks and per-call tallies shared by `probe` and
+    /// `probe_batch`; sizes the record memo to the resource space.
+    fn begin_probes(&mut self, capacities: &[f64], arena: &FlowArena, what: &str) {
+        assert!(
+            self.log_matches(arena),
+            "{what} without a current logged solve (call solve_logged first)"
+        );
+        let nr = self.log.n_resources as usize;
+        assert!(capacities.len() >= nr, "capacities too short");
+        grow(&mut self.log.records, nr, ProbeRecord::default());
+        self.last_probe_replay_rounds = 0;
+        self.last_probe_records_built = 0;
+    }
+
+    /// Rate one candidate over path `s`: the share of `min over r ∈ s of
+    /// (hit_r, key_r)`, compared lexicographically, where `(hit_r,
+    /// key_r)` is `r`'s [`ProbeRecord`] — read off the log now if no
+    /// probe has named `r` since the last solve.
     ///
-    /// Before the candidate freezes it only *adds one user* to each of its
-    /// resources — it consumes nothing — so every base round whose
-    /// bottleneck key beats all candidate shares executes exactly as
-    /// logged. The walk keeps one [`ProbeCursor`] per candidate resource
-    /// into the log's event index and stops at the first round where the
-    /// smallest candidate key wins the pop: that resource is the
-    /// candidate's bottleneck and the share is its rate. Between events on
-    /// its own resources that smallest key cannot move, so those rounds
-    /// cost one `u128` compare each (every logged key is still compared,
-    /// in order — `SolveLog::keys` is not monotone); when an event fires,
-    /// the round's delta is applied with the solver's own arithmetic
-    /// (`slack -= d × level`, per resource in round order) and only that
-    /// resource's share is recomputed. If no round fires, the base set
-    /// froze entirely and the candidate gets the smallest remaining share
-    /// on its path. `O(rounds + events on s)`.
+    /// Why a fold of per-resource records is the candidate's rate. Before
+    /// the candidate freezes it only *adds one user* to each of its
+    /// resources — it consumes nothing — so every base round executes
+    /// exactly as logged until a candidate share wins a pop, and `r`'s
+    /// candidate key at round `k`, `key_r(k)`, is a function of `r`'s
+    /// capacity, user count and logged events alone. Adding the flow for
+    /// real would freeze it at the first round `K` with `min_r key_r(K) ≤
+    /// keys[K]`, at the share of that minimum. `hit_r` is the first round
+    /// with `key_r(hit_r) ≤ keys[hit_r]`, so `K = min_r hit_r`; and at
+    /// `K` any `r` with `hit_r > K` has `key_r(K) > keys[K]`, while one
+    /// with `hit_r = K` has `key_r(K) ≤ keys[K]` — the minimum over the
+    /// whole path is the minimum over the resources that hit at `K`,
+    /// whose recorded key is exactly `key_r(K)`. If no resource hits, the
+    /// base set froze entirely, every `hit_r` is the round count and the
+    /// candidate bottlenecks on the smallest final key of its path —
+    /// again the lexicographic minimum.
     fn replay(&mut self, capacities: &[f64], arena: &FlowArena, s: &[u32]) -> f64 {
         assert!(!s.is_empty(), "probe flow traverses no resources");
-        let log = &self.log;
-        let (keys, levels, pos) = (&log.rounds.keys, &log.rounds.levels, &log.rounds.pos);
-        // Position of the round behind entry `i` of an event list
-        // (`u32::MAX` past its end).
-        let pos_at = |list: &[u64], i: u32| {
-            list.get(i as usize).map_or(u32::MAX, |&e| pos[unpack(e).0 as usize])
-        };
-        let nr = log.n_resources as usize;
-        let cur = &mut self.probe_cur;
-        cur.clear();
-        // The candidate's best (share, resource) key with one extra user
-        // on each of its resources, and the next round that can move it.
-        let mut cmin = u128::MAX;
-        let mut next_ev = u32::MAX;
+        let log = &mut self.log;
+        let (nr, rounds) = (log.n_resources as usize, log.rounds.len() as u64);
+        let mut best = (u32::MAX, u128::MAX);
         for (i, &r) in s.iter().enumerate() {
             let ri = r as usize;
             assert!(ri < nr, "probe: bad resource {r}");
-            debug_assert!(
-                !s[..i].contains(&r),
-                "probe flow lists resource {r} twice (it would be double-charged)"
-            );
-            let mut c = ProbeCursor {
-                slack: capacities[ri],
-                users: arena.users(r) as u32,
-                next: 0,
-                next_pos: pos_at(&log.events[ri], 0),
-                key: 0,
-            };
-            c.rekey(r);
-            cmin = cmin.min(c.key);
-            next_ev = next_ev.min(c.next_pos);
-            cur.push(c);
+            debug_assert!(!s[..i].contains(&r), "probe flow lists resource {r} twice");
+            if log.records[ri].epoch != log.epoch {
+                let (hit, key) = log.read_record(capacities, arena, r);
+                log.records[ri] = ProbeRecord { key, epoch: log.epoch, hit };
+                // The hit round was compared too.
+                self.last_probe_replay_rounds += rounds.min(hit as u64 + 1);
+                self.last_probe_records_built += 1;
+            }
+            let rec = log.records[ri];
+            best = best.min((rec.hit, rec.key));
         }
-        let rounds = keys.len();
-        let mut k = 0usize;
-        let walked = loop {
-            // Rounds up to and including the next event see today's
-            // `cmin`. A hit means a candidate resource saturates before
-            // (or exactly as) the logged bottleneck: the candidate
-            // freezes there.
-            let stop = rounds.min(next_ev as usize + 1);
-            if let Some(hit) = keys[k..stop].iter().position(|&key| cmin <= key) {
-                break k + hit + 1;
-            }
-            if next_ev as usize >= rounds {
-                // Every base flow froze without saturating the candidate's
-                // path: it bottlenecks on its smallest remaining share.
-                break rounds;
-            }
-            // Round `next_ev` executes as logged; apply its deltas to the
-            // candidate resources it touches.
-            k = next_ev as usize;
-            let level = levels[k];
-            (cmin, next_ev) = (u128::MAX, u32::MAX);
-            for (c, &r) in cur.iter_mut().zip(s) {
-                if c.next_pos as usize == k {
-                    let list = &log.events[r as usize];
-                    let d = unpack(list[c.next as usize]).1;
-                    c.users -= d;
-                    c.slack -= d as f64 * level;
-                    c.next += 1;
-                    c.next_pos = pos_at(list, c.next);
-                    c.rekey(r);
-                }
-                cmin = cmin.min(c.key);
-                next_ev = next_ev.min(c.next_pos);
-            }
-            k += 1;
-        };
-        self.last_probe_replay_rounds += walked as u64;
-        ShareKey(cmin).share()
+        ShareKey(best.1).share()
     }
 }
 
@@ -1804,8 +1826,101 @@ pub fn max_min_rates(capacities: &[f64], flows: &[Vec<u32>]) -> Vec<f64> {
     rates
 }
 
+/// The probe oracle: one candidate walked over its *whole path* through
+/// the log, a cursor per resource, stopping at the first round the
+/// smallest candidate key wins — no per-resource record, no memo, no
+/// fold. It is to [`MaxMinSolver::probe`] what [`max_min_rates`] is to
+/// the solver: the property suite below bit-compares the two on every
+/// candidate, so the separability argument in `MaxMinSolver::replay` is
+/// checked, not trusted.
+#[cfg(test)]
+mod reference {
+    use super::{candidate_key, unpack, FlowArena, MaxMinSolver, ShareKey};
+
+    /// Replay state of one candidate resource: its `(slack, users)` as of
+    /// the round the replay stands at, the share key they imply with the
+    /// candidate as one extra user, and its place in the resource's event
+    /// list.
+    struct Cursor {
+        slack: f64,
+        users: u32,
+        /// Next unread entry of the resource's event list.
+        next: u32,
+        /// Position of that entry's round (`u32::MAX` once exhausted).
+        next_pos: u32,
+        key: u128,
+    }
+
+    /// The rate of a candidate crossing `s`, read off `solver`'s log.
+    pub(super) fn probe(
+        solver: &MaxMinSolver,
+        capacities: &[f64],
+        arena: &FlowArena,
+        s: &[u32],
+    ) -> f64 {
+        assert!(solver.log_matches(arena) && !s.is_empty());
+        let log = &solver.log;
+        let (keys, levels, pos) = (&log.rounds.keys, &log.rounds.levels, &log.rounds.pos);
+        // Position of the round behind entry `i` of an event list
+        // (`u32::MAX` past its end).
+        let pos_at = |list: &[u64], i: u32| {
+            list.get(i as usize).map_or(u32::MAX, |&e| pos[unpack(e).0 as usize])
+        };
+        let mut cur = Vec::with_capacity(s.len());
+        // The candidate's best (share, resource) key with one extra user
+        // on each of its resources, and the next round that can move it.
+        let mut cmin = u128::MAX;
+        let mut next_ev = u32::MAX;
+        for &r in s {
+            let ri = r as usize;
+            let (slack, users) = (capacities[ri], arena.users(r) as u32);
+            let next_pos = pos_at(&log.events[ri], 0);
+            let c = Cursor { slack, users, next: 0, next_pos, key: candidate_key(slack, users, r) };
+            cmin = cmin.min(c.key);
+            next_ev = next_ev.min(c.next_pos);
+            cur.push(c);
+        }
+        let rounds = keys.len();
+        let mut k = 0usize;
+        loop {
+            // Rounds up to and including the next event see today's
+            // `cmin`. A hit means a candidate resource saturates before
+            // (or exactly as) the logged bottleneck: the candidate
+            // freezes there.
+            let stop = rounds.min(next_ev as usize + 1);
+            if keys[k..stop].iter().any(|&key| cmin <= key) || next_ev as usize >= rounds {
+                // Hit — or every base flow froze without saturating the
+                // candidate's path, and it bottlenecks on its smallest
+                // remaining share.
+                return ShareKey(cmin).share();
+            }
+            // Round `next_ev` executes as logged; apply its deltas to the
+            // candidate resources it touches.
+            k = next_ev as usize;
+            let level = levels[k];
+            (cmin, next_ev) = (u128::MAX, u32::MAX);
+            for (c, &r) in cur.iter_mut().zip(s) {
+                if c.next_pos as usize == k {
+                    let list = &log.events[r as usize];
+                    let d = unpack(list[c.next as usize]).1;
+                    c.users -= d;
+                    c.slack -= d as f64 * level;
+                    c.next += 1;
+                    c.next_pos = pos_at(list, c.next);
+                    c.key = candidate_key(c.slack, c.users, r);
+                }
+                cmin = cmin.min(c.key);
+                next_ev = next_ev.min(c.next_pos);
+            }
+            k += 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn close(a: f64, b: f64) -> bool {
@@ -2015,8 +2130,42 @@ mod tests {
         rates[probe.0 as usize]
     }
 
-    /// Solve `base` logged, rate `candidates` both as one batch and one by
-    /// one, and bit-compare every answer with [`full_solve_probe`].
+    /// Rate `candidates` against `solver`'s current log as one batch and
+    /// one by one, and bit-compare every answer with both oracles — the
+    /// full-path [`reference::probe`] walk over the same log and
+    /// [`full_solve_probe`] over `base`, the arena's flow set. Then rate
+    /// the batch again: the second pass must be served from the records
+    /// of the first (nothing read, nothing walked) and say the same.
+    fn check_probes(
+        solver: &mut MaxMinSolver,
+        caps: &[f64],
+        arena: &FlowArena,
+        base: &[Vec<u32>],
+        candidates: &[Vec<u32>],
+    ) {
+        let mut batch = ProbeBatch::new();
+        for c in candidates {
+            batch.push(c);
+        }
+        let (mut out, mut again) = (Vec::new(), Vec::new());
+        solver.probe_batch(caps, arena, &batch, &mut out);
+        assert_eq!(out.len(), candidates.len());
+        for (c, got) in candidates.iter().zip(&out) {
+            let walk = reference::probe(solver, caps, arena, c);
+            assert_eq!(got.to_bits(), walk.to_bits(), "batched {c:?}: {got} vs walk {walk}");
+            let want = full_solve_probe(caps, base, c);
+            assert_eq!(got.to_bits(), want.to_bits(), "batched {c:?}: {got} vs {want}");
+            let solo = solver.probe(caps, arena, c);
+            assert_eq!(solo.to_bits(), want.to_bits(), "probe {c:?}: {solo} vs {want}");
+        }
+        solver.probe_batch(caps, arena, &batch, &mut again);
+        assert_eq!(solver.last_probe_records_built(), 0, "second pass read a record");
+        assert_eq!(solver.last_probe_replay_rounds(), 0, "second pass walked the log");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&again), "records disagree with the pass that built them");
+    }
+
+    /// Solve `base` logged and [`check_probes`] `candidates` against it.
     fn assert_probes_bitmatch(
         caps: &[f64],
         base: &[Vec<u32>],
@@ -2026,21 +2175,11 @@ mod tests {
         for f in base {
             arena.add(f);
         }
-        let mut batch = ProbeBatch::new();
-        for c in candidates {
-            batch.push(c);
-        }
         let mut solver = MaxMinSolver::new();
-        let (mut rates, mut out) = (Vec::new(), Vec::new());
+        let mut rates = Vec::new();
         solver.solve_logged(caps, &arena, &mut rates);
-        solver.probe_batch(caps, &arena, &batch, &mut out);
-        assert_eq!(out.len(), candidates.len());
-        for (c, got) in candidates.iter().zip(&out) {
-            let want = full_solve_probe(caps, base, c);
-            assert_eq!(got.to_bits(), want.to_bits(), "batched {c:?}: {got} vs {want}");
-            let solo = solver.probe(caps, &arena, c);
-            assert_eq!(solo.to_bits(), want.to_bits(), "probe {c:?}: {solo} vs {want}");
-        }
+        let candidates: Vec<Vec<u32>> = candidates.iter().map(|c| c.to_vec()).collect();
+        check_probes(&mut solver, caps, &arena, base, &candidates);
         solver
     }
 
@@ -2077,6 +2216,43 @@ mod tests {
             "instance no longer produces an inversion: {:?}",
             solver.log.rounds.levels
         );
+    }
+
+    #[test]
+    fn probe_fold_ranks_the_hit_round_above_the_key() {
+        // Same L, one resource up: 1 is the base bottleneck at L (round 0)
+        // and 2 would tie with it once the candidate is its third user,
+        // but loses the tie on id — it saturates at round 1 instead, where
+        // `(3L − L) / 2` has rounded an ulp below L. Idle resource 0 has
+        // capacity L exactly and wins round 0 on id. So for candidate
+        // [0, 2] resource 2 records the *smaller* key at the *later*
+        // round: the flow freezes on 0 at L, and a fold on keys alone
+        // would answer L − ulp.
+        let l = 31.0 / 26.0;
+        let caps = [l, l * 6.0, l * 3.0];
+        let mut base: Vec<Vec<u32>> = vec![vec![1, 2], vec![2]];
+        base.extend(std::iter::repeat_n(vec![1], 5));
+        let solver = assert_probes_bitmatch(&caps, &base, &[&[0, 2], &[2, 0], &[0], &[2]]);
+        let (idle, tied) = (solver.log.records[0], solver.log.records[2]);
+        assert!(
+            idle.hit < tied.hit && tied.key < idle.key,
+            "instance no longer orders hit and key apart: {idle:?} vs {tied:?}"
+        );
+    }
+
+    #[test]
+    fn probe_ties_with_a_bottleneck_whose_share_underflows() {
+        // The only way a candidate's key *equals* a logged key: it sits on
+        // the round's own bottleneck and `slack / (users + 1)` is
+        // `slack / users` — both zero. The smallest subnormal halves to
+        // zero (ties-to-even), so resource 0's two flows freeze at level
+        // 0 and a third user gets 0 there too: the candidate must stop at
+        // that round on `≤`. Walking past it would hand it the whole
+        // 5e-324 the zero-rate flows left behind.
+        let caps = [5e-324, 10.0];
+        let base: Vec<Vec<u32>> = vec![vec![0], vec![0, 1], vec![1]];
+        let solver = assert_probes_bitmatch(&caps, &base, &[&[0], &[0, 1], &[1]]);
+        assert_eq!(solver.log.rounds.levels[0], 0.0);
     }
 
     #[test]
@@ -2117,6 +2293,105 @@ mod tests {
         solver.solve_logged(&caps, &arena, &mut rates);
         arena.add(&[0]); // mutate after the logged solve
         let _ = solver.probe(&caps, &arena, &[0]);
+    }
+
+    /// The candidate shapes [`check_probes`] is run on after every churn
+    /// step, over resources `0..nr`:
+    ///
+    /// * the scheduler's batch — every ordered pair of a small "host"
+    ///   set, host `i` owning access resources `2i` (up) and `2i + 1`
+    ///   (down), all pairs crossing resource `nr − 1` as their fabric
+    ///   when it is not an access resource: many candidates, few distinct
+    ///   resources;
+    /// * every resource alone;
+    /// * the resources no flow crosses, as one path;
+    /// * `extra`, the step's own random path.
+    fn candidate_shapes(arena: &FlowArena, hosts: usize, extra: &[u32]) -> Vec<Vec<u32>> {
+        let nr = arena.n_resources() as u32;
+        let hosts = (hosts as u32).min(nr / 2);
+        let fabric = (nr > 2 * hosts).then_some(nr - 1);
+        let mut shapes = Vec::new();
+        for i in 0..hosts {
+            for j in (0..hosts).filter(|&j| j != i) {
+                let mut path = vec![2 * i];
+                path.extend(fabric);
+                path.push(2 * j + 1);
+                shapes.push(path);
+            }
+        }
+        shapes.extend((0..nr).map(|r| vec![r]));
+        let unused: Vec<u32> = (0..nr).filter(|&r| arena.users(r) == 0).collect();
+        if !unused.is_empty() {
+            shapes.push(unused);
+        }
+        shapes.push(extra.to_vec());
+        shapes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(proptest::resolve_cases(48)))]
+        #[test]
+        fn record_probes_bitmatch_the_reference_walk_and_full_solves_under_churn(
+            caps in prop::collection::vec(1.0f64..1000.0, 1..8),
+            from_inversion in any::<bool>(),
+            hosts in 2usize..5,
+            ops in prop::collection::vec(
+                (0u8..8, prop::collection::vec(0usize..16, 1..5), 1.0f64..1000.0),
+                1..20,
+            ),
+        ) {
+            // Start from an empty flow set over random capacities, or from
+            // the hand-built log whose second key dips under its first
+            // (`probes_bitmatch_full_solves_on_a_log_with_a_key_inversion`).
+            let (mut caps, base) = if from_inversion {
+                let l = 31.0 / 26.0;
+                let mut base = vec![vec![0, 1], vec![1], vec![1], vec![2], vec![2]];
+                base.extend(std::iter::repeat_n(vec![0], 5));
+                (vec![l * 6.0, l * 3.0, 5.0, 100.0], base)
+            } else {
+                (caps, Vec::new())
+            };
+            let mut arena = FlowArena::new(caps.len());
+            let mut live: Vec<(FlowSlot, Vec<u32>)> =
+                base.into_iter().map(|f| (arena.add(&f), f)).collect();
+            let mut solver = MaxMinSolver::new();
+            let mut rates = Vec::new();
+            let norm = |path: &[usize], nr: usize| -> Vec<u32> {
+                let mut f: Vec<u32> = path.iter().map(|r| (r % nr) as u32).collect();
+                f.sort_unstable();
+                f.dedup();
+                f
+            };
+            // Step 0 probes the starting state; every later step applies
+            // one churn op first. Each step re-solves warm (cold the first
+            // time), so every check starts on a fresh epoch.
+            for step in 0..=ops.len() {
+                let nr = arena.n_resources();
+                let mut extra = vec![0];
+                if let Some((op, path, cap)) = step.checked_sub(1).map(|i| &ops[i]) {
+                    extra = norm(path, nr);
+                    match op {
+                        0..=2 => live.push((arena.add(&extra), extra.clone())),
+                        3 | 4 if !live.is_empty() => {
+                            let (slot, _) = live.swap_remove(path[0] % live.len());
+                            arena.remove(slot);
+                        }
+                        5 | 6 => {
+                            caps[extra[0] as usize] = *cap;
+                            arena.touch_resource(extra[0]);
+                        }
+                        _ => {
+                            arena.grow_resources(nr + 1);
+                            caps.push(*cap);
+                        }
+                    }
+                }
+                solver.solve_warm(&caps, &mut arena, &mut rates);
+                let base: Vec<Vec<u32>> = live.iter().map(|(_, f)| f.clone()).collect();
+                let shapes = candidate_shapes(&arena, hosts, &extra);
+                check_probes(&mut solver, &caps, &arena, &base, &shapes);
+            }
+        }
     }
 
     // ------------------------------------------------- warm-started solves

@@ -44,14 +44,25 @@
 //!
 //! Placement quality hinges on scoring many candidate flows against the
 //! same network state, and a solve per candidate is the scaling
-//! bottleneck. A [`ProbeBatch`] removes it:
-//! [`MaxMinSolver::probe_batch`] replays the frozen freeze-round prefix
-//! of *one* logged solve per candidate (`O(rounds + events on the
-//! candidate's resources)` each, through the per-resource event lists
-//! every logged solve keeps current, early exit at the candidate's
-//! bottleneck), bit-identical to a full solve per candidate.
-//! [`FlowSim::probe_rate`] and [`FlowSim::probe_rates`] ride on it, which
-//! also makes probing observably side-effect-free — no arena round-trip.
+//! bottleneck. A [`ProbeBatch`] removes it: [`MaxMinSolver::probe_batch`]
+//! rates every candidate off *one* logged solve, bit-identical to a full
+//! solve per candidate. The probe is separable per resource. Until it
+//! freezes a candidate consumes nothing — it only adds one user to each
+//! resource of its path — so the first logged round resource `r` would
+//! saturate by with one more user, and the share it would saturate at,
+//! depend on `r`'s capacity, users and logged events alone, not on the
+//! candidate. That pair is `r`'s bottleneck record; the candidate freezes
+//! at the earliest round among its resources' records (a resource that
+//! hits later still has a larger share at that round, so it cannot be
+//! the minimum there), at the smallest share recorded for that round.
+//! Cost model: `O(rounds + events on r)` **per distinct resource per
+//! solve** — read through the per-resource event lists every logged solve
+//! keeps current, kept until the next solve stamps the log — plus
+//! `O(path)` per candidate to fold. A batch of `k(k − 1)` host pairs
+//! walks the log for `2k` access directions and a few fabric links, not
+//! `k(k − 1)` times. [`FlowSim::probe_rate`] and [`FlowSim::probe_rates`]
+//! ride on it, which also makes probing observably side-effect-free — no
+//! arena round-trip.
 //!
 //! # Warm-started delta solves: the `SolveLog` lifecycle
 //!
@@ -74,6 +85,11 @@
 //!   froze flows crossing it, in position order, plus their sum (the
 //!   flows on the resource the log accounts for).
 //! * **by slot** — the round that froze the slot's flow.
+//! * **probe records** — per resource, the bottleneck record above,
+//!   tagged with the epoch of the log it was read from. Every solve bumps
+//!   the log's epoch when it stamps the log current, which is all the
+//!   invalidation there is: no clearing pass, a record is re-read when a
+//!   probe next names its resource.
 //!
 //! The states:
 //!
@@ -82,10 +98,11 @@
 //! 2. **Logged** — after [`MaxMinSolver::solve_logged`], the one cold
 //!    entry point: every freeze round recorded, both indexes built in
 //!    one `O(touched + resources + slots)` pass, the log stamped with
-//!    the arena's generation. A probe replay is `O(rounds +
-//!    events on the candidate's resources)`. The stamp must match the
-//!    arena exactly ([`MaxMinSolver::log_matches`]) — any mutation
-//!    staled it.
+//!    the arena's generation. A probe reads one record per resource of
+//!    its path, walking the log (`O(rounds + events on the resource)`)
+//!    only for those no probe has named since the stamp. The stamp must
+//!    match the arena exactly ([`MaxMinSolver::log_matches`]) — any
+//!    mutation staled it.
 //! 3. **Warm** — after [`MaxMinSolver::solve_warm`]: the solver walked
 //!    the log against the mutated arena and edited it where the
 //!    mutations reached. The arena's dirty resource set seeds a
@@ -100,8 +117,8 @@
 //!    `O(rounds)` compares plus work on the perturbation closure —
 //!    bit-identical to a cold `solve_logged`. Event lists are edited for
 //!    perturbed resources only, so the log is again *logged*, indexes
-//!    included, with a fresh generation stamp: probes work at once and
-//!    the next churn event chains warm. [`SolveStats::replayed_rounds`]
+//!    included, with a fresh generation stamp and record epoch: probes
+//!    work at once and the next churn event chains warm. [`SolveStats::replayed_rounds`]
 //!    counts the rounds carried, [`SolveStats::live_rounds`] the rounds
 //!    run live.
 //!

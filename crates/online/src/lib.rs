@@ -178,6 +178,30 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_attempt_leaves_its_probe_records_to_the_next() {
+        let mut s = service(OnlineConfig::default());
+        s.step(&arrive(0, 0, fat_app("running", 4, 4.0)));
+        assert_eq!(s.sim.active_flows(), 1, "one live flow, so the solve log has a round");
+        // 16 of 32 cores are left, on four idle 4-core hosts. Five 3-core
+        // tasks pass the total-CPU check and get as far as rating host
+        // pairs for their transfer, then run out of hosts — what a queued
+        // tenant does on every retry.
+        let app = fat_app("too lumpy", 5, 3.0);
+        let t0 = s.sim.solve_stats();
+        assert!(s.try_place(&app, PlacementPolicy::Greedy).is_none());
+        let t1 = s.sim.solve_stats();
+        assert!(t1.probes > t0.probes, "the attempt rated candidates: {t1:?}");
+        assert!(t1.probe_replay_rounds > t0.probe_replay_rounds, "and walked the log: {t1:?}");
+        // Nothing changed in between: the same candidates again, every
+        // resource they name already on record.
+        assert!(s.try_place(&app, PlacementPolicy::Greedy).is_none());
+        let t2 = s.sim.solve_stats();
+        assert_eq!(t2.probes - t1.probes, t1.probes - t0.probes);
+        assert_eq!(t2.probe_replay_rounds, t1.probe_replay_rounds, "second attempt walked");
+        assert_eq!((t2.warm_solves, t2.cold_solves), (t1.warm_solves, t1.cold_solves));
+    }
+
+    #[test]
     fn intensity_changes_scale_flow_counts() {
         // 1-core hosts force the pair apart, so it runs a network flow.
         let cfg = OnlineConfig { cores_per_host: 1.0, ..OnlineConfig::default() };

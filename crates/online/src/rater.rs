@@ -25,13 +25,20 @@ pub struct LiveRater<'a> {
     sim: &'a mut FlowSim,
     hosts: &'a [NodeId],
     subset: &'a [u32],
-    probes: Vec<(NodeId, NodeId, Option<HoseId>)>,
+    probes: &'a mut Vec<(NodeId, NodeId, Option<HoseId>)>,
 }
 
 impl<'a> LiveRater<'a> {
     /// Rater over `subset` (global host indices) of `sim`'s network.
-    pub fn new(sim: &'a mut FlowSim, hosts: &'a [NodeId], subset: &'a [u32]) -> Self {
-        LiveRater { sim, hosts, subset, probes: Vec::new() }
+    /// `probes` is scratch for the batches handed to the engine — lent by
+    /// the caller so a rater per placement attempt allocates nothing.
+    pub fn new(
+        sim: &'a mut FlowSim,
+        hosts: &'a [NodeId],
+        subset: &'a [u32],
+        probes: &'a mut Vec<(NodeId, NodeId, Option<HoseId>)>,
+    ) -> Self {
+        LiveRater { sim, hosts, subset, probes }
     }
 }
 
@@ -51,7 +58,7 @@ impl CandidateRater for LiveRater<'_> {
             let dst = self.hosts[self.subset[n as usize] as usize];
             (src, dst, None)
         }));
-        self.sim.probe_rates(&self.probes, out);
+        self.sim.probe_rates(self.probes, out);
     }
 
     fn hose_rate(&mut self, _vm: u32) -> f64 {
@@ -78,7 +85,8 @@ mod tests {
         // Load the shared link with one background flow.
         sim.start_flow_now(hosts[1], hosts[3], None, None, 9);
         let subset = [0u32, 2];
-        let mut rater = LiveRater::new(&mut sim, &hosts, &subset);
+        let mut probes = Vec::new();
+        let mut rater = LiveRater::new(&mut sim, &hosts, &subset, &mut probes);
         assert_eq!(rater.n_vms(), 2);
         assert_eq!(rater.model(), RateModel::Pipe);
         let mut out = Vec::new();

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use choreo_flowsim::{FlowKey, FlowSim};
+use choreo_flowsim::{FlowKey, FlowSim, HoseId};
 use choreo_measure::stability::last_relative_error;
 use choreo_metrics::Counter;
 use choreo_place::greedy::GreedyPlacer;
@@ -101,6 +101,9 @@ pub struct OnlineScheduler {
     /// Scratch: CPU capacities of `cand`, lent to each attempt's
     /// [`Machines`] view.
     sub_cpu: Vec<f64>,
+    /// Scratch: the what-if batches of the current attempt's
+    /// [`LiveRater`].
+    probes: Vec<(NodeId, NodeId, Option<HoseId>)>,
     /// The per-pod capacity-lost gauges (observational only).
     pod_loss: PodLossGauges,
     /// Cached `choreo_shape_events_total{shape=...}` series for this
@@ -187,6 +190,7 @@ impl OnlineScheduler {
             active: 0,
             cand: Vec::new(),
             sub_cpu: Vec::new(),
+            probes: Vec::new(),
             pod_loss,
             shape_events,
             admission_series: Default::default(),
@@ -622,7 +626,8 @@ impl OnlineScheduler {
                 for (i, &h) in self.cand.iter().enumerate() {
                     sub_load.cpu_used[i] = self.load.cpu_used[h as usize];
                 }
-                let mut rater = LiveRater::new(&mut self.sim, &self.hosts, &self.cand);
+                let mut rater =
+                    LiveRater::new(&mut self.sim, &self.hosts, &self.cand, &mut self.probes);
                 GreedyPlacer.place_with_rater(app, &sub_machines, &mut rater, &sub_load).ok()
             }
             PlacementPolicy::Random(_) => {

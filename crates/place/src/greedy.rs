@@ -19,9 +19,15 @@
 //! the rater as a single `path_rates` batch. Against a snapshot that is a
 //! memory walk; against a live backend (see
 //! [`crate::rater::BackendRater`]) it collapses `O(V²)` what-if solver
-//! passes per transfer into one. The sharing adjustment for transfers
-//! placed earlier in the same call is pure arithmetic applied on top, so
-//! cached raw rates never go stale.
+//! passes per transfer into one — and that one costs what the batch's
+//! *distinct* resources cost, not its `V(V − 1)` pairs: the engine reads
+//! its solve log once per resource (`2V` access directions plus the
+//! fabric links between them, `O(rounds + events)` each), keeps the
+//! answer until the network next changes, and rates a pair by folding the
+//! answers along its path. Later transfers of the same placement name new
+//! pairs over the same resources and walk nothing. The sharing adjustment
+//! for transfers placed earlier in the same call is pure arithmetic
+//! applied on top, so cached raw rates never go stale.
 //!
 //! Committing the placement completes the warm chain: rating candidates
 //! against a live flow cloud leaves the engine's solver holding the

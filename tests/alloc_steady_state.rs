@@ -19,7 +19,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use choreo_repro::flowsim::{FlowArena, FlowSim, FlowSlot, MaxMinSolver, ProbeBatch};
-use choreo_repro::online::{DriftConfig, MigrationConfig, OnlineConfig, SchedulerBuilder};
+use choreo_repro::online::{
+    DriftConfig, LiveRater, MigrationConfig, OnlineConfig, SchedulerBuilder,
+};
+use choreo_repro::place::rater::CandidateRater;
 use choreo_repro::profile::{AppProfile, TenantEvent, TenantEventKind, TrafficMatrix};
 use choreo_repro::topology::route::splitmix64;
 use choreo_repro::topology::{
@@ -258,6 +261,67 @@ fn steady_state_reallocation_allocates_nothing() {
     let fresh_allocs = alloc_count() - before;
     assert!(acc > 0.0);
     assert_eq!(fresh_allocs, 0, "probe_rates over fresh pairs must not allocate");
+
+    // ------------------------------- overlapping batches, record by record
+    // The scheduler's first-transfer batch — all 240 ordered pairs of 16
+    // candidate hosts — names each access direction 15 times over. The
+    // solver walks its log once per distinct resource into a record table
+    // it keeps across solves, so a placement-style round — one flow
+    // replaces another, warm re-solve, the batch, the same batch again
+    // (served from the records), and once more through a `LiveRater` built
+    // for the attempt on scratch the caller lends, as `try_place` does —
+    // allocates nothing once the table spans the resource space. A hose
+    // grows that space: the round after sizes the table again, and the
+    // rounds after that, rating hose-capped candidates, are back to zero.
+    let subset: Vec<u32> = (0..16).map(|i| i * 4).collect();
+    let mut local_pairs = Vec::new();
+    for m in 0..16u32 {
+        local_pairs.extend((0..16).filter(|&n| n != m).map(|n| (m, n)));
+    }
+    let mut overlapping: Vec<_> = local_pairs
+        .iter()
+        .map(|&(m, n)| {
+            (hosts[subset[m as usize] as usize], hosts[subset[n as usize] as usize], None)
+        })
+        .collect();
+    assert_eq!(overlapping.len(), 240);
+    let mut lent = Vec::new();
+    let mut resident = tree_sim.start_flow_now(hosts[1], hosts[2], None, None, 77);
+    let mut placement_rounds = |sim: &mut FlowSim, batch: &[_], ids: std::ops::Range<u64>| {
+        let (walked, mut sum) = (sim.solve_stats().probe_replay_rounds, 0.0);
+        let mut served = walked;
+        for id in ids {
+            // Rack neighbours have one path: no ECMP draw, so a second
+            // pass over the same ids retraces the first exactly.
+            let a = (id * 7 % 64) as usize;
+            sim.stop_flows_now(&[resident]);
+            sim.release_flow(resident);
+            resident = sim.start_flow_now(hosts[a], hosts[a ^ 1], None, None, 77);
+            sim.probe_rates(batch, &mut out);
+            served = sim.solve_stats().probe_replay_rounds;
+            sim.probe_rates(batch, &mut out);
+            LiveRater::new(sim, hosts, &subset, &mut lent).path_rates(&local_pairs, &mut what_if);
+            assert_eq!(sim.solve_stats().probe_replay_rounds, served, "a repeat walked the log");
+            sum += out.iter().chain(&what_if).sum::<f64>();
+        }
+        assert!(served > walked && sum > 0.0, "the rounds re-solved and rated");
+    };
+    // Warm-up runs the measured rounds, as above: the arena's reverse
+    // lists reach the footprint this very churn needs.
+    placement_rounds(&mut tree_sim, &overlapping, 0..50);
+    let before = alloc_count();
+    placement_rounds(&mut tree_sim, &overlapping, 0..50);
+    let record_allocs = alloc_count() - before;
+    assert_eq!(record_allocs, 0, "re-solve → overlapping batch → same batch must not allocate");
+    let hose = tree_sim.add_hose(0.3 * GBIT);
+    for probe in overlapping.iter_mut().step_by(5) {
+        probe.2 = Some(hose);
+    }
+    placement_rounds(&mut tree_sim, &overlapping, 0..1);
+    let before = alloc_count();
+    placement_rounds(&mut tree_sim, &overlapping, 1..50);
+    let hose_allocs = alloc_count() - before;
+    assert_eq!(hose_allocs, 0, "one round after a hose grew the resource space: no allocation");
 
     // ----------------------------------------- flow-record recycling churn
     // A sustained arrive → retire → release → re-arrive cycle through the

@@ -200,7 +200,9 @@ fn full_solve_probe(caps: &[f64], arena: &FlowArena, cand: &[u32]) -> f64 {
 }
 
 /// Rate `cands` over `solver`'s current log — as one batch and then one
-/// by one — and bit-compare every answer with [`full_solve_probe`].
+/// by one — and bit-compare every answer with [`full_solve_probe`]; then
+/// once more as a batch, which must be served from the per-resource
+/// records the first pass left (nothing read, nothing walked) and agree.
 fn check_probes_bitmatch(
     solver: &mut MaxMinSolver,
     caps: &[f64],
@@ -221,6 +223,12 @@ fn check_probes_bitmatch(
         let solo = solver.probe(caps, arena, c);
         assert_eq!(solo.to_bits(), want.to_bits(), "{what}: probe {c:?}: {solo} vs {want}");
     }
+    let mut again = Vec::new();
+    solver.probe_batch(caps, arena, &batch, &mut again);
+    assert_eq!(solver.last_probe_records_built(), 0, "{what}: second pass read a record");
+    assert_eq!(solver.last_probe_replay_rounds(), 0, "{what}: second pass walked the log");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&out), bits(&again), "{what}: records disagree with the pass that built them");
 }
 
 proptest! {
@@ -824,6 +832,70 @@ proptest! {
                 rates[slot.0 as usize].to_bits(),
                 check[slot.0 as usize].to_bits()
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn overlapping_probes_bitmatch_per_candidate_solves_under_warm_churn(
+        caps in prop::collection::vec(1.0f64..1000.0, 4..12),
+        hosts in 2usize..5,
+        ops in prop::collection::vec(
+            (0u8..8, prop::collection::vec(0usize..12, 1..5), 1.0f64..1000.0),
+            1..24,
+        ),
+    ) {
+        // The scheduler's batch on a small scale: every ordered pair of a
+        // "host" set, host `i` owning access resources `2i` (up) and
+        // `2i + 1` (down), all pairs crossing the last resource as their
+        // fabric when it is nobody's access resource — a dozen candidates
+        // over a handful of distinct resources, so most of a batch is
+        // served from records its first few candidates read. One
+        // warm-chaining solver rides adds, removes, capacity retuning and
+        // resource-space growth; after every warm solve (a fresh record
+        // epoch) the batch, every resource alone, the idle resources and
+        // the step's own path are rated twice and compared with adding
+        // each candidate for real.
+        let mut caps = caps;
+        let mut arena = FlowArena::new(caps.len());
+        let mut solver = MaxMinSolver::new();
+        let mut rates = Vec::new();
+        let mut live: Vec<FlowSlot> = Vec::new();
+        for (opno, (op, path, cap)) in ops.iter().enumerate() {
+            let nr = arena.n_resources() as u32;
+            let mut own: Vec<u32> = path.iter().map(|&r| r as u32 % nr).collect();
+            own.sort_unstable();
+            own.dedup();
+            match op {
+                0..=2 => live.push(arena.add(&own)),
+                3 | 4 if !live.is_empty() => arena.remove(live.swap_remove(path[0] % live.len())),
+                5 | 6 => {
+                    caps[own[0] as usize] = *cap;
+                    arena.touch_resource(own[0]);
+                }
+                _ => {
+                    arena.grow_resources(nr as usize + 1);
+                    caps.push(*cap);
+                }
+            }
+            solver.solve_warm(&caps, &mut arena, &mut rates);
+            let nr = arena.n_resources() as u32;
+            let hosts = (hosts as u32).min(nr / 2);
+            let fabric = (nr > 2 * hosts).then_some(nr - 1);
+            let mut cands = vec![own];
+            for i in 0..hosts {
+                for j in (0..hosts).filter(|&j| j != i) {
+                    cands.push([2 * i].into_iter().chain(fabric).chain([2 * j + 1]).collect());
+                }
+            }
+            cands.extend((0..nr).map(|r| vec![r]));
+            let idle: Vec<u32> = (0..nr).filter(|&r| arena.users(r) == 0).collect();
+            if !idle.is_empty() {
+                cands.push(idle);
+            }
+            check_probes_bitmatch(&mut solver, &caps, &arena, &cands, &format!("op {opno}"));
         }
     }
 }

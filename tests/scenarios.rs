@@ -1,19 +1,23 @@
 //! Whole-service robustness scenarios, asserted on simulated outcomes
 //! only: link and switch failover recovery, the offered-load rejection
 //! knee, the adversarial workload shapes against the nominal stream,
-//! and a 2 048-host cluster whose route table has to fit. Fixed
+//! a 2 048-host cluster whose route table has to fit, and what a
+//! 240-pair probe batch on 512 hosts costs in solve-log rounds. Fixed
 //! topologies, streams and seeds; determinism across repeats is
 //! `tests/online.rs`'s job, timing is the perf ledger's
 //! (`BENCHMARK.json`).
 
 use std::sync::Arc;
 
+use choreo_repro::flowsim::FlowSim;
 use choreo_repro::online::{DriftConfig, OnlineConfig, OnlineScheduler, SchedulerBuilder};
 use choreo_repro::profile::{
     switch_link_groups, AppPattern, FlashCrowdConfig, HeavyTailConfig, NetworkEvent,
     NetworkEventKind, WorkloadGenConfig, WorkloadStream, WorkloadStreamConfig,
 };
-use choreo_repro::topology::{MultiRootedTreeSpec, RouteTable, Topology, SECS};
+use choreo_repro::topology::{
+    LinkSpec, MultiRootedTreeSpec, NodeId, RouteTable, Topology, GBIT, MICROS, SECS,
+};
 
 /// `pods` × 4 ToRs × 4 hosts under two cores: 8 pods is the 128-host
 /// service cluster, 2 pods the 32-host one the load scenarios squeeze.
@@ -244,4 +248,76 @@ fn a_2048_host_cluster_fits_and_schedules() {
     assert_eq!(first, run(), "two identical runs diverged");
     assert!(first.1 >= 400, "only {} tenants admitted", first.1);
     assert_eq!(first.2, 0, "a 2 048-host cluster at this load rejects nobody");
+}
+
+#[test]
+fn a_probe_batch_walks_the_log_once_per_distinct_resource() {
+    // The scheduler's first-transfer batch on the 512-host tree: all 240
+    // ordered pairs of 16 candidate hosts, against 300 running flows.
+    let topo = tree(32);
+    let routes = Arc::new(RouteTable::new(&topo));
+    let hosts = topo.hosts().to_vec();
+    // Flows run between odd hosts, candidates are even ones: like the
+    // scheduler's pick (most free CPU), idle — their shares stay above
+    // most logged levels, so a walk goes deep into the log.
+    let flows: Vec<(NodeId, NodeId)> =
+        (0..300).map(|i| (hosts[(i * 37 % 512) | 1], hosts[((i * 101 + 7) % 512) | 1])).collect();
+    let sim_with = |flows: &[(NodeId, NodeId)]| {
+        let loopback = LinkSpec::new(4.2 * GBIT, 20 * MICROS);
+        let mut sim = FlowSim::new(Arc::clone(&topo), Arc::clone(&routes), loopback, 42);
+        for (tag, &(src, dst)) in flows.iter().enumerate() {
+            sim.start_flow_now(src, dst, None, None, tag as u64);
+        }
+        sim
+    };
+    let cand: Vec<NodeId> = (0..16).map(|i| hosts[i * 32]).collect();
+    let extra = (cand[0], cand[1]);
+    let mut batch = Vec::new();
+    for &src in &cand {
+        batch.extend(cand.iter().filter(|&&dst| dst != src).map(|&dst| (src, dst, None)));
+    }
+    assert_eq!(batch.len(), 240);
+    let mut named = Vec::new();
+    for &(src, dst, _) in &batch {
+        named.extend(routes.path(src, dst, 0).hops().iter().map(|hop| hop.index()));
+    }
+    named.sort_unstable();
+    named.dedup();
+    // Hosts in 16 different racks: two access directions each, plus the
+    // fabric links their first equal-cost paths cross.
+    assert!(named.len() * 2 < batch.len(), "240 pairs name {} resources", named.len());
+
+    let mut sim = sim_with(&flows);
+    sim.check_rates_against_cold();
+    let solved = sim.solve_stats();
+    let rounds = solved.live_rounds + solved.replayed_rounds;
+    assert_eq!((solved.cold_solves + solved.warm_solves, rounds > 40), (1, true), "{solved:?}");
+
+    // One walk per distinct resource, whatever the candidate count (a
+    // walk per candidate would be 240 × `rounds` here)...
+    let (mut first, mut again) = (Vec::new(), Vec::new());
+    sim.probe_rates(&batch, &mut first);
+    let walked = sim.solve_stats().probe_replay_rounds;
+    assert!(walked > 0 && walked <= named.len() as u64 * rounds, "{walked} of {rounds} rounds");
+    // ...and none when nothing was solved in between.
+    sim.probe_rates(&batch, &mut again);
+    assert_eq!(sim.solve_stats().probe_replay_rounds, walked, "the repeat walked the log");
+    assert_eq!(sim.solve_stats().probes, 480);
+    assert_eq!(first, again);
+
+    // A flow start re-solves (warm): the records go with the old log,
+    // the batch walks the new one, and says what a simulator that
+    // cold-solved the same flow set says to each pair alone.
+    sim.start_flow_now(extra.0, extra.1, None, None, 300);
+    sim.probe_rates(&batch, &mut again);
+    let rewalked = sim.solve_stats().probe_replay_rounds - walked;
+    assert!(rewalked > 0, "stale records served a new log");
+    assert_eq!(sim.solve_stats().warm_solves, solved.warm_solves + 1);
+    let mut cold = sim_with(&[&flows[..], &[extra]].concat());
+    for (&(src, dst, _), got) in batch.iter().zip(&again) {
+        let want = cold.probe_rate(src, dst, None);
+        assert_eq!(got.to_bits(), want.to_bits(), "{src:?} -> {dst:?}: {got} vs cold {want}");
+    }
+    assert_eq!(cold.solve_stats().cold_solves, 1, "{:?}", cold.solve_stats());
+    assert_ne!(first, again, "the new flow moved no candidate's rate");
 }
