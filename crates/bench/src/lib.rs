@@ -1,5 +1,4 @@
-//! Shared helpers for the figure-regeneration binaries and criterion
-//! benches.
+//! Shared helpers for the figure-regeneration binaries.
 //!
 //! Each binary under `src/bin/` regenerates one figure or inline result
 //! from the paper (see DESIGN.md's experiment index) and prints both the

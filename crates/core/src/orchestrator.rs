@@ -4,8 +4,8 @@ use choreo_measure::{MeasureBackend, NetworkSnapshot};
 use choreo_place::baseline::{MinMachinesPlacer, RandomPlacer, RoundRobinPlacer};
 use choreo_place::greedy::GreedyPlacer;
 use choreo_place::problem::{Machines, NetworkLoad, PlaceError, Placement};
-use choreo_place::rater::BackendRater;
 use choreo_profile::AppProfile;
+use choreo_topology::VmId;
 
 use crate::config::{ChoreoConfig, PlacerKind};
 
@@ -132,8 +132,12 @@ impl Choreo {
     ) -> Result<Placement, PlaceError> {
         assert_eq!(backend.n_vms(), self.machines.len(), "backend covers the machines");
         let idle = NetworkLoad::new(self.machines.len());
-        let mut rater = BackendRater::new(backend, self.config.rate_model);
-        GreedyPlacer.place_with_rater(app, &self.machines, &mut rater, &idle)
+        let mut vm_pairs = Vec::new();
+        GreedyPlacer.place_with(app, &self.machines, self.config.rate_model, &idle, |pairs, out| {
+            vm_pairs.clear();
+            vm_pairs.extend(pairs.iter().map(|&(m, n)| (VmId(m), VmId(n))));
+            backend.probe_paths(&vm_pairs, out);
+        })
     }
 
     /// Register a placed application as running; returns its tag.

@@ -12,8 +12,8 @@
 //!
 //! * **[`OnlineScheduler`]** — the event loop. Arrivals are placed by
 //!   Algorithm 1 over **live batched what-if probes**
-//!   ([`choreo_flowsim::FlowSim::probe_rates`] through a
-//!   [`rater::LiveRater`]), never a measured snapshot, within the
+//!   ([`choreo_flowsim::FlowSim::probe_rates`], one batch per transfer),
+//!   never a measured snapshot, within the
 //!   [`OnlineConfig::candidate_hosts`] hosts that have the most free
 //!   CPU — the power-of-k-choices trick that bounds per-arrival latency
 //!   on large clusters. Admitted tenants' heaviest transfers run as
@@ -34,7 +34,7 @@
 //!   `core`'s [`choreo::migrate::improves_enough`]).
 //!
 //! Schedulers are constructed through the [`SchedulerBuilder`]
-//! (topology + routes, then chained config/seed/metrics/solver-mode
+//! (topology + routes, then chained config/seed/metrics/trace-capacity
 //! setters). Every decision is observable twice over: the
 //! [`metrics`] instruments (a [`ServiceMetrics`] set, optionally
 //! registered in a [`choreo_metrics::Registry`] for prometheus text
@@ -83,7 +83,6 @@ pub mod builder;
 pub mod config;
 pub mod metrics;
 pub mod migrate;
-pub mod rater;
 pub mod scheduler;
 pub mod stats;
 
@@ -92,7 +91,6 @@ pub use config::{DriftConfig, MigrationConfig, OnlineConfig, PlacementPolicy};
 pub use metrics::{
     PodLabel, ReasonLabel, ServiceMetrics, ShapeLabel, TenantBucket, TENANT_BUCKETS,
 };
-pub use rater::LiveRater;
 pub use scheduler::OnlineScheduler;
 pub use stats::{Cause, Decision, DecisionKind, RejectReason, ServiceStats, TraceRing};
 

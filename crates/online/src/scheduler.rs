@@ -4,6 +4,7 @@ use std::collections::VecDeque;
 
 use choreo_flowsim::{FlowKey, FlowSim, HoseId};
 use choreo_measure::stability::last_relative_error;
+use choreo_measure::RateModel;
 use choreo_metrics::Counter;
 use choreo_place::greedy::GreedyPlacer;
 use choreo_place::problem::{validate, Machines, NetworkLoad, Placement};
@@ -17,7 +18,6 @@ use choreo_topology::{Nanos, NodeId};
 use crate::builder::SchedulerBuilder;
 use crate::config::{OnlineConfig, PlacementPolicy};
 use crate::metrics::{PodLossGauges, ReasonLabel, ServiceMetrics, ShapeLabel, TenantBucket};
-use crate::rater::LiveRater;
 use crate::stats::{Cause, DecisionKind, RejectReason, ServiceStats};
 
 /// One admitted tenant's live state.
@@ -101,8 +101,8 @@ pub struct OnlineScheduler {
     /// Scratch: CPU capacities of `cand`, lent to each attempt's
     /// [`Machines`] view.
     sub_cpu: Vec<f64>,
-    /// Scratch: the what-if batches of the current attempt's
-    /// [`LiveRater`].
+    /// Scratch: the current attempt's candidate pairs as host pairs, one
+    /// [`FlowSim::probe_rates`] batch at a time.
     probes: Vec<(NodeId, NodeId, Option<HoseId>)>,
     /// The per-pod capacity-lost gauges (observational only).
     pod_loss: PodLossGauges,
@@ -626,9 +626,19 @@ impl OnlineScheduler {
                 for (i, &h) in self.cand.iter().enumerate() {
                     sub_load.cpu_used[i] = self.load.cpu_used[h as usize];
                 }
-                let mut rater =
-                    LiveRater::new(&mut self.sim, &self.hosts, &self.cand, &mut self.probes);
-                GreedyPlacer.place_with_rater(app, &sub_machines, &mut rater, &sub_load).ok()
+                // Local VM `v` is host `hosts[cand[v]]`. Probes return
+                // per-connection fair shares, which is what the pipe rule
+                // divides.
+                let (sim, hosts, cand, probes) =
+                    (&mut self.sim, &self.hosts, &self.cand, &mut self.probes);
+                let host = |v: u32| hosts[cand[v as usize] as usize];
+                GreedyPlacer
+                    .place_with(app, &sub_machines, RateModel::Pipe, &sub_load, |pairs, out| {
+                        probes.clear();
+                        probes.extend(pairs.iter().map(|&(m, n)| (host(m), host(n), None)));
+                        sim.probe_rates(probes, out);
+                    })
+                    .ok()
             }
             PlacementPolicy::Random(_) => {
                 // The network-oblivious baseline reads nothing from live

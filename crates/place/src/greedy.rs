@@ -12,22 +12,28 @@
 //!
 //! # Batched candidate evaluation
 //!
-//! Raw inter-VM rates come from a [`CandidateRater`], queried **one batch
-//! per transfer** rather than one call per `(m, n)` pair: the feasible
-//! candidates are enumerated, filtered through the per-pair `RateCache`
-//! (a pair is never rated twice in one placement), and the misses go to
-//! the rater as a single `path_rates` batch. Against a snapshot that is a
-//! memory walk; against a live backend (see
-//! [`crate::rater::BackendRater`]) it collapses `O(V²)` what-if solver
-//! passes per transfer into one — and that one costs what the batch's
-//! *distinct* resources cost, not its `V(V − 1)` pairs: the engine reads
-//! its solve log once per resource (`2V` access directions plus the
-//! fabric links between them, `O(rounds + events)` each), keeps the
-//! answer until the network next changes, and rates a pair by folding the
-//! answers along its path. Later transfers of the same placement name new
-//! pairs over the same resources and walk nothing. The sharing adjustment
-//! for transfers placed earlier in the same call is pure arithmetic
-//! applied on top, so cached raw rates never go stale.
+//! Raw inter-VM rates come from the caller's `rate` closure (see
+//! [`GreedyPlacer::place_with`]), asked **one batch per transfer** rather
+//! than once per `(m, n)` pair: the feasible candidates are enumerated,
+//! filtered through the per-pair `RateCache` — the placement's only rate
+//! memo, so a pair is never rated twice in one placement — and the misses
+//! go to `rate` as a single batch. Under the hose model the sharing rule
+//! divides a VM's hose rate, which is the maximum of its egress row
+//! ([`NetworkSnapshot::hose_rate`]'s definition): the first time a VM
+//! needs one, its row is completed through the same memo (never-rated
+//! pairs only, one more batch) and folded.
+//!
+//! Against a snapshot a batch is a memory walk; against a live backend
+//! (`Choreo::place_live`, the online scheduler) it collapses `O(V²)`
+//! what-if solver passes per transfer into one — and that one costs what
+//! the batch's *distinct* resources cost, not its `V(V − 1)` pairs: the
+//! engine reads its solve log once per resource (`2V` access directions
+//! plus the fabric links between them, `O(rounds + events)` each), keeps
+//! the answer until the network next changes, and rates a pair by folding
+//! the answers along its path. Later transfers of the same placement name
+//! new pairs over the same resources and walk nothing. The sharing
+//! adjustment for transfers placed earlier in the same call is pure
+//! arithmetic applied on top, so cached raw rates never go stale.
 //!
 //! Committing the placement completes the warm chain: rating candidates
 //! against a live flow cloud leaves the engine's solver holding the
@@ -41,20 +47,20 @@ use choreo_profile::AppProfile;
 use choreo_topology::VmId;
 
 use crate::problem::{Machines, NetworkLoad, PlaceError, Placement};
-use crate::rater::{CandidateRater, SnapshotRater};
 
 /// The greedy network-aware placer.
 #[derive(Debug, Clone, Default)]
 pub struct GreedyPlacer;
 
-/// Memo of raw per-VM-pair rates for one `place()` call.
+/// Memo of raw per-VM-pair rates for one [`GreedyPlacer::place_with`]
+/// call — the only one the placement keeps.
 ///
 /// Candidate enumeration visits the same `(m, n)` pair `O(V²)` times per
-/// transfer; the cache guarantees each pair is rated by the
-/// [`CandidateRater`] at most once per placement and acts as the filter in
-/// front of the per-transfer batch. Raw rates are placement-independent
-/// (the sharing adjustment happens outside), so entries never invalidate.
-/// `NaN` marks pairs not yet rated.
+/// transfer, and hose-row completions name pairs no candidate has; the
+/// cache guarantees each pair reaches the `rate` closure at most once per
+/// placement and filters every batch in front of it. Raw rates are
+/// placement-independent (the sharing adjustment happens outside), so
+/// entries never invalidate. `NaN` marks pairs not yet rated.
 #[derive(Debug)]
 struct RateCache {
     vals: Vec<f64>,
@@ -82,26 +88,29 @@ impl RateCache {
     }
 }
 
-/// Reusable buffers for one transfer's candidate batch.
+/// Reusable buffers for one batch.
 #[derive(Debug, Default)]
 struct BatchScratch {
     /// Feasible candidate pairs, in enumeration order (the tie-break
     /// order).
     cands: Vec<(u32, u32)>,
-    /// Cache misses submitted to the rater.
+    /// Cache misses submitted to `rate`.
     misses: Vec<(u32, u32)>,
-    /// Rater output, parallel to `misses`.
+    /// `rate` output, parallel to `misses`.
     rates: Vec<f64>,
 }
 
-/// Working state of one `place_with_rater` call: the placement inputs
-/// plus everything the greedy walk mutates as transfers are placed. One
-/// struct instead of a dozen loose parameters threading through
-/// `best_pair`.
-struct PlaceCtx<'a, R: CandidateRater> {
+/// Working state of one [`GreedyPlacer::place_with`] call: the placement
+/// inputs plus everything the greedy walk mutates as transfers are
+/// placed. One struct instead of a dozen loose parameters threading
+/// through `best_pair`.
+struct PlaceCtx<'a, F> {
     app: &'a AppProfile,
     machines: &'a Machines,
-    rater: &'a mut R,
+    /// The sharing rule applied on top of raw rates.
+    model: RateModel,
+    /// The caller's batch rater: `out[i]` for `pairs[i]`.
+    rate: F,
     load: &'a NetworkLoad,
     /// Task → VM decided so far.
     assignment: Vec<Option<u32>>,
@@ -111,13 +120,41 @@ struct PlaceCtx<'a, R: CandidateRater> {
     placed_path: Vec<u32>,
     /// Transfers placed *by this call* per source VM.
     placed_egress: Vec<u32>,
-    /// Raw-rate memo (one rater query per pair, ever).
+    /// Raw-rate memo (one `rate` query per pair, ever).
     cache: RateCache,
-    /// Per-transfer candidate batch buffers.
+    /// Per-VM raw hose rate (`NaN` = not yet derived): the maximum of the
+    /// VM's egress row, completed through `cache`. Sized on first use, so
+    /// a pipe-model placement never allocates it.
+    hose: Vec<f64>,
+    /// Per-batch buffers.
     scratch: BatchScratch,
 }
 
-impl<R: CandidateRater> PlaceCtx<'_, R> {
+impl<'a, F: FnMut(&[(u32, u32)], &mut Vec<f64>)> PlaceCtx<'a, F> {
+    fn new(
+        app: &'a AppProfile,
+        machines: &'a Machines,
+        model: RateModel,
+        load: &'a NetworkLoad,
+        rate: F,
+    ) -> Self {
+        let n_vms = machines.len();
+        PlaceCtx {
+            app,
+            machines,
+            model,
+            rate,
+            load,
+            assignment: vec![None; app.n_tasks()],
+            cpu_used: load.cpu_used.clone(),
+            placed_path: vec![0u32; n_vms * n_vms],
+            placed_egress: vec![0u32; n_vms],
+            cache: RateCache::new(n_vms),
+            hose: Vec::new(),
+            scratch: BatchScratch::default(),
+        }
+    }
+
     /// Account a placed transfer on its path for the sharing model.
     fn account(&mut self, m: u32, n: u32) {
         if m != n {
@@ -127,22 +164,56 @@ impl<R: CandidateRater> PlaceCtx<'_, R> {
         }
     }
 
+    /// Rate `scratch.misses` as one batch, if there are any, and commit
+    /// the answers to the cache.
+    fn rate_misses(&mut self) {
+        let PlaceCtx { rate, cache, scratch, .. } = self;
+        if scratch.misses.is_empty() {
+            return;
+        }
+        rate(&scratch.misses, &mut scratch.rates);
+        assert_eq!(scratch.rates.len(), scratch.misses.len(), "rate answered every pair");
+        for (&(m, n), &r) in scratch.misses.iter().zip(&scratch.rates) {
+            cache.put(m, n, r);
+        }
+    }
+
+    /// Raw hose (egress) rate of VM `m`, the denominator of the hose
+    /// sharing rule: on first request, complete `m`'s row through the
+    /// cache and keep its maximum. Under source rate-limiting one
+    /// connection can saturate the hose, so the row maximum estimates it.
+    fn hose_rate(&mut self, m: u32) -> f64 {
+        let n_vms = self.machines.len() as u32;
+        if self.hose.is_empty() {
+            self.hose = vec![f64::NAN; n_vms as usize];
+        }
+        if self.hose[m as usize].is_nan() {
+            let row = (0..n_vms).filter(|&j| j != m);
+            let PlaceCtx { cache, scratch, .. } = self;
+            scratch.misses.clear();
+            scratch
+                .misses
+                .extend(row.clone().filter(|&j| cache.get(m, j).is_none()).map(|j| (m, j)));
+            self.rate_misses();
+            self.hose[m as usize] = row.filter_map(|j| self.cache.get(m, j)).fold(0.0, f64::max);
+        }
+        self.hose[m as usize]
+    }
+
     /// Sharing-adjusted rate a *new* transfer would see on `(m, n)` (line
     /// 13 of Algorithm 1): the raw path rate divided among the
-    /// connections it shares with, under the rater's sharing model.
-    /// `raw_path` comes from the [`CandidateRater`] via the cache; the
-    /// hose rate is fetched (memoized) from the rater when needed.
-    fn shared_rate(&mut self, model: RateModel, m: u32, n: u32, raw_path: f64) -> f64 {
+    /// connections it shares with, under the placement's sharing model.
+    fn shared_rate(&mut self, m: u32, n: u32, raw_path: f64) -> f64 {
         let n_vms = self.machines.len();
         let (a, b) = (VmId(m), VmId(n));
-        match model {
+        match self.model {
             RateModel::Pipe => {
                 let sharing =
                     1 + self.load.on_path(a, b) + self.placed_path[m as usize * n_vms + n as usize];
                 raw_path / sharing as f64
             }
             RateModel::Hose => {
-                let raw_hose = self.rater.hose_rate(m);
+                let raw_hose = self.hose_rate(m);
                 let sharing = 1 + self.load.egress(a) + self.placed_egress[m as usize];
                 let hose_share = raw_hose / sharing as f64;
                 // A path cannot beat its own measured rate even if the
@@ -156,11 +227,10 @@ impl<R: CandidateRater> PlaceCtx<'_, R> {
     /// maximization (line 14). Deterministic tie-break on (rate, m, n).
     ///
     /// Runs in three phases: enumerate the feasible candidates, submit the
-    /// cache misses to the rater as **one batch for the whole transfer**,
-    /// then apply the sharing adjustment and maximize. The cache
-    /// guarantees no pair is ever rated twice within one placement. A
-    /// transfer with a feasible co-located candidate skips the last two:
-    /// co-location rates `+∞` and no measured (finite) rate beats it.
+    /// cache misses to `rate` as **one batch for the whole transfer**,
+    /// then apply the sharing adjustment and maximize. A transfer with a
+    /// feasible co-located candidate skips the last two: co-location
+    /// rates `+∞` and no measured (finite) rate beats it.
     fn best_pair(&mut self, i: usize, j: usize) -> Result<(u32, u32), PlaceError> {
         let n_vms = self.machines.len() as u32;
         // Phase 1: feasible candidates, in deterministic tie-break order.
@@ -207,35 +277,26 @@ impl<R: CandidateRater> PlaceCtx<'_, R> {
         }
         // Co-location wins outright, the first such pair in tie-break
         // order (nothing compares above `+∞`, not even another `+∞`) — so
-        // this transfer's batch never reaches the rater.
+        // this transfer's batch is never rated.
         if let Some(&pair) = self.scratch.cands.iter().find(|(m, n)| m == n) {
             return Ok(pair);
         }
         // Phase 2: the cache filters the batch — only never-rated pairs
-        // reach the rater, as one call for the whole transfer.
+        // reach `rate`, as one call for the whole transfer.
         {
-            let PlaceCtx { rater, cache, scratch, .. } = self;
+            let PlaceCtx { cache, scratch, .. } = self;
             scratch.misses.clear();
-            for &(m, n) in &scratch.cands {
-                if cache.get(m, n).is_none() {
-                    scratch.misses.push((m, n));
-                }
-            }
-            if !scratch.misses.is_empty() {
-                rater.path_rates(&scratch.misses, &mut scratch.rates);
-                assert_eq!(scratch.rates.len(), scratch.misses.len(), "rater rated every pair");
-                for (&(m, n), &r) in scratch.misses.iter().zip(&scratch.rates) {
-                    cache.put(m, n, r);
-                }
-            }
+            scratch
+                .misses
+                .extend(scratch.cands.iter().filter(|&&(m, n)| cache.get(m, n).is_none()));
         }
+        self.rate_misses();
         // Phase 3: sharing adjustment + maximization.
-        let model = self.rater.model();
         let mut best: Option<(f64, u32, u32)> = None;
         for idx in 0..self.scratch.cands.len() {
             let (m, n) = self.scratch.cands[idx];
             let raw_path = self.cache.get(m, n).expect("batched above");
-            let rate = self.shared_rate(model, m, n, raw_path);
+            let rate = self.shared_rate(m, n, raw_path);
             let better = match best {
                 None => true,
                 Some((br, bm, bn)) => {
@@ -247,6 +308,41 @@ impl<R: CandidateRater> PlaceCtx<'_, R> {
             }
         }
         best.map(|(_, m, n)| (m, n)).ok_or(PlaceError::NoFeasibleMachine { task: i })
+    }
+
+    /// The greedy walk: every transfer heaviest first, then first-fit by
+    /// CPU for tasks with no transfers.
+    fn run(&mut self) -> Result<(), PlaceError> {
+        let (app, machines) = (self.app, self.machines);
+        for (i, j, _bytes) in app.matrix.transfers_desc() {
+            let (m, n) = match (self.assignment[i], self.assignment[j]) {
+                // Both fixed: just account the transfer on its path.
+                (Some(m), Some(n)) => (m, n),
+                _ => {
+                    let (m, n) = self.best_pair(i, j)?;
+                    if self.assignment[i].is_none() {
+                        self.assignment[i] = Some(m);
+                        self.cpu_used[m as usize] += app.cpu[i];
+                    }
+                    if self.assignment[j].is_none() {
+                        self.assignment[j] = Some(n);
+                        self.cpu_used[n as usize] += app.cpu[j];
+                    }
+                    (m, n)
+                }
+            };
+            self.account(m, n);
+        }
+        for t in 0..app.n_tasks() {
+            if self.assignment[t].is_none() {
+                let vm = (0..machines.len())
+                    .find(|&m| self.cpu_used[m] + app.cpu[t] <= machines.cpu[m] + 1e-9)
+                    .ok_or(PlaceError::NoFeasibleMachine { task: t })?;
+                self.assignment[t] = Some(vm as u32);
+                self.cpu_used[vm] += app.cpu[t];
+            }
+        }
+        Ok(())
     }
 }
 
@@ -262,77 +358,40 @@ impl GreedyPlacer {
         load: &NetworkLoad,
     ) -> Result<Placement, PlaceError> {
         assert_eq!(snapshot.n_vms(), machines.len(), "snapshot covers the machines");
-        self.place_with_rater(app, machines, &mut SnapshotRater { snapshot }, load)
+        self.place_with(app, machines, snapshot.model, load, |pairs, out| {
+            out.clear();
+            out.extend(pairs.iter().map(|&(m, n)| snapshot.rate(VmId(m), VmId(n))));
+        })
     }
 
-    /// [`GreedyPlacer::place`] over any [`CandidateRater`] — e.g. a
-    /// [`crate::rater::BackendRater`] that scores each transfer's
-    /// candidate set against the live network in one batched what-if
-    /// round-trip.
-    pub fn place_with_rater<R: CandidateRater>(
+    /// [`GreedyPlacer::place`] over any source of raw rates, shared under
+    /// `model`.
+    ///
+    /// `rate(pairs, out)` fills `out[i]` with the raw (sharing-unadjusted)
+    /// rate of `pairs[i]`, a `(source VM, destination VM)` pair with
+    /// distinct endpoints. It is called at most once per transfer with
+    /// that transfer's never-rated candidates, plus once per VM whose
+    /// hose row the hose model completes; no pair is asked twice, so the
+    /// rates must be stable for the call. A live backend answers each
+    /// batch with one what-if solve (`Choreo::place_live`, the online
+    /// scheduler), placing against the network as it is *now*.
+    pub fn place_with(
         &self,
         app: &AppProfile,
         machines: &Machines,
-        rater: &mut R,
+        model: RateModel,
         load: &NetworkLoad,
+        rate: impl FnMut(&[(u32, u32)], &mut Vec<f64>),
     ) -> Result<Placement, PlaceError> {
-        let n_tasks = app.n_tasks();
-        let n_vms = machines.len();
-        assert_eq!(rater.n_vms(), n_vms, "rater covers the machines");
-        assert_eq!(load.n_vms(), n_vms, "load covers the machines");
+        assert_eq!(load.n_vms(), machines.len(), "load covers the machines");
         let total_cpu: f64 = app.cpu.iter().sum();
         let free_cpu: f64 =
             machines.cpu.iter().zip(&load.cpu_used).map(|(cap, used)| (cap - used).max(0.0)).sum();
         if total_cpu > free_cpu + 1e-9 {
             return Err(PlaceError::InsufficientCpu);
         }
-
-        let mut ctx = PlaceCtx {
-            app,
-            machines,
-            rater,
-            load,
-            assignment: vec![None; n_tasks],
-            cpu_used: load.cpu_used.clone(),
-            placed_path: vec![0u32; n_vms * n_vms],
-            placed_egress: vec![0u32; n_vms],
-            cache: RateCache::new(n_vms),
-            scratch: BatchScratch::default(),
-        };
-
-        let transfers = app.matrix.transfers_desc();
-        for (i, j, _bytes) in &transfers {
-            let (i, j) = (*i, *j);
-            match (ctx.assignment[i], ctx.assignment[j]) {
-                (Some(m), Some(n)) => {
-                    // Both fixed: just account the transfer on its path.
-                    ctx.account(m, n);
-                }
-                _ => {
-                    let (m, n) = ctx.best_pair(i, j)?;
-                    if ctx.assignment[i].is_none() {
-                        ctx.assignment[i] = Some(m);
-                        ctx.cpu_used[m as usize] += app.cpu[i];
-                    }
-                    if ctx.assignment[j].is_none() {
-                        ctx.assignment[j] = Some(n);
-                        ctx.cpu_used[n as usize] += app.cpu[j];
-                    }
-                    ctx.account(m, n);
-                }
-            }
-        }
-
-        // Tasks with no transfers: first-fit by CPU.
-        for (t, slot) in ctx.assignment.iter_mut().enumerate() {
-            if slot.is_none() {
-                let vm = (0..n_vms)
-                    .find(|&m| ctx.cpu_used[m] + app.cpu[t] <= machines.cpu[m] + 1e-9)
-                    .ok_or(PlaceError::NoFeasibleMachine { task: t })?;
-                *slot = Some(vm as u32);
-                ctx.cpu_used[vm] += app.cpu[t];
-            }
-        }
+        let mut ctx = PlaceCtx::new(app, machines, model, load, rate);
+        ctx.run()?;
         Ok(Placement {
             assignment: ctx.assignment.into_iter().map(|a| a.expect("placed")).collect(),
         })
@@ -522,5 +581,92 @@ mod tests {
         let p1 = GreedyPlacer.place(&app, &one_core_each(4), &s, &NetworkLoad::new(4)).unwrap();
         let p2 = GreedyPlacer.place(&app, &one_core_each(4), &s, &NetworkLoad::new(4)).unwrap();
         assert_eq!(p1, p2);
+    }
+
+    /// A hose-model placement whose every batch is predictable: four VMs
+    /// (VM 3 alone fits the 2-core task), transfers `0 → 1` then
+    /// `1 → 2`, and one running transfer out of VM 0. Each candidate
+    /// source's row maximum lies off the pair the placer picks, so the
+    /// hose must come from completing the row.
+    fn hose_scenario() -> (AppProfile, Machines, NetworkSnapshot, NetworkLoad) {
+        let mut m = TrafficMatrix::zeros(3);
+        m.set(0, 1, 100);
+        m.set(1, 2, 50);
+        let app = AppProfile::new("hose", vec![1.0, 2.0, 1.0], m, 0);
+        let machines = Machines { cpu: vec![1.0, 1.0, 1.0, 2.0] };
+        let s = snap(
+            4,
+            &[
+                (0, 1, 100.0),
+                (0, 2, 20.0),
+                (0, 3, 90.0),
+                (1, 0, 70.0),
+                (1, 2, 10.0),
+                (1, 3, 60.0),
+                (2, 0, 10.0),
+                (2, 1, 10.0),
+                (2, 3, 50.0),
+                (3, 0, 40.0),
+                (3, 1, 80.0),
+                (3, 2, 30.0),
+            ],
+            RateModel::Hose,
+        );
+        let mut load = NetworkLoad::new(4);
+        let mut bg_m = TrafficMatrix::zeros(2);
+        bg_m.set(0, 1, 1);
+        let bg = AppProfile::new("bg", vec![0.1; 2], bg_m, 0);
+        load.apply(&bg, &Placement { assignment: vec![0, 2] });
+        load.cpu_used.fill(0.0);
+        (app, machines, s, load)
+    }
+
+    #[test]
+    fn closure_is_asked_once_per_transfer_and_each_pair_once() {
+        let (app, machines, s, load) = hose_scenario();
+        let mut batches: Vec<Vec<(u32, u32)>> = Vec::new();
+        let p = GreedyPlacer
+            .place_with(&app, &machines, RateModel::Hose, &load, |pairs, out| {
+                batches.push(pairs.to_vec());
+                out.clear();
+                out.extend(pairs.iter().map(|&(m, n)| s.rate(VmId(m), VmId(n))));
+            })
+            .expect("feasible");
+        assert_eq!(p, GreedyPlacer.place(&app, &machines, &s, &load).unwrap(), "same as place");
+        // VM 0's raw 90 would win, but its hose (100) is shared with the
+        // running transfer: 50 < VM 1's 60.
+        assert_eq!(p.assignment, vec![1, 3, 0]);
+        assert_eq!(
+            batches,
+            vec![
+                vec![(0, 3), (1, 3), (2, 3)], // transfer 0 → 1's candidates
+                vec![(0, 1), (0, 2)],         // hose rows, unseen pairs only
+                vec![(1, 0), (1, 2)],
+                vec![(2, 0), (2, 1)],
+                vec![(3, 0), (3, 2)], // transfer 1 → 2's candidates
+                vec![(3, 1)],         // VM 3's row minus the two just rated
+            ]
+        );
+        let mut rated = batches.concat();
+        rated.sort_unstable();
+        rated.dedup();
+        assert_eq!(rated.len(), 12, "no pair is rated twice");
+    }
+
+    #[test]
+    fn derived_hose_is_the_snapshot_row_max() {
+        let (app, machines, s, load) = hose_scenario();
+        let read = |pairs: &[(u32, u32)], out: &mut Vec<f64>| {
+            out.clear();
+            out.extend(pairs.iter().map(|&(m, n)| s.rate(VmId(m), VmId(n))));
+        };
+        let mut ctx = PlaceCtx::new(&app, &machines, RateModel::Hose, &load, read);
+        ctx.run().expect("feasible");
+        let want: Vec<f64> = (0..4).map(|v| s.hose_rate(VmId(v))).collect();
+        assert_eq!(ctx.hose, want);
+        // The pipe model never derives a hose, so never sizes the memo.
+        let mut ctx = PlaceCtx::new(&app, &machines, RateModel::Pipe, &load, read);
+        ctx.run().expect("feasible");
+        assert!(ctx.hose.is_empty());
     }
 }

@@ -18,11 +18,6 @@
 //! * [`problem`] — shared vocabulary: machine capacities, placements,
 //!   validation, and the [`NetworkLoad`] bookkeeping that lets sequence
 //!   placement (§2.4/§6.3) account for transfers already in flight.
-//! * [`rater`] — batched candidate-rate sources: the greedy placer asks
-//!   for raw inter-VM rates one batch per transfer, served from a
-//!   snapshot ([`SnapshotRater`]) or probed live from a measurement
-//!   backend ([`BackendRater`], one what-if solve per batch on the flow
-//!   cloud).
 
 pub mod baseline;
 pub mod constraints;
@@ -30,7 +25,6 @@ pub mod greedy;
 pub mod ilp;
 pub mod predict;
 pub mod problem;
-pub mod rater;
 
 pub use baseline::{MinMachinesPlacer, RandomPlacer, RoundRobinPlacer};
 pub use constraints::{ConstrainedGreedyPlacer, Constraints};
@@ -38,4 +32,3 @@ pub use greedy::GreedyPlacer;
 pub use ilp::{IlpPlacer, IlpPlacerOutcome};
 pub use predict::predict_completion_secs;
 pub use problem::{Machines, NetworkLoad, PlaceError, Placement};
-pub use rater::{BackendRater, CandidateRater, SnapshotRater};

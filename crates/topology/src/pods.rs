@@ -23,8 +23,7 @@
 //! Degenerate shapes stay well-defined rather than special-cased: a
 //! dumbbell decomposes into single-host pods with every link on the
 //! spine (the all-flows-cross-pod worst case), and a single-pod tree
-//! yields one pod — callers that need real parallelism check
-//! [`PodPartition::n_pods`] and fall back.
+//! yields one pod.
 
 use crate::graph::{Link, NodeId, Topology};
 
@@ -34,15 +33,14 @@ pub struct PodPartition {
     /// Per node: its pod, or `None` for spine nodes.
     pod_of_node: Vec<Option<u32>>,
     n_pods: u32,
-    /// The tier treated as spine (`u8::MAX` when the topology has no
-    /// switches at all and everything is partitionable).
-    spine_tier: u8,
 }
 
 impl PodPartition {
     /// Partition `topo` (deterministic: pods are numbered by the smallest
     /// node id they contain, in increasing order).
     pub fn of(topo: &Topology) -> PodPartition {
+        // The highest switch tier is spine; with no switches at all
+        // (`u8::MAX`) nothing is, and everything is partitionable.
         let spine_tier = topo
             .nodes()
             .iter()
@@ -74,7 +72,7 @@ impl PodPartition {
                 }
             }
         }
-        PodPartition { pod_of_node, n_pods, spine_tier }
+        PodPartition { pod_of_node, n_pods }
     }
 
     /// Number of pods found.
@@ -82,19 +80,9 @@ impl PodPartition {
         self.n_pods as usize
     }
 
-    /// The tier treated as spine (`u8::MAX` if no switch tier exists).
-    pub fn spine_tier(&self) -> u8 {
-        self.spine_tier
-    }
-
     /// The pod containing node `n`, or `None` for spine nodes.
     pub fn pod_of_node(&self, n: NodeId) -> Option<u32> {
         self.pod_of_node[n.0 as usize]
-    }
-
-    /// Is `n` a spine node?
-    pub fn is_spine(&self, n: NodeId) -> bool {
-        self.pod_of_node[n.0 as usize].is_none()
     }
 
     /// The pod a link belongs to: the common pod of its endpoints, or
@@ -104,21 +92,6 @@ impl PodPartition {
             (Some(a), Some(b)) if a == b => Some(a),
             _ => None,
         }
-    }
-
-    /// Number of pods that own at least one intra-pod link.
-    ///
-    /// Only such a pod can carry pod-local *network* flows: a
-    /// singleton-host pod — the dumbbell degeneracy — has none, so
-    /// every flow it sources crosses the spine.
-    pub fn pods_with_links(&self, topo: &Topology) -> usize {
-        let mut has_link = vec![false; self.n_pods as usize];
-        for l in topo.links() {
-            if let Some(p) = self.pod_of_link(l) {
-                has_link[p as usize] = true;
-            }
-        }
-        has_link.iter().filter(|&&h| h).count()
     }
 }
 
@@ -138,7 +111,7 @@ mod tests {
         // Cores are spine; everything below belongs to exactly one pod.
         for n in topo.nodes() {
             match n.kind {
-                crate::NodeKind::Core => assert!(p.is_spine(n.id), "{}", n.name),
+                crate::NodeKind::Core => assert!(p.pod_of_node(n.id).is_none(), "{}", n.name),
                 _ => assert!(p.pod_of_node(n.id).is_some(), "{}", n.name),
             }
         }
@@ -207,7 +180,7 @@ mod tests {
         let t = b.build();
         let p = PodPartition::of(&t);
         assert_eq!(p.n_pods(), 2);
-        assert_eq!(p.spine_tier(), u8::MAX);
+        assert!(t.nodes().iter().all(|n| p.pod_of_node(n.id).is_some()), "no spine node");
         assert_eq!(p.pod_of_node(a), p.pod_of_node(c));
         assert_ne!(p.pod_of_node(a), p.pod_of_node(d));
     }

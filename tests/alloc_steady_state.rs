@@ -19,10 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use choreo_repro::flowsim::{FlowArena, FlowSim, FlowSlot, MaxMinSolver, ProbeBatch};
-use choreo_repro::online::{
-    DriftConfig, LiveRater, MigrationConfig, OnlineConfig, SchedulerBuilder,
-};
-use choreo_repro::place::rater::CandidateRater;
+use choreo_repro::online::{DriftConfig, MigrationConfig, OnlineConfig, SchedulerBuilder};
 use choreo_repro::profile::{AppProfile, TenantEvent, TenantEventKind, TrafficMatrix};
 use choreo_repro::topology::route::splitmix64;
 use choreo_repro::topology::{
@@ -268,11 +265,12 @@ fn steady_state_reallocation_allocates_nothing() {
     // solver walks its log once per distinct resource into a record table
     // it keeps across solves, so a placement-style round — one flow
     // replaces another, warm re-solve, the batch, the same batch again
-    // (served from the records), and once more through a `LiveRater` built
-    // for the attempt on scratch the caller lends, as `try_place` does —
-    // allocates nothing once the table spans the resource space. A hose
-    // grows that space: the round after sizes the table again, and the
-    // rounds after that, rating hose-capped candidates, are back to zero.
+    // (served from the records), and once more mapped from candidate
+    // indices to hosts into scratch the caller lends, as `try_place`'s
+    // rate closure does — allocates nothing once the table spans the
+    // resource space. A hose grows that space: the round after sizes the
+    // table again, and the rounds after that, rating hose-capped
+    // candidates, are back to zero.
     let subset: Vec<u32> = (0..16).map(|i| i * 4).collect();
     let mut local_pairs = Vec::new();
     for m in 0..16u32 {
@@ -300,7 +298,11 @@ fn steady_state_reallocation_allocates_nothing() {
             sim.probe_rates(batch, &mut out);
             served = sim.solve_stats().probe_replay_rounds;
             sim.probe_rates(batch, &mut out);
-            LiveRater::new(sim, hosts, &subset, &mut lent).path_rates(&local_pairs, &mut what_if);
+            lent.clear();
+            lent.extend(local_pairs.iter().map(|&(m, n)| {
+                (hosts[subset[m as usize] as usize], hosts[subset[n as usize] as usize], None)
+            }));
+            sim.probe_rates(&lent, &mut what_if);
             assert_eq!(sim.solve_stats().probe_replay_rounds, served, "a repeat walked the log");
             sum += out.iter().chain(&what_if).sum::<f64>();
         }

@@ -1,6 +1,7 @@
-//! A pinned `FlowSim` trajectory.
+//! Pinned trajectories: the `FlowSim` engine's and the
+//! `OnlineScheduler`'s.
 //!
-//! One seeded program mixes every way a flow enters and leaves the
+//! For the engine, one seeded program mixes every way a flow enters and leaves the
 //! engine — scheduled bounded and unbounded flows, ON–OFF background
 //! sources, `start_flow_now` / `stop_flows_now` / `release_flows` tenant
 //! churn, a timed stop, and two bounded flows that finish in the same
@@ -16,8 +17,13 @@
 use std::sync::Arc;
 
 use choreo_repro::flowsim::{FlowKey, FlowSim, FlowStatus};
+use choreo_repro::online::{DriftConfig, MigrationConfig, OnlineConfig, SchedulerBuilder};
+use choreo_repro::profile::{
+    merge_events, NetworkEvent, NetworkEventStream, NetworkEventStreamConfig, TenantEvent,
+    WorkloadGenConfig, WorkloadStream, WorkloadStreamConfig,
+};
 use choreo_repro::topology::route::splitmix64;
-use choreo_repro::topology::{LinkSpec, MultiRootedTreeSpec, RouteTable, GBIT, MBIT, MICROS};
+use choreo_repro::topology::{LinkSpec, MultiRootedTreeSpec, RouteTable, GBIT, MBIT, MICROS, SECS};
 
 const MILLIS: u64 = 1_000_000;
 
@@ -145,3 +151,81 @@ fn seeded_mixed_traffic_trajectory_is_pinned() {
 /// Recorded at commit 7196337 (PR 13), the last with per-record `rate` /
 /// `delivered` fields and all-slot scans.
 const GOLDEN: u64 = 0x96d6_8730_6f98_01a9;
+
+/// A pinned `OnlineScheduler` trajectory: the 16-host tree of
+/// `tests/online.rs`, its tenant stream merged with link incidents, and
+/// every scheduler path live (admission, the wait queue, rejection,
+/// cadence and failure migration, drift re-measurement). The digest
+/// folds every placement the greedy placer makes against the live
+/// network, so a change to how candidate pairs map to hosts, which
+/// direction they are rated in, or how the placer memoises and combines
+/// rates moves it — none of which the determinism and invariant suites
+/// can see.
+#[test]
+fn seeded_service_trajectory_is_pinned() {
+    let topo = Arc::new(
+        MultiRootedTreeSpec {
+            cores: 2,
+            pods: 4,
+            aggs_per_pod: 1,
+            tors_per_pod: 2,
+            hosts_per_tor: 2,
+            ..Default::default()
+        }
+        .build(),
+    );
+    let routes = Arc::new(RouteTable::new(&topo));
+    let stream_cfg = WorkloadStreamConfig {
+        gen: WorkloadGenConfig {
+            tasks_min: 2,
+            tasks_max: 5,
+            mean_interarrival: 10 * SECS,
+            ..Default::default()
+        },
+        mean_intensity_change: 10 * SECS,
+        ..Default::default()
+    };
+    let tenants: Vec<TenantEvent> = WorkloadStream::new(stream_cfg, 7).take(400).collect();
+    let horizon = tenants.last().map_or(0, |e| e.at);
+    let net_cfg = NetworkEventStreamConfig {
+        n_links: topo.link_count() as u32,
+        mean_time_between_incidents: 20 * SECS,
+        ..Default::default()
+    };
+    let network: Vec<NetworkEvent> =
+        NetworkEventStream::new(net_cfg, 11).take_while(|e| e.at <= horizon).collect();
+    let cfg = OnlineConfig {
+        candidate_hosts: 8,
+        queue_capacity: 4,
+        migration: MigrationConfig { cadence: Some(15 * SECS), ..Default::default() },
+        drift: DriftConfig { cadence: Some(10 * SECS), ..Default::default() },
+        ..Default::default()
+    };
+    let mut svc = SchedulerBuilder::new(topo, routes).config(cfg).seed(7).build();
+    for ev in &merge_events(tenants, network) {
+        svc.service_step(ev);
+    }
+    let s = svc.stats();
+    let rate = s.mean_departed_rate_bps().expect("tenants departed").to_bits();
+    let counters = [
+        s.admitted,
+        s.queued,
+        s.queue_admitted,
+        s.rejected,
+        s.migrations,
+        s.failure_migrations,
+        s.network_events,
+        s.drift_detected,
+    ];
+    assert_eq!(s.trace_hash(), SERVICE_GOLDEN, "scheduler digest moved: {:#018x}", s.trace_hash());
+    assert_eq!(rate, SERVICE_RATE_BITS, "mean departed rate moved: {rate:#018x}");
+    assert_eq!(counters, SERVICE_COUNTERS, "counters moved");
+}
+
+/// Recorded at commit d77d9d0 (PR 24).
+const SERVICE_GOLDEN: u64 = 0x4f9b_cecc_ee1f_6c68;
+/// `mean_departed_rate_bps` bits of the same run.
+const SERVICE_RATE_BITS: u64 = 0x41d4_c6fc_b664_5ac2;
+/// `[admitted, queued, queue_admitted, rejected, migrations,
+/// failure_migrations, network_events, drift_detected]` of the same run.
+const SERVICE_COUNTERS: [u64; 8] = [12, 16, 13, 1, 5, 3, 42, 3];
