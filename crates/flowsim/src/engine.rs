@@ -250,6 +250,9 @@ pub struct SolveStats {
     pub live_rounds: u64,
     /// Freeze rounds carried over from the previous log untouched.
     pub replayed_rounds: u64,
+    /// Of `replayed_rounds`, those that applied a chain of deltas to
+    /// perturbed resources; the rest were carried clean.
+    pub chained_rounds: u64,
     /// Dirty-window sizes (resources perturbed since the previous
     /// solve), summed over all reallocations.
     pub dirty_resources: u64,
@@ -1045,6 +1048,7 @@ impl FlowSim {
         self.stats.dirty_resources += dirty_window;
         self.stats.live_rounds += self.solver.last_live_rounds();
         self.stats.replayed_rounds += self.solver.last_replayed_rounds();
+        self.stats.chained_rounds += self.solver.last_chained_rounds();
         if span::enabled() {
             span::value("solve_dirty_window", dirty_window as f64);
             span::value("solve_live_rounds", self.solver.last_live_rounds() as f64);

@@ -934,6 +934,10 @@ pub struct MaxMinSolver {
     /// Observability: freeze rounds the last solve carried over from the
     /// previous log untouched (zero for a cold solve).
     last_replayed_rounds: u64,
+    /// Observability: of `last_replayed_rounds`, those that applied a
+    /// chain of deltas to perturbed resources — the carried rounds a walk
+    /// has to visit; the rest it only copies.
+    last_chained_rounds: u64,
     /// Observability: logged rounds walked by the last
     /// [`MaxMinSolver::probe`] / [`MaxMinSolver::probe_batch`] — summed
     /// over the records it had to read, zero when every resource it named
@@ -1067,6 +1071,7 @@ impl MaxMinSolver {
         assert!(capacities.len() >= nr, "capacities shorter than resource space");
         self.last_live_rounds = 0;
         self.last_replayed_rounds = 0;
+        self.last_chained_rounds = 0;
         self.log.rounds.clear();
         let nslots = arena.slot_bound();
         rates.clear();
@@ -1241,6 +1246,7 @@ impl MaxMinSolver {
         self.next_ids.clear();
         self.last_live_rounds = 0;
         self.last_replayed_rounds = 0;
+        self.last_chained_rounds = 0;
         debug_assert!(self.wheap.is_empty() && self.perturbed_list.is_empty());
         for &r in arena.dirty_resources() {
             self.join(capacities, arena, r, 0);
@@ -1412,6 +1418,7 @@ impl MaxMinSolver {
             }
             // This round executes as logged; the perturbed resources it
             // touches take its deltas and get its event back.
+            self.last_chained_rounds += 1;
             let (id, level) = (self.log.rounds.ids[cur], self.log.rounds.levels[cur]);
             let mut link = self.chain_head[cur];
             while link != NONE {
@@ -1586,6 +1593,13 @@ impl MaxMinSolver {
     /// untouched (zero for a cold solve). Diagnostics only.
     pub fn last_replayed_rounds(&self) -> u64 {
         self.last_replayed_rounds
+    }
+
+    /// Of [`MaxMinSolver::last_replayed_rounds`], the rounds that applied
+    /// a chain of deltas to perturbed resources (zero for a cold solve).
+    /// Diagnostics only.
+    pub fn last_chained_rounds(&self) -> u64 {
+        self.last_chained_rounds
     }
 
     /// Logged rounds walked by the last [`MaxMinSolver::probe`] or

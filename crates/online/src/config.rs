@@ -95,7 +95,9 @@ pub struct OnlineConfig {
     /// free CPU (deterministic tie-break on host index) instead of the
     /// whole cluster: candidate probing is one batched what-if solve per
     /// transfer, so the subset bounds per-arrival latency at large host
-    /// counts the way power-of-k-choices schedulers do.
+    /// counts the way power-of-k-choices schedulers do. The ranking is
+    /// made once per CPU-ledger change and reused while the ledger is
+    /// unchanged, so a queue retry after a failed attempt ranks nothing.
     pub candidate_hosts: usize,
     /// Each tenant's heaviest this-many transfers become live simulated
     /// flows; placement still sees the full matrix. Bounds per-tenant

@@ -180,11 +180,16 @@ mod tests {
         let mut s = service(OnlineConfig::default());
         s.step(&arrive(0, 0, fat_app("running", 4, 4.0)));
         assert_eq!(s.sim.active_flows(), 1, "one live flow, so the solve log has a round");
-        // 16 of 32 cores are left, on four idle 4-core hosts. Five 3-core
-        // tasks pass the total-CPU check and get as far as rating host
-        // pairs for their transfer, then run out of hosts — what a queued
-        // tenant does on every retry.
-        let app = fat_app("too lumpy", 5, 3.0);
+        // 16 of 32 cores are left, on four idle 4-core hosts. These six
+        // tasks pack (1+3, 1+3, 4, 4), but Algorithm 1 co-locates the
+        // heavy 1-core pair, rates host pairs for the 3-core pair, which
+        // cannot share the rest of that host, and strands the second
+        // 4-core task — what a queued tenant does on every retry.
+        let mut m = choreo_profile::TrafficMatrix::zeros(6);
+        m.set(0, 1, 1_000_000_000);
+        m.set(2, 3, 1_000_000);
+        let app =
+            choreo_profile::AppProfile::new("stranding", vec![1.0, 1.0, 3.0, 3.0, 4.0, 4.0], m, 0);
         let t0 = s.sim.solve_stats();
         assert!(s.try_place(&app, PlacementPolicy::Greedy).is_none());
         let t1 = s.sim.solve_stats();
@@ -197,6 +202,41 @@ mod tests {
         assert_eq!(t2.probes - t1.probes, t1.probes - t0.probes);
         assert_eq!(t2.probe_replay_rounds, t1.probe_replay_rounds, "second attempt walked");
         assert_eq!((t2.warm_solves, t2.cold_solves), (t1.warm_solves, t1.cold_solves));
+        assert_eq!(s.stats().unpackable_skips, 0, "a packable app is never pruned");
+    }
+
+    #[test]
+    fn an_unpackable_attempt_rates_nothing() {
+        let mut s = service(OnlineConfig::default());
+        s.step(&arrive(0, 0, fat_app("running", 4, 4.0)));
+        // Five 3-core tasks on four idle 4-core hosts: 15 of 16 free
+        // cores, but no host takes two of them. The pre-check proves it
+        // before the placer asks for a single rate.
+        let app = fat_app("too lumpy", 5, 3.0);
+        let attempts = s.metrics.placement_latency.count();
+        let t0 = s.sim.solve_stats();
+        assert!(s.try_place(&app, PlacementPolicy::Greedy).is_none());
+        let t1 = s.sim.solve_stats();
+        assert_eq!((t1.probes, t1.probe_batches), (t0.probes, t0.probe_batches), "{t1:?}");
+        assert_eq!((t1.warm_solves, t1.cold_solves), (t0.warm_solves, t0.cold_solves));
+        assert_eq!(s.stats().unpackable_skips, 1);
+        assert_eq!(s.metrics.placement_latency.count(), attempts + 1, "still one attempt");
+    }
+
+    #[test]
+    fn random_placement_is_never_pruned() {
+        // Nine 3-core tasks on eight idle 4-core hosts: no packing, but
+        // the random placer draws a host for each of the first eight
+        // before it runs out — and later placements depend on those
+        // draws, so the attempt must run.
+        let cfg = OnlineConfig { policy: PlacementPolicy::Random(3), ..OnlineConfig::default() };
+        let (mut tried, mut fresh) = (service(cfg.clone()), service(cfg));
+        assert!(tried.try_place(&fat_app("too lumpy", 9, 3.0), tried.cfg.policy).is_none());
+        assert_eq!(tried.stats().unpackable_skips, 0);
+        let app = fat_app("small", 4, 1.0);
+        let after = tried.try_place(&app, tried.cfg.policy).expect("fits");
+        let first = fresh.try_place(&app, fresh.cfg.policy).expect("fits");
+        assert_ne!(after, first, "the failed attempt drew from the placer's RNG");
     }
 
     #[test]

@@ -7,7 +7,9 @@ use choreo_measure::stability::last_relative_error;
 use choreo_measure::RateModel;
 use choreo_metrics::Counter;
 use choreo_place::greedy::GreedyPlacer;
-use choreo_place::problem::{validate, Machines, NetworkLoad, Placement};
+use choreo_place::problem::{
+    cpu_packing, validate, Machines, NetworkLoad, PackScratch, Packing, Placement,
+};
 use choreo_place::RandomPlacer;
 use choreo_profile::{
     AppProfile, NetworkEvent, NetworkEventKind, ServiceEvent, TenantEvent, TenantEventKind,
@@ -96,11 +98,24 @@ pub struct OnlineScheduler {
     failed_links: Vec<bool>,
     links_down: usize,
     active: usize,
-    /// Scratch: candidate-host subset of the current placement attempt.
+    /// The candidate-host subset placement attempts work within: the
+    /// hosts with the most free CPU, roomiest first (see
+    /// [`OnlineScheduler::rank_candidates`]).
     cand: Vec<u32>,
-    /// Scratch: CPU capacities of `cand`, lent to each attempt's
-    /// [`Machines`] view.
-    sub_cpu: Vec<f64>,
+    /// `load.cpu_used` as it was when `cand` was ranked: while the ledger
+    /// is bit-identical to it, so is the ranking.
+    ranked_from: Vec<f64>,
+    /// Scratch: every host's `(free CPU, host)` ranking key.
+    room: Vec<(f64, u32)>,
+    /// Free CPU of each `cand` host, in `cand` order.
+    cand_free: Vec<f64>,
+    /// CPU capacities of `cand`: the placer's machines.
+    sub_machines: Machines,
+    /// CPU used on each `cand` host, with network counters that stay zero:
+    /// the placer's load (see `try_place_inner`).
+    sub_load: NetworkLoad,
+    /// Scratch of the CPU-packing pre-check.
+    pack: PackScratch,
     /// Scratch: the current attempt's candidate pairs as host pairs, one
     /// [`FlowSim::probe_rates`] batch at a time.
     probes: Vec<(NodeId, NodeId, Option<HoseId>)>,
@@ -163,6 +178,7 @@ impl OnlineScheduler {
         let sim = FlowSim::new(topo.clone(), routes, cfg.loopback, seed);
         let hosts = topo.hosts().to_vec();
         let n = hosts.len();
+        let k = cfg.candidate_hosts.min(n);
         let random_seed = match cfg.policy {
             PlacementPolicy::Random(s) => s,
             PlacementPolicy::Greedy => seed,
@@ -189,7 +205,12 @@ impl OnlineScheduler {
             links_down: 0,
             active: 0,
             cand: Vec::new(),
-            sub_cpu: Vec::new(),
+            ranked_from: Vec::new(),
+            room: Vec::new(),
+            cand_free: Vec::new(),
+            sub_machines: Machines { cpu: Vec::new() },
+            sub_load: NetworkLoad::new(k),
+            pack: PackScratch::default(),
             probes: Vec::new(),
             pod_loss,
             shape_events,
@@ -578,7 +599,8 @@ impl OnlineScheduler {
 
     /// Try to place `app` within the best candidate-host subset. Returns
     /// a **global** placement, or `None` when the placer finds no
-    /// feasible assignment there.
+    /// feasible assignment there. Every attempt, pruned or not, is one
+    /// `placement_latency` observation.
     pub(crate) fn try_place(
         &mut self,
         app: &AppProfile,
@@ -592,48 +614,43 @@ impl OnlineScheduler {
         placed
     }
 
+    /// One placement attempt within the ranked candidate hosts.
+    ///
+    /// Under [`PlacementPolicy::Greedy`] the attempt first asks
+    /// [`cpu_packing`] whether the app's tasks fit the candidates' free
+    /// CPU in any assignment at all. When they provably do not, Algorithm
+    /// 1 would fail too (see [`cpu_packing`]'s soundness argument), so the
+    /// attempt returns `None` without rating a single pair: no probe
+    /// batch, no solve-log walk. A failed greedy attempt digests nothing,
+    /// so the skip leaves every trajectory bit-identical; it is counted in
+    /// [`ServiceStats::unpackable_skips`]. [`PlacementPolicy::Random`] is
+    /// not pre-checked: it may draw from its RNG before it fails, and
+    /// skipping those draws would shift every later placement.
     fn try_place_inner(&mut self, app: &AppProfile, policy: PlacementPolicy) -> Option<Placement> {
-        let n = self.machines.len();
-        let k = self.cfg.candidate_hosts.min(n);
-        // The k hosts with the most free CPU, ties broken on host index:
-        // deterministic, and concentrates placement where there is room.
-        let mut order = std::mem::take(&mut self.cand);
-        order.clear();
-        order.extend(0..n as u32);
-        let free = |h: u32| self.machines.cpu[h as usize] - self.load.cpu_used[h as usize];
-        let by_room =
-            |a: &u32, b: &u32| free(*b).partial_cmp(&free(*a)).expect("finite").then(a.cmp(b));
-        // A total order, so partitioning off the top k and sorting only
-        // those yields exactly the first k of a full sort.
-        if k < n {
-            order.select_nth_unstable_by(k, by_room);
-            order.truncate(k);
-        }
-        order.sort_unstable_by(by_room);
-        self.cand = order;
-        let mut cpu = std::mem::take(&mut self.sub_cpu);
-        cpu.clear();
-        cpu.extend(self.cand.iter().map(|&h| self.machines.cpu[h as usize]));
-        let sub_machines = Machines { cpu };
+        self.rank_candidates();
         let local = match policy {
             PlacementPolicy::Greedy => {
+                match cpu_packing(&app.cpu, &self.cand_free, &mut self.pack) {
+                    Packing::Impossible => {
+                        self.stats.unpackable_skips += 1;
+                        return None;
+                    }
+                    Packing::Undecided => self.stats.pack_undecided += 1,
+                    Packing::Found => {}
+                }
                 // CPU comes from the global ledger; network counters stay
                 // zero: the live probes already price in every running
                 // flow, and stacking the transfer counters on top would
                 // double-count traffic (the `Choreo::place_live`
-                // contract).
-                let mut sub_load = NetworkLoad::new(k);
-                for (i, &h) in self.cand.iter().enumerate() {
-                    sub_load.cpu_used[i] = self.load.cpu_used[h as usize];
-                }
-                // Local VM `v` is host `hosts[cand[v]]`. Probes return
-                // per-connection fair shares, which is what the pipe rule
-                // divides.
+                // contract). Local VM `v` is host `hosts[cand[v]]`.
+                // Probes return per-connection fair shares, which is what
+                // the pipe rule divides.
                 let (sim, hosts, cand, probes) =
                     (&mut self.sim, &self.hosts, &self.cand, &mut self.probes);
                 let host = |v: u32| hosts[cand[v as usize] as usize];
+                let (machines, load) = (&self.sub_machines, &self.sub_load);
                 GreedyPlacer
-                    .place_with(app, &sub_machines, RateModel::Pipe, &sub_load, |pairs, out| {
+                    .place_with(app, machines, RateModel::Pipe, load, |pairs, out| {
                         probes.clear();
                         probes.extend(pairs.iter().map(|&(m, n)| (host(m), host(n), None)));
                         sim.probe_rates(probes, out);
@@ -643,13 +660,57 @@ impl OnlineScheduler {
             PlacementPolicy::Random(_) => {
                 // The network-oblivious baseline reads nothing from live
                 // probes, so the projected sub-load is the right view.
-                self.random.place(app, &sub_machines, &self.load.project(&self.cand)).ok()
+                self.random.place(app, &self.sub_machines, &self.load.project(&self.cand)).ok()
             }
-        };
-        self.sub_cpu = sub_machines.cpu;
-        let local = local?;
+        }?;
         let cand = &self.cand;
         Some(Placement { assignment: local.assignment.iter().map(|&v| cand[v as usize]).collect() })
+    }
+
+    /// Rank the [`OnlineConfig::candidate_hosts`] hosts with the most
+    /// free CPU into `cand`, ties broken on host index — deterministic,
+    /// and it concentrates placement where there is room — and refresh
+    /// the placer's view of them. A no-op while the CPU ledger is
+    /// bit-identical to the one the ranking was made from: a queue retry
+    /// against an unchanged ledger reuses the ranking. (A ledger that
+    /// came back by a different route, such as a migration search's
+    /// remove / apply round trip, may differ in a bit and simply
+    /// re-ranks.)
+    fn rank_candidates(&mut self) {
+        let used = &self.load.cpu_used;
+        let same_bits = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        if same_bits(&self.ranked_from, used) {
+            return;
+        }
+        self.ranked_from.clone_from(used);
+        // Each key computed once, then selected and sorted on one total
+        // order, so partitioning off the top k and sorting only those
+        // yields exactly the first k of a full sort.
+        let by_room = |a: &(f64, u32), b: &(f64, u32)| {
+            b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1))
+        };
+        let room = &mut self.room;
+        room.clear();
+        room.extend(
+            self.machines.cpu.iter().zip(used).enumerate().map(|(h, (cap, u))| (cap - u, h as u32)),
+        );
+        let k = self.sub_load.n_vms();
+        if k < room.len() {
+            room.select_nth_unstable_by(k, by_room);
+            room.truncate(k);
+        }
+        room.sort_unstable_by(by_room);
+        self.cand.clear();
+        self.cand.extend(room.iter().map(|&(_, h)| h));
+        self.cand_free.clear();
+        self.cand_free.extend(room.iter().map(|&(free, _)| free));
+        self.sub_machines.cpu.clear();
+        self.sub_machines.cpu.extend(self.cand.iter().map(|&h| self.machines.cpu[h as usize]));
+        for (slot, &h) in self.sub_load.cpu_used.iter_mut().zip(&self.cand) {
+            *slot = used[h as usize];
+        }
     }
 
     /// Register an admitted tenant: account its load, start its modeled
@@ -765,6 +826,13 @@ impl OnlineScheduler {
     /// order, admitting each one that now fits (no head-of-line
     /// blocking — a large tenant at the front cannot starve small ones
     /// behind it).
+    ///
+    /// A retry costs what its outcome needs: the candidate ranking is
+    /// made once per CPU-ledger change and shared by every retry until an
+    /// admission changes the ledger, and a tenant whose tasks cannot be
+    /// packed onto the candidates' free CPU at all is turned back by the
+    /// CPU-only pre-check before it rates a single pair (see
+    /// `try_place_inner`).
     fn retry_queue(&mut self) {
         // One rotation of the deque: each entry comes off the front and,
         // if it still does not fit, goes to the back — after `len` steps

@@ -321,6 +321,14 @@ pub struct ServiceStats {
     pub failure_migrations: u64,
     /// Arrivals rejected while links were down (capacity truly gone).
     pub failure_rejections: u64,
+    /// Greedy placement attempts skipped because the tenant's tasks
+    /// provably cannot be packed onto the candidate hosts' free CPU
+    /// ([`choreo_place::cpu_packing`]). Not digested: a skipped attempt
+    /// is one that would have failed, and failures digest nothing.
+    pub unpackable_skips: u64,
+    /// Greedy placement attempts whose packing check ran out of its node
+    /// budget and so went on to the placer. Not digested.
+    pub pack_undecided: u64,
     rate_sum_bps: f64,
     hash: u64,
     trace: TraceRing,
@@ -357,6 +365,8 @@ impl ServiceStats {
             drift_detected: 0,
             failure_migrations: 0,
             failure_rejections: 0,
+            unpackable_skips: 0,
+            pack_undecided: 0,
             rate_sum_bps: 0.0,
             hash: FNV_OFFSET,
             trace: TraceRing::new(capacity),

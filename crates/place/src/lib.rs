@@ -16,8 +16,10 @@
 //! * [`predict`] — closed-form completion-time prediction for a placement
 //!   under a snapshot (the objective both placers optimize).
 //! * [`problem`] — shared vocabulary: machine capacities, placements,
-//!   validation, and the [`NetworkLoad`] bookkeeping that lets sequence
-//!   placement (§2.4/§6.3) account for transfers already in flight.
+//!   validation, the [`NetworkLoad`] bookkeeping that lets sequence
+//!   placement (§2.4/§6.3) account for transfers already in flight, and
+//!   [`cpu_packing`], the CPU-only check that proves a placement attempt
+//!   must fail before any rate is asked for.
 
 pub mod baseline;
 pub mod constraints;
@@ -31,4 +33,6 @@ pub use constraints::{ConstrainedGreedyPlacer, Constraints};
 pub use greedy::GreedyPlacer;
 pub use ilp::{IlpPlacer, IlpPlacerOutcome};
 pub use predict::predict_completion_secs;
-pub use problem::{Machines, NetworkLoad, PlaceError, Placement};
+pub use problem::{
+    cpu_packing, Machines, NetworkLoad, PackScratch, Packing, PlaceError, Placement,
+};

@@ -93,6 +93,130 @@ pub fn validate(app: &AppProfile, machines: &Machines, p: &Placement) -> Result<
     Ok(())
 }
 
+/// Search nodes — one task tried on one host — [`cpu_packing`] visits
+/// before it gives up and answers [`Packing::Undecided`].
+pub const PACK_NODE_BUDGET: u32 = 4_096;
+
+/// How far a packing may overrun a host's free CPU and still count:
+/// three orders of magnitude looser than the placer's `1e-9`, so the
+/// order floating-point sums are taken in can only tip the answer
+/// towards "fits".
+const PACK_TOL: f64 = 1e-6;
+
+/// What [`cpu_packing`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Packing {
+    /// An assignment of every task that fits the hosts' free CPU.
+    Found,
+    /// The node budget ran out first: nothing is known, so callers treat
+    /// it as "fits".
+    Undecided,
+    /// No assignment of the tasks to the hosts fits their free CPU.
+    Impossible,
+}
+
+impl Packing {
+    /// Could some placement exist? Only a proof of
+    /// [`Packing::Impossible`] says no.
+    pub fn may_fit(self) -> bool {
+        self != Packing::Impossible
+    }
+}
+
+/// Reusable buffers of [`cpu_packing`]: once they have grown to an
+/// instance's size, checking it allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct PackScratch {
+    /// Demands, largest first.
+    tasks: Vec<f64>,
+    /// `need[t]`: the demand of `tasks[t..]`.
+    need: Vec<f64>,
+    /// One row of per-host remaining free CPU per search depth, each row
+    /// sorted in descending order.
+    rows: Vec<f64>,
+}
+
+/// Can tasks with CPU demands `demand` be packed onto hosts with `free`
+/// CPU at all? A pure, network-oblivious check: it knows nothing of
+/// transfers, rates or which placer runs next.
+///
+/// An exhaustive search, tasks largest first. Hosts whose remaining free
+/// CPU is bit-equal to an earlier host's are tried once (the states the
+/// two lead to are the same up to renaming), and at every node the
+/// search stops when the remaining demand exceeds the remaining room or
+/// the largest remaining task exceeds the roomiest host. After
+/// [`PACK_NODE_BUDGET`] nodes it answers [`Packing::Undecided`].
+///
+/// **Soundness.** Any placement Algorithm 1
+/// ([`crate::GreedyPlacer::place_with`]) returns is such a packing: the
+/// placer admits a task on a host only while the host's committed CPU
+/// stays within its capacity plus `1e-9`, so every host's tasks sum to
+/// at most its free CPU plus `1e-9`. The search accepts anything within
+/// `1e-6`, a margin no summation order of a few dozen core counts can
+/// eat, and prunes nothing such a placement could complete. So
+/// [`Packing::Impossible`] implies the placer fails on the same hosts,
+/// and a caller may skip it — and every rate it would have asked for.
+pub fn cpu_packing(demand: &[f64], free: &[f64], scratch: &mut PackScratch) -> Packing {
+    let (n, h) = (demand.len(), free.len());
+    let PackScratch { tasks, need, rows } = scratch;
+    tasks.clear();
+    tasks.extend_from_slice(demand);
+    tasks.sort_unstable_by(|a, b| b.total_cmp(a));
+    need.clear();
+    need.resize(n + 1, 0.0);
+    for t in (0..n).rev() {
+        need[t] = need[t + 1] + tasks[t];
+    }
+    rows.clear();
+    // A host over capacity has no room; clamping only adds room.
+    rows.extend(free.iter().map(|&f| f.max(0.0)));
+    rows.sort_unstable_by(|a, b| b.total_cmp(a));
+    let room = rows.iter().sum();
+    rows.resize(h * (n + 1), 0.0);
+    let mut budget = PACK_NODE_BUDGET;
+    pack_from(scratch, h, 0, room, &mut budget)
+}
+
+/// [`cpu_packing`]'s search below depth `t`: `rows[t]` holds the hosts'
+/// remaining free CPU, sorted descending, and `room` their clamped sum.
+fn pack_from(s: &mut PackScratch, h: usize, t: usize, room: f64, budget: &mut u32) -> Packing {
+    let Some(&task) = s.tasks.get(t) else { return Packing::Found };
+    // Sum bound: each host may overrun by the tolerance.
+    if s.need[t] > room + PACK_TOL * h as f64 {
+        return Packing::Impossible;
+    }
+    for i in 0..h {
+        let (row, next) = s.rows[t * h..(t + 2) * h].split_at_mut(h);
+        let r = row[i];
+        // Largest-task bound at `i == 0`; rows are sorted, so once a host
+        // is too small every later one is too.
+        if task > r + PACK_TOL {
+            break;
+        }
+        if i > 0 && r.to_bits() == row[i - 1].to_bits() {
+            continue;
+        }
+        if *budget == 0 {
+            return Packing::Undecided;
+        }
+        *budget -= 1;
+        next.copy_from_slice(row);
+        let left = r - task;
+        next[i] = left;
+        let mut j = i;
+        while j + 1 < h && next[j + 1] > left {
+            next.swap(j, j + 1);
+            j += 1;
+        }
+        let room = room - r.max(0.0) + left.max(0.0);
+        match pack_from(s, h, t + 1, room, budget) {
+            Packing::Impossible => {}
+            found_or_undecided => return found_or_undecided,
+        }
+    }
+    Packing::Impossible
+}
+
 /// Network and CPU load imposed by applications that are already running —
 /// what sequence placement (§2.4) must account for when the next
 /// application arrives.
@@ -250,6 +374,45 @@ mod tests {
         // 1 + 2 = 3 cores on machine 0 > 2.5.
         let p = Placement { assignment: vec![0, 0, 1] };
         assert!(validate(&app, &machines, &p).is_err());
+    }
+
+    /// Does any assignment of `demand` to the hosts keep every host
+    /// within its clamped `free` plus the check's tolerance? Tries all
+    /// `hosts^tasks` of them.
+    fn packs_by_enumeration(demand: &[f64], free: &[f64]) -> bool {
+        let (n, h) = (demand.len() as u32, free.len());
+        (0..(h as u64).pow(n)).any(|code| {
+            let mut used = vec![0.0; h];
+            let mut c = code;
+            for &d in demand {
+                used[(c % h as u64) as usize] += d;
+                c /= h as u64;
+            }
+            used.iter().zip(free).all(|(u, f)| *u <= f.max(0.0) + PACK_TOL)
+        })
+    }
+
+    #[test]
+    fn packing_agrees_with_enumeration_on_small_instances() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut scratch = PackScratch::default();
+        let (mut impossible, mut found) = (0, 0);
+        for _ in 0..3_000 {
+            let n = rng.gen_range(1..=6);
+            let h = rng.gen_range(1..=4);
+            let demand: Vec<f64> = (0..n).map(|_| 0.5 * rng.gen_range(1..=8) as f64).collect();
+            let free: Vec<f64> = (0..h).map(|_| 0.5 * rng.gen_range(0..=8) as f64).collect();
+            let got = cpu_packing(&demand, &free, &mut scratch);
+            if got == Packing::Undecided {
+                continue;
+            }
+            let fits = got == Packing::Found;
+            assert_eq!(fits, packs_by_enumeration(&demand, &free), "{demand:?} on {free:?}");
+            found += fits as u32;
+            impossible += !fits as u32;
+        }
+        assert!(impossible > 300 && found > 300, "{impossible} impossible, {found} found");
     }
 
     #[test]

@@ -229,3 +229,81 @@ const SERVICE_RATE_BITS: u64 = 0x41d4_c6fc_b664_5ac2;
 /// `[admitted, queued, queue_admitted, rejected, migrations,
 /// failure_migrations, network_events, drift_detected]` of the same run.
 const SERVICE_COUNTERS: [u64; 8] = [12, 16, 13, 1, 5, 3, 42, 3];
+
+/// A pinned trajectory in the saturated regime of the ledger's
+/// `steady-sim` workload, scaled down: a 32-host tree, 4–8-task tenants
+/// every 2 s that change intensity on a 12 s clock, default link
+/// incidents, and the default configuration (16 candidate hosts, a
+/// 64-entry wait queue). The queue stays long, so every departure
+/// retries dozens of tenants, most of which cannot fit — the path a
+/// change to how retries are skipped or candidates are ranked takes.
+#[test]
+fn saturated_queue_trajectory_is_pinned() {
+    let topo = Arc::new(
+        MultiRootedTreeSpec {
+            cores: 2,
+            pods: 4,
+            aggs_per_pod: 2,
+            tors_per_pod: 2,
+            hosts_per_tor: 4,
+            ..Default::default()
+        }
+        .build(),
+    );
+    let routes = Arc::new(RouteTable::new(&topo));
+    let stream_cfg = WorkloadStreamConfig {
+        gen: WorkloadGenConfig {
+            tasks_min: 4,
+            tasks_max: 8,
+            mean_interarrival: 2 * SECS,
+            ..Default::default()
+        },
+        mean_intensity_change: 12 * SECS,
+        max_intensity: 3,
+        ..Default::default()
+    };
+    let tenants: Vec<TenantEvent> = WorkloadStream::new(stream_cfg, 7).take(1_500).collect();
+    let horizon = tenants.last().map_or(0, |e| e.at);
+    let net_cfg =
+        NetworkEventStreamConfig { n_links: topo.link_count() as u32, ..Default::default() };
+    let network: Vec<NetworkEvent> =
+        NetworkEventStream::new(net_cfg, 11).take_while(|e| e.at <= horizon).collect();
+    let mut svc =
+        SchedulerBuilder::new(topo, routes).config(OnlineConfig::default()).seed(7).build();
+    for ev in &merge_events(tenants, network) {
+        svc.service_step(ev);
+    }
+    let s = svc.stats();
+    let rate = s.mean_departed_rate_bps().expect("tenants departed").to_bits();
+    let counters = [
+        s.admitted,
+        s.queued,
+        s.queue_admitted,
+        s.rejected,
+        s.migrations,
+        s.failure_migrations,
+        s.network_events,
+        s.drift_detected,
+    ];
+    assert_eq!(
+        s.trace_hash(),
+        SATURATED_GOLDEN,
+        "scheduler digest moved: {:#018x}",
+        s.trace_hash()
+    );
+    assert_eq!(rate, SATURATED_RATE_BITS, "mean departed rate moved: {rate:#018x}");
+    assert_eq!(counters, SATURATED_COUNTERS, "counters moved: {counters:?}");
+    // Four in five of the 1 112 attempts cannot be packed onto the
+    // candidates' free CPU at all: the pre-check turns each back before
+    // any rating, and never runs out of budget doing so.
+    let attempts = svc.metrics().placement_latency.count();
+    let pruned = (s.unpackable_skips, s.pack_undecided);
+    assert_eq!(pruned, (892, 0), "unpackable and undecided of {attempts} attempts");
+}
+
+/// Recorded at commit d48c337, before the CPU-packing pre-check.
+const SATURATED_GOLDEN: u64 = 0xd5c1_e2ab_d708_b24e;
+/// `mean_departed_rate_bps` bits of the same run.
+const SATURATED_RATE_BITS: u64 = 0x41d1_06c4_a984_9916;
+/// The counters of [`SERVICE_COUNTERS`], for the same run.
+const SATURATED_COUNTERS: [u64; 8] = [17, 117, 33, 0, 9, 2, 14, 2];

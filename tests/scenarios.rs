@@ -1,8 +1,9 @@
 //! Whole-service robustness scenarios, asserted on simulated outcomes
 //! only: link and switch failover recovery, the offered-load rejection
 //! knee, the adversarial workload shapes against the nominal stream,
-//! a 2 048-host cluster whose route table has to fit, and what a
-//! 240-pair probe batch on 512 hosts costs in solve-log rounds. Fixed
+//! a 2 048-host cluster whose route table has to fit, what a 240-pair
+//! probe batch on 512 hosts costs in solve-log rounds, and how many of
+//! the rounds a warm solve carries have work to do. Fixed
 //! topologies, streams and seeds; determinism across repeats is
 //! `tests/online.rs`'s job, timing is the perf ledger's
 //! (`BENCHMARK.json`).
@@ -202,6 +203,24 @@ fn workload_shapes_spend_the_headroom_nominal_load_keeps() {
     cross_pod.gen.patterns = vec![AppPattern::CrossPod];
     let cross_pod = run_squeezed(&topo, cross_pod);
     assert!(cross_pod.stats().mean_departed_rate_bps().is_some(), "cross-pod saw no departures");
+}
+
+/// How much of a warm solve's walk a perturbation touches. The walk
+/// carries every logged round, but only the rounds that hold a chain of
+/// deltas for a perturbed resource do work there; the clean rest is a
+/// compare and a copy. The split is a pure function of the stream, so
+/// it is pinned here to the round.
+#[test]
+fn warm_solves_carry_mostly_clean_rounds() {
+    let topo = tree(2);
+    let mut svc = service(&topo, OnlineConfig::default());
+    for ev in steady_stream().take(1_000) {
+        svc.step(&ev);
+    }
+    let st = svc.sim_mut().solve_stats();
+    let split = (st.warm_solves, st.replayed_rounds, st.chained_rounds);
+    assert_eq!(split, (272, 5_458, 2_019), "{st:?}");
+    assert!(2 * st.chained_rounds < st.replayed_rounds, "{st:?}");
 }
 
 #[test]
