@@ -1008,7 +1008,14 @@ impl FlowSim {
 
     // ------------------------------------------------------------ dynamics
 
-    /// Recompute the max-min allocation if the active flow set changed.
+    /// Recompute the max-min allocation if the active flow set or a
+    /// capacity changed since the last solve.
+    ///
+    /// Mutations only mark the state dirty; the solve runs here, called
+    /// by the readers of `rates` alone — [`FlowSim::rate_bps`], the probe
+    /// log, the cold-solve check, [`FlowSim::run_to_completion`] and the
+    /// two rate reads of [`FlowSim::run_until`] — so however many
+    /// mutations land between two reads, they cost one solve.
     ///
     /// The arena already reflects every start/stop, so this is a single
     /// solver run straight into the slot-indexed rate column — no
@@ -1160,17 +1167,33 @@ impl FlowSim {
         }
     }
 
-    /// Run the simulation until time `t`.
+    /// Run the simulation until time `t`, which must not be before
+    /// [`FlowSim::now`]: running the clock backwards is a panic.
+    ///
+    /// The loop reads rates in two places only, and solves a pending
+    /// reallocation just before each: the completion search, while a
+    /// byte-bounded flow is live, and the integration of an interval of
+    /// positive length. Everything else it does — retiring spent flows,
+    /// firing heap events — reads no rate. So an advance that does not
+    /// move the clock over unbounded flows solves nothing, and leaves the
+    /// dirty window to whichever reader comes next: a burst of capacity
+    /// changes at one instant then shares one warm solve, bit-identical
+    /// to a cold solve like every solve.
     pub fn run_until(&mut self, t: Nanos) {
+        assert!(t >= self.now, "run_until({t}) would run the clock backwards from {}", self.now);
         loop {
-            self.reallocate_if_dirty();
+            if !self.bounded.is_empty() {
+                self.reallocate_if_dirty();
+            }
             let next_ev = self.events.peek().map(|Reverse(e)| e.at);
             let next_done = self.next_completion();
+            // Heap events and completions never lie before `now`, so
+            // `now ≤ target ≤ t`.
             let target = [Some(t), next_ev, next_done].into_iter().flatten().min().expect("t");
-            if target > t {
-                break;
+            if target > self.now {
+                self.reallocate_if_dirty();
+                self.integrate(target - self.now);
             }
-            self.integrate(target - self.now);
             self.now = target;
             self.finish_completed();
             // Fire all events scheduled at exactly `target`.
@@ -1181,16 +1204,9 @@ impl FlowSim {
                 let Reverse(e) = self.events.pop().expect("peeked");
                 self.dispatch(e.ev);
             }
-            if self.now >= t && next_ev.is_none_or(|e| e > t) && next_done.is_none_or(|d| d > t) {
+            if self.now == t && next_ev.is_none_or(|e| e > t) && next_done.is_none_or(|d| d > t) {
                 break;
             }
-        }
-        // Consume remaining time up to t with current allocation.
-        if self.now < t {
-            self.reallocate_if_dirty();
-            self.integrate(t - self.now);
-            self.now = t;
-            self.finish_completed();
         }
     }
 
@@ -1336,6 +1352,38 @@ mod tests {
         assert_eq!(st.probes, 2, "{st:?}");
         assert!(st.probe_replay_rounds >= 1, "{st:?}");
         let _ = f1;
+    }
+
+    #[test]
+    fn a_same_instant_advance_leaves_the_solve_to_the_next_reader() {
+        let mut s = sim(2, GBIT);
+        let h = s.topology().hosts().to_vec();
+        let f = s.start_flow_now(h[0], h[2], None, None, 1);
+        s.run_until(MILLIS);
+        let solves = s.solve_stats().warm_solves + s.solve_stats().cold_solves;
+        // Two capacity changes and two same-instant advances: nothing is
+        // read, so nothing is solved.
+        s.degrade_link(0, 0.5);
+        s.run_until(MILLIS);
+        s.degrade_link(1, 0.5);
+        s.run_until(MILLIS);
+        let st = s.solve_stats();
+        assert_eq!(st.warm_solves + st.cold_solves, solves, "{st:?}");
+        // The next reader pays for both in one solve.
+        let _ = s.rate_bps(f);
+        let st = s.solve_stats();
+        assert_eq!(st.warm_solves + st.cold_solves, solves + 1, "{st:?}");
+        s.check_rates_against_cold();
+    }
+
+    #[test]
+    #[should_panic(expected = "would run the clock backwards")]
+    fn run_until_refuses_to_run_the_clock_backwards() {
+        let mut s = sim(1, GBIT);
+        let h = s.topology().hosts().to_vec();
+        s.start_flow(h[0], h[1], None, None, 0, 1);
+        s.run_until(2 * SECS);
+        s.run_until(SECS);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! as a `u32`), so a path turns into solver resources without a table. The
 //! engine advances time between discrete
 //! events — flow arrivals, completions, scheduled stops and ON–OFF
-//! background toggles — recomputing the allocation whenever the flow set
-//! changes ([`fairshare`]), and integrates delivered bytes exactly between
-//! events.
+//! background toggles — recomputing the allocation where a changed flow
+//! set or capacity is next read ([`fairshare`]), and integrates delivered
+//! bytes exactly between events.
 //!
 //! # The incremental fair-share core
 //!
@@ -181,6 +181,25 @@
 //! event there costs what it changes (the warm solve over its dirty
 //! window) plus the streaming add, not a walk over every flow in the
 //! cluster. Simultaneous completions retire in ascending slot order.
+//!
+//! # When a solve runs: where a rate is read
+//!
+//! A mutation — a flow starting or stopping, a capacity change — only
+//! marks the state dirty. The solve runs when something reads a rate:
+//! [`FlowSim::rate_bps`], a probe, [`FlowSim::check_rates_against_cold`],
+//! or the event loop. [`FlowSim::run_until`] reads rates in two places
+//! and solves just before each: the next-completion search, while a
+//! byte-bounded flow is live, and the integration of an interval of
+//! positive length. Retiring spent flows and firing heap events read no
+//! rate, and integrating a zero-length interval adds nothing, so an
+//! advance that does not move the clock over unbounded flows solves
+//! nothing: however many mutations land at one instant — a switch failing
+//! all its links at once, a tenant and the forced migration its failure
+//! sets off — they share the one warm solve their first reader pays for.
+//! That solve is bit-identical to a cold solve, as every solve is, so
+//! *when* a solve runs never changes a trajectory; the workspace property
+//! suite drives an engine beside a twin that solves after every call and
+//! checks exactly that. Running the clock backwards is a panic.
 //!
 //! # Runtime network events: capacity as a first-class input
 //!

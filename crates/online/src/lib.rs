@@ -53,14 +53,16 @@
 //! The adaptation loop closes in three stages:
 //!
 //! 1. **inject** — the event cuts or restores capacity in the arena's
-//!    dirty window; the next reallocation re-solves bit-identical to a
-//!    cold solve at the new capacities;
+//!    dirty window; the next rate read re-solves bit-identical to a cold
+//!    solve at the new capacities, once for however many events landed
+//!    in the same instant;
 //! 2. **detect** — a re-measurement cadence ([`DriftConfig`]) refreshes
 //!    every running tenant's service score into a bounded epoch
 //!    series ([`choreo_measure::stability::last_relative_error`]); an
 //!    epoch-over-epoch relative error above the paper's §4.1 stability
 //!    envelope (6 %) is *drift* — the network moved under the tenant.
-//!    Link failures additionally scan for stranded tenants on the spot;
+//!    Link failures additionally score every running tenant on the spot
+//!    for the ones the failure stranded;
 //! 3. **migrate** — drifted and failure-stranded tenants are forced
 //!    into the migration planner ahead of its cadence (cooldown and
 //!    degradation arming bypassed; the hysteresis bar still gates every

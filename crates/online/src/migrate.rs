@@ -53,40 +53,54 @@ impl OnlineScheduler {
     /// One cluster-wide planning pass; called from the event loop on the
     /// cadence clock (or [`OnlineScheduler::force_migration_pass`]).
     pub(crate) fn migration_pass(&mut self) {
-        self.migration_pass_inner(&[]);
+        self.migration_pass_forced(&[]);
     }
 
     /// A pass with `forced` tenants scanned ahead of the normal rules:
-    /// drift detections and link failures route tenants here, bypassing
-    /// the cooldown and the degraded-fraction arm (the network already
-    /// gave the evidence). The move itself still has to clear the
-    /// hysteresis bar — forcing a tenant in never forces it to move.
+    /// drift detections route tenants here, bypassing the cooldown and
+    /// the degraded-fraction arm (the network already gave the
+    /// evidence). The move itself still has to clear the hysteresis bar
+    /// — forcing a tenant in never forces it to move.
     pub(crate) fn migration_pass_forced(&mut self, forced: &[TenantId]) {
-        self.migration_pass_inner(forced);
+        debug_assert!(forced.windows(2).all(|w| w[0] < w[1]), "forced ids sorted, unique");
+        self.open_pass(forced.len());
+        let degraded = self.scan_degraded(forced);
+        self.move_degraded(degraded, |id| forced.binary_search(&id).is_ok());
     }
 
-    fn migration_pass_inner(&mut self, forced: &[TenantId]) {
+    /// A pass forced with `degraded`, every running networked tenant that
+    /// scores below its degraded fraction, each with that score, in id
+    /// order — what a link failure hands the planner. This *is* the
+    /// pass's phase 1: a scan forced with exactly these tenants would
+    /// select exactly them (no other tenant is degraded) at exactly these
+    /// scores (nothing touched the simulator since they were read), so
+    /// the pass does not score anyone a second time.
+    pub(crate) fn migration_pass_scored(&mut self, degraded: Vec<(TenantId, f64)>) {
+        self.open_pass(degraded.len());
+        self.move_degraded(degraded, |_| true);
+    }
+
+    /// Count and digest the start of a pass forcing `forced` tenants in.
+    fn open_pass(&mut self, forced: usize) {
         self.stats.migration_passes += 1;
         self.metrics.migration_passes.inc();
         self.stats.note(0x4d); // 'M'
         let now = self.sim.now();
-        self.stats.decide(now, TenantId::MAX, DecisionKind::MigrationPass, forced.len() as f64);
+        self.stats.decide(now, TenantId::MAX, DecisionKind::MigrationPass, forced as f64);
+    }
+
+    /// Phase 1: scan for degraded tenants, in id order, carrying each
+    /// one's current score into phase 2 (probes and placement searches
+    /// are side-effect-free, so the score cannot drift between the
+    /// phases). Forced tenants skip the cooldown and the degradation arm.
+    fn scan_degraded(&mut self, forced: &[TenantId]) -> Vec<(TenantId, f64)> {
+        let now = self.sim.now();
         let cooldown = self.cfg.migration.cooldown;
         let degraded_fraction = self.cfg.migration.degraded_fraction;
-        let min_improvement = self.cfg.migration.min_improvement;
-        let is_forced = |id: TenantId| forced.binary_search(&id).is_ok();
-        debug_assert!(forced.windows(2).all(|w| w[0] < w[1]), "forced ids sorted, unique");
-
-        // Phase 1: scan for degraded tenants, in id order, carrying each
-        // one's current score into phase 2 (probes and placement
-        // searches are side-effect-free, so the score cannot drift
-        // between the phases). Forced tenants skip the cooldown and the
-        // degradation arm.
         let loopback = self.cfg.loopback.rate_bps;
         let mut degraded: Vec<(TenantId, f64)> = Vec::new();
-        for (id, t) in self.tenants.iter().enumerate() {
-            let Some(t) = t.as_ref() else { continue };
-            let forced_in = is_forced(id as TenantId);
+        for (&id, t) in &self.tenants {
+            let forced_in = forced.binary_search(&id).is_ok();
             if !forced_in && now.saturating_sub(t.last_move_at) < cooldown {
                 continue;
             }
@@ -95,17 +109,28 @@ impl OnlineScheduler {
             }
             let current = service_score(&mut self.sim, loopback, &t.flows);
             if forced_in || current < degraded_fraction * t.baseline {
-                degraded.push((id as TenantId, current));
+                degraded.push((id, current));
             }
         }
+        degraded
+    }
 
+    /// Phases 2 and 3: price a move for each of the `degraded` tenants at
+    /// its current score, and execute the best under the budget.
+    /// `is_forced` tells which of them were forced into the pass.
+    fn move_degraded(
+        &mut self,
+        degraded: Vec<(TenantId, f64)>,
+        is_forced: impl Fn(TenantId) -> bool,
+    ) {
+        let min_improvement = self.cfg.migration.min_improvement;
         // Phase 2: price a candidate move per degraded tenant. The
         // tenant's own CPU is released while searching so it may reuse
         // its current hosts in a better arrangement.
         let mut moves: Vec<PlannedMove> = Vec::new();
         for (id, current) in degraded {
             let (app, old_placement, transfers, intensity) = {
-                let t = self.tenants[id as usize].as_ref().expect("degraded are running");
+                let t = &self.tenants[&id];
                 (t.app.clone(), t.placement.clone(), t.transfers.clone(), t.intensity)
             };
             self.load.remove(&app, &old_placement);
@@ -183,7 +208,7 @@ impl OnlineScheduler {
     /// is the predicted-over-current ratio that cleared the hysteresis
     /// bar — recorded as the move's [`Cause`] in the trace ring.
     fn execute_move(&mut self, id: TenantId, placement: Placement, forced: bool, gain: f64) {
-        let t = self.tenants[id as usize].take().expect("planned moves target running tenants");
+        let t = self.tenants.remove(&id).expect("planned moves target running tenants");
         self.load.remove(&t.app, &t.placement);
         let fits = {
             let mut extra = vec![0.0f64; self.machines.len()];
@@ -198,7 +223,7 @@ impl OnlineScheduler {
         };
         if !fits {
             self.load.apply(&t.app, &t.placement);
-            self.tenants[id as usize] = Some(t);
+            self.tenants.insert(id, t);
             return;
         }
         let old_keys: Vec<_> = t.flows.iter().flatten().copied().collect();
@@ -226,15 +251,18 @@ impl OnlineScheduler {
         } else {
             self.stats.decide_caused(now, id, DecisionKind::Migrate, baseline, cause);
         }
-        self.tenants[id as usize] = Some(crate::scheduler::Tenant {
-            app: t.app,
-            placement,
-            intensity: t.intensity,
-            transfers: t.transfers,
-            flows,
-            baseline,
-            last_move_at: now,
-            epoch_scores: Vec::new(),
-        });
+        self.tenants.insert(
+            id,
+            crate::scheduler::Tenant {
+                app: t.app,
+                placement,
+                intensity: t.intensity,
+                transfers: t.transfers,
+                flows,
+                baseline,
+                last_move_at: now,
+                epoch_scores: Vec::new(),
+            },
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! The always-on placement service.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use choreo_flowsim::{FlowKey, FlowSim, HoseId};
 use choreo_measure::stability::last_relative_error;
@@ -80,7 +80,9 @@ pub struct OnlineScheduler {
     pub(crate) hosts: Vec<NodeId>,
     pub(crate) machines: Machines,
     pub(crate) load: NetworkLoad,
-    pub(crate) tenants: Vec<Option<Tenant>>,
+    /// The running tenants, and only those: every pass over them walks
+    /// the tenants it can score, in ascending id order.
+    pub(crate) tenants: BTreeMap<TenantId, Tenant>,
     /// Waiting tenants with the last intensity each requested while
     /// queued (applied at `QueueAdmit`, so an intensity change sent
     /// while waiting is not lost — the stream never resends it).
@@ -97,7 +99,6 @@ pub struct OnlineScheduler {
     /// genuinely gone.
     failed_links: Vec<bool>,
     links_down: usize,
-    active: usize,
     /// The candidate-host subset placement attempts work within: the
     /// hosts with the most free CPU, roomiest first (see
     /// [`OnlineScheduler::rank_candidates`]).
@@ -193,7 +194,7 @@ impl OnlineScheduler {
             hosts,
             machines: Machines::uniform(n, cfg.cores_per_host),
             load: NetworkLoad::new(n),
-            tenants: Vec::new(),
+            tenants: BTreeMap::new(),
             queue: VecDeque::new(),
             cfg,
             random: RandomPlacer::new(random_seed),
@@ -203,7 +204,6 @@ impl OnlineScheduler {
             next_measure_at,
             failed_links: vec![false; n_links],
             links_down: 0,
-            active: 0,
             cand: Vec::new(),
             ranked_from: Vec::new(),
             room: Vec::new(),
@@ -239,7 +239,7 @@ impl OnlineScheduler {
 
     /// Tenants currently admitted and running.
     pub fn active_tenants(&self) -> usize {
-        self.active
+        self.tenants.len()
     }
 
     /// Tenants waiting for capacity.
@@ -259,13 +259,13 @@ impl OnlineScheduler {
 
     /// A running tenant's current placement (global host indices).
     pub fn tenant_placement(&self, tenant: TenantId) -> Option<&Placement> {
-        self.tenants.get(tenant as usize)?.as_ref().map(|t| &t.placement)
+        self.tenants.get(&tenant).map(|t| &t.placement)
     }
 
     /// A running tenant's current intensity (connections per modeled
     /// transfer). `None` for queued, rejected or departed tenants.
     pub fn tenant_intensity(&self, tenant: TenantId) -> Option<u32> {
-        self.tenants.get(tenant as usize)?.as_ref().map(|t| t.intensity)
+        self.tenants.get(&tenant).map(|t| t.intensity)
     }
 
     /// Direct access to the live simulator — tests and benches inject
@@ -294,9 +294,8 @@ impl OnlineScheduler {
         const NB: usize = crate::metrics::TENANT_BUCKETS as usize;
         let mut bucket_met = [0u64; NB];
         let mut bucket_total = [0u64; NB];
-        for (id, t) in self.tenants.iter().enumerate() {
-            let Some(t) = t.as_ref().filter(|t| t.is_networked()) else { continue };
-            let bucket = id % NB;
+        for (&id, t) in self.tenants.iter().filter(|(_, t)| t.is_networked()) {
+            let bucket = id as usize % NB;
             total += 1;
             bucket_total[bucket] += 1;
             if service_score(&mut self.sim, loopback, &t.flows) >= fraction * t.baseline {
@@ -324,7 +323,7 @@ impl OnlineScheduler {
     pub fn mean_networked_score(&mut self) -> Option<f64> {
         let loopback = self.cfg.loopback.rate_bps;
         let (mut sum, mut count) = (0.0, 0usize);
-        for t in self.tenants.iter().flatten().filter(|t| t.is_networked()) {
+        for t in self.tenants.values().filter(|t| t.is_networked()) {
             sum += service_score(&mut self.sim, loopback, &t.flows);
             count += 1;
         }
@@ -375,7 +374,7 @@ impl OnlineScheduler {
             TenantEventKind::Depart => self.depart(ev.tenant),
         }
         self.metrics.queue_depth.set(self.queue.len() as f64);
-        self.metrics.active_tenants.set(self.active as f64);
+        self.metrics.active_tenants.set(self.tenants.len() as f64);
     }
 
     /// Consume one event of a merged tenant + network stream.
@@ -394,12 +393,18 @@ impl OnlineScheduler {
     }
 
     /// Consume one network event: advance simulated time, apply the
-    /// capacity change to the live simulator (one dirty-window
-    /// perturbation — the next reallocation re-solves bit-identical to
-    /// cold at the new capacities), and, on a failure, route every
-    /// tenant the failure degraded into a forced migration pass ahead
-    /// of the cadence. Fully digested: fault-laden runs stay
+    /// capacity change to the live simulator, and, on a failure, route
+    /// every tenant the failure degraded into a forced migration pass
+    /// ahead of the cadence. Fully digested: fault-laden runs stay
     /// bit-reproducible across repeats.
+    ///
+    /// The capacity change is one dirty-window perturbation, solved —
+    /// bit-identical to cold at the new capacities — by whoever reads a
+    /// rate next, so the events of a switch failing or recovering all
+    /// its links in one instant share one solve. On a failure the
+    /// reader is the degradation scan, which scores each running
+    /// networked tenant once; the degraded tenants, with those scores,
+    /// are the forced pass's phase 1, so no tenant is scored twice.
     pub fn network_step(&mut self, ev: &NetworkEvent) {
         self.advance_to(ev.at);
         self.stats.network_events += 1;
@@ -446,23 +451,24 @@ impl OnlineScheduler {
             // force everyone the failure actually degraded into a pass
             // now. The planner's hysteresis still gates each move, so a
             // tenant with no better place to go stays put.
-            let forced = self.degraded_tenant_ids();
-            if !forced.is_empty() {
-                self.migration_pass_forced(&forced);
+            let degraded = self.degraded_tenants();
+            if !degraded.is_empty() {
+                self.migration_pass_scored(degraded);
             }
         }
     }
 
     /// Running networked tenants currently scoring below the planner's
-    /// degraded fraction of their baseline, in id order.
-    fn degraded_tenant_ids(&mut self) -> Vec<TenantId> {
+    /// degraded fraction of their baseline, with those scores, in id
+    /// order.
+    fn degraded_tenants(&mut self) -> Vec<(TenantId, f64)> {
         let frac = self.cfg.migration.degraded_fraction;
         let loopback = self.cfg.loopback.rate_bps;
         let mut out = Vec::new();
-        for (id, t) in self.tenants.iter().enumerate() {
-            let Some(t) = t.as_ref().filter(|t| t.is_networked()) else { continue };
-            if service_score(&mut self.sim, loopback, &t.flows) < frac * t.baseline {
-                out.push(id as TenantId);
+        for (&id, t) in self.tenants.iter().filter(|(_, t)| t.is_networked()) {
+            let score = service_score(&mut self.sim, loopback, &t.flows);
+            if score < frac * t.baseline {
+                out.push((id, score));
             }
         }
         out
@@ -483,9 +489,8 @@ impl OnlineScheduler {
         let loopback = self.cfg.loopback.rate_bps;
         let now = self.sim.now();
         let mut drifted: Vec<(TenantId, f64)> = Vec::new();
-        for (id, t) in self.tenants.iter_mut().enumerate() {
-            // Co-located tenants have no network under them to drift.
-            let Some(t) = t.as_mut().filter(|t| t.is_networked()) else { continue };
+        // Co-located tenants have no network under them to drift.
+        for (&id, t) in self.tenants.iter_mut().filter(|(_, t)| t.is_networked()) {
             let score = service_score(&mut self.sim, loopback, &t.flows);
             self.stats.note_f64(score);
             t.epoch_scores.push(score);
@@ -496,7 +501,7 @@ impl OnlineScheduler {
             // cadence: the latest error of the series at lag 1.
             if let Some(err) = last_relative_error(&t.epoch_scores, 1) {
                 if err > threshold {
-                    drifted.push((id as TenantId, err));
+                    drifted.push((id, err));
                 }
             }
         }
@@ -534,8 +539,7 @@ impl OnlineScheduler {
         // would leak its flows and corrupt the CPU ledger). The guard
         // digests a distinct byte so fault-free trajectories are
         // untouched while duplicated ones stay deterministic.
-        let live = self.tenants.get(id as usize).is_some_and(Option::is_some);
-        if live || self.queue.iter().any(|(t, _, _)| *t == id) {
+        if self.tenants.contains_key(&id) || self.queue.iter().any(|(t, _, _)| *t == id) {
             self.stats.duplicate_arrivals += 1;
             self.metrics.duplicate_arrivals.inc();
             self.count_admission(Admission::Duplicate);
@@ -543,9 +547,6 @@ impl OnlineScheduler {
             let now = self.sim.now();
             self.stats.decide(now, id, DecisionKind::Duplicate, 0.0);
             return;
-        }
-        if self.tenants.len() <= id as usize {
-            self.tenants.resize_with(id as usize + 1, || None);
         }
         match self.try_place(&app, self.cfg.policy) {
             Some(placement) => {
@@ -747,17 +748,19 @@ impl OnlineScheduler {
         self.stats.note_f64(baseline);
         let now = self.sim.now();
         self.stats.decide(now, id, kind, baseline);
-        self.tenants[id as usize] = Some(Tenant {
-            app,
-            placement,
-            intensity,
-            transfers,
-            flows,
-            baseline,
-            last_move_at: now,
-            epoch_scores: Vec::new(),
-        });
-        self.active += 1;
+        self.tenants.insert(
+            id,
+            Tenant {
+                app,
+                placement,
+                intensity,
+                transfers,
+                flows,
+                baseline,
+                last_move_at: now,
+                epoch_scores: Vec::new(),
+            },
+        );
     }
 
     /// Start `intensity` unbounded flows per network transfer (co-located
@@ -795,7 +798,7 @@ impl OnlineScheduler {
             self.stats.decide(now, id, DecisionKind::Depart, 0.0);
             return;
         }
-        let Some(t) = self.tenants.get_mut(id as usize).and_then(Option::take) else {
+        let Some(t) = self.tenants.remove(&id) else {
             // Rejected at arrival (or never seen): nothing was admitted,
             // so nothing departs. Counting it would overstate departures
             // against admissions; digest a distinct byte so hostile
@@ -807,7 +810,6 @@ impl OnlineScheduler {
         // counts as a departure.
         self.stats.departures += 1;
         self.metrics.departures.inc();
-        self.active -= 1;
         let score = service_score(&mut self.sim, self.cfg.loopback.rate_bps, &t.flows);
         self.stats.record_departed_rate(score);
         let now = self.sim.now();
@@ -854,8 +856,7 @@ impl OnlineScheduler {
 
     fn set_intensity(&mut self, id: TenantId, intensity: u32) {
         debug_assert!(intensity >= 1);
-        let running = self.tenants.get(id as usize).is_some_and(Option::is_some);
-        if !running {
+        let Some(t) = self.tenants.get_mut(&id) else {
             // Still waiting in the queue? Stash the request with the
             // entry — `QueueAdmit` applies the last value asked for, so
             // a change sent while queued is not silently lost. (The
@@ -868,9 +869,7 @@ impl OnlineScheduler {
                 }
             }
             return; // rejected or departed otherwise
-        }
-        let slot = self.tenants.get_mut(id as usize).expect("checked");
-        let t = slot.as_mut().expect("checked");
+        };
         if t.intensity == intensity {
             return;
         }
@@ -937,7 +936,8 @@ impl OnlineScheduler {
     /// * the CPU ledger matches the running tenants exactly and never
     ///   exceeds any host's capacity;
     /// * every running placement still validates against the machines;
-    /// * the wait queue respects its bound;
+    /// * the wait queue respects its bound, and no tenant both runs and
+    ///   waits (the duplicate-arrival guard's precondition);
     /// * flow bookkeeping matches the simulator's active-flow count.
     ///
     /// Panics on violation.
@@ -945,9 +945,7 @@ impl OnlineScheduler {
         let n = self.machines.len();
         let mut cpu = vec![0.0f64; n];
         let mut live_flows = 0usize;
-        let mut active = 0usize;
-        for t in self.tenants.iter().flatten() {
-            active += 1;
+        for t in self.tenants.values() {
             validate(&t.app, &self.machines, &t.placement).expect("running placement is valid");
             for (task, &vm) in t.placement.assignment.iter().enumerate() {
                 cpu[vm as usize] += t.app.cpu[task];
@@ -965,7 +963,6 @@ impl OnlineScheduler {
                 }
             }
         }
-        assert_eq!(active, self.active, "active-tenant counter in sync");
         for (h, &used) in cpu.iter().enumerate() {
             assert!(
                 (used - self.load.cpu_used[h]).abs() < 1e-6,
@@ -979,6 +976,9 @@ impl OnlineScheduler {
             );
         }
         assert!(self.queue.len() <= self.cfg.queue_capacity, "queue within bound");
+        for (id, _, _) in &self.queue {
+            assert!(!self.tenants.contains_key(id), "tenant {id} both runs and waits");
+        }
         // The sim may carry extra (test-injected or background) flows,
         // but never fewer than the tenants' bookkeeping says.
         assert!(

@@ -19,8 +19,9 @@ use std::sync::Arc;
 use choreo_repro::flowsim::{FlowKey, FlowSim, FlowStatus};
 use choreo_repro::online::{DriftConfig, MigrationConfig, OnlineConfig, SchedulerBuilder};
 use choreo_repro::profile::{
-    merge_events, NetworkEvent, NetworkEventStream, NetworkEventStreamConfig, TenantEvent,
-    WorkloadGenConfig, WorkloadStream, WorkloadStreamConfig,
+    merge_events, switch_link_groups, NetworkEvent, NetworkEventStream, NetworkEventStreamConfig,
+    ServiceEvent, SwitchFailureConfig, TenantEvent, WorkloadGenConfig, WorkloadStream,
+    WorkloadStreamConfig,
 };
 use choreo_repro::topology::route::splitmix64;
 use choreo_repro::topology::{LinkSpec, MultiRootedTreeSpec, RouteTable, GBIT, MBIT, MICROS, SECS};
@@ -307,3 +308,103 @@ const SATURATED_GOLDEN: u64 = 0xd5c1_e2ab_d708_b24e;
 const SATURATED_RATE_BITS: u64 = 0x41d1_06c4_a984_9916;
 /// The counters of [`SERVICE_COUNTERS`], for the same run.
 const SATURATED_COUNTERS: [u64; 8] = [17, 117, 33, 0, 9, 2, 14, 2];
+
+/// A pinned trajectory in the shape of the ledger's `failover-sim`
+/// workload, scaled down: the 32-host tree of
+/// [`saturated_queue_trajectory_is_pinned`], 4–8-task tenants every 2 s
+/// on a 600 s intensity clock, and a link incident every half second, one
+/// in five of which takes a whole aggregation or core switch down — every
+/// link of it failing, and later recovering, in one instant. Most events
+/// are network events, so this is the path a change to when a capacity
+/// change is solved, or to how a `LinkFail` picks the tenants it forces
+/// into a migration pass, takes.
+#[test]
+fn failover_trajectory_is_pinned() {
+    let topo = Arc::new(
+        MultiRootedTreeSpec {
+            cores: 2,
+            pods: 4,
+            aggs_per_pod: 2,
+            tors_per_pod: 2,
+            hosts_per_tor: 4,
+            ..Default::default()
+        }
+        .build(),
+    );
+    let routes = Arc::new(RouteTable::new(&topo));
+    let stream_cfg = WorkloadStreamConfig {
+        gen: WorkloadGenConfig {
+            tasks_min: 4,
+            tasks_max: 8,
+            mean_interarrival: 2 * SECS,
+            ..Default::default()
+        },
+        mean_intensity_change: 600 * SECS,
+        max_intensity: 3,
+        ..Default::default()
+    };
+    let tenants: Vec<TenantEvent> = WorkloadStream::new(stream_cfg, 7).take(1_500).collect();
+    let horizon = tenants.last().map_or(0, |e| e.at);
+    let net_cfg = NetworkEventStreamConfig {
+        n_links: topo.link_count() as u32,
+        mean_time_between_incidents: SECS / 2,
+        switch_failures: Some(SwitchFailureConfig {
+            groups: switch_link_groups(&topo, 2),
+            switch_prob: 0.2,
+        }),
+        ..Default::default()
+    };
+    let network: Vec<NetworkEvent> =
+        NetworkEventStream::new(net_cfg, 11).take_while(|e| e.at <= horizon).collect();
+    let mut events = merge_events(tenants, network);
+    events.truncate(1_500);
+    // Network events that land in the same instant as the one before
+    // them: a switch failing or recovering all its links at once.
+    let same_instant = events
+        .windows(2)
+        .filter(
+            |w| matches!(w, [ServiceEvent::Network(a), ServiceEvent::Network(b)] if a.at == b.at),
+        )
+        .count();
+    assert_eq!(same_instant, FAILOVER_SAME_INSTANT, "same-instant network events");
+    let mut svc =
+        SchedulerBuilder::new(topo, routes).config(OnlineConfig::default()).seed(7).build();
+    for ev in &events {
+        svc.service_step(ev);
+    }
+    let s = svc.stats();
+    let rate = s.mean_departed_rate_bps().expect("tenants departed").to_bits();
+    let counters = [
+        s.admitted,
+        s.queued,
+        s.queue_admitted,
+        s.rejected,
+        s.migrations,
+        s.failure_migrations,
+        s.network_events,
+        s.drift_detected,
+    ];
+    let hash = s.trace_hash();
+    assert_eq!(hash, FAILOVER_GOLDEN, "scheduler digest moved: {hash:#018x}");
+    assert_eq!(rate, FAILOVER_RATE_BITS, "mean departed rate moved: {rate:#018x}");
+    assert_eq!(counters, FAILOVER_COUNTERS, "counters moved: {counters:?}");
+    // A burst of capacity changes at one instant is solved once, by
+    // whoever reads a rate next, not once per event.
+    let warm = svc.sim_mut().solve_stats().warm_solves;
+    assert_eq!(warm, FAILOVER_WARM_SOLVES, "warm solves");
+    assert!(warm < FAILOVER_WARM_SOLVES_EAGER, "{warm} warm solves");
+}
+
+/// Recorded at commit 987edc3.
+const FAILOVER_GOLDEN: u64 = 0xbdca_ebe7_9b6e_8b9d;
+/// `mean_departed_rate_bps` bits of the same run.
+const FAILOVER_RATE_BITS: u64 = 0x41cf_fdf6_aebb_ed73;
+/// The counters of [`SERVICE_COUNTERS`], for the same run.
+const FAILOVER_COUNTERS: [u64; 8] = [11, 97, 34, 0, 17, 17, 1_307, 45];
+/// Same-instant network events in the stream.
+const FAILOVER_SAME_INSTANT: usize = 341;
+/// Warm solves of the same run, solving only where a rate is read.
+const FAILOVER_WARM_SOLVES: u64 = 1_243;
+/// Warm solves of the same run at commit 987edc3, where every advance
+/// solved, whether or not the clock moved.
+const FAILOVER_WARM_SOLVES_EAGER: u64 = 1_411;

@@ -758,6 +758,109 @@ proptest! {
     }
 }
 
+// --------------------------------------------------- when a solve runs
+
+/// Apply mutation `kind` (parametrised by `a`, `b`, `n`) to `sim`,
+/// returning the key of a flow it created.
+fn mutate(
+    sim: &mut FlowSim,
+    keys: &[FlowKey],
+    kind: u8,
+    a: u16,
+    b: u16,
+    n: u64,
+) -> Option<FlowKey> {
+    let hosts = sim.topology().hosts().to_vec();
+    let links = sim.topology().link_count() as u32;
+    let (src, dst) = (hosts[a as usize % hosts.len()], hosts[b as usize % hosts.len()]);
+    let link = b as u32 % links;
+    match kind {
+        0 => return Some(sim.start_flow_now(src, dst, None, None, n)),
+        1 => return Some(sim.start_flow_now(src, dst, Some(n * 20_000), None, n)),
+        2 => {
+            let bytes = (a % 2 == 1).then_some(n * 20_000);
+            return Some(sim.start_flow(src, dst, bytes, None, sim.now() + n * 20_000, n));
+        }
+        3 if !keys.is_empty() => sim.stop_flows_now(&[keys[a as usize % keys.len()]]),
+        4 => sim.degrade_link(link, f64::from(a % 9 + 1) / 10.0),
+        5 => sim.fail_link(link),
+        _ => sim.recover_link(link),
+    }
+    None
+}
+
+/// Read a live flow's rate, which solves any pending reallocation on the
+/// spot.
+fn solve_now(sim: &mut FlowSim, keys: &[FlowKey]) {
+    if let Some(&k) = keys.iter().find(|&&k| sim.status(k) == FlowStatus::Active) {
+        sim.rate_bps(k);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(proptest::resolve_cases(32)))]
+    #[test]
+    fn solve_timing_never_changes_a_trajectory(
+        topo_kind in 0u8..4,
+        steps in prop::collection::vec(
+            prop::collection::vec((0u8..7, 0u8..4, any::<u16>(), any::<u16>(), 1u64..40), 1..4),
+            1..25,
+        ),
+    ) {
+        // Two simulators replay one program of flow starts (immediate and
+        // scheduled, with and without byte budgets), immediate stops,
+        // link degradations, failures and recoveries, each followed by
+        // same-instant and advancing `run_until`s. `lazy` solves where
+        // the engine reads a rate; `eager` also reads a live flow's rate
+        // after every call, so it solves at once whenever anything
+        // changed — the schedule of an engine that solved on every
+        // advance. After every step, every flow's rate, bytes and
+        // completion time and the clock must agree to the bit.
+        let topo = Arc::new(pod_structured_tree(topo_kind));
+        let routes = Arc::new(RouteTable::new(&topo));
+        let loopback = LinkSpec::new(10.0 * GBIT, MICROS);
+        let mut lazy = FlowSim::new(topo.clone(), routes.clone(), loopback, 42);
+        let mut eager = FlowSim::new(topo.clone(), routes.clone(), loopback, 42);
+        let mut keys: Vec<FlowKey> = Vec::new();
+        for (stepno, step) in steps.iter().enumerate() {
+            for &(kind, adv, a, b, n) in step {
+                let made = mutate(&mut lazy, &keys, kind, a, b, n);
+                prop_assert_eq!(made, mutate(&mut eager, &keys, kind, a, b, n));
+                keys.extend(made);
+                solve_now(&mut eager, &keys);
+                let later = lazy.now() + n * 50_000;
+                let targets: &[u64] = match adv {
+                    0 => &[lazy.now()],
+                    1 => &[lazy.now(); 3],
+                    2 => &[later],
+                    _ => &[lazy.now(), later],
+                };
+                for &t in targets {
+                    lazy.run_until(t);
+                    eager.run_until(t);
+                    solve_now(&mut eager, &keys);
+                }
+            }
+            prop_assert_eq!(lazy.now(), eager.now(), "step {}", stepno);
+            for &k in &keys {
+                prop_assert_eq!(
+                    lazy.rate_bps(k).to_bits(),
+                    eager.rate_bps(k).to_bits(),
+                    "step {}: rate of {:?}",
+                    stepno,
+                    k
+                );
+                prop_assert_eq!(lazy.delivered_bytes(k), eager.delivered_bytes(k), "step {}", stepno);
+                prop_assert_eq!(lazy.completion_time(k), eager.completion_time(k), "step {}", stepno);
+            }
+            if stepno % 3 == 2 {
+                lazy.check_rates_against_cold();
+                eager.check_rates_against_cold();
+            }
+        }
+    }
+}
+
 // ------------------------------------------------- batched what-if probes
 
 proptest! {
