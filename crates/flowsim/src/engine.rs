@@ -9,9 +9,11 @@ use rand::{Rng, SeedableRng};
 
 use choreo_metrics::span;
 use choreo_topology::route::splitmix64;
-use choreo_topology::{LinkSpec, Nanos, NodeId, PodPartition, RouteTable, Topology};
+use choreo_topology::{LinkSpec, Nanos, NodeId, PodPartition, RouteTable, Topology, WalkId};
 
-use crate::fairshare::{max_min_rates, FlowArena, FlowSlot, MaxMinSolver, ProbeBatch};
+use crate::fairshare::{
+    fold_rate, max_min_rates, FlowArena, FlowSlot, Fold, MaxMinSolver, ProbeRecord,
+};
 
 /// Handle to a flow in a [`FlowSim`].
 ///
@@ -216,10 +218,17 @@ pub struct FlowSim {
     bounded: Vec<u32>,
     /// Scratch: slots found finished by one `finish_completed` call.
     finished: Vec<u32>,
-    /// Resource-list scratch for probes.
-    probe_scratch: Vec<u32>,
-    /// Candidate batch reused by [`FlowSim::probe_rates`].
-    probe_batch: ProbeBatch,
+    /// Per [`WalkId`] of the route table: the [`Fold`] of the walk's
+    /// records, valid while its epoch is the solver's
+    /// ([`MaxMinSolver::probe_epoch`]) — every pair under the same two
+    /// attach nodes reads it, so a walk's hops are unranked and folded
+    /// once per solve. One 32-byte record per ordered pair of attach
+    /// nodes (ToRs on a tree): `32 · A²` bytes for `A` of them, 32 KB on
+    /// the 128-host trees, 128 KB on the 512-host tree, 2 MiB at 2 048
+    /// hosts. Sized by the first probe.
+    walk_folds: Vec<ProbeRecord>,
+    /// Walk folds the last probe call computed (span observability).
+    last_walks_built: u64,
     sources: Vec<OnOff>,
     events: BinaryHeap<Reverse<EventEntry>>,
     seq: u64,
@@ -312,8 +321,8 @@ impl FlowSim {
             delivered: Vec::new(),
             bounded: Vec::new(),
             finished: Vec::new(),
-            probe_scratch: Vec::new(),
-            probe_batch: ProbeBatch::new(),
+            walk_folds: Vec::new(),
+            last_walks_built: 0,
             sources: Vec::new(),
             events: BinaryHeap::new(),
             seq: 0,
@@ -797,21 +806,6 @@ impl FlowSim {
         Some(s.latest)
     }
 
-    /// Fill `probe_scratch` with the resource list a probe flow from
-    /// `src` to `dst` would use (deterministic first equal-cost path).
-    fn fill_probe_path(&mut self, src: NodeId, dst: NodeId, hose: Option<HoseId>) {
-        self.probe_scratch.clear();
-        if src == dst {
-            self.probe_scratch.push(self.host_loopback_res(src));
-        } else {
-            let path = self.routes.path(src, dst, 0);
-            self.probe_scratch.extend(path.hops().iter().map(hop_resource));
-            if let Some(h) = hose {
-                self.probe_scratch.push(h.0);
-            }
-        }
-    }
-
     /// Make sure the solver's freeze-round log describes the current
     /// arena: apply pending reallocation, and re-stamp the log if the
     /// arena drifted without a solve (e.g. a hose was added while the
@@ -828,27 +822,74 @@ impl FlowSim {
         }
     }
 
+    /// Open a probe call on a current log: the solver's tallies reset, the
+    /// walk memo sized to the route table.
+    fn begin_probes(&mut self, what: &str) {
+        self.solver.begin_probes(&self.capacities, &self.arena, what);
+        let walks = self.routes.walk_count();
+        if self.walk_folds.len() < walks {
+            self.walk_folds.resize(walks, ProbeRecord::default());
+        }
+        self.last_walks_built = 0;
+    }
+
+    /// The [`Fold`] of a probe flow from `src` to `dst`: the records of
+    /// its path 0 (deterministic first equal-cost path), spliced from the
+    /// parts the route table splits it into — the lead hop, the tail hop
+    /// and the hose, each a record, and the walk between, one memoised
+    /// fold. `min` is associative, so the splice folds to what the whole
+    /// path does. A co-located probe folds the source's loopback alone.
+    fn probe_fold(&mut self, src: NodeId, dst: NodeId, hose: Option<HoseId>) -> Fold {
+        if src == dst {
+            // Co-located: loopback only; hose bypassed (hypervisor-local).
+            let lo = self.host_loopback_res(src);
+            return self.solver.fold(&self.capacities, &self.arena, [lo]);
+        }
+        let parts = self.routes.path0_parts(src, dst);
+        let ends = parts.lead.iter().chain(&parts.tail).map(hop_resource);
+        let fold = self.solver.fold(&self.capacities, &self.arena, ends.chain(hose.map(|h| h.0)));
+        match parts.walk {
+            Some(walk) => fold.min(self.walk_fold(walk)),
+            None => fold,
+        }
+    }
+
+    /// The [`Fold`] of `walk`'s hops, unranked and folded once per solve
+    /// epoch.
+    fn walk_fold(&mut self, walk: WalkId) -> Fold {
+        let epoch = self.solver.probe_epoch();
+        let memo = &mut self.walk_folds[walk.0 as usize];
+        if memo.epoch != epoch {
+            let hops = self.routes.walk(walk);
+            let res = hops.hops().iter().map(hop_resource);
+            let (hit, key) = self.solver.fold(&self.capacities, &self.arena, res);
+            *memo = ProbeRecord { key, epoch, hit };
+            self.last_walks_built += 1;
+        }
+        (memo.hit, memo.key)
+    }
+
     /// Rate a *hypothetical* new flow from `src` to `dst` (optionally
     /// hose-capped) would receive right now, without perturbing the
     /// simulation. This is the flow-level analogue of starting a probe
     /// connection.
     ///
     /// Implemented as a what-if read of the solver's freeze-round log of
-    /// the committed allocation: for each resource of the path, the first
+    /// the committed allocation: for each resource of path 0, the first
     /// logged round that resource would saturate by with one more user,
     /// and the candidate freezes at the earliest of them — bit-identical
     /// to adding the flow and re-solving. A resource's answer does not
-    /// depend on who asks, so the solver keeps it until the next solve:
-    /// `O(rounds + events)` **per distinct resource per solve**, `O(path)`
-    /// per probe after that. **Observably side-effect-free**: the arena is
-    /// never touched, so the simulation state is exactly as it was (only
-    /// the solver's record memo is written).
+    /// depend on who asks, so the solver keeps it until the next solve,
+    /// and the engine keeps each walk's fold of them likewise: `O(events ·
+    /// log rounds)` **per distinct resource per solve**, `O(1)` per probe
+    /// after that — a lead hop, a tail hop, a hose and a memoised walk.
+    /// **Observably side-effect-free**: the arena is never touched, so the
+    /// simulation state is exactly as it was (only the probe memos are
+    /// written).
     pub fn probe_rate(&mut self, src: NodeId, dst: NodeId, hose: Option<HoseId>) -> f64 {
         self.ensure_probe_log();
-        self.fill_probe_path(src, dst, hose);
-        let probe_scratch = std::mem::take(&mut self.probe_scratch);
-        let rate = self.solver.probe(&self.capacities, &self.arena, &probe_scratch);
-        self.probe_scratch = probe_scratch;
+        self.begin_probes("probe");
+        let rate = fold_rate(self.probe_fold(src, dst, hose));
         self.stats.probes += 1;
         self.stats.probe_replay_rounds += self.solver.last_probe_replay_rounds();
         rate
@@ -860,38 +901,39 @@ impl FlowSim {
     /// the same committed network state (they do not see one another),
     /// sharing a single solve instead of paying one each — the entry
     /// point for candidate scoring in placement. The batch costs what its
-    /// *distinct* resources cost: the scheduler's `k(k − 1)` ordered pairs
-    /// over `k` hosts name `2k` access directions and a few fabric links,
-    /// each walked through the log once; every further candidate — in
-    /// this batch or any later one before the next solve — is a fold over
-    /// its path.
+    /// *distinct* resources and walks cost: the scheduler's `k(k − 1)`
+    /// ordered pairs over `k` hosts name `2k` access directions and the
+    /// walks between their ToRs, each read off the log once per solve;
+    /// every candidate — in this batch or any later one before the next
+    /// solve — is then a fold of four memoised answers. The `probe_batch`
+    /// span covers all of it, route resolution included.
     pub fn probe_rates(&mut self, probes: &[(NodeId, NodeId, Option<HoseId>)], out: &mut Vec<f64>) {
         self.ensure_probe_log();
-        let mut batch = std::mem::take(&mut self.probe_batch);
-        batch.clear();
-        for &(src, dst, hose) in probes {
-            self.fill_probe_path(src, dst, hose);
-            batch.push(&self.probe_scratch);
-        }
         let timer = span::start("probe_batch");
-        self.solver.probe_batch(&self.capacities, &self.arena, &batch, out);
+        self.begin_probes("probe_batch");
+        out.clear();
+        out.reserve(probes.len());
+        for &(src, dst, hose) in probes {
+            let fold = self.probe_fold(src, dst, hose);
+            out.push(fold_rate(fold));
+        }
         drop(timer);
         self.stats.probe_batches += 1;
-        self.stats.probes += batch.len() as u64;
+        self.stats.probes += probes.len() as u64;
         self.stats.probe_replay_rounds += self.solver.last_probe_replay_rounds();
         if span::enabled() {
-            span::value("probe_batch_size", batch.len() as f64);
-            // Resources the batch had to walk the log for; against the
-            // batch size, the reuse the per-resource records bought.
+            span::value("probe_batch_size", probes.len() as f64);
+            // Resources and walks the batch had to read the log for;
+            // against the batch size, the reuse the memos bought.
             span::value("probe_records_built", self.solver.last_probe_records_built() as f64);
-            if !batch.is_empty() {
+            span::value("probe_walks_built", self.last_walks_built as f64);
+            if !probes.is_empty() {
                 // Amortised: rounds walked for those records, spread over
                 // every candidate they served.
-                let depth = self.solver.last_probe_replay_rounds() as f64 / batch.len() as f64;
+                let depth = self.solver.last_probe_replay_rounds() as f64 / probes.len() as f64;
                 span::value("probe_replay_depth", depth);
             }
         }
-        self.probe_batch = batch;
     }
 
     /// Emulate a bulk TCP throughput measurement: run a real flow for
@@ -936,6 +978,12 @@ impl FlowSim {
     /// arrivals — the pre-recycling behavior.
     pub fn flow_records(&self) -> usize {
         self.flows.len()
+    }
+
+    /// Bytes of heap the per-walk probe memo holds: `32 · A²` for the
+    /// route table's `A` attach nodes once a probe has sized it, 0 before.
+    pub fn walk_memo_bytes(&self) -> usize {
+        self.walk_folds.capacity() * std::mem::size_of::<ProbeRecord>()
     }
 
     /// Cumulative solver-phase tallies since construction: solve counts
@@ -1256,8 +1304,13 @@ impl OnOff {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
-    use choreo_topology::{dumbbell, LinkSpec, GBIT, MBIT, MICROS, MILLIS, SECS};
+    use crate::fairshare::reference;
+    use choreo_topology::{
+        dumbbell, LinkSpec, MultiRootedTreeSpec, GBIT, MBIT, MICROS, MILLIS, SECS,
+    };
 
     fn sim(n_pairs: usize, shared: f64) -> FlowSim {
         let t = Arc::new(dumbbell(
@@ -1755,5 +1808,104 @@ mod tests {
         let r = Arc::new(RouteTable::new(&t));
         let mut s = FlowSim::new(t, r, LinkSpec::new(4.2 * GBIT, 20 * MICROS), 7);
         s.probe_rate(hosts[0], hosts[1], None);
+    }
+
+    // ------------------------------------------------- spliced probes
+
+    /// The resources of a probe's whole path 0 plus its hose — or the
+    /// source's loopback for a co-located probe: what the engine's splice
+    /// of lead, walk, tail and hose must fold to.
+    fn full_probe_path(s: &FlowSim, src: NodeId, dst: NodeId, hose: Option<HoseId>) -> Vec<u32> {
+        if src == dst {
+            return vec![s.host_loopback_res(src)];
+        }
+        let path = s.routes.path(src, dst, 0);
+        path.hops().iter().map(hop_resource).chain(hose.map(|h| h.0)).collect()
+    }
+
+    /// Rate each batch through [`FlowSim::probe_rates`] and bit-compare
+    /// every answer with the full-path reference walk over the same log;
+    /// the batches share one epoch, so later ones find walks folded by
+    /// earlier ones. Then rate the first again, as a batch (served from
+    /// the memos: no record read, no walk folded) and one probe at a time.
+    fn check_spliced_probes(s: &mut FlowSim, batches: &[Vec<(NodeId, NodeId, Option<HoseId>)>]) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut outs = Vec::new();
+        for probes in batches {
+            let mut out = Vec::new();
+            s.probe_rates(probes, &mut out);
+            for (&(src, dst, hose), got) in probes.iter().zip(&out) {
+                let path = full_probe_path(s, src, dst, hose);
+                let want = reference::probe(&s.solver, &s.capacities, &s.arena, &path);
+                assert_eq!(got.to_bits(), want.to_bits(), "{src:?} -> {dst:?} via {hose:?}");
+            }
+            outs.push(out);
+        }
+        let mut again = Vec::new();
+        s.probe_rates(&batches[0], &mut again);
+        assert_eq!(s.solver.last_probe_records_built(), 0, "a repeat read a record");
+        assert_eq!(s.last_walks_built, 0, "a repeat folded a walk");
+        assert_eq!(bits(&again), bits(&outs[0]), "memos disagree with the pass that built them");
+        for (&(src, dst, hose), got) in batches[0].iter().zip(&outs[0]) {
+            assert_eq!(s.probe_rate(src, dst, hose).to_bits(), got.to_bits(), "single probe");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(proptest::resolve_cases(32)))]
+        #[test]
+        fn spliced_probes_bitmatch_the_full_path_reference_under_churn(
+            ops in prop::collection::vec((0u8..6, any::<u64>()), 1..16),
+            picks in prop::collection::vec(any::<u64>(), 4..40),
+        ) {
+            // Four racks of three hosts: sixteen walks, so random pairs
+            // repeat walks within a batch, and rack neighbours name none.
+            let topo = Arc::new(
+                MultiRootedTreeSpec {
+                    cores: 2,
+                    pods: 2,
+                    aggs_per_pod: 2,
+                    tors_per_pod: 2,
+                    hosts_per_tor: 3,
+                    ..Default::default()
+                }
+                .build(),
+            );
+            let routes = Arc::new(RouteTable::new(&topo));
+            let mut s = FlowSim::new(Arc::clone(&topo), routes, LinkSpec::new(4.2 * GBIT, 20 * MICROS), 7);
+            let h = topo.hosts().to_vec();
+            let n = h.len() as u64;
+            let hoses = [s.add_hose(300.0 * MBIT), s.add_hose(2.0 * GBIT)];
+            let links = topo.link_count() as u64;
+            let pick = |r: u64| {
+                let hose = ((r >> 16) % 3).checked_sub(1).map(|i| hoses[i as usize]);
+                (h[(r % n) as usize], h[((r >> 8) % n) as usize], hose)
+            };
+            // Every batch also rates a co-located pair, hosed and not.
+            let mut first: Vec<_> = picks.iter().map(|&r| pick(r)).collect();
+            first.extend([(h[0], h[0], None), (h[5], h[5], Some(hoses[0]))]);
+            let reversed: Vec<_> = first.iter().map(|&(a, b, hose)| (b, a, hose)).collect();
+            let batches = [first, reversed];
+            let mut live = Vec::new();
+            check_spliced_probes(&mut s, &batches);
+            for (op, r) in ops {
+                let link = ((r >> 24) % links) as u32;
+                match op {
+                    0 | 1 => {
+                        let (a, b, hose) = pick(r);
+                        live.push(s.start_flow_now(a, b, None, hose, 1));
+                    }
+                    2 if !live.is_empty() => {
+                        let k = live.swap_remove((r >> 32) as usize % live.len());
+                        s.stop_flows_now(&[k]);
+                        s.release_flow(k);
+                    }
+                    2 | 3 => s.degrade_link(link, ((r >> 40) % 8 + 1) as f64 / 8.0),
+                    4 => s.fail_link(link),
+                    _ => s.recover_link(link),
+                }
+                check_spliced_probes(&mut s, &batches);
+            }
+        }
     }
 }

@@ -436,66 +436,6 @@ impl ShareKey {
     }
 }
 
-/// A batch of candidate what-if flows for [`MaxMinSolver::probe_batch`].
-///
-/// Candidate resource lists are packed contiguously (CSR), so building and
-/// draining a batch allocates nothing once the buffers are warm — reuse
-/// one instance via [`ProbeBatch::clear`]. Every candidate is evaluated
-/// **independently**: "what rate would this flow get if it alone joined
-/// the current flow set", all candidates reading a single logged solve
-/// instead of paying one full solve each — and reading it through one
-/// record per *distinct* resource, so candidates that overlap (host
-/// pairs sharing access links) share that work too.
-#[derive(Debug, Default, Clone)]
-pub struct ProbeBatch {
-    /// Flat candidate resource ids.
-    res: Vec<u32>,
-    /// Candidate `i` occupies `res[ends[i - 1]..ends[i]]` (`ends[-1]` ≡ 0).
-    ends: Vec<u32>,
-}
-
-impl ProbeBatch {
-    /// Empty batch.
-    pub fn new() -> ProbeBatch {
-        ProbeBatch::default()
-    }
-
-    /// Drop all candidates, keeping the buffers.
-    pub fn clear(&mut self) {
-        self.res.clear();
-        self.ends.clear();
-    }
-
-    /// Append a candidate flow crossing `resources`; returns its index in
-    /// the batch (the position of its rate in the output of
-    /// [`MaxMinSolver::probe_batch`]).
-    ///
-    /// Panics if `resources` is empty — like [`FlowArena::add`], a flow
-    /// that crosses nothing has no bottleneck.
-    pub fn push(&mut self, resources: &[u32]) -> usize {
-        assert!(!resources.is_empty(), "candidate traverses no resources");
-        self.res.extend_from_slice(resources);
-        self.ends.push(self.res.len() as u32);
-        self.ends.len() - 1
-    }
-
-    /// Number of candidates.
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Is the batch empty?
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
-    /// Resource list of candidate `i`.
-    pub fn resources(&self, i: usize) -> &[u32] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.res[start..self.ends[i] as usize]
-    }
-}
-
 /// `round_of` / chain sentinel: no round, end of chain.
 const NONE: u32 = u32::MAX;
 /// `RoundLog::pos` mid-walk: the round was dropped by this walk.
@@ -551,8 +491,10 @@ struct RoundLog {
     /// **Not** monotone: mathematically freeze levels never decrease, but a
     /// resource tied with the popped bottleneck can come out of the round's
     /// `(slack − d·level) / (users − d)` an ulp *below* the level it just
-    /// tied at, so the next key may dip under its predecessor. Readers must
-    /// compare against every key in order, never skip ahead on ordering.
+    /// tied at, so the next key may dip under its predecessor. A reader
+    /// looking for the first key at or above some key may not bisect
+    /// `keys` itself; it may bisect their prefix maxima, which are
+    /// monotone, where those decide (see `SolveLog::read_record`).
     keys: Vec<u128>,
     /// Per position: the freeze level (the key's share, clamped to ≥ 0).
     levels: Vec<f64>,
@@ -714,11 +656,12 @@ fn size_like_rev(list: &mut Vec<u64>, arena: &FlowArena, r: usize) {
 /// rest of `S`, nor on which candidate asks. Probes therefore read the
 /// log **per resource**: `records[r]` memoises where a candidate's share
 /// on `r` first beats a logged bottleneck key (see [`ProbeRecord`]),
-/// walked off `events[r]` in `O(rounds + events on r)` the first time a
-/// probe names `r` after a solve, and a probe over `S` is the fold of
-/// its resources' records. A warm solve walks the log the same way for
-/// the resources its dirty window perturbed, and edits it in place as it
-/// goes (see [`MaxMinSolver::solve_warm`]).
+/// found off `events[r]` by binary search on the keys' prefix maxima in
+/// `O(events on r · log rounds)` the first time a probe names `r` after a
+/// solve, and a probe over `S` is the fold of its resources' records. A
+/// warm solve walks the log the same way for the resources its dirty
+/// window perturbed, and edits it in place as it goes (see
+/// [`MaxMinSolver::solve_warm`]).
 #[derive(Debug, Default)]
 struct SolveLog {
     rounds: RoundLog,
@@ -729,6 +672,11 @@ struct SolveLog {
     /// log's. Grown to the resource space by the first probe that needs
     /// it.
     records: Vec<ProbeRecord>,
+    /// `prefix[p]` = `max(rounds.keys[..=p])`: monotone, unlike the keys.
+    /// Rebuilt by the first probe of an epoch.
+    prefix: Vec<u128>,
+    /// The `epoch` `prefix` was built at.
+    prefix_epoch: u64,
     /// Bumped by [`SolveLog::stamp`], i.e. by every solve: the one thing
     /// that decides whether a record still describes the log.
     epoch: u64,
@@ -786,33 +734,76 @@ impl SolveLog {
 
     /// Read resource `r`'s [`ProbeRecord`] off the log: `(hit, key)`.
     ///
-    /// Start from `(capacities[r], arena.users(r))`, key the share with
-    /// the candidate as one extra user, and go through the logged keys in
-    /// order — every one is compared, `RoundLog::keys` is not monotone.
-    /// Between two of `r`'s own events its key cannot move, so those
-    /// rounds cost one `u128` compare each; at an event the round's delta
-    /// is applied with the solver's arithmetic (`slack -= d × level`) and
-    /// the key re-derived. The round an event belongs to is compared
-    /// *before* the event applies: a round's bottleneck pops on the state
-    /// the previous rounds left. `O(rounds + events on r)`.
+    /// Start from `(capacities[r], arena.users(r))` and key the share with
+    /// the candidate as one extra user. Between two of `r`'s own events
+    /// that key cannot move, so each *segment* — the rounds from one event
+    /// up to and including the next — asks one question: the first round
+    /// `p` in it with `key ≤ keys[p]`. The round an event belongs to is
+    /// compared *before* the event applies (a round's bottleneck pops on
+    /// the state the previous rounds left); after it, the round's delta is
+    /// applied with the solver's arithmetic (`slack -= d × level`) and the
+    /// key re-derived. The rounds after the last event are one more
+    /// segment. `O(events on r · log rounds)` when the bisection decides,
+    /// which it does but for the rare segment that starts in a key dip.
+    ///
+    /// **Why bisecting the prefix maxima finds the same round.**
+    /// `RoundLog::keys` is not monotone (a key can dip an ulp under its
+    /// predecessor), but `P[p] = max(keys[..=p])` is. Take a segment
+    /// `[k, end)` and suppose `k = 0` or `P[k − 1] < key`. For `p ≥ k`,
+    /// `P[p] = max(P[k − 1], keys[k..=p])` (just `max(keys[..=p])` when
+    /// `k = 0`), and `P[k − 1]` falls short of `key`, so `P[p] ≥ key` holds
+    /// exactly when some `keys[q] ≥ key` with `k ≤ q ≤ p`. The first `p`
+    /// with `P[p] ≥ key` is therefore the first with `keys[p] ≥ key`, and
+    /// `P` being monotone, `partition_point` finds it. When instead
+    /// `P[k − 1] ≥ key`, every `P[p]` in the segment is `≥ key` and says
+    /// nothing about `keys[p]`, so the segment's keys are compared one by
+    /// one, in order, as the linear scan did — after a dip ends the keys
+    /// climb past `key` again within a compare or two.
     fn read_record(&self, capacities: &[f64], arena: &FlowArena, r: u32) -> (u32, u128) {
-        let (keys, levels, pos) = (&self.rounds.keys, &self.rounds.levels, &self.rounds.pos);
+        let (levels, pos) = (&self.rounds.levels, &self.rounds.pos);
         let (mut slack, mut users) = (capacities[r as usize], arena.users(r) as u32);
         let mut key = candidate_key(slack, users, r);
         let mut k = 0usize;
         for &e in &self.events[r as usize] {
             let (id, d) = unpack(e);
             let at = pos[id as usize] as usize;
-            if let Some(hit) = keys[k..=at].iter().position(|&logged| key <= logged) {
-                return ((k + hit) as u32, key);
+            if let Some(hit) = self.first_at_least(key, k, at + 1) {
+                return (hit as u32, key);
             }
             users -= d;
             slack -= d as f64 * levels[at];
             key = candidate_key(slack, users, r);
             k = at + 1;
         }
-        let tail = keys[k..].iter().position(|&logged| key <= logged);
-        (tail.map_or(keys.len(), |hit| k + hit) as u32, key)
+        let rounds = self.rounds.len();
+        (self.first_at_least(key, k, rounds).unwrap_or(rounds) as u32, key)
+    }
+
+    /// The first position `p` in `k..end` with `key ≤ keys[p]`: bisected
+    /// on `prefix` when `prefix[k − 1]` falls short of `key`, scanned
+    /// otherwise (see [`SolveLog::read_record`]).
+    #[inline]
+    fn first_at_least(&self, key: u128, k: usize, end: usize) -> Option<usize> {
+        if k > 0 && self.prefix[k - 1] >= key {
+            let keys = &self.rounds.keys[k..end];
+            return keys.iter().position(|&logged| key <= logged).map(|hit| k + hit);
+        }
+        let p = k + self.prefix[k..end].partition_point(|&max| max < key);
+        (p < end).then_some(p)
+    }
+
+    /// Bring `prefix` up to the current epoch.
+    fn build_prefix(&mut self) {
+        if self.prefix_epoch == self.epoch {
+            return;
+        }
+        let mut max = 0;
+        self.prefix.clear();
+        self.prefix.extend(self.rounds.keys.iter().map(|&key| {
+            max = max.max(key);
+            max
+        }));
+        self.prefix_epoch = self.epoch;
     }
 }
 
@@ -823,18 +814,37 @@ impl SolveLog {
 /// of the candidate — so it is read once per solve
 /// ([`SolveLog::read_record`]) and shared by every probe that names `r`
 /// until the next solve bumps [`SolveLog::epoch`].
+///
+/// The engine memoises a whole walk's [`Fold`] in the same shape, stamped
+/// with the same epoch ([`MaxMinSolver::probe_epoch`]).
 #[derive(Debug, Clone, Copy, Default)]
-struct ProbeRecord {
+pub(crate) struct ProbeRecord {
     /// [`candidate_key`] of `r` as of round `hit` (after every logged
     /// round, when none was hit).
-    key: u128,
+    pub(crate) key: u128,
     /// [`SolveLog::epoch`] of the log this was read from. The first
     /// solve stamps epoch 1, so a zeroed record is valid for no log.
-    epoch: u64,
+    pub(crate) epoch: u64,
     /// Position of the first round with `key ≤ keys[hit]`; the number of
     /// rounds if there is none (the base set froze without saturating
     /// `r`).
-    hit: u32,
+    pub(crate) hit: u32,
+}
+
+/// A probe's bottleneck before it becomes a rate: the lexicographic
+/// minimum `(hit, key)` over its resources' [`ProbeRecord`]s (see
+/// `MaxMinSolver::replay` for why that minimum is the rate). `min` is
+/// associative, so a path may be folded in parts — a walk once, then
+/// spliced with its ends — and come out the same.
+pub(crate) type Fold = (u32, u128);
+
+/// The fold of no resource: the identity of `min`.
+pub(crate) const NO_FOLD: Fold = (u32::MAX, u128::MAX);
+
+/// The rate of a probe whose resources fold to `fold`.
+#[inline]
+pub(crate) fn fold_rate(fold: Fold) -> f64 {
+    ShareKey(fold.1).share()
 }
 
 /// [`ShareKey`] bits of resource `r`'s fair share with a candidate as
@@ -868,10 +878,9 @@ struct Link {
 /// allocation** (verified by the workspace's allocation-counter test).
 ///
 /// Every solve records the freeze-round sequence, which is what the
-/// batched what-if APIs ([`MaxMinSolver::probe`],
-/// [`MaxMinSolver::probe_batch`]) read: rate a hypothetical extra flow
-/// bit-identical to adding it and solving from scratch, at `O(rounds +
-/// events)` **per distinct resource per solve** — one bottleneck record
+/// what-if probe ([`MaxMinSolver::probe`]) reads: rate a hypothetical extra flow
+/// bit-identical to adding it and solving from scratch, at `O(events ·
+/// log rounds)` **per distinct resource per solve** — one bottleneck record
 /// per resource, kept until the next solve — plus `O(path)` per
 /// candidate to fold the records of its path.
 #[derive(Debug, Default)]
@@ -939,7 +948,7 @@ pub struct MaxMinSolver {
     /// has to visit; the rest it only copies.
     last_chained_rounds: u64,
     /// Observability: logged rounds walked by the last
-    /// [`MaxMinSolver::probe`] / [`MaxMinSolver::probe_batch`] — summed
+    /// [`MaxMinSolver::probe`] — summed
     /// over the records it had to read, zero when every resource it named
     /// already had one.
     last_probe_replay_rounds: u64,
@@ -1053,8 +1062,8 @@ impl MaxMinSolver {
 
     /// Compute max-min fair rates for every live flow in `arena` from
     /// scratch — the cold solve — recording the freeze-round log that
-    /// [`MaxMinSolver::probe`] and [`MaxMinSolver::probe_batch`] replay
-    /// and [`MaxMinSolver::solve_warm`] chains off.
+    /// [`MaxMinSolver::probe`] replays and [`MaxMinSolver::solve_warm`]
+    /// chains off.
     ///
     /// * `capacities[r]` — capacity of resource `r` (bits/s, must be > 0
     ///   for any resource a flow crosses).
@@ -1602,16 +1611,16 @@ impl MaxMinSolver {
         self.last_chained_rounds
     }
 
-    /// Logged rounds walked by the last [`MaxMinSolver::probe`] or
-    /// [`MaxMinSolver::probe_batch`], summed over the per-resource
+    /// Logged rounds walked by the last [`MaxMinSolver::probe`], summed
+    /// over the per-resource
     /// records it read — zero when every resource it named had been
     /// probed since the last solve. Diagnostics only.
     pub fn last_probe_replay_rounds(&self) -> u64 {
         self.last_probe_replay_rounds
     }
 
-    /// Per-resource records the last [`MaxMinSolver::probe`] or
-    /// [`MaxMinSolver::probe_batch`] read off the log: the distinct
+    /// Per-resource records the last [`MaxMinSolver::probe`] read off the
+    /// log: the distinct
     /// resources it named that no probe had since the last solve.
     /// Diagnostics only.
     pub fn last_probe_records_built(&self) -> u64 {
@@ -1722,13 +1731,14 @@ impl MaxMinSolver {
     /// [`MaxMinSolver::solve_logged`] — **bit-identical** to adding the
     /// flow to `arena`, solving from scratch, and reading its rate, but
     /// folded from per-resource bottleneck records read off the log:
-    /// `O(rounds + events on r)` for each resource `r` of the path that
-    /// no probe has named since the last solve, `O(path)` otherwise.
+    /// `O(events on r · log rounds)` for each resource `r` of the path
+    /// that no probe has named since the last solve, `O(path)` otherwise,
+    /// plus one `O(rounds)` pass per solve for the keys' prefix maxima.
     ///
     /// The committed solution is untouched: neither `arena` nor the base
-    /// rates change (the only writes are to the solver's record memo), so
+    /// rates change (the only writes are to the solver's probe memos), so
     /// probing is observably side-effect-free and allocation-free once
-    /// the memo spans the resource space.
+    /// the memos span the resource space and the log's rounds.
     ///
     /// Panics if the log is missing or stale ([`MaxMinSolver::log_matches`]),
     /// or if `resources` is empty or out of range. `capacities` must be
@@ -1738,30 +1748,12 @@ impl MaxMinSolver {
         self.replay(capacities, arena, resources)
     }
 
-    /// [`MaxMinSolver::probe`] over a whole batch: `out[i]` becomes the
-    /// what-if rate of `batch.resources(i)`. Candidates are independent —
-    /// each is rated against the base flow set alone — and share the one
-    /// logged solve resource by resource: the batch walks the log once
-    /// per *distinct* resource its candidates name, however many name it.
-    pub fn probe_batch(
-        &mut self,
-        capacities: &[f64],
-        arena: &FlowArena,
-        batch: &ProbeBatch,
-        out: &mut Vec<f64>,
-    ) {
-        self.begin_probes(capacities, arena, "probe_batch");
-        out.clear();
-        out.reserve(batch.len());
-        for i in 0..batch.len() {
-            let rate = self.replay(capacities, arena, batch.resources(i));
-            out.push(rate);
-        }
-    }
-
-    /// Entry checks and per-call tallies shared by `probe` and
-    /// `probe_batch`; sizes the record memo to the resource space.
-    fn begin_probes(&mut self, capacities: &[f64], arena: &FlowArena, what: &str) {
+    /// Entry checks and per-call tallies shared by every probe entry point
+    /// (`probe` and the engine's spliced probes); sizes the
+    /// record memo to the resource space and brings the prefix maxima up
+    /// to the log's epoch. Every [`MaxMinSolver::fold`] that follows, up to
+    /// the next call, counts into the `last_probe_*` tallies.
+    pub(crate) fn begin_probes(&mut self, capacities: &[f64], arena: &FlowArena, what: &str) {
         assert!(
             self.log_matches(arena),
             "{what} without a current logged solve (call solve_logged first)"
@@ -1769,14 +1761,51 @@ impl MaxMinSolver {
         let nr = self.log.n_resources as usize;
         assert!(capacities.len() >= nr, "capacities too short");
         grow(&mut self.log.records, nr, ProbeRecord::default());
+        self.log.build_prefix();
         self.last_probe_replay_rounds = 0;
         self.last_probe_records_built = 0;
     }
 
+    /// The epoch of the current log: a [`ProbeRecord`] (or a memoised
+    /// [`Fold`]) stamped with it describes the log, one stamped with any
+    /// other value does not. Every solve moves it.
+    pub(crate) fn probe_epoch(&self) -> u64 {
+        self.log.epoch
+    }
+
+    /// The [`Fold`] of resources `s` — each resource's [`ProbeRecord`],
+    /// read off the log now if no probe has named it since the last
+    /// solve — or [`NO_FOLD`] for none. Call [`MaxMinSolver::begin_probes`]
+    /// first.
+    pub(crate) fn fold(
+        &mut self,
+        capacities: &[f64],
+        arena: &FlowArena,
+        s: impl IntoIterator<Item = u32>,
+    ) -> Fold {
+        let log = &mut self.log;
+        let (nr, rounds) = (log.n_resources as usize, log.rounds.len() as u64);
+        let mut best = NO_FOLD;
+        for r in s {
+            let ri = r as usize;
+            assert!(ri < nr, "probe: bad resource {r}");
+            if log.records[ri].epoch != log.epoch {
+                let (hit, key) = log.read_record(capacities, arena, r);
+                log.records[ri] = ProbeRecord { key, epoch: log.epoch, hit };
+                // The hit round was compared too.
+                self.last_probe_replay_rounds += rounds.min(hit as u64 + 1);
+                self.last_probe_records_built += 1;
+            }
+            let rec = log.records[ri];
+            best = best.min((rec.hit, rec.key));
+        }
+        best
+    }
+
     /// Rate one candidate over path `s`: the share of `min over r ∈ s of
     /// (hit_r, key_r)`, compared lexicographically, where `(hit_r,
-    /// key_r)` is `r`'s [`ProbeRecord`] — read off the log now if no
-    /// probe has named `r` since the last solve.
+    /// key_r)` is `r`'s [`ProbeRecord`] — the [`MaxMinSolver::fold`] of
+    /// `s`.
     ///
     /// Why a fold of per-resource records is the candidate's rate. Before
     /// the candidate freezes it only *adds one user* to each of its
@@ -1796,24 +1825,11 @@ impl MaxMinSolver {
     /// again the lexicographic minimum.
     fn replay(&mut self, capacities: &[f64], arena: &FlowArena, s: &[u32]) -> f64 {
         assert!(!s.is_empty(), "probe flow traverses no resources");
-        let log = &mut self.log;
-        let (nr, rounds) = (log.n_resources as usize, log.rounds.len() as u64);
-        let mut best = (u32::MAX, u128::MAX);
-        for (i, &r) in s.iter().enumerate() {
-            let ri = r as usize;
-            assert!(ri < nr, "probe: bad resource {r}");
-            debug_assert!(!s[..i].contains(&r), "probe flow lists resource {r} twice");
-            if log.records[ri].epoch != log.epoch {
-                let (hit, key) = log.read_record(capacities, arena, r);
-                log.records[ri] = ProbeRecord { key, epoch: log.epoch, hit };
-                // The hit round was compared too.
-                self.last_probe_replay_rounds += rounds.min(hit as u64 + 1);
-                self.last_probe_records_built += 1;
-            }
-            let rec = log.records[ri];
-            best = best.min((rec.hit, rec.key));
-        }
-        ShareKey(best.1).share()
+        debug_assert!(
+            s.iter().enumerate().all(|(i, r)| !s[..i].contains(r)),
+            "probe flow lists a resource twice"
+        );
+        fold_rate(self.fold(capacities, arena, s.iter().copied()))
     }
 }
 
@@ -1846,10 +1862,39 @@ pub fn max_min_rates(capacities: &[f64], flows: &[Vec<u32>]) -> Vec<f64> {
 /// fold. It is to [`MaxMinSolver::probe`] what [`max_min_rates`] is to
 /// the solver: the property suite below bit-compares the two on every
 /// candidate, so the separability argument in `MaxMinSolver::replay` is
-/// checked, not trusted.
+/// checked, not trusted — and the engine's suite does the same for its
+/// spliced path-0 probes.
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     use super::{candidate_key, unpack, FlowArena, MaxMinSolver, ShareKey};
+
+    /// Resource `r`'s `(hit, key)` record, found the slow way: every
+    /// logged key compared in order, no prefix maxima, no bisection.
+    pub(super) fn read_record(
+        solver: &MaxMinSolver,
+        capacities: &[f64],
+        arena: &FlowArena,
+        r: u32,
+    ) -> (u32, u128) {
+        let log = &solver.log;
+        let (keys, levels, pos) = (&log.rounds.keys, &log.rounds.levels, &log.rounds.pos);
+        let (mut slack, mut users) = (capacities[r as usize], arena.users(r) as u32);
+        let mut key = candidate_key(slack, users, r);
+        let mut k = 0usize;
+        for &e in &log.events[r as usize] {
+            let (id, d) = unpack(e);
+            let at = pos[id as usize] as usize;
+            if let Some(hit) = keys[k..=at].iter().position(|&logged| key <= logged) {
+                return ((k + hit) as u32, key);
+            }
+            users -= d;
+            slack -= d as f64 * levels[at];
+            key = candidate_key(slack, users, r);
+            k = at + 1;
+        }
+        let tail = keys[k..].iter().position(|&logged| key <= logged);
+        (tail.map_or(keys.len(), |hit| k + hit) as u32, key)
+    }
 
     /// Replay state of one candidate resource: its `(slack, users)` as of
     /// the round the replay stands at, the share key they imply with the
@@ -1866,7 +1911,7 @@ mod reference {
     }
 
     /// The rate of a candidate crossing `s`, read off `solver`'s log.
-    pub(super) fn probe(
+    pub(crate) fn probe(
         solver: &MaxMinSolver,
         capacities: &[f64],
         arena: &FlowArena,
@@ -2144,12 +2189,24 @@ mod tests {
         rates[probe.0 as usize]
     }
 
-    /// Rate `candidates` against `solver`'s current log as one batch and
-    /// one by one, and bit-compare every answer with both oracles — the
-    /// full-path [`reference::probe`] walk over the same log and
-    /// [`full_solve_probe`] over `base`, the arena's flow set. Then rate
-    /// the batch again: the second pass must be served from the records
-    /// of the first (nothing read, nothing walked) and say the same.
+    /// Every record `solver` holds for its current log is the one the
+    /// linear [`reference::read_record`] scan finds, hit round and key.
+    fn check_records(solver: &MaxMinSolver, caps: &[f64], arena: &FlowArena) {
+        for (r, rec) in solver.log.records.iter().enumerate() {
+            if rec.epoch == solver.log.epoch {
+                let want = reference::read_record(solver, caps, arena, r as u32);
+                assert_eq!((rec.hit, rec.key), want, "record of resource {r}");
+            }
+        }
+    }
+
+    /// Rate `candidates` one after another against `solver`'s current log,
+    /// sharing its per-resource records, and bit-compare every answer with
+    /// both oracles — the full-path [`reference::probe`] walk over the
+    /// same log and [`full_solve_probe`] over `base`, the arena's flow
+    /// set — and every record the probes read with the linear scan's. Then
+    /// rate them again: the second pass must be served from the records of
+    /// the first (nothing read, nothing walked) and say the same.
     fn check_probes(
         solver: &mut MaxMinSolver,
         caps: &[f64],
@@ -2157,26 +2214,23 @@ mod tests {
         base: &[Vec<u32>],
         candidates: &[Vec<u32>],
     ) {
-        let mut batch = ProbeBatch::new();
-        for c in candidates {
-            batch.push(c);
-        }
-        let (mut out, mut again) = (Vec::new(), Vec::new());
-        solver.probe_batch(caps, arena, &batch, &mut out);
-        assert_eq!(out.len(), candidates.len());
+        let out: Vec<f64> = candidates.iter().map(|c| solver.probe(caps, arena, c)).collect();
+        check_records(solver, caps, arena);
         for (c, got) in candidates.iter().zip(&out) {
             let walk = reference::probe(solver, caps, arena, c);
-            assert_eq!(got.to_bits(), walk.to_bits(), "batched {c:?}: {got} vs walk {walk}");
+            assert_eq!(got.to_bits(), walk.to_bits(), "probe {c:?}: {got} vs walk {walk}");
             let want = full_solve_probe(caps, base, c);
-            assert_eq!(got.to_bits(), want.to_bits(), "batched {c:?}: {got} vs {want}");
-            let solo = solver.probe(caps, arena, c);
-            assert_eq!(solo.to_bits(), want.to_bits(), "probe {c:?}: {solo} vs {want}");
+            assert_eq!(got.to_bits(), want.to_bits(), "probe {c:?}: {got} vs {want}");
         }
-        solver.probe_batch(caps, arena, &batch, &mut again);
-        assert_eq!(solver.last_probe_records_built(), 0, "second pass read a record");
-        assert_eq!(solver.last_probe_replay_rounds(), 0, "second pass walked the log");
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&out), bits(&again), "records disagree with the pass that built them");
+        let (mut built, mut walked) = (0, 0);
+        for (c, got) in candidates.iter().zip(&out) {
+            let again = solver.probe(caps, arena, c);
+            built += solver.last_probe_records_built();
+            walked += solver.last_probe_replay_rounds();
+            assert_eq!(again.to_bits(), got.to_bits(), "{c:?}: records disagree with their pass");
+        }
+        assert_eq!(built, 0, "second pass read a record");
+        assert_eq!(walked, 0, "second pass walked the log");
     }
 
     /// Solve `base` logged and [`check_probes`] `candidates` against it.
@@ -2198,7 +2252,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_batch_bitmatches_full_solves() {
+    fn probes_bitmatch_full_solves() {
         // Mixed bottlenecks: shared link, private links, a hose-like cap.
         let caps = [10.0, 10.0, 6.0, 300.0];
         let base: Vec<Vec<u32>> = vec![vec![0, 1], vec![0], vec![1], vec![2], vec![2, 3]];
@@ -2252,6 +2306,35 @@ mod tests {
             idle.hit < tied.hit && tied.key < idle.key,
             "instance no longer orders hit and key apart: {idle:?} vs {tied:?}"
         );
+    }
+
+    #[test]
+    fn probe_record_where_a_key_dips_under_the_prefix_maximum_is_found_in_order() {
+        // The inversion instance with a resource 4 beside resource 1: it
+        // shares a flow with 0, which round 0 (L, 0) freezes, and 4's
+        // candidate share then comes out at `(3L − L) / 2` — the L − ulp
+        // resource 1 pops at in round 1. So 4's second segment opens at
+        // round 1 with a key below the prefix maximum (L, 0) but above
+        // keys[1] = (L − ulp, 1): bisecting the prefix maxima would stop
+        // at round 1, and only the in-order scan the guard falls back to
+        // finds round 2, where 4's last flow freezes.
+        let l = 31.0 / 26.0;
+        let caps = [l * 6.0, l * 3.0, 5.0, 100.0, l * 3.0];
+        let mut base: Vec<Vec<u32>> =
+            vec![vec![0, 1], vec![1], vec![1], vec![2], vec![2], vec![0, 4], vec![4]];
+        base.extend(std::iter::repeat_n(vec![0], 4));
+        let solver = assert_probes_bitmatch(
+            &caps,
+            &base,
+            &[&[4], &[4, 2], &[3, 4], &[1, 4], &[0], &[1], &[2], &[3]],
+        );
+        let (keys, rec) = (&solver.log.rounds.keys, solver.log.records[4]);
+        assert!(
+            keys[1] < rec.key && rec.key < keys[0] && ShareKey(keys[2]).res() == 4,
+            "instance no longer dips under the prefix maximum at 4's event: {:?} vs {rec:?}",
+            solver.log.rounds.levels
+        );
+        assert_eq!(rec.hit, 2, "resource 4's record");
     }
 
     #[test]
@@ -2680,28 +2763,20 @@ mod tests {
     }
 
     #[test]
-    fn probe_batch_reuse_keeps_candidates_independent() {
+    fn repeated_probes_keep_candidates_independent() {
         let caps = [9.0, 9.0];
         let mut arena = FlowArena::new(2);
         arena.add(&[0]);
         let mut solver = MaxMinSolver::new();
-        let (mut rates, mut out) = (Vec::new(), Vec::new());
-        let mut batch = ProbeBatch::new();
+        let mut rates = Vec::new();
+        solver.solve_logged(&caps, &arena, &mut rates);
         // Three identical candidates: each must see the same what-if world
         // (4.5 each on link 0), not stack on one another.
         for _ in 0..3 {
-            batch.push(&[0]);
+            let r = solver.probe(&caps, &arena, &[0]);
+            assert!(close(r, 4.5), "{r}");
         }
-        solver.solve_logged(&caps, &arena, &mut rates);
-        solver.probe_batch(&caps, &arena, &batch, &mut out);
-        for r in &out {
-            assert!(close(*r, 4.5), "{r}");
-        }
-        batch.clear();
-        assert!(batch.is_empty());
-        batch.push(&[1]);
-        solver.probe_batch(&caps, &arena, &batch, &mut out);
-        assert_eq!(out.len(), 1);
-        assert!(close(out[0], 9.0), "cleared batch rates the idle link: {}", out[0]);
+        let idle = solver.probe(&caps, &arena, &[1]);
+        assert!(close(idle, 9.0), "a later probe rates the idle link: {idle}");
     }
 }

@@ -44,8 +44,8 @@
 //!
 //! Placement quality hinges on scoring many candidate flows against the
 //! same network state, and a solve per candidate is the scaling
-//! bottleneck. A [`ProbeBatch`] removes it: [`MaxMinSolver::probe_batch`]
-//! rates every candidate off *one* logged solve, bit-identical to a full
+//! bottleneck. [`MaxMinSolver::probe`] removes it: every candidate rated
+//! between two solves reads *one* logged solve, bit-identical to a full
 //! solve per candidate. The probe is separable per resource. Until it
 //! freezes a candidate consumes nothing — it only adds one user to each
 //! resource of its path — so the first logged round resource `r` would
@@ -55,11 +55,27 @@
 //! at the earliest round among its resources' records (a resource that
 //! hits later still has a larger share at that round, so it cannot be
 //! the minimum there), at the smallest share recorded for that round.
-//! Cost model: `O(rounds + events on r)` **per distinct resource per
-//! solve** — read through the per-resource event lists every logged solve
-//! keeps current, kept until the next solve stamps the log — plus
-//! `O(path)` per candidate to fold. A batch of `k(k − 1)` host pairs
-//! walks the log for `2k` access directions and a few fabric links, not
+//!
+//! Cost model, per solve:
+//!
+//! * **per distinct resource** — `O(events on r · log rounds)`: between
+//!   two of `r`'s own logged events its key cannot move, so each such
+//!   segment of the log asks for the first logged key at or above it. The
+//!   keys themselves may dip an ulp under their predecessor, but their
+//!   prefix maxima never do, and bisecting those finds the same round
+//!   unless the segment opens inside a dip, where the keys are compared in
+//!   order instead. Read through the per-resource event lists every logged
+//!   solve keeps current, and kept until the next solve stamps the log;
+//! * **per walk** — [`FlowSim`] rates a host pair on its path 0, which the
+//!   route table splits into a lead hop, the walk between the two hosts'
+//!   ToRs and a tail hop (`RouteTable::path0_parts`). Lexicographic `min`
+//!   is associative, so a walk's records are folded once and the fold
+//!   kept alongside them;
+//! * **per candidate** — `O(1)`: the lead and tail records, the hose's and
+//!   the walk's fold. No route is unranked per pair.
+//!
+//! A batch of `k(k − 1)` host pairs reads the log for `2k` access
+//! directions and the fabric links of the walks between their racks, not
 //! `k(k − 1)` times. [`FlowSim::probe_rate`] and [`FlowSim::probe_rates`]
 //! ride on it, which also makes probing observably side-effect-free — no
 //! arena round-trip.
@@ -89,7 +105,9 @@
 //!   tagged with the epoch of the log it was read from. Every solve bumps
 //!   the log's epoch when it stamps the log current, which is all the
 //!   invalidation there is: no clearing pass, a record is re-read when a
-//!   probe next names its resource.
+//!   probe next names its resource. The keys' prefix maxima are rebuilt
+//!   by the first probe of an epoch, and [`FlowSim`]'s per-walk folds
+//!   carry the same epoch tag.
 //!
 //! The states:
 //!
@@ -99,8 +117,8 @@
 //!    entry point: every freeze round recorded, both indexes built in
 //!    one `O(touched + resources + slots)` pass, the log stamped with
 //!    the arena's generation. A probe reads one record per resource of
-//!    its path, walking the log (`O(rounds + events on the resource)`)
-//!    only for those no probe has named since the stamp. The stamp must
+//!    its path, searching the log (`O(events on the resource · log
+//!    rounds)`) only for those no probe has named since the stamp. The stamp must
 //!    match the arena exactly ([`MaxMinSolver::log_matches`]) — any
 //!    mutation staled it.
 //! 3. **Warm** — after [`MaxMinSolver::solve_warm`]: the solver walked
@@ -122,8 +140,7 @@
 //!    counts the rounds carried, [`SolveStats::live_rounds`] the rounds
 //!    run live.
 //!
-//! Staleness rules: the generation stamp makes `probe`/`probe_batch`
-//! refuse a log recorded before any arena mutation; `solve_warm` instead
+//! Staleness rules: the generation stamp makes `probe` refuse a log recorded before any arena mutation; `solve_warm` instead
 //! *consumes* the mutations (via [`FlowArena::dirty_resources`], whose
 //! dirty window it closes) — which is why it takes the arena mutably and
 //! why at most one warm-chaining solver should drive a given arena. Two
@@ -226,4 +243,4 @@ pub mod engine;
 pub mod fairshare;
 
 pub use engine::{hop_resource, FlowKey, FlowSim, FlowStatus, HoseId, SolveStats, FAILED_LINK_BPS};
-pub use fairshare::{max_min_rates, FlowArena, FlowSlot, MaxMinSolver, ProbeBatch};
+pub use fairshare::{max_min_rates, FlowArena, FlowSlot, MaxMinSolver};

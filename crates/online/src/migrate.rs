@@ -133,9 +133,9 @@ impl OnlineScheduler {
                 let t = &self.tenants[&id];
                 (t.app.clone(), t.placement.clone(), t.transfers.clone(), t.intensity)
             };
-            self.load.remove(&app, &old_placement);
+            self.cpu.remove(&app, &old_placement);
             let candidate = self.try_place(&app, PlacementPolicy::Greedy);
-            self.load.apply(&app, &old_placement);
+            self.cpu.apply(&app, &old_placement);
             let Some(candidate) = candidate else { continue };
             if candidate == old_placement {
                 continue;
@@ -209,7 +209,7 @@ impl OnlineScheduler {
     /// bar — recorded as the move's [`Cause`] in the trace ring.
     fn execute_move(&mut self, id: TenantId, placement: Placement, forced: bool, gain: f64) {
         let t = self.tenants.remove(&id).expect("planned moves target running tenants");
-        self.load.remove(&t.app, &t.placement);
+        self.cpu.remove(&t.app, &t.placement);
         let fits = {
             let mut extra = vec![0.0f64; self.machines.len()];
             for (task, &vm) in placement.assignment.iter().enumerate() {
@@ -217,12 +217,12 @@ impl OnlineScheduler {
             }
             extra
                 .iter()
-                .zip(&self.load.cpu_used)
+                .zip(&self.cpu.used)
                 .zip(&self.machines.cpu)
                 .all(|((e, used), cap)| used + e <= cap + 1e-9)
         };
         if !fits {
-            self.load.apply(&t.app, &t.placement);
+            self.cpu.apply(&t.app, &t.placement);
             self.tenants.insert(id, t);
             return;
         }
@@ -230,7 +230,7 @@ impl OnlineScheduler {
         self.sim.stop_flows_now(&old_keys);
         // Nothing reads the torn-down flows again; recycle their records.
         self.sim.release_flows(&old_keys);
-        self.load.apply(&t.app, &placement);
+        self.cpu.apply(&t.app, &placement);
         let flows = self.start_transfer_flows(id, &placement, &t.transfers, t.intensity);
         let baseline = service_score(&mut self.sim, self.cfg.loopback.rate_bps, &flows);
         self.stats.migrations += 1;

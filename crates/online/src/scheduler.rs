@@ -6,7 +6,7 @@ use choreo_flowsim::{FlowKey, FlowSim, HoseId};
 use choreo_measure::stability::last_relative_error;
 use choreo_measure::RateModel;
 use choreo_metrics::Counter;
-use choreo_place::greedy::GreedyPlacer;
+use choreo_place::greedy::{GreedyPlacer, PlaceScratch};
 use choreo_place::problem::{
     cpu_packing, validate, Machines, NetworkLoad, PackScratch, Packing, Placement,
 };
@@ -79,7 +79,7 @@ pub struct OnlineScheduler {
     pub(crate) sim: FlowSim,
     pub(crate) hosts: Vec<NodeId>,
     pub(crate) machines: Machines,
-    pub(crate) load: NetworkLoad,
+    pub(crate) cpu: CpuLedger,
     /// The running tenants, and only those: every pass over them walks
     /// the tenants it can score, in ascending id order.
     pub(crate) tenants: BTreeMap<TenantId, Tenant>,
@@ -103,8 +103,8 @@ pub struct OnlineScheduler {
     /// hosts with the most free CPU, roomiest first (see
     /// [`OnlineScheduler::rank_candidates`]).
     cand: Vec<u32>,
-    /// `load.cpu_used` as it was when `cand` was ranked: while the ledger
-    /// is bit-identical to it, so is the ranking.
+    /// `cpu.used` as it was when `cand` was ranked: while the ledger is
+    /// bit-identical to it, so is the ranking.
     ranked_from: Vec<f64>,
     /// Scratch: every host's `(free CPU, host)` ranking key.
     room: Vec<(f64, u32)>,
@@ -117,6 +117,9 @@ pub struct OnlineScheduler {
     sub_load: NetworkLoad,
     /// Scratch of the CPU-packing pre-check.
     pack: PackScratch,
+    /// Scratch Algorithm 1 places in, so a warmed attempt allocates only
+    /// the placement it returns.
+    place: PlaceScratch,
     /// Scratch: the current attempt's candidate pairs as host pairs, one
     /// [`FlowSim::probe_rates`] batch at a time.
     probes: Vec<(NodeId, NodeId, Option<HoseId>)>,
@@ -193,7 +196,7 @@ impl OnlineScheduler {
             sim,
             hosts,
             machines: Machines::uniform(n, cfg.cores_per_host),
-            load: NetworkLoad::new(n),
+            cpu: CpuLedger { used: vec![0.0; n] },
             tenants: BTreeMap::new(),
             queue: VecDeque::new(),
             cfg,
@@ -211,6 +214,7 @@ impl OnlineScheduler {
             sub_machines: Machines { cpu: Vec::new() },
             sub_load: NetworkLoad::new(k),
             pack: PackScratch::default(),
+            place: PlaceScratch::default(),
             probes: Vec::new(),
             pod_loss,
             shape_events,
@@ -598,15 +602,17 @@ impl OnlineScheduler {
         }
     }
 
-    /// Try to place `app` within the best candidate-host subset. Returns
-    /// a **global** placement, or `None` when the placer finds no
-    /// feasible assignment there. Every attempt, pruned or not, is one
-    /// `placement_latency` observation.
-    pub(crate) fn try_place(
-        &mut self,
-        app: &AppProfile,
-        policy: PlacementPolicy,
-    ) -> Option<Placement> {
+    /// Try to place `app` within the best candidate-host subset, as an
+    /// arrival would, without admitting it. Under
+    /// [`PlacementPolicy::Greedy`] nothing the trajectory or its digest
+    /// depends on changes; [`PlacementPolicy::Random`] draws from the
+    /// placer's RNG. Returns a **global** placement, or
+    /// `None` when the placer finds no feasible assignment there. Every
+    /// attempt, pruned or not, is one `placement_latency` observation and
+    /// counts in [`ServiceStats::unpackable_skips`] /
+    /// [`ServiceStats::pack_undecided`]. Once its buffers are warm, an
+    /// attempt allocates the placement it returns and nothing else.
+    pub fn try_place(&mut self, app: &AppProfile, policy: PlacementPolicy) -> Option<Placement> {
         // Wall-clock timing is observational only (the latency histogram
         // never feeds the digest), so it cannot perturb determinism.
         let t0 = std::time::Instant::now();
@@ -651,21 +657,31 @@ impl OnlineScheduler {
                 let host = |v: u32| hosts[cand[v as usize] as usize];
                 let (machines, load) = (&self.sub_machines, &self.sub_load);
                 GreedyPlacer
-                    .place_with(app, machines, RateModel::Pipe, load, |pairs, out| {
-                        probes.clear();
-                        probes.extend(pairs.iter().map(|&(m, n)| (host(m), host(n), None)));
-                        sim.probe_rates(probes, out);
-                    })
+                    .place_with_scratch(
+                        app,
+                        machines,
+                        RateModel::Pipe,
+                        load,
+                        &mut self.place,
+                        |pairs, out| {
+                            probes.clear();
+                            probes.extend(pairs.iter().map(|&(m, n)| (host(m), host(n), None)));
+                            sim.probe_rates(probes, out);
+                        },
+                    )
                     .ok()
             }
+            // The network-oblivious baseline reads the candidates' CPU
+            // alone.
             PlacementPolicy::Random(_) => {
-                // The network-oblivious baseline reads nothing from live
-                // probes, so the projected sub-load is the right view.
-                self.random.place(app, &self.sub_machines, &self.load.project(&self.cand)).ok()
+                self.random.place(app, &self.sub_machines, &self.sub_load).ok()
             }
-        }?;
-        let cand = &self.cand;
-        Some(Placement { assignment: local.assignment.iter().map(|&v| cand[v as usize]).collect() })
+        };
+        let mut placement = local?;
+        for v in &mut placement.assignment {
+            *v = self.cand[*v as usize];
+        }
+        Some(placement)
     }
 
     /// Rank the [`OnlineConfig::candidate_hosts`] hosts with the most
@@ -678,7 +694,7 @@ impl OnlineScheduler {
     /// remove / apply round trip, may differ in a bit and simply
     /// re-ranks.)
     fn rank_candidates(&mut self) {
-        let used = &self.load.cpu_used;
+        let used = &self.cpu.used;
         let same_bits = |a: &[f64], b: &[f64]| {
             a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
         };
@@ -728,7 +744,7 @@ impl OnlineScheduler {
         intensity: u32,
     ) {
         debug_assert!(validate(&app, &self.machines, &placement).is_ok());
-        self.load.apply(&app, &placement);
+        self.cpu.apply(&app, &placement);
         let transfers: Vec<(usize, usize)> = app
             .matrix
             .transfers_desc()
@@ -820,7 +836,7 @@ impl OnlineScheduler {
         // release the records so steady-state memory tracks concurrent
         // tenants, not all-time arrivals.
         self.sim.release_flows(&keys);
-        self.load.remove(&t.app, &t.placement);
+        self.cpu.remove(&t.app, &t.placement);
         self.retry_queue();
     }
 
@@ -965,9 +981,9 @@ impl OnlineScheduler {
         }
         for (h, &used) in cpu.iter().enumerate() {
             assert!(
-                (used - self.load.cpu_used[h]).abs() < 1e-6,
+                (used - self.cpu.used[h]).abs() < 1e-6,
                 "cpu ledger drift on host {h}: {used} vs {}",
-                self.load.cpu_used[h]
+                self.cpu.used[h]
             );
             assert!(
                 used <= self.machines.cpu[h] + 1e-6,
@@ -986,6 +1002,32 @@ impl OnlineScheduler {
             "flow bookkeeping out of sync: {live_flows} tenant flows, {} in the sim",
             self.sim.active_flows()
         );
+    }
+}
+
+/// CPU cores used on each host by the running tenants: the ledger
+/// admission ranks candidates by and migration checks moves against.
+/// Charged and released task by task, in task order, a release clamped at
+/// zero.
+#[derive(Debug, Clone)]
+pub(crate) struct CpuLedger {
+    pub(crate) used: Vec<f64>,
+}
+
+impl CpuLedger {
+    /// Charge a placed tenant's tasks.
+    pub(crate) fn apply(&mut self, app: &AppProfile, p: &Placement) {
+        for (task, &vm) in p.assignment.iter().enumerate() {
+            self.used[vm as usize] += app.cpu[task];
+        }
+    }
+
+    /// Release them.
+    pub(crate) fn remove(&mut self, app: &AppProfile, p: &Placement) {
+        for (task, &vm) in p.assignment.iter().enumerate() {
+            let c = &mut self.used[vm as usize];
+            *c = (*c - app.cpu[task]).max(0.0);
+        }
     }
 }
 

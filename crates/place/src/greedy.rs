@@ -28,12 +28,18 @@
 //! what-if solver passes per transfer into one — and that one costs what
 //! the batch's *distinct* resources cost, not its `V(V − 1)` pairs: the
 //! engine reads its solve log once per resource (`2V` access directions
-//! plus the fabric links between them, `O(rounds + events)` each), keeps
-//! the answer until the network next changes, and rates a pair by folding
-//! the answers along its path. Later transfers of the same placement name
-//! new pairs over the same resources and walk nothing. The sharing
-//! adjustment for transfers placed earlier in the same call is pure
-//! arithmetic applied on top, so cached raw rates never go stale.
+//! plus the fabric links between them, `O(events · log rounds)` each),
+//! keeps the answer until the network next changes, and rates a pair by
+//! folding the answers along its path. Later transfers of the same
+//! placement name new pairs over the same resources and walk nothing. The
+//! sharing adjustment for transfers placed earlier in the same call is
+//! pure arithmetic applied on top, so cached raw rates never go stale.
+//!
+//! The placement's working buffers — assignment, CPU ledger, sharing
+//! counters, rate memo, candidate batches, the sorted transfer list —
+//! live in a [`PlaceScratch`] the caller may keep
+//! ([`GreedyPlacer::place_with_scratch`]), so a long-running caller such
+//! as the online scheduler places without allocating beyond the answer.
 //!
 //! Committing the placement completes the warm chain: rating candidates
 //! against a live flow cloud leaves the engine's solver holding the
@@ -60,16 +66,20 @@ pub struct GreedyPlacer;
 /// cache guarantees each pair reaches the `rate` closure at most once per
 /// placement and filters every batch in front of it. Raw rates are
 /// placement-independent (the sharing adjustment happens outside), so
-/// entries never invalidate. `NaN` marks pairs not yet rated.
-#[derive(Debug)]
+/// entries never invalidate within a placement; a new placement starts
+/// from an empty memo. `NaN` marks pairs not yet rated.
+#[derive(Debug, Default)]
 struct RateCache {
     vals: Vec<f64>,
     n_vms: usize,
 }
 
 impl RateCache {
-    fn new(n_vms: usize) -> RateCache {
-        RateCache { vals: vec![f64::NAN; n_vms * n_vms], n_vms }
+    /// Forget every rate: `n_vms²` pairs, none rated.
+    fn reset(&mut self, n_vms: usize) {
+        self.vals.clear();
+        self.vals.resize(n_vms * n_vms, f64::NAN);
+        self.n_vms = n_vms;
     }
 
     #[inline]
@@ -100,18 +110,13 @@ struct BatchScratch {
     rates: Vec<f64>,
 }
 
-/// Working state of one [`GreedyPlacer::place_with`] call: the placement
-/// inputs plus everything the greedy walk mutates as transfers are
-/// placed. One struct instead of a dozen loose parameters threading
-/// through `best_pair`.
-struct PlaceCtx<'a, F> {
-    app: &'a AppProfile,
-    machines: &'a Machines,
-    /// The sharing rule applied on top of raw rates.
-    model: RateModel,
-    /// The caller's batch rater: `out[i]` for `pairs[i]`.
-    rate: F,
-    load: &'a NetworkLoad,
+/// The buffers one Algorithm 1 call works in, lent by its caller
+/// ([`GreedyPlacer::place_with_scratch`]) so that a scratch that has
+/// grown to an instance's size places the next one without allocating.
+/// A call re-fills every field it reads before it reads it, so nothing
+/// carries over from one placement to the next.
+#[derive(Debug, Default)]
+pub struct PlaceScratch {
     /// Task → VM decided so far.
     assignment: Vec<Option<u32>>,
     /// Per-VM CPU committed (pre-existing load + this placement).
@@ -124,10 +129,43 @@ struct PlaceCtx<'a, F> {
     cache: RateCache,
     /// Per-VM raw hose rate (`NaN` = not yet derived): the maximum of the
     /// VM's egress row, completed through `cache`. Sized on first use, so
-    /// a pipe-model placement never allocates it.
+    /// a pipe-model placement never fills it.
     hose: Vec<f64>,
     /// Per-batch buffers.
-    scratch: BatchScratch,
+    batch: BatchScratch,
+    /// The app's transfers, heaviest first.
+    transfers: Vec<(usize, usize, u64)>,
+}
+
+impl PlaceScratch {
+    /// Start a placement of `app` on `n_vms` machines carrying `load`.
+    fn reset(&mut self, app: &AppProfile, n_vms: usize, load: &NetworkLoad) {
+        self.assignment.clear();
+        self.assignment.resize(app.n_tasks(), None);
+        self.cpu_used.clone_from(&load.cpu_used);
+        self.placed_path.clear();
+        self.placed_path.resize(n_vms * n_vms, 0);
+        self.placed_egress.clear();
+        self.placed_egress.resize(n_vms, 0);
+        self.cache.reset(n_vms);
+        self.hose.clear();
+        app.matrix.transfers_desc_into(&mut self.transfers);
+    }
+}
+
+/// One [`GreedyPlacer::place_with_scratch`] call: the placement inputs,
+/// and the scratch everything the greedy walk mutates as transfers are
+/// placed lives in. One struct instead of a dozen loose parameters
+/// threading through `best_pair`.
+struct PlaceCtx<'a, F> {
+    app: &'a AppProfile,
+    machines: &'a Machines,
+    /// The sharing rule applied on top of raw rates.
+    model: RateModel,
+    /// The caller's batch rater: `out[i]` for `pairs[i]`.
+    rate: F,
+    load: &'a NetworkLoad,
+    s: &'a mut PlaceScratch,
 }
 
 impl<'a, F: FnMut(&[(u32, u32)], &mut Vec<f64>)> PlaceCtx<'a, F> {
@@ -136,44 +174,32 @@ impl<'a, F: FnMut(&[(u32, u32)], &mut Vec<f64>)> PlaceCtx<'a, F> {
         machines: &'a Machines,
         model: RateModel,
         load: &'a NetworkLoad,
+        s: &'a mut PlaceScratch,
         rate: F,
     ) -> Self {
-        let n_vms = machines.len();
-        PlaceCtx {
-            app,
-            machines,
-            model,
-            rate,
-            load,
-            assignment: vec![None; app.n_tasks()],
-            cpu_used: load.cpu_used.clone(),
-            placed_path: vec![0u32; n_vms * n_vms],
-            placed_egress: vec![0u32; n_vms],
-            cache: RateCache::new(n_vms),
-            hose: Vec::new(),
-            scratch: BatchScratch::default(),
-        }
+        s.reset(app, machines.len(), load);
+        PlaceCtx { app, machines, model, rate, load, s }
     }
 
     /// Account a placed transfer on its path for the sharing model.
     fn account(&mut self, m: u32, n: u32) {
         if m != n {
             let n_vms = self.machines.len();
-            self.placed_path[m as usize * n_vms + n as usize] += 1;
-            self.placed_egress[m as usize] += 1;
+            self.s.placed_path[m as usize * n_vms + n as usize] += 1;
+            self.s.placed_egress[m as usize] += 1;
         }
     }
 
-    /// Rate `scratch.misses` as one batch, if there are any, and commit
-    /// the answers to the cache.
+    /// Rate `batch.misses` as one batch, if there are any, and commit the
+    /// answers to the cache.
     fn rate_misses(&mut self) {
-        let PlaceCtx { rate, cache, scratch, .. } = self;
-        if scratch.misses.is_empty() {
+        let PlaceScratch { cache, batch, .. } = &mut *self.s;
+        if batch.misses.is_empty() {
             return;
         }
-        rate(&scratch.misses, &mut scratch.rates);
-        assert_eq!(scratch.rates.len(), scratch.misses.len(), "rate answered every pair");
-        for (&(m, n), &r) in scratch.misses.iter().zip(&scratch.rates) {
+        (self.rate)(&batch.misses, &mut batch.rates);
+        assert_eq!(batch.rates.len(), batch.misses.len(), "rate answered every pair");
+        for (&(m, n), &r) in batch.misses.iter().zip(&batch.rates) {
             cache.put(m, n, r);
         }
     }
@@ -184,20 +210,19 @@ impl<'a, F: FnMut(&[(u32, u32)], &mut Vec<f64>)> PlaceCtx<'a, F> {
     /// connection can saturate the hose, so the row maximum estimates it.
     fn hose_rate(&mut self, m: u32) -> f64 {
         let n_vms = self.machines.len() as u32;
-        if self.hose.is_empty() {
-            self.hose = vec![f64::NAN; n_vms as usize];
+        if self.s.hose.is_empty() {
+            self.s.hose.resize(n_vms as usize, f64::NAN);
         }
-        if self.hose[m as usize].is_nan() {
+        if self.s.hose[m as usize].is_nan() {
             let row = (0..n_vms).filter(|&j| j != m);
-            let PlaceCtx { cache, scratch, .. } = self;
-            scratch.misses.clear();
-            scratch
-                .misses
-                .extend(row.clone().filter(|&j| cache.get(m, j).is_none()).map(|j| (m, j)));
+            let PlaceScratch { cache, batch, .. } = &mut *self.s;
+            batch.misses.clear();
+            batch.misses.extend(row.clone().filter(|&j| cache.get(m, j).is_none()).map(|j| (m, j)));
             self.rate_misses();
-            self.hose[m as usize] = row.filter_map(|j| self.cache.get(m, j)).fold(0.0, f64::max);
+            let s = &mut *self.s;
+            s.hose[m as usize] = row.filter_map(|j| s.cache.get(m, j)).fold(0.0, f64::max);
         }
-        self.hose[m as usize]
+        self.s.hose[m as usize]
     }
 
     /// Sharing-adjusted rate a *new* transfer would see on `(m, n)` (line
@@ -208,13 +233,14 @@ impl<'a, F: FnMut(&[(u32, u32)], &mut Vec<f64>)> PlaceCtx<'a, F> {
         let (a, b) = (VmId(m), VmId(n));
         match self.model {
             RateModel::Pipe => {
-                let sharing =
-                    1 + self.load.on_path(a, b) + self.placed_path[m as usize * n_vms + n as usize];
+                let sharing = 1
+                    + self.load.on_path(a, b)
+                    + self.s.placed_path[m as usize * n_vms + n as usize];
                 raw_path / sharing as f64
             }
             RateModel::Hose => {
                 let raw_hose = self.hose_rate(m);
-                let sharing = 1 + self.load.egress(a) + self.placed_egress[m as usize];
+                let sharing = 1 + self.load.egress(a) + self.s.placed_egress[m as usize];
                 let hose_share = raw_hose / sharing as f64;
                 // A path cannot beat its own measured rate even if the
                 // hose has spare capacity.
@@ -235,23 +261,24 @@ impl<'a, F: FnMut(&[(u32, u32)], &mut Vec<f64>)> PlaceCtx<'a, F> {
         let n_vms = self.machines.len() as u32;
         // Phase 1: feasible candidates, in deterministic tie-break order.
         {
-            let PlaceCtx { app, machines, assignment, cpu_used, scratch, .. } = self;
+            let (app, machines) = (self.app, self.machines);
+            let PlaceScratch { assignment, cpu_used, batch, .. } = &mut *self.s;
             let fits = |task: usize, vm: u32, extra: f64| {
                 cpu_used[vm as usize] + extra + app.cpu[task] <= machines.cpu[vm as usize] + 1e-9
             };
-            scratch.cands.clear();
+            batch.cands.clear();
             match (assignment[i], assignment[j]) {
                 (Some(k), None) => {
                     for n in 0..n_vms {
                         if fits(j, n, 0.0) {
-                            scratch.cands.push((k, n));
+                            batch.cands.push((k, n));
                         }
                     }
                 }
                 (None, Some(l)) => {
                     for m in 0..n_vms {
                         if fits(i, m, 0.0) {
-                            scratch.cands.push((m, l));
+                            batch.cands.push((m, l));
                         }
                     }
                 }
@@ -267,7 +294,7 @@ impl<'a, F: FnMut(&[(u32, u32)], &mut Vec<f64>)> PlaceCtx<'a, F> {
                                 fits(j, n, 0.0)
                             };
                             if ok {
-                                scratch.cands.push((m, n));
+                                batch.cands.push((m, n));
                             }
                         }
                     }
@@ -278,24 +305,22 @@ impl<'a, F: FnMut(&[(u32, u32)], &mut Vec<f64>)> PlaceCtx<'a, F> {
         // Co-location wins outright, the first such pair in tie-break
         // order (nothing compares above `+∞`, not even another `+∞`) — so
         // this transfer's batch is never rated.
-        if let Some(&pair) = self.scratch.cands.iter().find(|(m, n)| m == n) {
+        if let Some(&pair) = self.s.batch.cands.iter().find(|(m, n)| m == n) {
             return Ok(pair);
         }
         // Phase 2: the cache filters the batch — only never-rated pairs
         // reach `rate`, as one call for the whole transfer.
         {
-            let PlaceCtx { cache, scratch, .. } = self;
-            scratch.misses.clear();
-            scratch
-                .misses
-                .extend(scratch.cands.iter().filter(|&&(m, n)| cache.get(m, n).is_none()));
+            let PlaceScratch { cache, batch, .. } = &mut *self.s;
+            batch.misses.clear();
+            batch.misses.extend(batch.cands.iter().filter(|&&(m, n)| cache.get(m, n).is_none()));
         }
         self.rate_misses();
         // Phase 3: sharing adjustment + maximization.
         let mut best: Option<(f64, u32, u32)> = None;
-        for idx in 0..self.scratch.cands.len() {
-            let (m, n) = self.scratch.cands[idx];
-            let raw_path = self.cache.get(m, n).expect("batched above");
+        for idx in 0..self.s.batch.cands.len() {
+            let (m, n) = self.s.batch.cands[idx];
+            let raw_path = self.s.cache.get(m, n).expect("batched above");
             let rate = self.shared_rate(m, n, raw_path);
             let better = match best {
                 None => true,
@@ -314,32 +339,35 @@ impl<'a, F: FnMut(&[(u32, u32)], &mut Vec<f64>)> PlaceCtx<'a, F> {
     /// CPU for tasks with no transfers.
     fn run(&mut self) -> Result<(), PlaceError> {
         let (app, machines) = (self.app, self.machines);
-        for (i, j, _bytes) in app.matrix.transfers_desc() {
-            let (m, n) = match (self.assignment[i], self.assignment[j]) {
+        for t in 0..self.s.transfers.len() {
+            let (i, j, _bytes) = self.s.transfers[t];
+            let (m, n) = match (self.s.assignment[i], self.s.assignment[j]) {
                 // Both fixed: just account the transfer on its path.
                 (Some(m), Some(n)) => (m, n),
                 _ => {
                     let (m, n) = self.best_pair(i, j)?;
-                    if self.assignment[i].is_none() {
-                        self.assignment[i] = Some(m);
-                        self.cpu_used[m as usize] += app.cpu[i];
+                    let s = &mut *self.s;
+                    if s.assignment[i].is_none() {
+                        s.assignment[i] = Some(m);
+                        s.cpu_used[m as usize] += app.cpu[i];
                     }
-                    if self.assignment[j].is_none() {
-                        self.assignment[j] = Some(n);
-                        self.cpu_used[n as usize] += app.cpu[j];
+                    if s.assignment[j].is_none() {
+                        s.assignment[j] = Some(n);
+                        s.cpu_used[n as usize] += app.cpu[j];
                     }
                     (m, n)
                 }
             };
             self.account(m, n);
         }
+        let s = &mut *self.s;
         for t in 0..app.n_tasks() {
-            if self.assignment[t].is_none() {
+            if s.assignment[t].is_none() {
                 let vm = (0..machines.len())
-                    .find(|&m| self.cpu_used[m] + app.cpu[t] <= machines.cpu[m] + 1e-9)
+                    .find(|&m| s.cpu_used[m] + app.cpu[t] <= machines.cpu[m] + 1e-9)
                     .ok_or(PlaceError::NoFeasibleMachine { task: t })?;
-                self.assignment[t] = Some(vm as u32);
-                self.cpu_used[vm] += app.cpu[t];
+                s.assignment[t] = Some(vm as u32);
+                s.cpu_used[vm] += app.cpu[t];
             }
         }
         Ok(())
@@ -383,6 +411,23 @@ impl GreedyPlacer {
         load: &NetworkLoad,
         rate: impl FnMut(&[(u32, u32)], &mut Vec<f64>),
     ) -> Result<Placement, PlaceError> {
+        let mut scratch = PlaceScratch::default();
+        self.place_with_scratch(app, machines, model, load, &mut scratch, rate)
+    }
+
+    /// [`GreedyPlacer::place_with`] in buffers the caller lends and keeps:
+    /// once `scratch` has grown to an instance's size, a placement
+    /// allocates only the [`Placement`] it returns. The answer does not
+    /// depend on what `scratch` held before.
+    pub fn place_with_scratch(
+        &self,
+        app: &AppProfile,
+        machines: &Machines,
+        model: RateModel,
+        load: &NetworkLoad,
+        scratch: &mut PlaceScratch,
+        rate: impl FnMut(&[(u32, u32)], &mut Vec<f64>),
+    ) -> Result<Placement, PlaceError> {
         assert_eq!(load.n_vms(), machines.len(), "load covers the machines");
         let total_cpu: f64 = app.cpu.iter().sum();
         let free_cpu: f64 =
@@ -390,11 +435,9 @@ impl GreedyPlacer {
         if total_cpu > free_cpu + 1e-9 {
             return Err(PlaceError::InsufficientCpu);
         }
-        let mut ctx = PlaceCtx::new(app, machines, model, load, rate);
+        let mut ctx = PlaceCtx::new(app, machines, model, load, scratch, rate);
         ctx.run()?;
-        Ok(Placement {
-            assignment: ctx.assignment.into_iter().map(|a| a.expect("placed")).collect(),
-        })
+        Ok(Placement { assignment: ctx.s.assignment.iter().map(|a| a.expect("placed")).collect() })
     }
 }
 
@@ -660,13 +703,51 @@ mod tests {
             out.clear();
             out.extend(pairs.iter().map(|&(m, n)| s.rate(VmId(m), VmId(n))));
         };
-        let mut ctx = PlaceCtx::new(&app, &machines, RateModel::Hose, &load, read);
+        let mut scratch = PlaceScratch::default();
+        let mut ctx = PlaceCtx::new(&app, &machines, RateModel::Hose, &load, &mut scratch, read);
         ctx.run().expect("feasible");
         let want: Vec<f64> = (0..4).map(|v| s.hose_rate(VmId(v))).collect();
-        assert_eq!(ctx.hose, want);
-        // The pipe model never derives a hose, so never sizes the memo.
-        let mut ctx = PlaceCtx::new(&app, &machines, RateModel::Pipe, &load, read);
+        assert_eq!(ctx.s.hose, want);
+        // The pipe model never derives a hose, so never fills the memo —
+        // not even in a scratch a hose placement filled before.
+        let mut ctx = PlaceCtx::new(&app, &machines, RateModel::Pipe, &load, &mut scratch, read);
         ctx.run().expect("feasible");
-        assert!(ctx.hose.is_empty());
+        assert!(ctx.s.hose.is_empty());
+    }
+
+    #[test]
+    fn a_reused_scratch_places_like_a_fresh_one() {
+        let (app, machines, s, load) = hose_scenario();
+        // The same network with every rate out of VM 1 cut tenfold: a
+        // rate memo left over from a placement on `s` would hand a
+        // placement on `slow` the old rates, and ask for fewer pairs.
+        let entries: Vec<(usize, usize, f64)> = (0..4)
+            .flat_map(|a| (0..4).filter(move |&b| b != a).map(move |b| (a, b)))
+            .map(|(a, b)| {
+                let r = s.rate(VmId(a as u32), VmId(b as u32));
+                (a, b, if a == 1 { r / 10.0 } else { r })
+            })
+            .collect();
+        let slow = snap(4, &entries, RateModel::Hose);
+        let place = |scratch: &mut PlaceScratch, net: &NetworkSnapshot, model: RateModel| {
+            let mut batches: Vec<Vec<(u32, u32)>> = Vec::new();
+            let p = GreedyPlacer
+                .place_with_scratch(&app, &machines, model, &load, scratch, |pairs, out| {
+                    batches.push(pairs.to_vec());
+                    out.clear();
+                    out.extend(pairs.iter().map(|&(m, n)| net.rate(VmId(m), VmId(n))));
+                })
+                .expect("feasible");
+            (p, batches)
+        };
+        let mut shared = PlaceScratch::default();
+        let mut placements = Vec::new();
+        for (net, model) in [(&s, RateModel::Hose), (&slow, RateModel::Hose), (&s, RateModel::Pipe)]
+        {
+            let reused = place(&mut shared, net, model);
+            assert_eq!(reused, place(&mut PlaceScratch::default(), net, model), "{model:?}");
+            placements.push(reused.0.assignment);
+        }
+        assert_ne!(placements[0], placements[1], "the slowed network places elsewhere");
     }
 }

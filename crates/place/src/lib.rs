@@ -30,7 +30,7 @@ pub mod problem;
 
 pub use baseline::{MinMachinesPlacer, RandomPlacer, RoundRobinPlacer};
 pub use constraints::{ConstrainedGreedyPlacer, Constraints};
-pub use greedy::GreedyPlacer;
+pub use greedy::{GreedyPlacer, PlaceScratch};
 pub use ilp::{IlpPlacer, IlpPlacerOutcome};
 pub use predict::predict_completion_secs;
 pub use problem::{

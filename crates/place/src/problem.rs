@@ -292,34 +292,6 @@ impl NetworkLoad {
         }
     }
 
-    /// Restrict the load to a subset of the VMs: entry `i` of the result
-    /// describes `vms[i]`. Egress counters keep counting transfers that
-    /// leave the subset (sharing at the source is a global property);
-    /// path counters inside the subset are preserved, paths with an
-    /// endpoint outside it are dropped.
-    ///
-    /// This is the right sub-view for placers working over **snapshot or
-    /// cached** rates (and for CPU-only baselines — the online
-    /// scheduler's random branch). Do **not** combine the projected
-    /// network counters with *live* probe rates: probes already price in
-    /// every running flow, so stacking the counters on top double-counts
-    /// traffic (see `Choreo::place_live`; the online scheduler's greedy
-    /// branch builds a CPU-only load for exactly this reason).
-    pub fn project(&self, vms: &[u32]) -> NetworkLoad {
-        let k = vms.len();
-        let mut out = NetworkLoad::new(k);
-        for (a, &va) in vms.iter().enumerate() {
-            let va = va as usize;
-            assert!(va < self.n_vms, "projected VM {va} out of range");
-            out.egress_load[a] = self.egress_load[va];
-            out.cpu_used[a] = self.cpu_used[va];
-            for (b, &vb) in vms.iter().enumerate() {
-                out.path_load[a * k + b] = self.path_load[va * self.n_vms + vb as usize];
-            }
-        }
-        out
-    }
-
     fn update(&mut self, app: &AppProfile, p: &Placement, add: bool) {
         for (i, j, _) in app.matrix.transfers_desc() {
             let (a, b) = (p.assignment[i] as usize, p.assignment[j] as usize);
@@ -420,34 +392,6 @@ mod tests {
         let p = Placement { assignment: vec![0, 0, 2, 2, 1] };
         assert_eq!(p.machines_used(), 3);
         assert_eq!(p.vm_of(2), VmId(2));
-    }
-
-    #[test]
-    fn project_restricts_to_subset_but_keeps_global_egress() {
-        let mut load = NetworkLoad::new(4);
-        // Transfers: 0->1, 0->3, 2->3 (via a 4-task app placed 1:1).
-        let m = TrafficMatrix::from_rows(
-            4,
-            vec![
-                0, 1, 0, 1, //
-                0, 0, 0, 0, //
-                0, 0, 0, 1, //
-                0, 0, 0, 0,
-            ],
-        );
-        let bg = AppProfile::new("bg", vec![0.5; 4], m, 0);
-        load.apply(&bg, &Placement { assignment: vec![0, 1, 2, 3] });
-        let sub = load.project(&[0, 2]);
-        assert_eq!(sub.n_vms(), 2);
-        // Path 0->1 and 2->3 leave the subset: dropped from path counts.
-        assert_eq!(sub.on_path(VmId(0), VmId(1)), 0);
-        // Egress still counts every transfer leaving the VM.
-        assert_eq!(sub.egress(VmId(0)), 2, "0->1 and 0->3 both leave VM 0");
-        assert_eq!(sub.egress(VmId(1)), 1, "2->3 leaves VM 2");
-        assert_eq!(sub.cpu_used, vec![0.5, 0.5]);
-        // Identity projection preserves everything.
-        let all = load.project(&[0, 1, 2, 3]);
-        assert_eq!(all, load);
     }
 
     #[test]

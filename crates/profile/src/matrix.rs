@@ -68,15 +68,24 @@ impl TrafficMatrix {
     /// (ties broken by `(i, j)` for determinism) — the order Algorithm 1
     /// consumes them in.
     pub fn transfers_desc(&self) -> Vec<(usize, usize, u64)> {
-        let mut v: Vec<(usize, usize, u64)> = (0..self.n)
-            .flat_map(|i| (0..self.n).map(move |j| (i, j)))
-            .filter_map(|(i, j)| {
+        let mut v = Vec::new();
+        self.transfers_desc_into(&mut v);
+        v
+    }
+
+    /// [`TrafficMatrix::transfers_desc`] into a buffer the caller keeps:
+    /// allocation-free once `out` has held this many transfers.
+    pub fn transfers_desc_into(&self, out: &mut Vec<(usize, usize, u64)>) {
+        out.clear();
+        out.extend((0..self.n).flat_map(|i| (0..self.n).map(move |j| (i, j))).filter_map(
+            |(i, j)| {
                 let b = self.bytes(i, j);
                 (b > 0).then_some((i, j, b))
-            })
-            .collect();
-        v.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
-        v
+            },
+        ));
+        // `(i, j)` is unique, so the order is total and an unstable sort
+        // (which needs no buffer) gives the one answer.
+        out.sort_unstable_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
     }
 
     /// Merge another matrix into a combined one (block-diagonal): used when

@@ -41,7 +41,7 @@ pub use graph::{
     Link, LinkDir, LinkId, LinkSpec, Node, NodeId, NodeKind, Topology, TopologyBuilder,
 };
 pub use pods::PodPartition;
-pub use route::{DirectedHop, Path, RouteTable};
+pub use route::{DirectedHop, Path, PathParts, RouteTable, WalkId};
 pub use tree::{dumbbell, two_rack, MultiRootedTreeSpec};
 pub use units::{Nanos, GBIT, KBIT, MBIT, MICROS, MILLIS, SECS};
 pub use vmmap::{TracerouteStyle, VmId, VmMap};

@@ -40,6 +40,23 @@
 //! each host; the `#[cfg(test)]` reference enumerator in this file is
 //! that BFS, and the tests compare the two pair by pair.
 //!
+//! # Path 0 in three parts
+//!
+//! Call the transit node a host's walk starts or ends at its *attach*
+//! node: a leaf's neighbour (its ToR on a tree), or a transit host itself.
+//! A pair's path 0 is the source's leaf hop, then path 0 of the DAG rooted
+//! at the source's attach node down to the destination's, then the
+//! destination's leaf hop — and the middle part depends on the two attach
+//! nodes alone, not on which hosts hang off them. [`RouteTable::path0_parts`]
+//! hands a pair's path 0 out in exactly those parts: the lead hop, a
+//! [`WalkId`] naming the `(source attach, destination attach)` walk, and
+//! the tail hop; [`RouteTable::walk`] unranks a walk's hops. Every pair
+//! under the same two ToRs names the same walk, so a caller that prices a
+//! path hop by hop can price each walk once and splice. Walk ids are dense,
+//! `source attach × attaches + destination attach`, below
+//! [`RouteTable::walk_count`]: 1 024 on the 128-host trees, 4 096 on the
+//! 512-host tree.
+//!
 //! # Cost
 //!
 //! A lookup is `O(hops + predecessors scanned)`: two per-node loads for the
@@ -112,12 +129,13 @@ impl fmt::Debug for DirectedHop {
 /// shortest path. The deepest tree of the paper (§4.2) has 8-hop paths.
 pub const MAX_PATH_HOPS: usize = 16;
 
-/// A loop-free path between two hosts, as a sequence of directed hops.
+/// A loop-free path between two hosts — or, for a [`RouteTable::walk`],
+/// between two attach nodes — as a sequence of directed hops.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Path {
-    /// Source host.
+    /// Source host (a walk's source attach node).
     pub src: NodeId,
-    /// Destination host.
+    /// Destination host (a walk's destination attach node).
     pub dst: NodeId,
     len: u8,
     /// Entries past `len` stay at the filler value, so derived equality
@@ -230,6 +248,26 @@ impl Span {
     }
 }
 
+/// Names the transit walk between two attach nodes: the middle part of
+/// path 0 of every host pair under them (see
+/// [`RouteTable::path0_parts`]). Dense, below [`RouteTable::walk_count`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct WalkId(pub u32);
+
+/// A host pair's path 0 in three parts: `lead ++ walk ++ tail` is
+/// [`RouteTable::path`]`(src, dst, 0)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathParts {
+    /// The source's leaf hop (`None` for a transit source).
+    pub lead: Option<DirectedHop>,
+    /// The walk between the two attach nodes (`None` when it has no hops:
+    /// both hosts attach at the same node, or the path has no transit part
+    /// at all).
+    pub walk: Option<WalkId>,
+    /// The destination's leaf hop (`None` for a transit destination).
+    pub tail: Option<DirectedHop>,
+}
+
 /// Equal-cost shortest paths between every pair of hosts, held as one
 /// shortest-path DAG per transit node (see the [module docs](self)).
 #[derive(Debug, Clone)]
@@ -241,6 +279,11 @@ pub struct RouteTable {
     recs: Vec<Rec>,
     /// Predecessor lists of the nodes with more than one.
     fans: Vec<Pred>,
+    /// Per transit node: its attach index, `NONE` when no host attaches
+    /// there.
+    attach: Vec<u32>,
+    /// Per attach index: the node, in transit order.
+    attach_nodes: Vec<NodeId>,
     max_paths: usize,
 }
 
@@ -365,7 +408,20 @@ impl RouteTable {
             }
         }
         fans.shrink_to_fit();
-        RouteTable { ends, transit: t, recs, fans, max_paths }
+        let mut attach = vec![NONE; t];
+        for h in topo.hosts() {
+            if let Some(a) = attach.get_mut(ends[h.0 as usize].transit as usize) {
+                *a = 0;
+            }
+        }
+        let mut attach_nodes = Vec::new();
+        for (a, &node) in attach.iter_mut().zip(&transit_nodes) {
+            if *a != NONE {
+                *a = attach_nodes.len() as u32;
+                attach_nodes.push(node);
+            }
+        }
+        RouteTable { ends, transit: t, recs, fans, attach, attach_nodes, max_paths }
     }
 
     #[inline]
@@ -475,6 +531,46 @@ impl RouteTable {
         self.unrank(src, dst, &span, (mixed % span.count as u64) as u32)
     }
 
+    /// Path 0 of `src → dst` (both hosts) in three parts — lead hop, walk,
+    /// tail hop — that concatenate to [`RouteTable::path`]`(src, dst, 0)`;
+    /// pairs under the same two attach nodes share the walk (see the
+    /// [module docs](self)). `O(1)`: no hop is unranked.
+    ///
+    /// Panics with `no path from …` for an unroutable pair.
+    #[inline]
+    pub fn path0_parts(&self, src: NodeId, dst: NodeId) -> PathParts {
+        let span = self.span(src, dst).unwrap_or_else(|| no_path(src, dst));
+        let walk = (span.dist > 0).then(|| {
+            let attach = |host: NodeId| self.attach[self.ends[host.0 as usize].transit as usize];
+            WalkId(attach(src) * self.attach_nodes.len() as u32 + attach(dst))
+        });
+        PathParts { lead: span.lead, walk, tail: span.tail }
+    }
+
+    /// The hops of `walk`: path 0 from its source attach node to its
+    /// destination attach node, which are the returned path's `src` and
+    /// `dst`.
+    ///
+    /// Panics with `no path from …` when no path joins the two.
+    pub fn walk(&self, walk: WalkId) -> Path {
+        let n = self.attach_nodes.len() as u32;
+        let (src, dst) =
+            (self.attach_nodes[(walk.0 / n) as usize], self.attach_nodes[(walk.0 % n) as usize]);
+        let (root, target) = (self.ends[src.0 as usize].transit, self.ends[dst.0 as usize].transit);
+        let row = root as usize * self.transit;
+        let rec = &self.recs[row + target as usize];
+        if rec.count == 0 {
+            no_path(src, dst);
+        }
+        let span = Span { lead: None, tail: None, row, target, dist: rec.dist, count: rec.count };
+        self.unrank(src, dst, &span, 0)
+    }
+
+    /// Number of walk ids: the square of the number of attach nodes.
+    pub fn walk_count(&self) -> usize {
+        self.attach_nodes.len() * self.attach_nodes.len()
+    }
+
     /// Number of links on the shortest path between two hosts (0 iff same
     /// host, `usize::MAX` if no path joins them).
     pub fn hop_count(&self, src: NodeId, dst: NodeId) -> usize {
@@ -492,6 +588,8 @@ impl RouteTable {
         self.ends.capacity() * size_of::<End>()
             + self.recs.capacity() * size_of::<Rec>()
             + self.fans.capacity() * size_of::<Pred>()
+            + self.attach.capacity() * size_of::<u32>()
+            + self.attach_nodes.capacity() * size_of::<NodeId>()
     }
 }
 
@@ -690,6 +788,91 @@ mod tests {
                     assert_eq!(rt.path_for_flow(src, dst, hash).hops(), &pick[..], "pick: {ctx}");
                 }
             }
+        }
+        check_path0_parts(name, topo, &rt);
+    }
+
+    /// For every routable host pair of `topo`: the lead hop, the walk's
+    /// hops and the tail hop of [`RouteTable::path0_parts`] are path 0 hop
+    /// for hop, and every pair that names a walk id finds the same middle
+    /// hops under it — the ones [`RouteTable::walk`] unranks.
+    fn check_path0_parts(name: &str, topo: &Topology, rt: &RouteTable) {
+        let mut walks: Vec<Option<Path>> = vec![None; rt.walk_count()];
+        for &src in topo.hosts() {
+            for &dst in topo.hosts() {
+                if rt.path_count(src, dst) == 0 {
+                    continue;
+                }
+                let ctx = || format!("{name}, {src:?} -> {dst:?}");
+                let path = rt.path(src, dst, 0);
+                let parts = rt.path0_parts(src, dst);
+                let hops = path.hops();
+                let (lead, tail) = (parts.lead.is_some() as usize, parts.tail.is_some() as usize);
+                assert!(lead + tail <= hops.len(), "{}: {parts:?} vs {path:?}", ctx());
+                assert_eq!(parts.lead, lead.checked_sub(1).map(|_| hops[0]), "lead: {}", ctx());
+                assert_eq!(
+                    parts.tail,
+                    tail.checked_sub(1).map(|_| hops[hops.len() - 1]),
+                    "tail: {}",
+                    ctx()
+                );
+                let middle = &hops[lead..hops.len() - tail];
+                let Some(w) = parts.walk else {
+                    assert!(middle.is_empty(), "no walk, but transit hops: {}", ctx());
+                    continue;
+                };
+                let walk = walks[w.0 as usize].get_or_insert_with(|| rt.walk(w));
+                assert_eq!(walk.hops(), middle, "{w:?}: {}", ctx());
+            }
+        }
+    }
+
+    /// The trees the perf ledger runs on, and the 2 048-host rung of the
+    /// scenario suite, with the ECMP caps they run at.
+    fn ledger_trees() -> Vec<(&'static str, MultiRootedTreeSpec, usize)> {
+        let tree_128 = MultiRootedTreeSpec {
+            cores: 2,
+            pods: 8,
+            aggs_per_pod: 2,
+            tors_per_pod: 4,
+            hosts_per_tor: 4,
+            ..Default::default()
+        };
+        let scale_512 = MultiRootedTreeSpec {
+            cores: 4,
+            pods: 8,
+            aggs_per_pod: 4,
+            tors_per_pod: 8,
+            hosts_per_tor: 8,
+            ..Default::default()
+        };
+        let serve = MultiRootedTreeSpec { pods: 16, hosts_per_tor: 4, ..Default::default() };
+        let rung_2048 = MultiRootedTreeSpec {
+            cores: 8,
+            pods: 16,
+            aggs_per_pod: 4,
+            tors_per_pod: 16,
+            hosts_per_tor: 8,
+            ..Default::default()
+        };
+        vec![
+            ("steady-sim / failover-sim", tree_128, 16),
+            ("scale-512", scale_512, 4),
+            ("serve-loopback", serve, 16),
+            ("2 048 hosts", rung_2048, 4),
+        ]
+    }
+
+    #[test]
+    fn route_path0_parts_splice_to_path_0_on_the_ledger_trees() {
+        for (name, spec, cap) in ledger_trees() {
+            let topo = spec.build();
+            let rt = RouteTable::with_max_paths(&topo, cap);
+            check_path0_parts(name, &topo, &rt);
+            // One walk per ordered pair of ToRs, a ToR being where hosts
+            // attach on a tree.
+            let tors = spec.pods * spec.tors_per_pod;
+            assert_eq!(rt.walk_count(), tors * tors, "{name}");
         }
     }
 

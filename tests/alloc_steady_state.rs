@@ -9,7 +9,9 @@
 //! the slot-indexed rate column) does no per-call `Vec` construction —
 //! and neither does anything above it on the advance path: `run_until`
 //! across bounded completions, and `OnlineScheduler::advance_to` across
-//! a drift epoch and a migration tick.
+//! a drift epoch and a migration tick. A placement attempt
+//! (`OnlineScheduler::try_place`) allocates the placement it returns and
+//! nothing else.
 //!
 //! Kept in its own integration-test binary with a single `#[test]` so no
 //! concurrent test pollutes the counter.
@@ -18,8 +20,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use choreo_repro::flowsim::{FlowArena, FlowSim, FlowSlot, MaxMinSolver, ProbeBatch};
-use choreo_repro::online::{DriftConfig, MigrationConfig, OnlineConfig, SchedulerBuilder};
+use choreo_repro::flowsim::{FlowArena, FlowSim, FlowSlot, MaxMinSolver};
+use choreo_repro::online::{
+    DriftConfig, MigrationConfig, OnlineConfig, PlacementPolicy, SchedulerBuilder,
+};
 use choreo_repro::profile::{AppProfile, TenantEvent, TenantEventKind, TrafficMatrix};
 use choreo_repro::topology::route::splitmix64;
 use choreo_repro::topology::{
@@ -147,11 +151,10 @@ fn steady_state_reallocation_allocates_nothing() {
     let mut warm_solver = MaxMinSolver::new();
     let mut warm_rates = Vec::new();
     let mut warm_caps = caps.clone();
-    let mut batch = ProbeBatch::new();
-    for candidate in &churn[..32] {
-        batch.push(candidate);
-    }
-    let mut what_if = Vec::new();
+    // A batch of 32 candidates, rated one probe after another off one solve.
+    let batch = |solver: &mut MaxMinSolver, caps: &[f64], arena: &FlowArena| -> f64 {
+        churn[..32].iter().map(|c| solver.probe(caps, arena, c)).sum()
+    };
     warm_solver.solve_warm(&warm_caps, &mut arena, &mut warm_rates);
     let mut warm_pass =
         |warm_solver: &mut MaxMinSolver, arena: &mut FlowArena, slots: &mut [FlowSlot]| -> f64 {
@@ -161,12 +164,10 @@ fn steady_state_reallocation_allocates_nothing() {
                     let k = (i + round) % slots.len();
                     arena.remove(slots[k]);
                     warm_solver.solve_warm(&warm_caps, arena, &mut warm_rates);
-                    warm_solver.probe_batch(&warm_caps, arena, &batch, &mut what_if);
-                    sum += what_if.iter().sum::<f64>();
+                    sum += batch(warm_solver, &warm_caps, arena);
                     slots[k] = arena.add(arrival);
                     warm_solver.solve_warm(&warm_caps, arena, &mut warm_rates);
-                    warm_solver.probe_batch(&warm_caps, arena, &batch, &mut what_if);
-                    sum += what_if.iter().sum::<f64>() + warm_rates[slots[k].0 as usize];
+                    sum += batch(warm_solver, &warm_caps, arena) + warm_rates[slots[k].0 as usize];
                     // A link on the new flow's path degrades, then recovers.
                     let link = arrival[i % arrival.len()] as usize;
                     warm_caps[link] =
@@ -229,10 +230,12 @@ fn steady_state_reallocation_allocates_nothing() {
     assert_eq!(batch_allocs, 0, "warm probe_rates (batched what-if) must not allocate");
 
     // ------------------------------------- batches over never-probed pairs
-    // The engine resolves each probe's path from the route table on the
-    // spot. One warm-up batch of inter-pod (longest-path) pairs sizes the
-    // batch buffers; after it, batches over pairs no earlier call touched
-    // allocate nothing.
+    // The engine splices each probe's path 0 from its two host ends and a
+    // fold of the walk between their ToRs, memoised per solve in a table
+    // the first probe sizes to the route table. One warm-up batch of
+    // inter-pod (longest-path) pairs sizes the record table, the walk memo
+    // and the output buffer; after it, batches over pairs no earlier call
+    // touched allocate nothing.
     let tree = Arc::new(spec.build());
     let tree_routes = Arc::new(RouteTable::new(&tree));
     let mut tree_sim = FlowSim::new(tree, tree_routes, LinkSpec::new(4.2 * GBIT, 20 * MICROS), 7);
@@ -259,6 +262,41 @@ fn steady_state_reallocation_allocates_nothing() {
     assert!(acc > 0.0);
     assert_eq!(fresh_allocs, 0, "probe_rates over fresh pairs must not allocate");
 
+    // ------------------------------------- batches over never-probed walks
+    // Each round below first replaces a resident flow — a new solve, for
+    // which no record has been read and no walk folded — then rates
+    // sixteen pairs drawn from a seed range no earlier call used. The
+    // warm-up pass replaces the
+    // resident flows exactly as the measured pass does, so the arena and
+    // the solve log reach the footprint that churn needs, but rates other
+    // pairs: the measured pass reads records and folds walks it has never
+    // seen, and allocates nothing.
+    let mut resident = tree_sim.start_flow_now(hosts[1], hosts[2], None, None, 77);
+    let mut fresh_rounds = |sim: &mut FlowSim, seeds: u64| {
+        let (walked, mut acc) = (sim.solve_stats().probe_replay_rounds, 0.0);
+        for round in 0..100u64 {
+            // Rack neighbours have one path: no ECMP draw, so the second
+            // pass replaces resident flows exactly as the first did.
+            let a = (round * 7 % 64) as usize;
+            sim.stop_flows_now(&[resident]);
+            sim.release_flow(resident);
+            resident = sim.start_flow_now(hosts[a], hosts[a ^ 1], None, None, 77);
+            for (i, probe) in fresh.iter_mut().enumerate() {
+                let (a, b) = pair_of(seeds + 16 * round + i as u64);
+                *probe = (a, b, None);
+            }
+            sim.probe_rates(&fresh, &mut out);
+            acc += out.iter().sum::<f64>();
+        }
+        assert!(acc > 0.0 && sim.solve_stats().probe_replay_rounds > walked);
+    };
+    fresh_rounds(&mut tree_sim, 30_000);
+    let before = alloc_count();
+    fresh_rounds(&mut tree_sim, 40_000);
+    let walk_allocs = alloc_count() - before;
+    assert_eq!(walk_allocs, 0, "probe_rates over never-probed walks must not allocate");
+    tree_sim.stop_flows_now(&[resident]);
+
     // ------------------------------- overlapping batches, record by record
     // The scheduler's first-transfer batch — all 240 ordered pairs of 16
     // candidate hosts — names each access direction 15 times over. The
@@ -283,7 +321,7 @@ fn steady_state_reallocation_allocates_nothing() {
         })
         .collect();
     assert_eq!(overlapping.len(), 240);
-    let mut lent = Vec::new();
+    let (mut lent, mut what_if) = (Vec::new(), Vec::new());
     let mut resident = tree_sim.start_flow_now(hosts[1], hosts[2], None, None, 77);
     let mut placement_rounds = |sim: &mut FlowSim, batch: &[_], ids: std::ops::Range<u64>| {
         let (walked, mut sum) = (sim.solve_stats().probe_replay_rounds, 0.0);
@@ -408,4 +446,33 @@ fn steady_state_reallocation_allocates_nothing() {
     assert_eq!(sched.stats().migrations, 0, "a settled cluster moves nobody");
     assert_eq!(advance_allocs, 0, "advance_to across epochs and no-move ticks must not allocate");
     sched.check_invariants();
+
+    // ------------------------------------------------ a placement attempt
+    // `try_place` as an arrival makes it: the candidate ranking, the
+    // CPU-packing pre-check, then Algorithm 1 in the scratch the scheduler
+    // lends it, rating each transfer's candidates as one probe batch. A
+    // link under the running tenants degrades or recovers before every
+    // attempt, so each one rates against a fresh solve — records read,
+    // walks folded — and ranks nothing new (the CPU ledger holds still).
+    // Warmed, an attempt allocates exactly one block: the assignment of
+    // the placement it returns.
+    let mut m = TrafficMatrix::zeros(3);
+    m.set(0, 1, 1_000_000_000);
+    m.set(1, 2, 500_000_000);
+    let app = AppProfile::new("candidate", vec![1.0; 3], m, 0);
+    let link = sched.sim_mut().topology().links().len() as u32 / 2;
+    let attempts = |sched: &mut choreo_repro::online::OnlineScheduler| {
+        let walked = sched.sim_mut().solve_stats().probe_replay_rounds;
+        for i in 0..50 {
+            sched.sim_mut().degrade_link(link, if i % 2 == 0 { 0.5 } else { 1.0 });
+            let placed = sched.try_place(&app, PlacementPolicy::Greedy);
+            assert_eq!(placed.map(|p| p.assignment.len()), Some(3), "attempt {i} placed");
+        }
+        assert!(sched.sim_mut().solve_stats().probe_replay_rounds > walked, "attempts rated");
+    };
+    attempts(&mut sched);
+    let before = alloc_count();
+    attempts(&mut sched);
+    let attempt_allocs = alloc_count() - before;
+    assert_eq!(attempt_allocs, 50, "a warmed attempt allocates its placement and nothing else");
 }

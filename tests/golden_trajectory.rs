@@ -395,6 +395,79 @@ fn failover_trajectory_is_pinned() {
     assert!(warm < FAILOVER_WARM_SOLVES_EAGER, "{warm} warm solves");
 }
 
+/// A pinned trajectory in the shape of the ledger's `scale-512`
+/// workload: its 512-host tree (4 cores, 8 pods of 4 aggregation and 8
+/// ToR switches, 8 hosts a rack) routed over 4 ECMP paths, 4–8-task
+/// tenants every second on a 12 s intensity clock, no link incidents and
+/// the default configuration. The only golden with more than four pods
+/// or four paths, so the only one whose probes name many distinct racks
+/// and walk a deep solve log: the path a change to how a probe resolves
+/// its route or finds its bottleneck records takes. The probe counts pin
+/// that such a change does the same work, not just that it answers the
+/// same.
+#[test]
+fn scale_512_trajectory_is_pinned() {
+    let topo = Arc::new(
+        MultiRootedTreeSpec {
+            cores: 4,
+            pods: 8,
+            aggs_per_pod: 4,
+            tors_per_pod: 8,
+            hosts_per_tor: 8,
+            ..Default::default()
+        }
+        .build(),
+    );
+    let routes = Arc::new(RouteTable::with_max_paths(&topo, 4));
+    let stream_cfg = WorkloadStreamConfig {
+        gen: WorkloadGenConfig {
+            tasks_min: 4,
+            tasks_max: 8,
+            mean_interarrival: SECS,
+            ..Default::default()
+        },
+        mean_intensity_change: 12 * SECS,
+        max_intensity: 3,
+        ..Default::default()
+    };
+    let events: Vec<ServiceEvent> =
+        WorkloadStream::new(stream_cfg, 7).take(1_500).map(ServiceEvent::Tenant).collect();
+    let mut svc =
+        SchedulerBuilder::new(topo, routes).config(OnlineConfig::default()).seed(7).build();
+    for ev in &events {
+        svc.service_step(ev);
+    }
+    let s = svc.stats();
+    let rate = s.mean_departed_rate_bps().expect("tenants departed").to_bits();
+    let counters = [
+        s.admitted,
+        s.queued,
+        s.queue_admitted,
+        s.rejected,
+        s.migrations,
+        s.failure_migrations,
+        s.network_events,
+        s.drift_detected,
+    ];
+    let hash = s.trace_hash();
+    assert_eq!(hash, SCALE_512_GOLDEN, "scheduler digest moved: {hash:#018x}");
+    assert_eq!(rate, SCALE_512_RATE_BITS, "mean departed rate moved: {rate:#018x}");
+    assert_eq!(counters, SCALE_512_COUNTERS, "counters moved: {counters:?}");
+    let p = svc.sim_mut().solve_stats();
+    let probes = [p.probes, p.probe_batches, p.probe_replay_rounds];
+    assert_eq!(probes, SCALE_512_PROBES, "probes, batches, replay rounds: {probes:?}");
+}
+
+/// Recorded at commit 07d1f4e.
+const SCALE_512_GOLDEN: u64 = 0x2ba9_aac1_319f_fa43;
+/// `mean_departed_rate_bps` bits of the same run.
+const SCALE_512_RATE_BITS: u64 = 0x41cf_3154_3358_fab1;
+/// The counters of [`SERVICE_COUNTERS`], for the same run.
+const SCALE_512_COUNTERS: [u64; 8] = [156, 0, 0, 0, 0, 0, 0, 0];
+/// `solve_stats()`' `[probes, probe_batches, probe_replay_rounds]` of the
+/// same run.
+const SCALE_512_PROBES: [u64; 3] = [25_468, 193, 851_700];
+
 /// Recorded at commit 987edc3.
 const FAILOVER_GOLDEN: u64 = 0xbdca_ebe7_9b6e_8b9d;
 /// `mean_departed_rate_bps` bits of the same run.

@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use choreo_repro::flowsim::{
     hop_resource, max_min_rates, FlowArena, FlowKey, FlowSim, FlowSlot, FlowStatus, MaxMinSolver,
-    ProbeBatch,
 };
 use choreo_repro::lp::{solve_lp, Lp, LpOutcome, Relation};
 use choreo_repro::measure::{NetworkSnapshot, RateModel};
@@ -199,9 +198,9 @@ fn full_solve_probe(caps: &[f64], arena: &FlowArena, cand: &[u32]) -> f64 {
     rates[slot.0 as usize]
 }
 
-/// Rate `cands` over `solver`'s current log — as one batch and then one
-/// by one — and bit-compare every answer with [`full_solve_probe`]; then
-/// once more as a batch, which must be served from the per-resource
+/// Rate `cands` one after another over `solver`'s current log, sharing
+/// its per-resource records, and bit-compare every answer with
+/// [`full_solve_probe`]; then once more, which must be served from the
 /// records the first pass left (nothing read, nothing walked) and agree.
 fn check_probes_bitmatch(
     solver: &mut MaxMinSolver,
@@ -210,25 +209,20 @@ fn check_probes_bitmatch(
     cands: &[Vec<u32>],
     what: &str,
 ) {
-    let mut batch = ProbeBatch::new();
-    for c in cands {
-        batch.push(c);
-    }
-    let mut out = Vec::new();
-    solver.probe_batch(caps, arena, &batch, &mut out);
-    assert_eq!(out.len(), cands.len());
+    let out: Vec<f64> = cands.iter().map(|c| solver.probe(caps, arena, c)).collect();
     for (c, got) in cands.iter().zip(&out) {
         let want = full_solve_probe(caps, arena, c);
-        assert_eq!(got.to_bits(), want.to_bits(), "{what}: batched {c:?}: {got} vs {want}");
-        let solo = solver.probe(caps, arena, c);
-        assert_eq!(solo.to_bits(), want.to_bits(), "{what}: probe {c:?}: {solo} vs {want}");
+        assert_eq!(got.to_bits(), want.to_bits(), "{what}: probe {c:?}: {got} vs {want}");
     }
-    let mut again = Vec::new();
-    solver.probe_batch(caps, arena, &batch, &mut again);
-    assert_eq!(solver.last_probe_records_built(), 0, "{what}: second pass read a record");
-    assert_eq!(solver.last_probe_replay_rounds(), 0, "{what}: second pass walked the log");
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&out), bits(&again), "{what}: records disagree with the pass that built them");
+    let (mut built, mut walked) = (0, 0);
+    for (c, got) in cands.iter().zip(&out) {
+        let again = solver.probe(caps, arena, c);
+        built += solver.last_probe_records_built();
+        walked += solver.last_probe_replay_rounds();
+        assert_eq!(again.to_bits(), got.to_bits(), "{what}: {c:?}: a record changed");
+    }
+    assert_eq!(built, 0, "{what}: second pass read a record");
+    assert_eq!(walked, 0, "{what}: second pass walked the log");
 }
 
 proptest! {
@@ -899,16 +893,12 @@ proptest! {
                 live.push((slot, f));
             }
         }
-        let mut batch = ProbeBatch::new();
-        for c in &candidate_paths {
-            batch.push(&norm(c));
-        }
         let mut solver = MaxMinSolver::new();
-        let (mut rates, mut out) = (Vec::new(), Vec::new());
+        let mut rates = Vec::new();
         solver.solve_logged(&caps, &arena, &mut rates);
-        solver.probe_batch(&caps, &arena, &batch, &mut out);
+        let out: Vec<f64> =
+            candidate_paths.iter().map(|c| solver.probe(&caps, &arena, &norm(c))).collect();
         solver.check_log_invariants(&arena);
-        prop_assert_eq!(out.len(), candidate_paths.len());
         // Reference: each candidate joins a from-scratch arena for real.
         for (c, got) in candidate_paths.iter().zip(&out) {
             let mut ref_arena = FlowArena::new(nr);

@@ -260,6 +260,11 @@ fn a_2048_host_cluster_fits_and_schedules() {
             }
         }
         svc.check_invariants();
+        // The engine's per-walk probe memo: one 32-byte record per
+        // ordered pair of the 256 ToRs.
+        let memo = svc.sim_mut().walk_memo_bytes();
+        assert!(memo <= 4 << 20, "walk memo holds {memo} bytes for 2 048 hosts");
+        assert_eq!(memo, 32 * 256 * 256);
         let s = svc.stats();
         (s.trace_hash(), s.admitted + s.queue_admitted, s.rejected)
     };
