@@ -18,21 +18,26 @@
 //!   without scanning all flows. Flows are added and removed in `O(path
 //!   length)`; slots and pool blocks are recycled through free lists so a
 //!   steady churn of flows performs no heap allocation.
-//! * [`MaxMinSolver`] — progressive filling driven by a **lazy min-heap**
-//!   over per-resource fair shares. All working state (`slack`, `users`,
-//!   `frozen`, the heap, per-round scratch) is retained between calls;
-//!   after the first solve at a given problem size, a solve allocates
-//!   nothing. [`MaxMinSolver::solve_logged`] additionally records the
-//!   freeze-round sequence into the solver's **persistent log**
-//!   (`SolveLog`: rounds with stable ids, their per-resource deltas and
-//!   frozen slots in append-only pools, a per-resource event index and a
-//!   per-slot round index kept *with* the log), which powers both the
-//!   batched what-if probes and [`MaxMinSolver::solve_warm`] — the
-//!   warm-started delta solve that, after arena churn, edits that log in
-//!   place: rounds the churn left alone are carried over for one key
-//!   compare each, and only the perturbed cascade is re-run live (see
-//!   the crate docs for the cold → logged → warm lifecycle and the cost
-//!   model).
+//! * [`MaxMinSolver`] — progressive filling over an **indexed min-heap**
+//!   of per-resource fair shares, written as it goes into the solver's
+//!   **persistent log** (`SolveLog`: rounds with stable ids, their
+//!   per-resource deltas and frozen slots in append-only pools, a
+//!   per-resource event index and a per-slot round index kept *with* the
+//!   log). One walk writes that log. [`MaxMinSolver::solve_warm`] runs it
+//!   after arena churn and edits the log in place: rounds the churn left
+//!   alone are carried over for one key compare each, and only the
+//!   perturbed cascade is re-run live. [`MaxMinSolver::solve_logged`],
+//!   the cold solve, runs the same walk over an emptied log with every
+//!   resource perturbed, so every round is live. All working state (the
+//!   heap, per-resource `slack` / `users`, per-round scratch) is retained
+//!   between calls; after the first solve at a given problem size, a
+//!   solve allocates nothing. The log also serves the batched what-if
+//!   probes (see the crate docs for the cold → logged → warm lifecycle
+//!   and the cost model).
+//! * [`max_min_rates`] — the log-free oracle: progressive filling by a
+//!   linear bottleneck scan over a one-shot flow list. It shares no code
+//!   with the walk beyond the arena's input checks, and the test suites
+//!   bit-compare every solve against it.
 //!
 //! # Arena invariants
 //!
@@ -55,9 +60,6 @@
 //! insertion/removal history that shaped the arena's internal ordering.
 //! The property suite exploits this to bit-match incremental results
 //! against a from-scratch reference solve.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Handle to a flow inside a [`FlowArena`].
 ///
@@ -403,35 +405,35 @@ impl FlowArena {
     }
 }
 
-/// Heap key: per-resource fair share packed into one `u128` —
-/// `share_bits(64) | resource(32) | version(32)`, ordered ascending.
+/// Heap and log key: per-resource fair share packed into one `u128` —
+/// `share_bits(64) | resource(32)`, ordered ascending.
 ///
 /// Shares are finite and non-negative, so their raw IEEE-754 bit patterns
 /// order exactly like the values; packing them above the resource id
 /// yields `(share, resource)` ordering with a single integer compare, and
-/// ties freeze the lowest-numbered resource first — matching the
-/// reference solver's linear scan. The version stamp rides in the low
-/// bits (it never influences which of two *distinct* resources pops
-/// first) and invalidates stale entries.
+/// ties freeze the lowest-numbered resource first — the order the
+/// [`max_min_rates`] oracle's linear scan picks by. The indexed heap
+/// holds one entry per resource, so a key needs no version stamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct ShareKey(u128);
 
 impl ShareKey {
     #[inline]
-    fn new(share: f64, res: u32, version: u32) -> ShareKey {
+    fn new(share: f64, res: u32) -> ShareKey {
         debug_assert!(share >= 0.0 && share.is_finite());
-        ShareKey(((share.to_bits() as u128) << 64) | ((res as u128) << 32) | version as u128)
+        ShareKey(((share.to_bits() as u128) << 32) | res as u128)
+    }
+    /// The key of `users` flows splitting `slack` on resource `res`.
+    #[inline]
+    fn of(slack: f64, users: u32, res: u32) -> ShareKey {
+        ShareKey::new((slack / users as f64).max(0.0), res)
     }
     #[inline]
     fn share(self) -> f64 {
-        f64::from_bits((self.0 >> 64) as u64)
+        f64::from_bits((self.0 >> 32) as u64)
     }
     #[inline]
     fn res(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-    #[inline]
-    fn version(self) -> u32 {
         self.0 as u32
     }
 }
@@ -487,7 +489,7 @@ impl Span {
 /// rounds live in `SolveLog`.
 #[derive(Debug, Default)]
 struct RoundLog {
-    /// Per position: version-stripped bottleneck [`ShareKey`] at pop time.
+    /// Per position: the bottleneck [`ShareKey`] at pop time.
     /// **Not** monotone: mathematically freeze levels never decrease, but a
     /// resource tied with the popped bottleneck can come out of the round's
     /// `(slack − d·level) / (users − d)` an ulp *below* the level it just
@@ -557,17 +559,6 @@ impl RoundLog {
 
     fn freeze_of(&self, id: u32) -> &[u32] {
         &self.freeze[self.spans[id as usize].freeze()]
-    }
-
-    /// Append the round whose entries are the pools' tails from `t0` /
-    /// `f0` on.
-    fn commit(&mut self, key: u128, level: f64, t0: usize, f0: usize) {
-        let id = self.new_id();
-        self.seal(id, t0, f0);
-        self.pos[id as usize] = self.keys.len() as u32;
-        self.keys.push(key);
-        self.levels.push(level);
-        self.ids.push(id);
     }
 
     /// An id for a new round (position and ranges still to be set).
@@ -692,30 +683,14 @@ struct SolveLog {
 }
 
 impl SolveLog {
-    /// Rebuild both indexes from `rounds` and stamp the log current for
-    /// `arena`: `O(resources + slots + touched)`, paid by cold solves
-    /// only.
-    fn build_index(&mut self, arena: &FlowArena) {
-        let nr = arena.n_resources();
-        grow(&mut self.events, nr, Vec::new());
+    /// Forget every round, keeping the buffers: the log a cold solve
+    /// walks. Event lists keep their capacity; `round_of` names no round
+    /// for any of `arena`'s slots.
+    fn forget(&mut self, arena: &FlowArena) {
+        self.rounds.clear();
         self.events.iter_mut().for_each(Vec::clear);
-        self.ev_users.clear();
-        self.ev_users.resize(nr, 0);
         self.round_of.clear();
         self.round_of.resize(arena.slot_bound(), NONE);
-        for &id in &self.rounds.ids {
-            for &e in self.rounds.touched_of(id) {
-                let (r, d) = unpack(e);
-                let list = &mut self.events[r as usize];
-                size_like_rev(list, arena, r as usize);
-                list.push(pack(id, d));
-                self.ev_users[r as usize] += d;
-            }
-            for &slot in self.rounds.freeze_of(id) {
-                self.round_of[slot as usize] = id;
-            }
-        }
-        self.stamp(arena);
     }
 
     /// Declare the log current for `arena` — the last thing every solve,
@@ -851,7 +826,7 @@ pub(crate) fn fold_rate(fold: Fold) -> f64 {
 /// one user more than the `users` unfrozen flows sharing `slack`.
 #[inline]
 fn candidate_key(slack: f64, users: u32, r: u32) -> u128 {
-    ShareKey::new((slack / (users + 1) as f64).max(0.0), r, 0).0
+    ShareKey::of(slack, users + 1, r).0
 }
 
 /// Extend `v` to `n` entries of `fill` (no-op when already that long).
@@ -885,60 +860,50 @@ struct Link {
 /// candidate to fold the records of its path.
 #[derive(Debug, Default)]
 pub struct MaxMinSolver {
-    /// Backing buffer for the lazy min-heap of per-resource shares; kept
-    /// between solves so heap construction is an alloc-free `O(R)`
-    /// heapify.
-    heap_buf: Vec<Reverse<ShareKey>>,
-    /// Per-resource generation stamp, invalidating stale heap entries.
-    version: Vec<u32>,
-    /// Remaining capacity per resource (warm solves: meaningful for the
-    /// perturbed resources only).
+    /// Remaining capacity per resource, meaningful for the perturbed
+    /// resources only (a cold solve perturbs every resource).
     slack: Vec<f64>,
-    /// Unfrozen flows per resource (warm solves: as `slack`).
+    /// Unfrozen flows per resource, meaningful as `slack` is.
     users: Vec<u32>,
-    /// Per-slot frozen flag of the cold solve (a warm solve reads
-    /// frozenness off `SolveLog::round_of`).
-    frozen: Vec<bool>,
     /// Scratch: resources touched by the current freeze round.
     touched: Vec<u32>,
     /// Scratch: per-resource count of flows frozen this round.
     delta: Vec<u32>,
-    /// The persistent freeze-round log: recorded by `solve_logged`,
-    /// edited in place by `solve_warm`, read by probes.
+    /// The persistent freeze-round log: written by every walk, emptied
+    /// first by `solve_logged`, read by probes.
     log: SolveLog,
-    /// Warm-solve scratch: is the resource in the perturbation set — off
-    /// the logged trajectory, with its live `(slack, users)` materialised?
+    /// Walk scratch: is the resource in the perturbation set — off the
+    /// logged trajectory, with its live `(slack, users)` materialised?
     /// All-false between solves (reset through `perturbed_list`).
     perturbed: Vec<bool>,
-    /// Warm-solve scratch: the perturbation set's members, in join order.
+    /// Walk scratch: the perturbation set's members, in join order.
     perturbed_list: Vec<u32>,
-    /// Warm-solve scratch: indexed min-heap over the perturbed resources'
+    /// Walk scratch: indexed min-heap over the perturbed resources'
     /// current share keys — exactly one entry per tracked resource with
     /// unfrozen flows, updated in place (no stale entries, O(1) min
     /// read). Empty between solves.
     wheap: Vec<u128>,
-    /// Warm-solve scratch: resource → position in `wheap` (`WPOS_NONE`
-    /// when absent).
+    /// Walk scratch: resource → position in `wheap` (`WPOS_NONE` when
+    /// absent).
     wpos: Vec<u32>,
-    /// Warm-solve scratch: per old position, the head of the round's
-    /// chain in `chain` (`NONE` for a round that touches no perturbed
-    /// resource).
+    /// Walk scratch: per old position, the head of the round's chain in
+    /// `chain` (`NONE` for a round that touches no perturbed resource).
     chain_head: Vec<u32>,
-    /// Warm-solve scratch: the deltas carried rounds still owe to
-    /// perturbed resources, filled as resources join.
+    /// Walk scratch: the deltas carried rounds still owe to perturbed
+    /// resources, filled as resources join.
     chain: Vec<Link>,
-    /// Warm-solve scratch: the position arrays of the log being walked
-    /// into; swapped with the log's at the end of the walk.
+    /// Walk scratch: the position arrays of the log being walked into;
+    /// swapped with the log's at the end of the walk.
     next_keys: Vec<u128>,
     next_levels: Vec<f64>,
     next_ids: Vec<u32>,
-    /// Warm-solve scratch: ids of the rounds this walk dropped. Recycled
-    /// only once it ends — until then a slot of a dropped round still
-    /// names it in `round_of`, and must not alias a live round.
+    /// Walk scratch: ids of the rounds this walk dropped. Recycled only
+    /// once it ends — until then a slot of a dropped round still names it
+    /// in `round_of`, and must not alias a live round.
     dropped: Vec<u32>,
-    /// Observability: freeze rounds the last solve ran with the full
-    /// cold-solve arithmetic (every round of a cold solve; the perturbed
-    /// rounds of a warm one). Never read by the solve itself.
+    /// Observability: freeze rounds the last solve ran live (every round
+    /// of a cold solve; the perturbed rounds of a warm one). Never read
+    /// by the solve itself.
     last_live_rounds: u64,
     /// Observability: freeze rounds the last solve carried over from the
     /// previous log untouched (zero for a cold solve).
@@ -960,13 +925,11 @@ pub struct MaxMinSolver {
 const WPOS_NONE: u32 = u32::MAX;
 
 /// Indexed binary min-heap over [`ShareKey`]-packed `u128`s with a
-/// resource → slot position map, used by the warm solve's live tracking.
-/// Unlike the cold solve's lazy `BinaryHeap` (push-per-touch, stale
-/// entries versioned out at pop time), every tracked resource has exactly
-/// one entry, moved in place when its share changes — the root is always
-/// the true minimum, so a carried run reads it in O(1). The pop
-/// sequence is the sequence of minima either way, so the two structures
-/// drive bit-identical solves.
+/// resource → slot position map: the walk's live tracking, in cold and
+/// warm solves alike. Every tracked resource has exactly one entry,
+/// moved in place when its share changes, so the root is always the
+/// true minimum and a carried run reads it in O(1). Its pop sequence is
+/// the sequence of minima the [`max_min_rates`] oracle finds by scanning.
 mod wheap {
     use super::ShareKey;
 
@@ -1071,48 +1034,18 @@ impl MaxMinSolver {
     ///   `rates[slot]` is the allocated rate of the flow in `slot`
     ///   (vacant slots read 0).
     ///
-    /// Runs in `O(R + Σ_f path_f · log R)`. Logging costs one append per
-    /// round plus two per touched resource (the round's own list and the
-    /// resource's event list) and one per flow, and stays allocation-free
-    /// once the log buffers are warm.
+    /// It is the warm walk ([`MaxMinSolver::solve_warm`]) over a
+    /// forgotten log with every resource seeded as perturbed: nothing is
+    /// carried, so every round runs live, and the walk writes the log and
+    /// both its indexes as it goes. Runs in `O((R + Σ_f path_f) · log R)`
+    /// and stays allocation-free once the log buffers are warm.
     pub fn solve_logged(&mut self, capacities: &[f64], arena: &FlowArena, rates: &mut Vec<f64>) {
         let nr = arena.n_resources();
         assert!(capacities.len() >= nr, "capacities shorter than resource space");
-        self.last_live_rounds = 0;
-        self.last_replayed_rounds = 0;
-        self.last_chained_rounds = 0;
-        self.log.rounds.clear();
-        let nslots = arena.slot_bound();
+        self.log.forget(arena);
         rates.clear();
-        rates.resize(nslots, 0.0);
-        self.frozen.clear();
-        self.frozen.resize(nslots, false);
-        self.slack.clear();
-        self.slack.extend_from_slice(&capacities[..nr]);
-        self.users.clear();
-        self.users.resize(nr, 0);
-        self.version.clear();
-        self.version.resize(nr, 0);
-        self.delta.clear();
-        self.delta.resize(nr, 0);
-        self.touched.clear();
-        let remaining = arena.n_flows();
-        if remaining > 0 {
-            // Build the initial heap by O(R) heapify over the retained
-            // buffer (cheaper than R sift-up pushes, and alloc-free after
-            // warm-up).
-            self.heap_buf.clear();
-            for r in 0..nr {
-                let u = arena.users(r as u32) as u32;
-                self.users[r] = u;
-                if u > 0 {
-                    let share = (self.slack[r] / u as f64).max(0.0);
-                    self.heap_buf.push(Reverse(ShareKey::new(share, r as u32, 0)));
-                }
-            }
-            self.fill_rounds(arena, rates, remaining);
-        }
-        self.log.build_index(arena);
+        rates.resize(arena.slot_bound(), 0.0);
+        self.walk(capacities, arena, rates, 0..nr as u32);
     }
 
     /// Warm-started [`MaxMinSolver::solve_logged`]: re-solve after arena
@@ -1128,8 +1061,8 @@ impl MaxMinSolver {
     /// solve would have applied, hence the same bits. Every other
     /// resource sits exactly on the logged trajectory and is never
     /// touched. The walk goes through the old rounds in position order,
-    /// always picking whichever saturates first (exactly what a cold
-    /// solve's heap would pop):
+    /// always picking whichever saturates first (exactly what the
+    /// [`max_min_rates`] oracle's scan would pick):
     ///
     /// * **carried** — the next logged round, valid while its bottleneck
     ///   is unperturbed and no perturbed resource's current share beats
@@ -1141,7 +1074,7 @@ impl MaxMinSolver {
     ///   touched list is not scanned). Runs of carried rounds move to
     ///   their new positions as bulk copies of `keys` / `levels` / `ids`.
     /// * **live** — a perturbed resource pops first and freezes its
-    ///   unfrozen flows with the full cold-solve arithmetic, as a new
+    ///   unfrozen flows with the full progressive-filling arithmetic, as a new
     ///   round with a fresh id. Every resource it touches joins the
     ///   perturbation set. A flow counts as frozen when the round
     ///   `round_of` names for its slot has been carried past or was
@@ -1160,8 +1093,9 @@ impl MaxMinSolver {
     /// the next warm solve chain off it with nothing to rebuild.
     ///
     /// The result is **bit-identical** to a cold
-    /// [`MaxMinSolver::solve_logged`] of the same arena. With no valid log
-    /// to start from, this *is* a cold `solve_logged`. `capacities` must
+    /// [`MaxMinSolver::solve_logged`] of the same arena, and to the
+    /// [`max_min_rates`] oracle. With no valid log to start from, this
+    /// *is* a cold `solve_logged`. `capacities` must
     /// extend the slice used by the previous solve: growth for new
     /// resources is always fine, and an existing entry may change **only
     /// if** the resource was announced through
@@ -1198,7 +1132,7 @@ impl MaxMinSolver {
             return;
         }
         self.sync_slots(arena, rates);
-        self.walk(capacities, arena, rates);
+        self.walk(capacities, arena, rates, arena.dirty_resources().iter().copied());
         arena.clear_dirty();
     }
 
@@ -1224,17 +1158,24 @@ impl MaxMinSolver {
         }
     }
 
-    /// The warm-solve engine behind [`MaxMinSolver::solve_warm`]: walk
-    /// `self.log` — the freeze rounds of the previous solve — in place,
-    /// interleaving live rounds for the perturbed cascade.
+    /// The one solve engine: walk `self.log` — the freeze rounds of the
+    /// previous solve, or none for a cold solve — in place, interleaving
+    /// live rounds for the perturbed cascade.
     ///
-    /// The arena's dirty window must cover every resource whose
-    /// `(slack, users)` state may deviate from the log's trajectory;
-    /// over-approximation is always safe. `rates` must hold the logged
-    /// level of every flow the log freezes, and `round_of` must name no
-    /// round for any other slot. Leaves the log current for `arena`; the
-    /// caller closes the dirty window.
-    fn walk(&mut self, capacities: &[f64], arena: &FlowArena, rates: &mut [f64]) {
+    /// `seeds` must cover every resource whose `(slack, users)` state may
+    /// deviate from the log's trajectory (a warm solve passes the arena's
+    /// dirty window, a cold one every resource); over-approximation is
+    /// always safe. `rates` must hold the logged level of every flow the
+    /// log freezes, and `round_of` must name no round for any other slot.
+    /// Leaves the log current for `arena`; a warm caller closes the dirty
+    /// window.
+    fn walk(
+        &mut self,
+        capacities: &[f64],
+        arena: &FlowArena,
+        rates: &mut [f64],
+        seeds: impl IntoIterator<Item = u32>,
+    ) {
         // Per-resource state only needs sizing for growth: `delta` is
         // all-zero and `perturbed` all-false between solves, and `slack` /
         // `users` are written when a resource joins.
@@ -1257,7 +1198,7 @@ impl MaxMinSolver {
         self.last_replayed_rounds = 0;
         self.last_chained_rounds = 0;
         debug_assert!(self.wheap.is_empty() && self.perturbed_list.is_empty());
-        for &r in arena.dirty_resources() {
+        for r in seeds {
             self.join(capacities, arena, r, 0);
         }
         // `cur` is the position, in the old order, of the next logged
@@ -1375,8 +1316,7 @@ impl MaxMinSolver {
         self.slack[ri] = slack;
         self.users[ri] = users;
         if users > 0 {
-            let share = (slack / users as f64).max(0.0);
-            wheap::insert(&mut self.wheap, &mut self.wpos, ShareKey::new(share, r, 0).0);
+            wheap::insert(&mut self.wheap, &mut self.wpos, ShareKey::of(slack, users, r).0);
         }
     }
 
@@ -1450,11 +1390,11 @@ impl MaxMinSolver {
     }
 
     /// Run one live round: the perturbed resource with the smallest share
-    /// pops, with the walk's cursor at old position `cur`.
-    ///
-    /// Identical arithmetic to a cold round — this body is a deliberate
-    /// copy of `fill_rounds`'s freeze-round core (over the indexed heap
-    /// instead of the lazy one) and must stay in lockstep with it.
+    /// pops, with the walk's cursor at old position `cur`, and freezes
+    /// every unfrozen flow crossing it at its share. Per-resource counts
+    /// are accumulated first and applied once (`slack -= count × level`),
+    /// so the result does not depend on the reverse index's order. The
+    /// only code that freezes a round, cold or warm.
     fn live_round(&mut self, capacities: &[f64], arena: &FlowArena, rates: &mut [f64], cur: usize) {
         let k = ShareKey(wheap::pop_min(&mut self.wheap, &mut self.wpos));
         let b = k.res() as usize;
@@ -1506,7 +1446,7 @@ impl MaxMinSolver {
             self.wheap_upsert(r2);
         }
         self.log.rounds.seal(id, t0, f0);
-        self.next_keys.push(ShareKey::new(level, b as u32, 0).0);
+        self.next_keys.push(ShareKey::new(level, b as u32).0);
         self.next_levels.push(level);
         self.next_ids.push(id);
     }
@@ -1545,7 +1485,7 @@ impl MaxMinSolver {
         for k in 0..n {
             let (key, level, touched, freeze) = rl.round(k);
             let (id, b) = (rl.ids[k], ShareKey(key).res());
-            assert_eq!(key, ShareKey::new(level, b, 0).0, "round {k}: key is not (level, res)");
+            assert_eq!(key, ShareKey::new(level, b).0, "round {k}: key is not (level, res)");
             for &e in touched {
                 let (r, d) = unpack(e);
                 assert!(d > 0, "round {k}: empty delta on resource {r}");
@@ -1591,9 +1531,8 @@ impl MaxMinSolver {
         !self.log.valid || self.log.n_resources as usize > arena.n_resources()
     }
 
-    /// Freeze rounds the last solve ran with the full cold-solve
-    /// arithmetic (all of them for a cold solve; only the perturbed ones
-    /// for a warm solve). Diagnostics only.
+    /// Freeze rounds the last solve ran live (all of them for a cold
+    /// solve; only the perturbed ones for a warm solve). Diagnostics only.
     pub fn last_live_rounds(&self) -> u64 {
         self.last_live_rounds
     }
@@ -1633,8 +1572,7 @@ impl MaxMinSolver {
     #[inline]
     fn wheap_upsert(&mut self, r2: usize) {
         if self.users[r2] > 0 {
-            let share = (self.slack[r2] / self.users[r2] as f64).max(0.0);
-            let key = ShareKey::new(share, r2 as u32, 0).0;
+            let key = ShareKey::of(self.slack[r2], self.users[r2], r2 as u32).0;
             if self.wpos[r2] == WPOS_NONE {
                 wheap::insert(&mut self.wheap, &mut self.wpos, key);
             } else {
@@ -1643,75 +1581,6 @@ impl MaxMinSolver {
         } else if self.wpos[r2] != WPOS_NONE {
             wheap::remove(&mut self.wheap, &mut self.wpos, r2);
         }
-    }
-
-    /// Progressive filling from the solver's *current* `(slack, users,
-    /// frozen, version)` state until `remaining` flows freeze. The heap is
-    /// seeded by heapifying `heap_buf`, which must hold one entry per
-    /// resource that still carries unfrozen flows, keyed at the current
-    /// share and version. Appends each freeze round to the log.
-    ///
-    /// Used by the cold solve (state initialised from scratch).
-    /// [`MaxMinSolver::solve_warm`] does **not** call this: its live
-    /// rounds deliberately duplicate this freeze-round arithmetic over
-    /// the indexed warm heap — the two bodies must stay in lockstep
-    /// (same operations in the same order) or bit-identity between warm
-    /// and cold solves breaks; the workspace property suite pins that.
-    fn fill_rounds(&mut self, arena: &FlowArena, rates: &mut [f64], mut remaining: usize) {
-        let mut heap = BinaryHeap::from(std::mem::take(&mut self.heap_buf));
-        while remaining > 0 {
-            let Some(Reverse(key)) = heap.pop() else {
-                debug_assert!(false, "flows remain but no resource has users");
-                break;
-            };
-            let b = key.res() as usize;
-            if key.version() != self.version[b] {
-                continue; // stale entry
-            }
-            self.last_live_rounds += 1;
-            let level = key.share();
-            // Freeze every unfrozen flow crossing the bottleneck at
-            // `level`, accumulating per-resource counts so the slack
-            // update is independent of reverse-index ordering.
-            self.touched.clear();
-            let (t0, f0) = (self.log.rounds.touched.len(), self.log.rounds.freeze.len());
-            for &e in &arena.rev[b] {
-                let (slot, _) = unpack(e);
-                let f = slot as usize;
-                if self.frozen[f] {
-                    continue;
-                }
-                self.frozen[f] = true;
-                rates[f] = level;
-                remaining -= 1;
-                self.log.rounds.freeze.push(slot);
-                for &r2 in arena.resources_unchecked(slot) {
-                    let r2 = r2 as usize;
-                    if self.delta[r2] == 0 {
-                        self.touched.push(r2 as u32);
-                    }
-                    self.delta[r2] += 1;
-                }
-            }
-            debug_assert!(!self.touched.is_empty(), "bottleneck had users but froze nothing");
-            for i in 0..self.touched.len() {
-                let r2 = self.touched[i] as usize;
-                let d = self.delta[r2];
-                self.delta[r2] = 0;
-                self.users[r2] -= d;
-                self.slack[r2] -= d as f64 * level;
-                self.log.rounds.touched.push(pack(r2 as u32, d));
-                let v = self.version[r2].wrapping_add(1);
-                self.version[r2] = v;
-                if self.users[r2] > 0 {
-                    let share = (self.slack[r2] / self.users[r2] as f64).max(0.0);
-                    heap.push(Reverse(ShareKey::new(share, r2 as u32, v)));
-                }
-            }
-            self.log.rounds.commit(ShareKey::new(level, b as u32, 0).0, level, t0, f0);
-        }
-        // Return the heap's buffer for the next solve.
-        self.heap_buf = heap.into_vec();
     }
 
     /// Does the probe log describe the current state of `arena`?
@@ -1835,24 +1704,60 @@ impl MaxMinSolver {
 
 /// Compute max-min fair rates from a one-shot flow list.
 ///
-/// The reference the test suites compare the engine against, not a
-/// production entry point: it builds a fresh [`FlowArena`] and
-/// [`MaxMinSolver`], runs one cold solve and returns one rate per flow
-/// (in input order). Anything that mutates a flow set holds an arena and
-/// a solver instead.
+/// The oracle the test suites compare the solver against, not a
+/// production entry point: plain progressive filling with no log and no
+/// heap. Each round scans the resources that still carry unfrozen flows
+/// for the minimum `(share bits, resource id)`, freezes every unfrozen
+/// flow crossing it at that share, and applies `slack -= count × level`
+/// once per resource — the arithmetic [`MaxMinSolver`]'s walk must
+/// reproduce bit for bit. `O(rounds · R + Σ_f path_f)`. Returns one rate
+/// per flow, in input order. Anything that mutates a flow set holds an
+/// arena and a solver instead.
 ///
 /// * `capacities[r]` — capacity of resource `r` (bits/s, must be > 0).
 /// * `flows[f]` — indices of the resources flow `f` traverses (each must
 ///   be non-empty: a flow that crosses nothing has no bottleneck).
+///
+/// Input is validated by loading it into a [`FlowArena`], which panics
+/// on an empty path or an id `≥ capacities.len()` as the solver's does;
+/// the arena plays no part in the filling.
 pub fn max_min_rates(capacities: &[f64], flows: &[Vec<u32>]) -> Vec<f64> {
     let mut arena = FlowArena::new(capacities.len());
     for f in flows {
         arena.add(f);
     }
-    let mut solver = MaxMinSolver::new();
-    let mut rates = Vec::new();
-    solver.solve_logged(capacities, &arena, &mut rates);
-    rates.truncate(flows.len());
+    let nr = capacities.len();
+    // The flows crossing each resource, in input order.
+    let mut crossing = vec![Vec::new(); nr];
+    for (f, path) in flows.iter().enumerate() {
+        path.iter().for_each(|&r| crossing[r as usize].push(f));
+    }
+    let mut slack = capacities.to_vec();
+    let mut users: Vec<u32> = crossing.iter().map(|c| c.len() as u32).collect();
+    let mut rates = vec![0.0; flows.len()];
+    let mut frozen = vec![false; flows.len()];
+    let mut delta = vec![0u32; nr];
+    // The resources that still carry an unfrozen flow.
+    let mut busy: Vec<usize> = (0..nr).filter(|&r| users[r] > 0).collect();
+    while let Some((bits, b)) =
+        busy.iter().map(|&r| ((slack[r] / users[r] as f64).max(0.0).to_bits(), r)).min()
+    {
+        let level = f64::from_bits(bits);
+        for &f in &crossing[b] {
+            if !std::mem::replace(&mut frozen[f], true) {
+                rates[f] = level;
+                flows[f].iter().for_each(|&r| delta[r as usize] += 1);
+            }
+        }
+        for &r in &busy {
+            let d = std::mem::take(&mut delta[r]);
+            if d > 0 {
+                users[r] -= d;
+                slack[r] -= d as f64 * level;
+            }
+        }
+        busy.retain(|&r| users[r] > 0);
+    }
     rates
 }
 
@@ -2175,18 +2080,12 @@ mod tests {
 
     // ------------------------------------------------- batched what-if
 
-    /// Reference for a probe: add the candidate for real, solve from
-    /// scratch, read its rate.
+    /// Reference for a probe: add the candidate for real and read its
+    /// rate off the [`max_min_rates`] oracle.
     fn full_solve_probe(caps: &[f64], base: &[Vec<u32>], candidate: &[u32]) -> f64 {
-        let mut arena = FlowArena::new(caps.len());
-        for f in base {
-            arena.add(f);
-        }
-        let probe = arena.add(candidate);
-        let mut solver = MaxMinSolver::new();
-        let mut rates = Vec::new();
-        solver.solve_logged(caps, &arena, &mut rates);
-        rates[probe.0 as usize]
+        let mut flows = base.to_vec();
+        flows.push(candidate.to_vec());
+        max_min_rates(caps, &flows)[base.len()]
     }
 
     /// Every record `solver` holds for its current log is the one the
@@ -2246,6 +2145,7 @@ mod tests {
         let mut solver = MaxMinSolver::new();
         let mut rates = Vec::new();
         solver.solve_logged(caps, &arena, &mut rates);
+        assert_matches_oracle(&rates, &arena, caps);
         let candidates: Vec<Vec<u32>> = candidates.iter().map(|c| c.to_vec()).collect();
         check_probes(&mut solver, caps, &arena, base, &candidates);
         solver
@@ -2484,6 +2384,7 @@ mod tests {
                     }
                 }
                 solver.solve_warm(&caps, &mut arena, &mut rates);
+                assert_matches_oracle(&rates, &arena, &caps);
                 let base: Vec<Vec<u32>> = live.iter().map(|(_, f)| f.clone()).collect();
                 let shapes = candidate_shapes(&arena, hosts, &extra);
                 check_probes(&mut solver, &caps, &arena, &base, &shapes);
@@ -2493,14 +2394,24 @@ mod tests {
 
     // ------------------------------------------------- warm-started solves
 
-    /// Bit-compare a warm-chained solver against per-step cold solves.
-    fn assert_warm_matches_cold(warm: &[f64], arena: &FlowArena, caps: &[f64]) {
-        let mut cold_solver = MaxMinSolver::new();
-        let mut cold = Vec::new();
-        cold_solver.solve_logged(caps, arena, &mut cold);
-        assert_eq!(warm.len(), cold.len());
-        for (slot, (w, c)) in warm.iter().zip(&cold).enumerate() {
-            assert_eq!(w.to_bits(), c.to_bits(), "slot {slot}: warm {w} vs cold {c}");
+    /// `arena`'s rates by slot from the [`max_min_rates`] oracle, shaped
+    /// like a solve's buffer: one entry per slot, vacant slots 0.
+    fn oracle_rates(caps: &[f64], arena: &FlowArena) -> Vec<f64> {
+        let flows: Vec<Vec<u32>> = arena.iter().map(|(_, res)| res.to_vec()).collect();
+        let mut rates = vec![0.0; arena.slot_bound()];
+        let want = max_min_rates(&caps[..arena.n_resources()], &flows);
+        for ((slot, _), rate) in arena.iter().zip(want) {
+            rates[slot.0 as usize] = rate;
+        }
+        rates
+    }
+
+    /// Bit-compare a solver's rate buffer with the oracle's.
+    fn assert_matches_oracle(got: &[f64], arena: &FlowArena, caps: &[f64]) {
+        let want = oracle_rates(caps, arena);
+        assert_eq!(got.len(), want.len());
+        for (slot, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "slot {slot}: solver {g} vs oracle {w}");
         }
     }
 
@@ -2516,23 +2427,23 @@ mod tests {
         let mut rates = Vec::new();
         // First warm call has no log: exactly a cold logged solve.
         solver.solve_warm(&caps, &mut arena, &mut rates);
-        assert_warm_matches_cold(&rates, &arena, &caps);
+        assert_matches_oracle(&rates, &arena, &caps);
         // Single-flow churn chains warm.
         arena.remove(slots[2]);
         slots[2] = arena.add(&[1, 3, 5]);
         solver.solve_warm(&caps, &mut arena, &mut rates);
-        assert_warm_matches_cold(&rates, &arena, &caps);
+        assert_matches_oracle(&rates, &arena, &caps);
         // Pure removal.
         arena.remove(slots[4]);
         solver.solve_warm(&caps, &mut arena, &mut rates);
-        assert_warm_matches_cold(&rates, &arena, &caps);
+        assert_matches_oracle(&rates, &arena, &caps);
         // Pure addition into the recycled slot.
         slots[4] = arena.add(&[0, 2, 4]);
         solver.solve_warm(&caps, &mut arena, &mut rates);
-        assert_warm_matches_cold(&rates, &arena, &caps);
+        assert_matches_oracle(&rates, &arena, &caps);
         // No-op churn (identical flow set): the whole log is carried.
         solver.solve_warm(&caps, &mut arena, &mut rates);
-        assert_warm_matches_cold(&rates, &arena, &caps);
+        assert_matches_oracle(&rates, &arena, &caps);
     }
 
     #[test]
@@ -2550,23 +2461,23 @@ mod tests {
         caps[1] = 2.0;
         arena.touch_resource(1);
         solver.solve_warm(&caps, &mut arena, &mut rates);
-        assert_warm_matches_cold(&rates, &arena, &caps);
+        assert_matches_oracle(&rates, &arena, &caps);
         // Failure: capacity to (nearly) nothing.
         caps[3] = 1e-3;
         arena.touch_resource(3);
         solver.solve_warm(&caps, &mut arena, &mut rates);
-        assert_warm_matches_cold(&rates, &arena, &caps);
+        assert_matches_oracle(&rates, &arena, &caps);
         // Recovery mixed with flow churn in the same dirty window.
         caps[3] = 12.0;
         arena.touch_resource(3);
         arena.remove(slots[1]);
         slots[1] = arena.add(&[1, 4]);
         solver.solve_warm(&caps, &mut arena, &mut rates);
-        assert_warm_matches_cold(&rates, &arena, &caps);
+        assert_matches_oracle(&rates, &arena, &caps);
         // A touch with no actual change still chains exactly.
         arena.touch_resource(0);
         solver.solve_warm(&caps, &mut arena, &mut rates);
-        assert_warm_matches_cold(&rates, &arena, &caps);
+        assert_matches_oracle(&rates, &arena, &caps);
     }
 
     #[test]
@@ -2599,7 +2510,7 @@ mod tests {
         let b = arena.add(&[1, 2]);
         solver.solve_warm(&caps, &mut arena, &mut rates);
         assert!(close(rates[b.0 as usize], 4.0));
-        assert_warm_matches_cold(&rates, &arena, &caps);
+        assert_matches_oracle(&rates, &arena, &caps);
         // Empty out the arena again.
         arena.remove(a);
         arena.remove(b);
@@ -2640,7 +2551,7 @@ mod tests {
         solver.solve_logged(&caps, &arena, &mut rates);
         arena.add(&[0, 2]);
         solver.solve_warm(&caps, &mut arena, &mut rates);
-        assert_warm_matches_cold(&rates, &arena, &caps);
+        assert_matches_oracle(&rates, &arena, &caps);
     }
 
     #[test]
@@ -2668,7 +2579,7 @@ mod tests {
         solver.solve_warm(&caps, &mut arena, &mut rates);
         assert_eq!((solver.last_replayed_rounds(), solver.last_live_rounds()), (3, 1));
         solver.check_log_invariants(&arena);
-        assert_warm_matches_cold(&rates, &arena, &caps);
+        assert_matches_oracle(&rates, &arena, &caps);
         let keys = &solver.log.rounds.keys;
         assert!(keys[1] < keys[0], "the carried run no longer holds the inversion");
         assert_eq!(ShareKey(keys[2]).res(), 3, "resource 3 re-froze between the carried rounds");
@@ -2698,7 +2609,7 @@ mod tests {
         solver.solve_warm(&caps, &mut arena, &mut rates);
         assert_eq!((solver.last_live_rounds(), solver.last_replayed_rounds()), (0, 2));
         assert_eq!(rates, before);
-        assert_warm_matches_cold(&rates, &arena, &caps);
+        assert_matches_oracle(&rates, &arena, &caps);
         solver.check_log_invariants(&arena);
     }
 

@@ -31,14 +31,15 @@
 //!   slots and pool blocks recycled through free lists;
 //! * a mirrored reverse index resource → flows, so freezing a bottleneck
 //!   touches exactly the flows that cross it (no `contains` scans);
-//! * a [`MaxMinSolver`] whose lazy min-heap and scratch buffers persist
+//! * a [`MaxMinSolver`] whose indexed min-heap and scratch buffers persist
 //!   across solves — steady-state reallocation allocates nothing.
 //!
 //! The allocation is a deterministic function of the *set* of live flows
 //! (freeze rounds use order-insensitive arithmetic), so incremental
 //! maintenance and a from-scratch solve agree bit-for-bit; the workspace
-//! property suite checks exactly that. See [`fairshare`] for the full
-//! invariant list.
+//! property suite checks exactly that, against [`max_min_rates`], a
+//! log-free linear-scan filling that shares no code with the solver. See
+//! [`fairshare`] for the full invariant list.
 //!
 //! # Batched what-if evaluation
 //!
@@ -114,9 +115,10 @@
 //! 1. **Cold** — after construction, the only time there is no log
 //!    (probes panic, a warm solve falls back to a full logged solve).
 //! 2. **Logged** — after [`MaxMinSolver::solve_logged`], the one cold
-//!    entry point: every freeze round recorded, both indexes built in
-//!    one `O(touched + resources + slots)` pass, the log stamped with
-//!    the arena's generation. A probe reads one record per resource of
+//!    entry point: the warm walk of state 3 over a forgotten log, with
+//!    every resource perturbed, so every round runs live and is written
+//!    to the log, indexes included, as it freezes. The log is stamped
+//!    with the arena's generation. A probe reads one record per resource of
 //!    its path, searching the log (`O(events on the resource · log
 //!    rounds)`) only for those no probe has named since the stamp. The stamp must
 //!    match the arena exactly ([`MaxMinSolver::log_matches`]) — any
@@ -133,7 +135,8 @@
 //!    perturbed bottleneck are **dropped** and their flows re-freeze in
 //!    **live** rounds with the full cold arithmetic. Cost model:
 //!    `O(rounds)` compares plus work on the perturbation closure —
-//!    bit-identical to a cold `solve_logged`. Event lists are edited for
+//!    bit-identical to a cold `solve_logged` and to the
+//!    [`max_min_rates`] oracle. Event lists are edited for
 //!    perturbed resources only, so the log is again *logged*, indexes
 //!    included, with a fresh generation stamp and record epoch: probes
 //!    work at once and the next churn event chains warm. [`SolveStats::replayed_rounds`]
@@ -236,8 +239,8 @@
 //! above (`choreo-online`'s network-event step, `choreo-service`'s
 //! `InjectNetworkEvent` request) drive exactly these entry points.
 //!
-//! Entry point: [`FlowSim`]. [`max_min_rates`] is the one-shot
-//! reference the test suites compare against.
+//! Entry point: [`FlowSim`]. [`max_min_rates`] is the one-shot, log-free
+//! oracle the test suites compare against.
 
 pub mod engine;
 pub mod fairshare;

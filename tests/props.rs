@@ -72,58 +72,23 @@ proptest! {
     }
 }
 
-/// From-scratch reference solve: plain progressive filling with a linear
-/// bottleneck scan, freezing whole rounds with the same order-insensitive
-/// arithmetic as the production solver (`slack -= count × level`). The
-/// incremental arena must reproduce these rates **bit for bit**.
-fn reference_max_min(caps: &[f64], flows: &[Vec<u32>]) -> Vec<f64> {
-    let nr = caps.len();
-    let mut rate = vec![0.0f64; flows.len()];
-    let mut frozen = vec![false; flows.len()];
-    let mut slack = caps.to_vec();
-    let mut users = vec![0u32; nr];
-    for f in flows {
-        for &r in f {
-            users[r as usize] += 1;
-        }
+/// `arena`'s rates by slot from the log-free oracle, [`max_min_rates`]
+/// (a linear bottleneck scan, no heap and no log), shaped like a solve's
+/// buffer: one entry per slot, vacant slots 0. Every solver-vs-cold rate
+/// comparison below goes through it, so the solver is never checked
+/// against its own walk.
+fn oracle_rates(caps: &[f64], arena: &FlowArena) -> Vec<f64> {
+    let flows: Vec<Vec<u32>> = arena.iter().map(|(_, res)| res.to_vec()).collect();
+    let mut rates = vec![0.0; arena.slot_bound()];
+    let want = max_min_rates(&caps[..arena.n_resources()], &flows);
+    for ((slot, _), rate) in arena.iter().zip(want) {
+        rates[slot.0 as usize] = rate;
     }
-    let mut remaining = flows.len();
-    while remaining > 0 {
-        // Minimal (share, resource id), like the solver's heap order.
-        let mut best: Option<(f64, usize)> = None;
-        for r in 0..nr {
-            if users[r] > 0 {
-                let share = (slack[r] / users[r] as f64).max(0.0);
-                if best.is_none_or(|(s, _)| share < s) {
-                    best = Some((share, r));
-                }
-            }
-        }
-        let Some((level, b)) = best else { break };
-        let mut delta = vec![0u32; nr];
-        for (fi, f) in flows.iter().enumerate() {
-            if frozen[fi] || !f.contains(&(b as u32)) {
-                continue;
-            }
-            frozen[fi] = true;
-            rate[fi] = level;
-            remaining -= 1;
-            for &r in f {
-                delta[r as usize] += 1;
-            }
-        }
-        for r in 0..nr {
-            if delta[r] > 0 {
-                users[r] -= delta[r];
-                slack[r] -= delta[r] as f64 * level;
-            }
-        }
-    }
-    rate
+    rates
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(proptest::resolve_cases(96)))]
     #[test]
     fn incremental_arena_bitmatches_reference_solve(
         caps in prop::collection::vec(1.0f64..1000.0, 1..7),
@@ -152,13 +117,12 @@ proptest! {
             }
             arena.check_invariants();
             solver.solve_logged(&caps, &arena, &mut rates);
-            let specs: Vec<Vec<u32>> = live.iter().map(|(_, f)| f.clone()).collect();
-            let reference = reference_max_min(&caps, &specs);
-            for ((slot, _), want) in live.iter().zip(&reference) {
-                let got = rates[slot.0 as usize];
+            let reference = oracle_rates(&caps, &arena);
+            prop_assert_eq!(rates.len(), reference.len());
+            for (slot, (got, want)) in rates.iter().zip(&reference).enumerate() {
                 prop_assert_eq!(
                     got.to_bits(), want.to_bits(),
-                    "op {opno}: slot {} got {got}, reference {want}", slot.0
+                    "op {opno}: slot {slot} got {got}, reference {want}"
                 );
             }
             // Capacity and max-min sanity on the incremental result.
@@ -189,13 +153,11 @@ proptest! {
 // ------------------------------------------------- warm-started solves
 
 /// Reference for a what-if probe: add `cand` to a copy of `arena` for
-/// real, solve from scratch, read its rate.
+/// real and read its rate off the oracle.
 fn full_solve_probe(caps: &[f64], arena: &FlowArena, cand: &[u32]) -> f64 {
     let mut ref_arena = arena.clone();
     let slot = ref_arena.add(cand);
-    let mut rates = Vec::new();
-    MaxMinSolver::new().solve_logged(&caps[..ref_arena.n_resources()], &ref_arena, &mut rates);
-    rates[slot.0 as usize]
+    oracle_rates(caps, &ref_arena)[slot.0 as usize]
 }
 
 /// Rate `cands` one after another over `solver`'s current log, sharing
@@ -226,7 +188,7 @@ fn check_probes_bitmatch(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(proptest::resolve_cases(96)))]
     #[test]
     fn chained_warm_solves_bitmatch_cold_solves_under_churn(
         caps in prop::collection::vec(1.0f64..1000.0, 2..9),
@@ -239,8 +201,8 @@ proptest! {
         // removes, replace-style churn (remove-then-re-add recycles the
         // slot), resource-space growth, capacity retuning (the network
         // moved under the flows) and interleaved probes; after every
-        // step its output must bit-match a from-scratch cold solve of the
-        // same arena. Start with part of the resource space hidden so
+        // step its output must bit-match the log-free oracle on the same
+        // arena. Start with part of the resource space hidden so
         // grow_resources is exercised mid-chain.
         let mut caps = caps;
         let mut nr = caps.len().div_ceil(2);
@@ -296,9 +258,7 @@ proptest! {
             arena.check_invariants();
             warm.solve_warm(&caps[..nr.max(arena.n_resources())], &mut arena, &mut rates);
             warm.check_log_invariants(&arena);
-            let mut cold = MaxMinSolver::new();
-            let mut cold_rates = Vec::new();
-            cold.solve_logged(&caps[..arena.n_resources()], &arena, &mut cold_rates);
+            let cold_rates = oracle_rates(&caps, &arena);
             prop_assert_eq!(rates.len(), cold_rates.len());
             for (slot, got) in rates.iter().enumerate() {
                 prop_assert_eq!(
@@ -330,7 +290,7 @@ fn one_solver_survives_a_long_warm_chain() {
     // probes in between. The chain is long enough to cross several pool
     // compactions and to reuse round ids many times over (asserted);
     // after every solve the log's invariants must hold and the rates must
-    // bit-match a cold solve.
+    // bit-match the log-free oracle.
     const OPS: usize = 2400;
     for seed in 0..3u64 {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -339,8 +299,7 @@ fn one_solver_survives_a_long_warm_chain() {
             (0..96).map(|_| 1.0 + rng.gen_range(0..999_000) as f64 / 1e3).collect();
         let mut arena = FlowArena::new(nr);
         let mut warm = MaxMinSolver::new();
-        let (mut rates, mut cold_rates) = (Vec::new(), Vec::new());
-        let mut cold = MaxMinSolver::new();
+        let mut rates = Vec::new();
         let mut live: Vec<FlowSlot> = Vec::new();
         let path = |rng: &mut StdRng, nr: usize| -> Vec<u32> {
             let mut f: Vec<u32> =
@@ -377,7 +336,7 @@ fn one_solver_survives_a_long_warm_chain() {
             }
             warm.solve_warm(&caps[..nr], &mut arena, &mut rates);
             warm.check_log_invariants(&arena);
-            cold.solve_logged(&caps[..nr], &arena, &mut cold_rates);
+            let cold_rates = oracle_rates(&caps, &arena);
             assert_eq!(rates.len(), cold_rates.len());
             for (slot, (got, want)) in rates.iter().zip(&cold_rates).enumerate() {
                 assert_eq!(
@@ -858,7 +817,7 @@ proptest! {
 // ------------------------------------------------- batched what-if probes
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(proptest::resolve_cases(96)))]
     #[test]
     fn batched_probes_bitmatch_per_candidate_solves_under_churn(
         caps in prop::collection::vec(1.0f64..1000.0, 1..7),
@@ -899,38 +858,25 @@ proptest! {
         let out: Vec<f64> =
             candidate_paths.iter().map(|c| solver.probe(&caps, &arena, &norm(c))).collect();
         solver.check_log_invariants(&arena);
-        // Reference: each candidate joins a from-scratch arena for real.
+        // Reference: each candidate joins the flow set for real.
         for (c, got) in candidate_paths.iter().zip(&out) {
-            let mut ref_arena = FlowArena::new(nr);
-            for (_, f) in &live {
-                ref_arena.add(f);
-            }
-            let probe = ref_arena.add(&norm(c));
-            let mut ref_solver = MaxMinSolver::new();
-            let mut ref_rates = Vec::new();
-            ref_solver.solve_logged(&caps, &ref_arena, &mut ref_rates);
-            let want = ref_rates[probe.0 as usize];
+            let want = full_solve_probe(&caps, &arena, &norm(c));
             prop_assert_eq!(
                 got.to_bits(), want.to_bits(),
                 "candidate {:?}: batched {} vs from-scratch {}", c, got, want
             );
         }
         // The batch left the arena untouched: the base solution still
-        // bit-matches a fresh solve of the same flow set.
-        let mut check = Vec::new();
-        let mut fresh = MaxMinSolver::new();
-        fresh.solve_logged(&caps, &arena, &mut check);
-        for (slot, _) in &live {
-            prop_assert_eq!(
-                rates[slot.0 as usize].to_bits(),
-                check[slot.0 as usize].to_bits()
-            );
+        // bit-matches the oracle on the same flow set.
+        let check = oracle_rates(&caps, &arena);
+        for (slot, (got, want)) in rates.iter().zip(&check).enumerate() {
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "slot {}", slot);
         }
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(proptest::resolve_cases(64)))]
     #[test]
     fn overlapping_probes_bitmatch_per_candidate_solves_under_warm_churn(
         caps in prop::collection::vec(1.0f64..1000.0, 4..12),
