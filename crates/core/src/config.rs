@@ -2,7 +2,6 @@
 
 use choreo_measure::RateModel;
 use choreo_place::ilp::IlpPlacer;
-use choreo_topology::Nanos;
 
 /// Which placement algorithm the orchestrator uses.
 #[derive(Debug, Clone)]
@@ -28,21 +27,11 @@ pub struct ChoreoConfig {
     pub rate_model: RateModel,
     /// Placement algorithm.
     pub placer: PlacerKind,
-    /// §2.4: re-evaluate running placements every `T` (None disables).
-    pub reevaluate_every: Option<Nanos>,
-    /// Minimum predicted relative improvement before migrating
-    /// (migration is not free; 10% by default).
-    pub migration_threshold: f64,
 }
 
 impl Default for ChoreoConfig {
     fn default() -> Self {
-        ChoreoConfig {
-            rate_model: RateModel::Hose,
-            placer: PlacerKind::Greedy,
-            reevaluate_every: None,
-            migration_threshold: 0.10,
-        }
+        ChoreoConfig { rate_model: RateModel::Hose, placer: PlacerKind::Greedy }
     }
 }
 
@@ -55,6 +44,5 @@ mod tests {
         let c = ChoreoConfig::default();
         assert!(matches!(c.placer, PlacerKind::Greedy));
         assert_eq!(c.rate_model, RateModel::Hose);
-        assert!(c.reevaluate_every.is_none());
     }
 }

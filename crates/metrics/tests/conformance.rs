@@ -164,7 +164,7 @@ fn live_service_shaped_exposition_validates() {
     r.counter("choreo_service_events_total", "Tenant events consumed").inc();
     r.gauge("choreo_queue_depth", "Tenants waiting").set(3.0);
     r.histogram("choreo_placement_latency_seconds", "Latency", vec![1e-6, 1e-3, 1.0]).observe(2e-4);
-    let f: Family<TwoLabels, _> = r.counter_family("choreo_admissions_total", "By reason", 8);
+    let f: Family<TwoLabels, _> = r.counter_family("choreo_outcomes_total", "By outcome", 8);
     f.get(&TwoLabels("admitted".into(), "arrival".into())).inc();
     parse::validate(&r.render()).expect("service-shaped exposition conforms");
 }

@@ -66,16 +66,9 @@ impl SchedulerBuilder {
 
     /// Record service metrics into `registry` (exposed via its text
     /// exposition). Without this the scheduler records into detached
-    /// handles.
+    /// handles and publishes no counters.
     pub fn metrics_registry(mut self, registry: &Registry) -> SchedulerBuilder {
         self.metrics = ServiceMetrics::registered(registry);
-        self
-    }
-
-    /// Use an explicit pre-built instrument set (shared with another
-    /// component, or registered under different names).
-    pub fn metrics(mut self, metrics: ServiceMetrics) -> SchedulerBuilder {
-        self.metrics = metrics;
         self
     }
 

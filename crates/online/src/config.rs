@@ -112,11 +112,6 @@ pub struct OnlineConfig {
     pub migration: MigrationConfig,
     /// Re-measurement cadence and drift detector knobs.
     pub drift: DriftConfig,
-    /// Label value for the `choreo_shape_events_total{shape=...}`
-    /// counter — names the workload shape driving this run (e.g.
-    /// `"nominal"`, `"diurnal"`, `"hostile"`). Observational only: it
-    /// tags metric series and never influences the trajectory.
-    pub workload_shape: String,
 }
 
 impl Default for OnlineConfig {
@@ -130,7 +125,6 @@ impl Default for OnlineConfig {
             policy: PlacementPolicy::Greedy,
             migration: MigrationConfig::default(),
             drift: DriftConfig::default(),
-            workload_shape: "nominal".to_string(),
         }
     }
 }

@@ -34,13 +34,15 @@
 //!   `core`'s [`choreo::migrate::improves_enough`]).
 //!
 //! Schedulers are constructed through the [`SchedulerBuilder`]
-//! (topology + routes, then chained config/seed/metrics/trace-capacity
-//! setters). Every decision is observable twice over: the
-//! [`metrics`] instruments (a [`ServiceMetrics`] set, optionally
-//! registered in a [`choreo_metrics::Registry`] for prometheus text
-//! exposition) and the bounded per-decision [`TraceRing`] in
-//! [`ServiceStats`]. Both are observational only — nothing reads them
-//! back into placement.
+//! (topology + routes, then chained config/seed/registry/trace-capacity
+//! setters). Every decision is counted once, in [`ServiceStats`], and
+//! recorded in its bounded per-decision [`TraceRing`]. A scheduler
+//! given a [`choreo_metrics::Registry`] publishes those counts as
+//! `choreo_*_total` counters at the end of every public call that can
+//! move one, next to
+//! the [`metrics`] gauges and latency histogram (a [`ServiceMetrics`]
+//! set), for prometheus text exposition. Both views are observational
+//! only — nothing reads them back into placement.
 //!
 //! # Network drift and failures
 //!
@@ -90,9 +92,7 @@ pub mod stats;
 
 pub use builder::SchedulerBuilder;
 pub use config::{DriftConfig, MigrationConfig, OnlineConfig, PlacementPolicy};
-pub use metrics::{
-    PodLabel, ReasonLabel, ServiceMetrics, ShapeLabel, TenantBucket, TENANT_BUCKETS,
-};
+pub use metrics::{PodLabel, ServiceMetrics, TenantBucket, TENANT_BUCKETS};
 pub use scheduler::OnlineScheduler;
 pub use stats::{Cause, Decision, DecisionKind, RejectReason, ServiceStats, TraceRing};
 

@@ -1,18 +1,23 @@
 //! Typed metric handles the scheduler and migration planner record into.
 //!
 //! [`ServiceMetrics`] is the bridge between the deterministic service
-//! loop and a [`choreo_metrics::Registry`]: the scheduler holds cheap
-//! atomic handles on its hot path and a metrics endpoint renders the
-//! registry. Metrics are write-only from the service's point of view —
-//! nothing in the trajectory reads them back — so wall-clock-derived
-//! samples (the placement-latency histogram) never perturb a run's
-//! trace digest, and a scheduler built without a registry
-//! ([`ServiceMetrics::detached`]) records into unexported handles at the
-//! same (negligible) cost.
+//! loop and a [`choreo_metrics::Registry`]. It counts nothing itself:
+//! [`ServiceStats`] is the scheduler's one counter ledger, and every
+//! exported `choreo_*_total` counter is published from it once at the
+//! end of each public scheduler call, the way
+//! [`crate::TraceRing::sync_from`] publishes decisions — so a scrape can
+//! never disagree with what the scheduler counted. The gauges and the
+//! placement-latency histogram are cheap atomic handles set on the spot.
+//! Metrics are write-only from the service's point of view — nothing in
+//! the trajectory reads them back — so wall-clock-derived samples never
+//! perturb a run's trace digest, and a scheduler built without a
+//! registry ([`ServiceMetrics::detached`]) publishes nothing.
 
 use choreo_flowsim::FlowSim;
 use choreo_metrics::{Counter, Family, Gauge, Histogram, LabelSet, Registry};
 use choreo_topology::{PodPartition, Topology};
+
+use crate::stats::ServiceStats;
 
 /// Placement-latency histogram bounds: 1 µs … ~0.5 s, ×2 per bucket.
 fn latency_bounds() -> Vec<f64> {
@@ -29,22 +34,6 @@ fn latency_bounds() -> Vec<f64> {
 /// lands in bucket `id % TENANT_BUCKETS`. A fixed modulus keeps the
 /// series count independent of how many tenants a run admits.
 pub const TENANT_BUCKETS: u64 = 8;
-
-/// `reason="..."` label on `choreo_admissions_total`: one series per
-/// admission outcome (`admitted`, `queued`, `queue_admitted`,
-/// `rejected_queue_full`, `rejected_failure`, `duplicate`).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct ReasonLabel(pub &'static str);
-
-impl LabelSet for ReasonLabel {
-    fn label_names() -> &'static [&'static str] {
-        &["reason"]
-    }
-
-    fn label_values(&self) -> Vec<String> {
-        vec![self.0.to_string()]
-    }
-}
 
 /// `tenant_bucket="..."` label on `choreo_tenant_slo_attainment`; see
 /// [`TENANT_BUCKETS`] for the bucketing rule.
@@ -142,52 +131,60 @@ impl PodLossGauges {
     }
 }
 
-/// `shape="..."` label on `choreo_shape_events_total`: the workload
-/// shape the run was driven with (`OnlineConfig::workload_shape`).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct ShapeLabel(pub String);
+/// One exported counter: exposition name, HELP text, and the
+/// [`ServiceStats`] field it publishes.
+type CounterRow = (&'static str, &'static str, fn(&ServiceStats) -> u64);
 
-impl LabelSet for ShapeLabel {
-    fn label_names() -> &'static [&'static str] {
-        &["shape"]
-    }
+/// Every exported counter, in registration order.
+const COUNTERS: [CounterRow; 14] = [
+    ("choreo_service_events_total", "Tenant events consumed", |s| s.events),
+    ("choreo_admitted_total", "Tenants admitted straight from arrival", |s| s.admitted),
+    ("choreo_queued_total", "Tenants parked in the wait queue", |s| s.queued),
+    ("choreo_queue_admitted_total", "Queued tenants admitted by a departure retry", |s| {
+        s.queue_admitted
+    }),
+    ("choreo_rejected_total", "Arrivals rejected with the queue full", |s| s.rejected),
+    (
+        "choreo_duplicate_arrivals_total",
+        "Arrivals ignored because the tenant was already live",
+        |s| s.duplicate_arrivals,
+    ),
+    ("choreo_departures_total", "Departures that tore real state down", |s| s.departures),
+    ("choreo_intensity_changes_total", "Intensity changes applied", |s| s.intensity_changes),
+    ("choreo_migration_passes_total", "Migration planner passes", |s| s.migration_passes),
+    ("choreo_migrations_total", "Tenants moved by the migration planner", |s| s.migrations),
+    (
+        "choreo_link_events_total",
+        "Network events applied (failures, degradations, drains, recoveries)",
+        |s| s.network_events,
+    ),
+    ("choreo_drift_detected_total", "Drift detections by the re-measurement pass", |s| {
+        s.drift_detected
+    }),
+    (
+        "choreo_failure_migrations_total",
+        "Tenants moved by a forced, drift/failure-triggered pass",
+        |s| s.failure_migrations,
+    ),
+    ("choreo_failure_rejected_total", "Arrivals rejected while links were down", |s| {
+        s.failure_rejections
+    }),
+];
 
-    fn label_values(&self) -> Vec<String> {
-        vec![self.0.clone()]
-    }
-}
-
-/// The service's instrument set. Fields are the hooks the scheduler and
-/// migration planner record into; see [`ServiceMetrics::registered`] for
-/// the exported names.
+/// The service's instrument set: the counters published from
+/// [`ServiceStats`], plus the gauges and the histogram the scheduler
+/// sets directly.
 #[derive(Clone, Debug)]
 pub struct ServiceMetrics {
-    /// Tenant events consumed (`choreo_service_events_total`).
-    pub events: Counter,
-    /// Tenants admitted straight from arrival (`choreo_admitted_total`).
-    pub admitted: Counter,
-    /// Tenants parked in the wait queue (`choreo_queued_total`).
-    pub queued: Counter,
-    /// Queued tenants admitted by a departure retry
-    /// (`choreo_queue_admitted_total`).
-    pub queue_admitted: Counter,
-    /// Arrivals rejected with the queue full (`choreo_rejected_total`).
-    pub rejected: Counter,
-    /// Duplicate arrivals ignored (`choreo_duplicate_arrivals_total`).
-    pub duplicate_arrivals: Counter,
-    /// Departures that tore real state down (`choreo_departures_total`);
-    /// Depart events for rejected tenants are no-ops and not counted.
-    pub departures: Counter,
-    /// Intensity changes applied (`choreo_intensity_changes_total`).
-    pub intensity_changes: Counter,
-    /// Migration-planner passes (`choreo_migration_passes_total`).
-    pub migration_passes: Counter,
-    /// Tenants moved by the planner (`choreo_migrations_total`).
-    pub migrations: Counter,
-    /// Tenants waiting for capacity right now (`choreo_queue_depth`).
-    pub queue_depth: Gauge,
-    /// Tenants admitted and running (`choreo_active_tenants`).
-    pub active_tenants: Gauge,
+    /// One handle per [`COUNTERS`] row, in table order; empty for a
+    /// detached set.
+    counters: Vec<Counter>,
+    /// Tenants waiting for capacity (`choreo_queue_depth`), published
+    /// with the counters.
+    queue_depth: Gauge,
+    /// Tenants admitted and running (`choreo_active_tenants`), published
+    /// with the counters.
+    active_tenants: Gauge,
     /// Wall-clock seconds per admission placement attempt
     /// (`choreo_placement_latency_seconds`).
     pub placement_latency: Histogram,
@@ -196,25 +193,10 @@ pub struct ServiceMetrics {
     /// (`choreo_slo_attainment`, refreshed by
     /// [`crate::OnlineScheduler::slo_attainment`]).
     pub slo_attainment: Gauge,
-    /// Network events applied — failures, degradations, drains,
-    /// recoveries (`choreo_link_events_total`).
-    pub link_events: Counter,
-    /// Drift detections by the re-measurement pass
-    /// (`choreo_drift_detected_total`).
-    pub drift_detected: Counter,
-    /// Tenants moved by a forced, drift/failure-triggered pass
-    /// (`choreo_failure_migrations_total`).
-    pub failure_migrations: Counter,
-    /// Arrivals rejected while links were down
-    /// (`choreo_failure_rejected_total`).
-    pub failure_rejections: Counter,
     /// Fraction of the cluster's nominal directed link capacity
     /// currently lost to failures, degradations and drains
     /// (`choreo_capacity_lost_fraction`).
     pub capacity_lost: Gauge,
-    /// Admission outcomes by reason (`choreo_admissions_total`): the
-    /// labeled view of the admitted/queued/rejected/... counters above.
-    pub admissions: Family<ReasonLabel, Counter>,
     /// Per-tenant-bucket SLO attainment
     /// (`choreo_tenant_slo_attainment`), refreshed alongside the
     /// cluster-wide [`ServiceMetrics::slo_attainment`] gauge.
@@ -223,9 +205,6 @@ pub struct ServiceMetrics {
     /// (`choreo_pod_capacity_lost_fraction`); the `pod="spine"` series
     /// covers core links and pod uplinks.
     pub pod_capacity_lost: Family<PodLabel, Gauge>,
-    /// Tenant events consumed, by workload shape
-    /// (`choreo_shape_events_total`).
-    pub shape_events: Family<ShapeLabel, Counter>,
 }
 
 impl ServiceMetrics {
@@ -233,29 +212,14 @@ impl ServiceMetrics {
     /// bench use.
     pub fn detached() -> ServiceMetrics {
         ServiceMetrics {
-            events: Counter::new(),
-            admitted: Counter::new(),
-            queued: Counter::new(),
-            queue_admitted: Counter::new(),
-            rejected: Counter::new(),
-            duplicate_arrivals: Counter::new(),
-            departures: Counter::new(),
-            intensity_changes: Counter::new(),
-            migration_passes: Counter::new(),
-            migrations: Counter::new(),
+            counters: Vec::new(),
             queue_depth: Gauge::new(),
             active_tenants: Gauge::new(),
             placement_latency: Histogram::new(latency_bounds()),
             slo_attainment: Gauge::new(),
-            link_events: Counter::new(),
-            drift_detected: Counter::new(),
-            failure_migrations: Counter::new(),
-            failure_rejections: Counter::new(),
             capacity_lost: Gauge::new(),
-            admissions: Family::new(8, Counter::new),
             tenant_slo: Family::new(TENANT_BUCKETS as usize, Gauge::new),
             pod_capacity_lost: Family::new(64, Gauge::new),
-            shape_events: Family::new(16, Counter::new),
         }
     }
 
@@ -263,28 +227,10 @@ impl ServiceMetrics {
     /// ready for text exposition.
     pub fn registered(registry: &Registry) -> ServiceMetrics {
         ServiceMetrics {
-            events: registry.counter("choreo_service_events_total", "Tenant events consumed"),
-            admitted: registry
-                .counter("choreo_admitted_total", "Tenants admitted straight from arrival"),
-            queued: registry.counter("choreo_queued_total", "Tenants parked in the wait queue"),
-            queue_admitted: registry.counter(
-                "choreo_queue_admitted_total",
-                "Queued tenants admitted by a departure retry",
-            ),
-            rejected: registry
-                .counter("choreo_rejected_total", "Arrivals rejected with the queue full"),
-            duplicate_arrivals: registry.counter(
-                "choreo_duplicate_arrivals_total",
-                "Arrivals ignored because the tenant was already live",
-            ),
-            departures: registry
-                .counter("choreo_departures_total", "Departures that tore real state down"),
-            intensity_changes: registry
-                .counter("choreo_intensity_changes_total", "Intensity changes applied"),
-            migration_passes: registry
-                .counter("choreo_migration_passes_total", "Migration planner passes"),
-            migrations: registry
-                .counter("choreo_migrations_total", "Tenants moved by the migration planner"),
+            counters: COUNTERS
+                .iter()
+                .map(|&(name, help, _)| registry.counter(name, help))
+                .collect(),
             queue_depth: registry.gauge("choreo_queue_depth", "Tenants waiting for capacity"),
             active_tenants: registry.gauge("choreo_active_tenants", "Tenants admitted and running"),
             placement_latency: registry.histogram(
@@ -296,30 +242,9 @@ impl ServiceMetrics {
                 "choreo_slo_attainment",
                 "Fraction of running networked tenants meeting their SLO",
             ),
-            link_events: registry.counter(
-                "choreo_link_events_total",
-                "Network events applied (failures, degradations, drains, recoveries)",
-            ),
-            drift_detected: registry.counter(
-                "choreo_drift_detected_total",
-                "Drift detections by the re-measurement pass",
-            ),
-            failure_migrations: registry.counter(
-                "choreo_failure_migrations_total",
-                "Tenants moved by a forced, drift/failure-triggered pass",
-            ),
-            failure_rejections: registry.counter(
-                "choreo_failure_rejected_total",
-                "Arrivals rejected while links were down",
-            ),
             capacity_lost: registry.gauge(
                 "choreo_capacity_lost_fraction",
                 "Fraction of nominal link capacity lost to failures and drains",
-            ),
-            admissions: registry.counter_family(
-                "choreo_admissions_total",
-                "Admission outcomes by reason",
-                8,
             ),
             tenant_slo: registry.gauge_family(
                 "choreo_tenant_slo_attainment",
@@ -331,11 +256,24 @@ impl ServiceMetrics {
                 "Fraction of nominal link capacity lost to failures and drains, by pod",
                 64,
             ),
-            shape_events: registry.counter_family(
-                "choreo_shape_events_total",
-                "Tenant events consumed, by workload shape",
-                16,
-            ),
         }
+    }
+
+    /// Bring every exported counter up to `stats`, and the queue-depth
+    /// and active-tenant gauges to the given sizes. Counters only ever
+    /// move here, so after a publish each one equals its ledger field.
+    /// A detached set publishes nothing.
+    pub(crate) fn publish(&self, stats: &ServiceStats, queue_depth: usize, active_tenants: usize) {
+        if self.counters.is_empty() {
+            return;
+        }
+        for (counter, (_, _, field)) in self.counters.iter().zip(COUNTERS) {
+            let (counted, exported) = (field(stats), counter.get());
+            if counted != exported {
+                counter.inc_by(counted - exported);
+            }
+        }
+        self.queue_depth.set(queue_depth as f64);
+        self.active_tenants.set(active_tenants as f64);
     }
 }

@@ -83,7 +83,6 @@ impl OnlineScheduler {
     /// Count and digest the start of a pass forcing `forced` tenants in.
     fn open_pass(&mut self, forced: usize) {
         self.stats.migration_passes += 1;
-        self.metrics.migration_passes.inc();
         self.stats.note(0x4d); // 'M'
         let now = self.sim.now();
         self.stats.decide(now, TenantId::MAX, DecisionKind::MigrationPass, forced as f64);
@@ -204,7 +203,7 @@ impl OnlineScheduler {
     /// baseline and cooldown. Skips the move if the new placement no
     /// longer fits the CPU ledger (an earlier move this pass took the
     /// room). `forced` marks drift/failure-triggered moves for the
-    /// trace and the `choreo_failure_migrations_total` counter. `gain`
+    /// trace and [`crate::ServiceStats::failure_migrations`]. `gain`
     /// is the predicted-over-current ratio that cleared the hysteresis
     /// bar — recorded as the move's [`Cause`] in the trace ring.
     fn execute_move(&mut self, id: TenantId, placement: Placement, forced: bool, gain: f64) {
@@ -234,7 +233,6 @@ impl OnlineScheduler {
         let flows = self.start_transfer_flows(id, &placement, &t.transfers, t.intensity);
         let baseline = service_score(&mut self.sim, self.cfg.loopback.rate_bps, &flows);
         self.stats.migrations += 1;
-        self.metrics.migrations.inc();
         self.stats.note(0x56); // 'V' — a move
         self.stats.note(id);
         for &h in &placement.assignment {
@@ -245,7 +243,6 @@ impl OnlineScheduler {
         let cause = Cause::Hysteresis { gain, min_improvement: self.cfg.migration.min_improvement };
         if forced {
             self.stats.failure_migrations += 1;
-            self.metrics.failure_migrations.inc();
             self.stats.note(0x46); // 'F' — the move was forced
             self.stats.decide_caused(now, id, DecisionKind::ForcedMigration, baseline, cause);
         } else {

@@ -5,7 +5,6 @@ use std::collections::{BTreeMap, VecDeque};
 use choreo_flowsim::{FlowKey, FlowSim, HoseId};
 use choreo_measure::stability::last_relative_error;
 use choreo_measure::RateModel;
-use choreo_metrics::Counter;
 use choreo_place::greedy::{GreedyPlacer, PlaceScratch};
 use choreo_place::problem::{
     cpu_packing, validate, Machines, NetworkLoad, PackScratch, Packing, Placement,
@@ -19,7 +18,7 @@ use choreo_topology::{Nanos, NodeId};
 
 use crate::builder::SchedulerBuilder;
 use crate::config::{OnlineConfig, PlacementPolicy};
-use crate::metrics::{PodLossGauges, ReasonLabel, ServiceMetrics, ShapeLabel, TenantBucket};
+use crate::metrics::{PodLossGauges, ServiceMetrics, TenantBucket};
 use crate::stats::{Cause, DecisionKind, RejectReason, ServiceStats};
 
 /// One admitted tenant's live state.
@@ -125,43 +124,6 @@ pub struct OnlineScheduler {
     probes: Vec<(NodeId, NodeId, Option<HoseId>)>,
     /// The per-pod capacity-lost gauges (observational only).
     pod_loss: PodLossGauges,
-    /// Cached `choreo_shape_events_total{shape=...}` series for this
-    /// run's [`OnlineConfig::workload_shape`] — resolved once so the
-    /// event hot path skips the family lookup.
-    shape_events: Counter,
-    /// Cached `choreo_admissions_total{reason=...}` series, by
-    /// [`Admission`]: each resolved from the family on its first
-    /// increment — so a series enters the exposition exactly when its
-    /// first outcome occurs — and kept, so arrivals and queue admissions
-    /// skip the family's lock-and-hash lookup from then on.
-    admission_series: [Option<Counter>; Admission::COUNT],
-}
-
-/// The admission outcomes `choreo_admissions_total` is labeled by.
-#[derive(Debug, Clone, Copy)]
-enum Admission {
-    Duplicate,
-    Admitted,
-    Queued,
-    RejectedFailure,
-    RejectedQueueFull,
-    QueueAdmitted,
-}
-
-impl Admission {
-    const COUNT: usize = Admission::QueueAdmitted as usize + 1;
-
-    /// The outcome's `reason` label value.
-    fn reason(self) -> &'static str {
-        match self {
-            Admission::Duplicate => "duplicate",
-            Admission::Admitted => "admitted",
-            Admission::Queued => "queued",
-            Admission::RejectedFailure => "rejected_failure",
-            Admission::RejectedQueueFull => "rejected_queue_full",
-            Admission::QueueAdmitted => "queue_admitted",
-        }
-    }
 }
 
 impl OnlineScheduler {
@@ -191,7 +153,6 @@ impl OnlineScheduler {
         let next_measure_at = cfg.drift.cadence.unwrap_or(Nanos::MAX);
         let n_links = topo.links().len();
         let pod_loss = PodLossGauges::new(&topo);
-        let shape_events = metrics.shape_events.get(&ShapeLabel(cfg.workload_shape.clone()));
         OnlineScheduler {
             sim,
             hosts,
@@ -217,16 +178,14 @@ impl OnlineScheduler {
             place: PlaceScratch::default(),
             probes: Vec::new(),
             pod_loss,
-            shape_events,
-            admission_series: Default::default(),
         }
     }
 
-    /// Count one admission outcome on its labeled series.
-    fn count_admission(&mut self, outcome: Admission) {
-        self.admission_series[outcome as usize]
-            .get_or_insert_with(|| self.metrics.admissions.get(&ReasonLabel(outcome.reason())))
-            .inc();
+    /// Publish the counters and the queue/tenant gauges from
+    /// [`ServiceStats`]: the last thing every public call that can move
+    /// a counter does.
+    fn publish(&self) {
+        self.metrics.publish(&self.stats, self.queue.len(), self.tenants.len());
     }
 
     // ------------------------------------------------------------ queries
@@ -342,14 +301,16 @@ impl OnlineScheduler {
     /// pass). [`OnlineScheduler::step`] does this itself; callers that
     /// want to time the dispatch alone (the perf ledger's per-request
     /// percentiles) advance first so the timed step is pure event
-    /// handling.
+    /// handling. The counters are published when a pass ran.
     pub fn advance_to(&mut self, at: Nanos) {
         let at = at.max(self.sim.now());
+        let mut ran_a_pass = false;
         loop {
             let next = self.next_measure_at.min(self.next_migration_at);
             if next > at {
                 break;
             }
+            ran_a_pass = true;
             self.sim.run_until(next);
             if self.next_measure_at <= self.next_migration_at {
                 self.measurement_pass();
@@ -360,6 +321,9 @@ impl OnlineScheduler {
             }
         }
         self.sim.run_until(at);
+        if ran_a_pass {
+            self.publish();
+        }
     }
 
     /// Consume one tenant event: advance simulated time (running any
@@ -367,8 +331,6 @@ impl OnlineScheduler {
     pub fn step(&mut self, ev: &TenantEvent) {
         self.advance_to(ev.at);
         self.stats.events += 1;
-        self.metrics.events.inc();
-        self.shape_events.inc();
         self.stats.note(ev.tenant << 8 | event_code(&ev.kind));
         match &ev.kind {
             TenantEventKind::Arrive { app } => self.arrive(ev.tenant, (**app).clone()),
@@ -377,8 +339,7 @@ impl OnlineScheduler {
             }
             TenantEventKind::Depart => self.depart(ev.tenant),
         }
-        self.metrics.queue_depth.set(self.queue.len() as f64);
-        self.metrics.active_tenants.set(self.tenants.len() as f64);
+        self.publish();
     }
 
     /// Consume one event of a merged tenant + network stream.
@@ -412,8 +373,6 @@ impl OnlineScheduler {
     pub fn network_step(&mut self, ev: &NetworkEvent) {
         self.advance_to(ev.at);
         self.stats.network_events += 1;
-        self.metrics.link_events.inc();
-        self.shape_events.inc();
         self.stats.note(0x4e); // 'N'
         self.stats.note((ev.link as u64) << 8 | network_event_code(&ev.kind));
         let fraction = match ev.kind {
@@ -460,6 +419,7 @@ impl OnlineScheduler {
                 self.migration_pass_scored(degraded);
             }
         }
+        self.publish();
     }
 
     /// Running networked tenants currently scoring below the planner's
@@ -511,7 +471,6 @@ impl OnlineScheduler {
         }
         for &(id, err) in &drifted {
             self.stats.drift_detected += 1;
-            self.metrics.drift_detected.inc();
             self.stats.note(0x64); // 'd'
             self.stats.note(id);
             self.stats.decide_caused(
@@ -532,6 +491,7 @@ impl OnlineScheduler {
     /// (tests and externally-scheduled deployments).
     pub fn force_migration_pass(&mut self) {
         self.migration_pass();
+        self.publish();
     }
 
     // ---------------------------------------------------------- admission
@@ -545,8 +505,6 @@ impl OnlineScheduler {
         // untouched while duplicated ones stay deterministic.
         if self.tenants.contains_key(&id) || self.queue.iter().any(|(t, _, _)| *t == id) {
             self.stats.duplicate_arrivals += 1;
-            self.metrics.duplicate_arrivals.inc();
-            self.count_admission(Admission::Duplicate);
             self.stats.note(0x58); // 'X'
             let now = self.sim.now();
             self.stats.decide(now, id, DecisionKind::Duplicate, 0.0);
@@ -556,13 +514,9 @@ impl OnlineScheduler {
             Some(placement) => {
                 self.admit(id, app, placement, DecisionKind::Admit, 1);
                 self.stats.admitted += 1;
-                self.metrics.admitted.inc();
-                self.count_admission(Admission::Admitted);
             }
             None if self.queue.len() < self.cfg.queue_capacity => {
                 self.stats.queued += 1;
-                self.metrics.queued.inc();
-                self.count_admission(Admission::Queued);
                 self.stats.note(0x51); // 'Q'
                 let now = self.sim.now();
                 self.stats.decide(now, id, DecisionKind::Queue, self.queue.len() as f64);
@@ -570,13 +524,10 @@ impl OnlineScheduler {
             }
             None => {
                 self.stats.rejected += 1;
-                self.metrics.rejected.inc();
                 // Count *why* capacity was gone: a rejection during a
                 // failure epoch is the network's fault, not sizing's.
                 if self.links_down > 0 {
                     self.stats.failure_rejections += 1;
-                    self.metrics.failure_rejections.inc();
-                    self.count_admission(Admission::RejectedFailure);
                     self.stats.note(0x72); // 'r'
                     let now = self.sim.now();
                     self.stats.decide_caused(
@@ -587,7 +538,6 @@ impl OnlineScheduler {
                         Cause::Reject(RejectReason::LinksDown),
                     );
                 } else {
-                    self.count_admission(Admission::RejectedQueueFull);
                     self.stats.note(0x52); // 'R'
                     let now = self.sim.now();
                     self.stats.decide_caused(
@@ -807,7 +757,6 @@ impl OnlineScheduler {
         if let Some(pos) = self.queue.iter().position(|(t, _, _)| *t == id) {
             // Left before capacity freed up.
             self.stats.departures += 1;
-            self.metrics.departures.inc();
             self.queue.remove(pos);
             self.stats.note(0x44); // 'D'
             let now = self.sim.now();
@@ -825,7 +774,6 @@ impl OnlineScheduler {
         // Only a real teardown (queued-drop above, or this live drop)
         // counts as a departure.
         self.stats.departures += 1;
-        self.metrics.departures.inc();
         let score = service_score(&mut self.sim, self.cfg.loopback.rate_bps, &t.flows);
         self.stats.record_departed_rate(score);
         let now = self.sim.now();
@@ -862,8 +810,6 @@ impl OnlineScheduler {
                 Some(placement) => {
                     self.admit(id, app, placement, DecisionKind::QueueAdmit, intensity);
                     self.stats.queue_admitted += 1;
-                    self.metrics.queue_admitted.inc();
-                    self.count_admission(Admission::QueueAdmitted);
                 }
                 None => self.queue.push_back((id, app, intensity)),
             }
@@ -890,7 +836,6 @@ impl OnlineScheduler {
             return;
         }
         self.stats.intensity_changes += 1;
-        self.metrics.intensity_changes.inc();
         self.stats.note(0x49); // 'I'
         self.stats.note(intensity as u64);
         if intensity > t.intensity {

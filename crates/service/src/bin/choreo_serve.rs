@@ -102,9 +102,8 @@ fn serve(flags: &Flags) -> Result<(), String> {
     let env = NetEnv::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     println!("service listening on {}", env.local_addr());
     let mut svc = PlacementService::new(topo, routes, ServiceConfig::default(), env);
-    let _metrics =
-        MetricsServer::start_with_trace(metrics_addr, svc.registry(), svc.trace_export())
-            .map_err(|e| format!("metrics bind {metrics_addr}: {e}"))?;
+    let _metrics = MetricsServer::start(metrics_addr, svc.registry(), svc.trace_export())
+        .map_err(|e| format!("metrics bind {metrics_addr}: {e}"))?;
     println!("metrics at http://{}/metrics", _metrics.local_addr());
     println!("decision trace at http://{}/trace", _metrics.local_addr());
     svc.run();
@@ -220,7 +219,6 @@ fn check_exposition(what: &str, text: &str) -> Result<(), String> {
     choreo_metrics::parse::validate(text)
         .map_err(|e| format!("{what}: exposition fails text-format conformance: {e}"))?;
     for needle in [
-        "choreo_admissions_total{reason=\"admitted\"}",
         "choreo_admitted_total",
         "choreo_queue_depth",
         "choreo_placement_latency_seconds_bucket",

@@ -4,10 +4,9 @@
 //! Just enough HTTP/1.0 for a prometheus scraper or `curl`: read the
 //! request head (at most 8 KiB of it and for at most 2 s in all, from
 //! any peer), answer `GET /metrics` with the registry's text
-//! exposition (and, when a decision ring was wired in via
-//! [`MetricsServer::start_with_trace`], `GET /trace?n=K` with the last
-//! `K` decision-trace JSON lines, rendered here on the scrape thread),
-//! answer everything else with 404, close the connection. No
+//! exposition and `GET /trace?n=K` with the last `K` decision-trace
+//! JSON lines (rendered here, on the scrape thread), answer everything
+//! else with 404, close the connection. No
 //! keep-alive, no chunking, no dependencies. One thread serves one
 //! connection at a time, so each direction of a connection has a total
 //! deadline: a peer that drips its request or drains its response byte
@@ -31,30 +30,24 @@ pub struct MetricsServer {
 }
 
 impl MetricsServer {
-    /// Serve `registry` at `http://addr/metrics` on a background
-    /// thread. Port 0 binds an ephemeral port; see
-    /// [`MetricsServer::local_addr`].
-    pub fn start<A: ToSocketAddrs>(addr: A, registry: Arc<Registry>) -> std::io::Result<Self> {
-        Self::start_inner(addr, registry, None, HEAD_DEADLINE)
-    }
-
-    /// Like [`MetricsServer::start`], but also serve `GET /trace?n=K`
+    /// Serve `registry` at `http://addr/metrics` and `GET /trace?n=K`
     /// from `trace` — the mirror of the decision ring the service loop
-    /// keeps current ([`crate::PlacementService::trace_export`]). The
-    /// JSON is rendered per scrape, on this server's thread; the service
-    /// loop never renders for it.
-    pub fn start_with_trace<A: ToSocketAddrs>(
+    /// keeps current ([`crate::PlacementService::trace_export`]) — on a
+    /// background thread. The JSON is rendered per scrape, on this
+    /// server's thread; the service loop never renders for it. Port 0
+    /// binds an ephemeral port; see [`MetricsServer::local_addr`].
+    pub fn start<A: ToSocketAddrs>(
         addr: A,
         registry: Arc<Registry>,
         trace: Arc<Mutex<TraceRing>>,
     ) -> std::io::Result<Self> {
-        Self::start_inner(addr, registry, Some(trace), HEAD_DEADLINE)
+        Self::start_inner(addr, registry, trace, HEAD_DEADLINE)
     }
 
     fn start_inner<A: ToSocketAddrs>(
         addr: A,
         registry: Arc<Registry>,
-        trace: Option<Arc<Mutex<TraceRing>>>,
+        trace: Arc<Mutex<TraceRing>>,
         head_deadline: Duration,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
@@ -69,7 +62,7 @@ impl MetricsServer {
                     if stop.load(Ordering::SeqCst) {
                         break;
                     }
-                    let _ = Self::serve_one(&stream, &registry, trace.as_deref(), head_deadline);
+                    let _ = Self::serve_one(&stream, &registry, &trace, head_deadline);
                 }
             })
         };
@@ -87,7 +80,7 @@ impl MetricsServer {
     fn serve_one(
         stream: &TcpStream,
         registry: &Registry,
-        trace: Option<&Mutex<TraceRing>>,
+        trace: &Mutex<TraceRing>,
         head_deadline: Duration,
     ) -> std::io::Result<()> {
         let request_line = match read_head(Deadlined::new(stream, head_deadline)) {
@@ -117,15 +110,10 @@ impl MetricsServer {
         let (status, body) = if is_get && route == "/metrics" {
             ("200 OK", registry.render())
         } else if is_get && route == "/trace" {
-            match trace {
-                Some(t) => {
-                    // Copy the ring out and render outside the lock: the
-                    // service loop waits on it at most for a memcpy.
-                    let ring = t.lock().expect("trace export poisoned").clone();
-                    ("200 OK", ring.to_jsonl(trace_limit(query)))
-                }
-                None => ("404 Not Found", "no trace source wired in\n".to_string()),
-            }
+            // Copy the ring out and render outside the lock: the service
+            // loop waits on it at most for a memcpy.
+            let ring = trace.lock().expect("trace export poisoned").clone();
+            ("200 OK", ring.to_jsonl(trace_limit(query)))
         } else {
             ("404 Not Found", "only GET /metrics and GET /trace live here\n".to_string())
         };
@@ -267,6 +255,11 @@ fn trace_limit(query: &str) -> usize {
 mod tests {
     use super::*;
 
+    /// A trace source for tests that scrape only `/metrics`.
+    fn no_trace() -> Arc<Mutex<TraceRing>> {
+        Arc::new(Mutex::new(TraceRing::new(1)))
+    }
+
     fn get(addr: SocketAddr, path: &str) -> String {
         let mut c = TcpStream::connect(addr).unwrap();
         write!(c, "GET {path} HTTP/1.0\r\nHost: test\r\n\r\n").unwrap();
@@ -314,7 +307,8 @@ mod tests {
 
     #[test]
     fn an_over_cap_head_is_refused_and_the_next_scrape_still_answers() {
-        let server = MetricsServer::start(("127.0.0.1", 0), Arc::new(Registry::new())).unwrap();
+        let server =
+            MetricsServer::start(("127.0.0.1", 0), Arc::new(Registry::new()), no_trace()).unwrap();
         // Exactly the cap and no newline: the server consumes all of it,
         // so its close is clean and the refusal is readable.
         let mut c = TcpStream::connect(server.local_addr()).unwrap();
@@ -329,9 +323,13 @@ mod tests {
     #[test]
     fn a_peer_dripping_its_head_is_cut_off_and_the_next_scrape_still_answers() {
         let deadline = Duration::from_millis(200);
-        let server =
-            MetricsServer::start_inner(("127.0.0.1", 0), Arc::new(Registry::new()), None, deadline)
-                .unwrap();
+        let server = MetricsServer::start_inner(
+            ("127.0.0.1", 0),
+            Arc::new(Registry::new()),
+            no_trace(),
+            deadline,
+        )
+        .unwrap();
         // One byte every 20 ms: each read returns long before any
         // per-read timeout, the head never ends. The wait for a reply is
         // the pause between bytes.
@@ -366,7 +364,7 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let c = registry.counter("demo_total", "a demo counter");
         c.inc_by(3);
-        let server = MetricsServer::start(("127.0.0.1", 0), registry).unwrap();
+        let server = MetricsServer::start(("127.0.0.1", 0), registry, no_trace()).unwrap();
         let body = get(server.local_addr(), "/metrics");
         assert!(body.starts_with("HTTP/1.0 200 OK"), "{body}");
         assert!(body.contains("# TYPE demo_total counter"), "{body}");
@@ -375,7 +373,8 @@ mod tests {
 
     #[test]
     fn other_paths_are_404() {
-        let server = MetricsServer::start(("127.0.0.1", 0), Arc::new(Registry::new())).unwrap();
+        let server =
+            MetricsServer::start(("127.0.0.1", 0), Arc::new(Registry::new()), no_trace()).unwrap();
         let body = get(server.local_addr(), "/");
         assert!(body.starts_with("HTTP/1.0 404"), "{body}");
     }
@@ -389,19 +388,11 @@ mod tests {
         }
         let trace = Arc::new(Mutex::new(ring));
         let server =
-            MetricsServer::start_with_trace(("127.0.0.1", 0), Arc::new(Registry::new()), trace)
-                .unwrap();
+            MetricsServer::start(("127.0.0.1", 0), Arc::new(Registry::new()), trace).unwrap();
         let body = get(server.local_addr(), "/trace");
         assert!(body.starts_with("HTTP/1.0 200"), "{body}");
         assert!(body.contains("\"at\":1") && body.contains("\"at\":2"), "{body}");
         let tail = get(server.local_addr(), "/trace?n=1");
         assert!(!tail.contains("\"at\":1") && tail.contains("\"at\":2"), "{tail}");
-    }
-
-    #[test]
-    fn trace_route_without_a_source_is_404() {
-        let server = MetricsServer::start(("127.0.0.1", 0), Arc::new(Registry::new())).unwrap();
-        let body = get(server.local_addr(), "/trace");
-        assert!(body.starts_with("HTTP/1.0 404"), "{body}");
     }
 }

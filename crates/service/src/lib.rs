@@ -41,9 +41,9 @@
 //! stalls mid-frame is dropped rather than left desynchronizing the
 //! stream, and tenant ids above
 //! [`ServiceConfig::max_tenant_id`](service::ServiceConfig::max_tenant_id)
-//! are refused before they reach the scheduler (whose dense id-indexed
-//! tenant table would otherwise turn one huge id into a huge
-//! allocation). Refusals are counted in
+//! are refused before they reach the scheduler, so no tenant can claim
+//! `TenantId::MAX`, the decision trace's cluster-wide sentinel (rendered
+//! `"tenant":null`). Refusals are counted in
 //! `choreo_invalid_tenant_ids_total`.
 //!
 //! # Metrics quickstart

@@ -29,12 +29,11 @@ pub struct ServiceConfig {
     /// A tenant "meets its SLO" while its current service score is at
     /// least this fraction of its admission-time baseline.
     pub slo_fraction: f64,
-    /// Largest tenant id the service accepts from the wire. The
-    /// scheduler keeps tenants in a dense id-indexed table, so an
-    /// unbounded wire-supplied id would let one unauthenticated `Admit`
-    /// force a huge allocation (or a capacity-overflow panic) — ids
-    /// above this bound are rejected before touching the scheduler.
-    /// The default (65 535) caps that table at a few MiB.
+    /// Largest tenant id the service accepts from the wire; ids above
+    /// this bound are rejected before touching the scheduler. It keeps
+    /// wire ids clear of `TenantId::MAX`, the decision trace's
+    /// cluster-wide sentinel (rendered `"tenant":null`), which a tenant
+    /// must never be able to claim. Default 65 535.
     pub max_tenant_id: u64,
     /// Furthest ahead of the scheduler clock a wire-supplied `at`
     /// (`ForceMigration`, `InjectNetworkEvent`) may advance simulated
@@ -185,11 +184,10 @@ impl<E: ServiceEnv> PlacementService<E> {
 
     /// Map one request to its response, driving the scheduler.
     fn handle(&mut self, at: Nanos, req: ServiceRequest) -> ServiceResponse {
-        // Wire-supplied tenant ids index the scheduler's dense tenant
-        // table: an unbounded id would turn one unauthenticated Admit
-        // into a multi-GiB resize or a capacity-overflow panic, so ids
-        // are bounded here, before the scheduler (or its trace digest)
-        // sees the event.
+        // Wire-supplied tenant ids are bounded here, before the scheduler
+        // (or its trace digest) sees the event: `TenantId::MAX` is the
+        // decision trace's cluster-wide sentinel, rendered
+        // `"tenant":null`, and no tenant may pass for it.
         match &req {
             ServiceRequest::Admit { tenant, .. }
             | ServiceRequest::SetIntensity { tenant, .. }
@@ -307,7 +305,7 @@ impl<E: ServiceEnv> PlacementService<E> {
     }
 
     /// A shared mirror of the decision ring for the HTTP `/trace`
-    /// endpoint ([`crate::MetricsServer::start_with_trace`]). The loop
+    /// endpoint ([`crate::MetricsServer::start`]). The loop
     /// shares decisions, not text: after each served request it appends
     /// the decisions that request produced (when there are none, the
     /// lock is not even taken), and the scrape thread renders JSONL from
@@ -428,9 +426,9 @@ mod tests {
 
     #[test]
     fn wire_sized_tenant_ids_are_refused_before_the_scheduler() {
-        // A u64::MAX id would resize the scheduler's dense tenant table
-        // to astronomical length (panic or multi-GiB allocation); the
-        // service must bounce it without stepping the scheduler at all.
+        // A u64::MAX id is the decision trace's cluster-wide sentinel
+        // (rendered `"tenant":null`); the service must bounce it without
+        // stepping the scheduler at all.
         let mut svc = sim_service(vec![
             (10, 1, ServiceRequest::Admit { tenant: u64::MAX, app: app(2) }),
             (20, 1, ServiceRequest::SetIntensity { tenant: u64::MAX, intensity: 2 }),

@@ -248,12 +248,9 @@ fn http_trace_matches_in_band_trace_across_wrap_around() {
     let mut svc =
         PlacementService::new(topo, routes, ServiceConfig::default(), SimEnv::new(script));
     let shared = svc.trace_export();
-    let server = choreo_service::MetricsServer::start_with_trace(
-        ("127.0.0.1", 0),
-        svc.registry(),
-        shared.clone(),
-    )
-    .expect("bind scrape endpoint");
+    let server =
+        choreo_service::MetricsServer::start(("127.0.0.1", 0), svc.registry(), shared.clone())
+            .expect("bind scrape endpoint");
     let capacity = svc.scheduler().stats().decisions().capacity();
     let (mut polls, mut quiet_polls) = (0usize, 0usize);
     loop {

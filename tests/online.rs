@@ -6,10 +6,12 @@
 
 use std::sync::Arc;
 
+use choreo_repro::metrics::parse::parse;
 use choreo_repro::metrics::span::{self, RegistrySpans};
 use choreo_repro::metrics::Registry;
 use choreo_repro::online::{
     DriftConfig, MigrationConfig, OnlineConfig, OnlineScheduler, PlacementPolicy, SchedulerBuilder,
+    ServiceStats,
 };
 use choreo_repro::profile::{
     merge_events, switch_link_groups, AppPattern, AppProfile, CorrelatedBatchConfig,
@@ -109,36 +111,92 @@ proptest! {
     }
 }
 
-/// Like [`run_checked`], but with the whole observability stack live:
-/// registered labeled metric families behind a real [`Registry`], the
+/// Reads one [`ServiceStats`] counter.
+type StatsField = fn(&ServiceStats) -> u64;
+
+/// Every counter the scheduler exports, with the [`ServiceStats`] field
+/// it must equal.
+const EXPORTED_COUNTERS: [(&str, StatsField); 14] = [
+    ("choreo_service_events_total", |s| s.events),
+    ("choreo_admitted_total", |s| s.admitted),
+    ("choreo_queued_total", |s| s.queued),
+    ("choreo_queue_admitted_total", |s| s.queue_admitted),
+    ("choreo_rejected_total", |s| s.rejected),
+    ("choreo_duplicate_arrivals_total", |s| s.duplicate_arrivals),
+    ("choreo_departures_total", |s| s.departures),
+    ("choreo_intensity_changes_total", |s| s.intensity_changes),
+    ("choreo_migration_passes_total", |s| s.migration_passes),
+    ("choreo_migrations_total", |s| s.migrations),
+    ("choreo_link_events_total", |s| s.network_events),
+    ("choreo_drift_detected_total", |s| s.drift_detected),
+    ("choreo_failure_migrations_total", |s| s.failure_migrations),
+    ("choreo_failure_rejected_total", |s| s.failure_rejections),
+];
+
+/// Parse `registry`'s exposition and check its unlabeled
+/// `choreo_*_total` counters against the ledger: exactly the
+/// [`EXPORTED_COUNTERS`] are exported, each equal to its field.
+fn assert_counters_match(registry: &Registry, stats: &ServiceStats, after: &str) {
+    let families = parse(&registry.render()).expect("the exposition parses");
+    let mut exported: Vec<(&str, f64)> = families
+        .iter()
+        .filter(|f| {
+            f.kind == "counter" && f.name.starts_with("choreo_") && f.name.ends_with("_total")
+        })
+        .flat_map(|f| f.samples.iter().filter(|s| s.labels.is_empty()))
+        .map(|s| (s.name.as_str(), s.value))
+        .collect();
+    exported.sort_by_key(|&(name, _)| name);
+    let mut expected: Vec<(&str, f64)> =
+        EXPORTED_COUNTERS.iter().map(|&(name, field)| (name, field(stats) as f64)).collect();
+    expected.sort_by_key(|&(name, _)| name);
+    assert_eq!(exported, expected, "exported counters against the ledger after {after}");
+}
+
+/// Like [`run_checked_faults`], but with the whole observability stack
+/// live: registered metric families behind a real [`Registry`], the
 /// solver-phase span recorder installed, and the decision trace
-/// rendered to JSONL both mid-run and at the end. Every piece is
-/// observational-only, so the digest and counters must match the bare
-/// run's bit for bit.
-fn run_instrumented(seed: u64, evs: &[TenantEvent]) -> (u64, u64, u64, u64) {
+/// rendered to JSONL both mid-run and at the end. Each event is driven
+/// as the service and the perf ledger drive it, `advance_to` and then
+/// the event, plus a forced migration pass after every `force_every`th
+/// event when given. After each of those public calls every exported
+/// counter must equal its [`ServiceStats`] field. Every piece is
+/// observational-only, so a run without forced passes must match the
+/// bare run's digest and counters bit for bit.
+fn run_instrumented(
+    cfg: OnlineConfig,
+    seed: u64,
+    evs: &[ServiceEvent],
+    force_every: Option<usize>,
+) -> ServiceStats {
     let registry = Arc::new(Registry::new());
     span::install(RegistrySpans::new(Arc::clone(&registry)));
     let topo = Arc::new(test_tree());
     let routes = Arc::new(RouteTable::new(&topo));
     let mut svc = SchedulerBuilder::new(topo, routes)
-        .config(service_cfg(PlacementPolicy::Greedy))
+        .config(cfg)
         .seed(seed)
         .metrics_registry(&registry)
         .build();
     for (i, ev) in evs.iter().enumerate() {
-        svc.step(ev);
+        svc.advance_to(ev.at());
+        assert_counters_match(&registry, svc.stats(), &format!("advance_to before event {i}"));
+        svc.service_step(ev);
+        assert_counters_match(&registry, svc.stats(), &format!("event {i}"));
+        if force_every.is_some_and(|k| i % k == k - 1) {
+            svc.force_migration_pass();
+            assert_counters_match(&registry, svc.stats(), &format!("a pass after event {i}"));
+        }
         check_after_event(&mut svc, i);
         if i % 64 == 0 {
             // Exporting mid-run must not perturb the trajectory either.
             let _ = svc.stats().decisions().to_jsonl(16);
-            let _ = registry.render();
         }
     }
     span::uninstall();
     let trace = svc.stats().decisions().to_jsonl(usize::MAX);
     assert!(!trace.is_empty(), "a busy run must leave a decision trace");
-    let s = svc.stats();
-    (s.trace_hash(), s.admitted + s.queue_admitted, s.rejected, s.migrations)
+    svc.stats().clone()
 }
 
 proptest! {
@@ -152,7 +210,9 @@ proptest! {
         let bare = run_checked(PlacementPolicy::Greedy, sim_seed, &evs);
         // Live recorder + families + trace export: the digest may never
         // move.
-        let instr = run_instrumented(sim_seed, &evs);
+        let tenant_evs: Vec<ServiceEvent> = evs.into_iter().map(ServiceEvent::Tenant).collect();
+        let s = run_instrumented(service_cfg(PlacementPolicy::Greedy), sim_seed, &tenant_evs, None);
+        let instr = (s.trace_hash(), s.admitted + s.queue_admitted, s.rejected, s.migrations);
         prop_assert_eq!(bare, instr, "instrumented run diverged");
     }
 }
@@ -173,20 +233,22 @@ fn fault_events(stream_seed: u64, net_seed: u64, n: usize) -> Vec<ServiceEvent> 
     merge_events(tenants, network)
 }
 
+/// The fault-laden runs' config: [`service_cfg`]'s greedy service with
+/// drift re-measurement every 10 s.
+fn fault_cfg() -> OnlineConfig {
+    OnlineConfig {
+        drift: DriftConfig { cadence: Some(10 * SECS), ..Default::default() },
+        ..service_cfg(PlacementPolicy::Greedy)
+    }
+}
+
 /// Run a full service over a merged tenant + network stream with drift
 /// re-measurement on, checking the safety invariants after every event,
 /// and return the trajectory digest plus headline counters.
 fn run_checked_faults(seed: u64, evs: &[ServiceEvent]) -> (u64, u64, u64, u64) {
     let topo = Arc::new(test_tree());
     let routes = Arc::new(RouteTable::new(&topo));
-    let cfg = OnlineConfig {
-        candidate_hosts: 8,
-        queue_capacity: 4,
-        migration: MigrationConfig { cadence: Some(15 * SECS), ..Default::default() },
-        drift: DriftConfig { cadence: Some(10 * SECS), ..Default::default() },
-        ..Default::default()
-    };
-    let mut svc = SchedulerBuilder::new(topo, routes).config(cfg).seed(seed).build();
+    let mut svc = SchedulerBuilder::new(topo, routes).config(fault_cfg()).seed(seed).build();
     for (i, ev) in evs.iter().enumerate() {
         svc.service_step(ev);
         check_after_event(&mut svc, i);
@@ -213,6 +275,30 @@ proptest! {
         let b = run_checked_faults(7, &evs);
         prop_assert_eq!(a, b, "same streams + seed must replay bit-identically");
         prop_assert!(a.1 > 0, "network events must have been consumed");
+    }
+}
+
+#[test]
+fn exported_counters_equal_the_ledger_after_every_call() {
+    // A fault-laden stream with drift re-measurement on, about one
+    // arrival in seven delivered twice, a one-slot wait queue and a
+    // forced pass every 40 events, so that every exported counter moves:
+    // the check after each call must see each one published, not merely
+    // present.
+    let mut evs = Vec::new();
+    for (i, ev) in fault_events(3, 5, 1000).into_iter().enumerate() {
+        let resend = match &ev {
+            ServiceEvent::Tenant(t) if matches!(t.kind, TenantEventKind::Arrive { .. }) => {
+                (i % 7 == 0).then(|| ev.clone())
+            }
+            _ => None,
+        };
+        evs.push(ev);
+        evs.extend(resend);
+    }
+    let s = run_instrumented(OnlineConfig { queue_capacity: 1, ..fault_cfg() }, 7, &evs, Some(40));
+    for (name, field) in EXPORTED_COUNTERS {
+        assert!(field(&s) > 0, "{name} never moved, so its check proves nothing");
     }
 }
 
