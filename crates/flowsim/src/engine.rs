@@ -1061,8 +1061,9 @@ impl FlowSim {
     ///
     /// Mutations only mark the state dirty; the solve runs here, called
     /// by the readers of `rates` alone — [`FlowSim::rate_bps`], the probe
-    /// log, the cold-solve check, [`FlowSim::run_to_completion`] and the
-    /// two rate reads of [`FlowSim::run_until`] — so however many
+    /// log, the cold-solve check, the completion search of
+    /// [`FlowSim::run_to_completion`] and the two rate reads of
+    /// [`FlowSim::run_until`] — so however many
     /// mutations land between two reads, they cost one solve.
     ///
     /// The arena already reflects every start/stop, so this is a single
@@ -1264,31 +1265,20 @@ impl FlowSim {
     /// Panics if no progress is possible (e.g. an active flow with rate 0
     /// and no pending events), which indicates a modelling bug.
     pub fn run_to_completion(&mut self) -> Nanos {
-        loop {
-            // Maintained at creation/retirement, so the check is O(1)
-            // instead of a scan over all-time flow records per step.
-            if self.unfinished_bounded == 0 {
-                return self.now;
-            }
+        // Maintained at creation/retirement, so the check is O(1) instead
+        // of a scan over all-time flow records per step.
+        while self.unfinished_bounded > 0 {
+            // The completion search reads rates, so it needs the solve.
             self.reallocate_if_dirty();
             let next_ev = self.events.peek().map(|Reverse(e)| e.at);
-            let next_done = self.next_completion();
-            let target = [next_ev, next_done]
+            let target = [next_ev, self.next_completion()]
                 .into_iter()
                 .flatten()
                 .min()
                 .expect("no events and no completions but flows unfinished");
-            self.integrate(target - self.now);
-            self.now = target;
-            self.finish_completed();
-            while let Some(Reverse(e)) = self.events.peek() {
-                if e.at > self.now {
-                    break;
-                }
-                let Reverse(e) = self.events.pop().expect("peeked");
-                self.dispatch(e.ev);
-            }
+            self.run_until(target);
         }
+        self.now
     }
 }
 

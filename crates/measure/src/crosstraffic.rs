@@ -6,8 +6,6 @@
 //! the bottleneck is equivalent to `c = c₁/c₂ − 1` backlogged TCP
 //! connections. `c` measures *load*, not discrete connections (§3.2).
 
-use choreo_topology::Nanos;
-
 /// Point estimate `c = c₁/c₂ − 1` (clamped at 0 when the observation
 /// exceeds the nominal path rate).
 pub fn cross_traffic_estimate(observed_bps: f64, path_rate_bps: f64) -> f64 {
@@ -16,40 +14,6 @@ pub fn cross_traffic_estimate(observed_bps: f64, path_rate_bps: f64) -> f64 {
         return f64::INFINITY; // starved connection: unbounded load
     }
     (path_rate_bps / observed_bps - 1.0).max(0.0)
-}
-
-/// Convert a sampled throughput series (as produced by a 10 ms sampler on
-/// the foreground connection) into a cross-traffic series.
-pub fn cross_traffic_series(samples: &[(Nanos, f64)], path_rate_bps: f64) -> Vec<(Nanos, f64)> {
-    samples.iter().map(|&(t, bps)| (t, cross_traffic_estimate(bps, path_rate_bps))).collect()
-}
-
-/// Estimate `c` *and* the unknown path rate from the two-step probe the
-/// paper describes: measure one connection alone (`r1`), then per-connection
-/// throughput with two concurrent connections (`r2_each`).
-///
-/// With `c` background connections on a path of rate `R`:
-/// `r1 = R/(c+1)` and `r2_each = R/(c+2)`, so
-/// `c = (2·r2 − r1)/(r1 − r2)` and `R = r1·(c+1)`.
-///
-/// Returns `None` when `r1 ≤ r2_each` (no congestion signal — the second
-/// connection did not dent the first, so the bottleneck is elsewhere).
-pub fn estimate_c_unknown_rate(r1: f64, r2_each: f64) -> Option<(f64, f64)> {
-    if !(r1 > 0.0 && r2_each > 0.0) || r1 <= r2_each {
-        return None;
-    }
-    let c = ((2.0 * r2_each - r1) / (r1 - r2_each)).max(0.0);
-    let rate = r1 * (c + 1.0);
-    Some((c, rate))
-}
-
-/// Round a load estimate to the nearest whole number of equivalent
-/// connections (what Fig. 4 plots).
-pub fn round_connections(c: f64) -> u32 {
-    if !c.is_finite() {
-        return u32::MAX;
-    }
-    c.round().max(0.0) as u32
 }
 
 #[cfg(test)]
@@ -61,7 +25,6 @@ mod tests {
         // §3.2: path rate 1 Gbit/s, our connection sees 250 Mbit/s -> 3.
         let c = cross_traffic_estimate(250e6, 1e9);
         assert!((c - 3.0).abs() < 1e-12);
-        assert_eq!(round_connections(c), 3);
     }
 
     #[test]
@@ -74,35 +37,6 @@ mod tests {
     #[test]
     fn starved_connection_is_infinite_load() {
         assert!(cross_traffic_estimate(0.0, 1e9).is_infinite());
-        assert_eq!(round_connections(f64::INFINITY), u32::MAX);
-    }
-
-    #[test]
-    fn series_maps_samples() {
-        let samples = vec![(0, 1e9), (10_000_000, 500e6), (20_000_000, 250e6)];
-        let cs = cross_traffic_series(&samples, 1e9);
-        let vals: Vec<f64> = cs.iter().map(|&(_, c)| c).collect();
-        assert!((vals[0] - 0.0).abs() < 1e-12);
-        assert!((vals[1] - 1.0).abs() < 1e-12);
-        assert!((vals[2] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unknown_rate_recovers_both_parameters() {
-        // Ground truth: R = 1 Gbit/s, c = 1 background connection.
-        let r1 = 1e9 / 2.0; // R/(c+1)
-        let r2 = 1e9 / 3.0; // R/(c+2)
-        let (c, rate) = estimate_c_unknown_rate(r1, r2).expect("solvable");
-        assert!((c - 1.0).abs() < 1e-9, "c = {c}");
-        assert!((rate - 1e9).abs() < 1.0, "rate = {rate}");
-    }
-
-    #[test]
-    fn unknown_rate_with_no_contention_returns_none() {
-        // Second connection did not dent the first: hose elsewhere.
-        assert!(estimate_c_unknown_rate(500e6, 500e6).is_none());
-        assert!(estimate_c_unknown_rate(500e6, 600e6).is_none());
-        assert!(estimate_c_unknown_rate(0.0, 0.0).is_none());
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod snapshot;
 pub mod stability;
 
 pub use bottleneck::{interferes, BottleneckSurvey, InterferenceTest};
-pub use crosstraffic::{cross_traffic_estimate, cross_traffic_series, estimate_c_unknown_rate};
+pub use crosstraffic::cross_traffic_estimate;
 pub use estimator::{estimate_from_report, measurement_time, TrainEstimate};
 pub use snapshot::{MeasureBackend, NetworkSnapshot, RateModel};
 pub use stability::{cdf, StabilitySeries};

@@ -11,6 +11,12 @@
 //! * [`Histogram`] — fixed upper-bound buckets with cumulative counts,
 //!   sum and count (placement latency).
 //!
+//! A labeled metric is a fixed set of gauges:
+//! [`Registry::labeled_gauges`] registers one gauge per value of a
+//! single label, all known at construction, so every series is exported
+//! from the start and an update indexes a `Vec` instead of looking a
+//! label up.
+//!
 //! Every instrument is a cheap [`Arc`]-backed handle: the service loop
 //! keeps typed handles on its hot path and the registry keeps clones for
 //! rendering, so recording a sample is one or two atomic operations and
@@ -18,11 +24,10 @@
 //! format (`# HELP` / `# TYPE` / samples, histograms with `le` buckets
 //! and `+Inf`), suitable for a `/metrics` endpoint byte-for-byte.
 //!
-//! Labeled series and phase timing live in the companion modules:
-//! [`family`] adds bounded-cardinality label sets ([`Family`] /
-//! [`LabelSet`]), [`span`] adds the hot-path stopwatch API (no-op until
-//! a recorder is installed), and [`parse`] re-parses the exposition for
-//! conformance testing.
+//! Phase timing and conformance live in the companion modules: [`span`]
+//! adds the hot-path stopwatch API (no-op until a recorder is
+//! installed), and [`parse`] re-parses the exposition for conformance
+//! testing.
 //!
 //! Metrics are **observational only**: nothing in the deterministic
 //! service trajectory reads them back, so wall-clock-derived samples
@@ -32,12 +37,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-pub mod family;
 pub mod parse;
 pub mod span;
-
-pub use family::{Family, LabelSet};
-use family::{FamilyMetric, RenderableFamily};
 
 /// A monotonically increasing counter.
 #[derive(Clone, Debug, Default)]
@@ -130,19 +131,6 @@ impl Histogram {
         }
     }
 
-    /// `count` bounds growing geometrically from `start` by `factor`
-    /// (the usual latency-bucket shape).
-    pub fn exponential(start: f64, factor: f64, count: usize) -> Histogram {
-        assert!(start > 0.0 && factor > 1.0 && count >= 1);
-        let mut bounds = Vec::with_capacity(count);
-        let mut b = start;
-        for _ in 0..count {
-            bounds.push(b);
-            b *= factor;
-        }
-        Histogram::new(bounds)
-    }
-
     /// Record one observation.
     pub fn observe(&self, v: f64) {
         let i = self.inner.bounds.partition_point(|&b| b < v);
@@ -173,62 +161,39 @@ impl Histogram {
         f64::from_bits(self.inner.sum_bits.load(Ordering::Relaxed))
     }
 
-    /// Bucket-resolution quantile estimate: the smallest bucket upper
-    /// bound covering fraction `q` of the observations. A quantile that
-    /// resolves into the `+Inf` tail bucket reports [`f64::INFINITY`] —
-    /// the histogram genuinely cannot bound it, and reporting the
-    /// largest finite bound instead would silently flatter the tail.
-    /// `None` before any observation.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q));
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = (q * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.inner.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                return Some(match self.inner.bounds.get(i) {
-                    Some(&bound) => bound,
-                    None => f64::INFINITY,
-                });
-            }
-        }
-        Some(f64::INFINITY)
-    }
-
     /// Append this histogram's cumulative prometheus sample lines.
-    /// `labels` is the pre-rendered `k="v",...` list without braces
-    /// (empty for an unlabeled histogram); `le` composes after it.
-    pub(crate) fn render_samples(&self, name: &str, labels: &str, out: &mut String) {
-        let sep = if labels.is_empty() { "" } else { "," };
+    fn render_samples(&self, name: &str, out: &mut String) {
         let mut cumulative = 0u64;
         for (i, bound) in self.inner.bounds.iter().enumerate() {
             cumulative += self.inner.buckets[i].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "{name}_bucket{{{labels}{sep}le=\"{}\"}} {cumulative}\n",
-                fmt_f64(*bound)
-            ));
+            out.push_str(&format!("{name}_bucket{{le=\"{}\"}} {cumulative}\n", fmt_f64(*bound)));
         }
         cumulative += self.inner.buckets[self.inner.bounds.len()].load(Ordering::Relaxed);
-        out.push_str(&format!("{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}\n"));
-        if labels.is_empty() {
-            out.push_str(&format!("{name}_sum {}\n", fmt_f64(self.sum())));
-            out.push_str(&format!("{name}_count {}\n", self.count()));
-        } else {
-            out.push_str(&format!("{name}_sum{{{labels}}} {}\n", fmt_f64(self.sum())));
-            out.push_str(&format!("{name}_count{{{labels}}} {}\n", self.count()));
-        }
+        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
+        out.push_str(&format!("{name}_sum {}\n", fmt_f64(self.sum())));
+        out.push_str(&format!("{name}_count {}\n", self.count()));
     }
+}
+
+/// `count` histogram bounds growing geometrically from `start`, each the
+/// previous one times `factor` (the usual latency-bucket shape).
+pub fn geometric_bounds(start: f64, factor: f64, count: usize) -> Vec<f64> {
+    let mut bounds = Vec::with_capacity(count);
+    let mut b = start;
+    for _ in 0..count {
+        bounds.push(b);
+        b *= factor;
+    }
+    bounds
 }
 
 enum Instrument {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
-    Family(Box<dyn RenderableFamily>),
+    /// One gauge per label value, each with its sample-line prefix
+    /// (`name{label="value"}`) rendered once at registration.
+    LabeledGauges(Vec<(String, Gauge)>),
 }
 
 struct Entry {
@@ -281,44 +246,24 @@ impl Registry {
         h
     }
 
-    /// Register and return a labeled counter family holding at most
-    /// `max_series` distinct label sets (overflow folds into an `other`
-    /// series — see [`family`]).
-    pub fn counter_family<L: LabelSet>(
+    /// Register one gauge per label value, rendered as the series
+    /// `name{label="value"}` under a single `# TYPE name gauge` header,
+    /// in the order given; `values` must be distinct. Returns the gauges
+    /// in that order; every series is exported from registration on.
+    pub fn labeled_gauges(
         &self,
         name: &str,
         help: &str,
-        max_series: usize,
-    ) -> Family<L, Counter> {
-        let f = Family::new(max_series, Counter::new);
-        self.push(name, help, Instrument::Family(Box::new(f.clone())));
-        f
-    }
-
-    /// Register and return a labeled gauge family.
-    pub fn gauge_family<L: LabelSet>(
-        &self,
-        name: &str,
-        help: &str,
-        max_series: usize,
-    ) -> Family<L, Gauge> {
-        let f = Family::new(max_series, Gauge::new);
-        self.push(name, help, Instrument::Family(Box::new(f.clone())));
-        f
-    }
-
-    /// Register and return a labeled histogram family; every series
-    /// shares `bounds`.
-    pub fn histogram_family<L: LabelSet>(
-        &self,
-        name: &str,
-        help: &str,
-        bounds: Vec<f64>,
-        max_series: usize,
-    ) -> Family<L, Histogram> {
-        let f = Family::new(max_series, move || Histogram::new(bounds.clone()));
-        self.push(name, help, Instrument::Family(Box::new(f.clone())));
-        f
+        label: &str,
+        values: impl IntoIterator<Item = String>,
+    ) -> Vec<Gauge> {
+        let series: Vec<(String, Gauge)> = values
+            .into_iter()
+            .map(|v| (format!("{name}{{{label}=\"{}\"}}", escape_label(&v)), Gauge::new()))
+            .collect();
+        let gauges = series.iter().map(|(_, g)| g.clone()).collect();
+        self.push(name, help, Instrument::LabeledGauges(series));
+        gauges
     }
 
     /// Render every metric in the prometheus text exposition format.
@@ -335,22 +280,20 @@ impl Registry {
             out.push_str(&e.name);
             match &e.instrument {
                 Instrument::Counter(c) => {
-                    out.push_str(" counter\n");
-                    c.render_series(&e.name, "", &mut out);
+                    out.push_str(&format!(" counter\n{} {}\n", e.name, c.get()));
                 }
                 Instrument::Gauge(g) => {
-                    out.push_str(" gauge\n");
-                    g.render_series(&e.name, "", &mut out);
+                    out.push_str(&format!(" gauge\n{} {}\n", e.name, fmt_f64(g.get())));
                 }
                 Instrument::Histogram(h) => {
                     out.push_str(" histogram\n");
-                    h.render_samples(&e.name, "", &mut out);
+                    h.render_samples(&e.name, &mut out);
                 }
-                Instrument::Family(f) => {
-                    out.push(' ');
-                    out.push_str(f.type_name());
-                    out.push('\n');
-                    f.render(&e.name, &mut out);
+                Instrument::LabeledGauges(series) => {
+                    out.push_str(" gauge\n");
+                    for (prefix, g) in series {
+                        out.push_str(&format!("{prefix} {}\n", fmt_f64(g.get())));
+                    }
                 }
             }
         }
@@ -418,32 +361,32 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_resolve_to_bucket_bounds() {
-        let h = Histogram::exponential(1.0, 2.0, 8); // 1, 2, 4, ..., 128
-        assert_eq!(h.quantile(0.5), None, "no observations yet");
-        for _ in 0..90 {
-            h.observe(1.5); // le=2 bucket
-        }
-        for _ in 0..10 {
-            h.observe(100.0); // le=128 bucket
-        }
-        assert_eq!(h.quantile(0.5), Some(2.0));
-        assert_eq!(h.quantile(0.99), Some(128.0));
+    fn geometric_bounds_multiply_from_the_start() {
+        assert_eq!(geometric_bounds(1.0, 2.0, 4), vec![1.0, 2.0, 4.0, 8.0]);
+        let b = geometric_bounds(1e-6, 2.0, 20);
+        assert_eq!(b.len(), 20);
+        assert!(b.windows(2).all(|w| w[1] == w[0] * 2.0));
     }
 
     #[test]
-    fn quantiles_in_the_tail_bucket_report_infinity() {
-        // Observations beyond the last finite bound land in the +Inf
-        // bucket; a quantile resolving there must say "unbounded", not
-        // flatter the tail with the largest finite bound.
-        let h = Histogram::new(vec![1.0, 2.0]);
-        for _ in 0..9 {
-            h.observe(0.5);
-        }
-        h.observe(1e9);
-        assert_eq!(h.quantile(0.5), Some(1.0));
-        assert_eq!(h.quantile(0.99), Some(f64::INFINITY));
-        assert_eq!(h.quantile(1.0), Some(f64::INFINITY));
+    fn labeled_gauges_render_every_series_in_registration_order() {
+        let r = Registry::new();
+        let g =
+            r.labeled_gauges("lost", "Lost by pod", "pod", ["10", "9", "spine"].map(String::from));
+        g[1].set(0.5);
+        let text = r.render();
+        assert_eq!(
+            text,
+            "# HELP lost Lost by pod\n# TYPE lost gauge\n\
+             lost{pod=\"10\"} 0\nlost{pod=\"9\"} 0.5\nlost{pod=\"spine\"} 0\n"
+        );
+    }
+
+    #[test]
+    fn label_values_are_escaped() {
+        let r = Registry::new();
+        r.labeled_gauges("m", "", "raw", ["a\\b\"c\nd".to_string()])[0].set(1.0);
+        assert!(r.render().ends_with("m{raw=\"a\\\\b\\\"c\\nd\"} 1\n"));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
-use crate::{Histogram, Registry};
+use crate::{geometric_bounds, Histogram, Registry};
 
 /// Receives span samples. Implementations must be cheap and lock-light:
 /// the hot path calls them synchronously.
@@ -99,28 +99,6 @@ pub fn value(phase: &'static str, v: f64) {
     }
 }
 
-/// Stopwatch bounds: 100 ns … ~1.7 s, ×4 per bucket.
-fn seconds_bounds() -> Vec<f64> {
-    let mut bounds = Vec::with_capacity(13);
-    let mut b = 1e-7;
-    for _ in 0..13 {
-        bounds.push(b);
-        b *= 4.0;
-    }
-    bounds
-}
-
-/// Value bounds: 1 … 32768, ×2 per bucket (sizes, depths, fan-outs).
-fn value_bounds() -> Vec<f64> {
-    let mut bounds = Vec::with_capacity(16);
-    let mut b = 1.0;
-    for _ in 0..16 {
-        bounds.push(b);
-        b *= 2.0;
-    }
-    bounds
-}
-
 /// The standard recorder: per-phase histograms lazily registered on a
 /// [`Registry`] under `choreo_span_{phase}_seconds` (stopwatches) and
 /// `choreo_span_{phase}` (value samples).
@@ -151,7 +129,8 @@ impl SpanRecorder for RegistrySpans {
                     self.registry.histogram(
                         &format!("choreo_span_{phase}_seconds"),
                         "Wall-clock seconds spent in this phase",
-                        seconds_bounds(),
+                        // 100 ns … ~1.7 s.
+                        geometric_bounds(1e-7, 4.0, 13),
                     )
                 })
                 .clone()
@@ -168,7 +147,8 @@ impl SpanRecorder for RegistrySpans {
                     self.registry.histogram(
                         &format!("choreo_span_{phase}"),
                         "Per-occurrence size/depth/fan-out samples for this phase",
-                        value_bounds(),
+                        // 1 … 32768.
+                        geometric_bounds(1.0, 2.0, 16),
                     )
                 })
                 .clone()

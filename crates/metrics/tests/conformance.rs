@@ -4,21 +4,8 @@
 //! values (including every character the format escapes), and random
 //! observations.
 
-use choreo_metrics::{parse, Family, LabelSet, Registry};
+use choreo_metrics::{parse, Registry};
 use proptest::prelude::*;
-
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct TwoLabels(String, String);
-
-impl LabelSet for TwoLabels {
-    fn label_names() -> &'static [&'static str] {
-        &["kind", "detail"]
-    }
-
-    fn label_values(&self) -> Vec<String> {
-        vec![self.0.clone(), self.1.clone()]
-    }
-}
 
 /// Label-value alphabet: the full escape surface (backslash, quote,
 /// newline) plus the structural characters a sloppy renderer would trip
@@ -38,16 +25,28 @@ fn label_value(mut pick: u64) -> String {
     out
 }
 
+/// The distinct label values picked by `series`, in first-pick order.
+fn distinct_values(series: &[(u64, u32)]) -> Vec<String> {
+    let mut values: Vec<String> = Vec::new();
+    for (pick, _) in series {
+        let v = label_value(*pick);
+        if !values.contains(&v) {
+            values.push(v);
+        }
+    }
+    values
+}
+
 // One registered metric per spec tuple: `(kind, help_pick, series)`
-// where each series entry is `(label_pick_a, label_pick_b, amount)`.
-const N_KINDS: u8 = 6;
+// where each series entry is `(label_pick, amount)`.
+const N_KINDS: u8 = 4;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(proptest::resolve_cases(48)))]
     #[test]
     fn rendered_expositions_conform_and_round_trip(
         specs in prop::collection::vec(
-            (0u8..N_KINDS, any::<u64>(), prop::collection::vec((any::<u64>(), any::<u64>(), 0u32..100), 1..5)),
+            (0u8..N_KINDS, any::<u64>(), prop::collection::vec((any::<u64>(), 0u32..100), 1..5)),
             1..8,
         ),
     ) {
@@ -56,31 +55,18 @@ proptest! {
             let name = format!("metric_{i}_total");
             let help = HELP_PARTS[(help_pick % HELP_PARTS.len() as u64) as usize];
             match kind {
-                0 => r.counter(&name, help).inc_by(series[0].2 as u64),
-                1 => r.gauge(&name, help).set(series[0].2 as f64 / 8.0 - 3.0),
+                0 => r.counter(&name, help).inc_by(series[0].1 as u64),
+                1 => r.gauge(&name, help).set(series[0].1 as f64 / 8.0 - 3.0),
                 2 => {
                     let h = r.histogram(&name, help, vec![1.0, 10.0, 100.0]);
-                    for (_, _, v) in series {
+                    for (_, v) in series {
                         h.observe(*v as f64);
                     }
                 }
-                3 => {
-                    let f: Family<TwoLabels, _> = r.counter_family(&name, help, 3);
-                    for (a, b, n) in series {
-                        f.get(&TwoLabels(label_value(*a), label_value(*b))).inc_by(*n as u64);
-                    }
-                }
-                4 => {
-                    let f: Family<TwoLabels, _> = r.gauge_family(&name, help, 3);
-                    for (a, b, v) in series {
-                        f.get(&TwoLabels(label_value(*a), label_value(*b))).set(*v as f64 / 4.0);
-                    }
-                }
                 _ => {
-                    let f: Family<TwoLabels, _> =
-                        r.histogram_family(&name, help, vec![1.0, 50.0], 3);
-                    for (a, b, v) in series {
-                        f.get(&TwoLabels(label_value(*a), label_value(*b))).observe(*v as f64);
+                    let gauges = r.labeled_gauges(&name, help, "detail", distinct_values(series));
+                    for (gauge, (_, v)) in gauges.iter().zip(series) {
+                        gauge.set(*v as f64 / 4.0);
                     }
                 }
             }
@@ -101,55 +87,26 @@ proptest! {
             match kind {
                 0 => {
                     prop_assert_eq!(fam.samples.len(), 1);
-                    prop_assert_eq!(fam.samples[0].value, series[0].2 as f64);
+                    prop_assert_eq!(fam.samples[0].value, series[0].1 as f64);
                 }
                 1 => {
-                    prop_assert_eq!(fam.samples[0].value, series[0].2 as f64 / 8.0 - 3.0);
+                    prop_assert_eq!(fam.samples[0].value, series[0].1 as f64 / 8.0 - 3.0);
                 }
                 2 => {
                     let count =
                         fam.samples.iter().find(|s| s.name.ends_with("_count")).expect("_count");
                     prop_assert_eq!(count.value, series.len() as f64);
                 }
-                3 => {
-                    // Distinct label sets, capped by the family bound of
-                    // 3 (+1 for the `other` overflow series beyond it).
-                    let mut keys: Vec<(String, String)> = series
-                        .iter()
-                        .map(|(a, b, _)| (label_value(*a), label_value(*b)))
-                        .collect();
-                    keys.sort();
-                    keys.dedup();
-                    let expected = if keys.len() > 3 { 4 } else { keys.len() };
-                    prop_assert_eq!(fam.samples.len(), expected, "bounded cardinality");
-                    let total: f64 = fam.samples.iter().map(|s| s.value).sum();
-                    let recorded: u32 = series.iter().map(|(_, _, n)| n).sum();
-                    prop_assert_eq!(total, recorded as f64, "no count lost to overflow folding");
-                    // Within the bound, every label value survives the
-                    // escape → unescape round trip.
-                    if keys.len() <= 3 {
-                        for (a, b) in &keys {
-                            prop_assert!(
-                                fam.samples.iter().any(|s| {
-                                    s.label("kind") == Some(a.as_str())
-                                        && s.label("detail") == Some(b.as_str())
-                                }),
-                                "series {:?} lost its labels in\n{}", (a, b), text
-                            );
-                        }
-                    }
-                }
-                4 => {
-                    prop_assert!(!fam.samples.is_empty());
-                }
                 _ => {
-                    let total: f64 = fam
-                        .samples
-                        .iter()
-                        .filter(|s| s.name.ends_with("_count"))
-                        .map(|s| s.value)
-                        .sum();
-                    prop_assert_eq!(total, series.len() as f64, "family histogram count");
+                    // One series per distinct value, in registration
+                    // order, every value back through escape → unescape.
+                    prop_assert_eq!(fam.kind.as_str(), "gauge");
+                    let values = distinct_values(series);
+                    prop_assert_eq!(fam.samples.len(), values.len());
+                    for ((sample, value), (_, v)) in fam.samples.iter().zip(&values).zip(series) {
+                        prop_assert_eq!(&sample.labels, &vec![("detail".to_string(), value.clone())]);
+                        prop_assert_eq!(sample.value, *v as f64 / 4.0, "{}", text);
+                    }
                 }
             }
         }
@@ -158,13 +115,32 @@ proptest! {
 
 #[test]
 fn live_service_shaped_exposition_validates() {
-    // The same shape the service registers: plain instruments plus every
-    // family kind, rendered and validated end to end.
+    // The shape the service registers: plain instruments plus its two
+    // labeled gauges (8 tenant buckets; a pod per index, then the spine),
+    // rendered and validated end to end.
     let r = Registry::new();
     r.counter("choreo_service_events_total", "Tenant events consumed").inc();
     r.gauge("choreo_queue_depth", "Tenants waiting").set(3.0);
     r.histogram("choreo_placement_latency_seconds", "Latency", vec![1e-6, 1e-3, 1.0]).observe(2e-4);
-    let f: Family<TwoLabels, _> = r.counter_family("choreo_outcomes_total", "By outcome", 8);
-    f.get(&TwoLabels("admitted".into(), "arrival".into())).inc();
-    parse::validate(&r.render()).expect("service-shaped exposition conforms");
+    let slo = r.labeled_gauges(
+        "choreo_tenant_slo_attainment",
+        "By tenant-id bucket",
+        "tenant_bucket",
+        (0..8).map(|b: u32| b.to_string()),
+    );
+    slo[5].set(0.5);
+    let pods = r.labeled_gauges(
+        "choreo_pod_capacity_lost_fraction",
+        "By pod",
+        "pod",
+        (0..12).map(|p: u32| p.to_string()).chain(["spine".to_string()]),
+    );
+    pods[12].set(0.25);
+    let families = parse::validate(&r.render()).expect("service-shaped exposition conforms");
+    let pod_labels: Vec<&str> =
+        families[4].samples.iter().map(|s| s.label("pod").expect("pod label")).collect();
+    assert_eq!(pod_labels, ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "spine"]);
+    assert_eq!(families[4].samples[12].value, 0.25);
+    assert_eq!(families[3].samples.len(), 8);
+    assert_eq!(families[3].samples[5].value, 0.5);
 }

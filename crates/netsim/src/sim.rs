@@ -342,11 +342,6 @@ impl Sim {
         rtt
     }
 
-    /// Shaper backlog in bytes (diagnostics).
-    pub fn shaper_backlog(&self, id: ShaperId) -> u64 {
-        self.shapers[id.0 as usize].backlog_bytes()
-    }
-
     // ------------------------------------------------------------ mechanics
 
     fn loopback_index(&self, host: NodeId) -> usize {

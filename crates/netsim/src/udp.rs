@@ -117,11 +117,6 @@ impl TrainState {
         }
     }
 
-    /// True when the sender has emitted every burst.
-    pub fn all_sent(&self) -> bool {
-        self.next_burst >= self.config.bursts
-    }
-
     /// Snapshot the receiver-side report.
     pub fn report(&self) -> TrainReport {
         TrainReport {

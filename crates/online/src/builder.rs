@@ -33,7 +33,8 @@ pub struct SchedulerBuilder {
     pub(crate) routes: Arc<RouteTable>,
     pub(crate) cfg: OnlineConfig,
     pub(crate) seed: u64,
-    pub(crate) metrics: ServiceMetrics,
+    /// Registered handles; `None` builds detached ones.
+    pub(crate) metrics: Option<ServiceMetrics>,
     pub(crate) trace_capacity: usize,
 }
 
@@ -46,7 +47,7 @@ impl SchedulerBuilder {
             routes,
             cfg: OnlineConfig::default(),
             seed: 0,
-            metrics: ServiceMetrics::detached(),
+            metrics: None,
             trace_capacity: 256,
         }
     }
@@ -68,7 +69,7 @@ impl SchedulerBuilder {
     /// exposition). Without this the scheduler records into detached
     /// handles and publishes no counters.
     pub fn metrics_registry(mut self, registry: &Registry) -> SchedulerBuilder {
-        self.metrics = ServiceMetrics::registered(registry);
+        self.metrics = Some(ServiceMetrics::registered(registry, &self.topo));
         self
     }
 

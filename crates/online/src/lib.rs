@@ -92,7 +92,7 @@ pub mod stats;
 
 pub use builder::SchedulerBuilder;
 pub use config::{DriftConfig, MigrationConfig, OnlineConfig, PlacementPolicy};
-pub use metrics::{PodLabel, ServiceMetrics, TenantBucket, TENANT_BUCKETS};
+pub use metrics::{ServiceMetrics, TENANT_BUCKETS};
 pub use scheduler::OnlineScheduler;
 pub use stats::{Cause, Decision, DecisionKind, RejectReason, ServiceStats, TraceRing};
 
@@ -382,7 +382,6 @@ mod tests {
 
     #[test]
     fn pod_gauges_hold_the_bits_of_the_from_scratch_breakdown() {
-        use crate::metrics::PodLabel;
         use choreo_profile::{NetworkEvent, NetworkEventKind};
         use choreo_topology::{MultiRootedTreeSpec, PodPartition};
         // The gauges refresh off precomputed link buckets; after every
@@ -403,13 +402,35 @@ mod tests {
             let kind = kinds[i % kinds.len()];
             s.network_step(&NetworkEvent { at: i as u64, link, kind });
             s.sim_mut().pod_capacity_lost_fractions(&pods, &mut expect);
-            for (bucket, lost) in expect.iter().enumerate() {
-                let pod = if bucket == pods.n_pods() { u32::MAX } else { bucket as u32 };
-                let gauge = s.metrics().pod_capacity_lost.get(&PodLabel(pod)).get();
-                assert_eq!(gauge.to_bits(), lost.to_bits(), "event {i}, bucket {bucket}");
+            assert_eq!(s.metrics().pod_capacity_lost.len(), expect.len());
+            for (bucket, (gauge, lost)) in
+                s.metrics().pod_capacity_lost.iter().zip(&expect).enumerate()
+            {
+                assert_eq!(gauge.get().to_bits(), lost.to_bits(), "event {i}, bucket {bucket}");
             }
         }
         assert!(expect.iter().any(|&lost| lost > 0.0), "the events cut some capacity");
+    }
+
+    #[test]
+    fn an_emptied_tenant_bucket_reads_full_attainment() {
+        // 1-core hosts split the pair, so the tenant is networked.
+        let cfg = OnlineConfig { cores_per_host: 1.0, ..OnlineConfig::default() };
+        let mut s = service(cfg);
+        let k = 3;
+        s.step(&arrive(0, k, pair_app("victim", 1.0)));
+        let p = s.tenant_placement(k).expect("admitted").clone();
+        let hosts = s.sim_mut().topology().hosts().to_vec();
+        let (a, b) = (hosts[p.assignment[0] as usize], hosts[p.assignment[1] as usize]);
+        for _ in 0..7 {
+            s.sim_mut().start_flow_now(a, b, None, None, u64::MAX);
+        }
+        assert_eq!(s.slo_attainment(1.0), (0, 1), "congestion cut the tenant below baseline");
+        assert_eq!(s.metrics().tenant_slo[k as usize].get(), 0.0);
+        s.step(&TenantEvent { at: SECS, tenant: k, kind: TenantEventKind::Depart });
+        assert_eq!(s.slo_attainment(1.0), (0, 0));
+        assert_eq!(s.metrics().tenant_slo[k as usize].get(), 1.0, "no tenant left to miss its SLO");
+        assert!(s.metrics().tenant_slo.iter().all(|g| g.get() == 1.0));
     }
 
     #[test]

@@ -8,76 +8,33 @@
 //! [`crate::TraceRing::sync_from`] publishes decisions — so a scrape can
 //! never disagree with what the scheduler counted. The gauges and the
 //! placement-latency histogram are cheap atomic handles set on the spot.
+//! The two labeled gauges are fixed vectors built with the scheduler —
+//! [`TENANT_BUCKETS`] SLO buckets, and one series per pod of the
+//! topology plus the spine — so every series is exported from the
+//! start and a refresh indexes its gauge.
 //! Metrics are write-only from the service's point of view — nothing in
 //! the trajectory reads them back — so wall-clock-derived samples never
 //! perturb a run's trace digest, and a scheduler built without a
 //! registry ([`ServiceMetrics::detached`]) publishes nothing.
 
 use choreo_flowsim::FlowSim;
-use choreo_metrics::{Counter, Family, Gauge, Histogram, LabelSet, Registry};
+use choreo_metrics::{geometric_bounds, Counter, Gauge, Histogram, Registry};
 use choreo_topology::{PodPartition, Topology};
 
 use crate::stats::ServiceStats;
 
-/// Placement-latency histogram bounds: 1 µs … ~0.5 s, ×2 per bucket.
-fn latency_bounds() -> Vec<f64> {
-    let mut bounds = Vec::with_capacity(20);
-    let mut b = 1e-6;
-    for _ in 0..20 {
-        bounds.push(b);
-        b *= 2.0;
-    }
-    bounds
-}
-
-/// Tenant-id buckets on the per-tenant SLO gauge family: tenant `id`
-/// lands in bucket `id % TENANT_BUCKETS`. A fixed modulus keeps the
-/// series count independent of how many tenants a run admits.
+/// Tenant-id buckets of the per-tenant SLO gauges: tenant `id` lands in
+/// bucket `id % TENANT_BUCKETS`. A fixed modulus keeps the series count
+/// independent of how many tenants a run admits.
 pub const TENANT_BUCKETS: u64 = 8;
 
-/// `tenant_bucket="..."` label on `choreo_tenant_slo_attainment`; see
-/// [`TENANT_BUCKETS`] for the bucketing rule.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct TenantBucket(pub u8);
-
-impl LabelSet for TenantBucket {
-    fn label_names() -> &'static [&'static str] {
-        &["tenant_bucket"]
-    }
-
-    fn label_values(&self) -> Vec<String> {
-        vec![self.0.to_string()]
-    }
-}
-
-/// `pod="..."` label on `choreo_pod_capacity_lost_fraction`. Pods are
-/// numbered as in `choreo_topology::PodPartition`; `u32::MAX` is the
-/// shared spine (core links and pod uplinks) and renders as `"spine"`.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct PodLabel(pub u32);
-
-impl LabelSet for PodLabel {
-    fn label_names() -> &'static [&'static str] {
-        &["pod"]
-    }
-
-    fn label_values(&self) -> Vec<String> {
-        if self.0 == u32::MAX {
-            vec!["spine".to_string()]
-        } else {
-            vec![self.0.to_string()]
-        }
-    }
-}
-
-/// Refreshes the `choreo_pod_capacity_lost_fraction` family after a
+/// Refreshes the `choreo_pod_capacity_lost_fraction` gauges after a
 /// network event. Everything that does not change between events — which
-/// bucket each link falls in, each bucket's nominal capacity, the gauge
-/// handle of each bucket — is worked out once, so a refresh is one pass
-/// over the links and one `set` per bucket: no allocation, no
-/// `pod_of_link`, no family lookup. The sums run in link order, exactly
-/// as [`FlowSim::pod_capacity_lost_fractions`] runs them, so the gauges
-/// hold the same bits.
+/// bucket each link falls in and each bucket's nominal capacity — is
+/// worked out once, so a refresh is one pass over the links and one
+/// `set` per bucket: no allocation and no `pod_of_link`. The sums run in
+/// link order, exactly as [`FlowSim::pod_capacity_lost_fractions`] runs
+/// them, so the gauges hold the same bits.
 #[derive(Debug)]
 pub(crate) struct PodLossGauges {
     /// Per link: its bucket — the pod id, or `n_pods` for the spine.
@@ -86,9 +43,6 @@ pub(crate) struct PodLossGauges {
     nominal: Vec<f64>,
     /// Scratch: per-bucket current capacity.
     current: Vec<f64>,
-    /// Per-bucket series of the family, resolved by the first refresh so
-    /// a run without network events still exports an empty family.
-    gauges: Vec<Gauge>,
 }
 
 impl PodLossGauges {
@@ -106,25 +60,19 @@ impl PodLossGauges {
             })
             .collect();
         let current = vec![0.0; spine + 1];
-        PodLossGauges { link_bucket, nominal, current, gauges: Vec::new() }
+        PodLossGauges { link_bucket, nominal, current }
     }
 
-    /// Set every bucket's gauge from `sim`'s current link capacities.
-    pub(crate) fn refresh(&mut self, sim: &FlowSim, family: &Family<PodLabel, Gauge>) {
-        if self.gauges.is_empty() {
-            let spine = self.nominal.len() - 1;
-            self.gauges.extend((0..=spine).map(|bucket| {
-                family.get(&PodLabel(if bucket == spine { u32::MAX } else { bucket as u32 }))
-            }));
-        }
+    /// Set each bucket's gauge — `gauges[pod]`, the spine last — from
+    /// `sim`'s current link capacities.
+    pub(crate) fn refresh(&mut self, sim: &FlowSim, gauges: &[Gauge]) {
+        debug_assert_eq!(gauges.len(), self.nominal.len(), "one gauge per pod plus the spine");
         self.current.fill(0.0);
         for (l, &bucket) in self.link_bucket.iter().enumerate() {
             let fwd = 2 * l as u32;
             self.current[bucket as usize] += sim.capacity(fwd) + sim.capacity(fwd + 1);
         }
-        for ((gauge, &nominal), &current) in
-            self.gauges.iter().zip(&self.nominal).zip(&self.current)
-        {
+        for ((gauge, &nominal), &current) in gauges.iter().zip(&self.nominal).zip(&self.current) {
             let lost = if nominal <= 0.0 { 0.0 } else { ((nominal - current) / nominal).max(0.0) };
             gauge.set(lost);
         }
@@ -197,35 +145,39 @@ pub struct ServiceMetrics {
     /// currently lost to failures, degradations and drains
     /// (`choreo_capacity_lost_fraction`).
     pub capacity_lost: Gauge,
-    /// Per-tenant-bucket SLO attainment
-    /// (`choreo_tenant_slo_attainment`), refreshed alongside the
-    /// cluster-wide [`ServiceMetrics::slo_attainment`] gauge.
-    pub tenant_slo: Family<TenantBucket, Gauge>,
-    /// Per-pod capacity lost to failures, degradations and drains
-    /// (`choreo_pod_capacity_lost_fraction`); the `pod="spine"` series
-    /// covers core links and pod uplinks.
-    pub pod_capacity_lost: Family<PodLabel, Gauge>,
+    /// SLO attainment per tenant-id bucket, indexed by bucket
+    /// (`choreo_tenant_slo_attainment`, [`TENANT_BUCKETS`] gauges),
+    /// refreshed alongside the cluster-wide
+    /// [`ServiceMetrics::slo_attainment`] gauge.
+    pub tenant_slo: Vec<Gauge>,
+    /// Capacity lost to failures, degradations and drains per pod,
+    /// indexed as in `choreo_topology::PodPartition`, with the spine
+    /// (core links and pod uplinks) last
+    /// (`choreo_pod_capacity_lost_fraction`).
+    pub pod_capacity_lost: Vec<Gauge>,
 }
 
 impl ServiceMetrics {
-    /// Handles not exported anywhere — the default for library and
-    /// bench use.
-    pub fn detached() -> ServiceMetrics {
+    /// Handles for a scheduler over `topo`, not exported anywhere — the
+    /// default for library and bench use.
+    pub fn detached(topo: &Topology) -> ServiceMetrics {
+        let gauges = |n: usize| (0..n).map(|_| Gauge::new()).collect();
         ServiceMetrics {
             counters: Vec::new(),
             queue_depth: Gauge::new(),
             active_tenants: Gauge::new(),
-            placement_latency: Histogram::new(latency_bounds()),
+            placement_latency: Histogram::new(geometric_bounds(1e-6, 2.0, 20)),
             slo_attainment: Gauge::new(),
             capacity_lost: Gauge::new(),
-            tenant_slo: Family::new(TENANT_BUCKETS as usize, Gauge::new),
-            pod_capacity_lost: Family::new(64, Gauge::new),
+            tenant_slo: gauges(TENANT_BUCKETS as usize),
+            pod_capacity_lost: gauges(PodPartition::of(topo).n_pods() + 1),
         }
     }
 
-    /// Handles registered on `registry` under the `choreo_` name family,
-    /// ready for text exposition.
-    pub fn registered(registry: &Registry) -> ServiceMetrics {
+    /// Handles for a scheduler over `topo`, registered on `registry`
+    /// under the `choreo_` name family, ready for text exposition.
+    pub fn registered(registry: &Registry, topo: &Topology) -> ServiceMetrics {
+        let n_pods = PodPartition::of(topo).n_pods();
         ServiceMetrics {
             counters: COUNTERS
                 .iter()
@@ -233,10 +185,11 @@ impl ServiceMetrics {
                 .collect(),
             queue_depth: registry.gauge("choreo_queue_depth", "Tenants waiting for capacity"),
             active_tenants: registry.gauge("choreo_active_tenants", "Tenants admitted and running"),
+            // 1 µs … ~0.5 s.
             placement_latency: registry.histogram(
                 "choreo_placement_latency_seconds",
                 "Wall-clock seconds per admission placement attempt",
-                latency_bounds(),
+                geometric_bounds(1e-6, 2.0, 20),
             ),
             slo_attainment: registry.gauge(
                 "choreo_slo_attainment",
@@ -246,15 +199,17 @@ impl ServiceMetrics {
                 "choreo_capacity_lost_fraction",
                 "Fraction of nominal link capacity lost to failures and drains",
             ),
-            tenant_slo: registry.gauge_family(
+            tenant_slo: registry.labeled_gauges(
                 "choreo_tenant_slo_attainment",
                 "Fraction of running networked tenants meeting their SLO, by tenant-id bucket",
-                TENANT_BUCKETS as usize,
+                "tenant_bucket",
+                (0..TENANT_BUCKETS).map(|b| b.to_string()),
             ),
-            pod_capacity_lost: registry.gauge_family(
+            pod_capacity_lost: registry.labeled_gauges(
                 "choreo_pod_capacity_lost_fraction",
                 "Fraction of nominal link capacity lost to failures and drains, by pod",
-                64,
+                "pod",
+                (0..n_pods).map(|p| p.to_string()).chain(["spine".to_string()]),
             ),
         }
     }

@@ -18,7 +18,7 @@ use choreo_topology::{Nanos, NodeId};
 
 use crate::builder::SchedulerBuilder;
 use crate::config::{OnlineConfig, PlacementPolicy};
-use crate::metrics::{PodLossGauges, ServiceMetrics, TenantBucket};
+use crate::metrics::{PodLossGauges, ServiceMetrics};
 use crate::stats::{Cause, DecisionKind, RejectReason, ServiceStats};
 
 /// One admitted tenant's live state.
@@ -152,6 +152,7 @@ impl OnlineScheduler {
         let next_migration_at = cfg.migration.cadence.unwrap_or(Nanos::MAX);
         let next_measure_at = cfg.drift.cadence.unwrap_or(Nanos::MAX);
         let n_links = topo.links().len();
+        let metrics = metrics.unwrap_or_else(|| ServiceMetrics::detached(&topo));
         let pod_loss = PodLossGauges::new(&topo);
         OnlineScheduler {
             sim,
@@ -245,11 +246,11 @@ impl OnlineScheduler {
     /// SLO attainment snapshot: of the running tenants with at least one
     /// networked transfer, how many currently score at least `fraction`
     /// of their post-placement baseline? Refreshes the
-    /// `choreo_slo_attainment` gauge (1.0 when no tenant is networked)
-    /// and the per-tenant-bucket `choreo_tenant_slo_attainment` family
-    /// (only buckets that currently hold tenants), and returns
-    /// `(met, total)`. Read-only with respect to the trajectory: scores
-    /// come from the live allocation without touching the digest.
+    /// `choreo_slo_attainment` gauge and every per-tenant-bucket
+    /// `choreo_tenant_slo_attainment` gauge (each 1.0 when it covers no
+    /// networked tenant), and returns `(met, total)`. Read-only with
+    /// respect to the trajectory: scores come from the live allocation
+    /// without touching the digest.
     pub fn slo_attainment(&mut self, fraction: f64) -> (u64, u64) {
         assert!((0.0..=1.0).contains(&fraction), "SLO fraction must be in [0, 1]");
         let loopback = self.cfg.loopback.rate_bps;
@@ -266,13 +267,11 @@ impl OnlineScheduler {
                 bucket_met[bucket] += 1;
             }
         }
-        let attainment = if total == 0 { 1.0 } else { met as f64 / total as f64 };
-        self.metrics.slo_attainment.set(attainment);
-        for b in 0..NB {
-            if bucket_total[b] > 0 {
-                let frac = bucket_met[b] as f64 / bucket_total[b] as f64;
-                self.metrics.tenant_slo.get(&TenantBucket(b as u8)).set(frac);
-            }
+        let attainment =
+            |met: u64, total: u64| if total == 0 { 1.0 } else { met as f64 / total as f64 };
+        self.metrics.slo_attainment.set(attainment(met, total));
+        for (b, gauge) in self.metrics.tenant_slo.iter().enumerate() {
+            gauge.set(attainment(bucket_met[b], bucket_total[b]));
         }
         (met, total)
     }
@@ -406,8 +405,8 @@ impl OnlineScheduler {
         self.stats.decide(now, TenantId::MAX, DecisionKind::NetworkEvent, fraction);
         self.metrics.capacity_lost.set(self.sim.capacity_lost_fraction());
         // Per-pod breakdown. A failure-heavy stream is mostly network
-        // events, so the refresh runs off precomputed link buckets and
-        // resolved gauge handles (see [`PodLossGauges`]).
+        // events, so the refresh runs off precomputed link buckets (see
+        // [`PodLossGauges`]).
         self.pod_loss.refresh(&self.sim, &self.metrics.pod_capacity_lost);
         if matches!(ev.kind, NetworkEventKind::LinkFail) {
             // Failure-stranded tenants must not wait out the cadence:

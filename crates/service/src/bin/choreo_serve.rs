@@ -226,6 +226,7 @@ fn check_exposition(what: &str, text: &str) -> Result<(), String> {
         "choreo_drift_detected_total",
         "choreo_failure_migrations_total",
         "choreo_capacity_lost_fraction",
+        "choreo_pod_capacity_lost_fraction{pod=\"spine\"} ",
     ] {
         if !text.contains(needle) {
             return Err(format!("{what}: missing {needle} in exposition"));
@@ -247,6 +248,11 @@ fn check_exposition(what: &str, text: &str) -> Result<(), String> {
     }
     if sample("choreo_capacity_lost_fraction")? != 0.0 {
         return Err(format!("{what}: capacity still lost after recovery"));
+    }
+    for line in text.lines().filter(|l| l.starts_with("choreo_pod_capacity_lost_fraction{")) {
+        if line.rsplit_once(' ').and_then(|(_, v)| v.parse::<f64>().ok()) != Some(0.0) {
+            return Err(format!("{what}: pod capacity still lost after recovery: {line}"));
+        }
     }
     Ok(())
 }
