@@ -1,74 +1,35 @@
-//! The flow-level simulation engine.
+//! The flow-level simulation engine, split by invariant:
+//!
+//! - `mod.rs`: the [`FlowSim`] struct, its constructor, [`SolveStats`],
+//!   the queries and the two test hooks;
+//! - `records.rs`: keys, flow records and their recycling, the
+//!   slot-indexed columns, activation and retirement;
+//! - `run.rs`: the event heap, ON–OFF sources, `run_until`, integration,
+//!   completions and the one place a solve runs;
+//! - `probe.rs`: what-if probes and the per-walk fold memo;
+//! - `capacity.rs`: hoses, runtime capacity and the lost-capacity
+//!   fractions.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-use choreo_metrics::span;
-use choreo_topology::route::splitmix64;
-use choreo_topology::{LinkSpec, Nanos, NodeId, PodPartition, RouteTable, Topology, WalkId};
+use choreo_topology::{LinkSpec, Nanos, RouteTable, Topology};
 
-use crate::fairshare::{
-    fold_rate, max_min_rates, FlowArena, FlowSlot, Fold, MaxMinSolver, ProbeRecord,
-};
+use crate::fairshare::{max_min_rates, FlowArena, FlowSlot, MaxMinSolver, ProbeRecord};
 
-/// Handle to a flow in a [`FlowSim`].
-///
-/// The raw `u32` packs a **record index** (low `KEY_INDEX_BITS` bits)
-/// and a **generation stamp** (high bits). Retiring a flow and releasing
-/// its record ([`FlowSim::release_flow`]) bumps the record's generation,
-/// so any key minted before the release no longer matches: using it is a
-/// *checked* error (panic with a "stale FlowKey" message), never a silent
-/// read of whichever flow reused the record. Treat the inner value as
-/// opaque — only keys returned by the simulator are meaningful.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FlowKey(pub u32);
+mod capacity;
+mod probe;
+mod records;
+mod run;
 
-/// Low bits of a [`FlowKey`] that address the flow record. 22 bits allow
-/// ~4M concurrently allocated records; the remaining 10 bits carry the
-/// generation stamp.
-const KEY_INDEX_BITS: u32 = 22;
-const KEY_INDEX_MASK: u32 = (1 << KEY_INDEX_BITS) - 1;
-/// Generations wrap after 1024 releases of one record; a key must be both
-/// stale *and* exactly 1024·k releases old to slip past the check, which
-/// is far outside any key-holding window the engine's callers have.
-const KEY_GEN_MASK: u32 = (1 << (32 - KEY_INDEX_BITS)) - 1;
-
-impl FlowKey {
-    #[inline]
-    fn pack(index: u32, generation: u32) -> FlowKey {
-        FlowKey((generation << KEY_INDEX_BITS) | index)
-    }
-    #[inline]
-    fn index(self) -> u32 {
-        self.0 & KEY_INDEX_MASK
-    }
-    #[inline]
-    fn generation(self) -> u32 {
-        self.0 >> KEY_INDEX_BITS
-    }
-}
-
-/// Handle to a hose (per-VM egress cap) resource.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HoseId(pub u32);
-
-/// Lifecycle state of a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowStatus {
-    /// Scheduled but not yet started.
-    Pending,
-    /// Transferring.
-    Active,
-    /// Finished (bounded flows) or stopped; carries the end time.
-    Done(Nanos),
-}
-
-/// Sentinel for "flow not in the arena".
-const NO_SLOT: u32 = u32::MAX;
+pub use capacity::{HoseId, FAILED_LINK_BPS};
+use records::{Flow, TagStat, NO_SLOT};
+pub use records::{FlowKey, FlowStatus};
+use run::{EventEntry, OnOff};
 
 /// Engine resource id of a directed link hop: [`DirectedHop::index`].
 ///
@@ -82,86 +43,6 @@ const NO_SLOT: u32 = u32::MAX;
 #[inline]
 pub fn hop_resource(hop: &choreo_topology::route::DirectedHop) -> u32 {
     hop.index() as u32
-}
-
-#[derive(Debug)]
-struct Flow {
-    resources: Vec<u32>,
-    /// Arena slot while the flow is active; `NO_SLOT` otherwise.
-    slot: u32,
-    /// Remaining payload bytes; `None` = unbounded.
-    remaining: Option<f64>,
-    /// Delivered bytes as of eviction from the arena. While the flow is
-    /// live the counter is `FlowSim::delivered[slot]`; this is 0 until it
-    /// is settled here.
-    delivered: f64,
-    status: FlowStatus,
-    started_at: Nanos,
-    /// Caller-assigned grouping tag (e.g. application id).
-    tag: u64,
-    /// Generation stamp a [`FlowKey`] must match to address this record;
-    /// bumped on every release so stale keys are rejected.
-    generation: u32,
-}
-
-/// Tag of background ON–OFF flows; their records are reclaimed as soon as
-/// the toggle-off stop fires (no caller ever harvests their stats).
-const TAG_ONOFF: u64 = u64::MAX - 1;
-
-/// Per-tag completion bookkeeping, maintained incrementally on flow
-/// creation/retirement/release so [`FlowSim::tag_completion`] is an O(1)
-/// lookup instead of a scan over all-time flow records.
-#[derive(Debug, Default, Clone, Copy)]
-struct TagStat {
-    /// Flows with this tag still `Pending` or `Active`.
-    unfinished: u32,
-    /// Flows with this tag retired (`Done`) but not yet released.
-    done: u32,
-    /// Latest completion time observed among this tag's flows (monotone;
-    /// survives releases of the flows that set it).
-    latest: Nanos,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ev {
-    Start(FlowKey),
-    Stop(FlowKey),
-    Toggle(u32),
-}
-
-/// One scheduled event. Ordering is **explicit and total**: events fire in
-/// `(at, seq)` order — earliest time first, FIFO among events scheduled
-/// for the same instant (`seq` is a strictly increasing scheduling
-/// counter, so no two entries ever compare equal and the payload never
-/// participates in the ordering).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EventEntry {
-    at: Nanos,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialOrd for EventEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for EventEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-#[derive(Debug)]
-struct OnOff {
-    src: NodeId,
-    dst: NodeId,
-    hose: Option<HoseId>,
-    mean_on: Nanos,
-    mean_off: Nanos,
-    on: bool,
-    flow: Option<FlowKey>,
 }
 
 /// Flow-level simulator over a [`Topology`].
@@ -245,7 +126,7 @@ pub struct FlowSim {
 /// Strictly observational — nothing in the engine reads these back — and
 /// maintained unconditionally (plain integer adds on already-computed
 /// values), so the counts are exact whether or not a
-/// [`span`] recorder is installed. Benches use the
+/// [`span`](choreo_metrics::span) recorder is installed. Benches use the
 /// snapshot to attribute µs/event to solver phases.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SolveStats {
@@ -275,15 +156,6 @@ pub struct SolveStats {
     /// distinct resources probed per solve, not the candidates.
     pub probe_replay_rounds: u64,
 }
-
-/// Numerical slop (bytes) below which a flow counts as finished.
-const DONE_EPS: f64 = 0.5;
-
-/// Residual rate of a failed link (bits/s): effectively zero for any
-/// workload, but positive so the max-min solver's "capacities are > 0"
-/// contract holds and flows pinned to a failed link converge to a
-/// measurably dead rate instead of a divide-by-zero.
-pub const FAILED_LINK_BPS: f64 = 1.0;
 
 impl FlowSim {
     /// Build a simulator. `loopback` is the capacity/delay model for
@@ -343,412 +215,6 @@ impl FlowSim {
         &self.topo
     }
 
-    /// Register a hose (egress) cap of `rate_bps` and return its handle.
-    pub fn add_hose(&mut self, rate_bps: f64) -> HoseId {
-        assert!(rate_bps > 0.0);
-        let id = HoseId((self.capacities.len()) as u32);
-        self.capacities.push(rate_bps);
-        self.arena.grow_resources(self.capacities.len());
-        HoseId(id.0)
-    }
-
-    // -------------------------------------------------- runtime capacity
-
-    /// Capacity currently configured for solver resource `resource`
-    /// (bits/s) — the runtime value, which [`FlowSim::set_capacity`] may
-    /// have moved off the topology's construction-time spec.
-    pub fn capacity(&self, resource: u32) -> f64 {
-        self.capacities[resource as usize]
-    }
-
-    /// Change one solver resource's capacity at runtime (bits/s, > 0).
-    ///
-    /// The resource is marked in the arena's dirty window
-    /// ([`FlowArena::touch_resource`]), so the next reallocation
-    /// re-solves **bit-identical** to a cold solve at the new
-    /// capacity: link failure is a cut to [`FAILED_LINK_BPS`],
-    /// recovery a restore, degradation a fractional cut. A no-op when
-    /// the capacity is already exactly `bits_per_sec`.
-    pub fn set_capacity(&mut self, resource: u32, bits_per_sec: f64) {
-        assert!(bits_per_sec > 0.0, "capacity must stay positive (failures use FAILED_LINK_BPS)");
-        let ri = resource as usize;
-        assert!(ri < self.capacities.len(), "set_capacity: bad resource {resource}");
-        if self.capacities[ri] == bits_per_sec {
-            return;
-        }
-        self.capacities[ri] = bits_per_sec;
-        self.arena.touch_resource(resource);
-        self.dirty = true;
-    }
-
-    /// Nominal (construction-time) rate of link `link`, bits/s.
-    pub fn link_nominal_bps(&self, link: u32) -> f64 {
-        self.topo.links()[link as usize].spec.rate_bps
-    }
-
-    /// Degrade both directions of link `link` to `fraction` of its
-    /// nominal rate (`0 < fraction ≤ 1`; `1` restores it).
-    pub fn degrade_link(&mut self, link: u32, fraction: f64) {
-        assert!(fraction > 0.0 && fraction <= 1.0, "degrade fraction out of (0, 1]");
-        let bps = self.link_nominal_bps(link) * fraction;
-        self.set_capacity(2 * link, bps);
-        self.set_capacity(2 * link + 1, bps);
-    }
-
-    /// Fail link `link`: both directions drop to [`FAILED_LINK_BPS`]
-    /// (effectively zero; the solver needs capacities to stay positive).
-    pub fn fail_link(&mut self, link: u32) {
-        self.set_capacity(2 * link, FAILED_LINK_BPS);
-        self.set_capacity(2 * link + 1, FAILED_LINK_BPS);
-    }
-
-    /// Restore link `link` to its nominal rate.
-    pub fn recover_link(&mut self, link: u32) {
-        let bps = self.link_nominal_bps(link);
-        self.set_capacity(2 * link, bps);
-        self.set_capacity(2 * link + 1, bps);
-    }
-
-    /// Fraction of the topology's nominal directed-link capacity
-    /// currently lost to failures/degradations (0 when healthy) — the
-    /// service's capacity-lost gauge.
-    pub fn capacity_lost_fraction(&self) -> f64 {
-        let mut nominal = 0.0;
-        let mut current = 0.0;
-        for (l, link) in self.topo.links().iter().enumerate() {
-            nominal += 2.0 * link.spec.rate_bps;
-            current += self.capacities[2 * l] + self.capacities[2 * l + 1];
-        }
-        if nominal <= 0.0 {
-            return 0.0;
-        }
-        ((nominal - current) / nominal).max(0.0)
-    }
-
-    /// Per-pod breakdown of [`FlowSim::capacity_lost_fraction`]: fills
-    /// `out` with `pods.n_pods() + 1` entries — one lost-capacity
-    /// fraction per pod (links fully inside that pod's subtree), plus a
-    /// trailing entry for the shared spine (core links and pod uplinks,
-    /// the links [`PodPartition::pod_of_link`] maps to `None`). Each
-    /// entry is lost/nominal *within that bucket*, 0 for a bucket with
-    /// no links. Observational only — nothing in the trajectory reads
-    /// it. This is the from-scratch form: the online service refreshes
-    /// its per-pod gauges on every network event from precomputed link
-    /// buckets, and is tested to produce these exact bits.
-    pub fn pod_capacity_lost_fractions(&self, pods: &PodPartition, out: &mut Vec<f64>) {
-        let n = pods.n_pods() + 1;
-        let mut nominal = vec![0.0; n];
-        let mut current = vec![0.0; n];
-        for (l, link) in self.topo.links().iter().enumerate() {
-            let bucket = pods.pod_of_link(link).map_or(n - 1, |p| p as usize);
-            nominal[bucket] += 2.0 * link.spec.rate_bps;
-            current[bucket] += self.capacities[2 * l] + self.capacities[2 * l + 1];
-        }
-        out.clear();
-        out.extend((0..n).map(|b| {
-            if nominal[b] <= 0.0 {
-                0.0
-            } else {
-                ((nominal[b] - current[b]) / nominal[b]).max(0.0)
-            }
-        }));
-    }
-
-    fn push_event(&mut self, at: Nanos, ev: Ev) {
-        self.seq += 1;
-        self.events.push(Reverse(EventEntry { at, seq: self.seq, ev }));
-    }
-
-    fn host_loopback_res(&self, host: NodeId) -> u32 {
-        (self.topo.link_count() * 2 + self.routes.host_index(host)) as u32
-    }
-
-    /// Fill `buf` with the resource list of a flow from `src` to `dst`.
-    /// `seq` is the all-time arrival counter (record indices are recycled
-    /// and must not seed the ECMP hash).
-    fn fill_resources(
-        &mut self,
-        buf: &mut Vec<u32>,
-        src: NodeId,
-        dst: NodeId,
-        hose: Option<HoseId>,
-        seq: u64,
-    ) {
-        buf.clear();
-        if src == dst {
-            // Co-located: loopback only; hose bypassed (hypervisor-local).
-            buf.push(self.host_loopback_res(src));
-            return;
-        }
-        let hash = splitmix64((seq << 32) | self.rng.gen::<u32>() as u64);
-        let path = self.routes.path_for_flow(src, dst, hash);
-        buf.extend(path.hops().iter().map(hop_resource));
-        if let Some(h) = hose {
-            buf.push(h.0);
-        }
-    }
-
-    /// Resolve a key to its record index, panicking on a generation
-    /// mismatch (use-after-release, double release, or a forged key).
-    #[inline]
-    fn idx(&self, key: FlowKey) -> usize {
-        let i = key.index() as usize;
-        assert!(
-            i < self.flows.len() && self.flows[i].generation == key.generation(),
-            "stale FlowKey: the flow record was released (or the key is forged)"
-        );
-        i
-    }
-
-    /// Like [`FlowSim::idx`] but `None` for stale keys — the event heap
-    /// may legitimately hold keys whose flows were released after they
-    /// retired, and those events must become no-ops.
-    #[inline]
-    fn live_idx(&self, key: FlowKey) -> Option<usize> {
-        let i = key.index() as usize;
-        (i < self.flows.len() && self.flows[i].generation == key.generation()).then_some(i)
-    }
-
-    /// Put an activating flow into the arena. Its slot's columns already
-    /// read 0 (vacant slots always do): no rate until the next solve,
-    /// nothing delivered yet.
-    fn arena_insert(&mut self, index: usize) {
-        let f = &mut self.flows[index];
-        let slot = self.arena.add(&f.resources);
-        f.slot = slot.0;
-        let s = slot.0 as usize;
-        if self.slot_owner.len() <= s {
-            self.slot_owner.resize(s + 1, NO_SLOT);
-            self.rates.resize(s + 1, 0.0);
-            self.delivered.resize(s + 1, 0.0);
-        }
-        self.slot_owner[s] = index as u32;
-        if f.remaining.is_some() {
-            self.bounded.push(slot.0);
-        }
-        self.peak_active = self.peak_active.max(self.arena.n_flows());
-    }
-
-    /// Drop a deactivating flow from the arena, settling its byte counter
-    /// into the record and returning its slot's columns to 0.
-    fn arena_evict(&mut self, index: usize) {
-        let f = &mut self.flows[index];
-        if f.slot != NO_SLOT {
-            let s = f.slot as usize;
-            self.arena.remove(FlowSlot(f.slot));
-            self.slot_owner[s] = NO_SLOT;
-            f.delivered = std::mem::take(&mut self.delivered[s]);
-            self.rates[s] = 0.0;
-            if f.remaining.is_some() {
-                // A linear search, but over the bounded flows only — the
-                // online path has none, and the scans this list replaced
-                // walked every slot on every event.
-                let at = self.bounded.iter().position(|&b| b == f.slot);
-                self.bounded.swap_remove(at.expect("live bounded flows are listed"));
-            }
-            f.slot = NO_SLOT;
-        }
-    }
-
-    /// Construct a `Pending` flow record — reusing a released record when
-    /// one is free — and return its generation-stamped key. The caller
-    /// decides how the flow enters the simulation (scheduled via the
-    /// event heap, or activated on the spot).
-    fn push_flow(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: Option<u64>,
-        hose: Option<HoseId>,
-        at: Nanos,
-        tag: u64,
-    ) -> FlowKey {
-        self.flow_seq += 1;
-        let seq = self.flow_seq;
-        let index = match self.free_flows.pop() {
-            Some(i) => i as usize,
-            None => {
-                assert!(
-                    self.flows.len() < KEY_INDEX_MASK as usize,
-                    "flow record index space exhausted (release retired flows)"
-                );
-                self.flows.push(Flow {
-                    resources: Vec::new(),
-                    slot: NO_SLOT,
-                    remaining: None,
-                    delivered: 0.0,
-                    status: FlowStatus::Pending,
-                    started_at: 0,
-                    tag: 0,
-                    generation: 0,
-                });
-                self.flows.len() - 1
-            }
-        };
-        // Reuse the record's resource buffer in place (no per-flow Vec).
-        let mut resources = std::mem::take(&mut self.flows[index].resources);
-        self.fill_resources(&mut resources, src, dst, hose, seq);
-        let f = &mut self.flows[index];
-        let generation = f.generation;
-        *f = Flow {
-            resources,
-            slot: NO_SLOT,
-            remaining: bytes.map(|b| b as f64),
-            delivered: 0.0,
-            status: FlowStatus::Pending,
-            started_at: at,
-            tag,
-            generation,
-        };
-        if bytes.is_some() {
-            self.unfinished_bounded += 1;
-        }
-        self.tags.entry(tag).or_default().unfinished += 1;
-        FlowKey::pack(index as u32, generation)
-    }
-
-    /// Transition a pending/active flow to `Done` at the current time:
-    /// arena slot evicted (rate zeroed, byte counter settled),
-    /// tag/completion bookkeeping updated. No-op if the flow already
-    /// retired.
-    fn retire(&mut self, index: usize) {
-        let f = &mut self.flows[index];
-        if !matches!(f.status, FlowStatus::Pending | FlowStatus::Active) {
-            return;
-        }
-        f.status = FlowStatus::Done(self.now);
-        if f.remaining.is_some() {
-            self.unfinished_bounded -= 1;
-        }
-        let tag = f.tag;
-        self.dirty = true;
-        self.arena_evict(index);
-        let s = self.tags.get_mut(&tag).expect("tag stat tracks every unreleased flow");
-        s.unfinished -= 1;
-        s.done += 1;
-        s.latest = s.latest.max(self.now);
-    }
-
-    fn release_index(&mut self, index: usize) {
-        let f = &mut self.flows[index];
-        assert!(
-            matches!(f.status, FlowStatus::Done(_)),
-            "only a retired (Done) flow's record can be released"
-        );
-        f.generation = (f.generation + 1) & KEY_GEN_MASK;
-        let tag = f.tag;
-        let s = self.tags.get_mut(&tag).expect("tag stat tracks every unreleased flow");
-        s.done -= 1;
-        if s.done == 0 && s.unfinished == 0 {
-            self.tags.remove(&tag);
-        }
-        self.free_flows.push(index as u32);
-    }
-
-    /// Release a retired flow's record for reuse.
-    ///
-    /// Harvest whatever stats you need first
-    /// ([`FlowSim::delivered_bytes`], [`FlowSim::completion_time`], …):
-    /// after the release the key — and every copy of it — is **stale**,
-    /// and any use panics. Releasing a flow that is still pending or
-    /// active (stop it first) or releasing twice is also a panic. Callers
-    /// that never release simply keep the pre-recycling behavior of an
-    /// append-only record table, with an identical trajectory.
-    pub fn release_flow(&mut self, key: FlowKey) {
-        let i = self.idx(key);
-        self.release_index(i);
-    }
-
-    /// Release a batch of retired flows ([`FlowSim::release_flow`]).
-    pub fn release_flows(&mut self, keys: &[FlowKey]) {
-        for &k in keys {
-            self.release_flow(k);
-        }
-    }
-
-    /// Schedule a flow of `bytes` (`None` = unbounded) from `src` to `dst`
-    /// starting at `at`, optionally constrained by a hose cap, grouped
-    /// under `tag`.
-    pub fn start_flow(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: Option<u64>,
-        hose: Option<HoseId>,
-        at: Nanos,
-        tag: u64,
-    ) -> FlowKey {
-        let key = self.push_flow(src, dst, bytes, hose, at, tag);
-        self.push_event(at.max(self.now), Ev::Start(key));
-        key
-    }
-
-    /// Stop (kill) a flow at time `at`.
-    pub fn stop_flow_at(&mut self, key: FlowKey, at: Nanos) {
-        self.push_event(at.max(self.now), Ev::Stop(key));
-    }
-
-    /// Start a flow **immediately**: the flow goes straight into the
-    /// arena as `Active` at the current time, skipping the event heap.
-    ///
-    /// This is the online placement service's admission hook — a placed
-    /// tenant's transfers become visible to the very next probe without
-    /// an event-heap round trip, and a tenant's whole flow set lands in
-    /// one arena dirty window, so the next reallocation is a single warm
-    /// delta solve covering all of them.
-    pub fn start_flow_now(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: Option<u64>,
-        hose: Option<HoseId>,
-        tag: u64,
-    ) -> FlowKey {
-        let key = self.push_flow(src, dst, bytes, hose, self.now, tag);
-        // Same transition the `Ev::Start` dispatch performs, minus the
-        // heap round trip.
-        let i = key.index() as usize;
-        self.flows[i].status = FlowStatus::Active;
-        self.dirty = true;
-        self.arena_insert(i);
-        key
-    }
-
-    /// Stop a set of flows **immediately** (tenant teardown): every
-    /// pending or active flow in `keys` is marked done at the current
-    /// time and evicted from the arena, accumulating one combined dirty
-    /// window — the next reallocation is a single warm delta solve over
-    /// the whole departure instead of one per flow.
-    pub fn stop_flows_now(&mut self, keys: &[FlowKey]) {
-        for &key in keys {
-            let i = self.idx(key);
-            self.retire(i);
-        }
-    }
-
-    /// Register an ON–OFF background source (starts OFF; exponential
-    /// holding times, as in the paper's Fig. 4 validation).
-    pub fn add_onoff(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        hose: Option<HoseId>,
-        mean_on: Nanos,
-        mean_off: Nanos,
-        at: Nanos,
-    ) -> u32 {
-        let id = self.sources.len() as u32;
-        self.sources.push(OnOff { src, dst, hose, mean_on, mean_off, on: false, flow: None });
-        let first = at.max(self.now) + self.sample_exp(mean_off);
-        self.push_event(first, Ev::Toggle(id));
-        id
-    }
-
-    fn sample_exp(&mut self, mean: Nanos) -> Nanos {
-        let u: f64 = self.rng.gen_range(f64::EPSILON..=1.0);
-        (-(mean as f64) * u.ln()).min(1e18) as Nanos
-    }
-
     // ------------------------------------------------------------- queries
 
     /// Status of a flow.
@@ -806,157 +272,6 @@ impl FlowSim {
         Some(s.latest)
     }
 
-    /// Make sure the solver's freeze-round log describes the current
-    /// arena: apply pending reallocation, and re-stamp the log if the
-    /// arena drifted without a solve (e.g. a hose was added while the
-    /// rates were clean).
-    fn ensure_probe_log(&mut self) {
-        self.reallocate_if_dirty();
-        if !self.solver.log_matches(&self.arena) {
-            // The flow set is unchanged since the last committed
-            // allocation (otherwise `dirty` would have forced a solve), so
-            // a warm solve finds nothing perturbed: it carries every round
-            // (one key compare each), leaves the committed rates alone and
-            // re-stamps the log.
-            self.solver.solve_warm(&self.capacities, &mut self.arena, &mut self.rates);
-        }
-    }
-
-    /// Open a probe call on a current log: the solver's tallies reset, the
-    /// walk memo sized to the route table.
-    fn begin_probes(&mut self, what: &str) {
-        self.solver.begin_probes(&self.capacities, &self.arena, what);
-        let walks = self.routes.walk_count();
-        if self.walk_folds.len() < walks {
-            self.walk_folds.resize(walks, ProbeRecord::default());
-        }
-        self.last_walks_built = 0;
-    }
-
-    /// The [`Fold`] of a probe flow from `src` to `dst`: the records of
-    /// its path 0 (deterministic first equal-cost path), spliced from the
-    /// parts the route table splits it into — the lead hop, the tail hop
-    /// and the hose, each a record, and the walk between, one memoised
-    /// fold. `min` is associative, so the splice folds to what the whole
-    /// path does. A co-located probe folds the source's loopback alone.
-    fn probe_fold(&mut self, src: NodeId, dst: NodeId, hose: Option<HoseId>) -> Fold {
-        if src == dst {
-            // Co-located: loopback only; hose bypassed (hypervisor-local).
-            let lo = self.host_loopback_res(src);
-            return self.solver.fold(&self.capacities, &self.arena, [lo]);
-        }
-        let parts = self.routes.path0_parts(src, dst);
-        let ends = parts.lead.iter().chain(&parts.tail).map(hop_resource);
-        let fold = self.solver.fold(&self.capacities, &self.arena, ends.chain(hose.map(|h| h.0)));
-        match parts.walk {
-            Some(walk) => fold.min(self.walk_fold(walk)),
-            None => fold,
-        }
-    }
-
-    /// The [`Fold`] of `walk`'s hops, unranked and folded once per solve
-    /// epoch.
-    fn walk_fold(&mut self, walk: WalkId) -> Fold {
-        let epoch = self.solver.probe_epoch();
-        let memo = &mut self.walk_folds[walk.0 as usize];
-        if memo.epoch != epoch {
-            let hops = self.routes.walk(walk);
-            let res = hops.hops().iter().map(hop_resource);
-            let (hit, key) = self.solver.fold(&self.capacities, &self.arena, res);
-            *memo = ProbeRecord { key, epoch, hit };
-            self.last_walks_built += 1;
-        }
-        (memo.hit, memo.key)
-    }
-
-    /// Rate a *hypothetical* new flow from `src` to `dst` (optionally
-    /// hose-capped) would receive right now, without perturbing the
-    /// simulation. This is the flow-level analogue of starting a probe
-    /// connection.
-    ///
-    /// Implemented as a what-if read of the solver's freeze-round log of
-    /// the committed allocation: for each resource of path 0, the first
-    /// logged round that resource would saturate by with one more user,
-    /// and the candidate freezes at the earliest of them — bit-identical
-    /// to adding the flow and re-solving. A resource's answer does not
-    /// depend on who asks, so the solver keeps it until the next solve,
-    /// and the engine keeps each walk's fold of them likewise: `O(events ·
-    /// log rounds)` **per distinct resource per solve**, `O(1)` per probe
-    /// after that — a lead hop, a tail hop, a hose and a memoised walk.
-    /// **Observably side-effect-free**: the arena is never touched, so the
-    /// simulation state is exactly as it was (only the probe memos are
-    /// written).
-    pub fn probe_rate(&mut self, src: NodeId, dst: NodeId, hose: Option<HoseId>) -> f64 {
-        self.ensure_probe_log();
-        self.begin_probes("probe");
-        let rate = fold_rate(self.probe_fold(src, dst, hose));
-        self.stats.probes += 1;
-        self.stats.probe_replay_rounds += self.solver.last_probe_replay_rounds();
-        rate
-    }
-
-    /// Batched [`FlowSim::probe_rate`]: rate every hypothetical
-    /// `(src, dst, hose)` flow in `probes`, writing `out[i]` for
-    /// `probes[i]`. All candidates are evaluated **independently** against
-    /// the same committed network state (they do not see one another),
-    /// sharing a single solve instead of paying one each — the entry
-    /// point for candidate scoring in placement. The batch costs what its
-    /// *distinct* resources and walks cost: the scheduler's `k(k − 1)`
-    /// ordered pairs over `k` hosts name `2k` access directions and the
-    /// walks between their ToRs, each read off the log once per solve;
-    /// every candidate — in this batch or any later one before the next
-    /// solve — is then a fold of four memoised answers. The `probe_batch`
-    /// span covers all of it, route resolution included.
-    pub fn probe_rates(&mut self, probes: &[(NodeId, NodeId, Option<HoseId>)], out: &mut Vec<f64>) {
-        self.ensure_probe_log();
-        let timer = span::start("probe_batch");
-        self.begin_probes("probe_batch");
-        out.clear();
-        out.reserve(probes.len());
-        for &(src, dst, hose) in probes {
-            let fold = self.probe_fold(src, dst, hose);
-            out.push(fold_rate(fold));
-        }
-        drop(timer);
-        self.stats.probe_batches += 1;
-        self.stats.probes += probes.len() as u64;
-        self.stats.probe_replay_rounds += self.solver.last_probe_replay_rounds();
-        if span::enabled() {
-            span::value("probe_batch_size", probes.len() as f64);
-            // Resources and walks the batch had to read the log for;
-            // against the batch size, the reuse the memos bought.
-            span::value("probe_records_built", self.solver.last_probe_records_built() as f64);
-            span::value("probe_walks_built", self.last_walks_built as f64);
-            if !probes.is_empty() {
-                // Amortised: rounds walked for those records, spread over
-                // every candidate they served.
-                let depth = self.solver.last_probe_replay_rounds() as f64 / probes.len() as f64;
-                span::value("probe_replay_depth", depth);
-            }
-        }
-    }
-
-    /// Emulate a bulk TCP throughput measurement: run a real flow for
-    /// `duration` (the simulation advances, so background traffic evolves)
-    /// and return its mean throughput in bits/s.
-    pub fn measure_tcp_throughput(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        hose: Option<HoseId>,
-        duration: Nanos,
-    ) -> f64 {
-        let start = self.now;
-        let key = self.start_flow(src, dst, None, hose, start, u64::MAX);
-        self.stop_flow_at(key, start + duration);
-        self.run_until(start + duration);
-        let delivered = self.delivered_of(self.idx(key));
-        // The stop event above fired during `run_until`, so the flow is
-        // retired and its one stat is harvested: reclaim the record.
-        self.release_flow(key);
-        delivered * 8.0 / (duration as f64 / 1e9)
-    }
-
     /// The loopback model in use.
     pub fn loopback(&self) -> LinkSpec {
         self.loopback
@@ -978,12 +293,6 @@ impl FlowSim {
     /// arrivals — the pre-recycling behavior.
     pub fn flow_records(&self) -> usize {
         self.flows.len()
-    }
-
-    /// Bytes of heap the per-walk probe memo holds: `32 · A²` for the
-    /// route table's `A` attach nodes once a probe has sized it, 0 before.
-    pub fn walk_memo_bytes(&self) -> usize {
-        self.walk_folds.capacity() * std::mem::size_of::<ProbeRecord>()
     }
 
     /// Cumulative solver-phase tallies since construction: solve counts
@@ -1053,253 +362,18 @@ impl FlowSim {
             );
         }
     }
-
-    // ------------------------------------------------------------ dynamics
-
-    /// Recompute the max-min allocation if the active flow set or a
-    /// capacity changed since the last solve.
-    ///
-    /// Mutations only mark the state dirty; the solve runs here, called
-    /// by the readers of `rates` alone — [`FlowSim::rate_bps`], the probe
-    /// log, the cold-solve check, the completion search of
-    /// [`FlowSim::run_to_completion`] and the two rate reads of
-    /// [`FlowSim::run_until`] — so however many
-    /// mutations land between two reads, they cost one solve.
-    ///
-    /// The arena already reflects every start/stop, so this is a single
-    /// solver run straight into the slot-indexed rate column — no
-    /// per-call `Vec` construction, and no pass over the flow records
-    /// afterwards. The solve is **warm-started**:
-    /// flow starts, stops and ON–OFF toggles leave the previous solve's
-    /// freeze-round log hot, and the solver edits it in place — carrying
-    /// the rounds the churn left alone, running live only the ones it
-    /// perturbed — instead of cold-solving; bit-identical either way, so
-    /// the simulation's trajectory is unchanged.
-    ///
-    /// Contract with the solver ([`MaxMinSolver::solve_warm`]):
-    /// `self.rates` is the buffer the previous solve filled, and between
-    /// solves the engine only ever zeroes vacant slots in it
-    /// ([`FlowSim::arena_evict`]) and zero-extends it
-    /// ([`FlowSim::arena_insert`]) — a carried round's flows still read
-    /// the rate that solve gave them.
-    fn reallocate_if_dirty(&mut self) {
-        if !self.dirty {
-            return;
-        }
-        self.dirty = false;
-        // Everything around the solve is observational: the span timer
-        // and values and the `SolveStats` adds read already-computed
-        // state and feed nothing back, so instrumented and bare runs
-        // follow bit-identical trajectories.
-        let dirty_window = self.arena.dirty_len() as u64;
-        let cold = self.solver.will_solve_cold(&self.arena);
-        let timer = span::start(if cold { "solve_cold" } else { "solve_warm" });
-        self.solver.solve_warm(&self.capacities, &mut self.arena, &mut self.rates);
-        drop(timer);
-        if cold {
-            self.stats.cold_solves += 1;
-        } else {
-            self.stats.warm_solves += 1;
-        }
-        self.stats.dirty_resources += dirty_window;
-        self.stats.live_rounds += self.solver.last_live_rounds();
-        self.stats.replayed_rounds += self.solver.last_replayed_rounds();
-        self.stats.chained_rounds += self.solver.last_chained_rounds();
-        if span::enabled() {
-            span::value("solve_dirty_window", dirty_window as f64);
-            span::value("solve_live_rounds", self.solver.last_live_rounds() as f64);
-            span::value("solve_replayed_rounds", self.solver.last_replayed_rounds() as f64);
-        }
-    }
-
-    /// Advance all active flows by `dt` nanoseconds at current rates: one
-    /// streaming add over the slot columns (a vacant or rate-less slot
-    /// adds `0.0`, which leaves its counter as it was), then the byte
-    /// budgets of the bounded flows.
-    fn integrate(&mut self, dt: Nanos) {
-        if dt == 0 {
-            return;
-        }
-        let secs = dt as f64 / 1e9;
-        for (delivered, &rate) in self.delivered.iter_mut().zip(&self.rates) {
-            *delivered += rate * secs / 8.0;
-        }
-        for &slot in &self.bounded {
-            let f = &mut self.flows[self.slot_owner[slot as usize] as usize];
-            let rem = f.remaining.as_mut().expect("listed flows are bounded");
-            *rem -= self.rates[slot as usize] * secs / 8.0;
-        }
-    }
-
-    /// Remaining byte budget of the bounded flow in `slot`.
-    fn remaining_in(&self, slot: u32) -> f64 {
-        let f = &self.flows[self.slot_owner[slot as usize] as usize];
-        f.remaining.expect("listed flows are bounded")
-    }
-
-    /// Earliest completion among active bounded flows.
-    fn next_completion(&self) -> Option<Nanos> {
-        let mut best: Option<f64> = None;
-        for &slot in &self.bounded {
-            let rem = self.remaining_in(slot);
-            let rate = self.rates[slot as usize];
-            if rate > 0.0 {
-                let dt = (rem.max(0.0)) * 8.0 / rate * 1e9;
-                best = Some(best.map_or(dt, |b: f64| b.min(dt)));
-            } else if rem <= DONE_EPS {
-                best = Some(0.0);
-            }
-        }
-        best.map(|dt| self.now + dt.ceil() as Nanos)
-    }
-
-    /// Retire every bounded flow whose budget is spent — in ascending
-    /// slot order, whatever order `bounded` lists them in: retire order
-    /// is the order the arena's free list hands the slots out again, so
-    /// it decides which slot every later flow lands in.
-    fn finish_completed(&mut self) {
-        let mut finished = std::mem::take(&mut self.finished);
-        finished.clear();
-        finished.extend(self.bounded.iter().filter(|&&slot| self.remaining_in(slot) <= DONE_EPS));
-        finished.sort_unstable();
-        for &slot in &finished {
-            self.retire(self.slot_owner[slot as usize] as usize);
-        }
-        self.finished = finished;
-    }
-
-    fn dispatch(&mut self, ev: Ev) {
-        match ev {
-            Ev::Start(key) => {
-                // Stale keys (flow released while the event was queued)
-                // dispatch as no-ops: a release requires the flow to be
-                // retired, and a retired flow ignored these events before
-                // recycling existed too.
-                if let Some(i) = self.live_idx(key) {
-                    let f = &mut self.flows[i];
-                    if f.status == FlowStatus::Pending {
-                        f.status = FlowStatus::Active;
-                        f.started_at = self.now;
-                        self.dirty = true;
-                        self.arena_insert(i);
-                    }
-                }
-            }
-            Ev::Stop(key) => {
-                if let Some(i) = self.live_idx(key) {
-                    self.retire(i);
-                    // Background ON–OFF flows are never harvested by any
-                    // caller; reclaim the record as soon as the toggle-off
-                    // stop lands.
-                    if self.flows[i].tag == TAG_ONOFF {
-                        self.release_index(i);
-                    }
-                }
-            }
-            Ev::Toggle(id) => {
-                let (src, dst, hose, mean_next, turning_on, old_flow) = {
-                    let s = &mut self.sources[id as usize];
-                    s.on = !s.on;
-                    let turning_on = s.on;
-                    let old = if turning_on { None } else { s.flow.take() };
-                    (s.src, s.dst, s.hose, s.current_mean(), turning_on, old)
-                };
-                if turning_on {
-                    let key = self.start_flow(src, dst, None, hose, self.now, TAG_ONOFF);
-                    self.sources[id as usize].flow = Some(key);
-                } else if let Some(f) = old_flow {
-                    self.stop_flow_at(f, self.now);
-                }
-                let dt = self.sample_exp(mean_next);
-                self.push_event(self.now + dt, Ev::Toggle(id));
-            }
-        }
-    }
-
-    /// Run the simulation until time `t`, which must not be before
-    /// [`FlowSim::now`]: running the clock backwards is a panic.
-    ///
-    /// The loop reads rates in two places only, and solves a pending
-    /// reallocation just before each: the completion search, while a
-    /// byte-bounded flow is live, and the integration of an interval of
-    /// positive length. Everything else it does — retiring spent flows,
-    /// firing heap events — reads no rate. So an advance that does not
-    /// move the clock over unbounded flows solves nothing, and leaves the
-    /// dirty window to whichever reader comes next: a burst of capacity
-    /// changes at one instant then shares one warm solve, bit-identical
-    /// to a cold solve like every solve.
-    pub fn run_until(&mut self, t: Nanos) {
-        assert!(t >= self.now, "run_until({t}) would run the clock backwards from {}", self.now);
-        loop {
-            if !self.bounded.is_empty() {
-                self.reallocate_if_dirty();
-            }
-            let next_ev = self.events.peek().map(|Reverse(e)| e.at);
-            let next_done = self.next_completion();
-            // Heap events and completions never lie before `now`, so
-            // `now ≤ target ≤ t`.
-            let target = [Some(t), next_ev, next_done].into_iter().flatten().min().expect("t");
-            if target > self.now {
-                self.reallocate_if_dirty();
-                self.integrate(target - self.now);
-            }
-            self.now = target;
-            self.finish_completed();
-            // Fire all events scheduled at exactly `target`.
-            while let Some(Reverse(e)) = self.events.peek() {
-                if e.at > self.now {
-                    break;
-                }
-                let Reverse(e) = self.events.pop().expect("peeked");
-                self.dispatch(e.ev);
-            }
-            if self.now == t && next_ev.is_none_or(|e| e > t) && next_done.is_none_or(|d| d > t) {
-                break;
-            }
-        }
-    }
-
-    /// Run until every bounded, tagged flow has completed (ignores
-    /// unbounded background flows). Returns the final time.
-    ///
-    /// Panics if no progress is possible (e.g. an active flow with rate 0
-    /// and no pending events), which indicates a modelling bug.
-    pub fn run_to_completion(&mut self) -> Nanos {
-        // Maintained at creation/retirement, so the check is O(1) instead
-        // of a scan over all-time flow records per step.
-        while self.unfinished_bounded > 0 {
-            // The completion search reads rates, so it needs the solve.
-            self.reallocate_if_dirty();
-            let next_ev = self.events.peek().map(|Reverse(e)| e.at);
-            let target = [next_ev, self.next_completion()]
-                .into_iter()
-                .flatten()
-                .min()
-                .expect("no events and no completions but flows unfinished");
-            self.run_until(target);
-        }
-        self.now
-    }
-}
-
-impl OnOff {
-    fn current_mean(&self) -> Nanos {
-        if self.on {
-            self.mean_on
-        } else {
-            self.mean_off
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
 
+    use super::records::KEY_INDEX_BITS;
+    use super::run::Ev;
     use super::*;
     use crate::fairshare::reference;
     use choreo_topology::{
-        dumbbell, LinkSpec, MultiRootedTreeSpec, GBIT, MBIT, MICROS, MILLIS, SECS,
+        dumbbell, LinkSpec, MultiRootedTreeSpec, NodeId, GBIT, MBIT, MICROS, MILLIS, SECS,
     };
 
     fn sim(n_pairs: usize, shared: f64) -> FlowSim {
