@@ -54,7 +54,6 @@ impl FlowSim {
         }
         self.capacities[ri] = bits_per_sec;
         self.arena.touch_resource(resource);
-        self.dirty = true;
     }
 
     /// Nominal (construction-time) rate of link `link`, bits/s.

@@ -114,7 +114,6 @@ pub struct FlowSim {
     events: BinaryHeap<Reverse<EventEntry>>,
     seq: u64,
     now: Nanos,
-    dirty: bool,
     rng: StdRng,
     /// Cumulative solver-phase tallies ([`FlowSim::solve_stats`]).
     stats: SolveStats,
@@ -199,7 +198,6 @@ impl FlowSim {
             events: BinaryHeap::new(),
             seq: 0,
             now: 0,
-            dirty: false,
             rng: StdRng::seed_from_u64(seed),
             stats: SolveStats::default(),
         }
@@ -490,6 +488,25 @@ mod tests {
         let _ = s.rate_bps(f);
         let st = s.solve_stats();
         assert_eq!(st.warm_solves + st.cold_solves, solves + 1, "{st:?}");
+        s.check_rates_against_cold();
+    }
+
+    #[test]
+    fn a_pending_flow_stopped_before_it_starts_costs_no_solve() {
+        let mut s = sim(2, GBIT);
+        let h = s.topology().hosts().to_vec();
+        s.start_flow_now(h[0], h[2], None, None, 1);
+        s.run_until(MILLIS);
+        let solves = s.solve_stats().warm_solves + s.solve_stats().cold_solves;
+        // Retired while pending: it never entered the arena, so the dirty
+        // window stays empty and nothing needs a solve.
+        let now = s.now();
+        let f = s.start_flow(h[1], h[3], None, None, now + 10 * MILLIS, 2);
+        s.stop_flow_at(f, now + 5 * MILLIS);
+        s.run_until(now + 20 * MILLIS);
+        assert!(matches!(s.status(f), FlowStatus::Done(_)));
+        let st = s.solve_stats();
+        assert_eq!(st.warm_solves + st.cold_solves, solves, "{st:?}");
         s.check_rates_against_cold();
     }
 

@@ -20,7 +20,7 @@ impl FlowSim {
         self.reallocate_if_dirty();
         if !self.solver.log_matches(&self.arena) {
             // The flow set is unchanged since the last committed
-            // allocation (otherwise `dirty` would have forced a solve), so
+            // allocation (otherwise the dirty window would have forced a solve), so
             // a warm solve finds nothing perturbed: it carries every round
             // (one key compare each), leaves the committed rates alone and
             // re-stamps the log.

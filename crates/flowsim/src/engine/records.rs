@@ -262,7 +262,6 @@ impl FlowSim {
             self.unfinished_bounded -= 1;
         }
         let tag = f.tag;
-        self.dirty = true;
         self.arena_evict(index);
         let s = self.tags.get_mut(&tag).expect("tag stat tracks every unreleased flow");
         s.unfinished -= 1;
@@ -328,7 +327,6 @@ impl FlowSim {
         // heap round trip.
         let i = key.index() as usize;
         self.flows[i].status = FlowStatus::Active;
-        self.dirty = true;
         self.arena_insert(i);
         key
     }

@@ -119,7 +119,8 @@ impl FlowSim {
     /// Recompute the max-min allocation if the active flow set or a
     /// capacity changed since the last solve.
     ///
-    /// Mutations only mark the state dirty; the solve runs here, called
+    /// Mutations only mark the arena's dirty window, which is the
+    /// perturbation set the solve starts from; the solve runs here, called
     /// by the readers of `rates` alone — [`FlowSim::rate_bps`], the probe
     /// log, the cold-solve check, the completion search of
     /// [`FlowSim::run_to_completion`] and the two rate reads of
@@ -143,10 +144,9 @@ impl FlowSim {
     /// ([`FlowSim::arena_insert`]) — a carried round's flows still read
     /// the rate that solve gave them.
     pub(super) fn reallocate_if_dirty(&mut self) {
-        if !self.dirty {
+        if self.arena.dirty_len() == 0 {
             return;
         }
-        self.dirty = false;
         // Everything around the solve is observational: the span timer
         // and values and the `SolveStats` adds read already-computed
         // state and feed nothing back, so instrumented and bare runs
@@ -240,7 +240,6 @@ impl FlowSim {
                     if f.status == FlowStatus::Pending {
                         f.status = FlowStatus::Active;
                         f.started_at = self.now;
-                        self.dirty = true;
                         self.arena_insert(i);
                     }
                 }
