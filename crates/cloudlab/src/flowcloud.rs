@@ -1,5 +1,7 @@
 //! Flow-level cloud backend: fast measurement and placement execution.
 
+use std::collections::HashMap;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,6 +26,9 @@ pub struct FlowCloud {
     noise_sd: f64,
     loopback_bps: f64,
     rng: StdRng,
+    /// Keys of the transfers [`FlowCloud::start_transfer`] started, by
+    /// tag: what [`FlowCloud::tag_completion`] answers from.
+    transfers: HashMap<u64, Vec<FlowKey>>,
     /// Scratch reused by the batched `probe_paths` override.
     probe_scratch: Vec<(NodeId, NodeId, Option<HoseId>)>,
     rate_scratch: Vec<f64>,
@@ -61,6 +66,7 @@ impl FlowCloud {
             noise_sd: cloud.profile.measurement_noise,
             loopback_bps: cloud.profile.loopback.rate_bps,
             rng: StdRng::seed_from_u64(seed ^ 0x5EED_F00D),
+            transfers: HashMap::new(),
             probe_scratch: Vec::new(),
             rate_scratch: Vec::new(),
         };
@@ -111,7 +117,10 @@ impl FlowCloud {
         }
         let src = self.vms.host(from);
         let dst = self.vms.host(to);
-        Some(self.sim.start_flow(src, dst, Some(bytes), Some(self.hoses[from.0 as usize]), at, tag))
+        let hose = Some(self.hoses[from.0 as usize]);
+        let key = self.sim.start_flow(src, dst, Some(bytes), hose, at, tag);
+        self.transfers.entry(tag).or_default().push(key);
+        Some(key)
     }
 
     /// Run until every bounded flow completes; returns the finish time.
@@ -119,9 +128,12 @@ impl FlowCloud {
         self.sim.run_to_completion()
     }
 
-    /// Completion time of all flows tagged `tag` (None until they finish).
+    /// Completion time of the transfers started under `tag`: the latest
+    /// of their completion times, `None` while any of them is pending or
+    /// active, or when no transfer was started under `tag`.
     pub fn tag_completion(&self, tag: u64) -> Option<Nanos> {
-        self.sim.tag_completion(tag)
+        let keys = self.transfers.get(&tag)?;
+        keys.iter().try_fold(0, |latest, &k| Some(latest.max(self.sim.completion_time(k)?)))
     }
 
     /// Noiseless instantaneous fair-share rate between two VMs (testing /
@@ -238,7 +250,7 @@ mod tests {
     use super::*;
     use crate::profile::ProviderProfile;
     use choreo_measure::RateModel;
-    use choreo_topology::MBIT;
+    use choreo_topology::{MBIT, MILLIS};
 
     fn quiet_ec2() -> Cloud {
         let mut p = ProviderProfile::ec2_2013(false);
@@ -295,6 +307,25 @@ mod tests {
         let expect = 125_000_000.0 * 8.0 / hose0;
         assert!((dur - expect).abs() / expect < 0.02, "dur {dur} vs {expect}");
         assert_eq!(fc.tag_completion(42), Some(end));
+    }
+
+    #[test]
+    fn tag_completion_waits_for_every_transfer_of_the_tag() {
+        let mut cloud = quiet_ec2();
+        let vms = cloud.allocate(4);
+        let mut fc = cloud.flow_cloud(1);
+        let t0 = fc.now();
+        let short = fc.start_transfer(vms[0], vms[1], 1_000_000, t0, 5).unwrap();
+        let long = fc.start_transfer(vms[2], vms[3], 100_000_000, t0, 5).unwrap();
+        assert_eq!(fc.tag_completion(5), None, "both transfers pending");
+        fc.advance(100 * MILLIS);
+        let first = fc.sim_mut().completion_time(short).expect("the short transfer finished");
+        assert_eq!(fc.sim_mut().completion_time(long), None);
+        assert_eq!(fc.tag_completion(5), None, "the long transfer is still running");
+        let end = fc.run_to_completion();
+        assert!(first < end);
+        assert_eq!(fc.tag_completion(5), Some(end), "the later completion time");
+        assert_eq!(fc.tag_completion(999), None, "no transfer under this tag");
     }
 
     #[test]

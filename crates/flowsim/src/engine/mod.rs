@@ -11,7 +11,7 @@
 //!   fractions.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -27,7 +27,7 @@ mod records;
 mod run;
 
 pub use capacity::{HoseId, FAILED_LINK_BPS};
-use records::{Flow, TagStat, NO_SLOT};
+use records::{Flow, NO_SLOT};
 pub use records::{FlowKey, FlowStatus};
 use run::{EventEntry, OnOff};
 
@@ -73,8 +73,6 @@ pub struct FlowSim {
     /// `Pending`/`Active` flows with a byte bound — the only flows
     /// [`FlowSim::run_to_completion`] waits on.
     unfinished_bounded: usize,
-    /// Per-tag completion bookkeeping (see [`TagStat`]).
-    tags: HashMap<u64, TagStat>,
     /// High-water mark of concurrently active flows.
     peak_active: usize,
     /// Active flows, indexed by arena slot.
@@ -183,7 +181,6 @@ impl FlowSim {
             free_flows: Vec::new(),
             flow_seq: 0,
             unfinished_bounded: 0,
-            tags: HashMap::new(),
             peak_active: 0,
             arena,
             slot_owner: Vec::new(),
@@ -250,24 +247,6 @@ impl FlowSim {
             FlowStatus::Done(t) => Some(t),
             _ => None,
         }
-    }
-
-    /// Latest completion time among flows tagged `tag`; `None` if any is
-    /// still pending/active or no flow carries the tag.
-    ///
-    /// An O(1) lookup against incrementally maintained per-tag counters —
-    /// the pre-recycling implementation scanned every all-time flow
-    /// record, which made repeated queries quadratic over a simulation's
-    /// lifetime. Released flows no longer count toward the tag: once a
-    /// tag's every flow is released the tag reads as unknown (`None`),
-    /// but completion times observed before the release stay reflected
-    /// while any unreleased flow keeps the tag alive.
-    pub fn tag_completion(&self, tag: u64) -> Option<Nanos> {
-        let s = self.tags.get(&tag)?;
-        if s.unfinished > 0 {
-            return None;
-        }
-        Some(s.latest)
     }
 
     /// The loopback model in use.
@@ -393,7 +372,6 @@ mod tests {
         let end = s.run_to_completion();
         assert_eq!(s.status(f), FlowStatus::Done(end));
         assert!((end as f64 - 1e9).abs() < 1e6, "end = {end}");
-        assert_eq!(s.tag_completion(1), Some(end));
     }
 
     #[test]
@@ -605,19 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn tag_completion_requires_all_flows_done() {
-        let mut s = sim(2, GBIT);
-        let h = s.topology().hosts().to_vec();
-        s.start_flow(h[0], h[2], Some(1_000_000), None, 0, 5);
-        s.start_flow(h[1], h[3], Some(100_000_000), None, 0, 5);
-        s.run_until(100 * MILLIS);
-        assert_eq!(s.tag_completion(5), None, "second flow still active");
-        s.run_to_completion();
-        assert!(s.tag_completion(5).is_some());
-        assert_eq!(s.tag_completion(999), None, "unknown tag");
-    }
-
-    #[test]
     fn pending_flows_start_at_their_time() {
         let mut s = sim(1, GBIT);
         let h = s.topology().hosts().to_vec();
@@ -682,10 +647,8 @@ mod tests {
         s.run_until(MILLIS);
         s.stop_flows_now(&[f1]);
         assert!(s.delivered_bytes(f1) > 0, "stats are harvestable before release");
-        assert!(s.tag_completion(1).is_some());
         let records = s.flow_records();
         s.release_flow(f1);
-        assert_eq!(s.tag_completion(1), None, "released flows leave their tag");
         // The next flow reuses the released record: the table does not
         // grow, and the stale key can never alias the new occupant.
         let f2 = s.start_flow_now(h[1], h[3], None, None, 2);

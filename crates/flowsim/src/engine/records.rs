@@ -85,20 +85,6 @@ pub(super) struct Flow {
     pub(super) generation: u32,
 }
 
-/// Per-tag completion bookkeeping, maintained incrementally on flow
-/// creation/retirement/release so [`FlowSim::tag_completion`] is an O(1)
-/// lookup instead of a scan over all-time flow records.
-#[derive(Debug, Default, Clone, Copy)]
-pub(super) struct TagStat {
-    /// Flows with this tag still `Pending` or `Active`.
-    pub(super) unfinished: u32,
-    /// Flows with this tag retired (`Done`) but not yet released.
-    pub(super) done: u32,
-    /// Latest completion time observed among this tag's flows (monotone;
-    /// survives releases of the flows that set it).
-    pub(super) latest: Nanos,
-}
-
 impl FlowSim {
     pub(super) fn host_loopback_res(&self, host: NodeId) -> u32 {
         (self.topo.link_count() * 2 + self.routes.host_index(host)) as u32
@@ -244,14 +230,12 @@ impl FlowSim {
         if bytes.is_some() {
             self.unfinished_bounded += 1;
         }
-        self.tags.entry(tag).or_default().unfinished += 1;
         FlowKey::pack(index as u32, generation)
     }
 
     /// Transition a pending/active flow to `Done` at the current time:
-    /// arena slot evicted (rate zeroed, byte counter settled),
-    /// tag/completion bookkeeping updated. No-op if the flow already
-    /// retired.
+    /// arena slot evicted (rate zeroed, byte counter settled). No-op if
+    /// the flow already retired.
     pub(super) fn retire(&mut self, index: usize) {
         let f = &mut self.flows[index];
         if !matches!(f.status, FlowStatus::Pending | FlowStatus::Active) {
@@ -261,12 +245,7 @@ impl FlowSim {
         if f.remaining.is_some() {
             self.unfinished_bounded -= 1;
         }
-        let tag = f.tag;
         self.arena_evict(index);
-        let s = self.tags.get_mut(&tag).expect("tag stat tracks every unreleased flow");
-        s.unfinished -= 1;
-        s.done += 1;
-        s.latest = s.latest.max(self.now);
     }
 
     pub(super) fn release_index(&mut self, index: usize) {
@@ -276,12 +255,6 @@ impl FlowSim {
             "only a retired (Done) flow's record can be released"
         );
         f.generation = (f.generation + 1) & KEY_GEN_MASK;
-        let tag = f.tag;
-        let s = self.tags.get_mut(&tag).expect("tag stat tracks every unreleased flow");
-        s.done -= 1;
-        if s.done == 0 && s.unfinished == 0 {
-            self.tags.remove(&tag);
-        }
         self.free_flows.push(index as u32);
     }
 
