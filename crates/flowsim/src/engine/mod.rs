@@ -59,7 +59,6 @@ pub struct FlowSim {
     routes: Arc<RouteTable>,
     /// Capacities: `2·L` directed links, then `H` loopbacks, then hoses.
     capacities: Vec<f64>,
-    loopback: LinkSpec,
     flows: Vec<Flow>,
     /// Released flow-record indices available for reuse; with retirement
     /// release in steady state, `flows` stops growing once it covers the
@@ -176,7 +175,6 @@ impl FlowSim {
             topo,
             routes,
             capacities,
-            loopback,
             flows: Vec::new(),
             free_flows: Vec::new(),
             flow_seq: 0,
@@ -247,11 +245,6 @@ impl FlowSim {
             FlowStatus::Done(t) => Some(t),
             _ => None,
         }
-    }
-
-    /// The loopback model in use.
-    pub fn loopback(&self) -> LinkSpec {
-        self.loopback
     }
 
     /// Number of active flows.

@@ -77,7 +77,6 @@ pub(super) struct Flow {
     /// is settled here.
     pub(super) delivered: f64,
     pub(super) status: FlowStatus,
-    pub(super) started_at: Nanos,
     /// Caller-assigned grouping tag (e.g. application id).
     pub(super) tag: u64,
     /// Generation stamp a [`FlowKey`] must match to address this record;
@@ -187,7 +186,6 @@ impl FlowSim {
         dst: NodeId,
         bytes: Option<u64>,
         hose: Option<HoseId>,
-        at: Nanos,
         tag: u64,
     ) -> FlowKey {
         self.flow_seq += 1;
@@ -205,7 +203,6 @@ impl FlowSim {
                     remaining: None,
                     delivered: 0.0,
                     status: FlowStatus::Pending,
-                    started_at: 0,
                     tag: 0,
                     generation: 0,
                 });
@@ -223,7 +220,6 @@ impl FlowSim {
             remaining: bytes.map(|b| b as f64),
             delivered: 0.0,
             status: FlowStatus::Pending,
-            started_at: at,
             tag,
             generation,
         };
@@ -295,7 +291,7 @@ impl FlowSim {
         hose: Option<HoseId>,
         tag: u64,
     ) -> FlowKey {
-        let key = self.push_flow(src, dst, bytes, hose, self.now, tag);
+        let key = self.push_flow(src, dst, bytes, hose, tag);
         // Same transition the `Ev::Start` dispatch performs, minus the
         // heap round trip.
         let i = key.index() as usize;

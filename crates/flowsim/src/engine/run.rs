@@ -18,35 +18,23 @@ use super::{FlowKey, FlowSim, FlowStatus, HoseId};
 /// the toggle-off stop fires (no caller ever harvests their stats).
 const TAG_ONOFF: u64 = u64::MAX - 1;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(super) enum Ev {
     Start(FlowKey),
     Stop(FlowKey),
     Toggle(u32),
 }
 
-/// One scheduled event. Ordering is **explicit and total**: events fire in
-/// `(at, seq)` order — earliest time first, FIFO among events scheduled
-/// for the same instant (`seq` is a strictly increasing scheduling
-/// counter, so no two entries ever compare equal and the payload never
-/// participates in the ordering).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One scheduled event. The derived order is total and compares the
+/// fields in declaration order: events fire in `(at, seq)` order —
+/// earliest time first, FIFO among events scheduled for the same instant.
+/// `seq` is a strictly increasing scheduling counter, so no two entries
+/// ever tie on it and `ev` is never compared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(super) struct EventEntry {
     pub(super) at: Nanos,
     pub(super) seq: u64,
     pub(super) ev: Ev,
-}
-
-impl PartialOrd for EventEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for EventEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 #[derive(Debug)]
@@ -81,7 +69,7 @@ impl FlowSim {
         at: Nanos,
         tag: u64,
     ) -> FlowKey {
-        let key = self.push_flow(src, dst, bytes, hose, at, tag);
+        let key = self.push_flow(src, dst, bytes, hose, tag);
         self.push_event(at.max(self.now), Ev::Start(key));
         key
     }
@@ -239,7 +227,6 @@ impl FlowSim {
                     let f = &mut self.flows[i];
                     if f.status == FlowStatus::Pending {
                         f.status = FlowStatus::Active;
-                        f.started_at = self.now;
                         self.arena_insert(i);
                     }
                 }
