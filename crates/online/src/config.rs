@@ -1,6 +1,32 @@
-//! Service configuration.
+//! Service configuration: the settable knobs, and the constants every
+//! caller left at one value.
 
 use choreo_topology::{LinkSpec, Nanos, GBIT, MICROS, SECS};
+
+/// Capacity/delay model for co-located traffic: the ≈ 4 Gbit/s intra-host
+/// paths the paper measured on EC2, the same model as the cloudlab
+/// provider profiles' `loopback`.
+pub const LOOPBACK: LinkSpec = LinkSpec { rate_bps: 4.2 * GBIT, delay: 20 * MICROS };
+
+/// Each tenant's heaviest this-many transfers become live simulated
+/// flows; placement still sees the full matrix. Not from the paper: a
+/// modelling bound of this service that caps the per-tenant flow count
+/// of all-to-all patterns.
+pub const MAX_MODELED_TRANSFERS: usize = 12;
+
+/// Cost-side hysteresis threshold of the shared
+/// `choreo::migrate::improves_enough` rule, applied to reciprocal rates:
+/// a move fires only when `predicted > current / (1 − MIN_IMPROVEMENT)`,
+/// a ≥ 11 % predicted rate gain. The paper's §2.4 re-evaluation
+/// threshold. The band between [`MigrationConfig::degraded_fraction`]
+/// and this bar is what keeps tenants from flapping.
+pub const MIN_IMPROVEMENT: f64 = 0.10;
+
+/// A tenant counts as drifted when its last-epoch relative error
+/// `|cur − prev| / cur` exceeds this: the paper's §4.1 stability envelope
+/// (≤ 6 % error for 95 % of paths). More epoch-over-epoch error than the
+/// measured cloud baseline means the network changed, not noise.
+pub const DRIFT_THRESHOLD: f64 = 0.06;
 
 /// Which placer admission uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,15 +48,6 @@ pub struct MigrationConfig {
     /// drops strictly below this fraction of the rate it saw right after
     /// its last placement.
     pub degraded_fraction: f64,
-    /// Cost-side hysteresis threshold of the shared
-    /// `choreo::migrate::improves_enough` rule, applied to reciprocal
-    /// rates: a move fires only when
-    /// `predicted > current / (1 − min_improvement)` — e.g. the default
-    /// `0.10` (the paper's §2.4 threshold) demands a ≥ 11 % predicted
-    /// rate gain, `0.25` a ≥ 33 % gain, `0.5` a 2× gain. The band
-    /// between `degraded_fraction` and this bar is what keeps tenants
-    /// from flapping.
-    pub min_improvement: f64,
     /// Maximum number of tenants moved per pass — migration is not free,
     /// so each pass executes only the best improvements.
     pub budget: usize,
@@ -43,7 +60,6 @@ impl Default for MigrationConfig {
         MigrationConfig {
             cadence: Some(10 * SECS),
             degraded_fraction: 0.85,
-            min_improvement: 0.10,
             budget: 2,
             cooldown: 20 * SECS,
         }
@@ -59,7 +75,7 @@ impl Default for MigrationConfig {
 /// cadence, keeps the last few per-epoch scores, and treats a
 /// last-epoch relative error
 /// ([`choreo_measure::stability::last_relative_error`]) **above** the
-/// paper's envelope as network
+/// paper's envelope ([`DRIFT_THRESHOLD`]) as network
 /// drift — something moved underneath the tenant (congestion, a
 /// degraded or recovered link), so the tenant is routed into the
 /// migration planner ahead of its normal cadence.
@@ -68,18 +84,13 @@ pub struct DriftConfig {
     /// Re-measure every running networked tenant on this simulated-time
     /// cadence (`None` disables drift detection).
     pub cadence: Option<Nanos>,
-    /// A tenant counts as drifted when its last-epoch relative error
-    /// `|cur − prev| / cur` exceeds this. Default `0.06` — the paper's
-    /// §4.1 stability envelope: larger epoch-over-epoch error than the
-    /// measured cloud baseline means the network changed, not noise.
-    pub threshold: f64,
     /// Epoch scores retained per tenant (the drift series window).
     pub window: usize,
 }
 
 impl Default for DriftConfig {
     fn default() -> Self {
-        DriftConfig { cadence: Some(30 * SECS), threshold: 0.06, window: 8 }
+        DriftConfig { cadence: Some(30 * SECS), window: 8 }
     }
 }
 
@@ -88,9 +99,6 @@ impl Default for DriftConfig {
 pub struct OnlineConfig {
     /// CPU cores per host (§6.1: four-core machines).
     pub cores_per_host: f64,
-    /// Capacity/delay model for co-located traffic (the paper's
-    /// ≈4 Gbit/s same-host paths).
-    pub loopback: LinkSpec,
     /// Placement works within the `candidate_hosts` hosts with the most
     /// free CPU (deterministic tie-break on host index) instead of the
     /// whole cluster: candidate probing is one batched what-if solve per
@@ -99,10 +107,6 @@ pub struct OnlineConfig {
     /// made once per CPU-ledger change and reused while the ledger is
     /// unchanged, so a queue retry after a failed attempt ranks nothing.
     pub candidate_hosts: usize,
-    /// Each tenant's heaviest this-many transfers become live simulated
-    /// flows; placement still sees the full matrix. Bounds per-tenant
-    /// flow count for all-to-all patterns.
-    pub max_modeled_transfers: usize,
     /// Arrivals that do not fit wait in a FIFO queue of at most this many
     /// tenants (retried on departures); beyond it they are rejected.
     pub queue_capacity: usize,
@@ -118,9 +122,7 @@ impl Default for OnlineConfig {
     fn default() -> Self {
         OnlineConfig {
             cores_per_host: 4.0,
-            loopback: LinkSpec::new(4.2 * GBIT, 20 * MICROS),
             candidate_hosts: 16,
-            max_modeled_transfers: 12,
             queue_capacity: 64,
             policy: PlacementPolicy::Greedy,
             migration: MigrationConfig::default(),
@@ -139,7 +141,6 @@ mod tests {
         assert_eq!(c.policy, PlacementPolicy::Greedy);
         assert!(c.candidate_hosts >= 2 && c.queue_capacity > 0);
         assert!(c.migration.degraded_fraction < 1.0);
-        assert!(c.migration.min_improvement > 0.0);
-        assert!(c.drift.threshold > 0.0 && c.drift.window >= 2);
+        assert!(c.drift.window >= 2);
     }
 }

@@ -281,7 +281,6 @@ mod tests {
                 cadence: None,
                 cooldown: 0,
                 degraded_fraction: 0.8,
-                min_improvement: 0.10,
                 budget: 4,
             },
             ..OnlineConfig::default()
@@ -309,7 +308,6 @@ mod tests {
                 cadence: None,
                 cooldown: 0,
                 degraded_fraction: 0.8,
-                min_improvement: 0.10,
                 budget: 4,
             },
             ..OnlineConfig::default()
@@ -349,7 +347,6 @@ mod tests {
                 cadence: None,
                 cooldown: 100 * SECS,
                 degraded_fraction: 0.8,
-                min_improvement: 0.10,
                 budget: 4,
             },
             drift: DriftConfig { cadence: None, ..DriftConfig::default() },
@@ -441,7 +438,7 @@ mod tests {
         let cfg = OnlineConfig {
             cores_per_host: 1.0,
             migration: MigrationConfig { cadence: None, ..MigrationConfig::default() },
-            drift: DriftConfig { cadence: Some(SECS), threshold: 0.06, window: 4 },
+            drift: DriftConfig { cadence: Some(SECS), window: 4 },
             ..OnlineConfig::default()
         };
         let mut s = service(cfg);

@@ -16,7 +16,7 @@
 //!
 //! * **no flapping** — degradation is measured against a band
 //!   (`degraded_fraction` below baseline to arm, strictly more than
-//!   `min_improvement` predicted gain to fire) and every move re-arms a
+//!   [`MIN_IMPROVEMENT`] predicted gain to fire) and every move re-arms a
 //!   per-tenant cooldown;
 //! * **determinism** — tenants are scanned in id order, moves are ranked
 //!   by `(gain, id)`, and each executed move re-checks CPU feasibility
@@ -33,7 +33,7 @@ use choreo::migrate::improves_enough;
 use choreo_place::problem::Placement;
 use choreo_profile::TenantId;
 
-use crate::config::PlacementPolicy;
+use crate::config::{PlacementPolicy, LOOPBACK, MIN_IMPROVEMENT};
 use crate::scheduler::{service_score, OnlineScheduler};
 use crate::stats::{Cause, DecisionKind};
 
@@ -96,7 +96,7 @@ impl OnlineScheduler {
         let now = self.sim.now();
         let cooldown = self.cfg.migration.cooldown;
         let degraded_fraction = self.cfg.migration.degraded_fraction;
-        let loopback = self.cfg.loopback.rate_bps;
+        let loopback = LOOPBACK.rate_bps;
         let mut degraded: Vec<(TenantId, f64)> = Vec::new();
         for (&id, t) in &self.tenants {
             let forced_in = forced.binary_search(&id).is_ok();
@@ -122,7 +122,6 @@ impl OnlineScheduler {
         degraded: Vec<(TenantId, f64)>,
         is_forced: impl Fn(TenantId) -> bool,
     ) {
-        let min_improvement = self.cfg.migration.min_improvement;
         // Phase 2: price a candidate move per degraded tenant. The
         // tenant's own CPU is released while searching so it may reuse
         // its current hosts in a better arrangement.
@@ -141,7 +140,7 @@ impl OnlineScheduler {
             }
             let predicted = self.predicted_score(&transfers, &candidate, intensity);
             // Same hysteresis rule as §2.4, on reciprocal rates (costs).
-            if improves_enough(1.0 / current, 1.0 / predicted, min_improvement) {
+            if improves_enough(1.0 / current, 1.0 / predicted, MIN_IMPROVEMENT) {
                 moves.push(PlannedMove {
                     gain: predicted / current,
                     tenant: id,
@@ -179,7 +178,7 @@ impl OnlineScheduler {
         placement: &Placement,
         intensity: u32,
     ) -> f64 {
-        let loopback = self.cfg.loopback.rate_bps;
+        let loopback = LOOPBACK.rate_bps;
         if transfers.is_empty() {
             return loopback;
         }
@@ -231,7 +230,7 @@ impl OnlineScheduler {
         self.sim.release_flows(&old_keys);
         self.cpu.apply(&t.app, &placement);
         let flows = self.start_transfer_flows(id, &placement, &t.transfers, t.intensity);
-        let baseline = service_score(&mut self.sim, self.cfg.loopback.rate_bps, &flows);
+        let baseline = service_score(&mut self.sim, LOOPBACK.rate_bps, &flows);
         self.stats.migrations += 1;
         self.stats.note(0x56); // 'V' — a move
         self.stats.note(id);
@@ -240,7 +239,7 @@ impl OnlineScheduler {
         }
         self.stats.note_f64(baseline);
         let now = self.sim.now();
-        let cause = Cause::Hysteresis { gain, min_improvement: self.cfg.migration.min_improvement };
+        let cause = Cause::Hysteresis { gain, min_improvement: MIN_IMPROVEMENT };
         if forced {
             self.stats.failure_migrations += 1;
             self.stats.note(0x46); // 'F' — the move was forced

@@ -17,7 +17,9 @@ use choreo_profile::{
 use choreo_topology::{Nanos, NodeId};
 
 use crate::builder::SchedulerBuilder;
-use crate::config::{OnlineConfig, PlacementPolicy};
+use crate::config::{
+    OnlineConfig, PlacementPolicy, DRIFT_THRESHOLD, LOOPBACK, MAX_MODELED_TRANSFERS,
+};
 use crate::metrics::{PodLossGauges, ServiceMetrics};
 use crate::stats::{Cause, DecisionKind, RejectReason, ServiceStats};
 
@@ -31,7 +33,7 @@ pub(crate) struct Tenant {
     /// Connections per modeled transfer.
     pub(crate) intensity: u32,
     /// Modeled transfers `(src task, dst task)`, heaviest first — the
-    /// top [`OnlineConfig::max_modeled_transfers`] of the matrix.
+    /// top [`MAX_MODELED_TRANSFERS`] of the matrix.
     pub(crate) transfers: Vec<(usize, usize)>,
     /// Live flow keys per modeled transfer; empty = co-located.
     pub(crate) flows: Vec<Vec<FlowKey>>,
@@ -132,16 +134,14 @@ impl OnlineScheduler {
     pub(crate) fn from_builder(b: SchedulerBuilder) -> Self {
         let SchedulerBuilder { topo, routes, cfg, seed, metrics, trace_capacity } = b;
         assert!(cfg.candidate_hosts >= 2, "placement needs at least two candidate hosts");
-        assert!(cfg.max_modeled_transfers >= 1, "model at least one transfer per tenant");
         if let Some(c) = cfg.migration.cadence {
             assert!(c > 0, "migration cadence must be positive");
         }
         if let Some(c) = cfg.drift.cadence {
             assert!(c > 0, "drift cadence must be positive");
             assert!(cfg.drift.window >= 2, "drift needs at least two epochs");
-            assert!(cfg.drift.threshold > 0.0, "drift threshold must be positive");
         }
-        let sim = FlowSim::new(topo.clone(), routes, cfg.loopback, seed);
+        let sim = FlowSim::new(topo.clone(), routes, LOOPBACK, seed);
         let hosts = topo.hosts().to_vec();
         let n = hosts.len();
         let k = cfg.candidate_hosts.min(n);
@@ -253,7 +253,7 @@ impl OnlineScheduler {
     /// without touching the digest.
     pub fn slo_attainment(&mut self, fraction: f64) -> (u64, u64) {
         assert!((0.0..=1.0).contains(&fraction), "SLO fraction must be in [0, 1]");
-        let loopback = self.cfg.loopback.rate_bps;
+        let loopback = LOOPBACK.rate_bps;
         let (mut met, mut total) = (0u64, 0u64);
         const NB: usize = crate::metrics::TENANT_BUCKETS as usize;
         let mut bucket_met = [0u64; NB];
@@ -283,7 +283,7 @@ impl OnlineScheduler {
     /// failure/recovery probe of the scenario tests
     /// (`tests/scenarios.rs`).
     pub fn mean_networked_score(&mut self) -> Option<f64> {
-        let loopback = self.cfg.loopback.rate_bps;
+        let loopback = LOOPBACK.rate_bps;
         let (mut sum, mut count) = (0.0, 0usize);
         for t in self.tenants.values().filter(|t| t.is_networked()) {
             sum += service_score(&mut self.sim, loopback, &t.flows);
@@ -426,7 +426,7 @@ impl OnlineScheduler {
     /// order.
     fn degraded_tenants(&mut self) -> Vec<(TenantId, f64)> {
         let frac = self.cfg.migration.degraded_fraction;
-        let loopback = self.cfg.loopback.rate_bps;
+        let loopback = LOOPBACK.rate_bps;
         let mut out = Vec::new();
         for (&id, t) in self.tenants.iter().filter(|(_, t)| t.is_networked()) {
             let score = service_score(&mut self.sim, loopback, &t.flows);
@@ -447,9 +447,8 @@ impl OnlineScheduler {
     fn measurement_pass(&mut self) {
         self.stats.measurement_passes += 1;
         self.stats.note(0x50); // 'P'
-        let threshold = self.cfg.drift.threshold;
         let window = self.cfg.drift.window;
-        let loopback = self.cfg.loopback.rate_bps;
+        let loopback = LOOPBACK.rate_bps;
         let now = self.sim.now();
         let mut drifted: Vec<(TenantId, f64)> = Vec::new();
         // Co-located tenants have no network under them to drift.
@@ -463,7 +462,7 @@ impl OnlineScheduler {
             // Epochs are one cadence apart and compared at a lag of one
             // cadence: the latest error of the series at lag 1.
             if let Some(err) = last_relative_error(&t.epoch_scores, 1) {
-                if err > threshold {
+                if err > DRIFT_THRESHOLD {
                     drifted.push((id, err));
                 }
             }
@@ -477,7 +476,7 @@ impl OnlineScheduler {
                 id,
                 DecisionKind::DriftDetected,
                 err,
-                Cause::Drift { error: err, threshold },
+                Cause::Drift { error: err, threshold: DRIFT_THRESHOLD },
             );
         }
         if !drifted.is_empty() {
@@ -699,12 +698,12 @@ impl OnlineScheduler {
             .transfers_desc()
             .into_iter()
             .filter(|&(_, _, b)| b > 0)
-            .take(self.cfg.max_modeled_transfers)
+            .take(MAX_MODELED_TRANSFERS)
             .map(|(i, j, _)| (i, j))
             .collect();
         let intensity = intensity.max(1);
         let flows = self.start_transfer_flows(id, &placement, &transfers, intensity);
-        let baseline = service_score(&mut self.sim, self.cfg.loopback.rate_bps, &flows);
+        let baseline = service_score(&mut self.sim, LOOPBACK.rate_bps, &flows);
         self.stats.note(0x41); // 'A'
         self.stats.note(intensity as u64);
         for &h in &placement.assignment {
@@ -773,7 +772,7 @@ impl OnlineScheduler {
         // Only a real teardown (queued-drop above, or this live drop)
         // counts as a departure.
         self.stats.departures += 1;
-        let score = service_score(&mut self.sim, self.cfg.loopback.rate_bps, &t.flows);
+        let score = service_score(&mut self.sim, LOOPBACK.rate_bps, &t.flows);
         self.stats.record_departed_rate(score);
         let now = self.sim.now();
         self.stats.decide(now, id, DecisionKind::Depart, score);

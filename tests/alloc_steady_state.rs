@@ -416,7 +416,7 @@ fn steady_state_reallocation_allocates_nothing() {
     let cfg = OnlineConfig {
         cores_per_host: 1.0, // one task per host: every tenant is networked
         migration: MigrationConfig { cadence: Some(SECS), ..MigrationConfig::default() },
-        drift: DriftConfig { cadence: Some(SECS), threshold: 0.06, window: 4 },
+        drift: DriftConfig { cadence: Some(SECS), window: 4 },
         ..OnlineConfig::default()
     };
     let mut sched =
