@@ -109,11 +109,6 @@ impl Cloud {
         VmMap::new(&self.topo, self.vm_hosts.clone())
     }
 
-    /// Host of one VM.
-    pub fn host_of(&self, vm: VmId) -> NodeId {
-        self.vm_hosts[vm.0 as usize]
-    }
-
     /// Hose rate assigned to one VM.
     pub fn hose_of(&self, vm: VmId) -> f64 {
         self.vm_hose_bps[vm.0 as usize]
@@ -170,7 +165,7 @@ mod tests {
         let mut c = Cloud::new(profile, 3);
         let vms = c.allocate(10);
         assert_eq!(vms.len(), 10);
-        let mut hosts: Vec<NodeId> = vms.iter().map(|&v| c.host_of(v)).collect();
+        let mut hosts: Vec<NodeId> = vms.iter().map(|&v| c.vm_hosts[v.0 as usize]).collect();
         hosts.sort();
         hosts.dedup();
         assert_eq!(hosts.len(), 10, "no accidental colocation at prob 0");
@@ -183,8 +178,9 @@ mod tests {
         let mut c = Cloud::new(profile, 3);
         let vms = c.allocate(3);
         // VM 0 gets a fresh host, the rest pile onto used hosts.
-        assert_eq!(c.host_of(vms[1]), c.host_of(vms[0]));
-        assert_eq!(c.host_of(vms[2]), c.host_of(vms[0]));
+        let host = |v: VmId| c.vm_hosts[v.0 as usize];
+        assert_eq!(host(vms[1]), host(vms[0]));
+        assert_eq!(host(vms[2]), host(vms[0]));
     }
 
     #[test]
@@ -213,7 +209,7 @@ mod tests {
         let map = c.vm_map();
         assert_eq!(map.len(), 5);
         for v in vms {
-            assert_eq!(map.host(v), c.host_of(v));
+            assert_eq!(map.host(v), c.vm_hosts[v.0 as usize]);
         }
     }
 }

@@ -156,16 +156,6 @@ impl Choreo {
             self.load.remove(&app, &placement);
         }
     }
-
-    /// Replace a running application's placement (migration, §2.4).
-    pub fn replace_placement(&mut self, tag: u64, placement: Placement) {
-        if let Some(entry) = self.running.iter_mut().find(|(t, _, _)| *t == tag) {
-            self.load.remove(&entry.1, &entry.2);
-            let app = entry.1.clone();
-            entry.2 = placement;
-            self.load.apply(&app, &entry.2);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -284,20 +274,5 @@ mod tests {
         c.admit(&a, &p2);
         let used_after_two: f64 = c.load().cpu_used.iter().sum();
         assert!((used_after_two - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn replace_placement_swaps_load() {
-        let mut c = Choreo::new(Machines::uniform(3, 4.0), ChoreoConfig::default());
-        c.set_snapshot(snap(3));
-        let a = app();
-        let tag = {
-            let p = Placement { assignment: vec![0, 1] };
-            c.admit(&a, &p)
-        };
-        assert!(c.load().cpu_used[0] > 0.0);
-        c.replace_placement(tag, Placement { assignment: vec![2, 2] });
-        assert_eq!(c.load().cpu_used[0], 0.0);
-        assert!((c.load().cpu_used[2] - 2.0).abs() < 1e-9);
     }
 }

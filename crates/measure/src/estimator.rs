@@ -1,6 +1,6 @@
 //! Packet-train throughput estimation (paper §3.1).
 
-use choreo_netsim::{BurstRecord, TrainConfig, TrainReport};
+use choreo_netsim::{BurstRecord, TrainReport};
 use choreo_topology::Nanos;
 
 /// Mathis constant `C = √(3/2)` from Mathis et al., "The Macroscopic Behavior of the TCP
@@ -71,28 +71,11 @@ pub fn estimate_from_report(report: &TrainReport) -> TrainEstimate {
     }
 }
 
-/// Wall-clock cost model for measuring a full mesh of `n_vms` (paper §4.1:
-/// "To measure a network of ten VMs (i.e., 90 VM pairs) takes less than
-/// three minutes ... including overhead"). A train's wire time is its
-/// bursts' serialization at `line_rate_bps` plus the inter-burst gaps;
-/// `per_pair_overhead` covers scheduling and report collection.
-pub fn measurement_time(
-    n_vms: usize,
-    config: &TrainConfig,
-    line_rate_bps: f64,
-    per_pair_overhead: Nanos,
-) -> Nanos {
-    let pairs = (n_vms * n_vms.saturating_sub(1)) as u64;
-    let burst_bytes = config.burst_len as u64 * config.packet_bytes as u64;
-    let burst_time = choreo_topology::units::tx_time(burst_bytes, line_rate_bps) + config.gap;
-    let train_time = burst_time * config.bursts as u64;
-    pairs * (train_time + per_pair_overhead)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use choreo_topology::{MILLIS, SECS};
+    use choreo_netsim::TrainConfig;
+    use choreo_topology::MILLIS;
 
     fn mk_report(bursts: Vec<BurstRecord>, sent: u64, base_rtt: Nanos) -> TrainReport {
         TrainReport {
@@ -182,16 +165,5 @@ mod tests {
         let est = estimate_from_report(&rep);
         assert_eq!(est.usable_bursts, 0);
         assert_eq!(est.burst_rate_bps, 0.0);
-    }
-
-    #[test]
-    fn measurement_time_within_paper_budget() {
-        // §4.1: 10 VMs with the EC2 config measure in < 3 minutes even
-        // with 1 s per-pair overhead.
-        let t = measurement_time(10, &TrainConfig::default(), 1e9, SECS);
-        assert!(t < 3 * 60 * SECS, "t = {} s", t / SECS);
-        // And an individual train costs well under a second of wire time.
-        let per_train = measurement_time(2, &TrainConfig::default(), 1e9, 0) / 2;
-        assert!(per_train < SECS, "per-train = {} ms", per_train / MILLIS);
     }
 }

@@ -31,6 +31,6 @@ pub mod stability;
 
 pub use bottleneck::{interferes, BottleneckSurvey, InterferenceTest};
 pub use crosstraffic::cross_traffic_estimate;
-pub use estimator::{estimate_from_report, measurement_time, TrainEstimate};
+pub use estimator::{estimate_from_report, TrainEstimate};
 pub use snapshot::{MeasureBackend, NetworkSnapshot, RateModel};
 pub use stability::{cdf, StabilitySeries};

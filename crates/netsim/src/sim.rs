@@ -72,18 +72,6 @@ pub struct TcpStats {
     pub retransmits: u64,
 }
 
-impl TcpStats {
-    /// Mean delivered throughput between flow start and `now`, bits/s.
-    pub fn mean_throughput_bps(&self, now: Nanos) -> f64 {
-        let end = self.completed_at.unwrap_or(now);
-        let dur = end.saturating_sub(self.started_at);
-        if dur == 0 {
-            return 0.0;
-        }
-        self.delivered_bytes as f64 * 8.0 / (dur as f64 / 1e9)
-    }
-}
-
 /// The packet-level simulator.
 pub struct Sim {
     topo: Arc<Topology>,
@@ -652,6 +640,12 @@ mod tests {
         (t, r)
     }
 
+    /// Mean delivered throughput between flow start and `now`, bits/s.
+    fn mean_throughput_bps(st: &TcpStats, now: Nanos) -> f64 {
+        let dur = st.completed_at.unwrap_or(now) - st.started_at;
+        st.delivered_bytes as f64 * 8.0 / (dur as f64 / 1e9)
+    }
+
     #[test]
     fn bounded_tcp_flow_completes() {
         let (t, r) = net(1, GBIT);
@@ -673,7 +667,7 @@ mod tests {
         let f = sim.start_tcp(t.hosts()[0], t.hosts()[1], None, None, None, 0);
         sim.run_until(2 * SECS);
         let st = sim.tcp_stats(f);
-        let rate = st.mean_throughput_bps(sim.now());
+        let rate = mean_throughput_bps(&st, sim.now());
         // Goodput ≈ rate × MSS/(MSS+hdr) ≈ 0.965 Gbit/s; accept within 10%.
         assert!(rate > 0.85e9 && rate < 1.0e9, "rate = {rate}");
     }
@@ -685,8 +679,8 @@ mod tests {
         let f1 = sim.start_tcp(t.hosts()[0], t.hosts()[2], None, None, None, 0);
         let f2 = sim.start_tcp(t.hosts()[1], t.hosts()[3], None, None, None, 0);
         sim.run_until(4 * SECS);
-        let r1 = sim.tcp_stats(f1).mean_throughput_bps(sim.now());
-        let r2 = sim.tcp_stats(f2).mean_throughput_bps(sim.now());
+        let r1 = mean_throughput_bps(&sim.tcp_stats(f1), sim.now());
+        let r2 = mean_throughput_bps(&sim.tcp_stats(f2), sim.now());
         let share = r1 / (r1 + r2);
         assert!(share > 0.35 && share < 0.65, "share = {share}, r1={r1}, r2={r2}");
         assert!(r1 + r2 > 0.8e9, "link well utilized: {}", r1 + r2);
@@ -699,7 +693,7 @@ mod tests {
         let hose = sim.add_shaper(300.0 * MBIT, 120_000.0, 8 << 20);
         let f = sim.start_tcp(t.hosts()[0], t.hosts()[1], None, Some(hose), None, 0);
         sim.run_until(3 * SECS);
-        let rate = sim.tcp_stats(f).mean_throughput_bps(sim.now());
+        let rate = mean_throughput_bps(&sim.tcp_stats(f), sim.now());
         assert!(rate < 320.0 * MBIT, "rate = {rate}");
         assert!(rate > 250.0 * MBIT, "rate = {rate}");
     }
@@ -713,7 +707,7 @@ mod tests {
         // Same host on both ends; shaper must be bypassed.
         let f = sim.start_tcp(host, host, None, Some(hose), None, 0);
         sim.run_until(SECS);
-        let rate = sim.tcp_stats(f).mean_throughput_bps(sim.now());
+        let rate = mean_throughput_bps(&sim.tcp_stats(f), sim.now());
         assert!(rate > 3.0e9, "loopback should exceed NIC rate: {rate}");
     }
 

@@ -147,11 +147,6 @@ impl<E: ServiceEnv> PlacementService<E> {
         self.scheduler.stats().trace_hash()
     }
 
-    /// True once a [`ServiceRequest::Shutdown`] has been served.
-    pub fn shutdown_requested(&self) -> bool {
-        self.stopped
-    }
-
     /// Serve one event. Returns `false` when the env is exhausted or a
     /// shutdown request has been served.
     pub fn poll(&mut self) -> bool {
@@ -599,7 +594,7 @@ mod tests {
             (20, 1, ServiceRequest::Stats), // never served
         ]);
         svc.run();
-        assert!(svc.shutdown_requested());
+        assert!(svc.stopped);
         let env = svc.into_env();
         assert_eq!(env.responses(1), &[ServiceResponse::Done]);
         assert!(env.remaining() > 0, "loop stopped before draining the script");

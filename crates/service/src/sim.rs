@@ -168,11 +168,6 @@ impl SimEnv {
         self.responses.get(&conn).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Every `(conn, responses)` pair recorded so far.
-    pub fn all_responses(&self) -> impl Iterator<Item = (ConnId, &[ServiceResponse])> {
-        self.responses.iter().map(|(&c, v)| (c, v.as_slice()))
-    }
-
     /// Events not yet delivered (0 once the loop has drained the env).
     pub fn remaining(&self) -> usize {
         self.events.len()
@@ -299,6 +294,5 @@ mod tests {
         assert_eq!(env.responses(3), &[ServiceResponse::Queued, ServiceResponse::Done]);
         assert_eq!(env.responses(5), &[ServiceResponse::Done]);
         assert_eq!(env.responses(9), &[] as &[ServiceResponse]);
-        assert_eq!(env.all_responses().count(), 2);
     }
 }

@@ -108,11 +108,6 @@ impl Default for MultiRootedTreeSpec {
 }
 
 impl MultiRootedTreeSpec {
-    /// Total number of hosts the spec will generate.
-    pub fn host_count(&self) -> usize {
-        self.pods * self.tors_per_pod * self.hosts_per_tor
-    }
-
     /// Build the topology. Hosts appear in `topology.hosts()` grouped by
     /// pod, then ToR, then host index.
     pub fn build(&self) -> Topology {
@@ -199,7 +194,7 @@ mod tests {
     fn three_tier_tree_hop_counts() {
         let spec = MultiRootedTreeSpec::default();
         let t = spec.build();
-        assert_eq!(t.hosts().len(), spec.host_count());
+        assert_eq!(t.hosts().len(), spec.pods * spec.tors_per_pod * spec.hosts_per_tor);
         let rt = RouteTable::new(&t);
         let h = t.hosts();
         // Same ToR: 2 hops.

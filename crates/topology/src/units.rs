@@ -35,17 +35,6 @@ pub fn tx_time(bytes: u64, rate_bps: f64) -> Nanos {
     (secs * 1e9).ceil() as Nanos
 }
 
-/// Convert a byte count and a duration into a rate in bits/s.
-///
-/// Returns 0 when `dur` is zero (an instantaneous transfer has no meaningful
-/// rate; callers treat 0 as "unknown").
-pub fn rate_of(bytes: u64, dur: Nanos) -> f64 {
-    if dur == 0 {
-        return 0.0;
-    }
-    (bytes as f64 * 8.0) / (dur as f64 / 1e9)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,18 +62,5 @@ mod tests {
     #[should_panic(expected = "non-positive link rate")]
     fn tx_time_rejects_zero_rate() {
         tx_time(1, 0.0);
-    }
-
-    #[test]
-    fn rate_round_trip() {
-        let bytes = 125_000_000u64; // 1 Gbit
-        let dur = SECS;
-        let r = rate_of(bytes, dur);
-        assert!((r - GBIT).abs() < 1.0);
-    }
-
-    #[test]
-    fn rate_of_zero_duration() {
-        assert_eq!(rate_of(100, 0), 0.0);
     }
 }

@@ -110,29 +110,6 @@ impl VmMap {
             }
         }
     }
-
-    /// Group VMs by the rack (ToR) their host hangs off, using the first
-    /// switch on the host's shortest path to any other host. VMs whose host
-    /// has no ToR (degenerate topologies) each get their own group.
-    ///
-    /// Bottleneck generalization in §3.3.2 clusters VMs by rack so one
-    /// measurement covers the whole rack.
-    pub fn rack_groups(&self, topo: &Topology) -> Vec<Vec<VmId>> {
-        use std::collections::HashMap;
-        let mut by_tor: HashMap<NodeId, Vec<VmId>> = HashMap::new();
-        let mut loners = Vec::new();
-        for vm in self.vms() {
-            let host = self.host(vm);
-            // A host's ToR is its unique switch neighbor in tree topologies.
-            match topo.neighbors(host).first() {
-                Some(&(sw, _)) => by_tor.entry(sw).or_default().push(vm),
-                None => loners.push(vec![vm]),
-            }
-        }
-        let mut groups: Vec<(NodeId, Vec<VmId>)> = by_tor.into_iter().collect();
-        groups.sort_by_key(|(tor, _)| *tor);
-        groups.into_iter().map(|(_, g)| g).chain(loners).collect()
-    }
 }
 
 #[cfg(test)]
@@ -177,18 +154,6 @@ mod tests {
         assert_eq!(map.traceroute(&rt, style, VmId(0), VmId(1)), 1);
         assert_eq!(map.traceroute(&rt, style, VmId(0), VmId(2)), 4);
         assert_eq!(map.traceroute(&rt, TracerouteStyle::Full, VmId(0), VmId(2)), 6);
-    }
-
-    #[test]
-    fn rack_groups_cluster_by_tor() {
-        let (t, _) = tree_and_routes();
-        let h = t.hosts();
-        // Two VMs on ToR 0 (hosts 0,1), one on ToR 1 (host 4).
-        let map = VmMap::new(&t, vec![h[0], h[1], h[4]]);
-        let groups = map.rack_groups(&t);
-        assert_eq!(groups.len(), 2);
-        let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
-        assert!(sizes.contains(&2) && sizes.contains(&1));
     }
 
     #[test]
