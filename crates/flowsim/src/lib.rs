@@ -162,9 +162,10 @@
 //!
 //! # Key lifetime & flow-record recycling
 //!
-//! [`FlowSim`] names flows by [`FlowKey`] — a packed record index plus a
-//! generation stamp. A key is live from [`FlowSim::start_flow`] until
-//! the flow's record is **released**: once a flow has retired
+//! *In `engine/records.rs`.* [`FlowSim`] names flows by [`FlowKey`] — a
+//! packed record index plus a generation stamp. A key is live from
+//! [`FlowSim::start_flow`] until the flow's record is **released**: once
+//! a flow has retired
 //! (completed or stopped — [`FlowStatus::Done`]), the caller harvests
 //! whatever it still needs ([`FlowSim::delivered_bytes`],
 //! [`FlowSim::completion_time`], …) and calls [`FlowSim::release_flow`],
@@ -182,6 +183,7 @@
 //!
 //! # Where a live flow's rate and bytes live, and what an advance costs
 //!
+//! *The columns are in `engine/records.rs`, the advance in `engine/run.rs`.*
 //! A flow *record* (tag, status, resource list, generation stamp,
 //! remaining byte budget) is addressed by its [`FlowKey`] and outlives
 //! the flow. A *live* flow's hot state is not in the record: it sits in
@@ -204,13 +206,15 @@
 //!
 //! # When a solve runs: where a rate is read
 //!
-//! A mutation — a flow starting or stopping, a capacity change — only
-//! marks the state dirty. The solve runs when something reads a rate:
-//! [`FlowSim::rate_bps`], a probe, [`FlowSim::check_rates_against_cold`],
-//! or the event loop. [`FlowSim::run_until`] reads rates in two places
-//! and solves just before each: the next-completion search, while a
-//! byte-bounded flow is live, and the integration of an interval of
-//! positive length. Retiring spent flows and firing heap events read no
+//! *In `engine/run.rs`.* A mutation — a flow starting or stopping, a
+//! capacity change — only marks its resources in the arena's dirty
+//! window, and a non-empty window is the one "needs a solve" marker.
+//! The solve runs when something reads a rate: [`FlowSim::rate_bps`], a
+//! probe, [`FlowSim::check_rates_against_cold`], or the event loop.
+//! [`FlowSim::run_until`] reads rates in two places and solves just
+//! before each: the next-completion search, while a byte-bounded flow
+//! is live, and the integration of an interval of positive length.
+//! Retiring spent flows and firing heap events read no
 //! rate, and integrating a zero-length interval adds nothing, so an
 //! advance that does not move the clock over unbounded flows solves
 //! nothing: however many mutations land at one instant — a switch failing
@@ -223,9 +227,9 @@
 //!
 //! # Runtime network events: capacity as a first-class input
 //!
-//! Link capacities are an input the caller may move at any time.
-//! [`FlowSim::set_capacity`] changes one solver resource at runtime, and
-//! the link-level helpers express the paper's drift/failure vocabulary:
+//! *In `engine/capacity.rs`.* Link capacities are an input the caller may
+//! move at any time. [`FlowSim::set_capacity`] changes one solver
+//! resource at runtime, and the link-level helpers express the paper's drift/failure vocabulary:
 //! [`FlowSim::degrade_link`] (fractional cut), [`FlowSim::fail_link`]
 //! (cut to [`FAILED_LINK_BPS`], effectively zero but solver-legal) and
 //! [`FlowSim::recover_link`] (restore the construction-time spec). The

@@ -90,11 +90,12 @@ impl RejectReason {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Cause {
     /// Drift detection: the last-epoch relative error against the
-    /// configured threshold it exceeded.
+    /// threshold it exceeded.
     Drift {
         /// Epoch-over-epoch relative error observed.
         error: f64,
-        /// The drift threshold it was compared against.
+        /// The drift threshold it was compared against,
+        /// [`DRIFT_THRESHOLD`](crate::config::DRIFT_THRESHOLD).
         threshold: f64,
     },
     /// A migration cleared the hysteresis bar: the predicted gain
@@ -102,7 +103,8 @@ pub enum Cause {
     Hysteresis {
         /// Predicted-over-current score ratio of the executed move.
         gain: f64,
-        /// The planner's `min_improvement` hysteresis margin.
+        /// The planner's hysteresis margin,
+        /// [`MIN_IMPROVEMENT`](crate::config::MIN_IMPROVEMENT).
         min_improvement: f64,
     },
     /// An arrival was rejected, and why.

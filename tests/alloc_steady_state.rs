@@ -366,9 +366,8 @@ fn steady_state_reallocation_allocates_nothing() {
     // ----------------------------------------- flow-record recycling churn
     // A sustained arrive → retire → release → re-arrive cycle through the
     // engine: record slots (and their generation stamps) recycle through
-    // the free list, the per-tag completion counters come and go in a
-    // table sized during warm-up, and the event heap and arena churn in
-    // retained buffers. Steady state must allocate nothing — and the
+    // the free list, and the event heap and arena churn in retained
+    // buffers. Steady state must allocate nothing — and the
     // record table must not grow by even one entry.
     let ms = SECS / 1000;
     let mut t_now = sim.now();
