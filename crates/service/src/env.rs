@@ -6,9 +6,10 @@
 //! implement the trait:
 //!
 //! * [`SimEnv`](crate::SimEnv) — a virtual clock and an in-memory
-//!   scripted transport with seeded fault injection. Deterministic: the
-//!   same script, seed and fault plan deliver the same event sequence,
-//!   so whole service runs are bit-reproducible
+//!   scripted transport with seeded fault injection. It consumes its
+//!   script and releases it as it delivers. Deterministic: the same
+//!   script, seed and fault plan deliver the same event sequence, so
+//!   whole service runs are bit-reproducible
 //!   ([`choreo_online::ServiceStats::trace_hash`] equality is asserted
 //!   in the test suite).
 //! * [`NetEnv`](crate::NetEnv) — real `std::net` TCP sockets and the
@@ -55,8 +56,10 @@ pub trait ServiceEnv {
     fn next_event(&mut self) -> Option<(Nanos, ConnId, NetEvent)>;
 
     /// Deliver one response frame on `conn`. Responses to a
-    /// connection's requests are sent in request order. Errors are
+    /// connection's requests are sent in request order. The env takes
+    /// the response by value: the simulated backend records it as is,
+    /// the real one writes it to the socket and drops it. Errors are
     /// swallowed: a client that hung up before reading its reply is a
     /// client problem, not a service problem.
-    fn send(&mut self, conn: ConnId, resp: &ServiceResponse);
+    fn send(&mut self, conn: ConnId, resp: ServiceResponse);
 }

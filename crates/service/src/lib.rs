@@ -18,9 +18,10 @@
 //!
 //! * [`SimEnv`] — a virtual clock and a scripted in-memory transport
 //!   with seeded fault injection ([`FaultPlan`]: drop, duplicate,
-//!   delay, disconnect). Deterministic: the same script and plan
-//!   deliver the same event sequence, so whole service runs are
-//!   bit-reproducible — the test suite asserts
+//!   delay, disconnect). It consumes its script, keeps no copy, and
+//!   releases the script's memory as it delivers. Deterministic: the
+//!   same script and plan deliver the same event sequence, so whole
+//!   service runs are bit-reproducible — the test suite asserts
 //!   [`choreo_online::ServiceStats::trace_hash`] equality across
 //!   repeats and against driving the scheduler directly.
 //! * [`NetEnv`] — real `std::net` TCP sockets and the wall clock. The

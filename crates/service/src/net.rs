@@ -145,7 +145,7 @@ impl ServiceEnv for NetEnv {
         Some(ev)
     }
 
-    fn send(&mut self, conn: ConnId, resp: &ServiceResponse) {
+    fn send(&mut self, conn: ConnId, resp: ServiceResponse) {
         // A client that hung up before reading its reply is a client
         // problem; the reader thread will report the close.
         let mut conns = self.conns.lock();
@@ -189,7 +189,7 @@ mod tests {
         assert_eq!(ev, NetEvent::Request(ServiceRequest::Stats));
         assert!(at <= env.now());
 
-        env.send(conn, &ServiceResponse::Done);
+        env.send(conn, ServiceResponse::Done);
         assert_eq!(ServiceResponse::read_from(&mut client).unwrap(), ServiceResponse::Done);
 
         drop(client);
@@ -243,7 +243,7 @@ mod tests {
         ServiceRequest::Metrics.write_to(&mut good).unwrap();
         let (_, _, ev) = env.next_event().unwrap();
         assert_eq!(ev, NetEvent::Request(ServiceRequest::Metrics));
-        env.send(conn, &ServiceResponse::Done);
+        env.send(conn, ServiceResponse::Done);
         assert_eq!(ServiceResponse::read_from(&mut good).unwrap(), ServiceResponse::Done);
     }
 }

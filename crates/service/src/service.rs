@@ -160,7 +160,7 @@ impl<E: ServiceEnv> PlacementService<E> {
             NetEvent::Request(req) => {
                 let shutdown = matches!(req, ServiceRequest::Shutdown);
                 let resp = self.handle(at, req);
-                self.env.send(conn, &resp);
+                self.env.send(conn, resp);
                 self.publish_trace();
                 if shutdown {
                     self.stopped = true;

@@ -12,8 +12,15 @@
 //! an [`NetEvent::Open`] before the connection's first delivered
 //! request and a [`NetEvent::Closed`] after its last (or at the
 //! injected disconnect point).
+//!
+//! The env consumes its script and keeps no copy of it: faults are
+//! applied to the script's own vector, so construction allocates only
+//! per connection and for the frames a plan delays or duplicates (plus
+//! a sort buffer when the script comes unsorted), and delivery hands
+//! the vector's memory back as the undelivered remainder shrinks.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::mem;
 
 use choreo_topology::Nanos;
 use choreo_wire::{ServiceRequest, ServiceResponse};
@@ -67,8 +74,26 @@ pub struct FaultCounts {
 
 /// The deterministic in-memory backend: virtual clock, scripted
 /// transport, per-connection response recording.
+///
+/// The env consumes its script and releases it as it delivers: the
+/// script's vector is the delivery queue, and its memory goes back to
+/// the allocator each time half of it has been delivered.
+///
+/// Delivery order is time, then class (`Open` < request < `Closed`),
+/// then the order the fault pass produced frames in; equal-time
+/// `Open`s and `Closed`s go in connection order.
 pub struct SimEnv {
-    events: VecDeque<(Nanos, ConnId, NetEvent)>,
+    /// Request frames that kept their script slot, latest first.
+    frames: Vec<(Nanos, ConnId, ServiceRequest)>,
+    /// `frames` entries delivered so far: the production rank of the
+    /// next one.
+    taken: usize,
+    /// Delayed frames and duplicates, latest first, each with the count
+    /// of `frames` entries produced before it.
+    moved: Vec<(Nanos, usize, ConnId, ServiceRequest)>,
+    /// Each connection's `Open` (class 0) and `Closed` (class 2) as
+    /// `(at, class, conn)`, latest first; requests are class 1.
+    markers: Vec<(Nanos, u8, ConnId)>,
     now: Nanos,
     responses: BTreeMap<ConnId, Vec<ServiceResponse>>,
     counts: FaultCounts,
@@ -88,70 +113,71 @@ impl SimEnv {
         mut script: Vec<(Nanos, ConnId, ServiceRequest)>,
         plan: FaultPlan,
     ) -> SimEnv {
-        script.sort_by_key(|(at, _, _)| *at);
+        // A stable sort allocates its buffer even for sorted input.
+        if !script.is_sorted_by_key(|&(at, _, _)| at) {
+            script.sort_by_key(|&(at, _, _)| at);
+        }
         let mut rng = StdRng::seed_from_u64(plan.seed);
         let mut counts = FaultCounts::default();
-        // Delivered request frames, in construction order.
-        let mut delivered: Vec<(Nanos, ConnId, ServiceRequest)> = Vec::with_capacity(script.len());
         // conn -> virtual time its connection dropped.
         let mut disconnected: BTreeMap<ConnId, Nanos> = BTreeMap::new();
-        for (at, conn, req) in script {
-            if disconnected.contains_key(&conn) {
+        let mut moved = Vec::new();
+        let mut kept = 0;
+        // Frames that keep their time stay in place; a delayed frame
+        // moves out (leaving a placeholder `retain` drops) and a
+        // duplicate joins it.
+        script.retain_mut(|(at, conn, req)| {
+            if disconnected.contains_key(conn) || (plan.drop > 0.0 && rng.gen_bool(plan.drop)) {
                 counts.dropped += 1;
-                continue;
+                return false;
             }
-            if plan.drop > 0.0 && rng.gen_bool(plan.drop) {
-                counts.dropped += 1;
-                continue;
-            }
-            let mut deliver_at = at;
-            if plan.delay > 0.0 && rng.gen_bool(plan.delay) {
-                deliver_at += rng.gen_range(1..=plan.max_delay.max(1));
+            let delayed = plan.delay > 0.0 && rng.gen_bool(plan.delay);
+            if delayed {
+                *at += rng.gen_range(1..=plan.max_delay.max(1));
                 counts.delayed += 1;
             }
-            delivered.push((deliver_at, conn, req.clone()));
-            if plan.duplicate > 0.0 && rng.gen_bool(plan.duplicate) {
-                delivered.push((deliver_at + 1, conn, req));
-                counts.duplicated += 1;
-            }
+            let copy = (plan.duplicate > 0.0 && rng.gen_bool(plan.duplicate)).then(|| req.clone());
             if plan.disconnect > 0.0 && rng.gen_bool(plan.disconnect) {
-                disconnected.insert(conn, deliver_at + 1);
+                disconnected.insert(*conn, *at + 1);
                 counts.disconnects += 1;
             }
-        }
+            if delayed {
+                moved.push((*at, kept, *conn, mem::replace(req, ServiceRequest::Stats)));
+            } else {
+                kept += 1;
+            }
+            if let Some(copy) = copy {
+                moved.push((*at + 1, kept, *conn, copy));
+                counts.duplicated += 1;
+            }
+            !delayed
+        });
+        script.reverse();
+        moved.sort_by_key(|&(at, ..)| at);
+        moved.reverse();
 
-        // Frame each connection with Open/Closed the way a socket
-        // backend would. Open lands at the conn's earliest delivery,
-        // Closed one nanosecond after its last (or at the disconnect).
-        let mut first: BTreeMap<ConnId, Nanos> = BTreeMap::new();
-        let mut last: BTreeMap<ConnId, Nanos> = BTreeMap::new();
-        for (at, conn, _) in &delivered {
-            let f = first.entry(*conn).or_insert(*at);
-            *f = (*f).min(*at);
-            let l = last.entry(*conn).or_insert(*at);
-            *l = (*l).max(*at);
+        // Open lands at the conn's earliest delivery, Closed one
+        // nanosecond after its last (or at the disconnect if later).
+        let mut spans: BTreeMap<ConnId, (Nanos, Nanos)> = BTreeMap::new();
+        let delivered = script.iter().map(|f| (f.0, f.1)).chain(moved.iter().map(|m| (m.0, m.2)));
+        for (at, conn) in delivered {
+            let (first, last) = spans.entry(conn).or_insert((at, at));
+            (*first, *last) = ((*first).min(at), (*last).max(at));
         }
-
-        // Total order: time, then class (Open < Request < Closed), then
-        // construction order. All three are deterministic.
-        let mut all: Vec<(Nanos, u8, usize, ConnId, NetEvent)> = Vec::new();
-        for (idx, (&conn, &at)) in first.iter().enumerate() {
-            all.push((at, 0, idx, conn, NetEvent::Open));
-        }
-        for (idx, (at, conn, req)) in delivered.into_iter().enumerate() {
-            all.push((at, 1, idx, conn, NetEvent::Request(req)));
-        }
-        for (idx, (&conn, &at)) in last.iter().enumerate() {
-            let closed_at = match disconnected.get(&conn) {
-                Some(&t) => t.max(at + 1),
-                None => at + 1,
-            };
-            all.push((closed_at, 2, idx, conn, NetEvent::Closed));
-        }
-        all.sort_by_key(|&(at, class, idx, _, _)| (at, class, idx));
+        let mut markers: Vec<_> = spans
+            .into_iter()
+            .flat_map(|(conn, (first, last))| {
+                let closed = disconnected.get(&conn).map_or(last + 1, |&t| t.max(last + 1));
+                [(first, 0, conn), (closed, 2, conn)]
+            })
+            .collect();
+        markers.sort_unstable_by(|a, b| b.cmp(a));
 
         SimEnv {
-            events: all.into_iter().map(|(at, _, _, conn, ev)| (at, conn, ev)).collect(),
+            frames: script,
+            taken: 0,
+            moved,
+            markers,
             now: 0,
             responses: BTreeMap::new(),
             counts,
@@ -170,8 +196,29 @@ impl SimEnv {
 
     /// Events not yet delivered (0 once the loop has drained the env).
     pub fn remaining(&self) -> usize {
-        self.events.len()
+        self.frames.len() + self.moved.len() + self.markers.len()
     }
+
+    /// Whether the next request comes from `moved`: it does when it was
+    /// due first, or at the same time but produced before the next frame.
+    fn moved_next(&self) -> bool {
+        match (self.moved.last(), self.frames.last()) {
+            (Some(&(at, before, ..)), Some(&(frame_at, ..))) => {
+                (at, before) <= (frame_at, self.taken)
+            }
+            (moved, _) => moved.is_some(),
+        }
+    }
+}
+
+/// Pop the back of `v`, handing its memory back once half of it is
+/// spare.
+fn pop_shrinking<T>(v: &mut Vec<T>) -> Option<T> {
+    let last = v.pop();
+    if v.len() <= v.capacity() / 2 {
+        v.shrink_to_fit();
+    }
+    last
 }
 
 impl ServiceEnv for SimEnv {
@@ -180,13 +227,27 @@ impl ServiceEnv for SimEnv {
     }
 
     fn next_event(&mut self) -> Option<(Nanos, ConnId, NetEvent)> {
-        let (at, conn, ev) = self.events.pop_front()?;
+        let moved = self.moved_next();
+        let request =
+            if moved { self.moved.last().map(|m| m.0) } else { self.frames.last().map(|f| f.0) };
+        let marker = self.markers.last().map(|&(at, class, _)| (at, class));
+        let (at, conn, event) = if marker.is_some_and(|m| request.is_none_or(|at| m < (at, 1))) {
+            let (at, class, conn) = pop_shrinking(&mut self.markers)?;
+            (at, conn, if class == 0 { NetEvent::Open } else { NetEvent::Closed })
+        } else if moved {
+            let (at, _, conn, req) = pop_shrinking(&mut self.moved)?;
+            (at, conn, NetEvent::Request(req))
+        } else {
+            let (at, conn, req) = pop_shrinking(&mut self.frames)?;
+            self.taken += 1;
+            (at, conn, NetEvent::Request(req))
+        };
         self.now = self.now.max(at);
-        Some((at, conn, ev))
+        Some((at, conn, event))
     }
 
-    fn send(&mut self, conn: ConnId, resp: &ServiceResponse) {
-        self.responses.entry(conn).or_default().push(resp.clone());
+    fn send(&mut self, conn: ConnId, resp: ServiceResponse) {
+        self.responses.entry(conn).or_default().push(resp);
     }
 }
 
@@ -288,9 +349,9 @@ mod tests {
     #[test]
     fn responses_are_recorded_per_conn() {
         let mut env = SimEnv::new(vec![]);
-        env.send(3, &ServiceResponse::Queued);
-        env.send(3, &ServiceResponse::Done);
-        env.send(5, &ServiceResponse::Done);
+        env.send(3, ServiceResponse::Queued);
+        env.send(3, ServiceResponse::Done);
+        env.send(5, ServiceResponse::Done);
         assert_eq!(env.responses(3), &[ServiceResponse::Queued, ServiceResponse::Done]);
         assert_eq!(env.responses(5), &[ServiceResponse::Done]);
         assert_eq!(env.responses(9), &[] as &[ServiceResponse]);
