@@ -32,16 +32,6 @@ impl BurstRecord {
     pub fn span(&self) -> Nanos {
         self.last_rx.saturating_sub(self.first_rx)
     }
-
-    /// True if the burst's first packet (idx 0) was lost.
-    pub fn lost_head(&self) -> bool {
-        self.min_idx > 0
-    }
-
-    /// True if the burst's last packet (idx B−1) was lost.
-    pub fn lost_tail(&self, burst_len: u32) -> bool {
-        self.max_idx + 1 < burst_len
-    }
 }
 
 /// Full receiver-side report for one train.
@@ -154,14 +144,13 @@ mod tests {
         let mut st = TrainState::new(small_config(), 1000);
         st.on_probe(0, 1, 100);
         st.on_probe(0, 2, 200);
+        // Burst 0 lost its head (idx 0) and tail (idx 3 of 4).
         let r = st.records[0].unwrap();
-        assert!(r.lost_head());
-        assert!(r.lost_tail(4));
+        assert_eq!((r.min_idx, r.max_idx), (1, 2));
         st.on_probe(1, 0, 300);
         st.on_probe(1, 3, 400);
         let r1 = st.records[1].unwrap();
-        assert!(!r1.lost_head());
-        assert!(!r1.lost_tail(4));
+        assert_eq!((r1.min_idx, r1.max_idx), (0, 3));
     }
 
     #[test]

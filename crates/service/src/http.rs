@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 
 use choreo_metrics::Registry;
 use choreo_online::TraceRing;
+use choreo_wire::frame::is_timeout;
 
 /// A running metrics endpoint.
 pub struct MetricsServer {
@@ -95,11 +96,7 @@ impl MetricsServer {
             Err(HeadError::Io(e)) if e.kind() == io::ErrorKind::InvalidData => {
                 return respond(stream, "400 Bad Request", "request head is not UTF-8\n");
             }
-            // A socket timeout reads as `WouldBlock` on Unix and as
-            // `TimedOut` on Windows.
-            Err(HeadError::Io(e))
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-            {
+            Err(HeadError::Io(e)) if is_timeout(&e) => {
                 return respond(stream, "408 Request Timeout", "request head took too long\n");
             }
             Err(HeadError::Io(e)) => return Err(e),
@@ -345,8 +342,7 @@ mod tests {
                 break true;
             }
             match c.read_to_end(&mut reply) {
-                Err(e)
-                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {}
+                Err(e) if is_timeout(&e) => {}
                 // Closed: cleanly, or reset because a byte crossed the
                 // server's close on the wire.
                 Ok(_) | Err(_) => break true,

@@ -19,6 +19,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use choreo_topology::Nanos;
+use choreo_wire::frame::is_timeout;
 use choreo_wire::{ServiceRequest, ServiceResponse};
 use parking_lot::Mutex;
 
@@ -126,10 +127,6 @@ impl NetEnv {
             }
         }
     }
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
 }
 
 impl ServiceEnv for NetEnv {

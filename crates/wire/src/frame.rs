@@ -1,17 +1,18 @@
-//! Length-prefixed framing shared by the control and service protocols.
+//! Length-prefixed framing for the service protocol.
 //!
-//! Both protocols put a big-endian `u32` body length in front of every
-//! message and cap bodies at [`MAX_FRAME`]. The cap is enforced in
-//! *both* directions: the frame reader rejects an oversized length
-//! before allocating, and the frame writer refuses to emit a body the
-//! peer would reject — an oversized message is a loud sender-side
-//! error (`try_encode` / `write_to` on the message types), not an
-//! opaque connection drop at the receiver.
+//! Every request and response is a big-endian `u32` body length
+//! followed by the body, and bodies are capped at [`MAX_FRAME`]. The
+//! cap is enforced in *both* directions: the frame reader rejects an
+//! oversized length before allocating, and the frame writer refuses to
+//! emit a body the peer would reject — an oversized message is a loud
+//! sender-side error (`try_encode` / `write_to` on the message types),
+//! not an opaque connection drop at the receiver.
 //!
 //! Reads are also careful about *where* a socket read timeout lands.
 //! Serve loops install short read timeouts so they can poll a stop flag
 //! on idle connections; a timeout with **zero** bytes consumed is that
-//! idle poll and surfaces as a retryable `WouldBlock`/`TimedOut` error.
+//! idle poll and surfaces as a retryable `WouldBlock`/`TimedOut` error
+//! ([`is_timeout`]).
 //! A timeout **after part of a frame** was consumed is different: the
 //! stream can never be resynchronized (the next read would interpret
 //! frame middles as lengths), so it surfaces as a fatal
@@ -20,7 +21,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-/// Frame body cap shared by the control and service protocols (16 MiB).
+/// Frame body cap for requests and responses alike (16 MiB).
 pub const MAX_FRAME: usize = 16 << 20;
 
 /// Prefix `body` with its `u32` length, refusing bodies over
@@ -40,8 +41,9 @@ pub(crate) fn write_frame(body: BytesMut) -> Result<Bytes, String> {
 }
 
 /// True when `e` is a socket read timeout (platforms disagree on the
-/// kind).
-pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
+/// kind). Serve loops retry exactly these: the frame readers return
+/// them only when no byte of a frame was consumed.
+pub fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
 }
 

@@ -1,56 +1,18 @@
-//! Real-socket measurement plumbing for Choreo.
+//! The placement service's wire protocol.
 //!
-//! The paper's measurement module runs on actual cloud VMs: a UDP
-//! packet-train sender, a receiver that timestamps each burst's first and
-//! last packet with kernel timestamps (`SO_TIMESTAMPNS`), and a control
-//! plane that retrieves per-burst reports to "a centralized server outside
-//! the cloud" (§4.1). This crate is that plumbing, built on `std::net`
-//! blocking sockets plus threads — measurement is timing-sensitive, and a
-//! dedicated blocking thread per socket is the simplest design that
-//! doesn't perturb timestamps with scheduler hops.
+//! `choreo-service` serves tenants over length-prefixed frames; this
+//! crate is that protocol and nothing else:
 //!
-//! * [`format`](mod@format) — the probe-packet wire format and the length-prefixed
-//!   control protocol (hand-rolled with `bytes`; no serialization
-//!   framework on the hot path).
-//! * [`receiver`] — [`TrainReceiver`]: binds a UDP socket, records
-//!   per-burst `(first_rx, last_rx, count, min_idx, max_idx)` exactly like
-//!   the simulator's receiver, and yields a
-//!   [`choreo_netsim::TrainReport`] the estimator consumes unchanged.
-//! * [`sender`] — [`send_train`]: emits bursts back-to-back with the
-//!   configured inter-burst gap δ.
-//! * [`agent`] — [`Agent`]: a per-VM control server (TCP) that prepares
-//!   receivers, fires trains at peers, and serves reports.
-//! * [`collector`] — [`Collector`]: the tenant-side orchestrator that
-//!   measures a full mesh of agents pair by pair.
-//! * [`frame`](mod@frame) — length-prefixed framing shared by both protocols:
+//! * [`frame`](mod@frame) — the framing: a big-endian `u32` body length,
 //!   the 16 MiB cap enforced on send *and* receive, and the idle-vs-
-//!   mid-frame read-timeout distinction serve loops rely on.
-//! * [`proto`] — the placement service's request/response protocol
-//!   ([`ServiceRequest`]/[`ServiceResponse`]), same framing, carried by
+//!   mid-frame read-timeout distinction serve loops rely on
+//!   ([`frame::is_timeout`]).
+//! * [`proto`] — the request/response messages
+//!   ([`ServiceRequest`]/[`ServiceResponse`]), carried by
 //!   `choreo-service` over real sockets or its simulated transport.
-//! * [`retry`] — [`RetryPolicy`]: connect/read timeouts and bounded
-//!   retry with backoff on every blocking path, so a dead peer is an
-//!   error, never a hang.
-//!
-//! On loopback the measured "throughput" is meaningless (gigabytes per
-//! second); tests assert the plumbing — sequence accounting, loss
-//! handling, report aggregation — not absolute rates. Against real NICs
-//! the same code measures real paths.
 
-pub mod agent;
-pub mod collector;
-pub mod format;
 pub mod frame;
 pub mod proto;
-pub mod receiver;
-pub mod retry;
-pub mod sender;
 
-pub use agent::Agent;
-pub use collector::Collector;
-pub use format::{ControlMsg, ProbeHeader, PROBE_HEADER_BYTES};
 pub use frame::MAX_FRAME;
 pub use proto::{ServiceRequest, ServiceResponse, ServiceStatsReply};
-pub use receiver::TrainReceiver;
-pub use retry::RetryPolicy;
-pub use sender::send_train;

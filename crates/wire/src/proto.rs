@@ -1,9 +1,8 @@
 //! The placement service's request protocol.
 //!
-//! `choreo-service` serves tenants over the same length-prefixed framing
-//! the measurement control plane uses ([`crate::format::ControlMsg`]):
-//! every frame is a big-endian `u32` body length followed by a one-byte
-//! tag and the tag's fields. Frames are capped at 16 MiB in both
+//! `choreo-service` serves tenants over length-prefixed frames: every
+//! frame is a big-endian `u32` body length followed by a one-byte tag
+//! and the tag's fields. Frames are capped at 16 MiB in both
 //! directions (see [`crate::frame`]): a receiver rejects an oversized
 //! length before allocating, and a sender's `write_to`/`try_encode`
 //! refuses to emit a frame the peer would drop — an [`AppProfile`] of

@@ -17,7 +17,7 @@ use choreo_repro::profile::{
 use choreo_repro::topology::{
     dumbbell, two_rack, LinkSpec, MultiRootedTreeSpec, RouteTable, Topology, GBIT, MICROS, SECS,
 };
-use choreo_repro::wire::ControlMsg;
+use choreo_repro::wire::{ServiceRequest, ServiceResponse};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -992,56 +992,45 @@ proptest! {
 
 // ------------------------------------------------------------ wire format
 
-proptest! {
-    #[test]
-    fn control_messages_roundtrip(
-        train_id in any::<u64>(),
-        bursts in 1u32..1000,
-        burst_len in 1u32..5000,
-        packet_bytes in 32u32..9000,
-        gap in 0u64..10_000_000,
-        port in 1u16..u16::MAX,
-        ip in any::<[u8; 4]>(),
-    ) {
-        let msgs = vec![
-            ControlMsg::PrepareReceive { train_id, bursts },
-            ControlMsg::Ready { udp_port: port },
-            ControlMsg::SendTrain {
-                train_id,
-                dest: (ip, port),
-                bursts,
-                burst_len,
-                packet_bytes,
-                gap_ns: gap,
-            },
-            ControlMsg::Sent { packets: train_id },
-            ControlMsg::FetchReport { train_id },
-        ];
-        for m in msgs {
-            let framed = m.encode();
-            let decoded = ControlMsg::decode(&framed[4..]);
-            prop_assert_eq!(decoded, Ok(m));
-        }
-    }
-
-    #[test]
-    fn probe_header_roundtrips(
-        train_id in any::<u64>(),
-        burst in any::<u32>(),
-        idx in any::<u32>(),
-        burst_len in any::<u32>(),
-        sent_ns in any::<u64>(),
-    ) {
-        use choreo_repro::wire::ProbeHeader;
-        let h = ProbeHeader { train_id, burst, idx, burst_len, sent_ns };
-        let mut buf = bytes_mut();
-        h.encode(&mut buf);
-        prop_assert_eq!(ProbeHeader::decode(&buf), Some(h));
+/// The `k`-th tag of the 21 tried: the request tags `0x0f..=0x19`, the
+/// response tags `0x8f..=0x97` (each range one past the defined tags on
+/// both sides) and the response error tag `0xff`.
+fn service_tag(k: u8) -> u8 {
+    match k {
+        0..=10 => 0x0f + k,
+        11..=19 => 0x8f + (k - 11),
+        _ => 0xff,
     }
 }
 
-fn bytes_mut() -> bytes::BytesMut {
-    bytes::BytesMut::new()
+proptest! {
+    #[test]
+    fn service_codec_survives_arbitrary_bodies(
+        tag in 0u8..21,
+        rest in prop::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let mut body = vec![service_tag(tag)];
+        body.extend_from_slice(&rest);
+        // Every prefix, so each field boundary is cut at least once.
+        for cut in 0..=body.len() {
+            if let Ok(req) = ServiceRequest::decode(&body[..cut]) {
+                prop_assert_eq!(ServiceRequest::decode(&req.encode()[4..]), Ok(req));
+            }
+            if let Ok(resp) = ServiceResponse::decode(&body[..cut]) {
+                prop_assert_eq!(ServiceResponse::decode(&resp.encode()[4..]), Ok(resp));
+            }
+        }
+        // Framed, the readers agree with the decoders.
+        let mut framed = (body.len() as u32).to_be_bytes().to_vec();
+        framed.extend_from_slice(&body);
+        let read = ServiceRequest::read_from(&mut std::io::Cursor::new(&framed));
+        prop_assert_eq!(read.ok(), ServiceRequest::decode(&body).ok());
+        let read = ServiceResponse::read_from(&mut std::io::Cursor::new(&framed));
+        prop_assert_eq!(read.ok(), ServiceResponse::decode(&body).ok());
+        // Unframed, the tag and the next three bytes are read as a length.
+        let _ = ServiceRequest::read_from(&mut std::io::Cursor::new(&body));
+        let _ = ServiceResponse::read_from(&mut std::io::Cursor::new(&body));
+    }
 }
 
 // -------------------------------------------------------------- topology
