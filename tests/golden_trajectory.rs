@@ -13,18 +13,22 @@
 //! read-out or record recycling moves it. (The order simultaneous
 //! completions retire in is pinned by a unit test beside the engine:
 //! it decides slot reuse, which no public observable shows.)
+//!
+//! For the scheduler, each of the four runs `tests/harness` names as a
+//! [`Golden`] — its tree, configuration and merged event stream at stream
+//! seed 7 and network seed 11 — is replayed and its [`RunSummary`]
+//! pinned.
+
+mod harness;
 
 use std::sync::Arc;
 
 use choreo_repro::flowsim::{FlowKey, FlowSim, FlowStatus};
-use choreo_repro::online::{DriftConfig, MigrationConfig, OnlineConfig, SchedulerBuilder};
-use choreo_repro::profile::{
-    merge_events, switch_link_groups, NetworkEvent, NetworkEventStream, NetworkEventStreamConfig,
-    ServiceEvent, SwitchFailureConfig, TenantEvent, WorkloadGenConfig, WorkloadStream,
-    WorkloadStreamConfig,
-};
+use choreo_repro::profile::ServiceEvent;
 use choreo_repro::topology::route::splitmix64;
-use choreo_repro::topology::{LinkSpec, MultiRootedTreeSpec, RouteTable, GBIT, MBIT, MICROS, SECS};
+use choreo_repro::topology::{LinkSpec, MultiRootedTreeSpec, RouteTable, GBIT, MBIT, MICROS};
+use harness::run::{replay, RunSummary};
+use harness::Golden;
 
 const MILLIS: u64 = 1_000_000;
 
@@ -153,74 +157,26 @@ fn seeded_mixed_traffic_trajectory_is_pinned() {
 /// `delivered` fields and all-slot scans.
 const GOLDEN: u64 = 0x96d6_8730_6f98_01a9;
 
-/// A pinned `OnlineScheduler` trajectory: the 16-host tree of
-/// `tests/online.rs`, its tenant stream merged with link incidents, and
-/// every scheduler path live (admission, the wait queue, rejection,
-/// cadence and failure migration, drift re-measurement). The digest
-/// folds every placement the greedy placer makes against the live
-/// network, so a change to how candidate pairs map to hosts, which
-/// direction they are rated in, or how the placer memoises and combines
-/// rates moves it — none of which the determinism and invariant suites
-/// can see.
+/// Assert a golden run's digest, mean departed rate and counters.
+fn assert_pinned(run: &RunSummary, digest: u64, rate_bits: u64, counters: [u64; 8]) {
+    let hash = run.trace_hash;
+    assert_eq!(hash, digest, "scheduler digest moved: {hash:#018x}");
+    assert_eq!(run.rate_bits, Some(rate_bits), "mean departed rate moved: {:x?}", run.rate_bits);
+    assert_eq!(run.counters, counters, "counters moved: {:?}", run.counters);
+}
+
+/// The service golden: the 16-host tree of `tests/online.rs`, its tenant
+/// stream merged with link incidents, and every scheduler path live
+/// (admission, the wait queue, rejection, cadence and failure migration,
+/// drift re-measurement). The digest folds every placement the greedy
+/// placer makes against the live network, so a change to how candidate
+/// pairs map to hosts, which direction they are rated in, or how the
+/// placer memoises and combines rates moves it — none of which the
+/// determinism and invariant suites can see.
 #[test]
 fn seeded_service_trajectory_is_pinned() {
-    let topo = Arc::new(
-        MultiRootedTreeSpec {
-            cores: 2,
-            pods: 4,
-            aggs_per_pod: 1,
-            tors_per_pod: 2,
-            hosts_per_tor: 2,
-            ..Default::default()
-        }
-        .build(),
-    );
-    let routes = Arc::new(RouteTable::new(&topo));
-    let stream_cfg = WorkloadStreamConfig {
-        gen: WorkloadGenConfig {
-            tasks_min: 2,
-            tasks_max: 5,
-            mean_interarrival: 10 * SECS,
-            ..Default::default()
-        },
-        mean_intensity_change: 10 * SECS,
-        ..Default::default()
-    };
-    let tenants: Vec<TenantEvent> = WorkloadStream::new(stream_cfg, 7).take(400).collect();
-    let horizon = tenants.last().map_or(0, |e| e.at);
-    let net_cfg = NetworkEventStreamConfig {
-        n_links: topo.link_count() as u32,
-        mean_time_between_incidents: 20 * SECS,
-        ..Default::default()
-    };
-    let network: Vec<NetworkEvent> =
-        NetworkEventStream::new(net_cfg, 11).take_while(|e| e.at <= horizon).collect();
-    let cfg = OnlineConfig {
-        candidate_hosts: 8,
-        queue_capacity: 4,
-        migration: MigrationConfig { cadence: Some(15 * SECS), ..Default::default() },
-        drift: DriftConfig { cadence: Some(10 * SECS), ..Default::default() },
-        ..Default::default()
-    };
-    let mut svc = SchedulerBuilder::new(topo, routes).config(cfg).seed(7).build();
-    for ev in &merge_events(tenants, network) {
-        svc.service_step(ev);
-    }
-    let s = svc.stats();
-    let rate = s.mean_departed_rate_bps().expect("tenants departed").to_bits();
-    let counters = [
-        s.admitted,
-        s.queued,
-        s.queue_admitted,
-        s.rejected,
-        s.migrations,
-        s.failure_migrations,
-        s.network_events,
-        s.drift_detected,
-    ];
-    assert_eq!(s.trace_hash(), SERVICE_GOLDEN, "scheduler digest moved: {:#018x}", s.trace_hash());
-    assert_eq!(rate, SERVICE_RATE_BITS, "mean departed rate moved: {rate:#018x}");
-    assert_eq!(counters, SERVICE_COUNTERS, "counters moved");
+    let run = replay(&mut Golden::Service.scheduler(), &Golden::Service.events(7, 11), |_, _| {});
+    assert_pinned(&run, SERVICE_GOLDEN, SERVICE_RATE_BITS, SERVICE_COUNTERS);
 }
 
 /// Recorded at commit d77d9d0 (PR 24).
@@ -231,74 +187,20 @@ const SERVICE_RATE_BITS: u64 = 0x41d4_c6fc_b664_5ac2;
 /// failure_migrations, network_events, drift_detected]` of the same run.
 const SERVICE_COUNTERS: [u64; 8] = [12, 16, 13, 1, 5, 3, 42, 3];
 
-/// A pinned trajectory in the saturated regime of the ledger's
-/// `steady-sim` workload, scaled down: a 32-host tree, 4–8-task tenants
-/// every 2 s that change intensity on a 12 s clock, default link
-/// incidents, and the default configuration (16 candidate hosts, a
-/// 64-entry wait queue). The queue stays long, so every departure
-/// retries dozens of tenants, most of which cannot fit — the path a
-/// change to how retries are skipped or candidates are ranked takes.
+/// The saturated golden, in the regime of the ledger's `steady-sim`. The
+/// queue stays long, so every departure retries dozens of tenants, most
+/// of which cannot fit — the path a change to how retries are skipped or
+/// candidates are ranked takes.
 #[test]
 fn saturated_queue_trajectory_is_pinned() {
-    let topo = Arc::new(
-        MultiRootedTreeSpec {
-            cores: 2,
-            pods: 4,
-            aggs_per_pod: 2,
-            tors_per_pod: 2,
-            hosts_per_tor: 4,
-            ..Default::default()
-        }
-        .build(),
-    );
-    let routes = Arc::new(RouteTable::new(&topo));
-    let stream_cfg = WorkloadStreamConfig {
-        gen: WorkloadGenConfig {
-            tasks_min: 4,
-            tasks_max: 8,
-            mean_interarrival: 2 * SECS,
-            ..Default::default()
-        },
-        mean_intensity_change: 12 * SECS,
-        max_intensity: 3,
-        ..Default::default()
-    };
-    let tenants: Vec<TenantEvent> = WorkloadStream::new(stream_cfg, 7).take(1_500).collect();
-    let horizon = tenants.last().map_or(0, |e| e.at);
-    let net_cfg =
-        NetworkEventStreamConfig { n_links: topo.link_count() as u32, ..Default::default() };
-    let network: Vec<NetworkEvent> =
-        NetworkEventStream::new(net_cfg, 11).take_while(|e| e.at <= horizon).collect();
-    let mut svc =
-        SchedulerBuilder::new(topo, routes).config(OnlineConfig::default()).seed(7).build();
-    for ev in &merge_events(tenants, network) {
-        svc.service_step(ev);
-    }
-    let s = svc.stats();
-    let rate = s.mean_departed_rate_bps().expect("tenants departed").to_bits();
-    let counters = [
-        s.admitted,
-        s.queued,
-        s.queue_admitted,
-        s.rejected,
-        s.migrations,
-        s.failure_migrations,
-        s.network_events,
-        s.drift_detected,
-    ];
-    assert_eq!(
-        s.trace_hash(),
-        SATURATED_GOLDEN,
-        "scheduler digest moved: {:#018x}",
-        s.trace_hash()
-    );
-    assert_eq!(rate, SATURATED_RATE_BITS, "mean departed rate moved: {rate:#018x}");
-    assert_eq!(counters, SATURATED_COUNTERS, "counters moved: {counters:?}");
+    let mut svc = Golden::Saturated.scheduler();
+    let run = replay(&mut svc, &Golden::Saturated.events(7, 11), |_, _| {});
+    assert_pinned(&run, SATURATED_GOLDEN, SATURATED_RATE_BITS, SATURATED_COUNTERS);
     // Four in five of the 1 112 attempts cannot be packed onto the
     // candidates' free CPU at all: the pre-check turns each back before
     // any rating, and never runs out of budget doing so.
     let attempts = svc.metrics().placement_latency.count();
-    let pruned = (s.unpackable_skips, s.pack_undecided);
+    let pruned = (svc.stats().unpackable_skips, svc.stats().pack_undecided);
     assert_eq!(pruned, (892, 0), "unpackable and undecided of {attempts} attempts");
 }
 
@@ -309,55 +211,14 @@ const SATURATED_RATE_BITS: u64 = 0x41d1_06c4_a984_9916;
 /// The counters of [`SERVICE_COUNTERS`], for the same run.
 const SATURATED_COUNTERS: [u64; 8] = [17, 117, 33, 0, 9, 2, 14, 2];
 
-/// A pinned trajectory in the shape of the ledger's `failover-sim`
-/// workload, scaled down: the 32-host tree of
-/// [`saturated_queue_trajectory_is_pinned`], 4–8-task tenants every 2 s
-/// on a 600 s intensity clock, and a link incident every half second, one
-/// in five of which takes a whole aggregation or core switch down — every
-/// link of it failing, and later recovering, in one instant. Most events
-/// are network events, so this is the path a change to when a capacity
-/// change is solved, or to how a `LinkFail` picks the tenants it forces
-/// into a migration pass, takes.
+/// The failover golden, in the shape of the ledger's `failover-sim`. Most
+/// events are network events, and whole switches fail and recover in one
+/// instant, so this is the path a change to when a capacity change is
+/// solved, or to how a `LinkFail` picks the tenants it forces into a
+/// migration pass, takes.
 #[test]
 fn failover_trajectory_is_pinned() {
-    let topo = Arc::new(
-        MultiRootedTreeSpec {
-            cores: 2,
-            pods: 4,
-            aggs_per_pod: 2,
-            tors_per_pod: 2,
-            hosts_per_tor: 4,
-            ..Default::default()
-        }
-        .build(),
-    );
-    let routes = Arc::new(RouteTable::new(&topo));
-    let stream_cfg = WorkloadStreamConfig {
-        gen: WorkloadGenConfig {
-            tasks_min: 4,
-            tasks_max: 8,
-            mean_interarrival: 2 * SECS,
-            ..Default::default()
-        },
-        mean_intensity_change: 600 * SECS,
-        max_intensity: 3,
-        ..Default::default()
-    };
-    let tenants: Vec<TenantEvent> = WorkloadStream::new(stream_cfg, 7).take(1_500).collect();
-    let horizon = tenants.last().map_or(0, |e| e.at);
-    let net_cfg = NetworkEventStreamConfig {
-        n_links: topo.link_count() as u32,
-        mean_time_between_incidents: SECS / 2,
-        switch_failures: Some(SwitchFailureConfig {
-            groups: switch_link_groups(&topo, 2),
-            switch_prob: 0.2,
-        }),
-        ..Default::default()
-    };
-    let network: Vec<NetworkEvent> =
-        NetworkEventStream::new(net_cfg, 11).take_while(|e| e.at <= horizon).collect();
-    let mut events = merge_events(tenants, network);
-    events.truncate(1_500);
+    let events = Golden::Failover.events(7, 11);
     // Network events that land in the same instant as the one before
     // them: a switch failing or recovering all its links at once.
     let same_instant = events
@@ -367,93 +228,26 @@ fn failover_trajectory_is_pinned() {
         )
         .count();
     assert_eq!(same_instant, FAILOVER_SAME_INSTANT, "same-instant network events");
-    let mut svc =
-        SchedulerBuilder::new(topo, routes).config(OnlineConfig::default()).seed(7).build();
-    for ev in &events {
-        svc.service_step(ev);
-    }
-    let s = svc.stats();
-    let rate = s.mean_departed_rate_bps().expect("tenants departed").to_bits();
-    let counters = [
-        s.admitted,
-        s.queued,
-        s.queue_admitted,
-        s.rejected,
-        s.migrations,
-        s.failure_migrations,
-        s.network_events,
-        s.drift_detected,
-    ];
-    let hash = s.trace_hash();
-    assert_eq!(hash, FAILOVER_GOLDEN, "scheduler digest moved: {hash:#018x}");
-    assert_eq!(rate, FAILOVER_RATE_BITS, "mean departed rate moved: {rate:#018x}");
-    assert_eq!(counters, FAILOVER_COUNTERS, "counters moved: {counters:?}");
+    let run = replay(&mut Golden::Failover.scheduler(), &events, |_, _| {});
+    assert_pinned(&run, FAILOVER_GOLDEN, FAILOVER_RATE_BITS, FAILOVER_COUNTERS);
     // A burst of capacity changes at one instant is solved once, by
     // whoever reads a rate next, not once per event.
-    let warm = svc.sim_mut().solve_stats().warm_solves;
+    let warm = run.solve.warm_solves;
     assert_eq!(warm, FAILOVER_WARM_SOLVES, "warm solves");
     assert!(warm < FAILOVER_WARM_SOLVES_EAGER, "{warm} warm solves");
 }
 
-/// A pinned trajectory in the shape of the ledger's `scale-512`
-/// workload: its 512-host tree (4 cores, 8 pods of 4 aggregation and 8
-/// ToR switches, 8 hosts a rack) routed over 4 ECMP paths, 4–8-task
-/// tenants every second on a 12 s intensity clock, no link incidents and
-/// the default configuration. The only golden with more than four pods
-/// or four paths, so the only one whose probes name many distinct racks
-/// and walk a deep solve log: the path a change to how a probe resolves
-/// its route or finds its bottleneck records takes. The probe counts pin
-/// that such a change does the same work, not just that it answers the
-/// same.
+/// The 512-host golden, in the shape of the ledger's `scale-512`. The
+/// only golden with more than four pods or four paths, so the only one
+/// whose probes name many distinct racks and walk a deep solve log: the
+/// path a change to how a probe resolves its route or finds its
+/// bottleneck records takes. The probe counts pin that such a change
+/// does the same work, not just that it answers the same.
 #[test]
 fn scale_512_trajectory_is_pinned() {
-    let topo = Arc::new(
-        MultiRootedTreeSpec {
-            cores: 4,
-            pods: 8,
-            aggs_per_pod: 4,
-            tors_per_pod: 8,
-            hosts_per_tor: 8,
-            ..Default::default()
-        }
-        .build(),
-    );
-    let routes = Arc::new(RouteTable::with_max_paths(&topo, 4));
-    let stream_cfg = WorkloadStreamConfig {
-        gen: WorkloadGenConfig {
-            tasks_min: 4,
-            tasks_max: 8,
-            mean_interarrival: SECS,
-            ..Default::default()
-        },
-        mean_intensity_change: 12 * SECS,
-        max_intensity: 3,
-        ..Default::default()
-    };
-    let events: Vec<ServiceEvent> =
-        WorkloadStream::new(stream_cfg, 7).take(1_500).map(ServiceEvent::Tenant).collect();
-    let mut svc =
-        SchedulerBuilder::new(topo, routes).config(OnlineConfig::default()).seed(7).build();
-    for ev in &events {
-        svc.service_step(ev);
-    }
-    let s = svc.stats();
-    let rate = s.mean_departed_rate_bps().expect("tenants departed").to_bits();
-    let counters = [
-        s.admitted,
-        s.queued,
-        s.queue_admitted,
-        s.rejected,
-        s.migrations,
-        s.failure_migrations,
-        s.network_events,
-        s.drift_detected,
-    ];
-    let hash = s.trace_hash();
-    assert_eq!(hash, SCALE_512_GOLDEN, "scheduler digest moved: {hash:#018x}");
-    assert_eq!(rate, SCALE_512_RATE_BITS, "mean departed rate moved: {rate:#018x}");
-    assert_eq!(counters, SCALE_512_COUNTERS, "counters moved: {counters:?}");
-    let p = svc.sim_mut().solve_stats();
+    let run = replay(&mut Golden::Scale512.scheduler(), &Golden::Scale512.events(7, 11), |_, _| {});
+    assert_pinned(&run, SCALE_512_GOLDEN, SCALE_512_RATE_BITS, SCALE_512_COUNTERS);
+    let p = run.solve;
     let probes = [p.probes, p.probe_batches, p.probe_replay_rounds];
     assert_eq!(probes, SCALE_512_PROBES, "probes, batches, replay rounds: {probes:?}");
 }

@@ -3,6 +3,16 @@
 //! violates the capacity / queue / validity invariants at any point of
 //! any run, and every 16th event the simulator's rates are bit-checked
 //! against a from-scratch cold solve.
+//!
+//! Every stream here is the service golden's (`tests/harness/service.rs`:
+//! its tree, tenant stream, link incidents and configuration) at other
+//! seeds, shapes and configurations, built and replayed by
+//! `tests/harness/run.rs`.
+
+#[path = "harness/run.rs"]
+mod run;
+#[path = "harness/service.rs"]
+mod service;
 
 use std::sync::Arc;
 
@@ -10,63 +20,34 @@ use choreo_repro::metrics::parse::parse;
 use choreo_repro::metrics::span::{self, RegistrySpans};
 use choreo_repro::metrics::Registry;
 use choreo_repro::online::{
-    DriftConfig, MigrationConfig, OnlineConfig, OnlineScheduler, PlacementPolicy, SchedulerBuilder,
-    ServiceStats,
+    DriftConfig, OnlineConfig, OnlineScheduler, PlacementPolicy, SchedulerBuilder, ServiceStats,
 };
 use choreo_repro::profile::{
-    merge_events, switch_link_groups, AppPattern, AppProfile, CorrelatedBatchConfig,
-    FlashCrowdConfig, HeavyTailConfig, NetworkEvent, NetworkEventStream, NetworkEventStreamConfig,
-    ServiceEvent, SwitchFailureConfig, TenantEvent, TenantEventKind, TrafficMatrix,
-    WorkloadGenConfig, WorkloadStream, WorkloadStreamConfig,
+    switch_link_groups, AppPattern, AppProfile, CorrelatedBatchConfig, FlashCrowdConfig,
+    HeavyTailConfig, NetworkEventStreamConfig, ServiceEvent, SwitchFailureConfig, TenantEvent,
+    TenantEventKind, TrafficMatrix,
 };
-use choreo_repro::topology::{MultiRootedTreeSpec, RouteTable, Topology, SECS};
+use choreo_repro::topology::{RouteTable, SECS};
 use proptest::prelude::*;
+use run::{merged, replay, RunSummary};
 
-/// A small pod-structured tree (4 pods × 2 ToRs × 2 hosts = 16 hosts):
-/// intra-pod and cross-pod paths, small enough for many property cases.
-fn test_tree() -> Topology {
-    MultiRootedTreeSpec {
-        cores: 2,
-        pods: 4,
-        aggs_per_pod: 1,
-        tors_per_pod: 2,
-        hosts_per_tor: 2,
-        ..Default::default()
-    }
-    .build()
-}
-
-/// An offered load well above the 16-host cluster's capacity: the queue
-/// and rejection paths stay busy, which is exactly what the invariant
-/// checks want to see.
-fn events(seed: u64, n: usize) -> Vec<TenantEvent> {
-    let cfg = WorkloadStreamConfig {
-        gen: WorkloadGenConfig {
-            tasks_min: 2,
-            tasks_max: 5,
-            mean_interarrival: 10 * SECS,
-            ..Default::default()
-        },
-        mean_intensity_change: 10 * SECS,
-        ..Default::default()
-    };
-    WorkloadStream::new(cfg, seed).take(n).collect()
-}
-
-fn service_cfg(policy: PlacementPolicy) -> OnlineConfig {
-    OnlineConfig {
-        policy,
-        candidate_hosts: 8,
-        queue_capacity: 4,
-        migration: MigrationConfig { cadence: Some(15 * SECS), ..Default::default() },
-        ..Default::default()
-    }
-}
-
-fn service(policy: PlacementPolicy, seed: u64) -> OnlineScheduler {
-    let topo = Arc::new(test_tree());
+/// A scheduler on the service golden's 16-host tree.
+fn builder(cfg: OnlineConfig, seed: u64) -> SchedulerBuilder {
+    let topo = Arc::new(service::tree());
     let routes = Arc::new(RouteTable::new(&topo));
-    SchedulerBuilder::new(topo, routes).config(service_cfg(policy)).seed(seed).build()
+    SchedulerBuilder::new(topo, routes).config(cfg).seed(seed)
+}
+
+/// `n` events of the service golden's tenant stream at `seed`, without
+/// link incidents.
+fn tenants(seed: u64, n: usize) -> Vec<ServiceEvent> {
+    merged(service::stream(), seed, n, None)
+}
+
+/// The service golden's configuration under `policy`, without drift
+/// re-measurement.
+fn service_cfg(policy: PlacementPolicy) -> OnlineConfig {
+    OnlineConfig { policy, drift: DriftConfig::default(), ..service::config() }
 }
 
 /// Events between two `FlowSim::check_rates_against_cold` calls in the
@@ -83,16 +64,10 @@ fn check_after_event(svc: &mut OnlineScheduler, i: usize) {
     }
 }
 
-/// Run a full service over `evs`, checking the safety invariants after
-/// every event, and return the trajectory digest plus headline counters.
-fn run_checked(policy: PlacementPolicy, seed: u64, evs: &[TenantEvent]) -> (u64, u64, u64, u64) {
-    let mut svc = service(policy, seed);
-    for (i, ev) in evs.iter().enumerate() {
-        svc.step(ev);
-        check_after_event(&mut svc, i);
-    }
-    let s = svc.stats();
-    (s.trace_hash(), s.admitted + s.queue_admitted, s.rejected, s.migrations)
+/// Replay `evs` through a fresh scheduler, checking the safety invariants
+/// after every event.
+fn run_checked(cfg: OnlineConfig, seed: u64, evs: &[ServiceEvent]) -> RunSummary {
+    replay(&mut builder(cfg, seed).build(), evs, check_after_event)
 }
 
 proptest! {
@@ -102,11 +77,11 @@ proptest! {
         stream_seed in 0u64..1000,
         sim_seed in 0u64..1000,
     ) {
-        let evs = events(stream_seed, 250);
+        let evs = tenants(stream_seed, 250);
         // Admission invariants hold after every event, and a repeat of
         // the run lands on the identical trajectory.
-        let a = run_checked(PlacementPolicy::Greedy, sim_seed, &evs);
-        let b = run_checked(PlacementPolicy::Greedy, sim_seed, &evs);
+        let a = run_checked(service_cfg(PlacementPolicy::Greedy), sim_seed, &evs);
+        let b = run_checked(service_cfg(PlacementPolicy::Greedy), sim_seed, &evs);
         prop_assert_eq!(a, b, "same stream + seed must replay bit-identically");
     }
 }
@@ -153,8 +128,8 @@ fn assert_counters_match(registry: &Registry, stats: &ServiceStats, after: &str)
     assert_eq!(exported, expected, "exported counters against the ledger after {after}");
 }
 
-/// Like [`run_checked_faults`], but with the whole observability stack
-/// live: registered metric families behind a real [`Registry`], the
+/// Like [`run_checked`], but with the whole observability stack live:
+/// registered metric families behind a real [`Registry`], the
 /// solver-phase span recorder installed, and the decision trace
 /// rendered to JSONL both mid-run and at the end. Each event is driven
 /// as the service and the perf ledger drive it, `advance_to` and then
@@ -162,41 +137,40 @@ fn assert_counters_match(registry: &Registry, stats: &ServiceStats, after: &str)
 /// event when given. After each of those public calls every exported
 /// counter must equal its [`ServiceStats`] field. Every piece is
 /// observational-only, so a run without forced passes must match the
-/// bare run's digest and counters bit for bit.
+/// bare run's summary bit for bit.
 fn run_instrumented(
     cfg: OnlineConfig,
     seed: u64,
     evs: &[ServiceEvent],
     force_every: Option<usize>,
-) -> ServiceStats {
+) -> (RunSummary, ServiceStats) {
     let registry = Arc::new(Registry::new());
     span::install(RegistrySpans::new(Arc::clone(&registry)));
-    let topo = Arc::new(test_tree());
-    let routes = Arc::new(RouteTable::new(&topo));
-    let mut svc = SchedulerBuilder::new(topo, routes)
-        .config(cfg)
-        .seed(seed)
-        .metrics_registry(&registry)
-        .build();
-    for (i, ev) in evs.iter().enumerate() {
-        svc.advance_to(ev.at());
+    let mut svc = builder(cfg, seed).metrics_registry(&registry).build();
+    let advance = |svc: &mut OnlineScheduler, i: usize| {
+        svc.advance_to(evs[i].at());
         assert_counters_match(&registry, svc.stats(), &format!("advance_to before event {i}"));
-        svc.service_step(ev);
+    };
+    advance(&mut svc, 0);
+    let run = replay(&mut svc, evs, |svc, i| {
         assert_counters_match(&registry, svc.stats(), &format!("event {i}"));
         if force_every.is_some_and(|k| i % k == k - 1) {
             svc.force_migration_pass();
             assert_counters_match(&registry, svc.stats(), &format!("a pass after event {i}"));
         }
-        check_after_event(&mut svc, i);
+        check_after_event(svc, i);
         if i % 64 == 0 {
             // Exporting mid-run must not perturb the trajectory either.
             let _ = svc.stats().decisions().to_jsonl(16);
         }
-    }
+        if i + 1 < evs.len() {
+            advance(svc, i + 1);
+        }
+    });
     span::uninstall();
     let trace = svc.stats().decisions().to_jsonl(usize::MAX);
     assert!(!trace.is_empty(), "a busy run must leave a decision trace");
-    svc.stats().clone()
+    (run, svc.stats().clone())
 }
 
 proptest! {
@@ -206,55 +180,21 @@ proptest! {
         stream_seed in 0u64..1000,
         sim_seed in 0u64..1000,
     ) {
-        let evs = events(stream_seed, 250);
-        let bare = run_checked(PlacementPolicy::Greedy, sim_seed, &evs);
+        let evs = tenants(stream_seed, 250);
+        let bare = run_checked(service_cfg(PlacementPolicy::Greedy), sim_seed, &evs);
         // Live recorder + families + trace export: the digest may never
         // move.
-        let tenant_evs: Vec<ServiceEvent> = evs.into_iter().map(ServiceEvent::Tenant).collect();
-        let s = run_instrumented(service_cfg(PlacementPolicy::Greedy), sim_seed, &tenant_evs, None);
-        let instr = (s.trace_hash(), s.admitted + s.queue_admitted, s.rejected, s.migrations);
+        let (instr, _) =
+            run_instrumented(service_cfg(PlacementPolicy::Greedy), sim_seed, &evs, None);
         prop_assert_eq!(bare, instr, "instrumented run diverged");
     }
 }
 
-/// A fault-laden service stream: the tenant events of [`events`] merged
-/// with a seeded [`NetworkEventStream`] over the test tree's links,
-/// cut at the tenant stream's horizon.
+/// A fault-laden service stream: the service golden's tenant and link
+/// incident streams at the given seeds.
 fn fault_events(stream_seed: u64, net_seed: u64, n: usize) -> Vec<ServiceEvent> {
-    let tenants = events(stream_seed, n);
-    let horizon = tenants.last().map_or(0, |e| e.at);
-    let cfg = NetworkEventStreamConfig {
-        n_links: test_tree().link_count() as u32,
-        mean_time_between_incidents: 20 * SECS,
-        ..Default::default()
-    };
-    let network: Vec<NetworkEvent> =
-        NetworkEventStream::new(cfg, net_seed).take_while(|e| e.at <= horizon).collect();
-    merge_events(tenants, network)
-}
-
-/// The fault-laden runs' config: [`service_cfg`]'s greedy service with
-/// drift re-measurement every 10 s.
-fn fault_cfg() -> OnlineConfig {
-    OnlineConfig {
-        drift: DriftConfig { cadence: Some(10 * SECS), ..Default::default() },
-        ..service_cfg(PlacementPolicy::Greedy)
-    }
-}
-
-/// Run a full service over a merged tenant + network stream with drift
-/// re-measurement on, checking the safety invariants after every event,
-/// and return the trajectory digest plus headline counters.
-fn run_checked_faults(seed: u64, evs: &[ServiceEvent]) -> (u64, u64, u64, u64) {
-    let topo = Arc::new(test_tree());
-    let routes = Arc::new(RouteTable::new(&topo));
-    let mut svc = SchedulerBuilder::new(topo, routes).config(fault_cfg()).seed(seed).build();
-    for (i, ev) in evs.iter().enumerate() {
-        svc.service_step(ev);
-        check_after_event(&mut svc, i);
-    }
-    let s = svc.stats();
-    (s.trace_hash(), s.network_events, s.drift_detected, s.failure_migrations + s.migrations)
+    let network = service::network(&service::tree());
+    merged(service::stream(), stream_seed, n, Some((network, net_seed)))
 }
 
 proptest! {
@@ -271,10 +211,10 @@ proptest! {
         prop_assert!(evs.iter().any(|e| matches!(e, ServiceEvent::Network(_))));
         // Invariants hold after every tenant AND network event, and the
         // whole fault-laden trajectory replays bit-identically.
-        let a = run_checked_faults(7, &evs);
-        let b = run_checked_faults(7, &evs);
+        let a = run_checked(service::config(), 7, &evs);
+        let b = run_checked(service::config(), 7, &evs);
         prop_assert_eq!(a, b, "same streams + seed must replay bit-identically");
-        prop_assert!(a.1 > 0, "network events must have been consumed");
+        prop_assert!(a.counters[6] > 0, "network events must have been consumed");
     }
 }
 
@@ -296,7 +236,8 @@ fn exported_counters_equal_the_ledger_after_every_call() {
         evs.push(ev);
         evs.extend(resend);
     }
-    let s = run_instrumented(OnlineConfig { queue_capacity: 1, ..fault_cfg() }, 7, &evs, Some(40));
+    let cfg = OnlineConfig { queue_capacity: 1, ..service::config() };
+    let (_, s) = run_instrumented(cfg, 7, &evs, Some(40));
     for (name, field) in EXPORTED_COUNTERS {
         assert!(field(&s) > 0, "{name} never moved, so its check proves nothing");
     }
@@ -308,13 +249,13 @@ proptest! {
     fn random_baseline_is_also_deterministic_and_safe(
         stream_seed in 0u64..1000,
     ) {
-        let evs = events(stream_seed, 200);
-        let a = run_checked(PlacementPolicy::Random(5), 1, &evs);
-        let b = run_checked(PlacementPolicy::Random(5), 1, &evs);
+        let evs = tenants(stream_seed, 200);
+        let a = run_checked(service_cfg(PlacementPolicy::Random(5)), 1, &evs);
+        let b = run_checked(service_cfg(PlacementPolicy::Random(5)), 1, &evs);
         prop_assert_eq!(a, b);
         // A different placement seed is a genuinely different service.
-        let c = run_checked(PlacementPolicy::Random(6), 1, &evs);
-        prop_assert!(a.0 != c.0, "random seed must matter");
+        let c = run_checked(service_cfg(PlacementPolicy::Random(6)), 1, &evs);
+        prop_assert!(a.trace_hash != c.trace_hash, "random seed must matter");
     }
 }
 
@@ -325,16 +266,13 @@ proptest! {
 /// switch-level failures, and the cross-pod adversarial pattern.
 const N_SHAPES: u8 = 5;
 
-/// A merged service stream for one adversarial shape. Shapes 0–2 and 4
-/// reshape the tenant stream; shape 3 keeps nominal tenants and turns
-/// the network stream into correlated whole-switch incidents.
+/// A fault-laden stream of [`fault_events`] in one adversarial shape.
+/// Shapes 0–2 and 4 reshape the tenant stream; shape 3 keeps nominal
+/// tenants and turns the network stream into correlated whole-switch
+/// incidents.
 fn shape_events(shape: u8, stream_seed: u64, net_seed: u64, n: usize) -> Vec<ServiceEvent> {
-    let mut gen = WorkloadGenConfig {
-        tasks_min: 2,
-        tasks_max: 5,
-        mean_interarrival: 10 * SECS,
-        ..Default::default()
-    };
+    let mut stream = service::stream();
+    let gen = &mut stream.gen;
     match shape {
         0 => {
             gen.tasks_max = 12;
@@ -362,22 +300,15 @@ fn shape_events(shape: u8, stream_seed: u64, net_seed: u64, n: usize) -> Vec<Ser
         }
         _ => unreachable!("shape index"),
     }
-    let cfg = WorkloadStreamConfig { gen, mean_intensity_change: 10 * SECS, ..Default::default() };
-    let tenants: Vec<TenantEvent> = WorkloadStream::new(cfg, stream_seed).take(n).collect();
-    let horizon = tenants.last().map_or(0, |e| e.at);
-    let topo = test_tree();
-    let net_cfg = NetworkEventStreamConfig {
-        n_links: topo.link_count() as u32,
-        mean_time_between_incidents: 20 * SECS,
+    let topo = service::tree();
+    let network = NetworkEventStreamConfig {
         switch_failures: (shape == 3).then(|| SwitchFailureConfig {
             groups: switch_link_groups(&topo, 2),
             switch_prob: 0.7,
         }),
-        ..Default::default()
+        ..service::network(&topo)
     };
-    let network: Vec<NetworkEvent> =
-        NetworkEventStream::new(net_cfg, net_seed).take_while(|e| e.at <= horizon).collect();
-    merge_events(tenants, network)
+    merged(stream, stream_seed, n, Some((network, net_seed)))
 }
 
 proptest! {
@@ -392,8 +323,8 @@ proptest! {
         net_seed in 0u64..1000,
     ) {
         let evs = shape_events(shape, stream_seed, net_seed, 150);
-        let a = run_checked_faults(7, &evs);
-        let b = run_checked_faults(7, &evs);
+        let a = run_checked(service::config(), 7, &evs);
+        let b = run_checked(service::config(), 7, &evs);
         prop_assert_eq!(a, b, "shape {} must replay bit-identically", shape);
     }
 }
@@ -405,10 +336,10 @@ fn every_shape_smokes_through_a_long_run() {
     // fire (arrivals happen, and for shape 3 correlated incidents hit).
     for shape in 0..N_SHAPES {
         let evs = shape_events(shape, 11, 13, 400);
-        let (hash, network_events, _, _) = run_checked_faults(5, &evs);
-        assert_ne!(hash, 0, "shape {shape} produced a trajectory");
+        let run = run_checked(service::config(), 5, &evs);
+        assert_ne!(run.trace_hash, 0, "shape {shape} produced a trajectory");
         if shape == 3 {
-            assert!(network_events > 0, "switch-failure shape must hit the network");
+            assert!(run.counters[6] > 0, "switch-failure shape must hit the network");
             // Correlated incident: at least one instant with 2+ fails.
             let fails: Vec<_> = evs
                 .iter()
@@ -445,7 +376,7 @@ fn depart_after_reject_is_not_counted_as_a_departure() {
     // the metric counter before discovering the tenant had been
     // rejected at arrival, so rejected tenants' Depart events
     // overcounted departures against admissions.
-    let mut svc = service(PlacementPolicy::Greedy, 1);
+    let mut svc = builder(service_cfg(PlacementPolicy::Greedy), 1).build();
     let cap = svc.config().queue_capacity as u64;
     // Fill the wait queue with unplaceable tenants, then overflow it.
     for id in 0..=cap {
@@ -468,7 +399,7 @@ fn depart_after_reject_is_not_counted_as_a_departure() {
     // The no-op is still digested: a run with the phantom Depart and a
     // run without it must not collide on the same trajectory hash.
     let run = |with_phantom: bool| {
-        let mut svc = service(PlacementPolicy::Greedy, 1);
+        let mut svc = builder(service_cfg(PlacementPolicy::Greedy), 1).build();
         for id in 0..=cap {
             svc.step(&TenantEvent {
                 at: 10 + id,
@@ -490,10 +421,8 @@ fn queued_tenant_intensity_survives_to_queue_admit() {
     // tenants waiting in the queue and `admit` hard-coded intensity 1,
     // so a tenant admitted via retry ran at the wrong intensity for its
     // whole life (the stream never resends the change).
-    let topo = Arc::new(test_tree());
-    let routes = Arc::new(RouteTable::new(&topo));
     let cfg = OnlineConfig { candidate_hosts: 16, queue_capacity: 4, ..Default::default() };
-    let mut svc = SchedulerBuilder::new(topo, routes).config(cfg).seed(1).build();
+    let mut svc = builder(cfg, 1).build();
     let cores = svc.machines().cpu[0];
     let n_hosts = svc.machines().len();
     // Tenant 0 fills every core of every host.
@@ -545,11 +474,8 @@ fn long_run_reaches_steady_state_churn() {
     // One longer deterministic run as a smoke test that all lifecycle
     // paths (admission, queueing, departure retries, intensity changes,
     // migration passes) actually fire under the default stream.
-    let evs = events(11, 900);
-    let mut svc = service(PlacementPolicy::Greedy, 3);
-    for ev in &evs {
-        svc.step(ev);
-    }
+    let mut svc = builder(service_cfg(PlacementPolicy::Greedy), 3).build();
+    replay(&mut svc, &tenants(11, 900), |_, _| {});
     svc.check_invariants();
     let s = svc.stats();
     assert_eq!(s.events, 900);

@@ -7,6 +7,15 @@
 //! topologies, streams and seeds; determinism across repeats is
 //! `tests/online.rs`'s job, timing is the perf ledger's
 //! (`BENCHMARK.json`).
+//!
+//! The failover and warm-solve scenarios run the saturated golden's
+//! tenant stream (`tests/harness/saturated.rs`) on trees of their own;
+//! every stream is built and replayed by `tests/harness/run.rs`.
+
+#[path = "harness/run.rs"]
+mod run;
+#[path = "harness/saturated.rs"]
+mod saturated;
 
 use std::sync::Arc;
 
@@ -14,11 +23,12 @@ use choreo_repro::flowsim::FlowSim;
 use choreo_repro::online::{DriftConfig, OnlineConfig, OnlineScheduler, SchedulerBuilder};
 use choreo_repro::profile::{
     switch_link_groups, AppPattern, FlashCrowdConfig, HeavyTailConfig, NetworkEvent,
-    NetworkEventKind, WorkloadGenConfig, WorkloadStream, WorkloadStreamConfig,
+    NetworkEventKind, ServiceEvent, WorkloadGenConfig, WorkloadStreamConfig,
 };
 use choreo_repro::topology::{
     LinkSpec, MultiRootedTreeSpec, NodeId, RouteTable, Topology, GBIT, MICROS, SECS,
 };
+use run::{merged, replay};
 
 /// `pods` × 4 ToRs × 4 hosts under two cores: 8 pods is the 128-host
 /// service cluster, 2 pods the 32-host one the load scenarios squeeze.
@@ -41,22 +51,9 @@ fn service(topo: &Arc<Topology>, cfg: OnlineConfig) -> OnlineScheduler {
     SchedulerBuilder::new(Arc::clone(topo), routes).config(cfg).seed(42).build()
 }
 
-/// The 128-host tenant stream: ~2 s mean inter-arrival against ~120 s
-/// median lifetimes keeps ~30 tenants and a busy wait queue on the
-/// cluster, with intensity changes the bulk of the event mix.
-fn steady_stream() -> WorkloadStream {
-    let cfg = WorkloadStreamConfig {
-        gen: WorkloadGenConfig {
-            tasks_min: 4,
-            tasks_max: 8,
-            mean_interarrival: 2 * SECS,
-            ..Default::default()
-        },
-        mean_intensity_change: 12 * SECS,
-        max_intensity: 3,
-        ..Default::default()
-    };
-    WorkloadStream::new(cfg, 7)
+/// The first `n` events of the saturated golden's tenant stream.
+fn steady(n: usize) -> Vec<ServiceEvent> {
+    merged(saturated::stream(), 7, n, None)
 }
 
 /// Drift re-measurement every 5 s, so three epochs fall inside a 16 s
@@ -96,9 +93,7 @@ fn recover_and_check(svc: &mut OnlineScheduler, t0: u64, links: &[u32], prefail:
 fn link_failover_recovers_half_the_prefailure_rate() {
     let topo = tree(8);
     let mut svc = service(&topo, failover_cfg());
-    for ev in steady_stream().take(2_500) {
-        svc.step(&ev);
-    }
+    replay(&mut svc, &steady(2_500), |_, _| {});
     let t0 = svc.now();
     let prefail = svc.mean_networked_score().expect("networked tenants running");
     let failed: Vec<u32> = (0..topo.links().len() as u32).step_by(4).collect();
@@ -115,17 +110,16 @@ fn switch_outage_under_tenant_churn_recovers_and_stays_consistent() {
         .max_by_key(Vec::len)
         .expect("the tree has core switches");
     let mut svc = service(&topo, failover_cfg());
-    let mut events = steady_stream();
-    for ev in events.by_ref().take(2_500) {
-        svc.step(&ev);
-    }
+    let events = steady(3_000);
+    replay(&mut svc, &events[..2_500], |_, _| {});
     let t0 = svc.now();
     let prefail = svc.mean_networked_score().expect("networked tenants running");
     set_links(&mut svc, t0, &group, NetworkEventKind::LinkFail);
     // Tenant events keep landing while the switch is dark.
-    for ev in events.take_while(|ev| ev.at <= t0 + 16 * SECS) {
-        svc.step(&ev);
-    }
+    let dark = &events[2_500..];
+    let dark = &dark[..dark.partition_point(|ev| ev.at() <= t0 + 16 * SECS)];
+    assert!(dark.len() < 500, "the outage outlasts the generated stream");
+    replay(&mut svc, dark, |_, _| {});
     recover_and_check(&mut svc, t0, &group, prefail);
     svc.check_invariants();
 }
@@ -149,9 +143,7 @@ fn load_cfg() -> WorkloadStreamConfig {
 /// queue/reject counters instead of disappearing into slack.
 fn run_squeezed(topo: &Arc<Topology>, cfg: WorkloadStreamConfig) -> OnlineScheduler {
     let mut svc = service(topo, OnlineConfig { queue_capacity: 8, ..Default::default() });
-    for ev in WorkloadStream::new(cfg, 13).take(2_000) {
-        svc.step(&ev);
-    }
+    replay(&mut svc, &merged(cfg, 13, 2_000, None), |_, _| {});
     svc
 }
 
@@ -213,11 +205,7 @@ fn workload_shapes_spend_the_headroom_nominal_load_keeps() {
 #[test]
 fn warm_solves_carry_mostly_clean_rounds() {
     let topo = tree(2);
-    let mut svc = service(&topo, OnlineConfig::default());
-    for ev in steady_stream().take(1_000) {
-        svc.step(&ev);
-    }
-    let st = svc.sim_mut().solve_stats();
+    let st = replay(&mut service(&topo, OnlineConfig::default()), &steady(1_000), |_, _| {}).solve;
     let split = (st.warm_solves, st.replayed_rounds, st.chained_rounds);
     assert_eq!(split, (272, 5_458, 2_019), "{st:?}");
     assert!(2 * st.chained_rounds < st.replayed_rounds, "{st:?}");
@@ -253,25 +241,25 @@ fn a_2048_host_cluster_fits_and_schedules() {
             },
             ..Default::default()
         };
-        for (i, ev) in WorkloadStream::new(cfg, 7).take(3_000).enumerate() {
-            svc.step(&ev);
+        let run = replay(&mut svc, &merged(cfg, 7, 3_000, None), |svc, i| {
             if i % 64 == 0 {
                 svc.check_invariants();
             }
-        }
+        });
         svc.check_invariants();
         // The engine's per-walk probe memo: one 32-byte record per
         // ordered pair of the 256 ToRs.
         let memo = svc.sim_mut().walk_memo_bytes();
         assert!(memo <= 4 << 20, "walk memo holds {memo} bytes for 2 048 hosts");
         assert_eq!(memo, 32 * 256 * 256);
-        let s = svc.stats();
-        (s.trace_hash(), s.admitted + s.queue_admitted, s.rejected)
+        run
     };
     let first = run();
     assert_eq!(first, run(), "two identical runs diverged");
-    assert!(first.1 >= 400, "only {} tenants admitted", first.1);
-    assert_eq!(first.2, 0, "a 2 048-host cluster at this load rejects nobody");
+    // `[admitted, queued, queue_admitted, rejected, ..]`.
+    let admitted = first.counters[0] + first.counters[2];
+    assert!(admitted >= 400, "only {admitted} tenants admitted");
+    assert_eq!(first.counters[3], 0, "a 2 048-host cluster at this load rejects nobody");
 }
 
 #[test]
