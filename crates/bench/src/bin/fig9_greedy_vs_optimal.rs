@@ -61,7 +61,7 @@ fn main() {
     // ---- Part 2: greedy vs optimal over many applications (§5) -------
     // 4-task applications (the Fig. 9 size): large enough for greedy to
     // err, small enough that the in-repo branch-and-bound proves optima
-    // in a couple of seconds each.
+    // within 3 000 nodes.
     let mut rng = rand::rngs::StdRng::seed_from_u64(111);
     let mut gen = WorkloadGen::new(
         WorkloadGenConfig { tasks_min: 4, tasks_max: 4, ..Default::default() },
@@ -70,11 +70,7 @@ fn main() {
     let machines = Machines::uniform(4, 4.0);
     let load = NetworkLoad::new(4);
     let ilp_placer = IlpPlacer {
-        config: IlpConfig {
-            max_nodes: 3000,
-            time_limit: Some(std::time::Duration::from_secs(2)),
-            ..Default::default()
-        },
+        config: IlpConfig { max_nodes: 3000, ..Default::default() },
         ..Default::default()
     };
     let mut gaps = Vec::new();

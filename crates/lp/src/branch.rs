@@ -2,7 +2,6 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::{Duration, Instant};
 
 use crate::model::{Lp, LpOutcome, Solution};
 use crate::simplex::solve_lp;
@@ -10,10 +9,9 @@ use crate::simplex::solve_lp;
 /// Budgets and tolerances for the search.
 #[derive(Debug, Clone, Copy)]
 pub struct IlpConfig {
-    /// Maximum LP relaxations to solve.
+    /// Maximum LP relaxations to solve: the search's only budget, so
+    /// whether an answer is proven optimal is a function of the input.
     pub max_nodes: usize,
-    /// Wall-clock budget (checked between nodes).
-    pub time_limit: Option<Duration>,
     /// A value within `int_tol` of an integer counts as integral.
     pub int_tol: f64,
     /// Known upper bound on the optimum (e.g. from a heuristic): subtrees
@@ -24,12 +22,7 @@ pub struct IlpConfig {
 
 impl Default for IlpConfig {
     fn default() -> Self {
-        IlpConfig {
-            max_nodes: 20_000,
-            time_limit: Some(Duration::from_secs(30)),
-            int_tol: 1e-6,
-            initial_upper_bound: None,
-        }
+        IlpConfig { max_nodes: 20_000, int_tol: 1e-6, initial_upper_bound: None }
     }
 }
 
@@ -90,7 +83,6 @@ impl Ord for Node {
 /// Branching is best-first on the LP bound; the branching variable is the
 /// most fractional integer variable of the node relaxation.
 pub fn solve_ilp(lp: &Lp, integer_vars: &[usize], cfg: &IlpConfig) -> IlpOutcome {
-    let started = Instant::now();
     let mut lp0 = lp.clone();
     let root = match solve_lp(&lp0) {
         LpOutcome::Optimal(s) => s,
@@ -108,7 +100,7 @@ pub fn solve_ilp(lp: &Lp, integer_vars: &[usize], cfg: &IlpConfig) -> IlpOutcome
         |inc: &Option<Solution>| inc.as_ref().map(|s| s.objective).or(cfg.initial_upper_bound);
 
     while let Some(node) = heap.pop() {
-        if nodes >= cfg.max_nodes || cfg.time_limit.is_some_and(|t| started.elapsed() > t) {
+        if nodes >= cfg.max_nodes {
             exhausted = true;
             break;
         }

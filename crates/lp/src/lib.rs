@@ -11,7 +11,7 @@
 //!   (anti-cycling). Suitable for the few-hundred-variable relaxations the
 //!   placement ILP produces.
 //! * [`branch`] — best-first branch-and-bound over declared integer
-//!   variables, with node and time budgets; returns either a proven
+//!   variables, with a node budget and no clock; returns either a proven
 //!   optimum or the best incumbent when the budget runs out (the paper
 //!   itself notes the ILP "occasionally took a very long time to solve",
 //!   which motivated Choreo's greedy algorithm).

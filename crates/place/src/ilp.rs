@@ -56,7 +56,8 @@ pub struct IlpPlacerOutcome {
     pub placement: Placement,
     /// Its predicted completion time, seconds.
     pub objective_secs: f64,
-    /// True when branch-and-bound proved optimality within budget.
+    /// True when branch-and-bound proved optimality within its node
+    /// budget.
     pub proven_optimal: bool,
 }
 

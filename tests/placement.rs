@@ -30,11 +30,7 @@ fn ilp_never_loses_to_greedy() {
     let machines = Machines::uniform(3, 4.0);
     let load = NetworkLoad::new(3);
     let ilp = IlpPlacer {
-        config: IlpConfig {
-            max_nodes: 2000,
-            time_limit: Some(std::time::Duration::from_secs(2)),
-            ..Default::default()
-        },
+        config: IlpConfig { max_nodes: 2000, ..Default::default() },
         ..Default::default()
     };
     let mut compared = 0;
@@ -58,7 +54,9 @@ fn ilp_never_loses_to_greedy() {
         assert!(validate(&app, &machines, &opt.placement).is_ok());
         compared += 1;
     }
-    assert!(compared >= 5, "enough instances compared: {compared}");
+    // The search is bounded by nodes alone, so which instances it proves
+    // optimal is a function of the input, not of the machine.
+    assert_eq!(compared, 10, "instances compared");
 }
 
 #[test]
