@@ -349,13 +349,6 @@ impl OnlineScheduler {
         }
     }
 
-    /// Consume a whole stream.
-    pub fn run<I: IntoIterator<Item = TenantEvent>>(&mut self, events: I) {
-        for ev in events {
-            self.step(&ev);
-        }
-    }
-
     /// Consume one network event: advance simulated time, apply the
     /// capacity change to the live simulator, and, on a failure, route
     /// every tenant the failure degraded into a forced migration pass

@@ -79,7 +79,9 @@ fn check_at_end(sched: &mut OnlineScheduler) {
 fn direct_hash(events: &[TenantEvent]) -> u64 {
     let (topo, routes) = small_topo();
     let mut sched = SchedulerBuilder::new(topo, routes).seed(11).build();
-    sched.run(events.iter().cloned());
+    for ev in events {
+        sched.step(ev);
+    }
     check_at_end(&mut sched);
     sched.stats().trace_hash()
 }
