@@ -13,8 +13,8 @@
 //! `saturated.rs`.
 
 pub mod run;
-pub mod saturated;
-pub mod service;
+mod saturated;
+mod service;
 
 use std::sync::Arc;
 
