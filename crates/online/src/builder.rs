@@ -1,8 +1,8 @@
 //! Construction of the online scheduler.
 //!
 //! Topology and routes are the only required inputs of a
-//! [`SchedulerBuilder`]; the configuration, the seed, the metrics sink
-//! and the decision-trace capacity each have a default and a setter.
+//! [`SchedulerBuilder`]; the configuration, the seed and the metrics
+//! sink each have a default and a setter.
 
 use std::sync::Arc;
 
@@ -35,21 +35,13 @@ pub struct SchedulerBuilder {
     pub(crate) seed: u64,
     /// Registered handles; `None` builds detached ones.
     pub(crate) metrics: Option<ServiceMetrics>,
-    pub(crate) trace_capacity: usize,
 }
 
 impl SchedulerBuilder {
     /// Builder over `topo` with one VM per host, default config, seed 0
     /// and detached metrics.
     pub fn new(topo: Arc<Topology>, routes: Arc<RouteTable>) -> SchedulerBuilder {
-        SchedulerBuilder {
-            topo,
-            routes,
-            cfg: OnlineConfig::default(),
-            seed: 0,
-            metrics: None,
-            trace_capacity: 256,
-        }
+        SchedulerBuilder { topo, routes, cfg: OnlineConfig::default(), seed: 0, metrics: None }
     }
 
     /// Service configuration (policy, queue bound, migration cadence…).
@@ -70,13 +62,6 @@ impl SchedulerBuilder {
     /// handles and publishes no counters.
     pub fn metrics_registry(mut self, registry: &Registry) -> SchedulerBuilder {
         self.metrics = Some(ServiceMetrics::registered(registry, &self.topo));
-        self
-    }
-
-    /// Decisions retained by the flight-recorder ring
-    /// ([`crate::ServiceStats::decisions`]); default 256.
-    pub fn trace_capacity(mut self, capacity: usize) -> SchedulerBuilder {
-        self.trace_capacity = capacity;
         self
     }
 

@@ -1,5 +1,5 @@
-//! Service configuration: the settable knobs, and the constants every
-//! caller left at one value.
+//! Service configuration: the knobs a shipped caller or a golden sets,
+//! and the constants every caller left at one value.
 
 use choreo_topology::{LinkSpec, Nanos, GBIT, MICROS, SECS};
 
@@ -18,9 +18,34 @@ pub const MAX_MODELED_TRANSFERS: usize = 12;
 /// `choreo::migrate::improves_enough` rule, applied to reciprocal rates:
 /// a move fires only when `predicted > current / (1 − MIN_IMPROVEMENT)`,
 /// a ≥ 11 % predicted rate gain. The paper's §2.4 re-evaluation
-/// threshold. The band between [`MigrationConfig::degraded_fraction`]
-/// and this bar is what keeps tenants from flapping.
+/// threshold. The band between [`DEGRADED_FRACTION`] and this bar is
+/// what keeps tenants from flapping.
 pub const MIN_IMPROVEMENT: f64 = 0.10;
+
+/// CPU cores per host (§6.1: four-core machines).
+pub const CORES_PER_HOST: f64 = 4.0;
+
+/// A tenant counts as degraded when its current mean per-flow rate drops
+/// strictly below this fraction of the rate it saw right after its last
+/// placement.
+pub const DEGRADED_FRACTION: f64 = 0.85;
+
+/// Maximum number of tenants the migration planner moves per pass —
+/// migration is not free, so each pass executes only the best
+/// improvements.
+pub const MIGRATION_BUDGET: usize = 2;
+
+/// A tenant placed or moved less than this long ago is left alone by the
+/// migration planner's cadence scan.
+pub const MIGRATION_COOLDOWN: Nanos = 20 * SECS;
+
+/// Epoch scores retained per tenant (the drift series window).
+pub const DRIFT_WINDOW: usize = 8;
+const _: () = assert!(DRIFT_WINDOW >= 2, "drift needs at least two epochs");
+
+/// Decisions retained by the flight-recorder ring
+/// ([`crate::ServiceStats::decisions`]).
+pub const TRACE_CAPACITY: usize = 256;
 
 /// A tenant counts as drifted when its last-epoch relative error
 /// `|cur − prev| / cur` exceeds this: the paper's §4.1 stability envelope
@@ -38,41 +63,29 @@ pub enum PlacementPolicy {
     Random(u64),
 }
 
-/// Knobs of the background migration planner.
+/// The background migration planner's one knob; its arm, budget and
+/// cooldown are [`DEGRADED_FRACTION`], [`MIGRATION_BUDGET`] and
+/// [`MIGRATION_COOLDOWN`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationConfig {
     /// Run a cluster-wide re-placement pass every this much simulated
     /// time (`None` disables the planner).
     pub cadence: Option<Nanos>,
-    /// A tenant counts as degraded when its current mean per-flow rate
-    /// drops strictly below this fraction of the rate it saw right after
-    /// its last placement.
-    pub degraded_fraction: f64,
-    /// Maximum number of tenants moved per pass — migration is not free,
-    /// so each pass executes only the best improvements.
-    pub budget: usize,
-    /// A tenant placed or moved less than this long ago is left alone.
-    pub cooldown: Nanos,
 }
 
 impl Default for MigrationConfig {
     fn default() -> Self {
-        MigrationConfig {
-            cadence: Some(10 * SECS),
-            degraded_fraction: 0.85,
-            budget: 2,
-            cooldown: 20 * SECS,
-        }
+        MigrationConfig { cadence: Some(10 * SECS) }
     }
 }
 
-/// Knobs of the re-measurement cadence and drift detector.
+/// The drift detector's one knob: its re-measurement cadence.
 ///
 /// The paper measures every path each epoch and leans on the §4.1
 /// stability result (≤ 6 % relative error for 95 % of paths over a
 /// 30-minute horizon) to measure *infrequently*. The online service
 /// inverts that: it re-measures each running tenant's service score on a
-/// cadence, keeps the last few per-epoch scores, and treats a
+/// cadence, keeps the last [`DRIFT_WINDOW`] per-epoch scores, and treats a
 /// last-epoch relative error
 /// ([`choreo_measure::stability::last_relative_error`]) **above** the
 /// paper's envelope ([`DRIFT_THRESHOLD`]) as network
@@ -84,21 +97,17 @@ pub struct DriftConfig {
     /// Re-measure every running networked tenant on this simulated-time
     /// cadence (`None` disables drift detection).
     pub cadence: Option<Nanos>,
-    /// Epoch scores retained per tenant (the drift series window).
-    pub window: usize,
 }
 
 impl Default for DriftConfig {
     fn default() -> Self {
-        DriftConfig { cadence: Some(30 * SECS), window: 8 }
+        DriftConfig { cadence: Some(30 * SECS) }
     }
 }
 
 /// Configuration of an [`crate::OnlineScheduler`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineConfig {
-    /// CPU cores per host (§6.1: four-core machines).
-    pub cores_per_host: f64,
     /// Placement works within the `candidate_hosts` hosts with the most
     /// free CPU (deterministic tie-break on host index) instead of the
     /// whole cluster: candidate probing is one batched what-if solve per
@@ -121,7 +130,6 @@ pub struct OnlineConfig {
 impl Default for OnlineConfig {
     fn default() -> Self {
         OnlineConfig {
-            cores_per_host: 4.0,
             candidate_hosts: 16,
             queue_capacity: 64,
             policy: PlacementPolicy::Greedy,
@@ -137,10 +145,16 @@ mod tests {
 
     #[test]
     fn defaults_are_sane() {
-        let c = OnlineConfig::default();
-        assert_eq!(c.policy, PlacementPolicy::Greedy);
-        assert!(c.candidate_hosts >= 2 && c.queue_capacity > 0);
-        assert!(c.migration.degraded_fraction < 1.0);
-        assert!(c.drift.window >= 2);
+        // No `..`: a new knob fails to compile here until its default is
+        // checked too.
+        let OnlineConfig { candidate_hosts, queue_capacity, policy, migration, drift } =
+            OnlineConfig::default();
+        let MigrationConfig { cadence: migration_cadence } = migration;
+        let DriftConfig { cadence: drift_cadence } = drift;
+        assert_eq!(candidate_hosts, 16);
+        assert_eq!(queue_capacity, 64);
+        assert_eq!(policy, PlacementPolicy::Greedy);
+        assert_eq!(migration_cadence, Some(10 * SECS));
+        assert_eq!(drift_cadence, Some(30 * SECS));
     }
 }

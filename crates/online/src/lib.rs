@@ -34,9 +34,11 @@
 //!   `core`'s [`choreo::migrate::improves_enough`]).
 //!
 //! Schedulers are constructed through the [`SchedulerBuilder`]
-//! (topology + routes, then chained config/seed/registry/trace-capacity
-//! setters). Every decision is counted once, in [`ServiceStats`], and
-//! recorded in its bounded per-decision [`TraceRing`]. A scheduler
+//! (topology + routes, then chained config/seed/registry setters). The
+//! settable knobs are [`OnlineConfig`]'s; the values every caller left
+//! alone are named constants in [`config`]. Every decision is counted
+//! once, in [`ServiceStats`], and recorded in its bounded per-decision
+//! [`TraceRing`]. A scheduler
 //! given a [`choreo_metrics::Registry`] publishes those counts as
 //! `choreo_*_total` counters at the end of every public call that can
 //! move one, next to
@@ -103,6 +105,7 @@ mod tests {
     use choreo_profile::{TenantEvent, TenantEventKind};
     use choreo_topology::{two_rack, LinkSpec, RouteTable, GBIT, MICROS, SECS};
 
+    use super::config::MIGRATION_COOLDOWN;
     use super::*;
 
     fn service(cfg: OnlineConfig) -> OnlineScheduler {
@@ -243,10 +246,9 @@ mod tests {
 
     #[test]
     fn intensity_changes_scale_flow_counts() {
-        // 1-core hosts force the pair apart, so it runs a network flow.
-        let cfg = OnlineConfig { cores_per_host: 1.0, ..OnlineConfig::default() };
-        let mut s = service(cfg);
-        s.step(&arrive(0, 0, pair_app("a", 1.0)));
+        // Two 4-core tasks fill two hosts, so the pair runs a network flow.
+        let mut s = service(OnlineConfig::default());
+        s.step(&arrive(0, 0, pair_app("a", 4.0)));
         assert_eq!(s.sim_mut().active_flows(), 1);
         s.step(&TenantEvent {
             at: SECS,
@@ -274,25 +276,20 @@ mod tests {
         // idle network that self-induced drop must not read as network
         // degradation (the baseline re-anchors on the new layout, and
         // move predictions divide the single-connection probe by the
-        // intensity).
+        // intensity). The pass runs after the cooldown, so the tenant is
+        // scanned.
         let cfg = OnlineConfig {
-            cores_per_host: 1.0,
-            migration: MigrationConfig {
-                cadence: None,
-                cooldown: 0,
-                degraded_fraction: 0.8,
-                budget: 4,
-            },
+            migration: MigrationConfig { cadence: None },
             ..OnlineConfig::default()
         };
         let mut s = service(cfg);
-        s.step(&arrive(0, 0, pair_app("a", 1.0)));
+        s.step(&arrive(0, 0, pair_app("a", 4.0)));
         s.step(&TenantEvent {
             at: SECS,
             tenant: 0,
             kind: TenantEventKind::SetIntensity { intensity: 3 },
         });
-        s.sim_mut().run_until(2 * SECS);
+        s.sim_mut().run_until(MIGRATION_COOLDOWN + 2 * SECS);
         s.force_migration_pass();
         assert_eq!(s.stats().migrations, 0, "self-induced sharing is not degradation");
         s.check_invariants();
@@ -300,20 +297,15 @@ mod tests {
 
     #[test]
     fn planner_moves_a_degraded_tenant() {
-        // 1-core hosts: tasks spread, flows are real. Disable the
-        // cadence; drive the pass by hand.
+        // 4-core tasks: tasks spread, flows are real. Disable the
+        // cadences; drive the pass by hand, each one past the cooldown.
         let cfg = OnlineConfig {
-            cores_per_host: 1.0,
-            migration: MigrationConfig {
-                cadence: None,
-                cooldown: 0,
-                degraded_fraction: 0.8,
-                budget: 4,
-            },
+            migration: MigrationConfig { cadence: None },
+            drift: DriftConfig { cadence: None },
             ..OnlineConfig::default()
         };
         let mut s = service(cfg);
-        s.step(&arrive(0, 0, pair_app("victim", 1.0)));
+        s.step(&arrive(0, 0, pair_app("victim", 4.0)));
         let before = s.tenant_placement(0).expect("admitted").clone();
         s.check_invariants();
         // Congest the victim's path with 7 background flows.
@@ -322,38 +314,37 @@ mod tests {
         let keys: Vec<_> = (0..7)
             .map(|_| s.sim_mut().start_flow_now(hosts[a], hosts[b], None, None, u64::MAX))
             .collect();
-        s.sim_mut().run_until(SECS);
+        s.sim_mut().run_until(MIGRATION_COOLDOWN + SECS);
         s.force_migration_pass();
         assert_eq!(s.stats().migrations, 1, "degraded tenant moved");
         let after = s.tenant_placement(0).expect("still running").clone();
         assert_ne!(before, after, "placement changed");
         s.check_invariants();
-        // A second pass immediately after must not flap.
+        // The next pass that may look at the tenant must not flap.
+        s.sim_mut().run_until(2 * (MIGRATION_COOLDOWN + SECS));
         s.force_migration_pass();
         assert_eq!(s.stats().migrations, 1, "no flapping");
         s.sim_mut().stop_flows_now(&keys);
-        s.step(&TenantEvent { at: 2 * SECS, tenant: 0, kind: TenantEventKind::Depart });
+        s.step(&TenantEvent {
+            at: 3 * (MIGRATION_COOLDOWN + SECS),
+            tenant: 0,
+            kind: TenantEventKind::Depart,
+        });
         s.check_invariants();
     }
 
     #[test]
     fn forced_pass_bypasses_cooldown_and_counts_failure_migrations() {
-        // Same setup as the planner test, but the cooldown is armed so
-        // the cadence scan must skip the victim; only the forced route
-        // (drift/failure) may move it.
+        // Same setup as the planner test, but the pass runs inside the
+        // cooldown, so the cadence scan must skip the victim; only the
+        // forced route (drift/failure) may move it.
         let cfg = OnlineConfig {
-            cores_per_host: 1.0,
-            migration: MigrationConfig {
-                cadence: None,
-                cooldown: 100 * SECS,
-                degraded_fraction: 0.8,
-                budget: 4,
-            },
-            drift: DriftConfig { cadence: None, ..DriftConfig::default() },
+            migration: MigrationConfig { cadence: None },
+            drift: DriftConfig { cadence: None },
             ..OnlineConfig::default()
         };
         let mut s = service(cfg);
-        s.step(&arrive(0, 0, pair_app("victim", 1.0)));
+        s.step(&arrive(0, 0, pair_app("victim", 4.0)));
         let before = s.tenant_placement(0).expect("admitted").clone();
         let (a, b) = (before.assignment[0] as usize, before.assignment[1] as usize);
         let hosts = s.sim_mut().topology().hosts().to_vec();
@@ -411,11 +402,10 @@ mod tests {
 
     #[test]
     fn an_emptied_tenant_bucket_reads_full_attainment() {
-        // 1-core hosts split the pair, so the tenant is networked.
-        let cfg = OnlineConfig { cores_per_host: 1.0, ..OnlineConfig::default() };
-        let mut s = service(cfg);
+        // Two 4-core tasks split the pair, so the tenant is networked.
+        let mut s = service(OnlineConfig::default());
         let k = 3;
-        s.step(&arrive(0, k, pair_app("victim", 1.0)));
+        s.step(&arrive(0, k, pair_app("victim", 4.0)));
         let p = s.tenant_placement(k).expect("admitted").clone();
         let hosts = s.sim_mut().topology().hosts().to_vec();
         let (a, b) = (hosts[p.assignment[0] as usize], hosts[p.assignment[1] as usize]);
@@ -436,13 +426,12 @@ mod tests {
         // One networked tenant; measurement every second; fail every
         // link, then recover — both capacity swings must read as drift.
         let cfg = OnlineConfig {
-            cores_per_host: 1.0,
-            migration: MigrationConfig { cadence: None, ..MigrationConfig::default() },
-            drift: DriftConfig { cadence: Some(SECS), window: 4 },
+            migration: MigrationConfig { cadence: None },
+            drift: DriftConfig { cadence: Some(SECS) },
             ..OnlineConfig::default()
         };
         let mut s = service(cfg);
-        s.step(&arrive(0, 0, pair_app("a", 1.0)));
+        s.step(&arrive(0, 0, pair_app("a", 4.0)));
         let n_links = s.sim_mut().topology().links().len() as u32;
         // t = 1 s: first epoch score (healthy). t = 1.5 s: every link
         // degrades to 40 % of nominal — a uniform cut, so the forced

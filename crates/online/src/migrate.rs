@@ -10,14 +10,15 @@
 //! batch per candidate — no snapshot, no perturbation), keeps only moves
 //! that clear the shared hysteresis rule
 //! ([`choreo::migrate::improves_enough`]), and executes the best
-//! improvements under a per-pass migration budget.
+//! improvements under a per-pass migration budget
+//! ([`MIGRATION_BUDGET`]).
 //!
 //! Two properties keep the pass safe and calm:
 //!
 //! * **no flapping** — degradation is measured against a band
-//!   (`degraded_fraction` below baseline to arm, strictly more than
+//!   ([`DEGRADED_FRACTION`] of baseline to arm, strictly more than
 //!   [`MIN_IMPROVEMENT`] predicted gain to fire) and every move re-arms a
-//!   per-tenant cooldown;
+//!   per-tenant cooldown ([`MIGRATION_COOLDOWN`]);
 //! * **determinism** — tenants are scanned in id order, moves are ranked
 //!   by `(gain, id)`, and each executed move re-checks CPU feasibility
 //!   against the post-move ledger, so a pass is a pure function of the
@@ -33,7 +34,10 @@ use choreo::migrate::improves_enough;
 use choreo_place::problem::Placement;
 use choreo_profile::TenantId;
 
-use crate::config::{PlacementPolicy, LOOPBACK, MIN_IMPROVEMENT};
+use crate::config::{
+    PlacementPolicy, DEGRADED_FRACTION, LOOPBACK, MIGRATION_BUDGET, MIGRATION_COOLDOWN,
+    MIN_IMPROVEMENT,
+};
 use crate::scheduler::{service_score, OnlineScheduler};
 use crate::stats::{Cause, DecisionKind};
 
@@ -94,20 +98,18 @@ impl OnlineScheduler {
     /// phases). Forced tenants skip the cooldown and the degradation arm.
     fn scan_degraded(&mut self, forced: &[TenantId]) -> Vec<(TenantId, f64)> {
         let now = self.sim.now();
-        let cooldown = self.cfg.migration.cooldown;
-        let degraded_fraction = self.cfg.migration.degraded_fraction;
         let loopback = LOOPBACK.rate_bps;
         let mut degraded: Vec<(TenantId, f64)> = Vec::new();
         for (&id, t) in &self.tenants {
             let forced_in = forced.binary_search(&id).is_ok();
-            if !forced_in && now.saturating_sub(t.last_move_at) < cooldown {
+            if !forced_in && now.saturating_sub(t.last_move_at) < MIGRATION_COOLDOWN {
                 continue;
             }
             if !t.is_networked() {
                 continue;
             }
             let current = service_score(&mut self.sim, loopback, &t.flows);
-            if forced_in || current < degraded_fraction * t.baseline {
+            if forced_in || current < DEGRADED_FRACTION * t.baseline {
                 degraded.push((id, current));
             }
         }
@@ -156,7 +158,7 @@ impl OnlineScheduler {
         moves.sort_by(|a, b| {
             b.gain.partial_cmp(&a.gain).expect("finite gains").then(a.tenant.cmp(&b.tenant))
         });
-        for m in moves.into_iter().take(self.cfg.migration.budget) {
+        for m in moves.into_iter().take(MIGRATION_BUDGET) {
             self.execute_move(m.tenant, m.placement, m.forced, m.gain);
         }
     }

@@ -18,7 +18,8 @@ use choreo_topology::{Nanos, NodeId};
 
 use crate::builder::SchedulerBuilder;
 use crate::config::{
-    OnlineConfig, PlacementPolicy, DRIFT_THRESHOLD, LOOPBACK, MAX_MODELED_TRANSFERS,
+    OnlineConfig, PlacementPolicy, CORES_PER_HOST, DEGRADED_FRACTION, DRIFT_THRESHOLD,
+    DRIFT_WINDOW, LOOPBACK, MAX_MODELED_TRANSFERS,
 };
 use crate::metrics::{PodLossGauges, ServiceMetrics};
 use crate::stats::{Cause, DecisionKind, RejectReason, ServiceStats};
@@ -43,7 +44,7 @@ pub(crate) struct Tenant {
     /// When the tenant was last placed or moved (cooldown anchor).
     pub(crate) last_move_at: Nanos,
     /// Per-epoch service scores from the re-measurement pass (bounded
-    /// by [`crate::DriftConfig::window`]) — the drift detector's
+    /// by [`DRIFT_WINDOW`]) — the drift detector's
     /// [`last_relative_error`] input. Reset on every (re)placement and
     /// intensity change: drift means the *network* moved under an
     /// unchanged tenant.
@@ -132,14 +133,13 @@ impl OnlineScheduler {
     /// [`SchedulerBuilder::build`]'s target — all construction funnels
     /// through here.
     pub(crate) fn from_builder(b: SchedulerBuilder) -> Self {
-        let SchedulerBuilder { topo, routes, cfg, seed, metrics, trace_capacity } = b;
+        let SchedulerBuilder { topo, routes, cfg, seed, metrics } = b;
         assert!(cfg.candidate_hosts >= 2, "placement needs at least two candidate hosts");
         if let Some(c) = cfg.migration.cadence {
             assert!(c > 0, "migration cadence must be positive");
         }
         if let Some(c) = cfg.drift.cadence {
             assert!(c > 0, "drift cadence must be positive");
-            assert!(cfg.drift.window >= 2, "drift needs at least two epochs");
         }
         let sim = FlowSim::new(topo.clone(), routes, LOOPBACK, seed);
         let hosts = topo.hosts().to_vec();
@@ -157,13 +157,13 @@ impl OnlineScheduler {
         OnlineScheduler {
             sim,
             hosts,
-            machines: Machines::uniform(n, cfg.cores_per_host),
+            machines: Machines::uniform(n, CORES_PER_HOST),
             cpu: CpuLedger { used: vec![0.0; n] },
             tenants: BTreeMap::new(),
             queue: VecDeque::new(),
             cfg,
             random: RandomPlacer::new(random_seed),
-            stats: ServiceStats::with_trace_capacity(trace_capacity),
+            stats: ServiceStats::default(),
             metrics,
             next_migration_at,
             next_measure_at,
@@ -418,12 +418,11 @@ impl OnlineScheduler {
     /// degraded fraction of their baseline, with those scores, in id
     /// order.
     fn degraded_tenants(&mut self) -> Vec<(TenantId, f64)> {
-        let frac = self.cfg.migration.degraded_fraction;
         let loopback = LOOPBACK.rate_bps;
         let mut out = Vec::new();
         for (&id, t) in self.tenants.iter().filter(|(_, t)| t.is_networked()) {
             let score = service_score(&mut self.sim, loopback, &t.flows);
-            if score < frac * t.baseline {
+            if score < DEGRADED_FRACTION * t.baseline {
                 out.push((id, score));
             }
         }
@@ -440,7 +439,6 @@ impl OnlineScheduler {
     fn measurement_pass(&mut self) {
         self.stats.measurement_passes += 1;
         self.stats.note(0x50); // 'P'
-        let window = self.cfg.drift.window;
         let loopback = LOOPBACK.rate_bps;
         let now = self.sim.now();
         let mut drifted: Vec<(TenantId, f64)> = Vec::new();
@@ -449,7 +447,7 @@ impl OnlineScheduler {
             let score = service_score(&mut self.sim, loopback, &t.flows);
             self.stats.note_f64(score);
             t.epoch_scores.push(score);
-            if t.epoch_scores.len() > window {
+            if t.epoch_scores.len() > DRIFT_WINDOW {
                 t.epoch_scores.remove(0);
             }
             // Epochs are one cadence apart and compared at a lag of one

@@ -4,6 +4,8 @@
 use choreo_profile::TenantId;
 use choreo_topology::Nanos;
 
+use crate::config::TRACE_CAPACITY;
+
 /// What the service decided at one point of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionKind {
@@ -341,14 +343,14 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl Default for ServiceStats {
     fn default() -> Self {
-        ServiceStats::with_trace_capacity(256)
+        ServiceStats::with_trace_capacity(TRACE_CAPACITY)
     }
 }
 
 impl ServiceStats {
     /// Fresh stats with a decision ring keeping the last `capacity`
     /// decisions.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
+    fn with_trace_capacity(capacity: usize) -> Self {
         ServiceStats {
             events: 0,
             arrivals: 0,

@@ -22,14 +22,12 @@
 //!   must fail before any rate is asked for.
 
 pub mod baseline;
-pub mod constraints;
 pub mod greedy;
 pub mod ilp;
 pub mod predict;
 pub mod problem;
 
 pub use baseline::{MinMachinesPlacer, RandomPlacer, RoundRobinPlacer};
-pub use constraints::{ConstrainedGreedyPlacer, Constraints};
 pub use greedy::{GreedyPlacer, PlaceScratch};
 pub use ilp::{IlpPlacer, IlpPlacerOutcome};
 pub use predict::predict_completion_secs;

@@ -17,9 +17,9 @@
 //! the previous hour and the time of day ([`predict`]), task CPU demands of
 //! 0.5–4 cores on 4-core machines (§6.1).
 //!
-//! Modules: [`matrix`] (traffic matrices), [`records`] (flow records and
-//! sFlow-style sampling), [`app`] (application profiles), [`dist`]
-//! (distribution samplers built on `rand`), [`synth`] (workload generation),
+//! Modules: [`matrix`] (traffic matrices), [`app`] (application
+//! profiles), [`dist`] (distribution samplers built on `rand`), [`synth`]
+//! (workload generation),
 //! [`predict`] (hour-over-hour predictability analysis), [`stream`]
 //! (seeded multi-tenant arrival/departure/load-change event streams for
 //! the online placement service), [`netstream`] (seeded link
@@ -32,7 +32,6 @@ pub mod matrix;
 pub mod netstream;
 pub mod phased;
 pub mod predict;
-pub mod records;
 pub mod stream;
 pub mod synth;
 
@@ -43,7 +42,6 @@ pub use netstream::{
     NetworkEventStreamConfig, ServiceEvent, SwitchFailureConfig,
 };
 pub use phased::{Phase, PhasedApp};
-pub use records::FlowRecord;
 pub use stream::{TenantEvent, TenantEventKind, TenantId, WorkloadStream, WorkloadStreamConfig};
 pub use synth::{
     AppPattern, CorrelatedBatchConfig, FlashCrowdConfig, HeavyTailConfig, WorkloadGen,

@@ -41,7 +41,7 @@
 //! 16 MiB in both directions ([`choreo_wire::frame`]), a peer that
 //! stalls mid-frame is dropped rather than left desynchronizing the
 //! stream, and tenant ids above
-//! [`ServiceConfig::max_tenant_id`](service::ServiceConfig::max_tenant_id)
+//! [`MAX_TENANT_ID`](service::MAX_TENANT_ID)
 //! are refused before they reach the scheduler, so no tenant can claim
 //! `TenantId::MAX`, the decision trace's cluster-wide sentinel (rendered
 //! `"tenant":null`). Refusals are counted in

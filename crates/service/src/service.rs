@@ -13,47 +13,44 @@ use std::sync::{Arc, Mutex};
 use choreo_metrics::{Counter, Registry};
 use choreo_online::{OnlineConfig, OnlineScheduler, SchedulerBuilder, TraceRing};
 use choreo_profile::{NetworkEvent, TenantEvent, TenantEventKind};
-use choreo_topology::{Nanos, RouteTable, Topology};
+use choreo_topology::{Nanos, RouteTable, Topology, SECS};
 use choreo_wire::{ServiceRequest, ServiceResponse, ServiceStatsReply};
 
 use crate::env::{NetEvent, ServiceEnv};
+
+/// Largest tenant id the service accepts from the wire; ids above this
+/// bound are rejected before touching the scheduler. It keeps wire ids
+/// clear of `TenantId::MAX`, the decision trace's cluster-wide sentinel
+/// (rendered `"tenant":null`), which a tenant must never be able to
+/// claim.
+pub const MAX_TENANT_ID: u64 = u16::MAX as u64;
+
+/// Furthest ahead of the scheduler clock a wire-supplied `at`
+/// (`ForceMigration`, `InjectNetworkEvent`) may advance simulated time.
+/// `advance_to` replays every measurement/migration cadence tick on the
+/// way, so an unvalidated `at = u64::MAX` with a 30 s drift cadence
+/// would run ~10^10 passes — one hostile frame hangs the service.
+/// Requests beyond the horizon get an `Error` before the scheduler sees
+/// them. One simulated hour.
+pub const MAX_ADVANCE: Nanos = 3600 * SECS;
 
 /// Everything the service needs beyond a topology: scheduler knobs, the
 /// placement seed, and the SLO threshold the attainment gauge tracks.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Scheduler configuration (admission, queue, migration, solver).
+    /// Scheduler configuration (admission, queue, migration and drift
+    /// cadences, placement policy).
     pub online: OnlineConfig,
     /// Seed for placement tie-breaking.
     pub seed: u64,
     /// A tenant "meets its SLO" while its current service score is at
     /// least this fraction of its admission-time baseline.
     pub slo_fraction: f64,
-    /// Largest tenant id the service accepts from the wire; ids above
-    /// this bound are rejected before touching the scheduler. It keeps
-    /// wire ids clear of `TenantId::MAX`, the decision trace's
-    /// cluster-wide sentinel (rendered `"tenant":null`), which a tenant
-    /// must never be able to claim. Default 65 535.
-    pub max_tenant_id: u64,
-    /// Furthest ahead of the scheduler clock a wire-supplied `at`
-    /// (`ForceMigration`, `InjectNetworkEvent`) may advance simulated
-    /// time. `advance_to` replays every measurement/migration cadence
-    /// tick on the way, so an unvalidated `at = u64::MAX` with a 30 s
-    /// drift cadence would run ~10^10 passes — one hostile frame hangs
-    /// the service. Requests beyond the horizon get an `Error` before
-    /// the scheduler sees them. Default one simulated hour.
-    pub max_advance: Nanos,
 }
 
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
-        ServiceConfig {
-            online: OnlineConfig::default(),
-            seed: 0,
-            slo_fraction: 0.5,
-            max_tenant_id: u16::MAX as u64,
-            max_advance: 3600 * choreo_topology::SECS,
-        }
+        ServiceConfig { online: OnlineConfig::default(), seed: 0, slo_fraction: 0.5 }
     }
 }
 
@@ -63,8 +60,6 @@ pub struct PlacementService<E: ServiceEnv> {
     scheduler: OnlineScheduler,
     registry: Arc<Registry>,
     slo_fraction: f64,
-    max_tenant_id: u64,
-    max_advance: Nanos,
     invalid_tenant_ids: Counter,
     invalid_horizons: Counter,
     env: E,
@@ -104,8 +99,6 @@ impl<E: ServiceEnv> PlacementService<E> {
             scheduler,
             registry,
             slo_fraction: cfg.slo_fraction,
-            max_tenant_id: cfg.max_tenant_id,
-            max_advance: cfg.max_advance,
             invalid_tenant_ids,
             invalid_horizons,
             env,
@@ -187,13 +180,11 @@ impl<E: ServiceEnv> PlacementService<E> {
             ServiceRequest::Admit { tenant, .. }
             | ServiceRequest::SetIntensity { tenant, .. }
             | ServiceRequest::Depart { tenant }
-                if *tenant > self.max_tenant_id =>
+                if *tenant > MAX_TENANT_ID =>
             {
                 self.invalid_tenant_ids.inc();
-                let reason = format!(
-                    "tenant id {tenant} exceeds the service maximum {}",
-                    self.max_tenant_id
-                );
+                let reason =
+                    format!("tenant id {tenant} exceeds the service maximum {MAX_TENANT_ID}");
                 return match req {
                     ServiceRequest::Admit { .. } => ServiceResponse::Rejected { reason },
                     _ => ServiceResponse::Error(reason),
@@ -208,12 +199,11 @@ impl<E: ServiceEnv> PlacementService<E> {
         match &req {
             ServiceRequest::ForceMigration { at }
             | ServiceRequest::InjectNetworkEvent { at, .. }
-                if *at > self.scheduler.now().saturating_add(self.max_advance) =>
+                if *at > self.scheduler.now().saturating_add(MAX_ADVANCE) =>
             {
                 self.invalid_horizons.inc();
                 return ServiceResponse::Error(format!(
-                    "timestamp {at} exceeds the advance horizon ({} past now {})",
-                    self.max_advance,
+                    "timestamp {at} exceeds the advance horizon ({MAX_ADVANCE} past now {})",
                     self.scheduler.now()
                 ));
             }
@@ -543,7 +533,7 @@ mod tests {
         // `advance_to(u64::MAX)` would replay ~10^10 measurement passes
         // (30 s drift cadence); the service must refuse the frame before
         // the scheduler's clock moves, then keep serving normally.
-        let horizon_probe = 2 * 3_600_000_000_000u64; // 2 h: well past the 1 h default horizon
+        let horizon_probe = 2 * 3_600_000_000_000u64; // 2 h: well past the 1 h horizon
         let mut svc = sim_service(vec![
             (10, 1, ServiceRequest::Admit { tenant: 1, app: app(2) }),
             (20, 1, ServiceRequest::ForceMigration { at: u64::MAX }),

@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use choreo_repro::flowsim::{FlowArena, FlowSim, FlowSlot, MaxMinSolver};
+use choreo_repro::online::config::TRACE_CAPACITY;
 use choreo_repro::online::{
     DriftConfig, MigrationConfig, OnlineConfig, PlacementPolicy, SchedulerBuilder,
 };
@@ -408,23 +409,22 @@ fn steady_state_reallocation_allocates_nothing() {
     // a migration tick that moves nobody: every networked tenant is
     // scored in place (no flow-list clones), the drift check reads the
     // epoch window without building a series, the planner finds nothing
-    // degraded. Once the epoch windows and the (deliberately small)
-    // decision ring are full, a whole cadence period allocates nothing.
+    // degraded. Once the epoch windows and the decision ring are full, a
+    // whole cadence period allocates nothing.
     let topo = Arc::new(spec.build());
     let routes = Arc::new(RouteTable::new(&topo));
     let cfg = OnlineConfig {
-        cores_per_host: 1.0, // one task per host: every tenant is networked
-        migration: MigrationConfig { cadence: Some(SECS), ..MigrationConfig::default() },
-        drift: DriftConfig { cadence: Some(SECS), window: 4 },
+        migration: MigrationConfig { cadence: Some(SECS) },
+        drift: DriftConfig { cadence: Some(SECS) },
         ..OnlineConfig::default()
     };
-    let mut sched =
-        SchedulerBuilder::new(topo, routes).config(cfg).seed(7).trace_capacity(8).build();
+    let mut sched = SchedulerBuilder::new(topo, routes).config(cfg).seed(7).build();
     for tenant in 0..6u64 {
         let mut m = TrafficMatrix::zeros(3);
         m.set(0, 1, 1_000_000_000);
         m.set(1, 2, 500_000_000);
-        let app = Box::new(AppProfile::new("steady", vec![1.0; 3], m, 0));
+        // One 4-core task per host: every tenant is networked.
+        let app = Box::new(AppProfile::new("steady", vec![4.0; 3], m, 0));
         sched.step(&TenantEvent { at: tenant, tenant, kind: TenantEventKind::Arrive { app } });
     }
     assert_eq!(sched.active_tenants(), 6);
@@ -436,6 +436,9 @@ fn steady_state_reallocation_allocates_nothing() {
         }
     };
     advance(&mut sched, 8);
+    while sched.stats().decisions().total() < TRACE_CAPACITY as u64 {
+        advance(&mut sched, 1);
+    }
     let passes = (sched.stats().measurement_passes, sched.stats().migration_passes);
     let before = alloc_count();
     advance(&mut sched, 8);
@@ -458,7 +461,7 @@ fn steady_state_reallocation_allocates_nothing() {
     let mut m = TrafficMatrix::zeros(3);
     m.set(0, 1, 1_000_000_000);
     m.set(1, 2, 500_000_000);
-    let app = AppProfile::new("candidate", vec![1.0; 3], m, 0);
+    let app = AppProfile::new("candidate", vec![4.0; 3], m, 0);
     let link = sched.sim_mut().topology().links().len() as u32 / 2;
     let attempts = |sched: &mut choreo_repro::online::OnlineScheduler| {
         let walked = sched.sim_mut().solve_stats().probe_replay_rounds;

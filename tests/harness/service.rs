@@ -53,8 +53,8 @@ pub fn config() -> OnlineConfig {
     OnlineConfig {
         candidate_hosts: 8,
         queue_capacity: 4,
-        migration: MigrationConfig { cadence: Some(15 * SECS), ..Default::default() },
-        drift: DriftConfig { cadence: Some(10 * SECS), ..Default::default() },
+        migration: MigrationConfig { cadence: Some(15 * SECS) },
+        drift: DriftConfig { cadence: Some(10 * SECS) },
         ..Default::default()
     }
 }

@@ -59,10 +59,7 @@ fn steady(n: usize) -> Vec<ServiceEvent> {
 /// Drift re-measurement every 5 s, so three epochs fall inside a 16 s
 /// outage.
 fn failover_cfg() -> OnlineConfig {
-    OnlineConfig {
-        drift: DriftConfig { cadence: Some(5 * SECS), ..Default::default() },
-        ..Default::default()
-    }
+    OnlineConfig { drift: DriftConfig { cadence: Some(5 * SECS) }, ..Default::default() }
 }
 
 fn set_links(svc: &mut OnlineScheduler, at: u64, links: &[u32], kind: NetworkEventKind) {
