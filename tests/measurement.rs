@@ -9,6 +9,14 @@ use choreo_repro::measure::{
 use choreo_repro::netsim::TrainConfig;
 use choreo_repro::topology::{MBIT, SECS};
 
+/// FNV-1a over the exact bits of `rates`: pins the packet- and flow-level
+/// clouds' output, not just the tolerances asserted beside it.
+fn rate_digest(rates: impl IntoIterator<Item = f64>) -> u64 {
+    rates
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |d, r| (d ^ r.to_bits()).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
 fn quiet(mut p: ProviderProfile) -> ProviderProfile {
     p.background.pairs = 0;
     p.colocate_prob = 0.0;
@@ -44,6 +52,8 @@ fn rackspace_calibration_needs_2000_packet_bursts() {
     assert!(err_short > 0.20, "short bursts should overestimate: {:.1}%", 100.0 * err_short);
     assert!(err_long < 0.10, "2000-packet bursts accurate: {:.1}%", 100.0 * err_long);
     assert!(err_long < err_short / 2.0, "calibration helps dramatically");
+    let digest = rate_digest([short.throughput_bps, truth, long.throughput_bps]);
+    assert_eq!(digest, 0xd491_1eff_6d97_be3a, "rackspace rates moved: {digest:#018x}");
 }
 
 #[test]
@@ -61,6 +71,8 @@ fn snapshot_measures_every_ordered_pair_with_trains() {
     for i in 0..4 {
         assert_eq!(hops[i * 4 + i], 0);
     }
+    let digest = rate_digest(snap.path_rates());
+    assert_eq!(digest, 0x4800_ced3_59b9_b643, "snapshot rates moved: {digest:#018x}");
 }
 
 #[test]
@@ -85,6 +97,8 @@ fn temporal_stability_matches_fig7_headlines() {
         }
         fc.advance(10 * SECS);
     }
+    let digest = rate_digest(series.iter().flatten().copied());
+    assert_eq!(digest, 0xb596_52d2_d36e_846d, "probed rates moved: {digest:#018x}");
     let mut medians = Vec::new();
     for s in series {
         let st = StabilitySeries::new(10 * SECS, s);
