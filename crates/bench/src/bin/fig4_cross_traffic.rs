@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use choreo_measure::cross_traffic_estimate;
-use choreo_netsim::{Sim, SimConfig};
+use choreo_netsim::Sim;
 use choreo_topology::{dumbbell, two_rack, LinkSpec, RouteTable, GBIT, MICROS, MILLIS, SECS};
 
 struct Scenario {
@@ -43,7 +43,7 @@ fn run_scenario(sc: &Scenario) {
         )
     });
     let routes = Arc::new(RouteTable::new(&topo));
-    let mut sim = Sim::new(topo.clone(), routes, SimConfig::default(), 4242);
+    let mut sim = Sim::new(topo.clone(), routes, 4242);
     let hosts = topo.hosts().to_vec();
     let (senders, receivers) = hosts.split_at(sc.n_pairs);
 

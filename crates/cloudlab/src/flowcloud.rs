@@ -7,7 +7,7 @@ use rand::SeedableRng;
 
 use choreo_flowsim::{FlowKey, FlowSim, HoseId};
 use choreo_measure::{MeasureBackend, NetworkSnapshot, RateModel};
-use choreo_topology::{Nanos, NodeId, RouteTable, TracerouteStyle, VmId, VmMap, SECS};
+use choreo_topology::{Nanos, NodeId, RouteTable, TracerouteStyle, VmId, VmMap, LOOPBACK, SECS};
 
 use crate::cloud::{sample_normal, Cloud};
 
@@ -24,7 +24,6 @@ pub struct FlowCloud {
     routes: std::sync::Arc<RouteTable>,
     traceroute_style: TracerouteStyle,
     noise_sd: f64,
-    loopback_bps: f64,
     rng: StdRng,
     /// Keys of the transfers [`FlowCloud::start_transfer`] started, by
     /// tag: what [`FlowCloud::tag_completion`] answers from.
@@ -37,12 +36,7 @@ pub struct FlowCloud {
 impl FlowCloud {
     /// Build from a [`Cloud`] (called via [`Cloud::flow_cloud`]).
     pub(crate) fn build(cloud: &mut Cloud, seed: u64) -> FlowCloud {
-        let mut sim = FlowSim::new(
-            cloud.topology().clone(),
-            cloud.routes().clone(),
-            cloud.profile.loopback,
-            seed,
-        );
+        let mut sim = FlowSim::new(cloud.topology().clone(), cloud.routes().clone(), seed);
         let hoses: Vec<HoseId> =
             (0..cloud.n_vms()).map(|i| sim.add_hose(cloud.hose_of(VmId(i as u32)))).collect();
         let bg = cloud.background_pairs(cloud.profile.background.pairs);
@@ -64,7 +58,6 @@ impl FlowCloud {
             routes: cloud.routes().clone(),
             traceroute_style: cloud.profile.traceroute,
             noise_sd: cloud.profile.measurement_noise,
-            loopback_bps: cloud.profile.loopback.rate_bps,
             rng: StdRng::seed_from_u64(seed ^ 0x5EED_F00D),
             transfers: HashMap::new(),
             probe_scratch: Vec::new(),
@@ -140,7 +133,7 @@ impl FlowCloud {
     /// diagnostics; measurements go through [`MeasureBackend`]).
     pub fn ideal_rate(&mut self, a: VmId, b: VmId) -> f64 {
         if self.vms.host(a) == self.vms.host(b) {
-            return self.loopback_bps;
+            return LOOPBACK.rate_bps;
         }
         let (src, dst) = (self.vms.host(a), self.vms.host(b));
         let hose = self.hoses[a.0 as usize];
@@ -190,7 +183,7 @@ impl MeasureBackend for FlowCloud {
         let mut next = 0usize;
         for &(a, b) in pairs {
             let raw = if self.vms.host(a) == self.vms.host(b) {
-                self.loopback_bps
+                LOOPBACK.rate_bps
             } else {
                 next += 1;
                 batched[next - 1]

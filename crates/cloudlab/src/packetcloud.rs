@@ -1,7 +1,7 @@
 //! Packet-level cloud backend: trains, netperf ground truth, interference.
 
 use choreo_measure::{estimate_from_report, MeasureBackend};
-use choreo_netsim::{FlowId, ShaperId, Sim, SimConfig, TrainConfig, TrainReport};
+use choreo_netsim::{FlowId, ShaperId, Sim, TrainConfig, TrainReport};
 use choreo_topology::{Nanos, RouteTable, TracerouteStyle, VmId, VmMap, MILLIS, SECS};
 
 use crate::cloud::Cloud;
@@ -24,24 +24,21 @@ pub struct PacketCloud {
 impl PacketCloud {
     /// Build from a [`Cloud`] (called via [`Cloud::packet_cloud`]).
     pub(crate) fn build(cloud: &mut Cloud, seed: u64) -> PacketCloud {
-        let cfg = SimConfig { loopback: cloud.profile.loopback, ..SimConfig::default() };
-        let mut sim = Sim::new(cloud.topology().clone(), cloud.routes().clone(), cfg, seed);
+        let mut sim = Sim::new(cloud.topology().clone(), cloud.routes().clone(), seed);
         let shapers: Vec<ShaperId> = (0..cloud.n_vms())
             .map(|i| {
-                sim.add_shaper_full(
+                sim.add_shaper(
                     cloud.hose_of(VmId(i as u32)),
                     cloud.profile.bucket_depth_bytes,
-                    32 << 20,
                     cloud.profile.idle_refill_mult,
                 )
             })
             .collect();
         let bg = cloud.background_pairs(cloud.profile.background.pairs);
         for (a, b, hose_bps) in bg {
-            let sh = sim.add_shaper_full(
+            let sh = sim.add_shaper(
                 hose_bps,
                 cloud.profile.bucket_depth_bytes,
-                32 << 20,
                 cloud.profile.idle_refill_mult,
             );
             sim.start_onoff(
@@ -97,7 +94,8 @@ impl PacketCloud {
         );
         // Upper-bound the train's wire time by its size at a conservative
         // 50 Mbit/s plus gaps, then a drain margin.
-        let worst = (config.total_bytes() as f64 * 8.0 / 50e6 * 1e9) as Nanos
+        let bytes = config.burst_len as u64 * config.bursts as u64 * config.packet_bytes as u64;
+        let worst = (bytes as f64 * 8.0 / 50e6 * 1e9) as Nanos
             + config.bursts as u64 * config.gap
             + 200 * MILLIS;
         self.sim.run_for(worst);

@@ -83,7 +83,9 @@ pub struct BackgroundSpec {
     pub mean_off: Nanos,
 }
 
-/// Everything that distinguishes one provider from another.
+/// Everything that distinguishes one provider from another. What the
+/// providers share is not a field: co-located VMs talk over
+/// [`choreo_topology::LOOPBACK`] in both backends.
 #[derive(Debug, Clone)]
 pub struct ProviderProfile {
     /// Display name (e.g. `"ec2-2013"`).
@@ -104,8 +106,6 @@ pub struct ProviderProfile {
     /// carries one of the tenant's VMs (§2.2: ≈1% of EC2 paths were
     /// same-machine).
     pub colocate_prob: f64,
-    /// Intra-host path model (≈4 Gbit/s on EC2).
-    pub loopback: LinkSpec,
     /// How traceroute reports hops.
     pub traceroute: TracerouteStyle,
     /// Other-tenant traffic.
@@ -147,7 +147,6 @@ impl ProviderProfile {
             bucket_depth_bytes: 30_000.0,
             idle_refill_mult: 1.0,
             colocate_prob: 0.02,
-            loopback: LinkSpec::new(4.2 * GBIT, 20 * MICROS),
             traceroute: TracerouteStyle::Full,
             background: BackgroundSpec { pairs: 6, mean_on: 5 * SECS, mean_off: 20 * SECS },
             measurement_noise: 0.012,
@@ -180,7 +179,6 @@ impl ProviderProfile {
             bucket_depth_bytes: 500_000.0,
             idle_refill_mult: 1.2,
             colocate_prob: 0.0,
-            loopback: LinkSpec::new(4.2 * GBIT, 20 * MICROS),
             traceroute: TracerouteStyle::Opaque { inter_host_hops: 4 },
             background: BackgroundSpec { pairs: 2, mean_on: 4 * SECS, mean_off: 40 * SECS },
             measurement_noise: 0.003,
@@ -229,7 +227,6 @@ impl ProviderProfile {
             bucket_depth_bytes: 30_000.0,
             idle_refill_mult: 1.0,
             colocate_prob: 0.01,
-            loopback: LinkSpec::new(4.2 * GBIT, 20 * MICROS),
             traceroute: TracerouteStyle::Full,
             background: BackgroundSpec { pairs: 14, mean_on: 8 * SECS, mean_off: 8 * SECS },
             measurement_noise: 0.03,

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use choreo_topology::{LinkSpec, Nanos, RouteTable, Topology};
+use choreo_topology::{Nanos, RouteTable, Topology, LOOPBACK};
 
 use crate::fairshare::{max_min_rates, FlowArena, FlowSlot, MaxMinSolver, ProbeRecord};
 
@@ -154,21 +154,17 @@ pub struct SolveStats {
 }
 
 impl FlowSim {
-    /// Build a simulator. `loopback` is the capacity/delay model for
-    /// co-located traffic (the paper's ≈4 Gbit/s same-host paths).
-    pub fn new(
-        topo: Arc<Topology>,
-        routes: Arc<RouteTable>,
-        loopback: LinkSpec,
-        seed: u64,
-    ) -> Self {
+    /// Build a simulator. Co-located traffic runs over each host's
+    /// loopback at [`LOOPBACK`]'s rate (the paper's ≈ 4 Gbit/s same-host
+    /// paths) and bypasses the hoses.
+    pub fn new(topo: Arc<Topology>, routes: Arc<RouteTable>, seed: u64) -> Self {
         let mut capacities = Vec::with_capacity(topo.link_count() * 2 + topo.hosts().len());
         for l in topo.links() {
             capacities.push(l.spec.rate_bps);
             capacities.push(l.spec.rate_bps);
         }
         for _ in topo.hosts() {
-            capacities.push(loopback.rate_bps);
+            capacities.push(LOOPBACK.rate_bps);
         }
         let arena = FlowArena::new(capacities.len());
         FlowSim {
@@ -353,7 +349,7 @@ mod tests {
             LinkSpec::new(shared, 20 * MICROS),
         ));
         let r = Arc::new(RouteTable::new(&t));
-        FlowSim::new(t, r, LinkSpec::new(4.2 * GBIT, 20 * MICROS), 7)
+        FlowSim::new(t, r, 7)
     }
 
     #[test]
@@ -843,7 +839,7 @@ mod tests {
         let hosts = b.hosts(2, "h");
         let t = Arc::new(b.build());
         let r = Arc::new(RouteTable::new(&t));
-        let mut s = FlowSim::new(t, r, LinkSpec::new(4.2 * GBIT, 20 * MICROS), 7);
+        let mut s = FlowSim::new(t, r, 7);
         s.probe_rate(hosts[0], hosts[1], None);
     }
 
@@ -909,7 +905,7 @@ mod tests {
                 .build(),
             );
             let routes = Arc::new(RouteTable::new(&topo));
-            let mut s = FlowSim::new(Arc::clone(&topo), routes, LinkSpec::new(4.2 * GBIT, 20 * MICROS), 7);
+            let mut s = FlowSim::new(Arc::clone(&topo), routes, 7);
             let h = topo.hosts().to_vec();
             let n = h.len() as u64;
             let hoses = [s.add_hose(300.0 * MBIT), s.add_hose(2.0 * GBIT)];

@@ -6,14 +6,16 @@ use std::collections::BinaryHeap;
 use crate::model::{Lp, LpOutcome, Solution};
 use crate::simplex::solve_lp;
 
-/// Budgets and tolerances for the search.
+/// A value within this of an integer counts as integral.
+pub const INT_TOL: f64 = 1e-6;
+
+/// Budget and warm start for the search (integrality is judged to
+/// [`INT_TOL`]).
 #[derive(Debug, Clone, Copy)]
 pub struct IlpConfig {
     /// Maximum LP relaxations to solve: the search's only budget, so
     /// whether an answer is proven optimal is a function of the input.
     pub max_nodes: usize,
-    /// A value within `int_tol` of an integer counts as integral.
-    pub int_tol: f64,
     /// Known upper bound on the optimum (e.g. from a heuristic): subtrees
     /// whose LP bound cannot beat it are pruned immediately. The final
     /// answer still reports only solutions the search itself found.
@@ -22,7 +24,7 @@ pub struct IlpConfig {
 
 impl Default for IlpConfig {
     fn default() -> Self {
-        IlpConfig { max_nodes: 20_000, int_tol: 1e-6, initial_upper_bound: None }
+        IlpConfig { max_nodes: 20_000, initial_upper_bound: None }
     }
 }
 
@@ -136,7 +138,7 @@ pub fn solve_ilp(lp: &Lp, integer_vars: &[usize], cfg: &IlpConfig) -> IlpOutcome
         for &v in integer_vars {
             let val = sol.x[v];
             let frac = (val - val.round()).abs();
-            if frac > cfg.int_tol {
+            if frac > INT_TOL {
                 let dist = (val.fract() - 0.5).abs();
                 if branch.is_none_or(|(_, d)| dist < d) {
                     branch = Some((v, dist));
@@ -190,6 +192,15 @@ mod tests {
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
+    }
+
+    #[test]
+    fn defaults_are_sane() {
+        // No `..`: a new field fails to compile here until its default
+        // is checked.
+        let IlpConfig { max_nodes, initial_upper_bound } = IlpConfig::default();
+        assert_eq!(max_nodes, 20_000);
+        assert_eq!(initial_upper_bound, None);
     }
 
     #[test]

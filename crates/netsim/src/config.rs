@@ -1,59 +1,46 @@
-//! Simulator and packet-train configuration.
+//! The packet level's fixed parameters and packet-train configuration.
+//!
+//! The paper fixes the TCP and queue parameters of its packet-level
+//! ground truth once (§3.2), so they are constants here rather than
+//! settable fields; co-located traffic uses
+//! [`choreo_topology::LOOPBACK`]. Only a packet train's shape is
+//! configured per call ([`TrainConfig`]), since the paper sweeps it.
 
-use choreo_topology::{LinkSpec, Nanos, GBIT, MICROS, MILLIS};
+use choreo_topology::{Nanos, MILLIS};
 
-/// Global simulator parameters.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// TCP maximum segment size (payload bytes per data packet).
-    pub mss: u32,
-    /// Header overhead added to every packet on the wire (bytes).
-    pub header_bytes: u32,
-    /// Initial congestion window, packets.
-    pub init_cwnd: f64,
-    /// Initial slow-start threshold, packets.
-    pub init_ssthresh: f64,
-    /// Minimum retransmission timeout.
-    pub min_rto: Nanos,
-    /// Initial RTO before any RTT sample exists.
-    pub initial_rto: Nanos,
-    /// Drop-tail queue capacity at switch ports, bytes.
-    pub switch_queue_bytes: u64,
-    /// Drop-tail queue capacity at host NICs, bytes. Must comfortably hold
-    /// one whole UDP packet train burst (the sender hands the burst to the
-    /// NIC back-to-back).
-    pub host_queue_bytes: u64,
-    /// Rate/delay of the intra-host "memory loopback" used by flows whose
-    /// endpoints are co-located VMs. The paper measured ≈4 Gbit/s on such
-    /// EC2 paths (§2.2).
-    pub loopback: LinkSpec,
-    /// ACK packet wire size, bytes.
-    pub ack_bytes: u32,
-}
+/// TCP maximum segment size (payload bytes per data packet).
+pub const MSS: u32 = 1448;
 
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            mss: 1448,
-            header_bytes: 52,
-            init_cwnd: 10.0,
-            init_ssthresh: 64.0,
-            min_rto: 5 * MILLIS,
-            initial_rto: 20 * MILLIS,
-            switch_queue_bytes: 256 * 1024,
-            host_queue_bytes: 8 * 1024 * 1024,
-            loopback: LinkSpec { rate_bps: 4.2 * GBIT, delay: 20 * MICROS },
-            ack_bytes: 52,
-        }
-    }
-}
+/// Header overhead added to every data packet on the wire, bytes; a full
+/// data segment is `MSS + HEADER_BYTES` = 1500 bytes.
+pub const HEADER_BYTES: u32 = 52;
 
-impl SimConfig {
-    /// Wire size of a full TCP data segment.
-    pub fn data_packet_bytes(&self) -> u32 {
-        self.mss + self.header_bytes
-    }
-}
+/// ACK packet wire size, bytes.
+pub const ACK_BYTES: u32 = 52;
+
+/// Initial congestion window, packets.
+pub const INIT_CWND: f64 = 10.0;
+
+/// Initial slow-start threshold, packets.
+pub const INIT_SSTHRESH: f64 = 64.0;
+
+/// Minimum retransmission timeout.
+pub const MIN_RTO: Nanos = 5 * MILLIS;
+
+/// Retransmission timeout before any RTT sample exists.
+pub const INITIAL_RTO: Nanos = 20 * MILLIS;
+
+/// Drop-tail queue capacity at switch ports, bytes.
+pub const SWITCH_QUEUE_BYTES: u64 = 256 * 1024;
+
+/// Drop-tail queue capacity at host NICs (and of each host's loopback),
+/// bytes. Must comfortably hold one whole UDP packet-train burst: the
+/// sender hands the burst to the NIC back-to-back.
+pub const HOST_QUEUE_BYTES: u64 = 8 * 1024 * 1024;
+
+/// Backlog capacity of every hose shaper, bytes: deep enough that the
+/// limiter shapes (delays) a 2000-packet burst rather than dropping it.
+pub const SHAPER_BACKLOG_BYTES: u64 = 32 << 20;
 
 /// Parameters of one UDP packet train (paper §3.1, §4.1).
 ///
@@ -86,16 +73,6 @@ impl TrainConfig {
     pub fn rackspace() -> Self {
         TrainConfig { burst_len: 2000, ..Default::default() }
     }
-
-    /// Total packets in the train.
-    pub fn total_packets(&self) -> u64 {
-        self.burst_len as u64 * self.bursts as u64
-    }
-
-    /// Total bytes on the wire.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_packets() * self.packet_bytes as u64
-    }
 }
 
 #[cfg(test)]
@@ -109,27 +86,23 @@ mod tests {
         assert_eq!(c.burst_len, 200);
         assert_eq!(c.bursts, 10);
         assert_eq!(c.gap, MILLIS);
-        assert_eq!(c.total_packets(), 2000);
-        assert_eq!(c.total_bytes(), 3_000_000);
     }
 
     #[test]
     fn rackspace_config_uses_long_bursts() {
         let c = TrainConfig::rackspace();
         assert_eq!(c.burst_len, 2000);
-        assert_eq!(c.total_packets(), 20_000);
+        assert_eq!((c.packet_bytes, c.bursts, c.gap), (1500, 10, MILLIS));
     }
 
     #[test]
     fn data_packet_is_mss_plus_headers() {
-        let c = SimConfig::default();
-        assert_eq!(c.data_packet_bytes(), 1500);
+        assert_eq!(MSS + HEADER_BYTES, 1500);
     }
 
     #[test]
     fn host_queue_holds_a_full_burst() {
-        let sim = SimConfig::default();
         let train = TrainConfig::rackspace();
-        assert!(sim.host_queue_bytes >= (train.burst_len * train.packet_bytes) as u64);
+        assert!(HOST_QUEUE_BYTES >= (train.burst_len * train.packet_bytes) as u64);
     }
 }

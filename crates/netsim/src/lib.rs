@@ -36,7 +36,7 @@ pub mod sim;
 pub mod tcp;
 pub mod udp;
 
-pub use config::{SimConfig, TrainConfig};
+pub use config::TrainConfig;
 pub use event::{Ev, EventQueue};
 pub use packet::{FlowId, Packet, PktKind};
 pub use sampler::{SamplerId, ThroughputSample};

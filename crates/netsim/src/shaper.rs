@@ -65,18 +65,9 @@ pub struct TokenBucket {
 }
 
 impl TokenBucket {
-    /// New shaper with a full bucket and standard (1×) idle refill.
-    pub fn new(rate_bps: f64, depth_bytes: f64, cap_bytes: u64) -> Self {
-        Self::with_idle_refill(rate_bps, depth_bytes, cap_bytes, 1.0)
-    }
-
-    /// New shaper with an explicit idle refill multiplier (≥ 1).
-    pub fn with_idle_refill(
-        rate_bps: f64,
-        depth_bytes: f64,
-        cap_bytes: u64,
-        idle_refill_mult: f64,
-    ) -> Self {
+    /// New shaper with a full bucket and an idle refill multiplier (≥ 1;
+    /// 1 refills at the steady rate).
+    pub fn new(rate_bps: f64, depth_bytes: f64, cap_bytes: u64, idle_refill_mult: f64) -> Self {
         assert!(rate_bps > 0.0 && depth_bytes >= 0.0 && idle_refill_mult >= 1.0);
         TokenBucket {
             rate_bps,
@@ -198,7 +189,7 @@ mod tests {
 
     #[test]
     fn full_bucket_passes_burst_up_to_depth() {
-        let mut tb = TokenBucket::new(300.0 * MBIT, 3000.0, 1 << 20);
+        let mut tb = TokenBucket::new(300.0 * MBIT, 3000.0, 1 << 20, 1.0);
         assert_eq!(tb.offer(0, pkt(1500)), ShaperVerdict::Pass);
         assert_eq!(tb.offer(0, pkt(1500)), ShaperVerdict::Pass);
         // Bucket exhausted: third packet is held.
@@ -213,7 +204,7 @@ mod tests {
 
     #[test]
     fn tokens_refill_at_rate() {
-        let mut tb = TokenBucket::new(8.0 * MBIT, 10_000.0, 1 << 20);
+        let mut tb = TokenBucket::new(8.0 * MBIT, 10_000.0, 1 << 20, 1.0);
         tb.offer(0, pkt(10_000)); // drain the bucket
         assert!(tb.tokens_at(0) < 1.0);
         // 8 Mbit/s = 1 MB/s: after 5 ms we have 5000 bytes.
@@ -223,7 +214,7 @@ mod tests {
 
     #[test]
     fn drain_releases_exactly_what_tokens_cover() {
-        let mut tb = TokenBucket::new(8.0 * MBIT, 1500.0, 1 << 20);
+        let mut tb = TokenBucket::new(8.0 * MBIT, 1500.0, 1 << 20, 1.0);
         tb.offer(0, pkt(1500)); // pass, empties bucket
         let h1 = tb.offer(0, pkt(1500));
         let h2 = tb.offer(0, pkt(1500));
@@ -242,7 +233,7 @@ mod tests {
 
     #[test]
     fn overflow_drops() {
-        let mut tb = TokenBucket::new(8.0 * MBIT, 0.0, 2000);
+        let mut tb = TokenBucket::new(8.0 * MBIT, 0.0, 2000, 1.0);
         assert!(matches!(tb.offer(0, pkt(1500)), ShaperVerdict::Hold(Some(_))));
         assert_eq!(tb.offer(0, pkt(1500)), ShaperVerdict::Dropped);
         assert_eq!(tb.drops, 1);
@@ -250,7 +241,7 @@ mod tests {
 
     #[test]
     fn bucket_never_exceeds_depth() {
-        let mut tb = TokenBucket::new(1000.0 * MBIT, 5000.0, 1 << 20);
+        let mut tb = TokenBucket::new(1000.0 * MBIT, 5000.0, 1 << 20, 1.0);
         let t = tb.tokens_at(100 * SECS);
         assert!(t <= 5000.0);
     }
@@ -258,7 +249,7 @@ mod tests {
     #[test]
     fn idle_refill_accrues_faster_when_empty() {
         // 8 Mbit/s (1 MB/s) with 4x idle refill and a deep bucket.
-        let mut tb = TokenBucket::with_idle_refill(8.0 * MBIT, 1e9, 1 << 20, 4.0);
+        let mut tb = TokenBucket::new(8.0 * MBIT, 1e9, 1 << 20, 4.0);
         tb.offer(0, pkt(1_000_000)); // consume 1 MB from a (clamped) bucket
         let before = tb.tokens_at(0);
         // Empty queue: 1 ms accrues 4 KB instead of 1 KB.
@@ -268,7 +259,7 @@ mod tests {
 
     #[test]
     fn busy_refill_stays_at_token_rate() {
-        let mut tb = TokenBucket::with_idle_refill(8.0 * MBIT, 10_000.0, 1 << 20, 4.0);
+        let mut tb = TokenBucket::new(8.0 * MBIT, 10_000.0, 1 << 20, 4.0);
         tb.offer(0, pkt(10_000)); // drains bucket, passes
         tb.offer(0, pkt(10_000)); // held: queue now non-empty
         assert!(tb.backlog_bytes() > 0);
@@ -281,7 +272,7 @@ mod tests {
     fn steady_state_rate_equals_token_rate() {
         // Offer a long back-to-back burst; measure drain completion time.
         let rate = 300.0 * MBIT;
-        let mut tb = TokenBucket::new(rate, 15_000.0, 64 << 20);
+        let mut tb = TokenBucket::new(rate, 15_000.0, 64 << 20, 1.0);
         let n = 2000u32;
         let mut passed = 0u32;
         for _ in 0..n {

@@ -25,9 +25,12 @@ use rand::{Rng, SeedableRng};
 
 use choreo_topology::route::splitmix64;
 use choreo_topology::units::tx_time;
-use choreo_topology::{DirectedHop, Nanos, NodeId, RouteTable, Topology};
+use choreo_topology::{DirectedHop, Nanos, NodeId, RouteTable, Topology, LOOPBACK};
 
-use crate::config::{SimConfig, TrainConfig};
+use crate::config::{
+    TrainConfig, ACK_BYTES, HEADER_BYTES, HOST_QUEUE_BYTES, MSS, SHAPER_BACKLOG_BYTES,
+    SWITCH_QUEUE_BYTES,
+};
 use crate::event::{Ev, EventQueue};
 use crate::onoff::{exp_sample, OnOffSource, SourceId};
 use crate::packet::{FlowId, Packet, PktKind};
@@ -76,7 +79,6 @@ pub struct TcpStats {
 pub struct Sim {
     topo: Arc<Topology>,
     routes: Arc<RouteTable>,
-    cfg: SimConfig,
     now: Nanos,
     events: EventQueue,
     /// `2·links + hosts` transmission resources.
@@ -94,9 +96,10 @@ pub struct Sim {
 }
 
 impl Sim {
-    /// Build a simulator over a topology. `seed` drives ECMP tie-breaking
-    /// and ON–OFF holding times; equal seeds give identical runs.
-    pub fn new(topo: Arc<Topology>, routes: Arc<RouteTable>, cfg: SimConfig, seed: u64) -> Self {
+    /// Build a simulator over a topology, with every host's loopback at
+    /// [`LOOPBACK`]. `seed` drives ECMP tie-breaking and ON–OFF holding
+    /// times; equal seeds give identical runs.
+    pub fn new(topo: Arc<Topology>, routes: Arc<RouteTable>, seed: u64) -> Self {
         let mut resources = Vec::with_capacity(topo.link_count() * 2 + topo.hosts().len());
         for l in topo.links() {
             for _ in 0..2 {
@@ -104,24 +107,19 @@ impl Sim {
                 // switch-to-switch ports get the small switch buffer.
                 let tail_is_host = |n: NodeId| topo.node(n).kind.is_host();
                 let cap = if tail_is_host(l.a) || tail_is_host(l.b) {
-                    cfg.host_queue_bytes
+                    HOST_QUEUE_BYTES
                 } else {
-                    cfg.switch_queue_bytes
+                    SWITCH_QUEUE_BYTES
                 };
                 resources.push(LinkQueue::new(l.spec.rate_bps, l.spec.delay, cap));
             }
         }
         for _ in topo.hosts() {
-            resources.push(LinkQueue::new(
-                cfg.loopback.rate_bps,
-                cfg.loopback.delay,
-                cfg.host_queue_bytes,
-            ));
+            resources.push(LinkQueue::new(LOOPBACK.rate_bps, LOOPBACK.delay, HOST_QUEUE_BYTES));
         }
         Sim {
             topo,
             routes,
-            cfg,
             now: 0,
             events: EventQueue::new(),
             resources,
@@ -140,37 +138,26 @@ impl Sim {
         self.now
     }
 
-    /// The simulator's configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     /// The topology under simulation.
     pub fn topology(&self) -> &Topology {
         &self.topo
     }
 
     /// Register a token-bucket egress shaper (one per VM under the hose
-    /// model). `cap_bytes` bounds the shaper backlog.
-    pub fn add_shaper(&mut self, rate_bps: f64, depth_bytes: f64, cap_bytes: u64) -> ShaperId {
-        self.add_shaper_full(rate_bps, depth_bytes, cap_bytes, 1.0)
-    }
-
-    /// As [`Sim::add_shaper`], with an idle-refill multiplier (hypervisor
-    /// credit accrual while the VM's egress is idle; see
-    /// [`TokenBucket::idle_refill_mult`]).
-    pub fn add_shaper_full(
+    /// model) with a [`SHAPER_BACKLOG_BYTES`] backlog and an idle-refill
+    /// multiplier (hypervisor credit accrual while the VM's egress is
+    /// idle; see [`TokenBucket::idle_refill_mult`]).
+    pub fn add_shaper(
         &mut self,
         rate_bps: f64,
         depth_bytes: f64,
-        cap_bytes: u64,
         idle_refill_mult: f64,
     ) -> ShaperId {
         let id = ShaperId(self.shapers.len() as u32);
-        self.shapers.push(TokenBucket::with_idle_refill(
+        self.shapers.push(TokenBucket::new(
             rate_bps,
             depth_bytes,
-            cap_bytes,
+            SHAPER_BACKLOG_BYTES,
             idle_refill_mult,
         ));
         id
@@ -199,14 +186,14 @@ impl Sim {
     ) -> FlowId {
         let id = FlowId(self.flows.len() as u32);
         let fwd = self.pick_path(src, dst, id.0);
-        let limit = bytes.map(|b| b.div_ceil(self.cfg.mss as u64).max(1));
+        let limit = bytes.map(|b| b.div_ceil(MSS as u64).max(1));
         self.flows.push(Flow {
             src,
             dst,
             fwd,
             src_shaper,
             dst_shaper,
-            kind: FlowKind::Tcp(TcpFlow::new(limit, at, &self.cfg)),
+            kind: FlowKind::Tcp(TcpFlow::new(limit, at)),
             dead: false,
         });
         self.events.push(at.max(self.now), Ev::FlowStart { flow: id.0 });
@@ -292,8 +279,8 @@ impl Sim {
             FlowKind::Tcp(t) => TcpStats {
                 started_at: t.started_at,
                 completed_at: t.completed_at,
-                acked_bytes: t.una * self.cfg.mss as u64,
-                delivered_bytes: t.rcv_next * self.cfg.mss as u64,
+                acked_bytes: t.una * MSS as u64,
+                delivered_bytes: t.rcv_next * MSS as u64,
                 retransmits: t.retransmits,
             },
             FlowKind::Train(_) => panic!("flow {id:?} is a packet train, not TCP"),
@@ -315,17 +302,15 @@ impl Sim {
     /// (loopback if co-located).
     pub fn base_rtt(&self, src: NodeId, dst: NodeId) -> Nanos {
         if src == dst {
-            return 2
-                * (self.cfg.loopback.delay
-                    + tx_time(self.cfg.data_packet_bytes() as u64, self.cfg.loopback.rate_bps));
+            return 2 * (LOOPBACK.delay + tx_time((MSS + HEADER_BYTES) as u64, LOOPBACK.rate_bps));
         }
         let path = self.routes.path(src, dst, 0);
         let mut rtt = 0;
         for hop in path.hops() {
             let spec = self.topo.link(hop.link()).spec;
             rtt += 2 * spec.delay;
-            rtt += tx_time(self.cfg.data_packet_bytes() as u64, spec.rate_bps);
-            rtt += tx_time(self.cfg.ack_bytes as u64, spec.rate_bps);
+            rtt += tx_time((MSS + HEADER_BYTES) as u64, spec.rate_bps);
+            rtt += tx_time(ACK_BYTES as u64, spec.rate_bps);
         }
         rtt
     }
@@ -416,7 +401,7 @@ impl Sim {
                 let ack_pkt = Packet {
                     flow: pkt.flow,
                     kind: PktKind::Ack { ack },
-                    size: self.cfg.ack_bytes,
+                    size: ACK_BYTES,
                     hop: 0,
                     reverse: true,
                 };
@@ -424,7 +409,7 @@ impl Sim {
             }
             PktKind::Ack { ack } => {
                 let actions = match &mut self.flows[pkt.flow.0 as usize].kind {
-                    FlowKind::Tcp(t) => t.on_ack(ack, self.now, &self.cfg),
+                    FlowKind::Tcp(t) => t.on_ack(ack, self.now),
                     FlowKind::Train(_) => return,
                 };
                 self.perform(pkt.flow, actions);
@@ -439,13 +424,11 @@ impl Sim {
 
     /// Execute TCP side effects: emit segments, manage the RTO timer.
     fn perform(&mut self, flow: FlowId, actions: TcpActions) {
-        let mss = self.cfg.mss;
-        let hdr = self.cfg.header_bytes;
         for seq in actions.emit {
             let pkt = Packet {
                 flow,
                 kind: PktKind::Data { seq },
-                size: mss + hdr,
+                size: MSS + HEADER_BYTES,
                 hop: 0,
                 reverse: false,
             };
@@ -501,7 +484,7 @@ impl Sim {
             // accepted the burst: max(line-rate serialization, shaper drain).
             let line_rate = fwd_first
                 .map(|h| self.topo.link(h.link()).spec.rate_bps)
-                .unwrap_or(self.cfg.loopback.rate_bps);
+                .unwrap_or(LOOPBACK.rate_bps);
             let burst_bytes = config.burst_len as u64 * config.packet_bytes as u64;
             let serialize = tx_time(burst_bytes, line_rate);
             let drain = src_shaper
@@ -575,7 +558,7 @@ impl Sim {
             Ev::Sample { sampler } => {
                 let flow = self.samplers[sampler as usize].flow;
                 let delivered = match &self.flows[flow.0 as usize].kind {
-                    FlowKind::Tcp(t) => t.rcv_next * self.cfg.mss as u64,
+                    FlowKind::Tcp(t) => t.rcv_next * MSS as u64,
                     FlowKind::Train(t) => {
                         t.records.iter().flatten().map(|b| b.received as u64).sum::<u64>()
                             * t.config.packet_bytes as u64
@@ -649,7 +632,7 @@ mod tests {
     #[test]
     fn bounded_tcp_flow_completes() {
         let (t, r) = net(1, GBIT);
-        let mut sim = Sim::new(t.clone(), r, SimConfig::default(), 1);
+        let mut sim = Sim::new(t.clone(), r, 1);
         let src = t.hosts()[0];
         let dst = t.hosts()[1];
         let f = sim.start_tcp(src, dst, Some(1_000_000), None, None, 0);
@@ -663,7 +646,7 @@ mod tests {
     #[test]
     fn tcp_throughput_approaches_link_rate() {
         let (t, r) = net(1, GBIT);
-        let mut sim = Sim::new(t.clone(), r, SimConfig::default(), 2);
+        let mut sim = Sim::new(t.clone(), r, 2);
         let f = sim.start_tcp(t.hosts()[0], t.hosts()[1], None, None, None, 0);
         sim.run_until(2 * SECS);
         let st = sim.tcp_stats(f);
@@ -675,7 +658,7 @@ mod tests {
     #[test]
     fn two_flows_share_bottleneck_fairly() {
         let (t, r) = net(2, GBIT);
-        let mut sim = Sim::new(t.clone(), r, SimConfig::default(), 3);
+        let mut sim = Sim::new(t.clone(), r, 3);
         let f1 = sim.start_tcp(t.hosts()[0], t.hosts()[2], None, None, None, 0);
         let f2 = sim.start_tcp(t.hosts()[1], t.hosts()[3], None, None, None, 0);
         sim.run_until(4 * SECS);
@@ -689,8 +672,8 @@ mod tests {
     #[test]
     fn shaper_limits_tcp_to_hose_rate() {
         let (t, r) = net(1, GBIT);
-        let mut sim = Sim::new(t.clone(), r, SimConfig::default(), 4);
-        let hose = sim.add_shaper(300.0 * MBIT, 120_000.0, 8 << 20);
+        let mut sim = Sim::new(t.clone(), r, 4);
+        let hose = sim.add_shaper(300.0 * MBIT, 120_000.0, 1.0);
         let f = sim.start_tcp(t.hosts()[0], t.hosts()[1], None, Some(hose), None, 0);
         sim.run_until(3 * SECS);
         let rate = mean_throughput_bps(&sim.tcp_stats(f), sim.now());
@@ -701,9 +684,9 @@ mod tests {
     #[test]
     fn colocated_flow_uses_loopback() {
         let (t, r) = net(2, GBIT);
-        let mut sim = Sim::new(t.clone(), r, SimConfig::default(), 5);
+        let mut sim = Sim::new(t.clone(), r, 5);
         let host = t.hosts()[0];
-        let hose = sim.add_shaper(300.0 * MBIT, 120_000.0, 8 << 20);
+        let hose = sim.add_shaper(300.0 * MBIT, 120_000.0, 1.0);
         // Same host on both ends; shaper must be bypassed.
         let f = sim.start_tcp(host, host, None, Some(hose), None, 0);
         sim.run_until(SECS);
@@ -714,7 +697,7 @@ mod tests {
     #[test]
     fn train_report_counts_all_packets_when_unloaded() {
         let (t, r) = net(1, GBIT);
-        let mut sim = Sim::new(t.clone(), r, SimConfig::default(), 6);
+        let mut sim = Sim::new(t.clone(), r, 6);
         let cfg = TrainConfig { burst_len: 50, bursts: 4, ..Default::default() };
         let f = sim.start_train(t.hosts()[0], t.hosts()[1], cfg, None, 0);
         sim.run_until(SECS);
@@ -730,7 +713,7 @@ mod tests {
         // Shared link at 500 Mbit/s; burst spacing at the receiver should
         // reflect that rate, not the 1 Gbit/s edge.
         let (t, r) = net(1, 500.0 * MBIT);
-        let mut sim = Sim::new(t.clone(), r, SimConfig::default(), 7);
+        let mut sim = Sim::new(t.clone(), r, 7);
         let cfg = TrainConfig { burst_len: 200, bursts: 5, ..Default::default() };
         let f = sim.start_train(t.hosts()[0], t.hosts()[1], cfg, None, 0);
         sim.run_until(SECS);
@@ -746,7 +729,7 @@ mod tests {
     #[test]
     fn onoff_source_toggles_and_creates_flows() {
         let (t, r) = net(2, GBIT);
-        let mut sim = Sim::new(t.clone(), r, SimConfig::default(), 8);
+        let mut sim = Sim::new(t.clone(), r, 8);
         sim.start_onoff(t.hosts()[0], t.hosts()[2], 100 * MILLIS, 100 * MILLIS, None, None, 0);
         sim.run_until(2 * SECS);
         let s = &sim.sources[0];
@@ -756,7 +739,7 @@ mod tests {
     #[test]
     fn sampler_tracks_delivery() {
         let (t, r) = net(1, GBIT);
-        let mut sim = Sim::new(t.clone(), r, SimConfig::default(), 9);
+        let mut sim = Sim::new(t.clone(), r, 9);
         let f = sim.start_tcp(t.hosts()[0], t.hosts()[1], None, None, None, 0);
         let s = sim.add_sampler(f, 10 * MILLIS, SECS);
         sim.run_until(SECS);
@@ -772,7 +755,7 @@ mod tests {
     fn determinism_same_seed_same_result() {
         let (t, r) = net(2, GBIT);
         let run = |seed| {
-            let mut sim = Sim::new(t.clone(), r.clone(), SimConfig::default(), seed);
+            let mut sim = Sim::new(t.clone(), r.clone(), seed);
             sim.start_onoff(t.hosts()[1], t.hosts()[3], 50 * MILLIS, 50 * MILLIS, None, None, 0);
             let f = sim.start_tcp(t.hosts()[0], t.hosts()[2], None, None, None, 0);
             sim.run_until(SECS);
@@ -784,7 +767,7 @@ mod tests {
     #[test]
     fn base_rtt_is_symmetric_and_positive() {
         let (t, r) = net(1, GBIT);
-        let sim = Sim::new(t.clone(), r, SimConfig::default(), 10);
+        let sim = Sim::new(t.clone(), r, 10);
         let a = t.hosts()[0];
         let b = t.hosts()[1];
         assert_eq!(sim.base_rtt(a, b), sim.base_rtt(b, a));
@@ -800,7 +783,7 @@ mod tests {
         let hosts = b.hosts(2, "h");
         let t = Arc::new(b.build());
         let r = Arc::new(RouteTable::new(&t));
-        let sim = Sim::new(t, r, SimConfig::default(), 11);
+        let sim = Sim::new(t, r, 11);
         sim.base_rtt(hosts[0], hosts[1]);
     }
 }

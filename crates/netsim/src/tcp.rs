@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 
 use choreo_topology::Nanos;
 
-use crate::config::SimConfig;
+use crate::config::{INITIAL_RTO, INIT_CWND, INIT_SSTHRESH, MIN_RTO};
 
 /// Sender + receiver state of one TCP connection.
 #[derive(Debug)]
@@ -78,18 +78,18 @@ pub struct TcpActions {
 
 impl TcpFlow {
     /// Fresh connection transferring `limit` segments (`None` = unbounded).
-    pub fn new(limit: Option<u64>, now: Nanos, cfg: &SimConfig) -> Self {
+    pub fn new(limit: Option<u64>, now: Nanos) -> Self {
         TcpFlow {
             limit,
             next_seq: 0,
             una: 0,
-            cwnd: cfg.init_cwnd,
-            ssthresh: cfg.init_ssthresh,
+            cwnd: INIT_CWND,
+            ssthresh: INIT_SSTHRESH,
             dupacks: 0,
             recover: None,
             srtt: None,
             rttvar: 0,
-            rto: cfg.initial_rto,
+            rto: INITIAL_RTO,
             backoff: 1,
             rto_gen: 0,
             rtt_probe: None,
@@ -147,7 +147,7 @@ impl TcpFlow {
     }
 
     /// Sender receives a cumulative ACK for `ack` (next expected segment).
-    pub fn on_ack(&mut self, ack: u64, now: Nanos, cfg: &SimConfig) -> TcpActions {
+    pub fn on_ack(&mut self, ack: u64, now: Nanos) -> TcpActions {
         let mut actions = TcpActions::default();
         if self.is_complete() {
             return actions;
@@ -157,7 +157,7 @@ impl TcpFlow {
             // RTT sampling (Karn: probe invalidated on retransmit).
             if let Some((pseq, sent)) = self.rtt_probe {
                 if ack > pseq {
-                    self.rtt_sample(now.saturating_sub(sent), cfg);
+                    self.rtt_sample(now.saturating_sub(sent));
                     self.rtt_probe = None;
                 }
             }
@@ -245,7 +245,7 @@ impl TcpFlow {
     }
 
     /// Jacobson/Karels RTT estimation.
-    fn rtt_sample(&mut self, sample: Nanos, cfg: &SimConfig) {
+    fn rtt_sample(&mut self, sample: Nanos) {
         match self.srtt {
             None => {
                 self.srtt = Some(sample);
@@ -258,7 +258,7 @@ impl TcpFlow {
             }
         }
         let srtt = self.srtt.expect("just set");
-        self.rto = (srtt + 4 * self.rttvar).max(cfg.min_rto);
+        self.rto = (srtt + 4 * self.rttvar).max(MIN_RTO);
     }
 }
 
@@ -266,15 +266,11 @@ impl TcpFlow {
 mod tests {
     use super::*;
 
-    fn cfg() -> SimConfig {
-        SimConfig::default()
-    }
-
     #[test]
     fn initial_window_emits_init_cwnd_segments() {
-        let mut f = TcpFlow::new(Some(100), 0, &cfg());
+        let mut f = TcpFlow::new(Some(100), 0);
         let a = f.on_start(0);
-        assert_eq!(a.emit.len(), cfg().init_cwnd as usize);
+        assert_eq!(a.emit.len(), INIT_CWND as usize);
         assert_eq!(a.emit, (0..10).collect::<Vec<_>>());
         assert!(a.rearm_rto);
         assert_eq!(f.flight(), 10);
@@ -282,39 +278,39 @@ mod tests {
 
     #[test]
     fn short_flow_emits_only_limit() {
-        let mut f = TcpFlow::new(Some(3), 0, &cfg());
+        let mut f = TcpFlow::new(Some(3), 0);
         let a = f.on_start(0);
         assert_eq!(a.emit, vec![0, 1, 2]);
     }
 
     #[test]
     fn slow_start_doubles_per_rtt() {
-        let mut f = TcpFlow::new(None, 0, &cfg());
+        let mut f = TcpFlow::new(None, 0);
         f.on_start(0);
         // ACK all 10: cwnd 10 -> 20, emits 20 more.
-        let a = f.on_ack(10, 1000, &cfg());
+        let a = f.on_ack(10, 1000);
         assert_eq!(f.cwnd, 20.0);
         assert_eq!(a.emit.len(), 20);
     }
 
     #[test]
     fn congestion_avoidance_grows_linearly() {
-        let mut f = TcpFlow::new(None, 0, &cfg());
+        let mut f = TcpFlow::new(None, 0);
         f.ssthresh = 4.0;
         f.cwnd = 4.0;
         f.on_start(0);
-        f.on_ack(4, 1000, &cfg());
+        f.on_ack(4, 1000);
         // 4 acks worth: cwnd += 4/4 = 1.
         assert!((f.cwnd - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn triple_dupack_triggers_fast_retransmit() {
-        let mut f = TcpFlow::new(None, 0, &cfg());
+        let mut f = TcpFlow::new(None, 0);
         f.on_start(0); // emits 0..10, flight 10
-        assert_eq!(f.on_ack(0, 1, &cfg()).emit, Vec::<u64>::new());
-        assert_eq!(f.on_ack(0, 2, &cfg()).emit, Vec::<u64>::new());
-        let a = f.on_ack(0, 3, &cfg());
+        assert_eq!(f.on_ack(0, 1).emit, Vec::<u64>::new());
+        assert_eq!(f.on_ack(0, 2).emit, Vec::<u64>::new());
+        let a = f.on_ack(0, 3);
         assert_eq!(a.emit, vec![0], "retransmit the hole");
         assert_eq!(f.retransmits, 1);
         assert!(f.recover.is_some());
@@ -324,34 +320,34 @@ mod tests {
 
     #[test]
     fn full_ack_exits_recovery_at_ssthresh() {
-        let mut f = TcpFlow::new(None, 0, &cfg());
+        let mut f = TcpFlow::new(None, 0);
         f.on_start(0);
         for _ in 0..3 {
-            f.on_ack(0, 1, &cfg());
+            f.on_ack(0, 1);
         }
         assert!(f.recover.is_some());
         let recover = f.recover.unwrap();
-        f.on_ack(recover, 10, &cfg());
+        f.on_ack(recover, 10);
         assert!(f.recover.is_none());
         assert_eq!(f.cwnd, f.ssthresh);
     }
 
     #[test]
     fn partial_ack_retransmits_next_hole() {
-        let mut f = TcpFlow::new(None, 0, &cfg());
+        let mut f = TcpFlow::new(None, 0);
         f.on_start(0); // 0..10
         for _ in 0..3 {
-            f.on_ack(0, 1, &cfg());
+            f.on_ack(0, 1);
         }
         // Partial ack up to 4 (recover is 10).
-        let a = f.on_ack(4, 2, &cfg());
+        let a = f.on_ack(4, 2);
         assert_eq!(a.emit.first(), Some(&4), "NewReno retransmits the next hole");
         assert!(f.recover.is_some(), "still in recovery");
     }
 
     #[test]
     fn rto_collapses_window_and_backs_off() {
-        let mut f = TcpFlow::new(None, 0, &cfg());
+        let mut f = TcpFlow::new(None, 0);
         f.on_start(0);
         let a = f.on_rto(1_000_000);
         assert_eq!(a.emit, vec![0]);
@@ -360,25 +356,25 @@ mod tests {
         let _ = f.on_rto(2_000_000);
         assert_eq!(f.backoff, 4);
         // Backoff resets on forward progress.
-        f.on_ack(1, 3_000_000, &cfg());
+        f.on_ack(1, 3_000_000);
         assert_eq!(f.backoff, 1);
     }
 
     #[test]
     fn completion_fires_once_all_acked() {
-        let mut f = TcpFlow::new(Some(5), 0, &cfg());
+        let mut f = TcpFlow::new(Some(5), 0);
         f.on_start(0);
-        let a = f.on_ack(5, 500, &cfg());
+        let a = f.on_ack(5, 500);
         assert!(a.completed);
         assert!(a.cancel_rto);
         assert_eq!(f.completed_at, Some(500));
         // Further ACKs are no-ops.
-        assert_eq!(f.on_ack(5, 600, &cfg()), TcpActions::default());
+        assert_eq!(f.on_ack(5, 600), TcpActions::default());
     }
 
     #[test]
     fn receiver_reorders_out_of_order_segments() {
-        let mut f = TcpFlow::new(None, 0, &cfg());
+        let mut f = TcpFlow::new(None, 0);
         assert_eq!(f.on_data(0), 1);
         assert_eq!(f.on_data(2), 1, "gap: cumulative ack stays");
         assert_eq!(f.on_data(3), 1);
@@ -388,7 +384,7 @@ mod tests {
 
     #[test]
     fn duplicate_data_does_not_advance() {
-        let mut f = TcpFlow::new(None, 0, &cfg());
+        let mut f = TcpFlow::new(None, 0);
         f.on_data(0);
         assert_eq!(f.on_data(0), 1);
         assert_eq!(f.rcv_next, 1);
@@ -396,31 +392,31 @@ mod tests {
 
     #[test]
     fn rtt_estimator_sets_rto() {
-        let mut f = TcpFlow::new(None, 0, &cfg());
-        f.rtt_sample(1_000_000, &cfg()); // 1 ms
+        let mut f = TcpFlow::new(None, 0);
+        f.rtt_sample(1_000_000); // 1 ms
         assert_eq!(f.srtt, Some(1_000_000));
         // rto = max(srtt + 4*rttvar, min_rto) = max(3ms, 5ms) = 5ms.
-        assert_eq!(f.rto, cfg().min_rto);
-        f.rtt_sample(100_000_000, &cfg()); // wild 100 ms sample
-        assert!(f.rto > cfg().min_rto);
+        assert_eq!(f.rto, MIN_RTO);
+        f.rtt_sample(100_000_000); // wild 100 ms sample
+        assert!(f.rto > MIN_RTO);
     }
 
     #[test]
     fn karn_invalidates_probe_on_retransmit() {
-        let mut f = TcpFlow::new(None, 0, &cfg());
+        let mut f = TcpFlow::new(None, 0);
         f.on_start(0);
         assert!(f.rtt_probe.is_some());
         for _ in 0..3 {
-            f.on_ack(0, 1, &cfg());
+            f.on_ack(0, 1);
         }
         assert!(f.rtt_probe.is_none(), "probe dropped after fast retransmit");
     }
 
     #[test]
     fn unbounded_flow_never_completes() {
-        let mut f = TcpFlow::new(None, 0, &cfg());
+        let mut f = TcpFlow::new(None, 0);
         f.on_start(0);
-        let a = f.on_ack(10, 1, &cfg());
+        let a = f.on_ack(10, 1);
         assert!(!a.completed);
         assert!(!f.is_complete());
     }

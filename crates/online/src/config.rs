@@ -1,12 +1,9 @@
 //! Service configuration: the knobs a shipped caller or a golden sets,
-//! and the constants every caller left at one value.
+//! and the constants every caller left at one value. Co-located
+//! transfers score at [`choreo_topology::LOOPBACK`], the one loopback
+//! model the simulators and the provider profiles share.
 
-use choreo_topology::{LinkSpec, Nanos, GBIT, MICROS, SECS};
-
-/// Capacity/delay model for co-located traffic: the ≈ 4 Gbit/s intra-host
-/// paths the paper measured on EC2, the same model as the cloudlab
-/// provider profiles' `loopback`.
-pub const LOOPBACK: LinkSpec = LinkSpec { rate_bps: 4.2 * GBIT, delay: 20 * MICROS };
+use choreo_topology::{Nanos, SECS};
 
 /// Each tenant's heaviest this-many transfers become live simulated
 /// flows; placement still sees the full matrix. Not from the paper: a

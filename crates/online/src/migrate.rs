@@ -33,10 +33,10 @@
 use choreo::migrate::improves_enough;
 use choreo_place::problem::Placement;
 use choreo_profile::TenantId;
+use choreo_topology::LOOPBACK;
 
 use crate::config::{
-    PlacementPolicy, DEGRADED_FRACTION, LOOPBACK, MIGRATION_BUDGET, MIGRATION_COOLDOWN,
-    MIN_IMPROVEMENT,
+    PlacementPolicy, DEGRADED_FRACTION, MIGRATION_BUDGET, MIGRATION_COOLDOWN, MIN_IMPROVEMENT,
 };
 use crate::scheduler::{service_score, OnlineScheduler};
 use crate::stats::{Cause, DecisionKind};
@@ -98,7 +98,6 @@ impl OnlineScheduler {
     /// phases). Forced tenants skip the cooldown and the degradation arm.
     fn scan_degraded(&mut self, forced: &[TenantId]) -> Vec<(TenantId, f64)> {
         let now = self.sim.now();
-        let loopback = LOOPBACK.rate_bps;
         let mut degraded: Vec<(TenantId, f64)> = Vec::new();
         for (&id, t) in &self.tenants {
             let forced_in = forced.binary_search(&id).is_ok();
@@ -108,7 +107,7 @@ impl OnlineScheduler {
             if !t.is_networked() {
                 continue;
             }
-            let current = service_score(&mut self.sim, loopback, &t.flows);
+            let current = service_score(&mut self.sim, &t.flows);
             if forced_in || current < DEGRADED_FRACTION * t.baseline {
                 degraded.push((id, current));
             }
@@ -232,7 +231,7 @@ impl OnlineScheduler {
         self.sim.release_flows(&old_keys);
         self.cpu.apply(&t.app, &placement);
         let flows = self.start_transfer_flows(id, &placement, &t.transfers, t.intensity);
-        let baseline = service_score(&mut self.sim, LOOPBACK.rate_bps, &flows);
+        let baseline = service_score(&mut self.sim, &flows);
         self.stats.migrations += 1;
         self.stats.note(0x56); // 'V' — a move
         self.stats.note(id);

@@ -14,12 +14,12 @@ use choreo_profile::{
     AppProfile, NetworkEvent, NetworkEventKind, ServiceEvent, TenantEvent, TenantEventKind,
     TenantId,
 };
-use choreo_topology::{Nanos, NodeId};
+use choreo_topology::{Nanos, NodeId, LOOPBACK};
 
 use crate::builder::SchedulerBuilder;
 use crate::config::{
     OnlineConfig, PlacementPolicy, CORES_PER_HOST, DEGRADED_FRACTION, DRIFT_THRESHOLD,
-    DRIFT_WINDOW, LOOPBACK, MAX_MODELED_TRANSFERS,
+    DRIFT_WINDOW, MAX_MODELED_TRANSFERS,
 };
 use crate::metrics::{PodLossGauges, ServiceMetrics};
 use crate::stats::{Cause, DecisionKind, RejectReason, ServiceStats};
@@ -141,7 +141,7 @@ impl OnlineScheduler {
         if let Some(c) = cfg.drift.cadence {
             assert!(c > 0, "drift cadence must be positive");
         }
-        let sim = FlowSim::new(topo.clone(), routes, LOOPBACK, seed);
+        let sim = FlowSim::new(topo.clone(), routes, seed);
         let hosts = topo.hosts().to_vec();
         let n = hosts.len();
         let k = cfg.candidate_hosts.min(n);
@@ -253,7 +253,6 @@ impl OnlineScheduler {
     /// without touching the digest.
     pub fn slo_attainment(&mut self, fraction: f64) -> (u64, u64) {
         assert!((0.0..=1.0).contains(&fraction), "SLO fraction must be in [0, 1]");
-        let loopback = LOOPBACK.rate_bps;
         let (mut met, mut total) = (0u64, 0u64);
         const NB: usize = crate::metrics::TENANT_BUCKETS as usize;
         let mut bucket_met = [0u64; NB];
@@ -262,7 +261,7 @@ impl OnlineScheduler {
             let bucket = id as usize % NB;
             total += 1;
             bucket_total[bucket] += 1;
-            if service_score(&mut self.sim, loopback, &t.flows) >= fraction * t.baseline {
+            if service_score(&mut self.sim, &t.flows) >= fraction * t.baseline {
                 met += 1;
                 bucket_met[bucket] += 1;
             }
@@ -283,10 +282,9 @@ impl OnlineScheduler {
     /// failure/recovery probe of the scenario tests
     /// (`tests/scenarios.rs`).
     pub fn mean_networked_score(&mut self) -> Option<f64> {
-        let loopback = LOOPBACK.rate_bps;
         let (mut sum, mut count) = (0.0, 0usize);
         for t in self.tenants.values().filter(|t| t.is_networked()) {
-            sum += service_score(&mut self.sim, loopback, &t.flows);
+            sum += service_score(&mut self.sim, &t.flows);
             count += 1;
         }
         (count > 0).then(|| sum / count as f64)
@@ -418,10 +416,9 @@ impl OnlineScheduler {
     /// degraded fraction of their baseline, with those scores, in id
     /// order.
     fn degraded_tenants(&mut self) -> Vec<(TenantId, f64)> {
-        let loopback = LOOPBACK.rate_bps;
         let mut out = Vec::new();
         for (&id, t) in self.tenants.iter().filter(|(_, t)| t.is_networked()) {
-            let score = service_score(&mut self.sim, loopback, &t.flows);
+            let score = service_score(&mut self.sim, &t.flows);
             if score < DEGRADED_FRACTION * t.baseline {
                 out.push((id, score));
             }
@@ -439,12 +436,11 @@ impl OnlineScheduler {
     fn measurement_pass(&mut self) {
         self.stats.measurement_passes += 1;
         self.stats.note(0x50); // 'P'
-        let loopback = LOOPBACK.rate_bps;
         let now = self.sim.now();
         let mut drifted: Vec<(TenantId, f64)> = Vec::new();
         // Co-located tenants have no network under them to drift.
         for (&id, t) in self.tenants.iter_mut().filter(|(_, t)| t.is_networked()) {
-            let score = service_score(&mut self.sim, loopback, &t.flows);
+            let score = service_score(&mut self.sim, &t.flows);
             self.stats.note_f64(score);
             t.epoch_scores.push(score);
             if t.epoch_scores.len() > DRIFT_WINDOW {
@@ -694,7 +690,7 @@ impl OnlineScheduler {
             .collect();
         let intensity = intensity.max(1);
         let flows = self.start_transfer_flows(id, &placement, &transfers, intensity);
-        let baseline = service_score(&mut self.sim, LOOPBACK.rate_bps, &flows);
+        let baseline = service_score(&mut self.sim, &flows);
         self.stats.note(0x41); // 'A'
         self.stats.note(intensity as u64);
         for &h in &placement.assignment {
@@ -763,7 +759,7 @@ impl OnlineScheduler {
         // Only a real teardown (queued-drop above, or this live drop)
         // counts as a departure.
         self.stats.departures += 1;
-        let score = service_score(&mut self.sim, LOOPBACK.rate_bps, &t.flows);
+        let score = service_score(&mut self.sim, &t.flows);
         self.stats.record_departed_rate(score);
         let now = self.sim.now();
         self.stats.decide(now, id, DecisionKind::Depart, score);
@@ -967,18 +963,18 @@ impl CpuLedger {
 
 /// The service-quality score of a flow layout: mean over modeled
 /// transfers of the transfer's mean per-connection rate, with co-located
-/// transfers counting the `loopback` rate. One metric for baselines,
+/// transfers counting [`LOOPBACK`]'s rate. One metric for baselines,
 /// degradation checks, move predictions and the departed-tenant quality
 /// headline. A free function over the simulator alone, so a pass can
 /// score a tenant's flow lists in place while it walks the tenant table.
-pub(crate) fn service_score(sim: &mut FlowSim, loopback: f64, flows: &[Vec<FlowKey>]) -> f64 {
+pub(crate) fn service_score(sim: &mut FlowSim, flows: &[Vec<FlowKey>]) -> f64 {
     if flows.is_empty() {
-        return loopback;
+        return LOOPBACK.rate_bps;
     }
     let mut sum = 0.0;
     for fl in flows {
         if fl.is_empty() {
-            sum += loopback;
+            sum += LOOPBACK.rate_bps;
         } else {
             let s: f64 = fl.iter().map(|&k| sim.rate_bps(k)).sum();
             sum += s / fl.len() as f64;

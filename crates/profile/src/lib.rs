@@ -44,6 +44,5 @@ pub use netstream::{
 pub use phased::{Phase, PhasedApp};
 pub use stream::{TenantEvent, TenantEventKind, TenantId, WorkloadStream, WorkloadStreamConfig};
 pub use synth::{
-    AppPattern, CorrelatedBatchConfig, FlashCrowdConfig, HeavyTailConfig, WorkloadGen,
-    WorkloadGenConfig,
+    AppPattern, CorrelatedBatchConfig, FlashCrowdConfig, WorkloadGen, WorkloadGenConfig,
 };

@@ -13,7 +13,10 @@
 //! Incidents follow an **exponential inter-incident clock** (memoryless,
 //! like measured failure processes) and repairs a **log-normal holding
 //! time** (heavy-tailed — most repairs are quick, some drag), both drawn
-//! from [`crate::dist`]. A link never holds two incidents at once: an
+//! from [`crate::dist`]. The clock's mean is configured; the repair
+//! distribution ([`REPAIR_MEDIAN`], [`REPAIR_SIGMA`]) and the incident mix
+//! ([`FAIL_PROB`], [`DRAIN_PROB`], [`DEGRADE_RANGE`], [`DRAIN_FRACTION`])
+//! are fixed. A link never holds two incidents at once: an
 //! incident drawn for a busy link is skipped, deterministically, so the
 //! stream stays well-formed (every `LinkFail`/`LinkDegrade`/`DrainStart`
 //! is closed by exactly one `LinkRecover`/`DrainEnd`).
@@ -101,6 +104,31 @@ pub fn switch_link_groups(topo: &Topology, min_tier: u8) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// Median incident duration, ns (≈ 20 s, heavy-tailed): the log-normal µ
+/// is `REPAIR_MEDIAN.ln()`.
+pub const REPAIR_MEDIAN: f64 = 20.0 * 1e9;
+
+/// Log-normal σ of incident durations.
+pub const REPAIR_SIGMA: f64 = 0.6;
+
+/// Probability an incident is a full failure (vs degradation/drain).
+pub const FAIL_PROB: f64 = 0.4;
+
+/// Probability an incident is a maintenance drain.
+pub const DRAIN_PROB: f64 = 0.2;
+
+/// Degradations keep a uniform fraction of capacity in this range
+/// (lo, hi).
+pub const DEGRADE_RANGE: (f64, f64) = (0.25, 0.75);
+
+/// Drains cut capacity to this fraction of nominal.
+pub const DRAIN_FRACTION: f64 = 0.5;
+
+const _: () = assert!(FAIL_PROB >= 0.0 && DRAIN_PROB >= 0.0 && FAIL_PROB + DRAIN_PROB <= 1.0);
+const _: () =
+    assert!(0.0 < DEGRADE_RANGE.0 && DEGRADE_RANGE.0 <= DEGRADE_RANGE.1 && DEGRADE_RANGE.1 < 1.0);
+const _: () = assert!(0.0 < DRAIN_FRACTION && DRAIN_FRACTION < 1.0);
+
 /// Configuration of a [`NetworkEventStream`].
 #[derive(Debug, Clone)]
 pub struct NetworkEventStreamConfig {
@@ -108,18 +136,6 @@ pub struct NetworkEventStreamConfig {
     pub n_links: u32,
     /// Mean of the exponential inter-incident clock (across all links).
     pub mean_time_between_incidents: Nanos,
-    /// Log-normal µ of incident durations, in ln(nanoseconds).
-    pub repair_mu: f64,
-    /// Log-normal σ of incident durations.
-    pub repair_sigma: f64,
-    /// Probability an incident is a full failure (vs degradation/drain).
-    pub fail_prob: f64,
-    /// Probability an incident is a maintenance drain.
-    pub drain_prob: f64,
-    /// Degradations keep a uniform fraction in this range (lo, hi).
-    pub degrade_range: (f64, f64),
-    /// Drains cut capacity to this fraction of nominal.
-    pub drain_fraction: f64,
     /// Correlated whole-switch failures; `None` keeps the stream
     /// strictly per-link (and bit-identical to its pre-switch-mode
     /// trajectory).
@@ -131,13 +147,6 @@ impl Default for NetworkEventStreamConfig {
         NetworkEventStreamConfig {
             n_links: 1,
             mean_time_between_incidents: 60 * SECS,
-            // Median repair ≈ 20 s, heavy-tailed.
-            repair_mu: (20.0 * 1e9f64).ln(),
-            repair_sigma: 0.6,
-            fail_prob: 0.4,
-            drain_prob: 0.2,
-            degrade_range: (0.25, 0.75),
-            drain_fraction: 0.5,
             switch_failures: None,
         }
     }
@@ -188,13 +197,6 @@ impl NetworkEventStream {
     /// New stream; equal seeds yield identical event sequences.
     pub fn new(cfg: NetworkEventStreamConfig, seed: u64) -> Self {
         assert!(cfg.n_links >= 1, "need at least one link");
-        assert!(
-            cfg.fail_prob >= 0.0 && cfg.drain_prob >= 0.0 && cfg.fail_prob + cfg.drain_prob <= 1.0,
-            "fail/drain probabilities must sum to at most 1"
-        );
-        let (lo, hi) = cfg.degrade_range;
-        assert!(0.0 < lo && lo <= hi && hi < 1.0, "degrade range must sit inside (0, 1)");
-        assert!(0.0 < cfg.drain_fraction && cfg.drain_fraction < 1.0, "drain fraction in (0, 1)");
         if let Some(sf) = &cfg.switch_failures {
             assert!((0.0..=1.0).contains(&sf.switch_prob), "switch_prob in [0, 1]");
             assert!(!sf.groups.is_empty(), "switch mode needs at least one group");
@@ -225,8 +227,7 @@ impl NetworkEventStream {
     }
 
     fn draw_duration(&mut self) -> Nanos {
-        log_normal(&mut self.rng, self.cfg.repair_mu, self.cfg.repair_sigma).clamp(1e6, 1e14)
-            as Nanos
+        log_normal(&mut self.rng, REPAIR_MEDIAN.ln(), REPAIR_SIGMA).clamp(1e6, 1e14) as Nanos
     }
 }
 
@@ -312,12 +313,12 @@ impl Iterator for NetworkEventStream {
                 // strictly advanced, so the loop terminates.
                 continue;
             }
-            let (start, drain) = if u < self.cfg.fail_prob {
+            let (start, drain) = if u < FAIL_PROB {
                 (NetworkEventKind::LinkFail, false)
-            } else if u < self.cfg.fail_prob + self.cfg.drain_prob {
-                (NetworkEventKind::DrainStart { fraction: self.cfg.drain_fraction }, true)
+            } else if u < FAIL_PROB + DRAIN_PROB {
+                (NetworkEventKind::DrainStart { fraction: DRAIN_FRACTION }, true)
             } else {
-                let (lo, hi) = self.cfg.degrade_range;
+                let (lo, hi) = DEGRADE_RANGE;
                 let f = lo + (hi - lo) * self.rng.gen_range(0.0..1.0);
                 (NetworkEventKind::LinkDegrade { fraction: f }, false)
             };
@@ -390,6 +391,17 @@ mod tests {
             mean_time_between_incidents: 10 * SECS,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn defaults_are_sane() {
+        // No `..`: a new field fails to compile here until its default
+        // is checked.
+        let NetworkEventStreamConfig { n_links, mean_time_between_incidents, switch_failures } =
+            NetworkEventStreamConfig::default();
+        assert_eq!(n_links, 1);
+        assert_eq!(mean_time_between_incidents, 60 * SECS);
+        assert!(switch_failures.is_none());
     }
 
     #[test]

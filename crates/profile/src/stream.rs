@@ -11,7 +11,8 @@
 //!
 //! Arrival times come from the generator's diurnally modulated Poisson
 //! process; tenant lifetimes are log-normal (heavy-tailed, like measured
-//! cloud allocations) and intensity changes follow an exponential clock
+//! cloud allocations) with a fixed two-minute median ([`LIFETIME_MEDIAN`],
+//! [`LIFETIME_SIGMA`]) and intensity changes follow an exponential clock
 //! within the lifetime.
 
 use std::cmp::Reverse;
@@ -57,17 +58,18 @@ pub struct TenantEvent {
     pub kind: TenantEventKind,
 }
 
+/// Median tenant lifetime, ns: the log-normal µ is `LIFETIME_MEDIAN.ln()`.
+pub const LIFETIME_MEDIAN: f64 = 120.0 * 1e9;
+
+/// Log-normal σ of tenant lifetimes.
+pub const LIFETIME_SIGMA: f64 = 0.7;
+
 /// Configuration of a [`WorkloadStream`].
 #[derive(Debug, Clone)]
 pub struct WorkloadStreamConfig {
     /// Application synthesis knobs (task counts, matrix shapes, the
     /// arrival process mean). See [`WorkloadGenConfig`].
     pub gen: WorkloadGenConfig,
-    /// Log-normal µ of tenant lifetimes, in ln(nanoseconds).
-    /// `ln(120e9) ≈ 25.5` is a two-minute median lifetime.
-    pub lifetime_mu: f64,
-    /// Log-normal σ of tenant lifetimes.
-    pub lifetime_sigma: f64,
     /// Mean time between a tenant's intensity changes.
     pub mean_intensity_change: Nanos,
     /// Intensities are drawn uniformly from `1..=max_intensity`.
@@ -78,8 +80,6 @@ impl Default for WorkloadStreamConfig {
     fn default() -> Self {
         WorkloadStreamConfig {
             gen: WorkloadGenConfig::default(),
-            lifetime_mu: (120.0 * 1e9f64).ln(),
-            lifetime_sigma: 0.7,
             mean_intensity_change: 30 * SECS,
             max_intensity: 3,
         }
@@ -166,8 +166,8 @@ impl WorkloadStream {
     /// Schedule a freshly arrived tenant's lifetime: departure plus an
     /// exponential clock of intensity changes inside it.
     fn schedule_lifetime(&mut self, tenant: TenantId, at: Nanos) {
-        let life = log_normal(&mut self.rng, self.cfg.lifetime_mu, self.cfg.lifetime_sigma)
-            .clamp(1e9, 1e14) as Nanos;
+        let life = log_normal(&mut self.rng, LIFETIME_MEDIAN.ln(), LIFETIME_SIGMA).clamp(1e9, 1e14)
+            as Nanos;
         let depart = at + life;
         debug_assert_eq!(self.depart_at.len(), tenant as usize);
         self.depart_at.push(depart);
@@ -236,6 +236,17 @@ mod tests {
             gen: WorkloadGenConfig { mean_interarrival: 5 * SECS, ..Default::default() },
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn defaults_are_sane() {
+        // No `..`: a new field fails to compile here until its default
+        // is checked.
+        let WorkloadStreamConfig { gen, mean_intensity_change, max_intensity } =
+            WorkloadStreamConfig::default();
+        assert_eq!(format!("{gen:?}"), format!("{:?}", WorkloadGenConfig::default()));
+        assert_eq!(mean_intensity_change, 30 * SECS);
+        assert_eq!(max_intensity, 3);
     }
 
     #[test]

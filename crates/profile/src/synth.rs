@@ -15,16 +15,17 @@
 //!   pattern with the most headroom for network-aware placement.
 //!
 //! Transfer sizes are log-normal (heavy-tailed, like measured datacenter
-//! flows), CPU demands uniform in {0.5, 1, …, 4} cores (§6.1), and start
+//! flows; µ per config, σ fixed at [`BYTES_SIGMA`]), CPU demands uniform in {0.5, 1, …, 4} cores (§6.1), and start
 //! times follow a diurnally modulated Poisson process.
 //!
 //! # Adversarial shapes
 //!
 //! Beyond the nominal HP-Cloud-like stream, the generator can produce
-//! hostile shapes, each behind an opt-in config that defaults to `None`:
+//! hostile shapes, each opt-in and off by default:
 //!
-//! * [`HeavyTailConfig`] — Pareto/bounded-Pareto tenant sizes, so a few
-//!   elephant tenants dominate the traffic matrix;
+//! * [`WorkloadGenConfig::heavy_tail`] — Pareto/bounded-Pareto tenant
+//!   sizes with the fixed `HEAVY_TAIL_*` shapes, so a few elephant
+//!   tenants dominate the traffic matrix;
 //! * [`FlashCrowdConfig`] — seeded surges layered on the diurnal arrival
 //!   rate (multiplier with exponential onset and decay);
 //! * [`CorrelatedBatchConfig`] — region-failover-style groups of tenants
@@ -81,32 +82,29 @@ impl AppPattern {
     ];
 }
 
-/// Heavy-tailed tenant sizes: Pareto/bounded-Pareto draws replace the
-/// nominal uniform task counts and log-normal transfer bytes, so a few
-/// elephant tenants dominate the aggregate traffic matrix.
-#[derive(Debug, Clone, Copy)]
-pub struct HeavyTailConfig {
-    /// Bounded-Pareto shape for task counts over
-    /// `[tasks_min, tasks_max]`; smaller is more elephant-heavy.
-    pub task_alpha: f64,
-    /// Pareto shape for per-transfer bytes; `<= 1` has infinite mean.
-    pub bytes_alpha: f64,
-    /// Pareto scale — the minimum bytes of any transfer draw.
-    pub bytes_min: u64,
-    /// Hard cap on a single transfer draw (bounds the worst elephant).
-    pub bytes_cap: u64,
-}
+/// Log-normal σ of nominal transfer sizes, in ln(bytes).
+pub const BYTES_SIGMA: f64 = 0.8;
 
-impl Default for HeavyTailConfig {
-    fn default() -> Self {
-        HeavyTailConfig {
-            task_alpha: 1.1,
-            bytes_alpha: 1.3,
-            bytes_min: 16 << 20, // 16 MiB floor
-            bytes_cap: 1 << 40,  // 1 TiB worst elephant
-        }
-    }
-}
+// Heavy-tailed tenant sizes ([`WorkloadGenConfig::heavy_tail`]):
+// Pareto/bounded-Pareto draws replace the nominal uniform task counts
+// and log-normal transfer bytes, so a few elephant tenants dominate the
+// aggregate traffic matrix.
+
+/// Bounded-Pareto shape for heavy-tailed task counts over
+/// `[tasks_min, tasks_max]`; smaller is more elephant-heavy.
+pub const HEAVY_TAIL_TASK_ALPHA: f64 = 1.1;
+/// Pareto shape for heavy-tailed per-transfer bytes; `<= 1` would have
+/// infinite mean.
+pub const HEAVY_TAIL_BYTES_ALPHA: f64 = 1.3;
+/// Pareto scale: the minimum bytes of any heavy-tailed transfer draw
+/// (16 MiB).
+pub const HEAVY_TAIL_BYTES_MIN: u64 = 16 << 20;
+/// Hard cap on a single heavy-tailed transfer draw (1 TiB, bounds the
+/// worst elephant).
+pub const HEAVY_TAIL_BYTES_CAP: u64 = 1 << 40;
+
+const _: () = assert!(HEAVY_TAIL_TASK_ALPHA > 0.0 && HEAVY_TAIL_BYTES_ALPHA > 0.0);
+const _: () = assert!(HEAVY_TAIL_BYTES_MIN >= 1 && HEAVY_TAIL_BYTES_CAP >= HEAVY_TAIL_BYTES_MIN);
 
 /// Flash-crowd surges layered on the diurnal arrival rate: surge onsets
 /// follow an exponential clock, and each surge multiplies the arrival
@@ -172,15 +170,15 @@ pub struct WorkloadGenConfig {
     /// Inclusive upper bound of task counts.
     pub tasks_max: usize,
     /// Log-normal µ of transfer sizes, in ln(bytes). 19.0 ≈ 180 MB median.
+    /// σ is [`BYTES_SIGMA`].
     pub bytes_mu: f64,
-    /// Log-normal σ of transfer sizes.
-    pub bytes_sigma: f64,
     /// Mean inter-arrival time between applications.
     pub mean_interarrival: Nanos,
     /// Patterns to draw from (uniformly).
     pub patterns: Vec<AppPattern>,
-    /// Heavy-tailed tenant sizes; `None` keeps the nominal draws.
-    pub heavy_tail: Option<HeavyTailConfig>,
+    /// Heavy-tailed tenant sizes (the `HEAVY_TAIL_*` shapes); `false`
+    /// keeps the nominal draws.
+    pub heavy_tail: bool,
     /// Flash-crowd arrival surges; `None` keeps the plain diurnal rate.
     pub flash_crowd: Option<FlashCrowdConfig>,
     /// Correlated arrival batches; `None` keeps independent arrivals.
@@ -193,10 +191,9 @@ impl Default for WorkloadGenConfig {
             tasks_min: 4,
             tasks_max: 10,
             bytes_mu: 19.0,
-            bytes_sigma: 0.8,
             mean_interarrival: 600 * SECS,
             patterns: AppPattern::ALL.to_vec(),
-            heavy_tail: None,
+            heavy_tail: false,
             flash_crowd: None,
             correlated_batches: None,
         }
@@ -229,10 +226,6 @@ impl WorkloadGen {
     pub fn new(cfg: WorkloadGenConfig, seed: u64) -> Self {
         assert!(cfg.tasks_min >= 2 && cfg.tasks_max >= cfg.tasks_min);
         assert!(!cfg.patterns.is_empty());
-        if let Some(ht) = &cfg.heavy_tail {
-            assert!(ht.task_alpha > 0.0 && ht.bytes_alpha > 0.0, "Pareto shapes must be positive");
-            assert!(ht.bytes_min >= 1 && ht.bytes_cap >= ht.bytes_min, "bytes_min <= bytes_cap");
-        }
         if let Some(fc) = &cfg.flash_crowd {
             assert!(fc.peak_multiplier > 1.0, "a surge must raise the rate");
             assert!(fc.onset >= 1 && fc.decay >= 1 && fc.mean_time_between >= 1);
@@ -264,11 +257,12 @@ impl WorkloadGen {
     }
 
     fn sample_bytes(&mut self) -> u64 {
-        if let Some(ht) = self.cfg.heavy_tail {
-            let draw = pareto(&mut self.rng, ht.bytes_min as f64, ht.bytes_alpha) as u64;
-            return draw.clamp(ht.bytes_min, ht.bytes_cap);
+        if self.cfg.heavy_tail {
+            let draw =
+                pareto(&mut self.rng, HEAVY_TAIL_BYTES_MIN as f64, HEAVY_TAIL_BYTES_ALPHA) as u64;
+            return draw.clamp(HEAVY_TAIL_BYTES_MIN, HEAVY_TAIL_BYTES_CAP);
         }
-        log_normal(&mut self.rng, self.cfg.bytes_mu, self.cfg.bytes_sigma).max(1.0) as u64
+        log_normal(&mut self.rng, self.cfg.bytes_mu, BYTES_SIGMA).max(1.0) as u64
     }
 
     /// Arrival-rate multiplier from active flash-crowd surges at `at`.
@@ -386,9 +380,10 @@ impl WorkloadGen {
 
     /// Generate the next application with a fixed pattern.
     pub fn next_app_with(&mut self, pattern: AppPattern) -> AppProfile {
-        let n = if let Some(ht) = self.cfg.heavy_tail {
+        let n = if self.cfg.heavy_tail {
             let (lo, hi) = (self.cfg.tasks_min as f64, self.cfg.tasks_max as f64 + 1.0);
-            let draw = bounded_pareto(&mut self.rng, lo, hi, ht.task_alpha).floor() as usize;
+            let draw =
+                bounded_pareto(&mut self.rng, lo, hi, HEAVY_TAIL_TASK_ALPHA).floor() as usize;
             draw.clamp(self.cfg.tasks_min, self.cfg.tasks_max)
         } else {
             self.rng.gen_range(self.cfg.tasks_min..=self.cfg.tasks_max)
@@ -505,6 +500,28 @@ mod tests {
     }
 
     #[test]
+    fn defaults_are_sane() {
+        // No `..`: a new field fails to compile here until its default
+        // is checked.
+        let WorkloadGenConfig {
+            tasks_min,
+            tasks_max,
+            bytes_mu,
+            mean_interarrival,
+            patterns,
+            heavy_tail,
+            flash_crowd,
+            correlated_batches,
+        } = WorkloadGenConfig::default();
+        assert_eq!((tasks_min, tasks_max), (4, 10));
+        assert_eq!(bytes_mu, 19.0);
+        assert_eq!(mean_interarrival, 600 * SECS);
+        assert_eq!(patterns, AppPattern::ALL);
+        assert!(!heavy_tail);
+        assert!(flash_crowd.is_none() && correlated_batches.is_none());
+    }
+
+    #[test]
     #[should_panic]
     fn degenerate_config_rejected() {
         WorkloadGen::new(WorkloadGenConfig { tasks_min: 1, tasks_max: 1, ..Default::default() }, 0);
@@ -527,7 +544,7 @@ mod tests {
         let cfg = WorkloadGenConfig {
             tasks_min: 4,
             tasks_max: 64,
-            heavy_tail: Some(HeavyTailConfig::default()),
+            heavy_tail: true,
             ..Default::default()
         };
         let apps = WorkloadGen::new(cfg.clone(), 11).apps(200);

@@ -85,11 +85,14 @@ impl Flags {
 }
 
 fn topology(flags: &Flags) -> Result<(Arc<choreo_topology::Topology>, Arc<RouteTable>), String> {
-    let spec = MultiRootedTreeSpec {
-        pods: flags.num("pods", 2)?,
-        hosts_per_tor: flags.num("hosts-per-tor", 4)?,
-        ..MultiRootedTreeSpec::default()
-    };
+    let pods = flags.num("pods", 2)?;
+    let hosts_per_tor = flags.num("hosts-per-tor", 4)?;
+    for (key, n) in [("pods", pods), ("hosts-per-tor", hosts_per_tor)] {
+        if n == 0 {
+            return Err(format!("--{key} must be at least 1, got 0"));
+        }
+    }
+    let spec = MultiRootedTreeSpec { pods, hosts_per_tor, ..MultiRootedTreeSpec::default() };
     let topo = Arc::new(spec.build());
     let routes = Arc::new(RouteTable::new(&topo));
     Ok((topo, routes))
@@ -300,8 +303,9 @@ fn sim(flags: &Flags) -> Result<(), String> {
             (tenants * 1_000_000 + i * 500_000, 1, ServiceRequest::Depart { tenant: i * 2 })
         }))
         .collect();
+    let (topo, routes) = topology(flags)?;
     let run = || {
-        let (topo, routes) = topology(flags).expect("topology");
+        let (topo, routes) = (topo.clone(), routes.clone());
         let cfg = ServiceConfig { seed, ..ServiceConfig::default() };
         let mut svc = PlacementService::new(topo, routes, cfg, SimEnv::new(script.clone()));
         svc.run();

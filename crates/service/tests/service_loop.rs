@@ -279,3 +279,21 @@ fn http_trace_matches_in_band_trace_across_wrap_around() {
     assert_eq!(http_trace(server.local_addr(), capacity), svc.trace_jsonl(capacity));
     assert!(svc.scheduler().stats().decisions().total() > capacity as u64, "the ring wrapped");
 }
+
+/// A zero-size cluster is a usage error, not a panic: `serve` and `sim`
+/// name the offending flag and exit non-zero.
+#[test]
+fn empty_cluster_flags_are_rejected_without_a_panic() {
+    for cmd in ["serve", "sim"] {
+        for flag in ["--pods", "--hosts-per-tor"] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_choreo-serve"))
+                .args([cmd, flag, "0", "--addr", "127.0.0.1:0", "--metrics-addr", "127.0.0.1:0"])
+                .output()
+                .expect("run choreo-serve");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{cmd} {flag} 0 must fail");
+            assert!(stderr.contains(&format!("{flag} must be at least 1")), "{cmd}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{cmd} {flag} 0 panicked: {stderr}");
+        }
+    }
+}

@@ -1,6 +1,6 @@
 //! The physical network graph: nodes, full-duplex links, adjacency.
 
-use crate::units::Nanos;
+use crate::units::{Nanos, GBIT, MICROS};
 
 /// Index of a node (host or switch) in a [`Topology`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -96,6 +96,12 @@ impl LinkSpec {
         LinkSpec { rate_bps, delay }
     }
 }
+
+/// Capacity/delay model of the intra-host "memory loopback" that carries
+/// traffic between co-located VMs: the ≈ 4 Gbit/s paths the paper measured
+/// between VMs on one EC2 machine (§2.2). Every simulator, provider and
+/// the online scheduler model co-located traffic with this one value.
+pub const LOOPBACK: LinkSpec = LinkSpec { rate_bps: 4.2 * GBIT, delay: 20 * MICROS };
 
 /// A full-duplex link between two nodes.
 #[derive(Debug, Clone)]

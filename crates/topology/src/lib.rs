@@ -38,7 +38,7 @@ pub mod units;
 pub mod vmmap;
 
 pub use graph::{
-    Link, LinkDir, LinkId, LinkSpec, Node, NodeId, NodeKind, Topology, TopologyBuilder,
+    Link, LinkDir, LinkId, LinkSpec, Node, NodeId, NodeKind, Topology, TopologyBuilder, LOOPBACK,
 };
 pub use pods::PodPartition;
 pub use route::{DirectedHop, Path, PathParts, RouteTable, WalkId};

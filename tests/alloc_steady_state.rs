@@ -197,7 +197,7 @@ fn steady_state_reallocation_allocates_nothing() {
     let t =
         Arc::new(dumbbell(4, LinkSpec::new(GBIT, 5 * MICROS), LinkSpec::new(GBIT, 20 * MICROS)));
     let r = Arc::new(RouteTable::new(&t));
-    let mut sim = FlowSim::new(t.clone(), r, LinkSpec::new(4.2 * GBIT, 20 * MICROS), 7);
+    let mut sim = FlowSim::new(t.clone(), r, 7);
     let h = sim.topology().hosts().to_vec();
     for i in 0..4 {
         sim.start_flow(h[i], h[4 + i], None, None, 0, i as u64);
@@ -239,7 +239,7 @@ fn steady_state_reallocation_allocates_nothing() {
     // touched allocate nothing.
     let tree = Arc::new(spec.build());
     let tree_routes = Arc::new(RouteTable::new(&tree));
-    let mut tree_sim = FlowSim::new(tree, tree_routes, LinkSpec::new(4.2 * GBIT, 20 * MICROS), 7);
+    let mut tree_sim = FlowSim::new(tree, tree_routes, 7);
     for id in 0..40 {
         let (a, b) = pair_of(id);
         tree_sim.start_flow(a, b, None, None, 0, id);

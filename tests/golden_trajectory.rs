@@ -26,7 +26,7 @@ use std::sync::Arc;
 use choreo_repro::flowsim::{FlowKey, FlowSim, FlowStatus};
 use choreo_repro::profile::ServiceEvent;
 use choreo_repro::topology::route::splitmix64;
-use choreo_repro::topology::{LinkSpec, MultiRootedTreeSpec, RouteTable, GBIT, MBIT, MICROS};
+use choreo_repro::topology::{MultiRootedTreeSpec, RouteTable, MBIT};
 use harness::run::{replay, RunSummary};
 use harness::Golden;
 
@@ -58,7 +58,7 @@ fn seeded_mixed_traffic_trajectory_is_pinned() {
         .build(),
     );
     let routes = Arc::new(RouteTable::new(&topo));
-    let mut sim = FlowSim::new(topo.clone(), routes, LinkSpec::new(4.2 * GBIT, 20 * MICROS), 7);
+    let mut sim = FlowSim::new(topo.clone(), routes, 7);
     let h = topo.hosts().to_vec();
     let n = h.len() as u64;
     let hose = sim.add_hose(300.0 * MBIT);

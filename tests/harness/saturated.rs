@@ -18,6 +18,5 @@ pub fn stream() -> WorkloadStreamConfig {
         },
         mean_intensity_change: 12 * SECS,
         max_intensity: 3,
-        ..Default::default()
     }
 }

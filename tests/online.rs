@@ -24,8 +24,8 @@ use choreo_repro::online::{
 };
 use choreo_repro::profile::{
     switch_link_groups, AppPattern, AppProfile, CorrelatedBatchConfig, FlashCrowdConfig,
-    HeavyTailConfig, NetworkEventStreamConfig, ServiceEvent, SwitchFailureConfig, TenantEvent,
-    TenantEventKind, TrafficMatrix,
+    NetworkEventStreamConfig, ServiceEvent, SwitchFailureConfig, TenantEvent, TenantEventKind,
+    TrafficMatrix,
 };
 use choreo_repro::topology::{RouteTable, SECS};
 use proptest::prelude::*;
@@ -276,7 +276,7 @@ fn shape_events(shape: u8, stream_seed: u64, net_seed: u64, n: usize) -> Vec<Ser
     match shape {
         0 => {
             gen.tasks_max = 12;
-            gen.heavy_tail = Some(HeavyTailConfig::default());
+            gen.heavy_tail = true;
         }
         1 => {
             gen.flash_crowd = Some(FlashCrowdConfig {

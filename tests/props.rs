@@ -11,8 +11,8 @@ use choreo_repro::place::greedy::GreedyPlacer;
 use choreo_repro::place::problem::{validate, Machines, NetworkLoad};
 use choreo_repro::profile::{
     switch_link_groups, AppPattern, AppProfile, CorrelatedBatchConfig, FlashCrowdConfig,
-    HeavyTailConfig, NetworkEventKind, NetworkEventStream, NetworkEventStreamConfig,
-    SwitchFailureConfig, TenantEventKind, TrafficMatrix, WorkloadStream, WorkloadStreamConfig,
+    NetworkEventKind, NetworkEventStream, NetworkEventStreamConfig, SwitchFailureConfig,
+    TenantEventKind, TrafficMatrix, WorkloadStream, WorkloadStreamConfig,
 };
 use choreo_repro::topology::{
     dumbbell, two_rack, LinkSpec, MultiRootedTreeSpec, RouteTable, Topology, GBIT, MICROS, SECS,
@@ -382,8 +382,7 @@ fn flowsim_survives_a_long_warm_chain() {
     let n_links = topo.link_count();
     for seed in 0..2u64 {
         let mut rng = StdRng::seed_from_u64(0xF10 ^ seed);
-        let mut sim =
-            FlowSim::new(topo.clone(), routes.clone(), LinkSpec::new(10.0 * GBIT, MICROS), 9);
+        let mut sim = FlowSim::new(topo.clone(), routes.clone(), 9);
         let mut n_res = 2 * n_links + hosts.len();
         let mut hoses = Vec::new();
         // Live flows: key plus the resource list the simulator must be using.
@@ -520,10 +519,9 @@ proptest! {
         // flow count instead of growing with flow history.
         let topo = Arc::new(pod_structured_tree(topo_kind));
         let routes = Arc::new(RouteTable::new(&topo));
-        let loopback = LinkSpec::new(10.0 * GBIT, MICROS);
         let hosts = topo.hosts().to_vec();
-        let mut recycle = FlowSim::new(topo.clone(), routes.clone(), loopback, 42);
-        let mut unbounded = FlowSim::new(topo.clone(), routes.clone(), loopback, 42);
+        let mut recycle = FlowSim::new(topo.clone(), routes.clone(), 42);
+        let mut unbounded = FlowSim::new(topo.clone(), routes.clone(), 42);
         // Flows still tracked: (tag, key in recycle, key in unbounded).
         let mut live: Vec<(u64, FlowKey, FlowKey)> = Vec::new();
         let (mut dr, mut du) = (0xcbf29ce484222325u64, 0xcbf29ce484222325u64);
@@ -669,7 +667,7 @@ proptest! {
         let topo = Arc::new(pod_structured_tree(topo_kind));
         let routes = Arc::new(RouteTable::new(&topo));
         let hosts = topo.hosts().to_vec();
-        let mut sim = FlowSim::new(topo.clone(), routes, LinkSpec::new(10.0 * GBIT, MICROS), 42);
+        let mut sim = FlowSim::new(topo.clone(), routes, 42);
         let mut flows: Vec<RefFlow> = Vec::new();
         for (opno, &(op, a, b, n)) in ops.iter().enumerate() {
             let live: Vec<usize> =
@@ -771,9 +769,8 @@ proptest! {
         // completion time and the clock must agree to the bit.
         let topo = Arc::new(pod_structured_tree(topo_kind));
         let routes = Arc::new(RouteTable::new(&topo));
-        let loopback = LinkSpec::new(10.0 * GBIT, MICROS);
-        let mut lazy = FlowSim::new(topo.clone(), routes.clone(), loopback, 42);
-        let mut eager = FlowSim::new(topo.clone(), routes.clone(), loopback, 42);
+        let mut lazy = FlowSim::new(topo.clone(), routes.clone(), 42);
+        let mut eager = FlowSim::new(topo.clone(), routes.clone(), 42);
         let mut keys: Vec<FlowKey> = Vec::new();
         for (stepno, step) in steps.iter().enumerate() {
             for &(kind, adv, a, b, n) in step {
@@ -1138,7 +1135,7 @@ fn shaped_stream_config(shape: u8) -> WorkloadStreamConfig {
     match shape {
         0 => {
             cfg.gen.tasks_max = 12;
-            cfg.gen.heavy_tail = Some(HeavyTailConfig::default());
+            cfg.gen.heavy_tail = true;
         }
         1 => {
             cfg.gen.flash_crowd = Some(FlashCrowdConfig {
@@ -1222,7 +1219,6 @@ proptest! {
             n_links: topo.link_count() as u32,
             mean_time_between_incidents: 10 * SECS,
             switch_failures: Some(SwitchFailureConfig { groups, switch_prob }),
-            ..NetworkEventStreamConfig::default()
         };
         let events: Vec<_> = NetworkEventStream::new(cfg.clone(), seed).take(200).collect();
         let twin: Vec<_> = NetworkEventStream::new(cfg, seed).take(200).collect();

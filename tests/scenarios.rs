@@ -22,12 +22,10 @@ use std::sync::Arc;
 use choreo_repro::flowsim::FlowSim;
 use choreo_repro::online::{DriftConfig, OnlineConfig, OnlineScheduler, SchedulerBuilder};
 use choreo_repro::profile::{
-    switch_link_groups, AppPattern, FlashCrowdConfig, HeavyTailConfig, NetworkEvent,
-    NetworkEventKind, ServiceEvent, WorkloadGenConfig, WorkloadStreamConfig,
+    switch_link_groups, AppPattern, FlashCrowdConfig, NetworkEvent, NetworkEventKind, ServiceEvent,
+    WorkloadGenConfig, WorkloadStreamConfig,
 };
-use choreo_repro::topology::{
-    LinkSpec, MultiRootedTreeSpec, NodeId, RouteTable, Topology, GBIT, MICROS, SECS,
-};
+use choreo_repro::topology::{MultiRootedTreeSpec, NodeId, RouteTable, Topology, SECS};
 use run::{merged, replay};
 
 /// `pods` × 4 ToRs × 4 hosts under two cores: 8 pods is the 128-host
@@ -169,7 +167,7 @@ fn workload_shapes_spend_the_headroom_nominal_load_keeps() {
 
     let mut heavy_tail = load_cfg();
     heavy_tail.gen.tasks_max = 16;
-    heavy_tail.gen.heavy_tail = Some(HeavyTailConfig::default());
+    heavy_tail.gen.heavy_tail = true;
     let heavy_tail = run_squeezed(&topo, heavy_tail);
     assert!(
         heavy_tail.stats().queued >= nominal.stats().queued,
@@ -272,8 +270,7 @@ fn a_probe_batch_walks_the_log_once_per_distinct_resource() {
     let flows: Vec<(NodeId, NodeId)> =
         (0..300).map(|i| (hosts[(i * 37 % 512) | 1], hosts[((i * 101 + 7) % 512) | 1])).collect();
     let sim_with = |flows: &[(NodeId, NodeId)]| {
-        let loopback = LinkSpec::new(4.2 * GBIT, 20 * MICROS);
-        let mut sim = FlowSim::new(Arc::clone(&topo), Arc::clone(&routes), loopback, 42);
+        let mut sim = FlowSim::new(Arc::clone(&topo), Arc::clone(&routes), 42);
         for (tag, &(src, dst)) in flows.iter().enumerate() {
             sim.start_flow_now(src, dst, None, None, tag as u64);
         }
