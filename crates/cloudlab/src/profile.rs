@@ -83,9 +83,9 @@ pub struct BackgroundSpec {
     pub mean_off: Nanos,
 }
 
-/// Everything that distinguishes one provider from another. What the
-/// providers share is not a field: co-located VMs talk over
-/// [`choreo_topology::LOOPBACK`] in both backends.
+/// Everything that distinguishes one provider from another. Co-located
+/// VMs talk over [`choreo_topology::LOOPBACK`] in both backends, the same
+/// for every provider.
 #[derive(Debug, Clone)]
 pub struct ProviderProfile {
     /// Display name (e.g. `"ec2-2013"`).

@@ -15,8 +15,9 @@
 //!   pattern with the most headroom for network-aware placement.
 //!
 //! Transfer sizes are log-normal (heavy-tailed, like measured datacenter
-//! flows; µ per config, σ fixed at [`BYTES_SIGMA`]), CPU demands uniform in {0.5, 1, …, 4} cores (§6.1), and start
-//! times follow a diurnally modulated Poisson process.
+//! flows; µ per config, σ fixed at [`BYTES_SIGMA`]), CPU demands uniform
+//! in {0.5, 1, …, 4} cores (§6.1), and start times follow a diurnally
+//! modulated Poisson process.
 //!
 //! # Adversarial shapes
 //!
@@ -85,7 +86,7 @@ impl AppPattern {
 /// Log-normal σ of nominal transfer sizes, in ln(bytes).
 pub const BYTES_SIGMA: f64 = 0.8;
 
-// Heavy-tailed tenant sizes ([`WorkloadGenConfig::heavy_tail`]):
+// Heavy-tailed tenant sizes (`WorkloadGenConfig::heavy_tail`):
 // Pareto/bounded-Pareto draws replace the nominal uniform task counts
 // and log-normal transfer bytes, so a few elephant tenants dominate the
 // aggregate traffic matrix.
