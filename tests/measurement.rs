@@ -128,3 +128,24 @@ fn cross_traffic_estimator_sees_background_load() {
     let c = cross_traffic_estimate(both[0], solo);
     assert!((c - 1.0).abs() < 0.15, "one competing connection: c = {c:.2}");
 }
+
+#[test]
+fn flow_cloud_netperf_rates_are_pinned() {
+    // Background sources and measurement noise on, one pair per call:
+    // the single-pair netperf path fig1, fig2 and fig8 print.
+    let mut cloud = Cloud::new(ProviderProfile::ec2_2013(false), 66);
+    let vms = cloud.allocate(6);
+    let mut fc = cloud.flow_cloud(5);
+    let pairs: Vec<_> = vms
+        .iter()
+        .flat_map(|&a| vms.iter().map(move |&b| (a, b)))
+        .filter(|(a, b)| a != b)
+        .take(12)
+        .collect();
+    let rates: Vec<f64> = pairs.iter().map(|&(a, b)| fc.netperf(a, b, SECS)).collect();
+    for &r in &rates {
+        assert!((100.0 * MBIT..5e9).contains(&r), "rate {r}");
+    }
+    let digest = rate_digest(rates);
+    assert_eq!(digest, 0x2721_07d0_e059_a1c9, "netperf rates moved: {digest:#018x}");
+}
