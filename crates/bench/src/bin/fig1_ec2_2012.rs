@@ -9,7 +9,7 @@
 
 use choreo_bench::{mean, median, print_cdf};
 use choreo_cloudlab::{Cloud, ProviderProfile};
-use choreo_measure::{MeasureBackend, RateModel};
+use choreo_measure::MeasureBackend;
 use choreo_topology::SECS;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
             for &a in &vms {
                 for &b in &vms {
                     if a != b {
-                        rates.push(fc.netperf(a, b, SECS));
+                        rates.push(fc.netperf(&[(a, b)], SECS)[0]);
                     }
                 }
             }
@@ -42,5 +42,4 @@ fn main() {
         );
     }
     eprintln!("# paper: throughputs vary from ~100 Mbit/s to almost 1 Gbit/s, AZ-dependent");
-    let _ = RateModel::Hose; // referenced so the import mirrors other bins
 }

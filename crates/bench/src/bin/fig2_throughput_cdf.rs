@@ -22,7 +22,7 @@ fn measure_mesh(profile_for: impl Fn(u64) -> ProviderProfile, topologies: u64, l
         for &a in &vms {
             for &b in &vms {
                 if a != b {
-                    let r = fc.netperf(a, b, SECS);
+                    let r = fc.netperf(&[(a, b)], SECS)[0];
                     if r > 2.5e9 {
                         colocated += 1;
                     }

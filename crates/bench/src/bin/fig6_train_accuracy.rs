@@ -12,7 +12,7 @@
 
 use choreo_bench::mean;
 use choreo_cloudlab::{Cloud, ProviderProfile};
-use choreo_measure::estimate_from_report;
+use choreo_measure::{estimate_from_report, MeasureBackend};
 use choreo_netsim::TrainConfig;
 use choreo_topology::{VmId, MILLIS, SECS};
 
@@ -35,7 +35,7 @@ fn main() {
             let mut cloud = Cloud::new(profile.clone(), 7000 + p as u64);
             let vms = cloud.allocate(2);
             let mut pc = cloud.packet_cloud(p as u64);
-            let truth = pc.netperf(vms[0], vms[1], 2 * SECS);
+            let truth = pc.netperf(&[(vms[0], vms[1])], 2 * SECS)[0];
             for (bi, &bursts) in burst_counts.iter().enumerate() {
                 for (li, &burst_len) in burst_lengths.iter().enumerate() {
                     let cfg = TrainConfig { packet_bytes: 1500, burst_len, bursts, gap: MILLIS };

@@ -33,10 +33,13 @@ fn main() {
                 .filter(|(a, b)| a != b)
                 .collect();
             let mut samples: Vec<Vec<f64>> = vec![Vec::new(); pairs.len()];
-            // 30 minutes of 10 s samples (+1 so the 30-min lag has data).
+            // 30 minutes of 10 s samples (+1 so the 30-min lag has data),
+            // each round one probe batch over the mesh.
+            let mut rates = Vec::new();
             for _round in 0..181 {
-                for (pi, &(a, b)) in pairs.iter().enumerate() {
-                    samples[pi].push(fc.probe_path(a, b));
+                fc.probe_paths(&pairs, &mut rates);
+                for (sample, &rate) in samples.iter_mut().zip(&rates) {
+                    sample.push(rate);
                 }
                 fc.advance(10 * SECS);
             }

@@ -31,7 +31,7 @@ fn main() {
             for &b in &vms {
                 if a != b {
                     let hops = fc.traceroute(a, b);
-                    let rate = fc.netperf(a, b, SECS);
+                    let rate = fc.netperf(&[(a, b)], SECS)[0];
                     println!("{hops}\t{:.1}", rate / 1e6);
                     by_hops.entry(hops).or_default().push(rate);
                 }

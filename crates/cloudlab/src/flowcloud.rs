@@ -28,7 +28,7 @@ pub struct FlowCloud {
     /// Keys of the transfers [`FlowCloud::start_transfer`] started, by
     /// tag: what [`FlowCloud::tag_completion`] answers from.
     transfers: HashMap<u64, Vec<FlowKey>>,
-    /// Scratch reused by the batched `probe_paths` override.
+    /// Scratch reused by `probe_paths`.
     probe_scratch: Vec<(NodeId, NodeId, Option<HoseId>)>,
     rate_scratch: Vec<f64>,
 }
@@ -129,17 +129,6 @@ impl FlowCloud {
         keys.iter().try_fold(0, |latest, &k| Some(latest.max(self.sim.completion_time(k)?)))
     }
 
-    /// Noiseless instantaneous fair-share rate between two VMs (testing /
-    /// diagnostics; measurements go through [`MeasureBackend`]).
-    pub fn ideal_rate(&mut self, a: VmId, b: VmId) -> f64 {
-        if self.vms.host(a) == self.vms.host(b) {
-            return LOOPBACK.rate_bps;
-        }
-        let (src, dst) = (self.vms.host(a), self.vms.host(b));
-        let hose = self.hoses[a.0 as usize];
-        self.sim.probe_rate(src, dst, Some(hose))
-    }
-
     /// Convenience: measure the full mesh into a snapshot using 500 ms
     /// probes (the flow-level analogue of a sub-second packet train).
     pub fn snapshot(&mut self, model: RateModel) -> NetworkSnapshot {
@@ -152,22 +141,14 @@ impl MeasureBackend for FlowCloud {
         self.vms.len()
     }
 
-    fn probe_path(&mut self, a: VmId, b: VmId) -> f64 {
+    fn probe_paths(&mut self, pairs: &[(VmId, VmId)], out: &mut Vec<f64>) {
         // A packet train takes under a second and injects ~3 MB (§4.1) —
         // negligible next to running applications. The flow-level
         // analogue is the instantaneous fair share a new connection would
-        // get, with the provider's measurement noise on top.
-        let raw = self.ideal_rate(a, b);
-        raw * self.noise()
-    }
-
-    fn probe_paths(&mut self, pairs: &[(VmId, VmId)], out: &mut Vec<f64>) {
-        // One batched what-if solve scores every distinct-host pair;
-        // co-located pairs read the loopback constant. Raw rates and the
-        // per-pair noise draws match the sequential `probe_path` path
-        // exactly (same order, same rng stream), so a batched mesh
-        // measurement is bit-identical to the unbatched one — just one
-        // solve instead of one per pair.
+        // get, with the provider's measurement noise on top: one batched
+        // what-if solve scores every distinct-host pair, co-located pairs
+        // read the loopback constant, and the noise is drawn per pair in
+        // `pairs` order.
         let mut sim_probes = std::mem::take(&mut self.probe_scratch);
         let mut batched = std::mem::take(&mut self.rate_scratch);
         sim_probes.clear();
@@ -194,43 +175,16 @@ impl MeasureBackend for FlowCloud {
         self.rate_scratch = batched;
     }
 
-    fn netperf(&mut self, a: VmId, b: VmId, duration: Nanos) -> f64 {
-        assert!(a != b, "netperf needs two distinct VMs");
-        let src = self.vms.host(a);
-        let dst = self.vms.host(b);
-        let raw =
-            self.sim.measure_tcp_throughput(src, dst, Some(self.hoses[a.0 as usize]), duration);
-        raw * self.noise()
-    }
-
-    fn concurrent_netperf(&mut self, pairs: &[(VmId, VmId)], duration: Nanos) -> Vec<f64> {
-        let start = self.sim.now();
-        let keys: Vec<FlowKey> = pairs
+    fn netperf(&mut self, pairs: &[(VmId, VmId)], duration: Nanos) -> Vec<f64> {
+        let flows: Vec<_> = pairs
             .iter()
             .map(|&(a, b)| {
-                assert!(a != b);
-                let src = self.vms.host(a);
-                let dst = self.vms.host(b);
-                let key = self.sim.start_flow(
-                    src,
-                    dst,
-                    None,
-                    Some(self.hoses[a.0 as usize]),
-                    start,
-                    u64::MAX - 2,
-                );
-                self.sim.stop_flow_at(key, start + duration);
-                key
+                assert!(a != b, "netperf needs two distinct VMs");
+                (self.vms.host(a), self.vms.host(b), Some(self.hoses[a.0 as usize]))
             })
             .collect();
-        self.sim.run_until(start + duration);
-        keys.iter()
-            .map(|&k| {
-                let bytes = self.sim.delivered_bytes(k) as f64;
-                let noise = self.noise();
-                bytes * 8.0 / (duration as f64 / 1e9) * noise
-            })
-            .collect()
+        let raws = self.sim.measure_tcp_throughput(&flows, duration);
+        raws.into_iter().map(|raw| raw * self.noise()).collect()
     }
 
     fn traceroute(&mut self, a: VmId, b: VmId) -> usize {
@@ -259,7 +213,7 @@ mod tests {
         let vms = cloud.allocate(4);
         let hose0 = cloud.hose_of(vms[0]);
         let mut fc = cloud.flow_cloud(1);
-        let r = fc.netperf(vms[0], vms[1], SECS);
+        let r = fc.netperf(&[(vms[0], vms[1])], SECS)[0];
         assert!((r - hose0).abs() / hose0 < 0.01, "r = {r}, hose = {hose0}");
     }
 
@@ -283,7 +237,7 @@ mod tests {
         let mut cloud = Cloud::new(p, 5);
         let vms = cloud.allocate(2);
         let mut fc = cloud.flow_cloud(1);
-        let r = fc.netperf(vms[0], vms[1], SECS);
+        let r = fc.netperf(&[(vms[0], vms[1])], SECS)[0];
         assert!(r > 3e9, "colocated rate should be ≈4 Gbit/s, got {r}");
     }
 
@@ -335,7 +289,7 @@ mod tests {
         let vms = cloud.allocate(3);
         let hose0 = cloud.hose_of(vms[0]);
         let mut fc = cloud.flow_cloud(1);
-        let rates = fc.concurrent_netperf(&[(vms[0], vms[1]), (vms[0], vms[2])], SECS);
+        let rates = fc.netperf(&[(vms[0], vms[1]), (vms[0], vms[2])], SECS);
         let sum = rates[0] + rates[1];
         assert!((sum - hose0).abs() / hose0 < 0.02, "sum {sum} vs hose {hose0}");
     }
@@ -345,41 +299,23 @@ mod tests {
         let mut cloud = quiet_ec2();
         let vms = cloud.allocate(4);
         let mut fc = cloud.flow_cloud(1);
-        let solo = fc.netperf(vms[0], vms[1], SECS);
-        let rates = fc.concurrent_netperf(&[(vms[0], vms[1]), (vms[2], vms[3])], SECS);
+        let solo = fc.netperf(&[(vms[0], vms[1])], SECS)[0];
+        let rates = fc.netperf(&[(vms[0], vms[1]), (vms[2], vms[3])], SECS);
         assert!((rates[0] - solo).abs() / solo < 0.05, "{} vs {solo}", rates[0]);
     }
 
     #[test]
-    fn batched_mesh_matches_sequential_probes_bitwise() {
-        // Same provider, same seeds: the batched probe_paths override must
-        // reproduce the sequential probe_path loop exactly — raw what-if
-        // rates and noise draws alike.
-        let mut p = ProviderProfile::ec2_2013(false);
-        p.background.pairs = 2;
-        p.measurement_noise = 0.05;
-        let build = || {
-            let mut cloud = Cloud::new(p.clone(), 21);
-            let vms = cloud.allocate(6);
-            (cloud.flow_cloud(9), vms)
-        };
-        let (mut fc_batch, vms) = build();
-        let (mut fc_seq, vms2) = build();
-        assert_eq!(vms.len(), vms2.len());
-        let mut pairs = Vec::new();
-        for &a in &vms {
-            for &b in &vms {
-                if a != b {
-                    pairs.push((a, b));
-                }
-            }
-        }
-        let mut batched = Vec::new();
-        fc_batch.probe_paths(&pairs, &mut batched);
-        for (&(a, b), &got) in pairs.iter().zip(&batched) {
-            let want = fc_seq.probe_path(a, b);
-            assert_eq!(got.to_bits(), want.to_bits(), "pair {a:?}->{b:?}: {got} vs {want}");
-        }
+    fn netperf_releases_its_flow_records() {
+        let mut cloud = quiet_ec2();
+        let vms = cloud.allocate(4);
+        let mut fc = cloud.flow_cloud(1);
+        let records: Vec<usize> = (0..5)
+            .map(|_| {
+                fc.netperf(&[(vms[0], vms[1]), (vms[2], vms[3])], SECS);
+                fc.sim_mut().flow_records()
+            })
+            .collect();
+        assert_eq!(records, vec![2; 5], "each call reuses the records the last one released");
     }
 
     #[test]

@@ -21,7 +21,11 @@
 //! * [`PacketCloud`] — packet-level backend for packet-train and
 //!   cross-traffic experiments (Figs. 4, 6, §4.3).
 //!
-//! Both implement [`choreo_measure::MeasureBackend`].
+//! Both implement [`choreo_measure::MeasureBackend`], whose probe and
+//! netperf each take a batch of VM pairs: the flow-level cloud rates a
+//! probe batch with one what-if solve, the packet-level cloud sends one
+//! train per pair, and a netperf batch runs its transfers concurrently on
+//! either. A lone pair is a batch of one.
 
 pub mod cloud;
 pub mod flowcloud;

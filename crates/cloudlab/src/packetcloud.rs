@@ -101,19 +101,34 @@ impl PacketCloud {
         self.sim.run_for(worst);
         self.sim.train_report(flow)
     }
+}
 
-    /// Bulk TCP measurement (netperf): run for `duration`, return the
-    /// receiver-observed throughput in bits/s.
-    pub fn netperf(&mut self, a: VmId, b: VmId, duration: Nanos) -> f64 {
-        assert!(a != b, "netperf needs two distinct VMs");
-        let flows = self.start_bulk(&[(a, b)]);
-        self.finish_bulk(flows, duration).pop().expect("one rate")
+impl MeasureBackend for PacketCloud {
+    fn n_vms(&self) -> usize {
+        self.vms.len()
     }
 
-    fn start_bulk(&mut self, pairs: &[(VmId, VmId)]) -> Vec<FlowId> {
-        pairs
+    fn probe_paths(&mut self, pairs: &[(VmId, VmId)], out: &mut Vec<f64>) {
+        out.clear();
+        out.reserve(pairs.len());
+        for &(a, b) in pairs {
+            let rate = if self.vms.host(a) == self.vms.host(b) {
+                // Trains over the loopback measure the loopback; use a
+                // short bulk transfer instead (sub-second either way).
+                self.netperf(&[(a, b)], 200 * MILLIS)[0]
+            } else {
+                let report = self.packet_train(a, b, self.default_train);
+                estimate_from_report(&report).throughput_bps
+            };
+            out.push(rate);
+        }
+    }
+
+    fn netperf(&mut self, pairs: &[(VmId, VmId)], duration: Nanos) -> Vec<f64> {
+        let flows: Vec<FlowId> = pairs
             .iter()
             .map(|&(a, b)| {
+                assert!(a != b, "netperf needs two distinct VMs");
                 let src = self.vms.host(a);
                 let dst = self.vms.host(b);
                 self.sim.start_tcp(
@@ -125,10 +140,7 @@ impl PacketCloud {
                     self.sim.now(),
                 )
             })
-            .collect()
-    }
-
-    fn finish_bulk(&mut self, flows: Vec<FlowId>, duration: Nanos) -> Vec<f64> {
+            .collect();
         let before: Vec<u64> =
             flows.iter().map(|&f| self.sim.tcp_stats(f).delivered_bytes).collect();
         self.sim.run_for(duration);
@@ -144,31 +156,6 @@ impl PacketCloud {
             self.sim.kill_flow(f);
         }
         rates
-    }
-}
-
-impl MeasureBackend for PacketCloud {
-    fn n_vms(&self) -> usize {
-        self.vms.len()
-    }
-
-    fn probe_path(&mut self, a: VmId, b: VmId) -> f64 {
-        if self.vms.host(a) == self.vms.host(b) {
-            // Trains over the loopback measure the loopback; use a short
-            // bulk transfer instead (sub-second either way).
-            return self.netperf(a, b, 200 * MILLIS);
-        }
-        let report = self.packet_train(a, b, self.default_train);
-        estimate_from_report(&report).throughput_bps
-    }
-
-    fn netperf(&mut self, a: VmId, b: VmId, duration: Nanos) -> f64 {
-        PacketCloud::netperf(self, a, b, duration)
-    }
-
-    fn concurrent_netperf(&mut self, pairs: &[(VmId, VmId)], duration: Nanos) -> Vec<f64> {
-        let flows = self.start_bulk(pairs);
-        self.finish_bulk(flows, duration)
     }
 
     fn traceroute(&mut self, a: VmId, b: VmId) -> usize {
@@ -213,7 +200,7 @@ mod tests {
         // natural idle state, where the limiter's credit is banked.
         let short = pc.packet_train(vms[0], vms[1], TrainConfig::default());
         let short_est = estimate_from_report(&short).throughput_bps;
-        let netperf = pc.netperf(vms[0], vms[1], 2 * SECS);
+        let netperf = pc.netperf(&[(vms[0], vms[1])], 2 * SECS)[0];
         assert!((netperf - 300.0 * MBIT).abs() / (300.0 * MBIT) < 0.1, "netperf {netperf}");
         let short_err = (short_est - netperf).abs() / netperf;
         let long = pc.packet_train(vms[0], vms[1], TrainConfig::rackspace());
@@ -229,9 +216,9 @@ mod tests {
         let mut cloud = Cloud::new(quiet(ProviderProfile::ec2_2013(false)), 23);
         let vms = cloud.allocate(4);
         let mut pc = cloud.packet_cloud(1);
-        let solo = pc.netperf(vms[0], vms[1], 300 * MILLIS);
-        let same = pc.concurrent_netperf(&[(vms[0], vms[1]), (vms[0], vms[2])], 300 * MILLIS);
-        let distinct = pc.concurrent_netperf(&[(vms[0], vms[1]), (vms[2], vms[3])], 300 * MILLIS);
+        let solo = pc.netperf(&[(vms[0], vms[1])], 300 * MILLIS)[0];
+        let same = pc.netperf(&[(vms[0], vms[1]), (vms[0], vms[2])], 300 * MILLIS);
+        let distinct = pc.netperf(&[(vms[0], vms[1]), (vms[2], vms[3])], 300 * MILLIS);
         assert!(same[0] < 0.7 * solo, "same-source halves: {} vs {solo}", same[0]);
         assert!(distinct[0] > 0.8 * solo, "distinct unaffected: {} vs {solo}", distinct[0]);
     }

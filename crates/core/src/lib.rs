@@ -6,13 +6,16 @@
 //!
 //! 1. **Measure** the rented VM mesh ([`Choreo::measure`]) through any
 //!    [`choreo_measure::MeasureBackend`] — packet trains on the
-//!    packet-level cloud, fair-share probes on the flow-level cloud.
+//!    packet-level cloud, fair-share probes on the flow-level cloud — as
+//!    one probe batch over every ordered pair.
 //! 2. **Profile** applications (`choreo-profile` produces
 //!    [`choreo_profile::AppProfile`]s).
 //! 3. **Place** each application's tasks on VMs ([`Choreo::place`]) with
 //!    the greedy Algorithm 1, the exact ILP, or one of the §6 baselines,
 //!    accounting for applications already running
-//!    ([`choreo_place::NetworkLoad`]).
+//!    ([`choreo_place::NetworkLoad`]). Placement reads the snapshot;
+//!    placing against the live network, one probe batch per transfer, is
+//!    the online scheduler's job (`choreo-online`).
 //!
 //! [`runner`] executes placements on a [`choreo_cloudlab::FlowCloud`]
 //! (turning traffic-matrix entries into real simulated transfers) and

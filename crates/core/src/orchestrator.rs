@@ -5,7 +5,6 @@ use choreo_place::baseline::{MinMachinesPlacer, RandomPlacer, RoundRobinPlacer};
 use choreo_place::greedy::GreedyPlacer;
 use choreo_place::problem::{Machines, NetworkLoad, PlaceError, Placement};
 use choreo_profile::AppProfile;
-use choreo_topology::VmId;
 
 use crate::config::{ChoreoConfig, PlacerKind};
 
@@ -109,37 +108,6 @@ impl Choreo {
         }
     }
 
-    /// Greedy placement against the **live** network, skipping the
-    /// snapshot: each transfer's candidate set is probed through the
-    /// backend as one batch (a single what-if solve per transfer on the
-    /// flow cloud), so the placer sees current conditions instead of the
-    /// last measurement. Sharing with transfers placed earlier in the
-    /// *same call* is still modelled on top of the probes.
-    ///
-    /// Contract: the probes see exactly the traffic that is **flowing**
-    /// when this is called. Applications admitted here but not yet
-    /// started in the backend are invisible to live probes (the
-    /// orchestrator cannot tell the two apart, and adding
-    /// [`Choreo::load`] on top would double-count the ones already
-    /// flowing), so start each admitted app's transfers before live-
-    /// placing the next — or use the snapshot path ([`Choreo::measure`] +
-    /// [`Choreo::place`]), whose load-since-measure correction handles
-    /// admit-without-run sequences.
-    pub fn place_live<B: MeasureBackend>(
-        &mut self,
-        app: &AppProfile,
-        backend: &mut B,
-    ) -> Result<Placement, PlaceError> {
-        assert_eq!(backend.n_vms(), self.machines.len(), "backend covers the machines");
-        let idle = NetworkLoad::new(self.machines.len());
-        let mut vm_pairs = Vec::new();
-        GreedyPlacer.place_with(app, &self.machines, self.config.rate_model, &idle, |pairs, out| {
-            vm_pairs.clear();
-            vm_pairs.extend(pairs.iter().map(|&(m, n)| (VmId(m), VmId(n))));
-            backend.probe_paths(&vm_pairs, out);
-        })
-    }
-
     /// Register a placed application as running; returns its tag.
     pub fn admit(&mut self, app: &AppProfile, placement: &Placement) -> u64 {
         let tag = self.next_tag;
@@ -203,62 +171,6 @@ mod tests {
             );
             assert!(c.place(&app()).is_ok());
         }
-    }
-
-    #[test]
-    fn place_live_probes_the_backend_in_batches() {
-        use choreo_measure::MeasureBackend;
-        use choreo_topology::VmId;
-
-        /// 4 VMs; the (0, 1) path is far faster than everything else.
-        struct FastPairBackend {
-            batches: usize,
-        }
-        impl MeasureBackend for FastPairBackend {
-            fn n_vms(&self) -> usize {
-                4
-            }
-            fn probe_path(&mut self, a: VmId, b: VmId) -> f64 {
-                if (a.0, b.0) == (0, 1) {
-                    1e9
-                } else {
-                    1e7
-                }
-            }
-            fn probe_paths(&mut self, pairs: &[(VmId, VmId)], out: &mut Vec<f64>) {
-                self.batches += 1;
-                out.clear();
-                for &(a, b) in pairs {
-                    let r = self.probe_path(a, b);
-                    out.push(r);
-                }
-            }
-            fn netperf(&mut self, a: VmId, b: VmId, _d: choreo_topology::Nanos) -> f64 {
-                self.probe_path(a, b)
-            }
-            fn concurrent_netperf(
-                &mut self,
-                pairs: &[(VmId, VmId)],
-                _d: choreo_topology::Nanos,
-            ) -> Vec<f64> {
-                pairs.iter().map(|&(a, b)| self.probe_path(a, b)).collect()
-            }
-            fn traceroute(&mut self, _a: VmId, _b: VmId) -> usize {
-                4
-            }
-        }
-
-        let mut c = Choreo::new(
-            Machines::uniform(4, 1.0),
-            ChoreoConfig { rate_model: RateModel::Pipe, ..Default::default() },
-        );
-        let mut backend = FastPairBackend { batches: 0 };
-        // No snapshot taken: live placement probes on demand.
-        let p = c.place_live(&app(), &mut backend).expect("fits");
-        assert_eq!((p.assignment[0], p.assignment[1]), (0, 1), "follows the fast live path");
-        // One transfer, one candidate batch (1-core machines rule out
-        // co-location, so no second phase of queries).
-        assert_eq!(backend.batches, 1, "one batched probe per transfer");
     }
 
     #[test]

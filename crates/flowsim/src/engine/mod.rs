@@ -144,7 +144,8 @@ pub struct SolveStats {
     pub dirty_resources: u64,
     /// [`FlowSim::probe_rates`] batches evaluated.
     pub probe_batches: u64,
-    /// What-if candidates rated (batched and single-probe).
+    /// What-if candidates rated, over all batches (a lone candidate is a
+    /// batch of one).
     pub probes: u64,
     /// Logged rounds walked on behalf of probes: each per-resource
     /// record read off the solve log walks it once, a candidate whose
@@ -352,6 +353,13 @@ mod tests {
         FlowSim::new(t, r, 7)
     }
 
+    /// Rate one hypothetical flow: a batch of one.
+    fn probe1(s: &mut FlowSim, src: NodeId, dst: NodeId, hose: Option<HoseId>) -> f64 {
+        let mut out = Vec::new();
+        s.probe_rates(&[(src, dst, hose)], &mut out);
+        out[0]
+    }
+
     #[test]
     fn single_bounded_flow_completes_on_schedule() {
         let mut s = sim(1, GBIT);
@@ -491,11 +499,11 @@ mod tests {
     fn probe_rate_sees_background_load() {
         let mut s = sim(2, GBIT);
         let h = s.topology().hosts().to_vec();
-        assert!((s.probe_rate(h[0], h[2], None) - 1e9).abs() < 1.0);
+        assert!((probe1(&mut s, h[0], h[2], None) - 1e9).abs() < 1.0);
         let _bg = s.start_flow(h[1], h[3], None, None, 0, 9);
         s.run_until(MILLIS);
         // Probe shares the bottleneck with one background flow.
-        let r = s.probe_rate(h[0], h[2], None);
+        let r = probe1(&mut s, h[0], h[2], None);
         assert!((r - 0.5e9).abs() < 1.0, "r = {r}");
     }
 
@@ -510,21 +518,21 @@ mod tests {
         let gen_before = {
             // Probing must never touch the arena: no add/remove round
             // trip, not even a restoring one.
-            let _ = s.probe_rate(h[0], h[2], None);
+            let _ = probe1(&mut s, h[0], h[2], None);
             s.active_flows()
         };
         assert_eq!(gen_before, 1);
         assert_eq!(s.delivered_bytes(f), before);
         assert_eq!(s.rate_bps(f), rate_before, "committed rates survive the what-if");
-        // Batched probes are equally side-effect-free, and each candidate
+        // Larger batches are equally side-effect-free, and each candidate
         // is rated independently: both directions of the same bottleneck
-        // see the same world as a lone probe does.
-        let solo_02 = s.probe_rate(h[0], h[2], None);
-        let solo_13 = s.probe_rate(h[1], h[3], None);
+        // see the same world as a batch of one does.
+        let solo_02 = probe1(&mut s, h[0], h[2], None);
+        let solo_13 = probe1(&mut s, h[1], h[3], None);
         let mut batched = Vec::new();
         s.probe_rates(&[(h[0], h[2], None), (h[1], h[3], None), (h[0], h[2], None)], &mut batched);
-        assert_eq!(batched[0].to_bits(), solo_02.to_bits(), "batched == solo probe");
-        assert_eq!(batched[1].to_bits(), solo_13.to_bits(), "batched == solo probe");
+        assert_eq!(batched[0].to_bits(), solo_02.to_bits(), "batch of three == batch of one");
+        assert_eq!(batched[1].to_bits(), solo_13.to_bits(), "batch of three == batch of one");
         assert_eq!(batched[2].to_bits(), batched[0].to_bits(), "candidates are independent");
         assert_eq!(s.delivered_bytes(f), before);
         assert_eq!(s.rate_bps(f), rate_before, "committed rates survive the batch");
@@ -537,7 +545,7 @@ mod tests {
         let mut s = sim(2, GBIT);
         let h = s.topology().hosts().to_vec();
         let _bg = s.start_flow(h[1], h[3], None, None, 0, 9);
-        let rate = s.measure_tcp_throughput(h[0], h[2], None, SECS);
+        let rate = s.measure_tcp_throughput(&[(h[0], h[2], None)], SECS)[0];
         assert!((rate - 0.5e9).abs() / 0.5e9 < 0.01, "rate = {rate}");
     }
 
@@ -562,7 +570,7 @@ mod tests {
         let mut rates = Vec::new();
         for i in 1..=40 {
             s.run_until(i * 100 * MILLIS);
-            rates.push(s.probe_rate(h[0], h[2], None));
+            rates.push(probe1(&mut s, h[0], h[2], None));
         }
         let full = rates.iter().filter(|r| (**r - 1e9).abs() < 1.0).count();
         let half = rates.iter().filter(|r| (**r - 0.5e9).abs() < 1.0).count();
@@ -609,7 +617,7 @@ mod tests {
         let f2 = s.start_flow_now(h[1], h[3], None, None, 77);
         assert_eq!(s.status(f1), FlowStatus::Active);
         assert_eq!(s.active_flows(), 2);
-        let r = s.probe_rate(h[0], h[2], None);
+        let r = probe1(&mut s, h[0], h[2], None);
         // Both immediate flows cross the dumbbell's shared link, so a
         // probe is a third sharer there.
         assert!((r - 1e9 / 3.0).abs() < 1.0, "probe shares with the immediate flows: {r}");
@@ -621,7 +629,7 @@ mod tests {
         assert_eq!(s.active_flows(), 0);
         assert!(matches!(s.status(f1), FlowStatus::Done(_)));
         assert!(matches!(s.status(f2), FlowStatus::Done(_)));
-        let r = s.probe_rate(h[0], h[2], None);
+        let r = probe1(&mut s, h[0], h[2], None);
         assert!((r - 1e9).abs() < 1.0, "idle after teardown: {r}");
         // Stopping again is a no-op.
         s.stop_flows_now(&[f1, f2]);
@@ -773,12 +781,12 @@ mod tests {
         for l in 0..links {
             s.degrade_link(l, 0.5);
         }
-        let r = s.probe_rate(h[0], h[2], None);
+        let r = probe1(&mut s, h[0], h[2], None);
         assert!((r - 0.25e9).abs() < 1.0, "probe shares the degraded bottleneck: {r}");
         // set_capacity with the current value is a no-op (no dirty solve).
         let cap0 = s.capacity(0);
         s.set_capacity(0, cap0);
-        assert!((s.probe_rate(h[0], h[2], None) - r).abs() < 1e-9);
+        assert!((probe1(&mut s, h[0], h[2], None) - r).abs() < 1e-9);
     }
 
     #[test]
@@ -840,7 +848,7 @@ mod tests {
         let t = Arc::new(b.build());
         let r = Arc::new(RouteTable::new(&t));
         let mut s = FlowSim::new(t, r, 7);
-        s.probe_rate(hosts[0], hosts[1], None);
+        probe1(&mut s, hosts[0], hosts[1], None);
     }
 
     // ------------------------------------------------- spliced probes
@@ -859,8 +867,8 @@ mod tests {
     /// Rate each batch through [`FlowSim::probe_rates`] and bit-compare
     /// every answer with the full-path reference walk over the same log;
     /// the batches share one epoch, so later ones find walks folded by
-    /// earlier ones. Then rate the first again, as a batch (served from
-    /// the memos: no record read, no walk folded) and one probe at a time.
+    /// earlier ones. Then rate the first again (served from the memos: no
+    /// record read, no walk folded).
     fn check_spliced_probes(s: &mut FlowSim, batches: &[Vec<(NodeId, NodeId, Option<HoseId>)>]) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut outs = Vec::new();
@@ -879,9 +887,6 @@ mod tests {
         assert_eq!(s.solver.last_probe_records_built(), 0, "a repeat read a record");
         assert_eq!(s.last_walks_built, 0, "a repeat folded a walk");
         assert_eq!(bits(&again), bits(&outs[0]), "memos disagree with the pass that built them");
-        for (&(src, dst, hose), got) in batches[0].iter().zip(&outs[0]) {
-            assert_eq!(s.probe_rate(src, dst, hose).to_bits(), got.to_bits(), "single probe");
-        }
     }
 
     proptest! {

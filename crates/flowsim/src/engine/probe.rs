@@ -8,7 +8,7 @@
 use choreo_metrics::span;
 use choreo_topology::{Nanos, NodeId, WalkId};
 
-use super::{hop_resource, FlowSim, HoseId};
+use super::{hop_resource, FlowKey, FlowSim, HoseId};
 use crate::fairshare::{fold_rate, Fold, ProbeRecord};
 
 impl FlowSim {
@@ -75,44 +75,28 @@ impl FlowSim {
         (memo.hit, memo.key)
     }
 
-    /// Rate a *hypothetical* new flow from `src` to `dst` (optionally
-    /// hose-capped) would receive right now, without perturbing the
-    /// simulation. This is the flow-level analogue of starting a probe
-    /// connection.
+    /// Rate the *hypothetical* new flows `probes[i] = (src, dst, hose)`
+    /// would each receive right now, writing `out[i]`, without perturbing
+    /// the simulation: the flow-level analogue of starting probe
+    /// connections. A lone candidate is a batch of one.
     ///
     /// Implemented as a what-if read of the solver's freeze-round log of
-    /// the committed allocation: for each resource of path 0, the first
-    /// logged round that resource would saturate by with one more user,
-    /// and the candidate freezes at the earliest of them — bit-identical
-    /// to adding the flow and re-solving. A resource's answer does not
-    /// depend on who asks, so the solver keeps it until the next solve,
-    /// and the engine keeps each walk's fold of them likewise: `O(events ·
-    /// log rounds)` **per distinct resource per solve**, `O(1)` per probe
-    /// after that — a lead hop, a tail hop, a hose and a memoised walk.
-    /// **Observably side-effect-free**: the arena is never touched, so the
-    /// simulation state is exactly as it was (only the probe memos are
-    /// written).
-    pub fn probe_rate(&mut self, src: NodeId, dst: NodeId, hose: Option<HoseId>) -> f64 {
-        self.ensure_probe_log();
-        self.begin_probes("probe");
-        let rate = fold_rate(self.probe_fold(src, dst, hose));
-        self.stats.probes += 1;
-        self.stats.probe_replay_rounds += self.solver.last_probe_replay_rounds();
-        rate
-    }
-
-    /// Batched [`FlowSim::probe_rate`]: rate every hypothetical
-    /// `(src, dst, hose)` flow in `probes`, writing `out[i]` for
-    /// `probes[i]`. All candidates are evaluated **independently** against
-    /// the same committed network state (they do not see one another),
-    /// sharing a single solve instead of paying one each — the entry
-    /// point for candidate scoring in placement. The batch costs what its
-    /// *distinct* resources and walks cost: the scheduler's `k(k − 1)`
-    /// ordered pairs over `k` hosts name `2k` access directions and the
-    /// walks between their ToRs, each read off the log once per solve;
-    /// every candidate — in this batch or any later one before the next
-    /// solve — is then a fold of four memoised answers. The `probe_batch`
-    /// span covers all of it, route resolution included.
+    /// the committed allocation: for each resource of a candidate's path
+    /// 0, the first logged round that resource would saturate by with one
+    /// more user, and the candidate freezes at the earliest of them —
+    /// bit-identical to adding the flow and re-solving. Candidates are
+    /// rated **independently** (they do not see one another) against the
+    /// same committed state. A resource's answer does not depend on who
+    /// asks, so the solver keeps it until the next solve, and the engine
+    /// keeps each walk's fold of them likewise: `O(events · log rounds)`
+    /// **per distinct resource per solve**, `O(1)` per candidate after
+    /// that — a lead hop, a tail hop, a hose and a memoised walk. The
+    /// scheduler's `k(k − 1)` ordered pairs over `k` hosts thus read the
+    /// log for `2k` access directions and the walks between their ToRs.
+    /// The `probe_batch` span covers all of it, route resolution included.
+    ///
+    /// **Observably side-effect-free**: the arena is never touched (only
+    /// the probe memos are written).
     pub fn probe_rates(&mut self, probes: &[(NodeId, NodeId, Option<HoseId>)], out: &mut Vec<f64>) {
         self.ensure_probe_log();
         let timer = span::start("probe_batch");
@@ -142,25 +126,32 @@ impl FlowSim {
         }
     }
 
-    /// Emulate a bulk TCP throughput measurement: run a real flow for
-    /// `duration` (the simulation advances, so background traffic evolves)
-    /// and return its mean throughput in bits/s.
+    /// Emulate bulk TCP throughput measurements: run a real flow for each
+    /// `(src, dst, hose)` in `flows`, all at once, for `duration` (the
+    /// simulation advances, so background traffic evolves) and return each
+    /// flow's mean throughput in bits/s, in order. Every record is
+    /// released before the call returns.
     pub fn measure_tcp_throughput(
         &mut self,
-        src: NodeId,
-        dst: NodeId,
-        hose: Option<HoseId>,
+        flows: &[(NodeId, NodeId, Option<HoseId>)],
         duration: Nanos,
-    ) -> f64 {
+    ) -> Vec<f64> {
         let start = self.now;
-        let key = self.start_flow(src, dst, None, hose, start, u64::MAX);
-        self.stop_flow_at(key, start + duration);
+        let keys: Vec<FlowKey> = flows
+            .iter()
+            .map(|&(src, dst, hose)| {
+                let key = self.start_flow(src, dst, None, hose, start, u64::MAX);
+                self.stop_flow_at(key, start + duration);
+                key
+            })
+            .collect();
         self.run_until(start + duration);
-        let delivered = self.delivered_of(self.idx(key));
-        // The stop event above fired during `run_until`, so the flow is
-        // retired and its one stat is harvested: reclaim the record.
-        self.release_flow(key);
-        delivered * 8.0 / (duration as f64 / 1e9)
+        let secs = duration as f64 / 1e9;
+        let rates = keys.iter().map(|&k| self.delivered_of(self.idx(k)) * 8.0 / secs).collect();
+        // The stop events above fired during `run_until`, so the flows are
+        // retired and their one stat is harvested: reclaim the records.
+        self.release_flows(&keys);
+        rates
     }
 
     /// Bytes of heap the per-walk probe memo holds: `32 · A²` for the

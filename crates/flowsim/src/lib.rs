@@ -77,9 +77,9 @@
 //!
 //! A batch of `k(k − 1)` host pairs reads the log for `2k` access
 //! directions and the fabric links of the walks between their racks, not
-//! `k(k − 1)` times. [`FlowSim::probe_rate`] and [`FlowSim::probe_rates`]
-//! ride on it, which also makes probing observably side-effect-free — no
-//! arena round-trip.
+//! `k(k − 1)` times. [`FlowSim::probe_rates`] rides on it — the one probe
+//! call; a lone candidate is a batch of one — which also makes probing
+//! observably side-effect-free: no arena round-trip.
 //!
 //! # Warm-started delta solves: the `SolveLog` lifecycle
 //!

@@ -62,8 +62,8 @@ pub fn run_interference_test<B: MeasureBackend>(
     path_b: (VmId, VmId),
     duration: choreo_topology::Nanos,
 ) -> InterferenceTest {
-    let solo_a_bps = backend.netperf(path_a.0, path_a.1, duration);
-    let rates = backend.concurrent_netperf(&[path_a, path_b], duration);
+    let solo_a_bps = backend.netperf(&[path_a], duration)[0];
+    let rates = backend.netperf(&[path_a, path_b], duration);
     InterferenceTest {
         path_a,
         path_b,

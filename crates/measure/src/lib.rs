@@ -21,7 +21,10 @@
 //! [`NetworkSnapshot`] the placement algorithms consume. Measurement is
 //! expressed against the [`MeasureBackend`] trait so the same code runs on
 //! the packet-level simulator, the flow-level simulator, or (via
-//! `choreo-wire`) real sockets.
+//! `choreo-wire`) real sockets. Its probe and its netperf each take a
+//! batch of VM pairs — the paper measures the whole mesh in one sweep
+//! (§4.1) and locates bottlenecks with concurrent transfers (§4.3) — and
+//! a lone pair is a batch of one.
 
 pub mod bottleneck;
 pub mod crosstraffic;

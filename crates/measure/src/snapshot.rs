@@ -20,33 +20,20 @@ pub trait MeasureBackend {
     /// Number of VMs in the allocation.
     fn n_vms(&self) -> usize;
 
-    /// Fast single-path throughput estimate (packet train in the paper).
-    /// Returns estimated bulk-TCP throughput in bits/s.
-    fn probe_path(&mut self, a: VmId, b: VmId) -> f64;
+    /// Fast throughput estimates (packet trains in the paper): fills
+    /// `out[i]` with the estimated bulk-TCP throughput of `pairs[i]`, in
+    /// bits/s. A lone pair is a batch of one. The flow-level cloud scores
+    /// the whole batch against one network state with a single what-if
+    /// solve, turning the mesh measurement and the placer's candidate
+    /// scoring from `O(pairs)` solver passes into one; the packet-level
+    /// cloud sends one train after another.
+    fn probe_paths(&mut self, pairs: &[(VmId, VmId)], out: &mut Vec<f64>);
 
-    /// Probe many ordered pairs; fills `out[i]` with the estimate for
-    /// `pairs[i]`.
-    ///
-    /// Default: sequential [`MeasureBackend::probe_path`] calls. Backends
-    /// that can score many candidates against one network state — the
-    /// flow-level cloud batches all pairs through a single what-if solve —
-    /// override this, turning the mesh measurement and the placer's
-    /// candidate scoring from `O(pairs)` solver passes into one.
-    fn probe_paths(&mut self, pairs: &[(VmId, VmId)], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(pairs.len());
-        for &(a, b) in pairs {
-            let rate = self.probe_path(a, b);
-            out.push(rate);
-        }
-    }
-
-    /// Ground-truth bulk TCP measurement of `duration` (netperf).
-    fn netperf(&mut self, a: VmId, b: VmId, duration: Nanos) -> f64;
-
-    /// Concurrent bulk transfers on all `pairs` for `duration`; returns
-    /// per-pair throughput (bits/s), in order.
-    fn concurrent_netperf(&mut self, pairs: &[(VmId, VmId)], duration: Nanos) -> Vec<f64>;
+    /// Ground-truth bulk TCP measurement (netperf): transfers on all
+    /// `pairs` at once for `duration`; returns per-pair throughput
+    /// (bits/s), in order. One pair measures a path alone; several measure
+    /// how they interfere (§4.3).
+    fn netperf(&mut self, pairs: &[(VmId, VmId)], duration: Nanos) -> Vec<f64>;
 
     /// Provider-visible traceroute hop count.
     fn traceroute(&mut self, a: VmId, b: VmId) -> usize;
@@ -242,14 +229,14 @@ mod tests {
         fn n_vms(&self) -> usize {
             self.n
         }
-        fn probe_path(&mut self, a: VmId, b: VmId) -> f64 {
-            ((a.0 + 1) * 100 + b.0 + 1) as f64
+        fn probe_paths(&mut self, pairs: &[(VmId, VmId)], out: &mut Vec<f64>) {
+            out.clear();
+            out.extend(pairs.iter().map(|&(a, b)| ((a.0 + 1) * 100 + b.0 + 1) as f64));
         }
-        fn netperf(&mut self, a: VmId, b: VmId, _d: Nanos) -> f64 {
-            self.probe_path(a, b)
-        }
-        fn concurrent_netperf(&mut self, pairs: &[(VmId, VmId)], _d: Nanos) -> Vec<f64> {
-            pairs.iter().map(|&(a, b)| self.probe_path(a, b)).collect()
+        fn netperf(&mut self, pairs: &[(VmId, VmId)], _d: Nanos) -> Vec<f64> {
+            let mut out = Vec::new();
+            self.probe_paths(pairs, &mut out);
+            out
         }
         fn traceroute(&mut self, a: VmId, b: VmId) -> usize {
             if a == b {

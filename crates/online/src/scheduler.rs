@@ -583,8 +583,8 @@ impl OnlineScheduler {
                 // CPU comes from the global ledger; network counters stay
                 // zero: the live probes already price in every running
                 // flow, and stacking the transfer counters on top would
-                // double-count traffic (the `Choreo::place_live`
-                // contract). Local VM `v` is host `hosts[cand[v]]`.
+                // double-count traffic. Local VM `v` is host
+                // `hosts[cand[v]]`.
                 // Probes return per-connection fair shares, which is what
                 // the pipe rule divides.
                 let (sim, hosts, cand, probes) =

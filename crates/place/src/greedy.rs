@@ -13,7 +13,7 @@
 //! # Batched candidate evaluation
 //!
 //! Raw inter-VM rates come from the caller's `rate` closure (see
-//! [`GreedyPlacer::place_with`]), asked **one batch per transfer** rather
+//! [`GreedyPlacer::place_with_scratch`]), asked **one batch per transfer** rather
 //! than once per `(m, n)` pair: the feasible candidates are enumerated,
 //! filtered through the per-pair `RateCache` — the placement's only rate
 //! memo, so a pair is never rated twice in one placement — and the misses
@@ -23,8 +23,8 @@
 //! needs one, its row is completed through the same memo (never-rated
 //! pairs only, one more batch) and folded.
 //!
-//! Against a snapshot a batch is a memory walk; against a live backend
-//! (`Choreo::place_live`, the online scheduler) it collapses `O(V²)`
+//! Against a snapshot a batch is a memory walk; against the live network
+//! (the online scheduler's flow simulator) it collapses `O(V²)`
 //! what-if solver passes per transfer into one — and that one costs what
 //! the batch's *distinct* resources cost, not its `V(V − 1)` pairs: the
 //! engine reads its solve log once per resource (`2V` access directions
@@ -37,9 +37,10 @@
 //!
 //! The placement's working buffers — assignment, CPU ledger, sharing
 //! counters, rate memo, candidate batches, the sorted transfer list —
-//! live in a [`PlaceScratch`] the caller may keep
+//! live in a [`PlaceScratch`] the caller lends
 //! ([`GreedyPlacer::place_with_scratch`]), so a long-running caller such
-//! as the online scheduler places without allocating beyond the answer.
+//! as the online scheduler places without allocating beyond the answer;
+//! [`GreedyPlacer::place`] lends a fresh one.
 //!
 //! Committing the placement completes the warm chain: rating candidates
 //! against a live flow cloud leaves the engine's solver holding the
@@ -58,8 +59,9 @@ use crate::problem::{Machines, NetworkLoad, PlaceError, Placement};
 #[derive(Debug, Clone, Default)]
 pub struct GreedyPlacer;
 
-/// Memo of raw per-VM-pair rates for one [`GreedyPlacer::place_with`]
-/// call — the only one the placement keeps.
+/// Memo of raw per-VM-pair rates for one
+/// [`GreedyPlacer::place_with_scratch`] call — the only one the placement
+/// keeps.
 ///
 /// Candidate enumeration visits the same `(m, n)` pair `O(V²)` times per
 /// transfer, and hose-row completions name pairs no candidate has; the
@@ -386,39 +388,27 @@ impl GreedyPlacer {
         load: &NetworkLoad,
     ) -> Result<Placement, PlaceError> {
         assert_eq!(snapshot.n_vms(), machines.len(), "snapshot covers the machines");
-        self.place_with(app, machines, snapshot.model, load, |pairs, out| {
+        let mut scratch = PlaceScratch::default();
+        self.place_with_scratch(app, machines, snapshot.model, load, &mut scratch, |pairs, out| {
             out.clear();
             out.extend(pairs.iter().map(|&(m, n)| snapshot.rate(VmId(m), VmId(n))));
         })
     }
 
     /// [`GreedyPlacer::place`] over any source of raw rates, shared under
-    /// `model`.
+    /// `model`, in buffers the caller lends and keeps: once `scratch` has
+    /// grown to an instance's size, a placement allocates only the
+    /// [`Placement`] it returns. The answer does not depend on what
+    /// `scratch` held before.
     ///
     /// `rate(pairs, out)` fills `out[i]` with the raw (sharing-unadjusted)
     /// rate of `pairs[i]`, a `(source VM, destination VM)` pair with
     /// distinct endpoints. It is called at most once per transfer with
     /// that transfer's never-rated candidates, plus once per VM whose
     /// hose row the hose model completes; no pair is asked twice, so the
-    /// rates must be stable for the call. A live backend answers each
-    /// batch with one what-if solve (`Choreo::place_live`, the online
-    /// scheduler), placing against the network as it is *now*.
-    pub fn place_with(
-        &self,
-        app: &AppProfile,
-        machines: &Machines,
-        model: RateModel,
-        load: &NetworkLoad,
-        rate: impl FnMut(&[(u32, u32)], &mut Vec<f64>),
-    ) -> Result<Placement, PlaceError> {
-        let mut scratch = PlaceScratch::default();
-        self.place_with_scratch(app, machines, model, load, &mut scratch, rate)
-    }
-
-    /// [`GreedyPlacer::place_with`] in buffers the caller lends and keeps:
-    /// once `scratch` has grown to an instance's size, a placement
-    /// allocates only the [`Placement`] it returns. The answer does not
-    /// depend on what `scratch` held before.
+    /// rates must be stable for the call. A live network answers each
+    /// batch with one what-if solve (the online scheduler), placing
+    /// against the network as it is *now*.
     pub fn place_with_scratch(
         &self,
         app: &AppProfile,
@@ -668,12 +658,20 @@ mod tests {
     fn closure_is_asked_once_per_transfer_and_each_pair_once() {
         let (app, machines, s, load) = hose_scenario();
         let mut batches: Vec<Vec<(u32, u32)>> = Vec::new();
+        let mut scratch = PlaceScratch::default();
         let p = GreedyPlacer
-            .place_with(&app, &machines, RateModel::Hose, &load, |pairs, out| {
-                batches.push(pairs.to_vec());
-                out.clear();
-                out.extend(pairs.iter().map(|&(m, n)| s.rate(VmId(m), VmId(n))));
-            })
+            .place_with_scratch(
+                &app,
+                &machines,
+                RateModel::Hose,
+                &load,
+                &mut scratch,
+                |pairs, out| {
+                    batches.push(pairs.to_vec());
+                    out.clear();
+                    out.extend(pairs.iter().map(|&(m, n)| s.rate(VmId(m), VmId(n))));
+                },
+            )
             .expect("feasible");
         assert_eq!(p, GreedyPlacer.place(&app, &machines, &s, &load).unwrap(), "same as place");
         // VM 0's raw 90 would win, but its hose (100) is shared with the

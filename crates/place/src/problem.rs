@@ -148,7 +148,7 @@ pub struct PackScratch {
 /// [`PACK_NODE_BUDGET`] nodes it answers [`Packing::Undecided`].
 ///
 /// **Soundness.** Any placement Algorithm 1
-/// ([`crate::GreedyPlacer::place_with`]) returns is such a packing: the
+/// ([`crate::GreedyPlacer::place_with_scratch`]) returns is such a packing: the
 /// placer admits a task on a host only while the host's committed CPU
 /// stays within its capacity plus `1e-9`, so every host's tasks sum to
 /// at most its free CPU plus `1e-9`. The search accepts anything within

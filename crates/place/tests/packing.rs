@@ -11,7 +11,9 @@
 
 use choreo_measure::RateModel;
 use choreo_place::problem::PACK_NODE_BUDGET;
-use choreo_place::{cpu_packing, GreedyPlacer, Machines, NetworkLoad, PackScratch, Packing};
+use choreo_place::{
+    cpu_packing, GreedyPlacer, Machines, NetworkLoad, PackScratch, Packing, PlaceScratch,
+};
 use choreo_profile::{AppProfile, TrafficMatrix};
 use proptest::prelude::*;
 
@@ -57,13 +59,20 @@ fn free_of(machines: &Machines, load: &NetworkLoad) -> Vec<f64> {
 fn place(app: &AppProfile, machines: &Machines, load: &NetworkLoad, hose: bool, seed: u64) -> bool {
     let model = if hose { RateModel::Hose } else { RateModel::Pipe };
     GreedyPlacer
-        .place_with(app, machines, model, load, |pairs, out| {
-            out.clear();
-            out.extend(pairs.iter().map(|&(m, n)| {
-                let r = splitmix(seed ^ (m as u64) << 32 ^ n as u64);
-                1.0 + (r >> 11) as f64 / (1u64 << 53) as f64 * 99.0
-            }));
-        })
+        .place_with_scratch(
+            app,
+            machines,
+            model,
+            load,
+            &mut PlaceScratch::default(),
+            |pairs, out| {
+                out.clear();
+                out.extend(pairs.iter().map(|&(m, n)| {
+                    let r = splitmix(seed ^ (m as u64) << 32 ^ n as u64);
+                    1.0 + (r >> 11) as f64 / (1u64 << 53) as f64 * 99.0
+                }));
+            },
+        )
         .is_ok()
 }
 

@@ -12,7 +12,7 @@
 
 use choreo_repro::cloudlab::{Cloud, ProviderProfile};
 use choreo_repro::measure::bottleneck::survey;
-use choreo_repro::measure::estimate_from_report;
+use choreo_repro::measure::{estimate_from_report, MeasureBackend};
 use choreo_repro::netsim::TrainConfig;
 use choreo_repro::topology::{VmId, MILLIS, SECS};
 
@@ -34,7 +34,7 @@ fn main() {
             // Probe the fresh path first (field conditions: the limiter's
             // credit is banked), then take the netperf ground truth.
             let est_short = estimate_from_report(&pc.packet_train(a, b, short)).throughput_bps;
-            let truth = pc.netperf(a, b, 2 * SECS);
+            let truth = pc.netperf(&[(a, b)], 2 * SECS)[0];
             let est_cal = estimate_from_report(&pc.packet_train(a, b, calibrated)).throughput_bps;
             let err = |e: f64| 100.0 * (e - truth).abs() / truth;
             println!(

@@ -191,9 +191,9 @@ fn steady_state_reallocation_allocates_nothing() {
     assert_eq!(warm_allocs, 0, "steady-state warm re-solve → probe batch must not allocate");
 
     // ------------------------------------------------- engine what-if path
-    // The probe joins the arena, the persistent solver reallocates, and
-    // the probe leaves: the full reallocate_if_dirty machinery, exercised
-    // through FlowSim, also allocation-free once warm.
+    // A one-candidate probe batch into a reused buffer: the log read, the
+    // record and walk memos and the fold, exercised through FlowSim, also
+    // allocation-free once warm.
     let t =
         Arc::new(dumbbell(4, LinkSpec::new(GBIT, 5 * MICROS), LinkSpec::new(GBIT, 20 * MICROS)));
     let r = Arc::new(RouteTable::new(&t));
@@ -203,16 +203,19 @@ fn steady_state_reallocation_allocates_nothing() {
         sim.start_flow(h[i], h[4 + i], None, None, 0, i as u64);
     }
     sim.run_until(SECS);
-    let _ = sim.probe_rate(h[0], h[4], None); // warm the probe scratch
+    let mut one = Vec::new();
+    sim.probe_rates(&[(h[0], h[4], None)], &mut one); // warm the probe scratch and the buffer
     let before = alloc_count();
     let mut acc = 0.0;
     for _ in 0..100 {
-        acc += sim.probe_rate(h[0], h[4], None);
-        acc += sim.probe_rate(h[1], h[5], None);
+        sim.probe_rates(&[(h[0], h[4], None)], &mut one);
+        acc += one[0];
+        sim.probe_rates(&[(h[1], h[5], None)], &mut one);
+        acc += one[0];
     }
     let probe_allocs = alloc_count() - before;
     assert!(acc > 0.0);
-    assert_eq!(probe_allocs, 0, "warm probe_rate (what-if replay) must not allocate");
+    assert_eq!(probe_allocs, 0, "a warm one-candidate probe batch must not allocate");
 
     // ------------------------------------------------ batched what-if path
     // Batched candidate scoring reuses the probe batch and the caller's

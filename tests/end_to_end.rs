@@ -44,25 +44,6 @@ fn full_pipeline_on_each_provider() {
 }
 
 #[test]
-fn live_batched_placement_works_without_a_snapshot() {
-    // `place_live` probes each transfer's candidate set through the
-    // backend's batched what-if path — no prior `measure()` needed.
-    let mut cloud = Cloud::new(quiet(ProviderProfile::ec2_2013(false)), 42);
-    cloud.allocate(6);
-    let mut fc = cloud.flow_cloud(4);
-    let mut orch = Choreo::new(Machines::uniform(6, 4.0), ChoreoConfig::default());
-    let mut m = TrafficMatrix::zeros(3);
-    m.set(0, 1, 200_000_000);
-    m.set(1, 2, 50_000_000);
-    let app = AppProfile::new("live", vec![1.0; 3], m, 0);
-    let placement = orch.place_live(&app, &mut fc).expect("fits");
-    assert!(choreo_repro::place::problem::validate(&app, orch.machines(), &placement).is_ok());
-    let rt = runner::run_app(&mut fc, &mut orch, &app, &placement);
-    assert!(rt < 600 * SECS, "live placement runs to completion: {rt}");
-    assert!(orch.running().is_empty(), "load released");
-}
-
-#[test]
 fn choreo_beats_baselines_on_average_across_many_apps() {
     // Statistical version of the §6.2 claim, small scale for CI: over a
     // dozen experiments, the mean speed-up vs every baseline is positive.

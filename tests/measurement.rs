@@ -28,7 +28,7 @@ fn ec2_calibration_is_accurate_at_200_packet_bursts() {
     let mut cloud = Cloud::new(quiet(ProviderProfile::ec2_2013(false)), 61);
     let vms = cloud.allocate(2);
     let mut pc = cloud.packet_cloud(2);
-    let truth = pc.netperf(vms[0], vms[1], 2 * SECS);
+    let truth = pc.netperf(&[(vms[0], vms[1])], 2 * SECS)[0];
     let est = estimate_from_report(&pc.packet_train(vms[0], vms[1], TrainConfig::default()));
     let err = (est.throughput_bps - truth).abs() / truth;
     // Paper: ≈9% mean error on EC2 with 10×200. Allow up to 20%.
@@ -44,7 +44,7 @@ fn rackspace_calibration_needs_2000_packet_bursts() {
     // Probe the fresh path first (the limiter's banked credit is exactly
     // what fools short trains in the field); ground-truth afterwards.
     let short = estimate_from_report(&pc.packet_train(vms[0], vms[1], TrainConfig::default()));
-    let truth = pc.netperf(vms[0], vms[1], 2 * SECS);
+    let truth = pc.netperf(&[(vms[0], vms[1])], 2 * SECS)[0];
     assert!((truth - 300.0 * MBIT).abs() / (300.0 * MBIT) < 0.1);
     let long = estimate_from_report(&pc.packet_train(vms[0], vms[1], TrainConfig::rackspace()));
     let err_short = (short.throughput_bps - truth).abs() / truth;
@@ -90,10 +90,12 @@ fn temporal_stability_matches_fig7_headlines() {
         .take(12)
         .collect();
     let mut series = vec![Vec::new(); pairs.len()];
+    let mut rates = Vec::new();
     for _round in 0..61 {
         // 10 minutes of 10 s samples
-        for (pi, &(a, b)) in pairs.iter().enumerate() {
-            series[pi].push(fc.probe_path(a, b));
+        fc.probe_paths(&pairs, &mut rates);
+        for (s, &r) in series.iter_mut().zip(&rates) {
+            s.push(r);
         }
         fc.advance(10 * SECS);
     }
@@ -123,8 +125,8 @@ fn cross_traffic_estimator_sees_background_load() {
     let mut cloud = Cloud::new(quiet(ProviderProfile::rackspace()), 65);
     let vms = cloud.allocate(3);
     let mut fc = cloud.flow_cloud(4);
-    let solo = fc.netperf(vms[0], vms[1], SECS);
-    let both = fc.concurrent_netperf(&[(vms[0], vms[1]), (vms[0], vms[2])], SECS);
+    let solo = fc.netperf(&[(vms[0], vms[1])], SECS)[0];
+    let both = fc.netperf(&[(vms[0], vms[1]), (vms[0], vms[2])], SECS);
     let c = cross_traffic_estimate(both[0], solo);
     assert!((c - 1.0).abs() < 0.15, "one competing connection: c = {c:.2}");
 }
@@ -142,7 +144,7 @@ fn flow_cloud_netperf_rates_are_pinned() {
         .filter(|(a, b)| a != b)
         .take(12)
         .collect();
-    let rates: Vec<f64> = pairs.iter().map(|&(a, b)| fc.netperf(a, b, SECS)).collect();
+    let rates: Vec<f64> = pairs.iter().map(|&(a, b)| fc.netperf(&[(a, b)], SECS)[0]).collect();
     for &r in &rates {
         assert!((100.0 * MBIT..5e9).contains(&r), "rate {r}");
     }

@@ -320,8 +320,10 @@ fn a_probe_batch_walks_the_log_once_per_distinct_resource() {
     assert!(rewalked > 0, "stale records served a new log");
     assert_eq!(sim.solve_stats().warm_solves, solved.warm_solves + 1);
     let mut cold = sim_with(&[&flows[..], &[extra]].concat());
+    let mut alone = Vec::new();
     for (&(src, dst, _), got) in batch.iter().zip(&again) {
-        let want = cold.probe_rate(src, dst, None);
+        cold.probe_rates(&[(src, dst, None)], &mut alone);
+        let want = alone[0];
         assert_eq!(got.to_bits(), want.to_bits(), "{src:?} -> {dst:?}: {got} vs cold {want}");
     }
     assert_eq!(cold.solve_stats().cold_solves, 1, "{:?}", cold.solve_stats());
