@@ -6,7 +6,7 @@ use choreo_repro::place::baseline::{MinMachinesPlacer, RandomPlacer, RoundRobinP
 use choreo_repro::place::greedy::GreedyPlacer;
 use choreo_repro::place::ilp::{Formulation, IlpPlacer};
 use choreo_repro::place::predict::predict_completion_secs;
-use choreo_repro::place::problem::{validate, Machines, NetworkLoad};
+use choreo_repro::place::problem::{validate, Machines, NetworkLoad, PlaceError, Placement};
 use choreo_repro::profile::{AppProfile, TrafficMatrix, WorkloadGen, WorkloadGenConfig};
 use rand::{Rng, SeedableRng};
 
@@ -133,6 +133,59 @@ fn greedy_beats_baselines_in_prediction_on_skewed_traffic() {
             base_sums[i]
         );
     }
+}
+
+/// Fold one placer answer into an FNV-1a digest: the assignment, or the
+/// error and the task it names.
+fn fold_outcome(d: u64, r: Result<Placement, PlaceError>) -> u64 {
+    let words: Vec<u64> = match r {
+        Ok(p) => std::iter::once(0).chain(p.assignment.iter().map(|&v| v as u64)).collect(),
+        Err(PlaceError::InsufficientCpu) => vec![1],
+        Err(PlaceError::NoFeasibleMachine { task }) => vec![2, task as u64],
+    };
+    words.iter().fold(d, |d, &w| (d ^ w).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
+#[test]
+fn placers_are_pinned_on_nudged_cpu_ledgers() {
+    // Every baseline and Algorithm 1 (pipe and hose) over 80 seeded apps
+    // on 6 four-core machines whose ledgers sit on half-core steps nudged
+    // by nothing, by half the fit tolerance either way, by twice it, or by
+    // half a core: the fit test's tolerance decides many of these answers.
+    const NUDGES: [f64; 5] = [0.0, 5e-10, -5e-10, 2e-9, 0.5];
+    let n_vms = 6;
+    let machines = Machines::uniform(n_vms, 4.0);
+    let mut gen = WorkloadGen::new(
+        WorkloadGenConfig { tasks_min: 2, tasks_max: 8, ..Default::default() },
+        23,
+    );
+    let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+    let mut random = RandomPlacer::new(9);
+    // One round-robin placer: its cursor carries across apps.
+    let mut rr = RoundRobinPlacer::new();
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut placed = 0;
+    for k in 0..80u64 {
+        let app = gen.next_app();
+        let mut load = NetworkLoad::new(n_vms);
+        for u in &mut load.cpu_used {
+            *u = 0.5 * rng.gen_range(0..=6) as f64 + NUDGES[rng.gen_range(0..NUDGES.len())];
+        }
+        let pipe = random_snapshot(n_vms, 500 + k, RateModel::Pipe);
+        let hose = random_snapshot(n_vms, 500 + k, RateModel::Hose);
+        for r in [
+            random.place(&app, &machines, &load),
+            rr.place(&app, &machines, &load),
+            MinMachinesPlacer.place(&app, &machines, &load),
+            GreedyPlacer.place(&app, &machines, &pipe, &load),
+            GreedyPlacer.place(&app, &machines, &hose, &load),
+        ] {
+            placed += r.is_ok() as u32;
+            digest = fold_outcome(digest, r);
+        }
+    }
+    assert!((100..300).contains(&placed), "{placed} of 400 attempts placed");
+    assert_eq!(digest, 0xa5fd_4bcb_d03b_ea75, "placer digest");
 }
 
 #[test]
