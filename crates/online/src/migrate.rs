@@ -31,7 +31,7 @@
 //! [`FlowSim::probe_rates`]: choreo_flowsim::FlowSim::probe_rates
 
 use choreo::migrate::improves_enough;
-use choreo_place::problem::Placement;
+use choreo_place::problem::{charge_cpu, release_cpu, Placement};
 use choreo_profile::TenantId;
 use choreo_topology::LOOPBACK;
 
@@ -132,9 +132,9 @@ impl OnlineScheduler {
                 let t = &self.tenants[&id];
                 (t.app.clone(), t.placement.clone(), t.transfers.clone(), t.intensity)
             };
-            self.cpu.remove(&app, &old_placement);
+            release_cpu(&mut self.cpu, &app, &old_placement);
             let candidate = self.try_place(&app, PlacementPolicy::Greedy);
-            self.cpu.apply(&app, &old_placement);
+            charge_cpu(&mut self.cpu, &app, &old_placement);
             let Some(candidate) = candidate else { continue };
             if candidate == old_placement {
                 continue;
@@ -201,27 +201,17 @@ impl OnlineScheduler {
     /// Tear the tenant down at its old placement and bring it up at the
     /// new one (same modeled transfers, same intensity), refreshing its
     /// baseline and cooldown. Skips the move if the new placement no
-    /// longer fits the CPU ledger (an earlier move this pass took the
+    /// longer fits the CPU ledger with the tenant's own share released
+    /// ([`choreo_place::Machines::check_placement`]: an earlier move this pass took the
     /// room). `forced` marks drift/failure-triggered moves for the
     /// trace and [`crate::ServiceStats::failure_migrations`]. `gain`
     /// is the predicted-over-current ratio that cleared the hysteresis
     /// bar — recorded as the move's [`Cause`] in the trace ring.
     fn execute_move(&mut self, id: TenantId, placement: Placement, forced: bool, gain: f64) {
         let t = self.tenants.remove(&id).expect("planned moves target running tenants");
-        self.cpu.remove(&t.app, &t.placement);
-        let fits = {
-            let mut extra = vec![0.0f64; self.machines.len()];
-            for (task, &vm) in placement.assignment.iter().enumerate() {
-                extra[vm as usize] += t.app.cpu[task];
-            }
-            extra
-                .iter()
-                .zip(&self.cpu.used)
-                .zip(&self.machines.cpu)
-                .all(|((e, used), cap)| used + e <= cap + 1e-9)
-        };
-        if !fits {
-            self.cpu.apply(&t.app, &t.placement);
+        release_cpu(&mut self.cpu, &t.app, &t.placement);
+        if self.machines.check_placement(&t.app, &placement, &self.cpu).is_err() {
+            charge_cpu(&mut self.cpu, &t.app, &t.placement);
             self.tenants.insert(id, t);
             return;
         }
@@ -229,7 +219,7 @@ impl OnlineScheduler {
         self.sim.stop_flows_now(&old_keys);
         // Nothing reads the torn-down flows again; recycle their records.
         self.sim.release_flows(&old_keys);
-        self.cpu.apply(&t.app, &placement);
+        charge_cpu(&mut self.cpu, &t.app, &placement);
         let flows = self.start_transfer_flows(id, &placement, &t.transfers, t.intensity);
         let baseline = service_score(&mut self.sim, &flows);
         self.stats.migrations += 1;

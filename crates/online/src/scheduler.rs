@@ -7,7 +7,8 @@ use choreo_measure::stability::last_relative_error;
 use choreo_measure::RateModel;
 use choreo_place::greedy::{GreedyPlacer, PlaceScratch};
 use choreo_place::problem::{
-    cpu_packing, validate, Machines, NetworkLoad, PackScratch, Packing, Placement,
+    charge_cpu, cpu_packing, release_cpu, validate, Machines, NetworkLoad, PackScratch, Packing,
+    Placement,
 };
 use choreo_place::RandomPlacer;
 use choreo_profile::{
@@ -81,7 +82,10 @@ pub struct OnlineScheduler {
     pub(crate) sim: FlowSim,
     pub(crate) hosts: Vec<NodeId>,
     pub(crate) machines: Machines,
-    pub(crate) cpu: CpuLedger,
+    /// CPU cores used on each host by the running tenants: the ledger
+    /// admission ranks candidates by and migration checks moves against,
+    /// changed only through [`charge_cpu`] and [`release_cpu`].
+    pub(crate) cpu: Vec<f64>,
     /// The running tenants, and only those: every pass over them walks
     /// the tenants it can score, in ascending id order.
     pub(crate) tenants: BTreeMap<TenantId, Tenant>,
@@ -105,7 +109,7 @@ pub struct OnlineScheduler {
     /// hosts with the most free CPU, roomiest first (see
     /// [`OnlineScheduler::rank_candidates`]).
     cand: Vec<u32>,
-    /// `cpu.used` as it was when `cand` was ranked: while the ledger is
+    /// `cpu` as it was when `cand` was ranked: while the ledger is
     /// bit-identical to it, so is the ranking.
     ranked_from: Vec<f64>,
     /// Scratch: every host's `(free CPU, host)` ranking key.
@@ -158,7 +162,7 @@ impl OnlineScheduler {
             sim,
             hosts,
             machines: Machines::uniform(n, CORES_PER_HOST),
-            cpu: CpuLedger { used: vec![0.0; n] },
+            cpu: vec![0.0; n],
             tenants: BTreeMap::new(),
             queue: VecDeque::new(),
             cfg,
@@ -626,10 +630,10 @@ impl OnlineScheduler {
     /// bit-identical to the one the ranking was made from: a queue retry
     /// against an unchanged ledger reuses the ranking. (A ledger that
     /// came back by a different route, such as a migration search's
-    /// remove / apply round trip, may differ in a bit and simply
+    /// release / charge round trip, may differ in a bit and simply
     /// re-ranks.)
     fn rank_candidates(&mut self) {
-        let used = &self.cpu.used;
+        let used = &self.cpu;
         let same_bits = |a: &[f64], b: &[f64]| {
             a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
         };
@@ -679,7 +683,7 @@ impl OnlineScheduler {
         intensity: u32,
     ) {
         debug_assert!(validate(&app, &self.machines, &placement).is_ok());
-        self.cpu.apply(&app, &placement);
+        charge_cpu(&mut self.cpu, &app, &placement);
         let transfers: Vec<(usize, usize)> = app
             .matrix
             .transfers_desc()
@@ -769,7 +773,7 @@ impl OnlineScheduler {
         // release the records so steady-state memory tracks concurrent
         // tenants, not all-time arrivals.
         self.sim.release_flows(&keys);
-        self.cpu.remove(&t.app, &t.placement);
+        release_cpu(&mut self.cpu, &t.app, &t.placement);
         self.retry_queue();
     }
 
@@ -893,9 +897,7 @@ impl OnlineScheduler {
         let mut live_flows = 0usize;
         for t in self.tenants.values() {
             validate(&t.app, &self.machines, &t.placement).expect("running placement is valid");
-            for (task, &vm) in t.placement.assignment.iter().enumerate() {
-                cpu[vm as usize] += t.app.cpu[task];
-            }
+            charge_cpu(&mut cpu, &t.app, &t.placement);
             for fl in &t.flows {
                 live_flows += fl.len();
                 if !fl.is_empty() {
@@ -911,9 +913,9 @@ impl OnlineScheduler {
         }
         for (h, &used) in cpu.iter().enumerate() {
             assert!(
-                (used - self.cpu.used[h]).abs() < 1e-6,
+                (used - self.cpu[h]).abs() < 1e-6,
                 "cpu ledger drift on host {h}: {used} vs {}",
-                self.cpu.used[h]
+                self.cpu[h]
             );
             assert!(
                 used <= self.machines.cpu[h] + 1e-6,
@@ -932,32 +934,6 @@ impl OnlineScheduler {
             "flow bookkeeping out of sync: {live_flows} tenant flows, {} in the sim",
             self.sim.active_flows()
         );
-    }
-}
-
-/// CPU cores used on each host by the running tenants: the ledger
-/// admission ranks candidates by and migration checks moves against.
-/// Charged and released task by task, in task order, a release clamped at
-/// zero.
-#[derive(Debug, Clone)]
-pub(crate) struct CpuLedger {
-    pub(crate) used: Vec<f64>,
-}
-
-impl CpuLedger {
-    /// Charge a placed tenant's tasks.
-    pub(crate) fn apply(&mut self, app: &AppProfile, p: &Placement) {
-        for (task, &vm) in p.assignment.iter().enumerate() {
-            self.used[vm as usize] += app.cpu[task];
-        }
-    }
-
-    /// Release them.
-    pub(crate) fn remove(&mut self, app: &AppProfile, p: &Placement) {
-        for (task, &vm) in p.assignment.iter().enumerate() {
-            let c = &mut self.used[vm as usize];
-            *c = (*c - app.cpu[task]).max(0.0);
-        }
     }
 }
 

@@ -15,19 +15,24 @@ use choreo_profile::AppProfile;
 
 use crate::problem::{Machines, NetworkLoad, PlaceError, Placement};
 
-fn check_total_cpu(
+/// The loop the three baselines share: the total-room pre-check, then
+/// each task in order onto the VM `choose(used, demand)` picks, charged
+/// to a copy of `load`'s CPU ledger. `None` from `choose` fails the task.
+fn assign_tasks(
     app: &AppProfile,
     machines: &Machines,
     load: &NetworkLoad,
-) -> Result<(), PlaceError> {
-    let total: f64 = app.cpu.iter().sum();
-    let free: f64 =
-        machines.cpu.iter().zip(&load.cpu_used).map(|(cap, used)| (cap - used).max(0.0)).sum();
-    if total > free + 1e-9 {
-        Err(PlaceError::InsufficientCpu)
-    } else {
-        Ok(())
+    mut choose: impl FnMut(&[f64], f64) -> Option<usize>,
+) -> Result<Placement, PlaceError> {
+    machines.check_room(app, &load.cpu_used)?;
+    let mut used = load.cpu_used.clone();
+    let mut assignment = Vec::with_capacity(app.n_tasks());
+    for (task, &demand) in app.cpu.iter().enumerate() {
+        let vm = choose(&used, demand).ok_or(PlaceError::NoFeasibleMachine { task })?;
+        used[vm] += demand;
+        assignment.push(vm as u32);
     }
+    Ok(Placement { assignment })
 }
 
 /// Uniform random assignment subject to CPU constraints.
@@ -49,21 +54,12 @@ impl RandomPlacer {
         machines: &Machines,
         load: &NetworkLoad,
     ) -> Result<Placement, PlaceError> {
-        check_total_cpu(app, machines, load)?;
-        let mut used = load.cpu_used.clone();
-        let mut assignment = Vec::with_capacity(app.n_tasks());
-        for t in 0..app.n_tasks() {
-            let feasible: Vec<usize> = (0..machines.len())
-                .filter(|&m| used[m] + app.cpu[t] <= machines.cpu[m] + 1e-9)
-                .collect();
-            if feasible.is_empty() {
-                return Err(PlaceError::NoFeasibleMachine { task: t });
-            }
-            let vm = feasible[self.rng.gen_range(0..feasible.len())];
-            used[vm] += app.cpu[t];
-            assignment.push(vm as u32);
-        }
-        Ok(Placement { assignment })
+        let rng = &mut self.rng;
+        assign_tasks(app, machines, load, |used, demand| {
+            let feasible: Vec<usize> =
+                (0..machines.len()).filter(|&m| machines.fits(m, used[m], demand)).collect();
+            (!feasible.is_empty()).then(|| feasible[rng.gen_range(0..feasible.len())])
+        })
     }
 }
 
@@ -87,25 +83,15 @@ impl RoundRobinPlacer {
         machines: &Machines,
         load: &NetworkLoad,
     ) -> Result<Placement, PlaceError> {
-        check_total_cpu(app, machines, load)?;
-        let mut used = load.cpu_used.clone();
         let n = machines.len();
-        let mut assignment = Vec::with_capacity(app.n_tasks());
-        for t in 0..app.n_tasks() {
-            let mut chosen = None;
-            for probe in 0..n {
-                let vm = (self.cursor + probe) % n;
-                if used[vm] + app.cpu[t] <= machines.cpu[vm] + 1e-9 {
-                    chosen = Some(vm);
-                    break;
-                }
-            }
-            let vm = chosen.ok_or(PlaceError::NoFeasibleMachine { task: t })?;
-            used[vm] += app.cpu[t];
-            assignment.push(vm as u32);
-            self.cursor = (vm + 1) % n;
-        }
-        Ok(Placement { assignment })
+        let cursor = &mut self.cursor;
+        assign_tasks(app, machines, load, |used, demand| {
+            let vm = (0..n)
+                .map(|probe| (*cursor + probe) % n)
+                .find(|&vm| machines.fits(vm, used[vm], demand))?;
+            *cursor = (vm + 1) % n;
+            Some(vm)
+        })
     }
 }
 
@@ -122,26 +108,18 @@ impl MinMachinesPlacer {
         machines: &Machines,
         load: &NetworkLoad,
     ) -> Result<Placement, PlaceError> {
-        check_total_cpu(app, machines, load)?;
-        let mut used = load.cpu_used.clone();
-        let mut opened: Vec<bool> = used.iter().map(|&u| u > 0.0).collect();
-        let mut assignment = Vec::with_capacity(app.n_tasks());
-        for t in 0..app.n_tasks() {
+        let mut opened: Vec<bool> = load.cpu_used.iter().map(|&u| u > 0.0).collect();
+        assign_tasks(app, machines, load, |used, demand| {
             // First try machines already in use.
-            let pick = (0..machines.len())
-                .filter(|&m| opened[m])
-                .find(|&m| used[m] + app.cpu[t] <= machines.cpu[m] + 1e-9)
-                .or_else(|| {
-                    (0..machines.len())
-                        .filter(|&m| !opened[m])
-                        .find(|&m| used[m] + app.cpu[t] <= machines.cpu[m] + 1e-9)
-                });
-            let vm = pick.ok_or(PlaceError::NoFeasibleMachine { task: t })?;
-            used[vm] += app.cpu[t];
+            let first_fit = |open: bool| {
+                (0..machines.len())
+                    .filter(|&m| opened[m] == open)
+                    .find(|&m| machines.fits(m, used[m], demand))
+            };
+            let vm = first_fit(true).or_else(|| first_fit(false))?;
             opened[vm] = true;
-            assignment.push(vm as u32);
-        }
-        Ok(Placement { assignment })
+            Some(vm)
+        })
     }
 }
 

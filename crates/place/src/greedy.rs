@@ -3,12 +3,13 @@
 //! Walk the application's transfers in descending byte order. For each
 //! transfer `⟨i, j, b⟩`, enumerate the candidate VM pairs consistent with
 //! any placements already made (lines 3–8 of the paper's listing), discard
-//! pairs that violate CPU constraints (lines 10–11), estimate the rate the
-//! transfer would see on each remaining pair — sharing with transfers
-//! already placed under the hose or pipe model (line 13) — and take the
-//! fastest (line 14). Intra-machine "paths" have effectively infinite
-//! rate, so heavy pairs co-locate when CPU allows, exactly the behaviour
-//! §9 describes.
+//! pairs that violate CPU constraints (lines 10–11: the shared fit test
+//! [`Machines::fits`], after the [`Machines::check_room`] pre-check),
+//! estimate the rate the transfer would see on each remaining pair —
+//! sharing with transfers already placed under the hose or pipe model
+//! (line 13) — and take the fastest (line 14). Intra-machine "paths" have
+//! effectively infinite rate, so heavy pairs co-locate when CPU allows,
+//! exactly the behaviour §9 describes.
 //!
 //! # Batched candidate evaluation
 //!
@@ -265,8 +266,10 @@ impl<'a, F: FnMut(&[(u32, u32)], &mut Vec<f64>)> PlaceCtx<'a, F> {
         {
             let (app, machines) = (self.app, self.machines);
             let PlaceScratch { assignment, cpu_used, batch, .. } = &mut *self.s;
+            // `extra`: a task of the same pair already bound for `vm`.
             let fits = |task: usize, vm: u32, extra: f64| {
-                cpu_used[vm as usize] + extra + app.cpu[task] <= machines.cpu[vm as usize] + 1e-9
+                let vm = vm as usize;
+                machines.fits(vm, cpu_used[vm] + extra, app.cpu[task])
             };
             batch.cands.clear();
             match (assignment[i], assignment[j]) {
@@ -366,7 +369,7 @@ impl<'a, F: FnMut(&[(u32, u32)], &mut Vec<f64>)> PlaceCtx<'a, F> {
         for t in 0..app.n_tasks() {
             if s.assignment[t].is_none() {
                 let vm = (0..machines.len())
-                    .find(|&m| s.cpu_used[m] + app.cpu[t] <= machines.cpu[m] + 1e-9)
+                    .find(|&m| machines.fits(m, s.cpu_used[m], app.cpu[t]))
                     .ok_or(PlaceError::NoFeasibleMachine { task: t })?;
                 s.assignment[t] = Some(vm as u32);
                 s.cpu_used[vm] += app.cpu[t];
@@ -419,12 +422,7 @@ impl GreedyPlacer {
         rate: impl FnMut(&[(u32, u32)], &mut Vec<f64>),
     ) -> Result<Placement, PlaceError> {
         assert_eq!(load.n_vms(), machines.len(), "load covers the machines");
-        let total_cpu: f64 = app.cpu.iter().sum();
-        let free_cpu: f64 =
-            machines.cpu.iter().zip(&load.cpu_used).map(|(cap, used)| (cap - used).max(0.0)).sum();
-        if total_cpu > free_cpu + 1e-9 {
-            return Err(PlaceError::InsufficientCpu);
-        }
+        machines.check_room(app, &load.cpu_used)?;
         let mut ctx = PlaceCtx::new(app, machines, model, load, scratch, rate);
         ctx.run()?;
         Ok(Placement { assignment: ctx.s.assignment.iter().map(|a| a.expect("placed")).collect() })

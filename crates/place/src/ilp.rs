@@ -107,8 +107,7 @@ impl IlpPlacer {
         for m in 0..m_vms {
             let coeffs: Vec<(usize, f64)> =
                 (0..j_tasks).map(|i| (x_idx(i, m), app.cpu[i])).collect();
-            let cap = (machines.cpu[m] - load.cpu_used[m]).max(0.0);
-            lp.add_constraint(coeffs, Relation::Le, cap);
+            lp.add_constraint(coeffs, Relation::Le, machines.free(m, load.cpu_used[m]));
         }
         // (4)(+5 / ≥-link) product linearization.
         for (p, &(i, j)) in pairs.iter().enumerate() {

@@ -16,7 +16,9 @@
 //! * [`predict`] — closed-form completion-time prediction for a placement
 //!   under a snapshot (the objective both placers optimize).
 //! * [`problem`] — shared vocabulary: machine capacities, placements,
-//!   validation, the [`NetworkLoad`] bookkeeping that lets sequence
+//!   validation, the one CPU admission rule every placer applies
+//!   ([`Machines::fits`] and its tolerance [`problem::CPU_TOL`]), the
+//!   [`NetworkLoad`] bookkeeping that lets sequence
 //!   placement (§2.4/§6.3) account for transfers already in flight, and
 //!   [`cpu_packing`], the CPU-only check that proves a placement attempt
 //!   must fail before any rate is asked for.

@@ -1,7 +1,17 @@
-//! Shared placement vocabulary: machines, placements, load bookkeeping.
+//! Shared placement vocabulary: machines, placements, load bookkeeping,
+//! and the one CPU admission rule (Algorithm 1 lines 10–11, the Appendix
+//! ILP's constraint (2), the §6.1 baselines' "enough available CPU"):
+//! [`Machines::fits`] with its tolerance [`CPU_TOL`], the pre-check
+//! [`Machines::check_room`], [`Machines::check_placement`], and the CPU
+//! ledger's [`charge_cpu`] / [`release_cpu`]. Every placer and the online
+//! scheduler decide CPU through these.
 
 use choreo_profile::AppProfile;
 use choreo_topology::VmId;
+
+/// How far a VM's committed CPU may overrun its capacity and still fit
+/// ([`Machines::fits`]): slack for the rounding of summed demands.
+pub const CPU_TOL: f64 = 1e-9;
 
 /// The tenant's rented VMs, by CPU capacity (§6.1: four cores each).
 #[derive(Debug, Clone, PartialEq)]
@@ -25,6 +35,67 @@ impl Machines {
     /// True iff there are no machines.
     pub fn is_empty(&self) -> bool {
         self.cpu.is_empty()
+    }
+
+    /// The CPU fit test: does `demand` more fit on `vm` with `used` cores
+    /// committed, within capacity plus [`CPU_TOL`]?
+    #[inline]
+    pub fn fits(&self, vm: usize, used: f64, demand: f64) -> bool {
+        used + demand <= self.cpu[vm] + CPU_TOL
+    }
+
+    /// Cores still free on `vm` with `used` committed, never below zero.
+    pub fn free(&self, vm: usize, used: f64) -> f64 {
+        (self.cpu[vm] - used).max(0.0)
+    }
+
+    /// Every placer's pre-check: [`PlaceError::InsufficientCpu`] when
+    /// `app`'s total demand exceeds the total free CPU under ledger `used`.
+    pub fn check_room(&self, app: &AppProfile, used: &[f64]) -> Result<(), PlaceError> {
+        let total: f64 = app.cpu.iter().sum();
+        let free: f64 = used.iter().enumerate().map(|(vm, &u)| self.free(vm, u)).sum();
+        if total > free + CPU_TOL {
+            return Err(PlaceError::InsufficientCpu);
+        }
+        Ok(())
+    }
+
+    /// Does placement `p` of `app` fit on top of ledger `used`? Each VM's
+    /// share, summed in task order, goes to [`Machines::fits`]; the error
+    /// names the first task on a VM that overflows.
+    pub fn check_placement(
+        &self,
+        app: &AppProfile,
+        p: &Placement,
+        used: &[f64],
+    ) -> Result<(), PlaceError> {
+        assert_eq!(p.assignment.len(), app.n_tasks(), "placement covers every task");
+        let mut share = vec![0.0; self.len()];
+        for (task, &vm) in p.assignment.iter().enumerate() {
+            let vm = vm as usize;
+            assert!(vm < self.len(), "task {task} assigned to unknown VM {vm}");
+            share[vm] += app.cpu[task];
+        }
+        let overflows = |&vm: &u32| !self.fits(vm as usize, used[vm as usize], share[vm as usize]);
+        match p.assignment.iter().position(overflows) {
+            Some(task) => Err(PlaceError::NoFeasibleMachine { task }),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Charge `app`'s tasks, placed by `p`, to CPU ledger `used` in task order.
+pub fn charge_cpu(used: &mut [f64], app: &AppProfile, p: &Placement) {
+    for (task, &vm) in p.assignment.iter().enumerate() {
+        used[vm as usize] += app.cpu[task];
+    }
+}
+
+/// Release what [`charge_cpu`] charged, each VM clamped at zero.
+pub fn release_cpu(used: &mut [f64], app: &AppProfile, p: &Placement) {
+    for (task, &vm) in p.assignment.iter().enumerate() {
+        let c = &mut used[vm as usize];
+        *c = (*c - app.cpu[task]).max(0.0);
     }
 }
 
@@ -76,21 +147,10 @@ impl std::fmt::Display for PlaceError {
 
 impl std::error::Error for PlaceError {}
 
-/// Check that a placement satisfies CPU constraints and covers all tasks.
+/// Check that a placement covers every task and fits the machines'
+/// CPU: [`Machines::check_placement`] on an empty ledger.
 pub fn validate(app: &AppProfile, machines: &Machines, p: &Placement) -> Result<(), PlaceError> {
-    assert_eq!(p.assignment.len(), app.n_tasks(), "placement covers every task");
-    let mut used = vec![0.0; machines.len()];
-    for (task, &vm) in p.assignment.iter().enumerate() {
-        let vm = vm as usize;
-        assert!(vm < machines.len(), "task {task} assigned to unknown VM {vm}");
-        used[vm] += app.cpu[task];
-    }
-    for (vm, &u) in used.iter().enumerate() {
-        if u > machines.cpu[vm] + 1e-9 {
-            return Err(PlaceError::NoFeasibleMachine { task: vm });
-        }
-    }
-    Ok(())
+    machines.check_placement(app, p, &vec![0.0; machines.len()])
 }
 
 /// Search nodes — one task tried on one host — [`cpu_packing`] visits
@@ -98,10 +158,11 @@ pub fn validate(app: &AppProfile, machines: &Machines, p: &Placement) -> Result<
 pub const PACK_NODE_BUDGET: u32 = 4_096;
 
 /// How far a packing may overrun a host's free CPU and still count:
-/// three orders of magnitude looser than the placer's `1e-9`, so the
-/// order floating-point sums are taken in can only tip the answer
+/// three orders of magnitude looser than the placers' [`CPU_TOL`], so
+/// the order floating-point sums are taken in can only tip the answer
 /// towards "fits".
 const PACK_TOL: f64 = 1e-6;
+const _: () = assert!(PACK_TOL > 100.0 * CPU_TOL, "packing must stay looser than the fit test");
 
 /// What [`cpu_packing`] found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,11 +210,13 @@ pub struct PackScratch {
 ///
 /// **Soundness.** Any placement Algorithm 1
 /// ([`crate::GreedyPlacer::place_with_scratch`]) returns is such a packing: the
-/// placer admits a task on a host only while the host's committed CPU
-/// stays within its capacity plus `1e-9`, so every host's tasks sum to
-/// at most its free CPU plus `1e-9`. The search accepts anything within
-/// `1e-6`, a margin no summation order of a few dozen core counts can
-/// eat, and prunes nothing such a placement could complete. So
+/// placer admits a task on a host only through [`Machines::fits`], while
+/// the host's committed CPU stays within its capacity plus [`CPU_TOL`],
+/// so every host's tasks sum to at most its free CPU plus [`CPU_TOL`].
+/// The search accepts anything within `PACK_TOL` (`1e-6`, asserted at
+/// compile time to exceed `100 · CPU_TOL`), a margin no summation order
+/// of a few dozen core counts can eat, and prunes nothing such a
+/// placement could complete. So
 /// [`Packing::Impossible`] implies the placer fails on the same hosts,
 /// and a caller may skip it — and every rate it would have asked for.
 pub fn cpu_packing(demand: &[f64], free: &[f64], scratch: &mut PackScratch) -> Packing {
@@ -259,12 +322,14 @@ impl NetworkLoad {
 
     /// Account a placed application's transfers and CPU.
     pub fn apply(&mut self, app: &AppProfile, p: &Placement) {
-        self.update(app, p, true);
+        self.update_network(app, p, true);
+        charge_cpu(&mut self.cpu_used, app, p);
     }
 
     /// Remove a completed application's transfers and CPU.
     pub fn remove(&mut self, app: &AppProfile, p: &Placement) {
-        self.update(app, p, false);
+        self.update_network(app, p, false);
+        release_cpu(&mut self.cpu_used, app, p);
     }
 
     /// Network counters relative to a baseline (saturating), keeping CPU
@@ -292,7 +357,7 @@ impl NetworkLoad {
         }
     }
 
-    fn update(&mut self, app: &AppProfile, p: &Placement, add: bool) {
+    fn update_network(&mut self, app: &AppProfile, p: &Placement, add: bool) {
         for (i, j, _) in app.matrix.transfers_desc() {
             let (a, b) = (p.assignment[i] as usize, p.assignment[j] as usize);
             if a == b {
@@ -306,14 +371,6 @@ impl NetworkLoad {
             } else {
                 *path = path.saturating_sub(1);
                 *eg = eg.saturating_sub(1);
-            }
-        }
-        for (task, &vm) in p.assignment.iter().enumerate() {
-            let c = &mut self.cpu_used[vm as usize];
-            if add {
-                *c += app.cpu[task];
-            } else {
-                *c = (*c - app.cpu[task]).max(0.0);
             }
         }
     }
@@ -346,6 +403,15 @@ mod tests {
         // 1 + 2 = 3 cores on machine 0 > 2.5.
         let p = Placement { assignment: vec![0, 0, 1] };
         assert!(validate(&app, &machines, &p).is_err());
+    }
+
+    #[test]
+    fn validate_names_the_first_task_on_the_overflowing_vm() {
+        let app = app2();
+        let machines = Machines::uniform(3, 2.5);
+        // VM 2 takes tasks 0 and 1 (3 cores > 2.5); task 2 fits on VM 0.
+        let p = Placement { assignment: vec![2, 2, 0] };
+        assert_eq!(validate(&app, &machines, &p), Err(PlaceError::NoFeasibleMachine { task: 0 }));
     }
 
     /// Does any assignment of `demand` to the hosts keep every host

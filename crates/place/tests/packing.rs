@@ -7,10 +7,11 @@
 //! rating candidates through a seeded random closure under both sharing
 //! models, with demands in the half-core steps the workload generator
 //! uses (so task sums land exactly on a host's free CPU) and ledgers
-//! nudged by an ulp or by amounts either side of the placer's `1e-9`.
+//! nudged by an ulp or by amounts either side of the fit test's
+//! [`CPU_TOL`].
 
 use choreo_measure::RateModel;
-use choreo_place::problem::PACK_NODE_BUDGET;
+use choreo_place::problem::{CPU_TOL, PACK_NODE_BUDGET};
 use choreo_place::{
     cpu_packing, GreedyPlacer, Machines, NetworkLoad, PackScratch, Packing, PlaceScratch,
 };
@@ -18,14 +19,14 @@ use choreo_profile::{AppProfile, TrafficMatrix};
 use proptest::prelude::*;
 
 /// `used` moved off its half-core value: not at all, one ulp either way,
-/// or just inside / just outside the placer's `1e-9` tolerance.
+/// or just inside / just outside the fit test's [`CPU_TOL`].
 fn nudge(used: f64, kind: u8) -> f64 {
     match kind {
         0 => used,
         1 => f64::from_bits(used.to_bits() + 1),
         2 if used > 0.0 => f64::from_bits(used.to_bits() - 1),
-        3 => used + 5e-10,
-        4 => used + 2e-9,
+        3 => used + CPU_TOL / 2.0,
+        4 => used + 2.0 * CPU_TOL,
         _ => used,
     }
 }
@@ -163,9 +164,10 @@ fn the_instance_mix_covers_every_outcome() {
 }
 
 /// 2.0 + 2.0 on one 4-core host next to a full one: a sum that lands
-/// exactly on the free CPU, an ulp past it, and just inside the placer's
-/// `1e-9` all pack; just outside it the placer fails while the check,
-/// looser by design, still answers "fits"; a full host packs nothing.
+/// exactly on the free CPU, an ulp past it, and just inside the fit
+/// test's [`CPU_TOL`] all pack; just outside it the placer fails while
+/// the check, looser by design, still answers "fits"; a full host packs
+/// nothing.
 #[test]
 fn exact_boundary_sums_pack() {
     let cpu = [2.0, 2.0];
@@ -174,8 +176,8 @@ fn exact_boundary_sums_pack() {
     let cases = [
         (0.0, true, Packing::Found),
         (f64::EPSILON, true, Packing::Found),
-        (5e-10, true, Packing::Found),
-        (2e-9, false, Packing::Found),
+        (CPU_TOL / 2.0, true, Packing::Found),
+        (2.0 * CPU_TOL, false, Packing::Found),
         (4.0, false, Packing::Impossible),
     ];
     for (used, placed, packing) in cases {
