@@ -69,10 +69,7 @@ fn main() {
     );
     let machines = Machines::uniform(4, 4.0);
     let load = NetworkLoad::new(4);
-    let ilp_placer = IlpPlacer {
-        config: IlpConfig { max_nodes: 3000, ..Default::default() },
-        ..Default::default()
-    };
+    let ilp_placer = IlpPlacer { config: IlpConfig { max_nodes: 3000, ..Default::default() } };
     let mut gaps = Vec::new();
     let mut proven = 0usize;
     let patterns = AppPattern::ALL;

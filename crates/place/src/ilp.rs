@@ -5,15 +5,15 @@
 //! bounding the completion time of every bottleneck resource. Objective:
 //! minimize `z`.
 //!
-//! Two linearizations are provided:
-//!
-//! * [`Formulation::Paper`] — verbatim Appendix: `z_imjn ≤ X_im`,
-//!   `z_imjn ≤ X_jn`, and per-task `Σ z = J−1` equalities that force the
-//!   products up. Every task pair gets `M²` variables.
-//! * [`Formulation::Sparse`] — the standard `z ≥ X_im + X_jn − 1` lower
-//!   bound instead of the sum trick, which lets pairs that exchange no
-//!   bytes be dropped entirely. Same optima, far smaller models on sparse
-//!   traffic matrices (pipelines, scatter/gather).
+//! The linearization is not the Appendix's verbatim one (`z_imjn ≤ X_im`,
+//! `z_imjn ≤ X_jn`, and per-task `Σ z = J−1` equalities that force the
+//! products up, `M²` variables for every task pair): the placer adds the
+//! standard `z ≥ X_im + X_jn − 1` lower bound instead of the sum trick,
+//! which lets pairs that exchange no bytes be dropped entirely. Same
+//! optima — the crate's tests solve both and compare — and far smaller
+//! models on sparse traffic matrices (pipelines, scatter/gather).
+//! Constraint (2), CPU, is the shared rule's room: each VM's demand is
+//! bounded by [`Machines::free`] under the existing load.
 //!
 //! Only the `X` variables are declared integral: with integral `X`, the
 //! constraints pin every `z_imjn` to the exact product.
@@ -25,28 +25,11 @@ use choreo_topology::VmId;
 
 use crate::problem::{Machines, NetworkLoad, PlaceError, Placement};
 
-/// Which linearization to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Formulation {
-    /// The Appendix's `Σ z = J−1` formulation, all pairs.
-    Paper,
-    /// `z ≥ X + X − 1` on traffic-carrying pairs only.
-    Sparse,
-}
-
 /// Exact (branch-and-bound) placer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IlpPlacer {
-    /// Linearization choice.
-    pub formulation: Formulation,
     /// Search budgets.
     pub config: IlpConfig,
-}
-
-impl Default for IlpPlacer {
-    fn default() -> Self {
-        IlpPlacer { formulation: Formulation::Sparse, config: IlpConfig::default() }
-    }
 }
 
 /// Result of an exact placement.
@@ -70,21 +53,28 @@ impl IlpPlacer {
         snapshot: &NetworkSnapshot,
         load: &NetworkLoad,
     ) -> Result<IlpPlacerOutcome, PlaceError> {
+        self.solve(app, machines, snapshot, load, false)
+    }
+
+    /// [`IlpPlacer::place`] over the shipped linearization, or with
+    /// `appendix` over the Appendix's verbatim one (the tests' reference).
+    fn solve(
+        &self,
+        app: &AppProfile,
+        machines: &Machines,
+        snapshot: &NetworkSnapshot,
+        load: &NetworkLoad,
+        appendix: bool,
+    ) -> Result<IlpPlacerOutcome, PlaceError> {
         let j_tasks = app.n_tasks();
         let m_vms = machines.len();
         assert_eq!(snapshot.n_vms(), m_vms);
 
-        // Pair bookkeeping.
-        let all_pairs: Vec<(usize, usize)> =
-            (0..j_tasks).flat_map(|i| ((i + 1)..j_tasks).map(move |j| (i, j))).collect();
-        let pairs: Vec<(usize, usize)> = match self.formulation {
-            Formulation::Paper => all_pairs.clone(),
-            Formulation::Sparse => all_pairs
-                .iter()
-                .copied()
-                .filter(|&(i, j)| app.matrix.bytes(i, j) > 0 || app.matrix.bytes(j, i) > 0)
-                .collect(),
-        };
+        // Task pairs: every one in the Appendix model, else those with traffic.
+        let pairs: Vec<(usize, usize)> = (0..j_tasks)
+            .flat_map(|i| ((i + 1)..j_tasks).map(move |j| (i, j)))
+            .filter(|&(i, j)| appendix || app.matrix.bytes(i, j) > 0 || app.matrix.bytes(j, i) > 0)
+            .collect();
         let x_idx = |i: usize, m: usize| i * m_vms + m;
         let z_base = j_tasks * m_vms;
         let z_idx = |p: usize, m: usize, n: usize| z_base + p * m_vms * m_vms + m * m_vms + n;
@@ -116,7 +106,7 @@ impl IlpPlacer {
                     let zv = z_idx(p, m, n);
                     lp.add_constraint(vec![(zv, 1.0), (x_idx(i, m), -1.0)], Relation::Le, 0.0);
                     lp.add_constraint(vec![(zv, 1.0), (x_idx(j, n), -1.0)], Relation::Le, 0.0);
-                    if self.formulation == Formulation::Sparse {
+                    if !appendix {
                         // z ≥ X_im + X_jn − 1.
                         lp.add_constraint(
                             vec![(zv, 1.0), (x_idx(i, m), -1.0), (x_idx(j, n), -1.0)],
@@ -127,7 +117,7 @@ impl IlpPlacer {
                 }
             }
         }
-        if self.formulation == Formulation::Paper {
+        if appendix {
             // (5) per-task sum equals J−1: forces every product up.
             for i in 0..j_tasks {
                 let mut coeffs = Vec::new();
@@ -307,29 +297,51 @@ mod tests {
 
     #[test]
     fn paper_and_sparse_formulations_agree() {
+        use rand::{Rng, SeedableRng};
+        let machines = Machines::uniform(3, 1.0);
+        let load = NetworkLoad::new(3);
         let mut m = TrafficMatrix::zeros(3);
         m.set(0, 1, 60);
         m.set(1, 2, 40);
-        let app = AppProfile::new("t", vec![1.0; 3], m, 0);
-        let machines = Machines::uniform(3, 1.0);
         let s = snap(
             3,
             &[(0, 1, 8.0), (1, 0, 8.0), (0, 2, 2.0), (2, 0, 2.0), (1, 2, 4.0), (2, 1, 4.0)],
             RateModel::Pipe,
         );
-        let sparse = IlpPlacer { formulation: Formulation::Sparse, ..Default::default() }
-            .place(&app, &machines, &s, &NetworkLoad::new(3))
-            .expect("sparse solved");
-        let paper = IlpPlacer { formulation: Formulation::Paper, ..Default::default() }
-            .place(&app, &machines, &s, &NetworkLoad::new(3))
-            .expect("paper solved");
-        assert!(sparse.proven_optimal && paper.proven_optimal);
-        assert!(
-            (sparse.objective_secs - paper.objective_secs).abs() < 1e-6,
-            "{} vs {}",
-            sparse.objective_secs,
-            paper.objective_secs
-        );
+        let mut instances = vec![(AppProfile::new("t", vec![1.0; 3], m, 0), s)];
+        // Five seeded all-to-all instances over a mostly fast mesh with a
+        // slow fifth of its paths.
+        for seed in 0..5u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut m = TrafficMatrix::zeros(3);
+            m.set(0, 1, rng.gen_range(1..100) * 1_000_000);
+            m.set(1, 2, rng.gen_range(1..100) * 1_000_000);
+            m.set(0, 2, rng.gen_range(1..100) * 1_000_000);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(200 + seed);
+            let rates = (0..9)
+                .map(|_| {
+                    if rng.gen_bool(0.2) {
+                        rng.gen_range(2e8..8e8)
+                    } else {
+                        rng.gen_range(9e8..11e8)
+                    }
+                })
+                .collect();
+            let s = NetworkSnapshot::from_rates(3, rates, RateModel::Pipe);
+            instances.push((AppProfile::new("x", vec![1.0; 3], m, 0), s));
+        }
+        for (k, (app, s)) in instances.iter().enumerate() {
+            let ilp = IlpPlacer::default();
+            let sparse = ilp.place(app, &machines, s, &load).expect("sparse solved");
+            let paper = ilp.solve(app, &machines, s, &load, true).expect("paper solved");
+            assert!(sparse.proven_optimal && paper.proven_optimal, "instance {k}");
+            assert!(
+                (sparse.objective_secs - paper.objective_secs).abs() < 1e-6,
+                "instance {k}: {} vs {}",
+                sparse.objective_secs,
+                paper.objective_secs
+            );
+        }
     }
 
     #[test]

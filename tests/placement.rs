@@ -4,7 +4,7 @@ use choreo_repro::lp::IlpConfig;
 use choreo_repro::measure::{NetworkSnapshot, RateModel};
 use choreo_repro::place::baseline::{MinMachinesPlacer, RandomPlacer, RoundRobinPlacer};
 use choreo_repro::place::greedy::GreedyPlacer;
-use choreo_repro::place::ilp::{Formulation, IlpPlacer};
+use choreo_repro::place::ilp::IlpPlacer;
 use choreo_repro::place::predict::predict_completion_secs;
 use choreo_repro::place::problem::{validate, Machines, NetworkLoad, PlaceError, Placement};
 use choreo_repro::profile::{AppProfile, TrafficMatrix, WorkloadGen, WorkloadGenConfig};
@@ -29,10 +29,7 @@ fn ilp_never_loses_to_greedy() {
     );
     let machines = Machines::uniform(3, 4.0);
     let load = NetworkLoad::new(3);
-    let ilp = IlpPlacer {
-        config: IlpConfig { max_nodes: 2000, ..Default::default() },
-        ..Default::default()
-    };
+    let ilp = IlpPlacer { config: IlpConfig { max_nodes: 2000, ..Default::default() } };
     let mut compared = 0;
     for k in 0..10u64 {
         let app = gen.next_app();
@@ -57,34 +54,6 @@ fn ilp_never_loses_to_greedy() {
     // The search is bounded by nodes alone, so which instances it proves
     // optimal is a function of the input, not of the machine.
     assert_eq!(compared, 10, "instances compared");
-}
-
-#[test]
-fn formulations_agree_on_small_instances() {
-    let machines = Machines::uniform(3, 1.0);
-    let load = NetworkLoad::new(3);
-    for seed in 0..5u64 {
-        let mut m = TrafficMatrix::zeros(3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        m.set(0, 1, rng.gen_range(1..100) * 1_000_000);
-        m.set(1, 2, rng.gen_range(1..100) * 1_000_000);
-        m.set(0, 2, rng.gen_range(1..100) * 1_000_000);
-        let app = AppProfile::new("x", vec![1.0; 3], m, 0);
-        let snap = random_snapshot(3, 200 + seed, RateModel::Pipe);
-        let sparse = IlpPlacer { formulation: Formulation::Sparse, ..Default::default() }
-            .place(&app, &machines, &snap, &load)
-            .expect("sparse");
-        let paper = IlpPlacer { formulation: Formulation::Paper, ..Default::default() }
-            .place(&app, &machines, &snap, &load)
-            .expect("paper");
-        assert!(sparse.proven_optimal && paper.proven_optimal, "seed {seed}");
-        assert!(
-            (sparse.objective_secs - paper.objective_secs).abs() < 1e-6,
-            "seed {seed}: {} vs {}",
-            sparse.objective_secs,
-            paper.objective_secs
-        );
-    }
 }
 
 #[test]
