@@ -12,6 +12,7 @@ use choreo::runner::run_app;
 use choreo::{Choreo, ChoreoConfig, PlacerKind};
 use choreo_bench::mean;
 use choreo_cloudlab::{Cloud, HoseDist, ProviderProfile};
+use choreo_measure::NetworkSnapshot;
 use choreo_place::problem::Machines;
 use choreo_profile::{AppProfile, WorkloadGen, WorkloadGenConfig};
 use rand::{Rng, SeedableRng};
@@ -58,18 +59,18 @@ fn main() {
                 let mut orch = Choreo::new(machines.clone(), ChoreoConfig::default());
                 let snap = orch.measure(&mut fc).clone();
                 // Degrade the snapshot: multiplicative noise per path.
-                let mut noisy = snap.clone();
+                let mut rates = vec![f64::INFINITY; n_vms * n_vms];
                 for a in 0..n_vms as u32 {
                     for b in 0..n_vms as u32 {
                         if a != b {
                             let f: f64 = 1.0 + noise * (rng.gen::<f64>() * 2.0 - 1.0);
                             let r = snap.rate(choreo_topology::VmId(a), choreo_topology::VmId(b))
                                 * f.max(0.05);
-                            noisy.set_rate(choreo_topology::VmId(a), choreo_topology::VmId(b), r);
+                            rates[a as usize * n_vms + b as usize] = r;
                         }
                     }
                 }
-                orch.set_snapshot(noisy);
+                orch.set_snapshot(NetworkSnapshot::from_rates(n_vms, rates, snap.model));
                 let Ok(p) = orch.place(&app) else { continue };
                 run_app(&mut fc, &mut orch, &app, &p) as f64
             };

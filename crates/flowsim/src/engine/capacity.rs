@@ -1,10 +1,8 @@
-//! Hoses, runtime capacity and the lost-capacity fractions.
+//! Hoses, runtime capacity and the lost-capacity fraction.
 //!
 //! Invariant: a capacity is an input the caller may move at any time; a
 //! change marks its resource in the arena's dirty window, so the next
 //! solve re-solves bit-identical to a cold solve at the new capacities.
-
-use choreo_topology::PodPartition;
 
 use super::FlowSim;
 
@@ -98,34 +96,5 @@ impl FlowSim {
             return 0.0;
         }
         ((nominal - current) / nominal).max(0.0)
-    }
-
-    /// Per-pod breakdown of [`FlowSim::capacity_lost_fraction`]: fills
-    /// `out` with `pods.n_pods() + 1` entries — one lost-capacity
-    /// fraction per pod (links fully inside that pod's subtree), plus a
-    /// trailing entry for the shared spine (core links and pod uplinks,
-    /// the links [`PodPartition::pod_of_link`] maps to `None`). Each
-    /// entry is lost/nominal *within that bucket*, 0 for a bucket with
-    /// no links. Observational only — nothing in the trajectory reads
-    /// it. This is the from-scratch form: the online service refreshes
-    /// its per-pod gauges on every network event from precomputed link
-    /// buckets, and is tested to produce these exact bits.
-    pub fn pod_capacity_lost_fractions(&self, pods: &PodPartition, out: &mut Vec<f64>) {
-        let n = pods.n_pods() + 1;
-        let mut nominal = vec![0.0; n];
-        let mut current = vec![0.0; n];
-        for (l, link) in self.topo.links().iter().enumerate() {
-            let bucket = pods.pod_of_link(link).map_or(n - 1, |p| p as usize);
-            nominal[bucket] += 2.0 * link.spec.rate_bps;
-            current[bucket] += self.capacities[2 * l] + self.capacities[2 * l + 1];
-        }
-        out.clear();
-        out.extend((0..n).map(|b| {
-            if nominal[b] <= 0.0 {
-                0.0
-            } else {
-                ((nominal[b] - current[b]) / nominal[b]).max(0.0)
-            }
-        }));
     }
 }

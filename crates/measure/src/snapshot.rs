@@ -46,7 +46,7 @@ pub struct NetworkSnapshot {
     /// Row-major n×n inter-VM rates, bits/s. Diagonal = intra-VM
     /// (effectively infinite; stored as `f64::INFINITY`).
     rates: Vec<f64>,
-    /// Per-VM hose (egress) rates, maintained alongside `rates` so
+    /// Per-VM hose (egress) rates, scanned from `rates` once so
     /// placement's inner loop reads them in O(1) instead of scanning a
     /// row per candidate.
     hose: Vec<f64>,
@@ -64,16 +64,10 @@ impl NetworkSnapshot {
             rates[i * n + i] = f64::INFINITY;
         }
         assert!(rates.iter().all(|r| *r > 0.0), "all measured rates must be positive");
-        let mut snap = NetworkSnapshot { n, rates, hose: vec![0.0; n], model, hops: None };
-        for i in 0..n {
-            snap.hose[i] = snap.scan_hose_rate(i);
-        }
-        snap
-    }
-
-    /// Recompute one VM's hose rate by scanning its row.
-    fn scan_hose_rate(&self, a: usize) -> f64 {
-        (0..self.n).filter(|&j| j != a).map(|j| self.rates[a * self.n + j]).fold(0.0, f64::max)
+        let hose = (0..n)
+            .map(|a| (0..n).filter(|&j| j != a).map(|j| rates[a * n + j]).fold(0.0, f64::max))
+            .collect();
+        NetworkSnapshot { n, rates, hose, model, hops: None }
     }
 
     /// Number of VMs.
@@ -86,27 +80,10 @@ impl NetworkSnapshot {
         self.rates[a.0 as usize * self.n + b.0 as usize]
     }
 
-    /// Overwrite one path's rate (used by re-measurement). Keeps the
-    /// cached hose rate of `a` consistent.
-    pub fn set_rate(&mut self, a: VmId, b: VmId, bps: f64) {
-        assert!(bps > 0.0);
-        if a != b {
-            let i = a.0 as usize;
-            let old = self.rates[i * self.n + b.0 as usize];
-            self.rates[i * self.n + b.0 as usize] = bps;
-            if bps >= self.hose[i] {
-                self.hose[i] = bps;
-            } else if old >= self.hose[i] {
-                // The previous row maximum shrank; rescan the row.
-                self.hose[i] = self.scan_hose_rate(i);
-            }
-        }
-    }
-
     /// Estimated hose (egress) rate of a VM: the maximum measured rate out
     /// of it. Under source rate-limiting a single connection can saturate
     /// the hose, so the max over destinations is a consistent estimator.
-    /// O(1): maintained incrementally by [`NetworkSnapshot::set_rate`].
+    /// O(1): computed once, when the snapshot is built.
     pub fn hose_rate(&self, a: VmId) -> f64 {
         self.hose[a.0 as usize]
     }
@@ -195,30 +172,6 @@ mod tests {
         let r = s.path_rates();
         assert_eq!(r.len(), 6);
         assert!(r.iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
-    fn hose_rate_cache_tracks_set_rate() {
-        let mut s = snap3();
-        // Raising the row max updates the cache.
-        s.set_rate(VmId(0), VmId(1), 50.0);
-        assert_eq!(s.hose_rate(VmId(0)), 50.0);
-        // Shrinking the current max forces a rescan to the runner-up.
-        s.set_rate(VmId(0), VmId(1), 1.0);
-        assert_eq!(s.hose_rate(VmId(0)), 20.0);
-        // Non-max updates leave the cache alone.
-        s.set_rate(VmId(2), VmId(1), 30.0);
-        assert_eq!(s.hose_rate(VmId(2)), 30.0);
-        assert_eq!(s.hose_rate(VmId(1)), 30.0);
-    }
-
-    #[test]
-    fn set_rate_ignores_diagonal() {
-        let mut s = snap3();
-        s.set_rate(VmId(0), VmId(0), 5.0);
-        assert!(s.rate(VmId(0), VmId(0)).is_infinite());
-        s.set_rate(VmId(0), VmId(1), 99.0);
-        assert_eq!(s.rate(VmId(0), VmId(1)), 99.0);
     }
 
     struct FakeBackend {

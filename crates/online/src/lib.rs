@@ -385,11 +385,32 @@ mod tests {
             NetworkEventKind::DrainStart { fraction: 0.7 },
             NetworkEventKind::LinkRecover,
         ];
+        // Per bucket (each pod, then the spine): lost over nominal
+        // capacity of its links, both directions, summed in link order.
+        let from_scratch = |sim: &choreo_flowsim::FlowSim| -> Vec<f64> {
+            let n = pods.n_pods() + 1;
+            let (mut nominal, mut current) = (vec![0.0; n], vec![0.0; n]);
+            for (l, link) in sim.topology().links().iter().enumerate() {
+                let bucket = pods.pod_of_link(link).map_or(n - 1, |p| p as usize);
+                let l = l as u32;
+                nominal[bucket] += 2.0 * link.spec.rate_bps;
+                current[bucket] += sim.capacity(2 * l) + sim.capacity(2 * l + 1);
+            }
+            (0..n)
+                .map(|b| {
+                    if nominal[b] <= 0.0 {
+                        0.0
+                    } else {
+                        ((nominal[b] - current[b]) / nominal[b]).max(0.0)
+                    }
+                })
+                .collect()
+        };
         let mut expect = Vec::new();
         for (i, link) in (0..topo.links().len() as u32).step_by(3).enumerate() {
             let kind = kinds[i % kinds.len()];
             s.network_step(&NetworkEvent { at: i as u64, link, kind });
-            s.sim_mut().pod_capacity_lost_fractions(&pods, &mut expect);
+            expect = from_scratch(s.sim_mut());
             assert_eq!(s.metrics().pod_capacity_lost.len(), expect.len());
             for (bucket, (gauge, lost)) in
                 s.metrics().pod_capacity_lost.iter().zip(&expect).enumerate()

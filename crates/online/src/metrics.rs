@@ -33,8 +33,8 @@ pub const TENANT_BUCKETS: u64 = 8;
 /// bucket each link falls in and each bucket's nominal capacity — is
 /// worked out once, so a refresh is one pass over the links and one
 /// `set` per bucket: no allocation and no `pod_of_link`. The sums run in
-/// link order, exactly as [`FlowSim::pod_capacity_lost_fractions`] runs
-/// them, so the gauges hold the same bits.
+/// link order, so the gauges hold the bits of a from-scratch per-pod sum
+/// (the crate's tests recompute one after every event).
 #[derive(Debug)]
 pub(crate) struct PodLossGauges {
     /// Per link: its bucket — the pod id, or `n_pods` for the spine.
