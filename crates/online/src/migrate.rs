@@ -202,11 +202,11 @@ impl OnlineScheduler {
     /// new one (same modeled transfers, same intensity), refreshing its
     /// baseline and cooldown. Skips the move if the new placement no
     /// longer fits the CPU ledger with the tenant's own share released
-    /// ([`choreo_place::Machines::check_placement`]: an earlier move this pass took the
-    /// room). `forced` marks drift/failure-triggered moves for the
-    /// trace and [`crate::ServiceStats::failure_migrations`]. `gain`
-    /// is the predicted-over-current ratio that cleared the hysteresis
-    /// bar — recorded as the move's [`Cause`] in the trace ring.
+    /// ([`choreo_place::Machines::check_placement`]): an earlier move
+    /// this pass took the room. `forced` marks drift/failure-triggered
+    /// moves for the trace and [`crate::ServiceStats::failure_migrations`].
+    /// `gain` is the predicted-over-current ratio that cleared the
+    /// hysteresis bar — recorded as the move's [`Cause`] in the trace ring.
     fn execute_move(&mut self, id: TenantId, placement: Placement, forced: bool, gain: f64) {
         let t = self.tenants.remove(&id).expect("planned moves target running tenants");
         release_cpu(&mut self.cpu, &t.app, &t.placement);
