@@ -57,6 +57,41 @@ fn ilp_never_loses_to_greedy() {
 }
 
 #[test]
+fn formulations_agree_on_small_instances() {
+    // The shipped linearization against the exhaustive formulation: every
+    // CPU-feasible placement of 3 tasks on 3 one-core VMs, priced by the
+    // predictor. (The crate's own tests compare it with the Appendix's.)
+    let machines = Machines::uniform(3, 1.0);
+    let load = NetworkLoad::new(3);
+    for seed in 0..5u64 {
+        let mut m = TrafficMatrix::zeros(3);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        m.set(0, 1, rng.gen_range(1..100) * 1_000_000);
+        m.set(1, 2, rng.gen_range(1..100) * 1_000_000);
+        m.set(0, 2, rng.gen_range(1..100) * 1_000_000);
+        let app = AppProfile::new("x", vec![1.0; 3], m, 0);
+        let snap = random_snapshot(3, 200 + seed, RateModel::Pipe);
+        let ilp = IlpPlacer::default().place(&app, &machines, &snap, &load).expect("ilp");
+        let mut best = f64::INFINITY;
+        let mut feasible = 0;
+        for code in 0..27u32 {
+            let placement = Placement { assignment: vec![code / 9, code / 3 % 3, code % 3] };
+            if validate(&app, &machines, &placement).is_ok() {
+                feasible += 1;
+                best = best.min(predict_completion_secs(&app, &placement, &snap));
+            }
+        }
+        assert_eq!(feasible, 6, "seed {seed}: one task per VM");
+        assert!(ilp.proven_optimal, "seed {seed}");
+        assert!(
+            (ilp.objective_secs - best).abs() < 1e-6,
+            "seed {seed}: {} vs {best}",
+            ilp.objective_secs
+        );
+    }
+}
+
+#[test]
 fn greedy_beats_baselines_in_prediction_on_skewed_traffic() {
     // Deterministic, prediction-level version of §6.2: on skewed traffic
     // matrices over heterogeneous networks, greedy's predicted completion
