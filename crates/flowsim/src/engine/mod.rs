@@ -4,20 +4,18 @@
 //!   the queries and the two test hooks;
 //! - `records.rs`: keys, flow records and their recycling, the
 //!   slot-indexed columns, activation and retirement;
-//! - `run.rs`: the event heap, ON–OFF sources, `run_until`, integration,
+//! - `run.rs`: the events, ON–OFF sources, `run_until`, integration,
 //!   completions and the one place a solve runs;
 //! - `probe.rs`: what-if probes and the per-walk fold memo;
 //! - `capacity.rs`: hoses, runtime capacity and the lost-capacity
 //!   fractions.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use choreo_topology::{Nanos, RouteTable, Topology, LOOPBACK};
+use choreo_topology::{Nanos, RouteTable, TimerQueue, Topology, LOOPBACK};
 
 use crate::fairshare::{max_min_rates, FlowArena, FlowSlot, MaxMinSolver, ProbeRecord};
 
@@ -29,7 +27,7 @@ mod run;
 pub use capacity::{HoseId, FAILED_LINK_BPS};
 use records::{Flow, NO_SLOT};
 pub use records::{FlowKey, FlowStatus};
-use run::{EventEntry, OnOff};
+use run::{Ev, OnOff};
 
 /// Engine resource id of a directed link hop: [`DirectedHop::index`].
 ///
@@ -108,8 +106,7 @@ pub struct FlowSim {
     /// Walk folds the last probe call computed (span observability).
     last_walks_built: u64,
     sources: Vec<OnOff>,
-    events: BinaryHeap<Reverse<EventEntry>>,
-    seq: u64,
+    events: TimerQueue<Ev>,
     now: Nanos,
     rng: StdRng,
     /// Cumulative solver-phase tallies ([`FlowSim::solve_stats`]).
@@ -187,8 +184,7 @@ impl FlowSim {
             walk_folds: Vec::new(),
             last_walks_built: 0,
             sources: Vec::new(),
-            events: BinaryHeap::new(),
-            seq: 0,
+            events: TimerQueue::new(),
             now: 0,
             rng: StdRng::seed_from_u64(seed),
             stats: SolveStats::default(),
@@ -336,7 +332,6 @@ mod tests {
     use proptest::prelude::*;
 
     use super::records::KEY_INDEX_BITS;
-    use super::run::Ev;
     use super::*;
     use crate::fairshare::reference;
     use choreo_topology::{
@@ -589,22 +584,6 @@ mod tests {
         assert_eq!(s.delivered_bytes(f), 0);
         let end = s.run_to_completion();
         assert!((end as f64 - 3e9).abs() < 1e6, "starts at 2 s, runs 1 s");
-    }
-
-    #[test]
-    fn event_entries_order_by_time_then_fifo() {
-        let a = EventEntry { at: 5, seq: 2, ev: Ev::Toggle(0) };
-        let b = EventEntry { at: 5, seq: 3, ev: Ev::Toggle(1) };
-        let c = EventEntry { at: 4, seq: 9, ev: Ev::Toggle(2) };
-        assert!(c < a, "earlier time wins regardless of seq");
-        assert!(a < b, "same instant: FIFO by scheduling order");
-        assert_ne!(a, b, "distinct events are not equal");
-        let mut heap = BinaryHeap::new();
-        for e in [a, b, c] {
-            heap.push(Reverse(e));
-        }
-        let order: Vec<u64> = std::iter::from_fn(|| heap.pop().map(|Reverse(e)| e.seq)).collect();
-        assert_eq!(order, vec![9, 2, 3]);
     }
 
     #[test]

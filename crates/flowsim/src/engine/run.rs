@@ -1,16 +1,18 @@
 //! Events, ON–OFF sources, the run loop, integration and completions.
 //!
+//! Events wait in a [`choreo_topology::TimerQueue`] (earliest first, in
+//! scheduling order at one instant); ON–OFF holding times are
+//! [`choreo_topology::exp_holding`] draws.
+//!
 //! Invariant: a solve runs only where a rate is read. Mutations mark the
 //! arena's dirty window; `reallocate_if_dirty` is the one place the solver
 //! runs, called by the readers of the rate column alone, so however many
 //! mutations land between two reads they cost one warm solve.
 
-use std::cmp::Reverse;
-
 use rand::Rng;
 
 use choreo_metrics::span;
-use choreo_topology::{Nanos, NodeId};
+use choreo_topology::{exp_holding, Nanos, NodeId};
 
 use super::{FlowKey, FlowSim, FlowStatus, HoseId};
 
@@ -18,23 +20,11 @@ use super::{FlowKey, FlowSim, FlowStatus, HoseId};
 /// the toggle-off stop fires (no caller ever harvests their stats).
 const TAG_ONOFF: u64 = u64::MAX - 1;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 pub(super) enum Ev {
     Start(FlowKey),
     Stop(FlowKey),
     Toggle(u32),
-}
-
-/// One scheduled event. The derived order is total and compares the
-/// fields in declaration order: events fire in `(at, seq)` order —
-/// earliest time first, FIFO among events scheduled for the same instant.
-/// `seq` is a strictly increasing scheduling counter, so no two entries
-/// ever tie on it and `ev` is never compared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(super) struct EventEntry {
-    pub(super) at: Nanos,
-    pub(super) seq: u64,
-    pub(super) ev: Ev,
 }
 
 #[derive(Debug)]
@@ -52,11 +42,6 @@ pub(super) struct OnOff {
 const DONE_EPS: f64 = 0.5;
 
 impl FlowSim {
-    fn push_event(&mut self, at: Nanos, ev: Ev) {
-        self.seq += 1;
-        self.events.push(Reverse(EventEntry { at, seq: self.seq, ev }));
-    }
-
     /// Schedule a flow of `bytes` (`None` = unbounded) from `src` to `dst`
     /// starting at `at`, optionally constrained by a hose cap, grouped
     /// under `tag`.
@@ -70,13 +55,13 @@ impl FlowSim {
         tag: u64,
     ) -> FlowKey {
         let key = self.push_flow(src, dst, bytes, hose, tag);
-        self.push_event(at.max(self.now), Ev::Start(key));
+        self.events.push(at.max(self.now), Ev::Start(key));
         key
     }
 
     /// Stop (kill) a flow at time `at`.
     pub fn stop_flow_at(&mut self, key: FlowKey, at: Nanos) {
-        self.push_event(at.max(self.now), Ev::Stop(key));
+        self.events.push(at.max(self.now), Ev::Stop(key));
     }
 
     /// Register an ON–OFF background source (starts OFF; exponential
@@ -93,13 +78,12 @@ impl FlowSim {
         let id = self.sources.len() as u32;
         self.sources.push(OnOff { src, dst, hose, mean_on, mean_off, on: false, flow: None });
         let first = at.max(self.now) + self.sample_exp(mean_off);
-        self.push_event(first, Ev::Toggle(id));
+        self.events.push(first, Ev::Toggle(id));
         id
     }
 
     fn sample_exp(&mut self, mean: Nanos) -> Nanos {
-        let u: f64 = self.rng.gen_range(f64::EPSILON..=1.0);
-        (-(mean as f64) * u.ln()).min(1e18) as Nanos
+        exp_holding(mean, self.rng.gen_range(f64::EPSILON..=1.0))
     }
 
     // ------------------------------------------------------------ dynamics
@@ -257,7 +241,7 @@ impl FlowSim {
                     self.stop_flow_at(f, self.now);
                 }
                 let dt = self.sample_exp(mean_next);
-                self.push_event(self.now + dt, Ev::Toggle(id));
+                self.events.push(self.now + dt, Ev::Toggle(id));
             }
         }
     }
@@ -280,7 +264,7 @@ impl FlowSim {
             if !self.bounded.is_empty() {
                 self.reallocate_if_dirty();
             }
-            let next_ev = self.events.peek().map(|Reverse(e)| e.at);
+            let next_ev = self.events.peek_time();
             let next_done = self.next_completion();
             // Heap events and completions never lie before `now`, so
             // `now ≤ target ≤ t`.
@@ -292,12 +276,9 @@ impl FlowSim {
             self.now = target;
             self.finish_completed();
             // Fire all events scheduled at exactly `target`.
-            while let Some(Reverse(e)) = self.events.peek() {
-                if e.at > self.now {
-                    break;
-                }
-                let Reverse(e) = self.events.pop().expect("peeked");
-                self.dispatch(e.ev);
+            while self.events.peek_time().is_some_and(|at| at <= self.now) {
+                let (_, ev) = self.events.pop().expect("peeked");
+                self.dispatch(ev);
             }
             if self.now == t && next_ev.is_none_or(|e| e > t) && next_done.is_none_or(|d| d > t) {
                 break;
@@ -316,7 +297,7 @@ impl FlowSim {
         while self.unfinished_bounded > 0 {
             // The completion search reads rates, so it needs the solve.
             self.reallocate_if_dirty();
-            let next_ev = self.events.peek().map(|Reverse(e)| e.at);
+            let next_ev = self.events.peek_time();
             let target = [next_ev, self.next_completion()]
                 .into_iter()
                 .flatten()

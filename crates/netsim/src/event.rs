@@ -1,10 +1,6 @@
-//! The discrete-event kernel: a time-ordered queue with deterministic
-//! tie-breaking.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use choreo_topology::Nanos;
+//! The events the simulator schedules. They wait in a
+//! [`choreo_topology::TimerQueue`], which fires events due at the same
+//! instant in the order they were scheduled.
 
 use crate::packet::Packet;
 
@@ -56,111 +52,4 @@ pub enum Ev {
         /// Flow index.
         flow: u32,
     },
-}
-
-/// Min-heap of `(time, insertion-sequence, event)`.
-///
-/// The insertion sequence makes simultaneous events fire in the order they
-/// were scheduled, which keeps runs bit-for-bit reproducible.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(Nanos, u64, EvBox)>>,
-    seq: u64,
-}
-
-/// Wrapper giving `Ev` a total order (by discriminant only — never consulted
-/// because `(time, seq)` pairs are unique).
-#[derive(Debug, Clone, Copy)]
-struct EvBox(Ev);
-
-impl PartialEq for EvBox {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-impl Eq for EvBox {}
-impl PartialOrd for EvBox {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EvBox {
-    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
-}
-
-impl EventQueue {
-    /// Empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedule `ev` at absolute time `at`.
-    pub fn push(&mut self, at: Nanos, ev: Ev) {
-        self.seq += 1;
-        self.heap.push(Reverse((at, self.seq, EvBox(ev))));
-    }
-
-    /// Remove and return the earliest event.
-    pub fn pop(&mut self) -> Option<(Nanos, Ev)> {
-        self.heap.pop().map(|Reverse((t, _, e))| (t, e.0))
-    }
-
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True iff no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(30, Ev::TxDone { res: 3 });
-        q.push(10, Ev::TxDone { res: 1 });
-        q.push(20, Ev::TxDone { res: 2 });
-        let order: Vec<Nanos> = std::iter::from_fn(|| q.pop().map(|(t, _)| t)).collect();
-        assert_eq!(order, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
-        q.push(5, Ev::TxDone { res: 1 });
-        q.push(5, Ev::TxDone { res: 2 });
-        q.push(5, Ev::TxDone { res: 3 });
-        let order: Vec<u32> = std::iter::from_fn(|| {
-            q.pop().map(|(_, e)| match e {
-                Ev::TxDone { res } => res,
-                _ => unreachable!(),
-            })
-        })
-        .collect();
-        assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(7, Ev::Sample { sampler: 0 });
-        assert_eq!(q.peek_time(), Some(7));
-        assert_eq!(q.len(), 1);
-        q.pop().unwrap();
-        assert!(q.peek_time().is_none());
-    }
 }

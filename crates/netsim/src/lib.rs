@@ -3,7 +3,8 @@
 //! data planes.
 //!
 //! The simulator is single-threaded and fully deterministic: all randomness
-//! flows from one seed, and the event queue breaks time ties by insertion
+//! flows from one seed, and its events wait in a
+//! [`choreo_topology::TimerQueue`], which breaks time ties by scheduling
 //! order. It models:
 //!
 //! * full-duplex links with store-and-forward transmission, propagation
@@ -37,7 +38,7 @@ pub mod tcp;
 pub mod udp;
 
 pub use config::TrainConfig;
-pub use event::{Ev, EventQueue};
+pub use event::Ev;
 pub use packet::{FlowId, Packet, PktKind};
 pub use sampler::{SamplerId, ThroughputSample};
 pub use shaper::ShaperId;

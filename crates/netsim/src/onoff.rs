@@ -4,7 +4,7 @@
 //! "an ON-OFF model whose transition time follows an exponential
 //! distribution with µ = 5 s". While ON, a source is a backlogged bulk TCP
 //! connection; while OFF it is silent. Each transition samples a fresh
-//! exponential holding time.
+//! exponential holding time ([`choreo_topology::exp_holding`]).
 
 use choreo_topology::Nanos;
 
@@ -47,17 +47,10 @@ impl OnOffSource {
     }
 }
 
-/// Sample an exponential duration with the given mean from a uniform draw
-/// in (0, 1]. Inverse-CDF: `-mean * ln(u)`.
-pub fn exp_sample(mean: Nanos, u: f64) -> Nanos {
-    debug_assert!(u > 0.0 && u <= 1.0);
-    let d = -(mean as f64) * u.ln();
-    d.min(1e18) as Nanos // clamp pathological draws
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use choreo_topology::exp_holding;
     use rand::{Rng, SeedableRng};
 
     #[test]
@@ -66,7 +59,7 @@ mod tests {
         let mean = 5_000_000_000u64; // 5 s, as in the paper
         let n = 20_000;
         let sum: f64 =
-            (0..n).map(|_| exp_sample(mean, rng.gen_range(f64::EPSILON..=1.0)) as f64).sum();
+            (0..n).map(|_| exp_holding(mean, rng.gen_range(f64::EPSILON..=1.0)) as f64).sum();
         let avg = sum / n as f64;
         assert!((avg - mean as f64).abs() / (mean as f64) < 0.05, "avg = {avg}");
     }
@@ -74,7 +67,7 @@ mod tests {
     #[test]
     fn exp_sample_is_monotone_in_u() {
         // Smaller u (rarer) gives longer holding times.
-        assert!(exp_sample(1000, 0.01) > exp_sample(1000, 0.99));
+        assert!(exp_holding(1000, 0.01) > exp_holding(1000, 0.99));
     }
 
     #[test]

@@ -25,14 +25,16 @@ use rand::{Rng, SeedableRng};
 
 use choreo_topology::route::splitmix64;
 use choreo_topology::units::tx_time;
-use choreo_topology::{DirectedHop, Nanos, NodeId, RouteTable, Topology, LOOPBACK};
+use choreo_topology::{
+    exp_holding, DirectedHop, Nanos, NodeId, RouteTable, TimerQueue, Topology, LOOPBACK,
+};
 
 use crate::config::{
     TrainConfig, ACK_BYTES, HEADER_BYTES, HOST_QUEUE_BYTES, MSS, SHAPER_BACKLOG_BYTES,
     SWITCH_QUEUE_BYTES,
 };
-use crate::event::{Ev, EventQueue};
-use crate::onoff::{exp_sample, OnOffSource, SourceId};
+use crate::event::Ev;
+use crate::onoff::{OnOffSource, SourceId};
 use crate::packet::{FlowId, Packet, PktKind};
 use crate::queue::{Enqueue, LinkQueue};
 use crate::sampler::{Sampler, SamplerId};
@@ -80,7 +82,7 @@ pub struct Sim {
     topo: Arc<Topology>,
     routes: Arc<RouteTable>,
     now: Nanos,
-    events: EventQueue,
+    events: TimerQueue<Ev>,
     /// `2·links + hosts` transmission resources.
     resources: Vec<LinkQueue>,
     shapers: Vec<TokenBucket>,
@@ -121,7 +123,7 @@ impl Sim {
             topo,
             routes,
             now: 0,
-            events: EventQueue::new(),
+            events: TimerQueue::new(),
             resources,
             shapers: Vec::new(),
             flows: Vec::new(),
@@ -447,8 +449,7 @@ impl Sim {
     }
 
     fn sample_exp(&mut self, mean: Nanos) -> Nanos {
-        let u: f64 = self.rng.gen_range(f64::EPSILON..=1.0);
-        exp_sample(mean, u)
+        exp_holding(mean, self.rng.gen_range(f64::EPSILON..=1.0))
     }
 
     /// Emit one burst of a packet train and schedule the next.

@@ -486,7 +486,6 @@ impl OnlineScheduler {
     // ---------------------------------------------------------- admission
 
     fn arrive(&mut self, id: TenantId, app: AppProfile) {
-        self.stats.arrivals += 1;
         // At-least-once delivery hardening: a transport that duplicates
         // an Arrive frame must not overwrite a live tenant's state (that
         // would leak its flows and corrupt the CPU ledger). The guard
@@ -806,7 +805,8 @@ impl OnlineScheduler {
     }
 
     fn set_intensity(&mut self, id: TenantId, intensity: u32) {
-        debug_assert!(intensity >= 1);
+        // Zero strips every flow, and growth only extends transfers that hold flows.
+        assert!(intensity >= 1, "intensity {intensity} for tenant {id}: must be at least 1");
         let Some(t) = self.tenants.get_mut(&id) else {
             // Still waiting in the queue? Stash the request with the
             // entry — `QueueAdmit` applies the last value asked for, so
@@ -898,11 +898,14 @@ impl OnlineScheduler {
         for t in self.tenants.values() {
             validate(&t.app, &self.machines, &t.placement).expect("running placement is valid");
             charge_cpu(&mut cpu, &t.app, &t.placement);
-            for fl in &t.flows {
+            assert_eq!(t.flows.len(), t.transfers.len(), "one flow list per modeled transfer");
+            for (fl, &(i, j)) in t.flows.iter().zip(&t.transfers) {
                 live_flows += fl.len();
-                if !fl.is_empty() {
-                    assert_eq!(fl.len(), t.intensity as usize, "intensity matches flow count");
-                }
+                // A transfer across hosts holds `intensity` flows; a
+                // co-located one holds none.
+                let remote = t.placement.assignment[i] != t.placement.assignment[j];
+                let want = if remote { t.intensity as usize } else { 0 };
+                assert_eq!(fl.len(), want, "transfer ({i}, {j}) at intensity {}", t.intensity);
                 for &k in fl {
                     assert!(
                         matches!(self.sim.status(k), choreo_flowsim::FlowStatus::Active),

@@ -288,8 +288,6 @@ impl TraceRing {
 pub struct ServiceStats {
     /// Tenant events consumed.
     pub events: u64,
-    /// Arrival events.
-    pub arrivals: u64,
     /// Tenants admitted straight from their arrival.
     pub admitted: u64,
     /// Tenants parked in the wait queue at arrival.
@@ -353,7 +351,6 @@ impl ServiceStats {
     fn with_trace_capacity(capacity: usize) -> Self {
         ServiceStats {
             events: 0,
-            arrivals: 0,
             admitted: 0,
             queued: 0,
             queue_admitted: 0,

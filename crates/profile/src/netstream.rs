@@ -32,10 +32,9 @@
 //! service trajectory, including the solver's — is a pure function of
 //! the two seeds.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-use choreo_topology::{Nanos, Topology, SECS};
+use choreo_topology::{Nanos, TimerQueue, Topology, SECS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -152,28 +151,6 @@ impl Default for NetworkEventStreamConfig {
     }
 }
 
-/// A scheduled recovery waiting in the heap, ordered by `(at, seq)` so
-/// simultaneous recoveries pop FIFO and the stream is total-ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PendingEnd {
-    at: Nanos,
-    seq: u64,
-    link: u32,
-    drain: bool,
-}
-
-impl PartialOrd for PendingEnd {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for PendingEnd {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// Deterministic, time-ordered stream of network incidents and
 /// recoveries. Implements [`Iterator`] and is infinite — cap it with
 /// `take` or by event time. Equal `(config, seed)` yield identical
@@ -183,8 +160,10 @@ pub struct NetworkEventStream {
     rng: StdRng,
     /// The next incident time, pre-drawn so it merges against the heap.
     next_incident: Nanos,
-    pending: BinaryHeap<Reverse<PendingEnd>>,
-    seq: u64,
+    /// Each open incident's closing event (`LinkRecover` or `DrainEnd`)
+    /// on its link. Simultaneous ones pop in scheduling order, so the
+    /// stream is total-ordered.
+    pending: TimerQueue<(u32, NetworkEventKind)>,
     /// Links currently holding an incident (no overlapping incidents).
     busy: Vec<bool>,
     /// Remaining events of a correlated switch incident, emitted before
@@ -213,8 +192,7 @@ impl NetworkEventStream {
             cfg,
             rng,
             next_incident: first,
-            pending: BinaryHeap::new(),
-            seq: 0,
+            pending: TimerQueue::new(),
             busy,
             ready: VecDeque::new(),
         }
@@ -245,17 +223,10 @@ impl Iterator for NetworkEventStream {
             // Recoveries win ties against new incidents: a link must be
             // free again before it can hold the next incident, and the
             // rule must not depend on heap internals.
-            if let Some(&Reverse(p)) = self.pending.peek() {
-                if p.at <= self.next_incident {
-                    self.pending.pop();
-                    self.busy[p.link as usize] = false;
-                    let kind = if p.drain {
-                        NetworkEventKind::DrainEnd
-                    } else {
-                        NetworkEventKind::LinkRecover
-                    };
-                    return Some(NetworkEvent { at: p.at, link: p.link, kind });
-                }
+            if self.pending.peek_time().is_some_and(|at| at <= self.next_incident) {
+                let (at, (link, kind)) = self.pending.pop().expect("peeked");
+                self.busy[link as usize] = false;
+                return Some(NetworkEvent { at, link, kind });
             }
             let at = self.next_incident;
             self.draw_next_incident();
@@ -284,13 +255,7 @@ impl Iterator for NetworkEventStream {
                         continue;
                     }
                     self.busy[link as usize] = true;
-                    self.seq += 1;
-                    self.pending.push(Reverse(PendingEnd {
-                        at: end,
-                        seq: self.seq,
-                        link,
-                        drain: false,
-                    }));
+                    self.pending.push(end, (link, NetworkEventKind::LinkRecover));
                     self.ready.push_back(NetworkEvent {
                         at,
                         link,
@@ -313,23 +278,20 @@ impl Iterator for NetworkEventStream {
                 // strictly advanced, so the loop terminates.
                 continue;
             }
-            let (start, drain) = if u < FAIL_PROB {
-                (NetworkEventKind::LinkFail, false)
+            let (start, end) = if u < FAIL_PROB {
+                (NetworkEventKind::LinkFail, NetworkEventKind::LinkRecover)
             } else if u < FAIL_PROB + DRAIN_PROB {
-                (NetworkEventKind::DrainStart { fraction: DRAIN_FRACTION }, true)
+                (
+                    NetworkEventKind::DrainStart { fraction: DRAIN_FRACTION },
+                    NetworkEventKind::DrainEnd,
+                )
             } else {
                 let (lo, hi) = DEGRADE_RANGE;
                 let f = lo + (hi - lo) * self.rng.gen_range(0.0..1.0);
-                (NetworkEventKind::LinkDegrade { fraction: f }, false)
+                (NetworkEventKind::LinkDegrade { fraction: f }, NetworkEventKind::LinkRecover)
             };
             self.busy[link as usize] = true;
-            self.seq += 1;
-            self.pending.push(Reverse(PendingEnd {
-                at: at.saturating_add(duration),
-                seq: self.seq,
-                link,
-                drain,
-            }));
+            self.pending.push(at.saturating_add(duration), (link, end));
             return Some(NetworkEvent { at, link, kind: start });
         }
     }

@@ -15,10 +15,7 @@
 //! [`LIFETIME_SIGMA`]) and intensity changes follow an exponential clock
 //! within the lifetime.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use choreo_topology::{Nanos, SECS};
+use choreo_topology::{Nanos, TimerQueue, SECS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -86,33 +83,11 @@ impl Default for WorkloadStreamConfig {
     }
 }
 
-/// A scheduled (non-arrival) event waiting in the stream's heap, ordered
-/// by `(at, seq)` — FIFO among simultaneous events, so the merge with
-/// the arrival process is total and deterministic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Pending {
-    at: Nanos,
-    seq: u64,
-    tenant: TenantId,
-    kind: PendingKind,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A scheduled (non-arrival) tenant event.
+#[derive(Debug, Clone, Copy)]
 enum PendingKind {
     IntensityChange,
     Depart,
-}
-
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// Deterministic, time-ordered stream of tenant events.
@@ -125,8 +100,10 @@ pub struct WorkloadStream {
     rng: StdRng,
     /// The next arrival, pre-drawn so it can be merged against the heap.
     next_arrival: Option<(Nanos, AppProfile)>,
-    pending: BinaryHeap<Reverse<Pending>>,
-    seq: u64,
+    /// Scheduled intensity changes and departures. Simultaneous ones pop
+    /// in scheduling order, so the merge with the arrival process is
+    /// total and deterministic.
+    pending: TimerQueue<(TenantId, PendingKind)>,
     next_tenant: TenantId,
     /// Departure time per tenant id — intensity changes are only ever
     /// scheduled strictly before it, so a tenant's stream is always
@@ -144,8 +121,7 @@ impl WorkloadStream {
             gen,
             rng: StdRng::seed_from_u64(seed),
             next_arrival: None,
-            pending: BinaryHeap::new(),
-            seq: 0,
+            pending: TimerQueue::new(),
             next_tenant: 0,
             depart_at: Vec::new(),
         };
@@ -156,11 +132,6 @@ impl WorkloadStream {
     fn draw_arrival(&mut self) {
         let app = self.gen.next_app();
         self.next_arrival = Some((app.start_time, app));
-    }
-
-    fn push(&mut self, at: Nanos, tenant: TenantId, kind: PendingKind) {
-        self.seq += 1;
-        self.pending.push(Reverse(Pending { at, seq: self.seq, tenant, kind }));
     }
 
     /// Schedule a freshly arrived tenant's lifetime: departure plus an
@@ -176,10 +147,10 @@ impl WorkloadStream {
                 + exponential(&mut self.rng, self.cfg.mean_intensity_change as f64).min(1e15)
                     as Nanos;
             if first < depart {
-                self.push(first, tenant, PendingKind::IntensityChange);
+                self.pending.push(first, (tenant, PendingKind::IntensityChange));
             }
         }
-        self.push(depart, tenant, PendingKind::Depart);
+        self.pending.push(depart, (tenant, PendingKind::Depart));
     }
 }
 
@@ -191,7 +162,7 @@ impl Iterator for WorkloadStream {
         // Arrivals win ties against scheduled events: a tenant must exist
         // before anything can happen to it, and the ordering must not
         // depend on heap internals.
-        if self.pending.peek().is_none_or(|Reverse(p)| arrival_at <= p.at) {
+        if self.pending.peek_time().is_none_or(|at| arrival_at <= at) {
             let (at, app) = self.next_arrival.take().expect("pre-drawn");
             self.draw_arrival();
             let tenant = self.next_tenant;
@@ -203,25 +174,19 @@ impl Iterator for WorkloadStream {
                 kind: TenantEventKind::Arrive { app: Box::new(app) },
             });
         }
-        let Reverse(p) = self.pending.pop().expect("peeked");
-        match p.kind {
-            PendingKind::Depart => {
-                Some(TenantEvent { at: p.at, tenant: p.tenant, kind: TenantEventKind::Depart })
-            }
+        let (at, (tenant, kind)) = self.pending.pop().expect("peeked");
+        match kind {
+            PendingKind::Depart => Some(TenantEvent { at, tenant, kind: TenantEventKind::Depart }),
             PendingKind::IntensityChange => {
                 let intensity = self.rng.gen_range(1..=self.cfg.max_intensity);
                 let dt = exponential(&mut self.rng, self.cfg.mean_intensity_change as f64).min(1e15)
                     as Nanos;
-                let depart = self.depart_at[p.tenant as usize];
-                debug_assert!(p.at < depart, "changes are scheduled before departure");
-                if p.at.saturating_add(dt) < depart {
-                    self.push(p.at + dt, p.tenant, PendingKind::IntensityChange);
+                let depart = self.depart_at[tenant as usize];
+                debug_assert!(at < depart, "changes are scheduled before departure");
+                if at.saturating_add(dt) < depart {
+                    self.pending.push(at + dt, (tenant, PendingKind::IntensityChange));
                 }
-                Some(TenantEvent {
-                    at: p.at,
-                    tenant: p.tenant,
-                    kind: TenantEventKind::SetIntensity { intensity },
-                })
+                Some(TenantEvent { at, tenant, kind: TenantEventKind::SetIntensity { intensity } })
             }
         }
     }

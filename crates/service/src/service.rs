@@ -238,6 +238,11 @@ impl<E: ServiceEnv> PlacementService<E> {
                     ServiceResponse::Error("arrival produced no decision".into())
                 }
             }
+            // The wire decoder refuses a zero intensity too, but a request
+            // need not come through the codec.
+            ServiceRequest::SetIntensity { intensity: 0, .. } => {
+                ServiceResponse::Error("intensity must be at least 1".into())
+            }
             ServiceRequest::SetIntensity { tenant, intensity } => {
                 self.scheduler.step(&TenantEvent {
                     at,
@@ -433,6 +438,27 @@ mod tests {
         assert!(matches!(&rs[1], ServiceResponse::Error(_)), "{:?}", rs[1]);
         assert!(matches!(&rs[2], ServiceResponse::Error(_)), "{:?}", rs[2]);
         assert!(matches!(&rs[3], ServiceResponse::Admitted { .. }), "{:?}", rs[3]);
+    }
+
+    #[test]
+    fn zero_intensity_is_refused_before_the_scheduler() {
+        // 3-core tasks on four-core hosts: the transfer crosses hosts.
+        let mut two_hosts = app(2);
+        two_hosts.cpu = vec![3.0; 2];
+        let mut svc = sim_service(vec![
+            (10, 1, ServiceRequest::Admit { tenant: 1, app: two_hosts }),
+            (20, 1, ServiceRequest::SetIntensity { tenant: 1, intensity: 0 }),
+            (30, 1, ServiceRequest::SetIntensity { tenant: 1, intensity: 2 }),
+        ]);
+        svc.run();
+        assert_eq!(svc.scheduler().tenant_intensity(1), Some(2));
+        assert_eq!(svc.scheduler_mut().sim_mut().active_flows(), 2);
+        svc.scheduler_mut().check_invariants();
+        let env = svc.into_env();
+        let rs = env.responses(1);
+        assert!(matches!(rs[0], ServiceResponse::Admitted { .. }), "{:?}", rs[0]);
+        assert!(matches!(&rs[1], ServiceResponse::Error(e) if e.contains("at least 1")), "{rs:?}");
+        assert_eq!(rs[2], ServiceResponse::Done);
     }
 
     #[test]

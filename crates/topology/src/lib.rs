@@ -27,12 +27,17 @@
 //!   (`1` for co-located VMs, link count otherwise) and the traceroute
 //!   emulation with provider-specific visibility (Rackspace hides tiers;
 //!   §4.2 of the paper observed only 1- and 4-hop paths there).
+//! * [`timer`] — the one timer queue ([`TimerQueue`]: earliest first,
+//!   scheduling order among events due at the same instant) and the
+//!   exponential holding-time draw ([`exp_holding`]) that the packet and
+//!   flow simulators and the seeded event streams share.
 //!
 //! Rates are bits/second (`f64`), time is nanoseconds (`u64`); see [`units`].
 
 pub mod graph;
 pub mod pods;
 pub mod route;
+pub mod timer;
 pub mod tree;
 pub mod units;
 pub mod vmmap;
@@ -42,6 +47,7 @@ pub use graph::{
 };
 pub use pods::PodPartition;
 pub use route::{DirectedHop, Path, PathParts, RouteTable, WalkId};
+pub use timer::{exp_holding, TimerQueue};
 pub use tree::{dumbbell, two_rack, MultiRootedTreeSpec};
 pub use units::{Nanos, GBIT, KBIT, MBIT, MICROS, MILLIS, SECS};
 pub use vmmap::{TracerouteStyle, VmId, VmMap};
