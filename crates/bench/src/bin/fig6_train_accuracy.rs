@@ -1,8 +1,9 @@
 //! Figure 6: packet-train estimation error vs. burst length and burst
-//! count, against 10-second netperf ground truth (§4.1).
+//! count, against 2-second netperf ground truth (§4.1).
 //!
 //! For each provider we measure a set of VM pairs with a netperf-style
-//! bulk transfer, then sweep trains of {10, 20, 50} bursts × burst lengths
+//! bulk transfer of 2 s simulated time (the paper's netperf runs 10 s),
+//! then sweep trains of {10, 20, 50} bursts × burst lengths
 //! {100, 200, 500, 1000, 2000, 3000, 3800} (P = 1500 B wire, δ = 1 ms) and
 //! report the mean relative error per configuration.
 //!
@@ -61,7 +62,7 @@ fn main() {
         let e10_2000 = mean(&errs[0][4]);
         eprintln!(
             "{name}: 10×200 err {:.1}% | 10×2000 err {:.1}% | 10×200 train wire time {:.2} s \
-             (netperf uses 10 s)",
+             (netperf ground truth uses 2 s)",
             e10_200,
             e10_2000,
             mean(&train_seconds)

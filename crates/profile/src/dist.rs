@@ -47,20 +47,42 @@ pub fn bounded_pareto<R: Rng>(rng: &mut R, lo: f64, hi: f64, alpha: f64) -> f64 
     (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
 }
 
-/// Zipf-like rank sampler over `{0, …, n−1}` with exponent `s`:
-/// rank 0 is the most likely. Used for skewed traffic matrices.
-pub fn zipf<R: Rng>(rng: &mut R, n: usize, s: f64) -> usize {
-    assert!(n >= 1);
-    let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
-    let total: f64 = weights.iter().sum();
-    let mut draw = rng.gen_range(0.0..total);
-    for (i, w) in weights.iter().enumerate() {
-        if draw < *w {
-            return i;
-        }
-        draw -= w;
+/// Zipf-like rank sampler over `{0, …, n−1}` with exponent `s`: rank 0
+/// is the most likely. Used for skewed traffic matrices.
+///
+/// The weight table `1/k^s` and its sum are built once, in [`Zipf::new`],
+/// and every [`Zipf::sample`] reuses them: a skewed matrix makes
+/// `8·n(n−1)` draws over the same table. A draw scans the table,
+/// subtracting one weight at a time, and does not binary-search a
+/// prefix-sum table: `draw < w_i` after the subtractions is not bit-equal
+/// to `draw < Σ_{j≤i} w_j`, so a prefix sum would shift some ranks and
+/// every seeded stream built on them.
+#[derive(Debug)]
+pub struct Zipf {
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl Zipf {
+    /// The table over `n ≥ 1` ranks with exponent `s`.
+    pub fn new(n: usize, s: f64) -> Self {
+        assert!(n >= 1);
+        let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
+        let total = weights.iter().sum();
+        Zipf { weights, total }
     }
-    n - 1
+
+    /// One rank; makes exactly one `gen_range` draw from `rng`.
+    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
+        let mut draw = rng.gen_range(0.0..self.total);
+        for (i, w) in self.weights.iter().enumerate() {
+            if draw < *w {
+                return i;
+            }
+            draw -= w;
+        }
+        self.weights.len() - 1
+    }
 }
 
 /// Diurnal modulation factor for an hour-of-day in `0..24`: a smooth
@@ -137,11 +159,90 @@ mod tests {
     #[test]
     fn zipf_rank_zero_most_common() {
         let mut r = rng();
+        let zipf = Zipf::new(5, 1.2);
         let mut counts = [0usize; 5];
         for _ in 0..20_000 {
-            counts[zipf(&mut r, 5, 1.2)] += 1;
+            counts[zipf.sample(&mut r)] += 1;
         }
         assert!(counts[0] > counts[1] && counts[1] > counts[2], "{counts:?}");
+    }
+
+    /// The sampler as it was before the table was hoisted: the weights
+    /// and their sum rebuilt on every draw.
+    fn zipf_rebuilt_per_draw<R: Rng>(rng: &mut R, n: usize, s: f64) -> usize {
+        assert!(n >= 1);
+        let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
+        let total: f64 = weights.iter().sum();
+        let mut draw = rng.gen_range(0.0..total);
+        for (i, w) in weights.iter().enumerate() {
+            if draw < *w {
+                return i;
+            }
+            draw -= w;
+        }
+        n - 1
+    }
+
+    #[test]
+    fn zipf_table_matches_rebuild_per_draw() {
+        for n in 1..=64 {
+            for s in [0.5, 1.2, 1.4, 2.0] {
+                let zipf = Zipf::new(n, s);
+                for seed in [1, 7_000, 0x9E37_79B9] {
+                    let mut a = rand::rngs::StdRng::seed_from_u64(seed ^ n as u64);
+                    let mut b = a.clone();
+                    for k in 0..1_000 {
+                        let want = zipf_rebuilt_per_draw(&mut a, n, s);
+                        assert_eq!(
+                            zipf.sample(&mut b),
+                            want,
+                            "n {n}, s {s}, seed {seed}, draw {k}"
+                        );
+                    }
+                    assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "rng state, n {n}, s {s}");
+                }
+            }
+        }
+    }
+
+    /// Replays scripted raw words, so a draw can be put on a rank boundary.
+    struct Words(std::vec::IntoIter<u64>);
+
+    impl Rng for Words {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("a scripted word per draw")
+        }
+    }
+
+    /// Seeded draws almost never land within an ulp of a rank boundary,
+    /// where a `<=` for `<` or a total summed in another order flips the
+    /// rank. Word `k << 11` is the unit value `k / 2^53` in `rand`, so
+    /// these draws sit on the nine unit values nearest every boundary
+    /// (exactly on it for `s = 0` and `n` a power of two).
+    #[test]
+    fn zipf_table_matches_rebuild_per_draw_at_rank_boundaries() {
+        const UNIT: f64 = (1u64 << 53) as f64;
+        for n in 1..=64 {
+            for s in [0.0, 0.5, 1.2, 1.4, 2.0] {
+                let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
+                let total: f64 = weights.iter().sum();
+                let mut words = Vec::new();
+                let mut edge = 0.0;
+                for w in &weights {
+                    edge += w;
+                    let k0 = (edge / total * UNIT) as i64;
+                    for k in k0 - 4..=k0 + 4 {
+                        words.push((k.clamp(0, UNIT as i64 - 1) as u64) << 11);
+                    }
+                }
+                let zipf = Zipf::new(n, s);
+                let (mut a, mut b) = (Words(words.clone().into_iter()), Words(words.into_iter()));
+                for draw in 0..n * 9 {
+                    let want = zipf_rebuilt_per_draw(&mut a, n, s);
+                    assert_eq!(zipf.sample(&mut b), want, "n {n}, s {s}, boundary draw {draw}");
+                }
+            }
+        }
     }
 
     #[test]

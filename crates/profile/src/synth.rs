@@ -44,7 +44,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::app::AppProfile;
-use crate::dist::{bounded_pareto, diurnal_factor, exponential, log_normal, pareto, zipf};
+use crate::dist::{bounded_pareto, diurnal_factor, exponential, log_normal, pareto, Zipf};
 use crate::matrix::TrafficMatrix;
 
 /// Communication shapes the generator can produce.
@@ -342,14 +342,15 @@ impl WorkloadGen {
                 // Assign by repeatedly sampling hot ranks.
                 let draws = pairs.len() * 8;
                 let per_draw = (total / draws as u64).max(1);
-                let mut order = pairs.clone();
+                let mut order = pairs;
                 // Deterministic shuffle of which pair is "rank 0".
                 for i in (1..order.len()).rev() {
                     let j = self.rng.gen_range(0..=i);
                     order.swap(i, j);
                 }
+                let zipf = Zipf::new(order.len(), 1.4);
                 for _ in 0..draws {
-                    let rank = zipf(&mut self.rng, order.len(), 1.4);
+                    let rank = zipf.sample(&mut self.rng);
                     let (i, j) = order[rank];
                     m.add(i, j, per_draw);
                 }

@@ -10,9 +10,8 @@
 //! output-preserving must leave both unchanged.
 
 use choreo_profile::{
-    switch_link_groups, AppPattern, NetworkEventKind, NetworkEventStream,
-    NetworkEventStreamConfig, SwitchFailureConfig, TenantEventKind, WorkloadGenConfig,
-    WorkloadStream, WorkloadStreamConfig,
+    switch_link_groups, AppPattern, NetworkEventKind, NetworkEventStream, NetworkEventStreamConfig,
+    SwitchFailureConfig, TenantEventKind, WorkloadGenConfig, WorkloadStream, WorkloadStreamConfig,
 };
 use choreo_topology::{MultiRootedTreeSpec, SECS};
 

@@ -72,6 +72,65 @@ proptest! {
     }
 }
 
+/// Metamorphic relations on the log-free oracle, checked bit for bit:
+/// scaling every capacity by 2^k scales every rate by exactly 2^k (IEEE
+/// multiplication by a power of two is exact, and the filling only
+/// divides by counts, multiplies by counts and subtracts), reversing the
+/// flow order reverses the rates, and relabelling the resources changes
+/// nothing. None needs a reference model.
+#[test]
+fn maxmin_oracle_keeps_its_metamorphic_relations() {
+    for seed in 0..5_000u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nr = rng.gen_range(1..=7usize);
+        let caps: Vec<f64> = (0..nr).map(|_| 10f64.powf(rng.gen_range(0.0..10.0))).collect();
+        let flows: Vec<Vec<u32>> = (0..rng.gen_range(1..=15))
+            .map(|_| {
+                let mut f: Vec<u32> =
+                    (0..rng.gen_range(1..=3)).map(|_| rng.gen_range(0..nr as u32)).collect();
+                f.sort_unstable();
+                f.dedup();
+                f
+            })
+            .collect();
+        let rates = max_min_rates(&caps, &flows);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+
+        for k in [-2, 1, 10] {
+            let scale = 2f64.powi(k);
+            let scaled: Vec<f64> = caps.iter().map(|c| c * scale).collect();
+            let want: Vec<f64> = rates.iter().map(|r| r * scale).collect();
+            assert_eq!(
+                bits(&max_min_rates(&scaled, &flows)),
+                bits(&want),
+                "seed {seed}: capacities x 2^{k}"
+            );
+        }
+
+        let reversed: Vec<Vec<u32>> = flows.iter().rev().cloned().collect();
+        let mut got = max_min_rates(&caps, &reversed);
+        got.reverse();
+        assert_eq!(bits(&got), bits(&rates), "seed {seed}: flow order reversed");
+
+        // Resource r becomes perm[r].
+        let mut perm: Vec<u32> = (0..nr as u32).collect();
+        for i in (1..nr).rev() {
+            perm.swap(i, rng.gen_range(0..=i));
+        }
+        let mut relabelled_caps = vec![0.0; nr];
+        for (r, &c) in caps.iter().enumerate() {
+            relabelled_caps[perm[r] as usize] = c;
+        }
+        let relabelled: Vec<Vec<u32>> =
+            flows.iter().map(|f| f.iter().map(|&r| perm[r as usize]).collect()).collect();
+        assert_eq!(
+            bits(&max_min_rates(&relabelled_caps, &relabelled)),
+            bits(&rates),
+            "seed {seed}: resources relabelled by {perm:?}"
+        );
+    }
+}
+
 /// `arena`'s rates by slot from the log-free oracle, [`max_min_rates`]
 /// (a linear bottleneck scan, no heap and no log), shaped like a solve's
 /// buffer: one entry per slot, vacant slots 0. Every solver-vs-cold rate
