@@ -10,7 +10,9 @@
 //! that needs only part of it includes those files alone with `#[path]`,
 //! so that nothing it compiles goes unused: `tests/online.rs` takes
 //! `run.rs` and `service.rs`, `tests/scenarios.rs` takes `run.rs` and
-//! `saturated.rs`.
+//! `saturated.rs`. `enumerate.rs`, the bounded-exhaustive enumerator of
+//! every short stream on a 4-host cluster, is no part of the module:
+//! `tests/short_streams.rs` alone includes it.
 
 pub mod run;
 mod saturated;
