@@ -51,16 +51,6 @@ fn relative_error_at(samples: &[f64], c: usize, lag: usize) -> Option<f64> {
     (cur > 0.0).then(|| (cur - samples[c - lag]).abs() / cur)
 }
 
-/// The last entry [`StabilitySeries::relative_errors`] would return for
-/// `samples` at a lag of `lag` samples (at least 1), without building the
-/// series or the error vector: the prediction error of the most recent
-/// positive sample that has a predecessor `lag` back. The online drift
-/// detector asks this once per tenant per epoch.
-pub fn last_relative_error(samples: &[f64], lag: usize) -> Option<f64> {
-    let lag = lag.max(1);
-    (lag..samples.len()).rev().find_map(|c| relative_error_at(samples, c, lag))
-}
-
 /// p-th percentile (0 ≤ p ≤ 1) of an unsorted slice (sorted in place).
 pub fn percentile(values: &mut [f64], p: f64) -> f64 {
     assert!(!values.is_empty(), "percentile of empty slice");
@@ -116,29 +106,6 @@ mod tests {
         let errs = s.relative_errors(SECS);
         // |80 - 100| / 80 = 0.25.
         assert_eq!(errs, vec![0.25]);
-    }
-
-    #[test]
-    fn last_relative_error_is_the_tail_of_relative_errors() {
-        // Trailing zeros are skipped exactly as the vector form skips
-        // them, short series and oversized lags have no error at all.
-        let series: [&[f64]; 6] = [
-            &[],
-            &[3.0],
-            &[100.0, 80.0],
-            &[0.0, 2.0, 0.0, 4.0, 0.0],
-            &[1e9, 7e8, 0.0, 0.0],
-            &[5.0, 6.0, 7.0, 9.0, 4.0],
-        ];
-        for samples in series {
-            for lag in 1..4usize {
-                let s = StabilitySeries::new(SECS, samples.to_vec());
-                let all = s.relative_errors(lag as u64 * SECS);
-                let last = last_relative_error(samples, lag);
-                assert_eq!(last.map(f64::to_bits), all.last().map(|e| e.to_bits()), "{samples:?}");
-            }
-        }
-        assert_eq!(last_relative_error(&[100.0, 80.0], 0), Some(0.25), "lag clamps to 1");
     }
 
     #[test]

@@ -36,10 +36,6 @@ pub const MIGRATION_BUDGET: usize = 2;
 /// migration planner's cadence scan.
 pub const MIGRATION_COOLDOWN: Nanos = 20 * SECS;
 
-/// Epoch scores retained per tenant (the drift series window).
-pub const DRIFT_WINDOW: usize = 8;
-const _: () = assert!(DRIFT_WINDOW >= 2, "drift needs at least two epochs");
-
 /// Decisions retained by the flight-recorder ring
 /// ([`crate::ServiceStats::decisions`]).
 pub const TRACE_CAPACITY: usize = 256;
@@ -82,13 +78,11 @@ impl Default for MigrationConfig {
 /// stability result (≤ 6 % relative error for 95 % of paths over a
 /// 30-minute horizon) to measure *infrequently*. The online service
 /// inverts that: it re-measures each running tenant's service score on a
-/// cadence, keeps the last [`DRIFT_WINDOW`] per-epoch scores, and treats a
-/// last-epoch relative error
-/// ([`choreo_measure::stability::last_relative_error`]) **above** the
-/// paper's envelope ([`DRIFT_THRESHOLD`]) as network
-/// drift — something moved underneath the tenant (congestion, a
-/// degraded or recovered link), so the tenant is routed into the
-/// migration planner ahead of its normal cadence.
+/// cadence, keeps the last one, and treats an epoch-over-epoch relative
+/// error `|cur − prev| / cur` **above** the paper's envelope
+/// ([`DRIFT_THRESHOLD`]) as network drift — something moved underneath
+/// the tenant (congestion, a degraded or recovered link), so the tenant
+/// is routed into the migration planner ahead of its normal cadence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// Re-measure every running networked tenant on this simulated-time

@@ -61,10 +61,10 @@
 //!    solve at the new capacities, once for however many events landed
 //!    in the same instant;
 //! 2. **detect** — a re-measurement cadence ([`DriftConfig`]) refreshes
-//!    every running tenant's service score into a bounded epoch
-//!    series ([`choreo_measure::stability::last_relative_error`]); an
-//!    epoch-over-epoch relative error above the paper's §4.1 stability
-//!    envelope (6 %) is *drift* — the network moved under the tenant.
+//!    every running tenant's service score, keeping the last one as the
+//!    next epoch's reference; an epoch-over-epoch relative error
+//!    `|cur − prev| / cur` above the paper's §4.1 stability envelope
+//!    (6 %) is *drift* — the network moved under the tenant.
 //!    Link failures additionally score every running tenant on the spot
 //!    for the ones the failure stranded;
 //! 3. **migrate** — drifted and failure-stranded tenants are forced

@@ -198,9 +198,10 @@ impl OnlineScheduler {
         sum / transfers.len() as f64
     }
 
-    /// Tear the tenant down at its old placement and bring it up at the
-    /// new one (same modeled transfers, same intensity), refreshing its
-    /// baseline and cooldown. Skips the move if the new placement no
+    /// Tear the tenant down at its old placement and start it running at
+    /// the new one with the same modeled transfers and intensity
+    /// ([`OnlineScheduler::run_tenant`]: a fresh baseline and cooldown,
+    /// no drift reference). Skips the move if the new placement no
     /// longer fits the CPU ledger with the tenant's own share released
     /// ([`choreo_place::Machines::check_placement`]): an earlier move
     /// this pass took the room. `forced` marks drift/failure-triggered
@@ -219,16 +220,10 @@ impl OnlineScheduler {
         self.sim.stop_flows_now(&old_keys);
         // Nothing reads the torn-down flows again; recycle their records.
         self.sim.release_flows(&old_keys);
-        charge_cpu(&mut self.cpu, &t.app, &placement);
-        let flows = self.start_transfer_flows(id, &placement, &t.transfers, t.intensity);
-        let baseline = service_score(&mut self.sim, &flows);
         self.stats.migrations += 1;
         self.stats.note(0x56); // 'V' — a move
         self.stats.note(id);
-        for &h in &placement.assignment {
-            self.stats.note(h as u64);
-        }
-        self.stats.note_f64(baseline);
+        let baseline = self.run_tenant(id, t.app, placement, t.transfers, t.intensity);
         let now = self.sim.now();
         let cause = Cause::Hysteresis { gain, min_improvement: MIN_IMPROVEMENT };
         if forced {
@@ -238,18 +233,5 @@ impl OnlineScheduler {
         } else {
             self.stats.decide_caused(now, id, DecisionKind::Migrate, baseline, cause);
         }
-        self.tenants.insert(
-            id,
-            crate::scheduler::Tenant {
-                app: t.app,
-                placement,
-                intensity: t.intensity,
-                transfers: t.transfers,
-                flows,
-                baseline,
-                last_move_at: now,
-                epoch_scores: Vec::new(),
-            },
-        );
     }
 }

@@ -3,7 +3,6 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use choreo_flowsim::{FlowKey, FlowSim, HoseId};
-use choreo_measure::stability::last_relative_error;
 use choreo_measure::RateModel;
 use choreo_place::greedy::{GreedyPlacer, PlaceScratch};
 use choreo_place::problem::{
@@ -20,7 +19,7 @@ use choreo_topology::{Nanos, NodeId, LOOPBACK};
 use crate::builder::SchedulerBuilder;
 use crate::config::{
     OnlineConfig, PlacementPolicy, CORES_PER_HOST, DEGRADED_FRACTION, DRIFT_THRESHOLD,
-    DRIFT_WINDOW, MAX_MODELED_TRANSFERS,
+    MAX_MODELED_TRANSFERS,
 };
 use crate::metrics::{PodLossGauges, ServiceMetrics};
 use crate::stats::{Cause, DecisionKind, RejectReason, ServiceStats};
@@ -44,12 +43,11 @@ pub(crate) struct Tenant {
     pub(crate) baseline: f64,
     /// When the tenant was last placed or moved (cooldown anchor).
     pub(crate) last_move_at: Nanos,
-    /// Per-epoch service scores from the re-measurement pass (bounded
-    /// by [`DRIFT_WINDOW`]) — the drift detector's
-    /// [`last_relative_error`] input. Reset on every (re)placement and
-    /// intensity change: drift means the *network* moved under an
-    /// unchanged tenant.
-    pub(crate) epoch_scores: Vec<f64>,
+    /// The service score the last re-measurement epoch read — the drift
+    /// detector's reference for the next one. `None` after every
+    /// (re)placement and intensity change: drift means the *network*
+    /// moved under an unchanged tenant.
+    pub(crate) last_epoch_score: Option<f64>,
 }
 
 impl Tenant {
@@ -430,13 +428,12 @@ impl OnlineScheduler {
         out
     }
 
-    /// One re-measurement epoch: refresh every running networked
-    /// tenant's service score into its epoch series and compare
-    /// against the previous epoch. A relative error above the drift
-    /// threshold (the paper's §4.1 stability envelope — more change
-    /// than a healthy cloud path shows) marks the tenant drifted; all
-    /// drifted tenants are routed into a forced migration pass
-    /// immediately, ahead of the planner's own cadence.
+    /// One re-measurement epoch: score every running networked tenant
+    /// and compare against its score at the previous epoch. A relative
+    /// error above the drift threshold (the paper's §4.1 stability
+    /// envelope — more change than a healthy cloud path shows) marks the
+    /// tenant drifted; all drifted tenants are routed into a forced
+    /// migration pass immediately, ahead of the planner's own cadence.
     fn measurement_pass(&mut self) {
         self.stats.measurement_passes += 1;
         self.stats.note(0x50); // 'P'
@@ -446,13 +443,14 @@ impl OnlineScheduler {
         for (&id, t) in self.tenants.iter_mut().filter(|(_, t)| t.is_networked()) {
             let score = service_score(&mut self.sim, &t.flows);
             self.stats.note_f64(score);
-            t.epoch_scores.push(score);
-            if t.epoch_scores.len() > DRIFT_WINDOW {
-                t.epoch_scores.remove(0);
-            }
-            // Epochs are one cadence apart and compared at a lag of one
-            // cadence: the latest error of the series at lag 1.
-            if let Some(err) = last_relative_error(&t.epoch_scores, 1) {
+            // Positive: every capacity is (a failed link keeps
+            // `FAILED_LINK_BPS`), so every max-min share is, and a
+            // co-located transfer counts the loopback rate.
+            debug_assert!(score > 0.0, "tenant {id} scores {score}");
+            // Epochs are one cadence apart: §4.1's `|λ_c − λ_{c−τ}| / λ_c`
+            // at τ = one cadence.
+            if let Some(prev) = t.last_epoch_score.replace(score) {
+                let err = (score - prev).abs() / score;
                 if err > DRIFT_THRESHOLD {
                     drifted.push((id, err));
                 }
@@ -668,11 +666,11 @@ impl OnlineScheduler {
         }
     }
 
-    /// Register an admitted tenant: account its load, start its modeled
-    /// transfers as live flows, and record its baseline service score.
-    /// `kind` tells the trace ring whether this was a fresh admission or
-    /// a queue retry; `intensity` is 1 for fresh arrivals and the
-    /// stashed last-requested value for queue retries.
+    /// Admit a placed tenant: pick its modeled transfers and bring it up
+    /// ([`OnlineScheduler::run_tenant`]). `kind` tells the trace ring
+    /// whether this was a fresh admission or a queue retry; `intensity`
+    /// is 1 for fresh arrivals and the stashed last-requested value for
+    /// queue retries, which `set_intensity` checked is at least 1.
     fn admit(
         &mut self,
         id: TenantId,
@@ -682,7 +680,6 @@ impl OnlineScheduler {
         intensity: u32,
     ) {
         debug_assert!(validate(&app, &self.machines, &placement).is_ok());
-        charge_cpu(&mut self.cpu, &app, &placement);
         let transfers: Vec<(usize, usize)> = app
             .matrix
             .transfers_desc()
@@ -691,52 +688,46 @@ impl OnlineScheduler {
             .take(MAX_MODELED_TRANSFERS)
             .map(|(i, j, _)| (i, j))
             .collect();
-        let intensity = intensity.max(1);
-        let flows = self.start_transfer_flows(id, &placement, &transfers, intensity);
-        let baseline = service_score(&mut self.sim, &flows);
         self.stats.note(0x41); // 'A'
         self.stats.note(intensity as u64);
+        let baseline = self.run_tenant(id, app, placement, transfers, intensity);
+        let now = self.sim.now();
+        self.stats.decide(now, id, kind, baseline);
+    }
+
+    /// Start a tenant running at `placement`, on admission and on every
+    /// move: charge its CPU, fill its flows, digest its hosts and its
+    /// baseline score, and insert it with its cooldown anchored now and no
+    /// drift reference. Returns the baseline. Flows and scores digest
+    /// nothing, so callers note their prefix before and decide after.
+    pub(crate) fn run_tenant(
+        &mut self,
+        id: TenantId,
+        app: AppProfile,
+        placement: Placement,
+        transfers: Vec<(usize, usize)>,
+        intensity: u32,
+    ) -> f64 {
+        charge_cpu(&mut self.cpu, &app, &placement);
+        let mut flows = vec![Vec::new(); transfers.len()];
+        fill_flows(&mut self.sim, &self.hosts, id, &placement, &transfers, &mut flows, intensity);
+        let baseline = service_score(&mut self.sim, &flows);
         for &h in &placement.assignment {
             self.stats.note(h as u64);
         }
         self.stats.note_f64(baseline);
-        let now = self.sim.now();
-        self.stats.decide(now, id, kind, baseline);
-        self.tenants.insert(
-            id,
-            Tenant {
-                app,
-                placement,
-                intensity,
-                transfers,
-                flows,
-                baseline,
-                last_move_at: now,
-                epoch_scores: Vec::new(),
-            },
-        );
-    }
-
-    /// Start `intensity` unbounded flows per network transfer (co-located
-    /// transfers get none) — all in one arena dirty window.
-    pub(crate) fn start_transfer_flows(
-        &mut self,
-        id: TenantId,
-        placement: &Placement,
-        transfers: &[(usize, usize)],
-        intensity: u32,
-    ) -> Vec<Vec<FlowKey>> {
-        transfers
-            .iter()
-            .map(|&(i, j)| {
-                let (a, b) = (placement.assignment[i], placement.assignment[j]);
-                if a == b {
-                    return Vec::new();
-                }
-                let (src, dst) = (self.hosts[a as usize], self.hosts[b as usize]);
-                (0..intensity).map(|_| self.sim.start_flow_now(src, dst, None, None, id)).collect()
-            })
-            .collect()
+        let tenant = Tenant {
+            app,
+            placement,
+            intensity,
+            transfers,
+            flows,
+            baseline,
+            last_move_at: self.sim.now(),
+            last_epoch_score: None,
+        };
+        self.tenants.insert(id, tenant);
+        baseline
     }
 
     // ---------------------------------------------------------- lifecycle
@@ -805,7 +796,7 @@ impl OnlineScheduler {
     }
 
     fn set_intensity(&mut self, id: TenantId, intensity: u32) {
-        // Zero strips every flow, and growth only extends transfers that hold flows.
+        // Zero would strip every flow: the tenant would read as co-located.
         assert!(intensity >= 1, "intensity {intensity} for tenant {id}: must be at least 1");
         let Some(t) = self.tenants.get_mut(&id) else {
             // Still waiting in the queue? Stash the request with the
@@ -828,25 +819,8 @@ impl OnlineScheduler {
         self.stats.note(0x49); // 'I'
         self.stats.note(intensity as u64);
         if intensity > t.intensity {
-            let extra = intensity - t.intensity;
-            // Grow every network transfer by `extra` connections.
-            let grow: Vec<(usize, u32, u32)> = t
-                .flows
-                .iter()
-                .enumerate()
-                .filter(|(_, fl)| !fl.is_empty())
-                .map(|(idx, _)| {
-                    let (i, j) = t.transfers[idx];
-                    (idx, t.placement.assignment[i], t.placement.assignment[j])
-                })
-                .collect();
-            for (idx, a, b) in grow {
-                let (src, dst) = (self.hosts[a as usize], self.hosts[b as usize]);
-                for _ in 0..extra {
-                    let key = self.sim.start_flow_now(src, dst, None, None, id);
-                    t.flows[idx].push(key);
-                }
-            }
+            let (sim, hosts) = (&mut self.sim, &self.hosts);
+            fill_flows(sim, hosts, id, &t.placement, &t.transfers, &mut t.flows, intensity);
         } else {
             // Shrink every network transfer down to `intensity`
             // connections, torn down in one dirty window.
@@ -870,9 +844,9 @@ impl OnlineScheduler {
         t.baseline *= t.intensity as f64 / intensity as f64;
         t.intensity = intensity;
         // The per-connection score just changed by the tenant's own
-        // hand; a fresh drift series keeps self-induced sharing from
-        // reading as network drift.
-        t.epoch_scores.clear();
+        // hand; dropping the drift reference keeps self-induced sharing
+        // from reading as network drift.
+        t.last_epoch_score = None;
         let baseline = t.baseline;
         self.stats.note_f64(baseline);
         let now = self.sim.now();
@@ -937,6 +911,30 @@ impl OnlineScheduler {
             "flow bookkeeping out of sync: {live_flows} tenant flows, {} in the sim",
             self.sim.active_flows()
         );
+    }
+}
+
+/// Top every cross-host transfer up to `intensity` flows, in transfer
+/// order, in one arena dirty window; co-located transfers hold none.
+/// Admission fills empty lists, a growing intensity the live ones.
+fn fill_flows(
+    sim: &mut FlowSim,
+    hosts: &[NodeId],
+    id: TenantId,
+    placement: &Placement,
+    transfers: &[(usize, usize)],
+    flows: &mut [Vec<FlowKey>],
+    intensity: u32,
+) {
+    for (fl, &(i, j)) in flows.iter_mut().zip(transfers) {
+        let (a, b) = (placement.assignment[i], placement.assignment[j]);
+        if a == b {
+            continue;
+        }
+        let (src, dst) = (hosts[a as usize], hosts[b as usize]);
+        while fl.len() < intensity as usize {
+            fl.push(sim.start_flow_now(src, dst, None, None, id));
+        }
     }
 }
 

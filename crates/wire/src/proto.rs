@@ -583,6 +583,28 @@ mod tests {
         body.put_u8(9);
         body.put_u64(0.5f64.to_bits());
         assert!(ServiceRequest::decode(&body).is_err());
+        // Hostile counts in short bodies decode to errors before anything
+        // is allocated for them. On 64 bits a task count of u32::MAX or
+        // 2^31 overflows the profile size and 65 536 claims ~34 GB the
+        // body does not hold; a name length of u32::MAX runs past the
+        // body, as does an Admitted reply claiming u32::MAX hosts.
+        let admit = |name_len: u32, tasks: u32| {
+            let mut body = BytesMut::new();
+            body.put_u8(0x10);
+            body.put_u64(1);
+            body.put_u32(name_len);
+            body.put_slice(b"app");
+            body.put_u32(tasks);
+            body.put_u64(2.0f64.to_bits());
+            assert!(body.len() < 64);
+            ServiceRequest::decode(&body)
+        };
+        assert!(admit(3, u32::MAX).unwrap_err().contains("overflows"));
+        for tasks in [1 << 31, 1 << 16] {
+            assert!(admit(3, tasks).is_err(), "{tasks} tasks");
+        }
+        assert!(admit(u32::MAX, 1).unwrap_err().contains("string body"));
+        assert!(ServiceResponse::decode(&[0x90, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 7]).is_err());
     }
 
     #[test]
