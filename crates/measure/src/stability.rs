@@ -162,8 +162,8 @@ mod tests {
     #[test]
     fn tau_beyond_the_series_yields_no_errors() {
         // Lag 180 against 3 samples: nothing to predict from. The error
-        // set is empty rather than panicking or wrapping — callers (the
-        // drift detector) gate on relative_errors directly.
+        // set is empty rather than panicking or wrapping — callers gate
+        // on relative_errors directly.
         let s = StabilitySeries::new(10 * SECS, vec![1.0, 2.0, 3.0]);
         assert!(s.relative_errors(1800 * SECS).is_empty());
     }

@@ -456,7 +456,7 @@ mod tests {
         let n_links = s.sim_mut().topology().links().len() as u32;
         // t = 1 s: first epoch score (healthy). t = 1.5 s: every link
         // degrades to 40 % of nominal — a uniform cut, so the forced
-        // planner has nowhere better and the drift series survives.
+        // planner has nowhere better and the drift reference survives.
         for l in 0..n_links {
             s.network_step(&NetworkEvent {
                 at: SECS + SECS / 2,
