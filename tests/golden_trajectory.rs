@@ -157,12 +157,15 @@ fn seeded_mixed_traffic_trajectory_is_pinned() {
 /// `delivered` fields and all-slot scans.
 const GOLDEN: u64 = 0x96d6_8730_6f98_01a9;
 
-/// Assert a golden run's digest, mean departed rate and counters.
-fn assert_pinned(run: &RunSummary, digest: u64, rate_bits: u64, counters: [u64; 8]) {
+/// Assert a golden run's digest, mean departed rate, counters and
+/// per-event observation.
+fn assert_pinned(run: &RunSummary, digest: u64, rate_bits: u64, counters: [u64; 8], seen: u64) {
     let hash = run.trace_hash;
     assert_eq!(hash, digest, "scheduler digest moved: {hash:#018x}");
     assert_eq!(run.rate_bits, Some(rate_bits), "mean departed rate moved: {:x?}", run.rate_bits);
     assert_eq!(run.counters, counters, "counters moved: {:?}", run.counters);
+    let obs = run.decisions;
+    assert_eq!(obs, seen, "per-event observation moved: {obs:#018x}");
 }
 
 /// The service golden: the 16-host tree of `tests/online.rs`, its tenant
@@ -176,7 +179,7 @@ fn assert_pinned(run: &RunSummary, digest: u64, rate_bits: u64, counters: [u64; 
 #[test]
 fn seeded_service_trajectory_is_pinned() {
     let run = replay(&mut Golden::Service.scheduler(), &Golden::Service.events(7, 11), |_, _| {});
-    assert_pinned(&run, SERVICE_GOLDEN, SERVICE_RATE_BITS, SERVICE_COUNTERS);
+    assert_pinned(&run, SERVICE_GOLDEN, SERVICE_RATE_BITS, SERVICE_COUNTERS, SERVICE_DECISIONS);
 }
 
 /// Recorded at commit d77d9d0 (PR 24).
@@ -186,6 +189,11 @@ const SERVICE_RATE_BITS: u64 = 0x41d4_c6fc_b664_5ac2;
 /// `[admitted, queued, queue_admitted, rejected, migrations,
 /// failure_migrations, network_events, drift_detected]` of the same run.
 const SERVICE_COUNTERS: [u64; 8] = [12, 16, 13, 1, 5, 3, 42, 3];
+/// `RunSummary::decisions` of the same run: every decision each event
+/// pushed, as the trace ring renders it, with the decided tenants'
+/// placements. Recorded before the migration planner's three entries
+/// became one.
+const SERVICE_DECISIONS: u64 = 0x607d_9fae_a44e_6b6f;
 
 /// The saturated golden, in the regime of the ledger's `steady-sim`. The
 /// queue stays long, so every departure retries dozens of tenants, most
@@ -195,7 +203,13 @@ const SERVICE_COUNTERS: [u64; 8] = [12, 16, 13, 1, 5, 3, 42, 3];
 fn saturated_queue_trajectory_is_pinned() {
     let mut svc = Golden::Saturated.scheduler();
     let run = replay(&mut svc, &Golden::Saturated.events(7, 11), |_, _| {});
-    assert_pinned(&run, SATURATED_GOLDEN, SATURATED_RATE_BITS, SATURATED_COUNTERS);
+    assert_pinned(
+        &run,
+        SATURATED_GOLDEN,
+        SATURATED_RATE_BITS,
+        SATURATED_COUNTERS,
+        SATURATED_DECISIONS,
+    );
     // Four in five of the 1 112 attempts cannot be packed onto the
     // candidates' free CPU at all: the pre-check turns each back before
     // any rating, and never runs out of budget doing so.
@@ -210,6 +224,8 @@ const SATURATED_GOLDEN: u64 = 0xd5c1_e2ab_d708_b24e;
 const SATURATED_RATE_BITS: u64 = 0x41d1_06c4_a984_9916;
 /// The counters of [`SERVICE_COUNTERS`], for the same run.
 const SATURATED_COUNTERS: [u64; 8] = [17, 117, 33, 0, 9, 2, 14, 2];
+/// `RunSummary::decisions`, the per-event observation, of the same run.
+const SATURATED_DECISIONS: u64 = 0x05bf_bd9a_0b94_eacc;
 
 /// The failover golden, in the shape of the ledger's `failover-sim`. Most
 /// events are network events, and whole switches fail and recover in one
@@ -229,7 +245,7 @@ fn failover_trajectory_is_pinned() {
         .count();
     assert_eq!(same_instant, FAILOVER_SAME_INSTANT, "same-instant network events");
     let run = replay(&mut Golden::Failover.scheduler(), &events, |_, _| {});
-    assert_pinned(&run, FAILOVER_GOLDEN, FAILOVER_RATE_BITS, FAILOVER_COUNTERS);
+    assert_pinned(&run, FAILOVER_GOLDEN, FAILOVER_RATE_BITS, FAILOVER_COUNTERS, FAILOVER_DECISIONS);
     // A burst of capacity changes at one instant is solved once, by
     // whoever reads a rate next, not once per event.
     let warm = run.solve.warm_solves;
@@ -246,7 +262,13 @@ fn failover_trajectory_is_pinned() {
 #[test]
 fn scale_512_trajectory_is_pinned() {
     let run = replay(&mut Golden::Scale512.scheduler(), &Golden::Scale512.events(7, 11), |_, _| {});
-    assert_pinned(&run, SCALE_512_GOLDEN, SCALE_512_RATE_BITS, SCALE_512_COUNTERS);
+    assert_pinned(
+        &run,
+        SCALE_512_GOLDEN,
+        SCALE_512_RATE_BITS,
+        SCALE_512_COUNTERS,
+        SCALE_512_DECISIONS,
+    );
     let p = run.solve;
     let probes = [p.probes, p.probe_batches, p.probe_replay_rounds];
     assert_eq!(probes, SCALE_512_PROBES, "probes, batches, replay rounds: {probes:?}");
@@ -258,6 +280,8 @@ const SCALE_512_GOLDEN: u64 = 0x2ba9_aac1_319f_fa43;
 const SCALE_512_RATE_BITS: u64 = 0x41cf_3154_3358_fab1;
 /// The counters of [`SERVICE_COUNTERS`], for the same run.
 const SCALE_512_COUNTERS: [u64; 8] = [156, 0, 0, 0, 0, 0, 0, 0];
+/// `RunSummary::decisions`, the per-event observation, of the same run.
+const SCALE_512_DECISIONS: u64 = 0x18b7_2fec_86c3_42e6;
 /// `solve_stats()`' `[probes, probe_batches, probe_replay_rounds]` of the
 /// same run.
 const SCALE_512_PROBES: [u64; 3] = [25_468, 193, 851_700];
@@ -268,6 +292,8 @@ const FAILOVER_GOLDEN: u64 = 0xbdca_ebe7_9b6e_8b9d;
 const FAILOVER_RATE_BITS: u64 = 0x41cf_fdf6_aebb_ed73;
 /// The counters of [`SERVICE_COUNTERS`], for the same run.
 const FAILOVER_COUNTERS: [u64; 8] = [11, 97, 34, 0, 17, 17, 1_307, 45];
+/// `RunSummary::decisions`, the per-event observation, of the same run.
+const FAILOVER_DECISIONS: u64 = 0x40da_1aa6_bba6_44b3;
 /// Same-instant network events in the stream.
 const FAILOVER_SAME_INSTANT: usize = 341;
 /// Warm solves of the same run, solving only where a rate is read.

@@ -4,7 +4,7 @@
 //! needs no golden includes this file alone with `#[path]`.
 
 use choreo_repro::flowsim::SolveStats;
-use choreo_repro::online::OnlineScheduler;
+use choreo_repro::online::{Decision, OnlineScheduler};
 use choreo_repro::profile::{
     merge_events, NetworkEventStream, NetworkEventStreamConfig, ServiceEvent, WorkloadStream,
     WorkloadStreamConfig,
@@ -39,17 +39,28 @@ pub struct RunSummary {
     pub counters: [u64; 8],
     /// The simulator's solve and probe counts.
     pub solve: SolveStats,
+    /// The per-event observation: an FNV-1a fold, event by event, of the
+    /// number of decisions the event pushed, each of those decisions as
+    /// [`Decision::to_json`] renders it, and the placement of each decided
+    /// tenant that is still running. Unlike `trace_hash` it sees causes,
+    /// gains, drift errors and pass values.
+    pub decisions: u64,
 }
 
 /// Step `sched` through `events` in order, calling `after_each(sched, i)`
-/// after event `i`, and summarise the run.
+/// after event `i`, and summarise the run. Event `i`'s observation holds
+/// every decision pushed since event `i - 1`'s: a hook that advances the
+/// clock ahead of the next event moves no decision to another event.
 pub fn replay(
     sched: &mut OnlineScheduler,
     events: &[ServiceEvent],
     mut after_each: impl FnMut(&mut OnlineScheduler, usize),
 ) -> RunSummary {
+    let mut decisions = FNV_OFFSET;
+    let mut seen = sched.stats().decisions().total();
     for (i, ev) in events.iter().enumerate() {
         sched.service_step(ev);
+        decisions = observe(sched, decisions, &mut seen);
         after_each(sched, i);
     }
     let s = sched.stats();
@@ -67,5 +78,37 @@ pub fn replay(
             s.drift_detected,
         ],
         solve: sched.sim_mut().solve_stats(),
+        decisions,
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a(digest: u64, word: u64) -> u64 {
+    (digest ^ word).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
+/// Fold the decisions pushed since the ring's total was `seen`, and move
+/// `seen` up to it. The ring keeps its last `capacity` decisions, so more
+/// than that between two observations would go unseen.
+fn observe(sched: &OnlineScheduler, mut digest: u64, seen: &mut u64) -> u64 {
+    let ring = sched.stats().decisions();
+    let new = ring.total() - *seen;
+    assert!(new <= ring.capacity() as u64, "{new} decisions in one event overrun the ring");
+    *seen = ring.total();
+    digest = fnv1a(digest, new);
+    let recent = ring.recent();
+    let pushed: &[Decision] = &recent[recent.len() - new as usize..];
+    for d in pushed {
+        for b in d.to_json().bytes() {
+            digest = fnv1a(digest, b as u64);
+        }
+        if let Some(p) = sched.tenant_placement(d.tenant) {
+            digest = fnv1a(digest, p.assignment.len() as u64);
+            for &h in &p.assignment {
+                digest = fnv1a(digest, h as u64);
+            }
+        }
+    }
+    digest
 }
