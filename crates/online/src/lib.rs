@@ -106,6 +106,7 @@ mod tests {
     use choreo_topology::{two_rack, LinkSpec, RouteTable, GBIT, MICROS, SECS};
 
     use super::config::MIGRATION_COOLDOWN;
+    use super::migrate::Forced;
     use super::*;
 
     fn service(cfg: OnlineConfig) -> OnlineScheduler {
@@ -354,7 +355,7 @@ mod tests {
         s.sim_mut().run_until(SECS);
         s.force_migration_pass();
         assert_eq!(s.stats().migrations, 0, "cooldown holds the cadence scan back");
-        s.migration_pass_forced(&[0]);
+        s.migration_pass(Forced::Ids(&[0]));
         assert_eq!(s.stats().migrations, 1, "forced tenant moved");
         assert_eq!(s.stats().failure_migrations, 1, "counted as a forced migration");
         assert!(

@@ -3,15 +3,22 @@
 //!
 //! `core/migrate.rs` decides for **one** application, from a snapshot,
 //! whether moving its remaining bytes beats staying. The online service
-//! generalizes the shape: on a configurable cadence it scans **every**
-//! running tenant for degradation (current service score vs the score
-//! recorded right after its last placement), prices candidate moves with
-//! the engine's batched what-if probes (one [`FlowSim::probe_rates`]
-//! batch per candidate — no snapshot, no perturbation), keeps only moves
-//! that clear the shared hysteresis rule
-//! ([`choreo::migrate::improves_enough`]), and executes the best
-//! improvements under a per-pass migration budget
+//! generalizes the shape: a pass scans **every** running tenant for
+//! degradation (current service score vs the score recorded right after
+//! its last placement), prices candidate moves with the engine's batched
+//! what-if probes (one [`FlowSim::probe_rates`] batch per candidate — no
+//! snapshot, no perturbation), keeps only moves that clear the shared
+//! hysteresis rule ([`choreo::migrate::improves_enough`]), and executes
+//! the best improvements under a per-pass migration budget
 //! ([`MIGRATION_BUDGET`]).
+//!
+//! Every pass enters through one function, `migration_pass`, whose
+//! argument names what forces tenants in ahead of the cooldown: nobody on
+//! the configurable cadence, the drifted tenants after a re-measurement
+//! epoch, every degraded tenant after a link failure (which opens no pass
+//! when nobody is degraded). Each pass counts once, digests one `'M'` and
+//! records one `migration_pass` decision valued at the number of tenants
+//! forced in.
 //!
 //! Two properties keep the pass safe and calm:
 //!
@@ -41,6 +48,19 @@ use crate::config::{
 use crate::scheduler::{service_score, OnlineScheduler};
 use crate::stats::{Cause, DecisionKind};
 
+/// What forces tenants into a [`OnlineScheduler::migration_pass`] ahead
+/// of the cadence rules.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Forced<'a> {
+    /// These tenants (sorted, unique) skip the cooldown and the
+    /// degradation arm: the cadence forces none, drift forces the drifted
+    /// ones.
+    Ids(&'a [TenantId]),
+    /// A link failed: every degraded networked tenant, whatever its
+    /// cooldown. No pass opens when none is degraded.
+    Degraded,
+}
+
 /// A move the planner decided to execute.
 #[derive(Debug, Clone, PartialEq)]
 struct PlannedMove {
@@ -54,80 +74,51 @@ struct PlannedMove {
 }
 
 impl OnlineScheduler {
-    /// One cluster-wide planning pass; called from the event loop on the
-    /// cadence clock (or [`OnlineScheduler::force_migration_pass`]).
-    pub(crate) fn migration_pass(&mut self) {
-        self.migration_pass_forced(&[]);
-    }
-
-    /// A pass with `forced` tenants scanned ahead of the normal rules:
-    /// drift detections route tenants here, bypassing the cooldown and
-    /// the degraded-fraction arm (the network already gave the
-    /// evidence). The move itself still has to clear the hysteresis bar
-    /// — forcing a tenant in never forces it to move.
-    pub(crate) fn migration_pass_forced(&mut self, forced: &[TenantId]) {
-        debug_assert!(forced.windows(2).all(|w| w[0] < w[1]), "forced ids sorted, unique");
-        self.open_pass(forced.len());
-        let degraded = self.scan_degraded(forced);
-        self.move_degraded(degraded, |id| forced.binary_search(&id).is_ok());
-    }
-
-    /// A pass forced with `degraded`, every running networked tenant that
-    /// scores below its degraded fraction, each with that score, in id
-    /// order — what a link failure hands the planner. This *is* the
-    /// pass's phase 1: a scan forced with exactly these tenants would
-    /// select exactly them (no other tenant is degraded) at exactly these
-    /// scores (nothing touched the simulator since they were read), so
-    /// the pass does not score anyone a second time.
-    pub(crate) fn migration_pass_scored(&mut self, degraded: Vec<(TenantId, f64)>) {
-        self.open_pass(degraded.len());
-        self.move_degraded(degraded, |_| true);
-    }
-
-    /// Count and digest the start of a pass forcing `forced` tenants in.
-    fn open_pass(&mut self, forced: usize) {
-        self.stats.migration_passes += 1;
-        self.stats.note(0x4d); // 'M'
+    /// One cluster-wide planning pass: on the cadence clock and from
+    /// [`OnlineScheduler::force_migration_pass`] with `Forced::Ids(&[])`,
+    /// after a drift verdict with the drifted tenants, after a link
+    /// failure with [`Forced::Degraded`]. A forced tenant still has to
+    /// clear the hysteresis bar: forcing it in never forces it to move.
+    ///
+    /// Phase 1 scans the running networked tenants in id order and scores
+    /// each at most once, carrying the score into phase 2 (probes and
+    /// placement searches are side-effect-free, so it cannot drift
+    /// between the phases). Phase 2 prices a move per selected tenant,
+    /// phase 3 executes the best under the budget.
+    pub(crate) fn migration_pass(&mut self, forced: Forced) {
+        // Phase 1: the degraded tenants, each with its current score and
+        // whether it was forced in. A named tenant skips the cooldown and
+        // the degradation arm; a failure lifts the cooldown alone.
+        if let Forced::Ids(ids) = forced {
+            debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "forced ids sorted, unique");
+        }
         let now = self.sim.now();
-        self.stats.decide(now, TenantId::MAX, DecisionKind::MigrationPass, forced as f64);
-    }
-
-    /// Phase 1: scan for degraded tenants, in id order, carrying each
-    /// one's current score into phase 2 (probes and placement searches
-    /// are side-effect-free, so the score cannot drift between the
-    /// phases). Forced tenants skip the cooldown and the degradation arm.
-    fn scan_degraded(&mut self, forced: &[TenantId]) -> Vec<(TenantId, f64)> {
-        let now = self.sim.now();
-        let mut degraded: Vec<(TenantId, f64)> = Vec::new();
-        for (&id, t) in &self.tenants {
-            let forced_in = forced.binary_search(&id).is_ok();
+        let mut degraded: Vec<(TenantId, f64, bool)> = Vec::new();
+        for (&id, t) in self.tenants.iter().filter(|(_, t)| t.is_networked()) {
+            let named = matches!(forced, Forced::Ids(ids) if ids.binary_search(&id).is_ok());
+            let forced_in = named || matches!(forced, Forced::Degraded);
             if !forced_in && now.saturating_sub(t.last_move_at) < MIGRATION_COOLDOWN {
                 continue;
             }
-            if !t.is_networked() {
-                continue;
-            }
             let current = service_score(&mut self.sim, &t.flows);
-            if forced_in || current < DEGRADED_FRACTION * t.baseline {
-                degraded.push((id, current));
+            if named || current < DEGRADED_FRACTION * t.baseline {
+                degraded.push((id, current, forced_in));
             }
         }
-        degraded
-    }
+        let opened = match forced {
+            Forced::Ids(ids) => ids.len(),
+            Forced::Degraded if degraded.is_empty() => return,
+            Forced::Degraded => degraded.len(),
+        };
+        self.stats.migration_passes += 1;
+        self.stats.note(0x4d); // 'M'
+        self.decide(TenantId::MAX, DecisionKind::MigrationPass, opened as f64, None);
 
-    /// Phases 2 and 3: price a move for each of the `degraded` tenants at
-    /// its current score, and execute the best under the budget.
-    /// `is_forced` tells which of them were forced into the pass.
-    fn move_degraded(
-        &mut self,
-        degraded: Vec<(TenantId, f64)>,
-        is_forced: impl Fn(TenantId) -> bool,
-    ) {
         // Phase 2: price a candidate move per degraded tenant. The
         // tenant's own CPU is released while searching so it may reuse
         // its current hosts in a better arrangement.
         let mut moves: Vec<PlannedMove> = Vec::new();
-        for (id, current) in degraded {
+        for (id, current, forced) in degraded {
             let (app, old_placement, transfers, intensity) = {
                 let t = &self.tenants[&id];
                 (t.app.clone(), t.placement.clone(), t.transfers.clone(), t.intensity)
@@ -146,7 +137,7 @@ impl OnlineScheduler {
                     gain: predicted / current,
                     tenant: id,
                     placement: candidate,
-                    forced: is_forced(id),
+                    forced,
                 });
             }
         }
@@ -224,14 +215,14 @@ impl OnlineScheduler {
         self.stats.note(0x56); // 'V' — a move
         self.stats.note(id);
         let baseline = self.run_tenant(id, t.app, placement, t.transfers, t.intensity);
-        let now = self.sim.now();
-        let cause = Cause::Hysteresis { gain, min_improvement: MIN_IMPROVEMENT };
-        if forced {
+        let kind = if forced {
             self.stats.failure_migrations += 1;
             self.stats.note(0x46); // 'F' — the move was forced
-            self.stats.decide_caused(now, id, DecisionKind::ForcedMigration, baseline, cause);
+            DecisionKind::ForcedMigration
         } else {
-            self.stats.decide_caused(now, id, DecisionKind::Migrate, baseline, cause);
-        }
+            DecisionKind::Migrate
+        };
+        let cause = Cause::Hysteresis { gain, min_improvement: MIN_IMPROVEMENT };
+        self.decide(id, kind, baseline, Some(cause));
     }
 }

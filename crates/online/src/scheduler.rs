@@ -18,10 +18,10 @@ use choreo_topology::{Nanos, NodeId, LOOPBACK};
 
 use crate::builder::SchedulerBuilder;
 use crate::config::{
-    OnlineConfig, PlacementPolicy, CORES_PER_HOST, DEGRADED_FRACTION, DRIFT_THRESHOLD,
-    MAX_MODELED_TRANSFERS,
+    OnlineConfig, PlacementPolicy, CORES_PER_HOST, DRIFT_THRESHOLD, MAX_MODELED_TRANSFERS,
 };
 use crate::metrics::{PodLossGauges, ServiceMetrics};
+use crate::migrate::Forced;
 use crate::stats::{Cause, DecisionKind, RejectReason, ServiceStats};
 
 /// One admitted tenant's live state.
@@ -191,6 +191,18 @@ impl OnlineScheduler {
         self.metrics.publish(&self.stats, self.queue.len(), self.tenants.len());
     }
 
+    /// Record one decision, made now, in the trace ring (see
+    /// [`ServiceStats::decide`]).
+    pub(crate) fn decide(
+        &mut self,
+        tenant: TenantId,
+        kind: DecisionKind,
+        value: f64,
+        cause: Option<Cause>,
+    ) {
+        self.stats.decide(self.sim.now(), tenant, kind, value, cause);
+    }
+
     // ------------------------------------------------------------ queries
 
     /// Counters and the trajectory digest.
@@ -315,7 +327,7 @@ impl OnlineScheduler {
                 self.measurement_pass();
                 self.next_measure_at = next + self.cfg.drift.cadence.expect("cadence set");
             } else {
-                self.migration_pass();
+                self.migration_pass(Forced::Ids(&[]));
                 self.next_migration_at = next + self.cfg.migration.cadence.expect("cadence set");
             }
         }
@@ -350,29 +362,25 @@ impl OnlineScheduler {
     }
 
     /// Consume one network event: advance simulated time, apply the
-    /// capacity change to the live simulator, and, on a failure, route
-    /// every tenant the failure degraded into a forced migration pass
-    /// ahead of the cadence. Fully digested: fault-laden runs stay
+    /// capacity change to the live simulator, and, on a failure, force
+    /// every tenant the failure degraded into a migration pass ahead of
+    /// the cadence. Fully digested: fault-laden runs stay
     /// bit-reproducible across repeats.
     ///
     /// The capacity change is one dirty-window perturbation, solved —
     /// bit-identical to cold at the new capacities — by whoever reads a
     /// rate next, so the events of a switch failing or recovering all
     /// its links in one instant share one solve. On a failure the
-    /// reader is the degradation scan, which scores each running
-    /// networked tenant once; the degraded tenants, with those scores,
-    /// are the forced pass's phase 1, so no tenant is scored twice.
+    /// reader is the pass's phase 1, which scores each running networked
+    /// tenant once.
     pub fn network_step(&mut self, ev: &NetworkEvent) {
         self.advance_to(ev.at);
         self.stats.network_events += 1;
         self.stats.note(0x4e); // 'N'
         self.stats.note((ev.link as u64) << 8 | network_event_code(&ev.kind));
         let fraction = match ev.kind {
-            NetworkEventKind::LinkDegrade { fraction } => {
-                self.sim.degrade_link(ev.link, fraction);
-                fraction
-            }
-            NetworkEventKind::DrainStart { fraction } => {
+            NetworkEventKind::LinkDegrade { fraction }
+            | NetworkEventKind::DrainStart { fraction } => {
                 self.sim.degrade_link(ev.link, fraction);
                 fraction
             }
@@ -394,8 +402,7 @@ impl OnlineScheduler {
             }
         };
         self.stats.note_f64(fraction);
-        let now = self.sim.now();
-        self.stats.decide(now, TenantId::MAX, DecisionKind::NetworkEvent, fraction);
+        self.decide(TenantId::MAX, DecisionKind::NetworkEvent, fraction, None);
         self.metrics.capacity_lost.set(self.sim.capacity_lost_fraction());
         // Per-pod breakdown. A failure-heavy stream is mostly network
         // events, so the refresh runs off precomputed link buckets (see
@@ -406,26 +413,9 @@ impl OnlineScheduler {
             // force everyone the failure actually degraded into a pass
             // now. The planner's hysteresis still gates each move, so a
             // tenant with no better place to go stays put.
-            let degraded = self.degraded_tenants();
-            if !degraded.is_empty() {
-                self.migration_pass_scored(degraded);
-            }
+            self.migration_pass(Forced::Degraded);
         }
         self.publish();
-    }
-
-    /// Running networked tenants currently scoring below the planner's
-    /// degraded fraction of their baseline, with those scores, in id
-    /// order.
-    fn degraded_tenants(&mut self) -> Vec<(TenantId, f64)> {
-        let mut out = Vec::new();
-        for (&id, t) in self.tenants.iter().filter(|(_, t)| t.is_networked()) {
-            let score = service_score(&mut self.sim, &t.flows);
-            if score < DEGRADED_FRACTION * t.baseline {
-                out.push((id, score));
-            }
-        }
-        out
     }
 
     /// One re-measurement epoch: score every running networked tenant
@@ -437,7 +427,6 @@ impl OnlineScheduler {
     fn measurement_pass(&mut self) {
         self.stats.measurement_passes += 1;
         self.stats.note(0x50); // 'P'
-        let now = self.sim.now();
         let mut drifted: Vec<(TenantId, f64)> = Vec::new();
         // Co-located tenants have no network under them to drift.
         for (&id, t) in self.tenants.iter_mut().filter(|(_, t)| t.is_networked()) {
@@ -460,24 +449,19 @@ impl OnlineScheduler {
             self.stats.drift_detected += 1;
             self.stats.note(0x64); // 'd'
             self.stats.note(id);
-            self.stats.decide_caused(
-                now,
-                id,
-                DecisionKind::DriftDetected,
-                err,
-                Cause::Drift { error: err, threshold: DRIFT_THRESHOLD },
-            );
+            let cause = Cause::Drift { error: err, threshold: DRIFT_THRESHOLD };
+            self.decide(id, DecisionKind::DriftDetected, err, Some(cause));
         }
         if !drifted.is_empty() {
             let forced: Vec<TenantId> = drifted.iter().map(|&(id, _)| id).collect();
-            self.migration_pass_forced(&forced);
+            self.migration_pass(Forced::Ids(&forced));
         }
     }
 
     /// Run a migration pass right now regardless of the cadence clock
     /// (tests and externally-scheduled deployments).
     pub fn force_migration_pass(&mut self) {
-        self.migration_pass();
+        self.migration_pass(Forced::Ids(&[]));
         self.publish();
     }
 
@@ -492,8 +476,7 @@ impl OnlineScheduler {
         if self.tenants.contains_key(&id) || self.queue.iter().any(|(t, _, _)| *t == id) {
             self.stats.duplicate_arrivals += 1;
             self.stats.note(0x58); // 'X'
-            let now = self.sim.now();
-            self.stats.decide(now, id, DecisionKind::Duplicate, 0.0);
+            self.decide(id, DecisionKind::Duplicate, 0.0, None);
             return;
         }
         match self.try_place(&app, self.cfg.policy) {
@@ -504,36 +487,22 @@ impl OnlineScheduler {
             None if self.queue.len() < self.cfg.queue_capacity => {
                 self.stats.queued += 1;
                 self.stats.note(0x51); // 'Q'
-                let now = self.sim.now();
-                self.stats.decide(now, id, DecisionKind::Queue, self.queue.len() as f64);
+                self.decide(id, DecisionKind::Queue, self.queue.len() as f64, None);
                 self.queue.push_back((id, app, 1));
             }
             None => {
                 self.stats.rejected += 1;
                 // Count *why* capacity was gone: a rejection during a
                 // failure epoch is the network's fault, not sizing's.
-                if self.links_down > 0 {
+                let (kind, reason) = if self.links_down > 0 {
                     self.stats.failure_rejections += 1;
                     self.stats.note(0x72); // 'r'
-                    let now = self.sim.now();
-                    self.stats.decide_caused(
-                        now,
-                        id,
-                        DecisionKind::FailureReject,
-                        0.0,
-                        Cause::Reject(RejectReason::LinksDown),
-                    );
+                    (DecisionKind::FailureReject, RejectReason::LinksDown)
                 } else {
                     self.stats.note(0x52); // 'R'
-                    let now = self.sim.now();
-                    self.stats.decide_caused(
-                        now,
-                        id,
-                        DecisionKind::Reject,
-                        0.0,
-                        Cause::Reject(RejectReason::QueueFull),
-                    );
-                }
+                    (DecisionKind::Reject, RejectReason::QueueFull)
+                };
+                self.decide(id, kind, 0.0, Some(Cause::Reject(reason)));
             }
         }
     }
@@ -691,8 +660,7 @@ impl OnlineScheduler {
         self.stats.note(0x41); // 'A'
         self.stats.note(intensity as u64);
         let baseline = self.run_tenant(id, app, placement, transfers, intensity);
-        let now = self.sim.now();
-        self.stats.decide(now, id, kind, baseline);
+        self.decide(id, kind, baseline, None);
     }
 
     /// Start a tenant running at `placement`, on admission and on every
@@ -738,8 +706,7 @@ impl OnlineScheduler {
             self.stats.departures += 1;
             self.queue.remove(pos);
             self.stats.note(0x44); // 'D'
-            let now = self.sim.now();
-            self.stats.decide(now, id, DecisionKind::Depart, 0.0);
+            self.decide(id, DecisionKind::Depart, 0.0, None);
             return;
         }
         let Some(t) = self.tenants.remove(&id) else {
@@ -755,8 +722,7 @@ impl OnlineScheduler {
         self.stats.departures += 1;
         let score = service_score(&mut self.sim, &t.flows);
         self.stats.record_departed_rate(score);
-        let now = self.sim.now();
-        self.stats.decide(now, id, DecisionKind::Depart, score);
+        self.decide(id, DecisionKind::Depart, score, None);
         let keys: Vec<FlowKey> = t.flows.iter().flatten().copied().collect();
         self.sim.stop_flows_now(&keys);
         // The departure score above was the last read of these flows;
@@ -849,8 +815,7 @@ impl OnlineScheduler {
         t.last_epoch_score = None;
         let baseline = t.baseline;
         self.stats.note_f64(baseline);
-        let now = self.sim.now();
-        self.stats.decide(now, id, DecisionKind::Intensity, intensity as f64);
+        self.decide(id, DecisionKind::Intensity, intensity as f64, None);
     }
 
     // --------------------------------------------------------- invariants
@@ -895,7 +860,7 @@ impl OnlineScheduler {
                 self.cpu[h]
             );
             assert!(
-                used <= self.machines.cpu[h] + 1e-6,
+                self.machines.fits(h, used, 0.0),
                 "host {h} over capacity: {used} > {}",
                 self.machines.cpu[h]
             );

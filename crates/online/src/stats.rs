@@ -374,23 +374,18 @@ impl ServiceStats {
         }
     }
 
-    /// Record one decision in the trace ring.
-    pub(crate) fn decide(&mut self, at: Nanos, tenant: TenantId, kind: DecisionKind, value: f64) {
-        self.trace.push(Decision { at, tenant, kind, value, cause: None });
-    }
-
-    /// [`ServiceStats::decide`] with the cause metadata attached. The
-    /// cause rides only in the trace ring — it is never digested — so
-    /// attaching it cannot fork a trajectory.
-    pub(crate) fn decide_caused(
+    /// Record one decision in the trace ring. Its cause rides only in
+    /// the ring — it is never digested — so attaching one cannot fork a
+    /// trajectory.
+    pub(crate) fn decide(
         &mut self,
         at: Nanos,
         tenant: TenantId,
         kind: DecisionKind,
         value: f64,
-        cause: Cause,
+        cause: Option<Cause>,
     ) {
-        self.trace.push(Decision { at, tenant, kind, value, cause: Some(cause) });
+        self.trace.push(Decision { at, tenant, kind, value, cause });
     }
 
     /// The decision flight recorder (most recent decisions, bounded).
@@ -464,7 +459,7 @@ mod tests {
     fn trace_ring_keeps_the_most_recent_decisions() {
         let mut s = ServiceStats::with_trace_capacity(3);
         for i in 0..5u64 {
-            s.decide(i, i, DecisionKind::Admit, i as f64);
+            s.decide(i, i, DecisionKind::Admit, i as f64, None);
         }
         let ring = s.decisions();
         assert_eq!(ring.total(), 5);
@@ -478,7 +473,7 @@ mod tests {
         );
         // Before wrap-around the ring returns what it has.
         let mut t = ServiceStats::with_trace_capacity(8);
-        t.decide(1, 0, DecisionKind::Queue, 0.0);
+        t.decide(1, 0, DecisionKind::Queue, 0.0, None);
         assert_eq!(t.decisions().recent().len(), 1);
     }
 
@@ -493,7 +488,7 @@ mod tests {
         let mut at = 0u64;
         for burst in [0usize, 1, 2, 0, 3, 4, 1, 9, 0, 2] {
             for _ in 0..burst {
-                s.decide(at, at, DecisionKind::Admit, at as f64);
+                s.decide(at, at, DecisionKind::Admit, at as f64, None);
                 at += 1;
             }
             mirror.sync_from(s.decisions());
@@ -506,16 +501,12 @@ mod tests {
     #[test]
     fn decisions_render_as_jsonl_with_causes() {
         let mut s = ServiceStats::with_trace_capacity(8);
-        s.decide(5, 3, DecisionKind::Admit, 2.5);
-        s.decide_caused(7, 4, DecisionKind::Reject, 0.0, Cause::Reject(RejectReason::QueueFull));
-        s.decide_caused(
-            9,
-            4,
-            DecisionKind::DriftDetected,
-            0.125,
-            Cause::Drift { error: 0.125, threshold: 0.06 },
-        );
-        s.decide(11, u64::MAX, DecisionKind::MigrationPass, f64::INFINITY);
+        s.decide(5, 3, DecisionKind::Admit, 2.5, None);
+        let full = Some(Cause::Reject(RejectReason::QueueFull));
+        s.decide(7, 4, DecisionKind::Reject, 0.0, full);
+        let drift = Some(Cause::Drift { error: 0.125, threshold: 0.06 });
+        s.decide(9, 4, DecisionKind::DriftDetected, 0.125, drift);
+        s.decide(11, u64::MAX, DecisionKind::MigrationPass, f64::INFINITY, None);
         let jsonl = s.decisions().to_jsonl(16);
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 4);
