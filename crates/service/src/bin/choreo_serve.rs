@@ -6,8 +6,10 @@
 //!   — run the service on real TCP sockets ([`choreo_service::NetEnv`])
 //!   with a `GET /metrics` scrape endpoint.
 //! * `smoke  [--addr A] [--metrics-addr A]` — one-shot client: admit a
-//!   small tenant, fetch stats, and assert the metrics exposition shows
-//!   the admission. Exits non-zero on any mismatch.
+//!   small tenant, fetch stats, check that an intensity of `u32::MAX` is
+//!   refused with an error while the service keeps answering, and assert
+//!   the metrics exposition shows the admission. Exits non-zero on any
+//!   mismatch.
 //! * `shutdown [--addr A]` — ask a running service to stop.
 //! * `sim    [--seed N] [--tenants N]` — run the same scripted workload
 //!   twice through the simulated backend and print both trajectory
@@ -155,6 +157,17 @@ fn smoke(flags: &Flags) -> Result<(), String> {
             }
         }
         other => return Err(format!("stats: unexpected reply {other:?}")),
+    }
+    // A hostile intensity must be refused with an error, and the service
+    // must still answer afterwards.
+    let hostile = ServiceRequest::SetIntensity { tenant: 1, intensity: u32::MAX };
+    match rpc(&mut c, &hostile)? {
+        ServiceResponse::Error(e) => println!("refused intensity {}: {e}", u32::MAX),
+        other => return Err(format!("hostile intensity: unexpected reply {other:?}")),
+    }
+    match rpc(&mut c, &ServiceRequest::Stats)? {
+        ServiceResponse::Stats(_) => {}
+        other => return Err(format!("stats after a refusal: unexpected reply {other:?}")),
     }
     // One injected link-failure/recovery round-trip: the service must
     // apply both events and count them.

@@ -45,7 +45,10 @@
 //! are refused before they reach the scheduler, so no tenant can claim
 //! `TenantId::MAX`, the decision trace's cluster-wide sentinel (rendered
 //! `"tenant":null`). Refusals are counted in
-//! `choreo_invalid_tenant_ids_total`.
+//! `choreo_invalid_tenant_ids_total`. Intensities above
+//! [`MAX_INTENSITY`](service::MAX_INTENSITY), which would exhaust the
+//! engine's flow records, and degrade or drain fractions outside (0, 1),
+//! which the engine refuses with a panic, get an `Error` reply too.
 //!
 //! # Metrics quickstart
 //!

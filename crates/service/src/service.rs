@@ -11,8 +11,9 @@
 use std::sync::{Arc, Mutex};
 
 use choreo_metrics::{Counter, Registry};
+use choreo_online::config::MAX_MODELED_TRANSFERS;
 use choreo_online::{OnlineConfig, OnlineScheduler, SchedulerBuilder, TraceRing};
-use choreo_profile::{NetworkEvent, TenantEvent, TenantEventKind};
+use choreo_profile::{NetworkEvent, NetworkEventKind, TenantEvent, TenantEventKind};
 use choreo_topology::{Nanos, RouteTable, Topology, SECS};
 use choreo_wire::{ServiceRequest, ServiceResponse, ServiceStatsReply};
 
@@ -24,6 +25,18 @@ use crate::env::{NetEvent, ServiceEnv};
 /// (rendered `"tenant":null`), which a tenant must never be able to
 /// claim.
 pub const MAX_TENANT_ID: u64 = u16::MAX as u64;
+
+/// Largest intensity a `SetIntensity` may ask for; larger ones are
+/// refused before the scheduler sees them. A tenant runs `intensity`
+/// flows per modeled transfer, so one frame asking for `u32::MAX` would
+/// start flows until the engine's 2^22 − 1 flow records run out and it
+/// panics. At this bound every tenant id the service accepts, each at
+/// [`MAX_MODELED_TRANSFERS`] transfers, fits in 3 932 160 records.
+pub const MAX_INTENSITY: u32 = 5;
+
+const _: () = assert!(
+    (MAX_TENANT_ID + 1) * (MAX_MODELED_TRANSFERS as u64) * (MAX_INTENSITY as u64) < (1 << 22) - 1
+);
 
 /// Furthest ahead of the scheduler clock a wire-supplied `at`
 /// (`ForceMigration`, `InjectNetworkEvent`) may advance simulated time.
@@ -243,6 +256,11 @@ impl<E: ServiceEnv> PlacementService<E> {
             ServiceRequest::SetIntensity { intensity: 0, .. } => {
                 ServiceResponse::Error("intensity must be at least 1".into())
             }
+            ServiceRequest::SetIntensity { intensity, .. } if intensity > MAX_INTENSITY => {
+                ServiceResponse::Error(format!(
+                    "intensity {intensity} exceeds the service maximum {MAX_INTENSITY}"
+                ))
+            }
             ServiceRequest::SetIntensity { tenant, intensity } => {
                 self.scheduler.step(&TenantEvent {
                     at,
@@ -274,6 +292,18 @@ impl<E: ServiceEnv> PlacementService<E> {
                     return ServiceResponse::Error(format!(
                         "link {link} out of range (topology has {n_links} links)"
                     ));
+                }
+                // The codec's rule, for requests that did not come
+                // through it: the engine panics on a fraction outside
+                // (0, 1].
+                if let NetworkEventKind::LinkDegrade { fraction }
+                | NetworkEventKind::DrainStart { fraction } = kind
+                {
+                    if !(fraction > 0.0 && fraction < 1.0) {
+                        return ServiceResponse::Error(format!(
+                            "network-event fraction must be in (0, 1), got {fraction}"
+                        ));
+                    }
                 }
                 self.scheduler.network_step(&NetworkEvent { at, link, kind });
                 ServiceResponse::Done
@@ -459,6 +489,57 @@ mod tests {
         assert!(matches!(rs[0], ServiceResponse::Admitted { .. }), "{:?}", rs[0]);
         assert!(matches!(&rs[1], ServiceResponse::Error(e) if e.contains("at least 1")), "{rs:?}");
         assert_eq!(rs[2], ServiceResponse::Done);
+    }
+
+    #[test]
+    fn oversized_intensities_are_refused_before_the_scheduler() {
+        // 3-core tasks on four-core hosts: the transfer crosses hosts.
+        let mut two_hosts = app(2);
+        two_hosts.cpu = vec![3.0; 2];
+        let mut svc = sim_service(vec![
+            (10, 1, ServiceRequest::Admit { tenant: 1, app: two_hosts }),
+            (20, 1, ServiceRequest::SetIntensity { tenant: 1, intensity: MAX_INTENSITY + 1 }),
+            (30, 1, ServiceRequest::SetIntensity { tenant: 1, intensity: u32::MAX }),
+            (40, 1, ServiceRequest::SetIntensity { tenant: 1, intensity: MAX_INTENSITY }),
+        ]);
+        // Check the first refusal before serving `u32::MAX`: a service
+        // that takes it starts flows until the engine panics.
+        while svc.env().responses(1).len() < 2 {
+            assert!(svc.poll(), "the script holds four requests");
+        }
+        let refused = &svc.env().responses(1)[1];
+        assert!(
+            matches!(refused, ServiceResponse::Error(e) if e.contains("maximum")),
+            "{refused:?}"
+        );
+        svc.run();
+        assert_eq!(svc.scheduler().tenant_intensity(1), Some(MAX_INTENSITY));
+        assert_eq!(svc.scheduler_mut().sim_mut().active_flows(), MAX_INTENSITY as usize);
+        svc.scheduler_mut().check_invariants();
+        let rs = svc.env().responses(1);
+        assert!(matches!(&rs[2], ServiceResponse::Error(e) if e.contains("maximum")), "{rs:?}");
+        assert_eq!(rs[3], ServiceResponse::Done);
+    }
+
+    #[test]
+    fn out_of_range_fractions_are_refused_before_the_scheduler() {
+        use choreo_profile::NetworkEventKind::{DrainStart, LinkDegrade};
+        let inject = |at, kind| (at, 1, ServiceRequest::InjectNetworkEvent { at, link: 0, kind });
+        let mut svc = sim_service(vec![
+            inject(10, LinkDegrade { fraction: 0.0 }),
+            inject(20, DrainStart { fraction: 1.5 }),
+            inject(30, LinkDegrade { fraction: f64::NAN }),
+            inject(40, DrainStart { fraction: 1.0 }),
+            inject(50, LinkDegrade { fraction: -0.5 }),
+            inject(60, DrainStart { fraction: 0.5 }),
+        ]);
+        svc.run();
+        assert_eq!(svc.scheduler().stats().network_events, 1, "only the drain to 0.5 applies");
+        let rs = svc.env().responses(1);
+        for r in &rs[..5] {
+            assert!(matches!(r, ServiceResponse::Error(e) if e.contains("(0, 1)")), "{r:?}");
+        }
+        assert_eq!(rs[5], ServiceResponse::Done);
     }
 
     #[test]
