@@ -191,8 +191,8 @@ const SERVICE_RATE_BITS: u64 = 0x41d4_c6fc_b664_5ac2;
 const SERVICE_COUNTERS: [u64; 8] = [12, 16, 13, 1, 5, 3, 42, 3];
 /// `RunSummary::decisions` of the same run: every decision each event
 /// pushed, as the trace ring renders it, with the decided tenants'
-/// placements. Recorded before the migration planner's three entries
-/// became one.
+/// placements. Recorded at commit 801d5aa, before the migration passes
+/// shared one entry.
 const SERVICE_DECISIONS: u64 = 0x607d_9fae_a44e_6b6f;
 
 /// The saturated golden, in the regime of the ledger's `steady-sim`. The
