@@ -17,16 +17,24 @@
 //! For the scheduler, each of the four runs `tests/harness` names as a
 //! [`Golden`] — its tree, configuration and merged event stream at stream
 //! seed 7 and network seed 11 — is replayed and its [`RunSummary`]
-//! pinned.
+//! pinned. The service golden is also served as wire requests through
+//! `PlacementService<SimEnv>`, and every reply and the exported trace
+//! are pinned.
 
 mod harness;
 
 use std::sync::Arc;
 
 use choreo_repro::flowsim::{FlowKey, FlowSim, FlowStatus};
-use choreo_repro::profile::ServiceEvent;
+use choreo_repro::profile::{
+    AppProfile, NetworkEventKind, ServiceEvent, TenantEventKind, TenantId,
+};
+use choreo_repro::service::service::{MAX_ADVANCE, MAX_INTENSITY, MAX_TENANT_ID};
+use choreo_repro::service::{
+    ConnId, PlacementService, ServiceConfig, ServiceRequest, ServiceResponse, SimEnv,
+};
 use choreo_repro::topology::route::splitmix64;
-use choreo_repro::topology::{MultiRootedTreeSpec, RouteTable, MBIT};
+use choreo_repro::topology::{MultiRootedTreeSpec, Nanos, RouteTable, MBIT};
 use harness::run::{replay, RunSummary};
 use harness::Golden;
 
@@ -301,3 +309,143 @@ const FAILOVER_WARM_SOLVES: u64 = 1_243;
 /// Warm solves of the same run at commit 987edc3, where every advance
 /// solved, whether or not the clock moved.
 const FAILOVER_WARM_SOLVES_EAGER: u64 = 1_411;
+
+/// The service golden's events as wire requests on one connection, with
+/// service-only requests interleaved at fixed strides: after every
+/// [`FORCE_EVERY`]th event a `ForceMigration` at the next event's time
+/// (so its advance crosses cadence ticks), after every [`DUPLICATE_EVERY`]th
+/// a second `Admit` of the oldest tenant that arrived and has not
+/// departed, after every [`GET_TRACE_EVERY`]th a `GetTrace { n: 64 }`, and
+/// after every [`STATS_EVERY`]th a `Stats`. After every [`REFUSE_EVERY`]th
+/// event comes the next of six requests the service refuses: a tenant id
+/// above `MAX_TENANT_ID`, intensity 0, an intensity above
+/// `MAX_INTENSITY`, a link out of range, a fraction outside (0, 1) and
+/// an `at` past the advance horizon.
+fn service_transcript_script() -> Vec<(Nanos, ConnId, ServiceRequest)> {
+    let events = Golden::Service.events(7, 11);
+    let n_links = Golden::Service.topology().0.links().len() as u32;
+    let mut script = Vec::new();
+    let mut live: Vec<(TenantId, AppProfile)> = Vec::new();
+    let mut refusals = 0;
+    for (i, ev) in events.iter().enumerate() {
+        let at = ev.at();
+        let req = match ev {
+            ServiceEvent::Tenant(t) => match &t.kind {
+                TenantEventKind::Arrive { app } => {
+                    live.push((t.tenant, (**app).clone()));
+                    ServiceRequest::Admit { tenant: t.tenant, app: (**app).clone() }
+                }
+                TenantEventKind::SetIntensity { intensity } => {
+                    ServiceRequest::SetIntensity { tenant: t.tenant, intensity: *intensity }
+                }
+                TenantEventKind::Depart => {
+                    live.retain(|(id, _)| *id != t.tenant);
+                    ServiceRequest::Depart { tenant: t.tenant }
+                }
+            },
+            ServiceEvent::Network(n) => {
+                ServiceRequest::InjectNetworkEvent { at: n.at, link: n.link, kind: n.kind }
+            }
+        };
+        script.push((at, 1, req));
+        let due = |every: usize| i % every == every - 1;
+        if due(FORCE_EVERY) {
+            if let Some(next) = events.get(i + 1) {
+                script.push((next.at(), 1, ServiceRequest::ForceMigration { at: next.at() }));
+            }
+        }
+        if due(DUPLICATE_EVERY) {
+            if let Some((tenant, app)) = live.first() {
+                script.push((at, 1, ServiceRequest::Admit { tenant: *tenant, app: app.clone() }));
+            }
+        }
+        if due(GET_TRACE_EVERY) {
+            script.push((at, 1, ServiceRequest::GetTrace { n: 64 }));
+        }
+        if due(STATS_EVERY) {
+            script.push((at, 1, ServiceRequest::Stats));
+        }
+        if due(REFUSE_EVERY) {
+            let tenant = live.first().map_or(0, |(id, _)| *id);
+            let refused = match refusals % 6 {
+                0 => ServiceRequest::Admit { tenant: MAX_TENANT_ID + 1, app: small_app() },
+                1 => ServiceRequest::SetIntensity { tenant, intensity: 0 },
+                2 => ServiceRequest::SetIntensity { tenant, intensity: MAX_INTENSITY + 1 },
+                3 => ServiceRequest::InjectNetworkEvent {
+                    at,
+                    link: n_links,
+                    kind: NetworkEventKind::LinkFail,
+                },
+                4 => ServiceRequest::InjectNetworkEvent {
+                    at,
+                    link: 0,
+                    kind: NetworkEventKind::LinkDegrade { fraction: 1.5 },
+                },
+                _ => ServiceRequest::ForceMigration { at: at + 2 * MAX_ADVANCE },
+            };
+            refusals += 1;
+            script.push((at, 1, refused));
+        }
+    }
+    assert!(refusals >= 6, "every kind of refusal is served");
+    script
+}
+
+/// A two-task app with no traffic, for the refused `Admit`.
+fn small_app() -> AppProfile {
+    AppProfile::new("small", vec![1.0, 1.0], choreo_repro::profile::TrafficMatrix::zeros(2), 0)
+}
+
+const FORCE_EVERY: usize = 29;
+const DUPLICATE_EVERY: usize = 31;
+const GET_TRACE_EVERY: usize = 37;
+const STATS_EVERY: usize = 19;
+const REFUSE_EVERY: usize = 53;
+
+/// The service golden served through `PlacementService<SimEnv>` on its
+/// tree, configuration and seed, with the requests of
+/// [`service_transcript_script`]. Every response's wire encoding and the
+/// final `trace_jsonl(256)` are folded into one FNV-1a digest, so a
+/// change to what any reply says, or to which decisions reach the
+/// exported trace, moves it.
+#[test]
+fn served_service_golden_transcript_is_pinned() {
+    let script = service_transcript_script();
+    let requests = script.len();
+    let (topo, routes) = Golden::Service.topology();
+    let cfg = ServiceConfig {
+        online: Golden::Service.config(),
+        seed: Golden::SEED,
+        ..ServiceConfig::default()
+    };
+    let mut svc = PlacementService::new(topo, routes, cfg, SimEnv::new(script));
+    svc.run();
+    svc.scheduler().check_invariants();
+    let trace = svc.trace_jsonl(256);
+    let env = svc.into_env();
+    let responses = env.responses(1);
+    assert_eq!(responses.len(), requests, "one response per request");
+    let count = |f: &dyn Fn(&ServiceResponse) -> bool| responses.iter().filter(|r| f(r)).count();
+    let known =
+        count(&|r| matches!(r, ServiceResponse::Rejected { reason } if reason.contains("known")));
+    assert!(known > 0, "duplicate admissions were served");
+    assert!(count(&|r| matches!(r, ServiceResponse::Error(_))) >= 5, "refusals were served");
+    assert!(count(&|r| matches!(r, ServiceResponse::Trace(_))) > 0);
+    assert!(count(&|r| matches!(r, ServiceResponse::Admitted { .. })) > 0);
+    assert!(count(&|r| matches!(r, ServiceResponse::Queued)) > 0);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for r in responses {
+        for &b in r.encode().iter() {
+            digest = fnv1a(digest, b as u64);
+        }
+    }
+    for b in trace.bytes() {
+        digest = fnv1a(digest, b as u64);
+    }
+    assert_eq!(digest, SERVICE_TRANSCRIPT, "service transcript moved: {digest:#018x}");
+}
+
+/// [`served_service_golden_transcript_is_pinned`]'s digest. Recorded at
+/// commit 7286f4f, where the `Admit` reply was read off counter diffs
+/// and `/trace` was a mirror synced from the scheduler's ring.
+const SERVICE_TRANSCRIPT: u64 = 0x4eaa_30b4_7441_28dd;
