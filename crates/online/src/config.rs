@@ -36,10 +36,6 @@ pub const MIGRATION_BUDGET: usize = 2;
 /// migration planner's cadence scan.
 pub const MIGRATION_COOLDOWN: Nanos = 20 * SECS;
 
-/// Decisions retained by the flight-recorder ring
-/// ([`crate::ServiceStats::decisions`]).
-pub const TRACE_CAPACITY: usize = 256;
-
 /// A tenant counts as drifted when its last-epoch relative error
 /// `|cur − prev| / cur` exceeds this: the paper's §4.1 stability envelope
 /// (≤ 6 % error for 95 % of paths). More epoch-over-epoch error than the

@@ -37,8 +37,11 @@
 //! (topology + routes, then chained config/seed/registry setters). The
 //! settable knobs are [`OnlineConfig`]'s; the values every caller left
 //! alone are named constants in [`config`]. Every decision is counted
-//! once, in [`ServiceStats`], and recorded in its bounded per-decision
-//! [`TraceRing`]. A scheduler
+//! once, in [`ServiceStats`], and returned as a [`Decision`] by the call
+//! that made it ([`OnlineScheduler::service_step`],
+//! [`OnlineScheduler::advance_to`],
+//! [`OnlineScheduler::force_migration_pass`]); a reader that wants a
+//! history keeps one, such as the bounded [`TraceRing`]. A scheduler
 //! given a [`choreo_metrics::Registry`] publishes those counts as
 //! `choreo_*_total` counters at the end of every public call that can
 //! move one, next to
@@ -355,16 +358,15 @@ mod tests {
         s.sim_mut().run_until(SECS);
         s.force_migration_pass();
         assert_eq!(s.stats().migrations, 0, "cooldown holds the cadence scan back");
+        // `migration_pass` is no entry point: clear the outcome the way
+        // `force_migration_pass` does.
+        s.outcome.clear();
         s.migration_pass(Forced::Ids(&[0]));
         assert_eq!(s.stats().migrations, 1, "forced tenant moved");
         assert_eq!(s.stats().failure_migrations, 1, "counted as a forced migration");
         assert!(
-            s.stats()
-                .decisions()
-                .recent()
-                .iter()
-                .any(|d| d.kind == DecisionKind::ForcedMigration && d.tenant == 0),
-            "trace explains the forced move"
+            s.outcome.iter().any(|d| d.kind == DecisionKind::ForcedMigration && d.tenant == 0),
+            "the pass's outcome explains the forced move"
         );
         s.check_invariants();
     }
@@ -469,17 +471,13 @@ mod tests {
         let lost = s.sim_mut().capacity_lost_fraction();
         assert!((lost - 0.6).abs() < 0.05, "≈60 % of capacity gone: {lost}");
         // t = 2 s: epoch sees the collapse → drift.
-        s.advance_to(2 * SECS + SECS / 4);
+        let advanced = s.advance_to(2 * SECS + SECS / 4);
+        assert!(
+            advanced.iter().any(|d| d.kind == DecisionKind::DriftDetected && d.tenant == 0),
+            "the advance's outcome explains the drift verdict"
+        );
         let after_cut = s.stats().drift_detected;
         assert!(after_cut >= 1, "degradation reads as drift");
-        assert!(
-            s.stats()
-                .decisions()
-                .recent()
-                .iter()
-                .any(|d| d.kind == DecisionKind::DriftDetected && d.tenant == 0),
-            "trace explains the drift verdict"
-        );
         for l in 0..n_links {
             s.network_step(&NetworkEvent {
                 at: 2 * SECS + SECS / 2,

@@ -4,9 +4,8 @@
 //! loop and a [`choreo_metrics::Registry`]. It counts nothing itself:
 //! [`ServiceStats`] is the scheduler's one counter ledger, and every
 //! exported `choreo_*_total` counter is published from it once at the
-//! end of each public scheduler call, the way
-//! [`crate::TraceRing::sync_from`] publishes decisions — so a scrape can
-//! never disagree with what the scheduler counted. The gauges and the
+//! end of each public scheduler call — so a scrape can never disagree
+//! with what the scheduler counted. The gauges and the
 //! placement-latency histogram are cheap atomic handles set on the spot.
 //! The two labeled gauges are fixed vectors built with the scheduler —
 //! [`TENANT_BUCKETS`] SLO buckets, and one series per pod of the

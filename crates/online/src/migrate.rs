@@ -198,7 +198,7 @@ impl OnlineScheduler {
     /// this pass took the room. `forced` marks drift/failure-triggered
     /// moves for the trace and [`crate::ServiceStats::failure_migrations`].
     /// `gain` is the predicted-over-current ratio that cleared the
-    /// hysteresis bar — recorded as the move's [`Cause`] in the trace ring.
+    /// hysteresis bar — recorded as the move's [`Cause`] in its decision.
     fn execute_move(&mut self, id: TenantId, placement: Placement, forced: bool, gain: f64) {
         let t = self.tenants.remove(&id).expect("planned moves target running tenants");
         release_cpu(&mut self.cpu, &t.app, &t.placement);

@@ -22,7 +22,7 @@ use crate::config::{
 };
 use crate::metrics::{PodLossGauges, ServiceMetrics};
 use crate::migrate::Forced;
-use crate::stats::{Cause, DecisionKind, RejectReason, ServiceStats};
+use crate::stats::{Cause, Decision, DecisionKind, RejectReason, ServiceStats};
 
 /// One admitted tenant's live state.
 #[derive(Debug)]
@@ -74,6 +74,9 @@ impl Tenant {
 ///   a simulated-time cadence and re-places degraded tenants under a
 ///   per-pass budget.
 ///
+/// Every public call that can decide something returns its
+/// [`Decision`]s, oldest first; the scheduler keeps no history of them.
+///
 /// Everything is deterministic: the same event stream, seed and config
 /// produce bit-identical trajectories ([`ServiceStats::trace_hash`]).
 pub struct OnlineScheduler {
@@ -94,6 +97,10 @@ pub struct OnlineScheduler {
     pub(crate) cfg: OnlineConfig,
     random: RandomPlacer,
     pub(crate) stats: ServiceStats,
+    /// The current public call's decisions, filled by `decide` and
+    /// cleared on entry to `advance_to` (where every event starts) and
+    /// `force_migration_pass`.
+    pub(crate) outcome: Vec<Decision>,
     pub(crate) metrics: ServiceMetrics,
     next_migration_at: Nanos,
     next_measure_at: Nanos,
@@ -166,6 +173,7 @@ impl OnlineScheduler {
             cfg,
             random: RandomPlacer::new(random_seed),
             stats: ServiceStats::default(),
+            outcome: Vec::new(),
             metrics,
             next_migration_at,
             next_measure_at,
@@ -191,8 +199,9 @@ impl OnlineScheduler {
         self.metrics.publish(&self.stats, self.queue.len(), self.tenants.len());
     }
 
-    /// Record one decision, made now, in the trace ring (see
-    /// [`ServiceStats::decide`]).
+    /// Record one decision, made now, in the current call's outcome. Its
+    /// cause rides only there — it is never digested — so attaching one
+    /// cannot fork a trajectory.
     pub(crate) fn decide(
         &mut self,
         tenant: TenantId,
@@ -200,7 +209,7 @@ impl OnlineScheduler {
         value: f64,
         cause: Option<Cause>,
     ) {
-        self.stats.decide(self.sim.now(), tenant, kind, value, cause);
+        self.outcome.push(Decision { at: self.sim.now(), tenant, kind, value, cause });
     }
 
     // ------------------------------------------------------------ queries
@@ -312,8 +321,10 @@ impl OnlineScheduler {
     /// pass). [`OnlineScheduler::step`] does this itself; callers that
     /// want to time the dispatch alone (the perf ledger's per-request
     /// percentiles) advance first so the timed step is pure event
-    /// handling. The counters are published when a pass ran.
-    pub fn advance_to(&mut self, at: Nanos) {
+    /// handling. The counters are published when a pass ran. Returns the
+    /// passes' decisions.
+    pub fn advance_to(&mut self, at: Nanos) -> &[Decision] {
+        self.outcome.clear();
         let at = at.max(self.sim.now());
         let mut ran_a_pass = false;
         loop {
@@ -335,10 +346,12 @@ impl OnlineScheduler {
         if ran_a_pass {
             self.publish();
         }
+        &self.outcome
     }
 
     /// Consume one tenant event: advance simulated time (running any
-    /// migration passes that come due on the way), then dispatch.
+    /// migration passes that come due on the way), then dispatch. Its
+    /// decisions are [`OnlineScheduler::service_step`]'s to return.
     pub fn step(&mut self, ev: &TenantEvent) {
         self.advance_to(ev.at);
         self.stats.events += 1;
@@ -353,12 +366,16 @@ impl OnlineScheduler {
         self.publish();
     }
 
-    /// Consume one event of a merged tenant + network stream.
-    pub fn service_step(&mut self, ev: &ServiceEvent) {
+    /// Consume one event of a merged tenant + network stream. Returns
+    /// its decisions: those of the passes that came due on the way, then
+    /// the event's own. An arrival's own is exactly one, the last:
+    /// `Admit`, `Queue`, `Reject`, `FailureReject` or `Duplicate`.
+    pub fn service_step(&mut self, ev: &ServiceEvent) -> &[Decision] {
         match ev {
             ServiceEvent::Tenant(t) => self.step(t),
             ServiceEvent::Network(n) => self.network_step(n),
         }
+        &self.outcome
     }
 
     /// Consume one network event: advance simulated time, apply the
@@ -372,7 +389,8 @@ impl OnlineScheduler {
     /// rate next, so the events of a switch failing or recovering all
     /// its links in one instant share one solve. On a failure the
     /// reader is the pass's phase 1, which scores each running networked
-    /// tenant once.
+    /// tenant once. Its decisions are
+    /// [`OnlineScheduler::service_step`]'s to return.
     pub fn network_step(&mut self, ev: &NetworkEvent) {
         self.advance_to(ev.at);
         self.stats.network_events += 1;
@@ -459,10 +477,13 @@ impl OnlineScheduler {
     }
 
     /// Run a migration pass right now regardless of the cadence clock
-    /// (tests and externally-scheduled deployments).
-    pub fn force_migration_pass(&mut self) {
+    /// (tests and externally-scheduled deployments). Returns its
+    /// decisions.
+    pub fn force_migration_pass(&mut self) -> &[Decision] {
+        self.outcome.clear();
         self.migration_pass(Forced::Ids(&[]));
         self.publish();
+        &self.outcome
     }
 
     // ---------------------------------------------------------- admission
@@ -636,7 +657,7 @@ impl OnlineScheduler {
     }
 
     /// Admit a placed tenant: pick its modeled transfers and bring it up
-    /// ([`OnlineScheduler::run_tenant`]). `kind` tells the trace ring
+    /// ([`OnlineScheduler::run_tenant`]). `kind` tells the outcome
     /// whether this was a fresh admission or a queue retry; `intensity`
     /// is 1 for fresh arrivals and the stashed last-requested value for
     /// queue retries, which `set_intensity` checked is at least 1.

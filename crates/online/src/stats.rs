@@ -1,10 +1,9 @@
-//! Service counters, the deterministic trajectory digest, and the
-//! per-decision trace ring.
+//! Service counters, the deterministic trajectory digest, the
+//! per-decision record the scheduler's calls return, and the bounded
+//! ring a reader keeps the most recent decisions in.
 
 use choreo_profile::TenantId;
 use choreo_topology::Nanos;
-
-use crate::config::TRACE_CAPACITY;
 
 /// What the service decided at one point of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +85,8 @@ impl RejectReason {
 
 /// *Why* a decision fired — the threshold arithmetic behind it, carried
 /// alongside the headline value so a trace reader can re-derive the
-/// verdict. Purely trace metadata: causes live only in the
-/// [`TraceRing`], never in the trajectory digest, so attaching them
+/// verdict. Purely trace metadata: causes live only in the returned
+/// [`Decision`]s, never in the trajectory digest, so attaching them
 /// cannot fork a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Cause {
@@ -194,9 +193,9 @@ impl Decision {
 }
 
 /// A bounded ring of the most recent [`Decision`]s — the service's
-/// flight recorder. Contents are a pure function of the decision stream
-/// (no wall-clock anywhere), so two bit-identical runs carry identical
-/// rings.
+/// flight recorder, filled from the outcomes the scheduler's calls
+/// return. Contents are a pure function of the decision stream (no
+/// wall-clock anywhere), so two bit-identical runs carry identical rings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRing {
     buf: Vec<Decision>,
@@ -219,26 +218,6 @@ impl TraceRing {
             self.buf[(self.total % self.capacity as u64) as usize] = d;
         }
         self.total += 1;
-    }
-
-    /// Bring this ring up to date with `src`, a ring of the same
-    /// capacity this one has only ever been synced from: append the
-    /// decisions `src` recorded since the last sync (its
-    /// [`TraceRing::total`] ran ahead by that many), or take over its
-    /// contents when more than a ring's worth went by. Afterwards the
-    /// two rings are equal. This is how the service loop publishes its
-    /// trace to the scrape thread — the cost is the delta, not the ring.
-    pub fn sync_from(&mut self, src: &TraceRing) {
-        assert_eq!(self.capacity, src.capacity, "synced rings share a capacity");
-        debug_assert!(self.total <= src.total, "the mirror never runs ahead of its source");
-        if src.total - self.total >= src.buf.len() as u64 {
-            self.buf.clone_from(&src.buf);
-            self.total = src.total;
-        } else {
-            for at in self.total..src.total {
-                self.push(src.buf[(at % src.capacity as u64) as usize]);
-            }
-        }
     }
 
     /// All-time decisions recorded.
@@ -333,7 +312,6 @@ pub struct ServiceStats {
     pub pack_undecided: u64,
     rate_sum_bps: f64,
     hash: u64,
-    trace: TraceRing,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -341,14 +319,6 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl Default for ServiceStats {
     fn default() -> Self {
-        ServiceStats::with_trace_capacity(TRACE_CAPACITY)
-    }
-}
-
-impl ServiceStats {
-    /// Fresh stats with a decision ring keeping the last `capacity`
-    /// decisions.
-    fn with_trace_capacity(capacity: usize) -> Self {
         ServiceStats {
             events: 0,
             admitted: 0,
@@ -370,29 +340,11 @@ impl ServiceStats {
             pack_undecided: 0,
             rate_sum_bps: 0.0,
             hash: FNV_OFFSET,
-            trace: TraceRing::new(capacity),
         }
     }
+}
 
-    /// Record one decision in the trace ring. Its cause rides only in
-    /// the ring — it is never digested — so attaching one cannot fork a
-    /// trajectory.
-    pub(crate) fn decide(
-        &mut self,
-        at: Nanos,
-        tenant: TenantId,
-        kind: DecisionKind,
-        value: f64,
-        cause: Option<Cause>,
-    ) {
-        self.trace.push(Decision { at, tenant, kind, value, cause });
-    }
-
-    /// The decision flight recorder (most recent decisions, bounded).
-    pub fn decisions(&self) -> &TraceRing {
-        &self.trace
-    }
-
+impl ServiceStats {
     /// Fold a word into the trajectory digest.
     pub(crate) fn note(&mut self, word: u64) {
         let mut h = self.hash;
@@ -455,13 +407,17 @@ mod tests {
         assert_ne!(a.trace_hash(), c.trace_hash());
     }
 
+    /// A decision at `at` for tenant `at`, valued `at`.
+    fn admit(at: u64) -> Decision {
+        Decision { at, tenant: at, kind: DecisionKind::Admit, value: at as f64, cause: None }
+    }
+
     #[test]
     fn trace_ring_keeps_the_most_recent_decisions() {
-        let mut s = ServiceStats::with_trace_capacity(3);
+        let mut ring = TraceRing::new(3);
         for i in 0..5u64 {
-            s.decide(i, i, DecisionKind::Admit, i as f64, None);
+            ring.push(admit(i));
         }
-        let ring = s.decisions();
         assert_eq!(ring.total(), 5);
         assert_eq!(ring.capacity(), 3);
         let recent = ring.recent();
@@ -472,42 +428,22 @@ mod tests {
             "oldest first, last capacity kept"
         );
         // Before wrap-around the ring returns what it has.
-        let mut t = ServiceStats::with_trace_capacity(8);
-        t.decide(1, 0, DecisionKind::Queue, 0.0, None);
-        assert_eq!(t.decisions().recent().len(), 1);
-    }
-
-    #[test]
-    fn synced_ring_mirrors_its_source_across_wrap_around() {
-        // Sync after bursts shorter than, equal to and longer than the
-        // ring: the mirror must equal the source every time (same
-        // contents at the same positions, same total), and a sync with
-        // nothing new must change nothing.
-        let mut s = ServiceStats::with_trace_capacity(4);
-        let mut mirror = TraceRing::new(4);
-        let mut at = 0u64;
-        for burst in [0usize, 1, 2, 0, 3, 4, 1, 9, 0, 2] {
-            for _ in 0..burst {
-                s.decide(at, at, DecisionKind::Admit, at as f64, None);
-                at += 1;
-            }
-            mirror.sync_from(s.decisions());
-            assert_eq!(&mirror, s.decisions(), "after a burst of {burst}");
-            assert_eq!(mirror.to_jsonl(3), s.decisions().to_jsonl(3));
-        }
-        assert_eq!(mirror.total(), at);
+        let mut t = TraceRing::new(8);
+        t.push(admit(1));
+        assert_eq!(t.recent().len(), 1);
     }
 
     #[test]
     fn decisions_render_as_jsonl_with_causes() {
-        let mut s = ServiceStats::with_trace_capacity(8);
-        s.decide(5, 3, DecisionKind::Admit, 2.5, None);
+        let mut ring = TraceRing::new(8);
+        let decision = |at, tenant, kind, value, cause| Decision { at, tenant, kind, value, cause };
+        ring.push(decision(5, 3, DecisionKind::Admit, 2.5, None));
         let full = Some(Cause::Reject(RejectReason::QueueFull));
-        s.decide(7, 4, DecisionKind::Reject, 0.0, full);
+        ring.push(decision(7, 4, DecisionKind::Reject, 0.0, full));
         let drift = Some(Cause::Drift { error: 0.125, threshold: 0.06 });
-        s.decide(9, 4, DecisionKind::DriftDetected, 0.125, drift);
-        s.decide(11, u64::MAX, DecisionKind::MigrationPass, f64::INFINITY, None);
-        let jsonl = s.decisions().to_jsonl(16);
+        ring.push(decision(9, 4, DecisionKind::DriftDetected, 0.125, drift));
+        ring.push(decision(11, u64::MAX, DecisionKind::MigrationPass, f64::INFINITY, None));
+        let jsonl = ring.to_jsonl(16);
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 4);
         assert_eq!(lines[0], "{\"at\":5,\"tenant\":3,\"kind\":\"admit\",\"value\":2.5}");
@@ -526,10 +462,10 @@ mod tests {
             "cluster-wide tenant and non-finite value render as null"
         );
         // `n` bounds the export to the most recent decisions.
-        let tail = s.decisions().to_jsonl(1);
+        let tail = ring.to_jsonl(1);
         assert_eq!(tail.lines().count(), 1);
         assert!(tail.contains("migration_pass"), "{tail}");
-        assert_eq!(s.decisions().to_jsonl(0), "");
+        assert_eq!(ring.to_jsonl(0), "");
     }
 
     #[test]

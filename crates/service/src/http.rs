@@ -32,9 +32,9 @@ pub struct MetricsServer {
 
 impl MetricsServer {
     /// Serve `registry` at `http://addr/metrics` and `GET /trace?n=K`
-    /// from `trace` — the mirror of the decision ring the service loop
-    /// keeps current ([`crate::PlacementService::trace_export`]) — on a
-    /// background thread. The JSON is rendered per scrape, on this
+    /// from `trace` — the service's trace ring, which the service loop
+    /// appends every decision to ([`crate::PlacementService::trace_export`])
+    /// — on a background thread. The JSON is rendered per scrape, on this
     /// server's thread; the service loop never renders for it. Port 0
     /// binds an ephemeral port; see [`MetricsServer::local_addr`].
     pub fn start<A: ToSocketAddrs>(
@@ -109,7 +109,7 @@ impl MetricsServer {
         } else if is_get && route == "/trace" {
             // Copy the ring out and render outside the lock: the service
             // loop waits on it at most for a memcpy.
-            let ring = trace.lock().expect("trace export poisoned").clone();
+            let ring = crate::service::lock(trace).clone();
             ("200 OK", ring.to_jsonl(trace_limit(query)))
         } else {
             ("404 Not Found", "only GET /metrics and GET /trace live here\n".to_string())

@@ -8,12 +8,14 @@
 //! bit-reproducible while a [`NetEnv`](crate::NetEnv)-backed run serves
 //! real sockets with the identical dispatch code.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use choreo_metrics::{Counter, Registry};
 use choreo_online::config::MAX_MODELED_TRANSFERS;
-use choreo_online::{OnlineConfig, OnlineScheduler, SchedulerBuilder, TraceRing};
-use choreo_profile::{NetworkEvent, NetworkEventKind, TenantEvent, TenantEventKind};
+use choreo_online::{
+    Decision, DecisionKind, OnlineConfig, OnlineScheduler, SchedulerBuilder, TraceRing,
+};
+use choreo_profile::{NetworkEvent, NetworkEventKind, ServiceEvent, TenantEvent, TenantEventKind};
 use choreo_topology::{Nanos, RouteTable, Topology, SECS};
 use choreo_wire::{ServiceRequest, ServiceResponse, ServiceStatsReply};
 
@@ -47,6 +49,10 @@ const _: () = assert!(
 /// them. One simulated hour.
 pub const MAX_ADVANCE: Nanos = 3600 * SECS;
 
+/// Decisions the service's trace ring keeps: what `GetTrace` and the
+/// HTTP `/trace` endpoint can return.
+pub const TRACE_CAPACITY: usize = 256;
+
 /// Everything the service needs beyond a topology: scheduler knobs, the
 /// placement seed, and the SLO threshold the attainment gauge tracks.
 #[derive(Debug, Clone)]
@@ -77,17 +83,15 @@ pub struct PlacementService<E: ServiceEnv> {
     invalid_horizons: Counter,
     env: E,
     stopped: bool,
-    /// Mirror of the decision ring shared with the HTTP `/trace`
-    /// endpoint, once [`PlacementService::trace_export`] has been called.
-    trace_export: Option<Arc<Mutex<TraceRing>>>,
-    /// The scheduler ring's [`TraceRing::total`] at the last publish:
-    /// the loop takes the lock only when a request decided something.
-    trace_published: u64,
+    /// The last [`TRACE_CAPACITY`] decisions of every scheduler call,
+    /// shared with the HTTP `/trace` endpoint
+    /// ([`PlacementService::trace_export`]).
+    trace: Arc<Mutex<TraceRing>>,
 }
 
 impl<E: ServiceEnv> PlacementService<E> {
     /// Build the service: a fresh metrics registry, a scheduler wired
-    /// into it, and the given env as the I/O world.
+    /// into it, an empty trace ring, and the given env as the I/O world.
     pub fn new(
         topo: Arc<Topology>,
         routes: Arc<RouteTable>,
@@ -116,8 +120,7 @@ impl<E: ServiceEnv> PlacementService<E> {
             invalid_horizons,
             env,
             stopped: false,
-            trace_export: None,
-            trace_published: 0,
+            trace: Arc::new(Mutex::new(TraceRing::new(TRACE_CAPACITY))),
         }
     }
 
@@ -167,7 +170,6 @@ impl<E: ServiceEnv> PlacementService<E> {
                 let shutdown = matches!(req, ServiceRequest::Shutdown);
                 let resp = self.handle(at, req);
                 self.env.send(conn, resp);
-                self.publish_trace();
                 if shutdown {
                     self.stopped = true;
                     return false;
@@ -183,7 +185,8 @@ impl<E: ServiceEnv> PlacementService<E> {
         while self.poll() {}
     }
 
-    /// Map one request to its response, driving the scheduler.
+    /// Map one request to its response, driving the scheduler and
+    /// recording each of its calls' decisions in the trace ring.
     fn handle(&mut self, at: Nanos, req: ServiceRequest) -> ServiceResponse {
         // Wire-supplied tenant ids are bounded here, before the scheduler
         // (or its trace digest) sees the event: `TenantId::MAX` is the
@@ -224,31 +227,25 @@ impl<E: ServiceEnv> PlacementService<E> {
         }
         match req {
             ServiceRequest::Admit { tenant, app } => {
-                let before = {
-                    let s = self.scheduler.stats();
-                    (s.admitted, s.queued, s.rejected, s.duplicate_arrivals)
-                };
-                self.scheduler.step(&TenantEvent {
-                    at,
-                    tenant,
-                    kind: TenantEventKind::Arrive { app: Box::new(app) },
-                });
-                let s = self.scheduler.stats();
-                if s.admitted > before.0 {
-                    let hosts = self
-                        .scheduler
-                        .tenant_placement(tenant)
-                        .map(|p| p.assignment.clone())
-                        .unwrap_or_default();
-                    ServiceResponse::Admitted { hosts }
-                } else if s.queued > before.1 {
-                    ServiceResponse::Queued
-                } else if s.duplicate_arrivals > before.3 {
-                    ServiceResponse::Rejected { reason: format!("tenant {tenant} already known") }
-                } else if s.rejected > before.2 {
-                    ServiceResponse::Rejected { reason: "no capacity and wait queue full".into() }
-                } else {
-                    ServiceResponse::Error("arrival produced no decision".into())
+                let arrive = TenantEventKind::Arrive { app: Box::new(app) };
+                let outcome = self.step(TenantEvent { at, tenant, kind: arrive });
+                // The arrival's own decision is its outcome's last.
+                match outcome.last().map(|d| d.kind) {
+                    Some(DecisionKind::Admit) => {
+                        let hosts = self
+                            .scheduler
+                            .tenant_placement(tenant)
+                            .map(|p| p.assignment.clone())
+                            .unwrap_or_default();
+                        ServiceResponse::Admitted { hosts }
+                    }
+                    Some(DecisionKind::Queue) => ServiceResponse::Queued,
+                    Some(DecisionKind::Duplicate) => ServiceResponse::Rejected {
+                        reason: format!("tenant {tenant} already known"),
+                    },
+                    _ => ServiceResponse::Rejected {
+                        reason: "no capacity and wait queue full".into(),
+                    },
                 }
             }
             // The wire decoder refuses a zero intensity too, but a request
@@ -262,15 +259,12 @@ impl<E: ServiceEnv> PlacementService<E> {
                 ))
             }
             ServiceRequest::SetIntensity { tenant, intensity } => {
-                self.scheduler.step(&TenantEvent {
-                    at,
-                    tenant,
-                    kind: TenantEventKind::SetIntensity { intensity },
-                });
+                let kind = TenantEventKind::SetIntensity { intensity };
+                self.step(TenantEvent { at, tenant, kind });
                 ServiceResponse::Done
             }
             ServiceRequest::Depart { tenant } => {
-                self.scheduler.step(&TenantEvent { at, tenant, kind: TenantEventKind::Depart });
+                self.step(TenantEvent { at, tenant, kind: TenantEventKind::Depart });
                 ServiceResponse::Done
             }
             ServiceRequest::Stats => ServiceResponse::Stats(self.stats_reply()),
@@ -280,8 +274,8 @@ impl<E: ServiceEnv> PlacementService<E> {
                 ServiceResponse::MetricsText(self.registry.render())
             }
             ServiceRequest::ForceMigration { at } => {
-                self.scheduler.advance_to(at);
-                self.scheduler.force_migration_pass();
+                record(&self.trace, self.scheduler.advance_to(at));
+                record(&self.trace, self.scheduler.force_migration_pass());
                 ServiceResponse::Done
             }
             ServiceRequest::InjectNetworkEvent { at, link, kind } => {
@@ -305,53 +299,44 @@ impl<E: ServiceEnv> PlacementService<E> {
                         ));
                     }
                 }
-                self.scheduler.network_step(&NetworkEvent { at, link, kind });
+                let event = ServiceEvent::Network(NetworkEvent { at, link, kind });
+                record(&self.trace, self.scheduler.service_step(&event));
                 ServiceResponse::Done
             }
             ServiceRequest::GetTrace { n } => {
                 // Read-only: no clock advance, no digest bytes — the
                 // trace ring is observational and export must stay so.
-                ServiceResponse::Trace(self.scheduler.stats().decisions().to_jsonl(n as usize))
+                ServiceResponse::Trace(self.trace_jsonl(n as usize))
             }
             ServiceRequest::Shutdown => ServiceResponse::Done,
         }
+    }
+
+    /// Step the scheduler through one tenant event and record its
+    /// decisions; returns them.
+    fn step(&mut self, event: TenantEvent) -> &[Decision] {
+        let outcome = self.scheduler.service_step(&ServiceEvent::Tenant(event));
+        record(&self.trace, outcome);
+        outcome
     }
 
     /// The last `n` decision-trace entries as JSON lines, oldest first —
     /// what [`ServiceRequest::GetTrace`] and the HTTP `/trace` endpoint
     /// serve.
     pub fn trace_jsonl(&self, n: usize) -> String {
-        self.scheduler.stats().decisions().to_jsonl(n)
+        lock(&self.trace).to_jsonl(n)
     }
 
-    /// A shared mirror of the decision ring for the HTTP `/trace`
-    /// endpoint ([`crate::MetricsServer::start`]). The loop
-    /// shares decisions, not text: after each served request it appends
-    /// the decisions that request produced (when there are none, the
-    /// lock is not even taken), and the scrape thread renders JSONL from
-    /// its side, byte-identical to
-    /// [`PlacementService::trace_jsonl`] for the same state.
-    /// Observational only — exporting never touches the clock or the
-    /// digest.
-    pub fn trace_export(&mut self) -> Arc<Mutex<TraceRing>> {
-        let capacity = self.scheduler.stats().decisions().capacity();
-        let export = self
-            .trace_export
-            .get_or_insert_with(|| Arc::new(Mutex::new(TraceRing::new(capacity))))
-            .clone();
-        self.publish_trace();
-        export
-    }
-
-    /// Append the decisions made since the last publish to the shared
-    /// mirror, if one was handed out.
-    fn publish_trace(&mut self) {
-        let Some(export) = &self.trace_export else { return };
-        let ring = self.scheduler.stats().decisions();
-        if ring.total() != self.trace_published {
-            export.lock().expect("trace export poisoned").sync_from(ring);
-            self.trace_published = ring.total();
-        }
+    /// The service's trace ring, shared with the HTTP `/trace` endpoint
+    /// ([`crate::MetricsServer::start`]). The loop shares decisions, not
+    /// text: it appends each scheduler call's decisions as the call
+    /// returns them (a call that decided nothing does not take the
+    /// lock), and the scrape thread renders JSONL from its side,
+    /// byte-identical to [`PlacementService::trace_jsonl`] for the same
+    /// state. Observational only — exporting never touches the clock or
+    /// the digest.
+    pub fn trace_export(&self) -> Arc<Mutex<TraceRing>> {
+        Arc::clone(&self.trace)
     }
 
     fn stats_reply(&self) -> ServiceStatsReply {
@@ -367,10 +352,28 @@ impl<E: ServiceEnv> PlacementService<E> {
             migrations: s.migrations,
             active: self.scheduler.active_tenants() as u64,
             queue_len: self.scheduler.queue_len() as u64,
-            decisions_total: s.decisions().total(),
+            decisions_total: lock(&self.trace).total(),
             trace_hash: s.trace_hash(),
         }
     }
+}
+
+/// Append a scheduler call's decisions to the trace ring; a call that
+/// decided nothing leaves the lock alone.
+fn record(trace: &Mutex<TraceRing>, outcome: &[Decision]) {
+    if !outcome.is_empty() {
+        let mut ring = lock(trace);
+        for &d in outcome {
+            ring.push(d);
+        }
+    }
+}
+
+/// Lock the trace ring. Under the lock the ring is only cloned or gets
+/// `Copy` decisions pushed, so a guard a panicking thread left poisoned
+/// still holds a consistent ring.
+pub(crate) fn lock(trace: &Mutex<TraceRing>) -> MutexGuard<'_, TraceRing> {
+    trace.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

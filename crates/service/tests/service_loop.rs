@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use choreo_online::{OnlineScheduler, SchedulerBuilder};
 use choreo_profile::{AppProfile, TenantEvent, TenantEventKind, TrafficMatrix};
+use choreo_service::service::TRACE_CAPACITY;
 use choreo_service::{
     ConnId, FaultPlan, NetEnv, PlacementService, ServiceConfig, ServiceRequest, ServiceResponse,
     SimEnv,
@@ -217,23 +218,13 @@ fn loopback_service_serves_admit_stats_metrics_shutdown() {
     assert!(hash != 0, "trajectory digested");
 }
 
-/// The `/trace` endpoint renders on the scrape side from the mirror the
-/// loop publishes deltas into: what it serves must be, byte for byte,
-/// what the in-band `trace_jsonl` renders from the scheduler's own ring
-/// — before the ring wraps, after it wraps, and for any `n` — and a
-/// request that decides nothing must leave the mirror as it was.
+/// The `/trace` endpoint renders on the scrape side from the ring the
+/// loop appends each scheduler call's decisions to: what it serves must
+/// be, byte for byte, what the in-band `trace_jsonl` renders — before
+/// the ring wraps, after it wraps, and for any `n` — and a request that
+/// decides nothing must leave the ring as it was.
 #[test]
 fn http_trace_matches_in_band_trace_across_wrap_around() {
-    use std::io::{Read, Write};
-    let http_trace = |addr: std::net::SocketAddr, n: usize| -> String {
-        let mut c = std::net::TcpStream::connect(addr).expect("connect");
-        write!(c, "GET /trace?n={n} HTTP/1.0\r\n\r\n").expect("send");
-        let mut reply = String::new();
-        c.read_to_string(&mut reply).expect("recv");
-        let (head, body) = reply.split_once("\r\n\r\n").expect("header/body split");
-        assert!(head.starts_with("HTTP/1.0 200"), "{head}");
-        body.to_string()
-    };
     // Admit/depart pairs: two decisions each, 400 in all against the
     // default 256-entry ring, with a `Stats` (no decision) after each.
     let script: Vec<(Nanos, ConnId, ServiceRequest)> = (0..200u64)
@@ -253,20 +244,18 @@ fn http_trace_matches_in_band_trace_across_wrap_around() {
     let server =
         choreo_service::MetricsServer::start(("127.0.0.1", 0), svc.registry(), shared.clone())
             .expect("bind scrape endpoint");
-    let capacity = svc.scheduler().stats().decisions().capacity();
+    let capacity = TRACE_CAPACITY;
     let (mut polls, mut quiet_polls) = (0usize, 0usize);
     loop {
-        let before = shared.lock().expect("mirror").clone();
-        let decided_before = svc.scheduler().stats().decisions().total();
+        let before = shared.lock().expect("ring").clone();
         if !svc.poll() {
             break;
         }
-        let after = shared.lock().expect("mirror").clone();
-        if svc.scheduler().stats().decisions().total() == decided_before {
-            assert_eq!(after, before, "poll {polls} decided nothing, mirror untouched");
+        let after = shared.lock().expect("ring").clone();
+        if matches!(svc.env().responses(1).last(), Some(ServiceResponse::Stats(_))) {
+            assert_eq!(after, before, "poll {polls} served Stats, ring untouched");
             quiet_polls += 1;
         }
-        assert_eq!(&after, svc.scheduler().stats().decisions(), "mirror equals the ring");
         // Scrape at a few points either side of the wrap.
         if polls % 97 == 0 {
             for n in [0, 1, 64, capacity, capacity + 50] {
@@ -277,7 +266,52 @@ fn http_trace_matches_in_band_trace_across_wrap_around() {
     }
     assert!(quiet_polls >= 200, "every Stats request was a quiet poll");
     assert_eq!(http_trace(server.local_addr(), capacity), svc.trace_jsonl(capacity));
-    assert!(svc.scheduler().stats().decisions().total() > capacity as u64, "the ring wrapped");
+    assert!(shared.lock().expect("ring").total() > capacity as u64, "the ring wrapped");
+}
+
+/// A thread that panics while it holds the trace ring's lock poisons
+/// it. Under that lock the ring is only cloned or pushed `Copy`
+/// decisions, so it is still whole: the service keeps recording into it,
+/// and the in-band and HTTP traces keep serving the same ring.
+#[test]
+fn a_poisoned_trace_lock_keeps_the_trace_served() {
+    let script = vec![
+        (10, 1, ServiceRequest::Admit { tenant: 1, app: app_for(1, 3) }),
+        (20, 1, ServiceRequest::GetTrace { n: 16 }),
+    ];
+    let (topo, routes) = small_topo();
+    let mut svc =
+        PlacementService::new(topo, routes, ServiceConfig::default(), SimEnv::new(script));
+    let shared = svc.trace_export();
+    let holder = shared.clone();
+    let held = std::thread::spawn(move || {
+        let _guard = holder.lock().expect("the ring starts unpoisoned");
+        panic!("a reader dies holding the trace ring");
+    })
+    .join();
+    assert!(held.is_err() && shared.is_poisoned(), "the lock is poisoned");
+    let server =
+        choreo_service::MetricsServer::start(("127.0.0.1", 0), svc.registry(), shared.clone())
+            .expect("bind scrape endpoint");
+    svc.run();
+    let rs = svc.env().responses(1);
+    assert!(matches!(rs[0], ServiceResponse::Admitted { .. }), "{:?}", rs[0]);
+    let ServiceResponse::Trace(in_band) = &rs[1] else { panic!("{:?}", rs[1]) };
+    assert!(in_band.contains("\"kind\":\"admit\""), "{in_band}");
+    assert_eq!(&http_trace(server.local_addr(), 16), in_band);
+}
+
+/// `GET /trace?n={n}` against the scrape endpoint at `addr`: the body
+/// of its 200 reply.
+fn http_trace(addr: std::net::SocketAddr, n: usize) -> String {
+    use std::io::{Read, Write};
+    let mut c = std::net::TcpStream::connect(addr).expect("connect");
+    write!(c, "GET /trace?n={n} HTTP/1.0\r\n\r\n").expect("send");
+    let mut reply = String::new();
+    c.read_to_string(&mut reply).expect("recv");
+    let (head, body) = reply.split_once("\r\n\r\n").expect("header/body split");
+    assert!(head.starts_with("HTTP/1.0 200"), "{head}");
+    body.to_string()
 }
 
 /// A zero-size cluster is a usage error, not a panic: `serve` and `sim`

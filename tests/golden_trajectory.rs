@@ -186,7 +186,8 @@ fn assert_pinned(run: &RunSummary, digest: u64, rate_bits: u64, counters: [u64; 
 /// determinism and invariant suites can see.
 #[test]
 fn seeded_service_trajectory_is_pinned() {
-    let run = replay(&mut Golden::Service.scheduler(), &Golden::Service.events(7, 11), |_, _| {});
+    let run =
+        replay(&mut Golden::Service.scheduler(), &Golden::Service.events(7, 11), |_, _, _| {});
     assert_pinned(&run, SERVICE_GOLDEN, SERVICE_RATE_BITS, SERVICE_COUNTERS, SERVICE_DECISIONS);
 }
 
@@ -210,7 +211,7 @@ const SERVICE_DECISIONS: u64 = 0x607d_9fae_a44e_6b6f;
 #[test]
 fn saturated_queue_trajectory_is_pinned() {
     let mut svc = Golden::Saturated.scheduler();
-    let run = replay(&mut svc, &Golden::Saturated.events(7, 11), |_, _| {});
+    let run = replay(&mut svc, &Golden::Saturated.events(7, 11), |_, _, _| {});
     assert_pinned(
         &run,
         SATURATED_GOLDEN,
@@ -252,7 +253,7 @@ fn failover_trajectory_is_pinned() {
         )
         .count();
     assert_eq!(same_instant, FAILOVER_SAME_INSTANT, "same-instant network events");
-    let run = replay(&mut Golden::Failover.scheduler(), &events, |_, _| {});
+    let run = replay(&mut Golden::Failover.scheduler(), &events, |_, _, _| {});
     assert_pinned(&run, FAILOVER_GOLDEN, FAILOVER_RATE_BITS, FAILOVER_COUNTERS, FAILOVER_DECISIONS);
     // A burst of capacity changes at one instant is solved once, by
     // whoever reads a rate next, not once per event.
@@ -269,7 +270,8 @@ fn failover_trajectory_is_pinned() {
 /// does the same work, not just that it answers the same.
 #[test]
 fn scale_512_trajectory_is_pinned() {
-    let run = replay(&mut Golden::Scale512.scheduler(), &Golden::Scale512.events(7, 11), |_, _| {});
+    let run =
+        replay(&mut Golden::Scale512.scheduler(), &Golden::Scale512.events(7, 11), |_, _, _| {});
     assert_pinned(
         &run,
         SCALE_512_GOLDEN,

@@ -4,10 +4,10 @@
 //! needs no golden includes this file alone with `#[path]`.
 
 use choreo_repro::flowsim::SolveStats;
-use choreo_repro::online::{Decision, OnlineScheduler};
+use choreo_repro::online::{Decision, DecisionKind, OnlineScheduler};
 use choreo_repro::profile::{
-    merge_events, NetworkEventStream, NetworkEventStreamConfig, ServiceEvent, WorkloadStream,
-    WorkloadStreamConfig,
+    merge_events, NetworkEventStream, NetworkEventStreamConfig, ServiceEvent, TenantEventKind,
+    WorkloadStream, WorkloadStreamConfig,
 };
 
 /// The first `n` events of the tenant stream `stream` at `seed`, merged
@@ -47,21 +47,33 @@ pub struct RunSummary {
     pub decisions: u64,
 }
 
-/// Step `sched` through `events` in order, calling `after_each(sched, i)`
-/// after event `i`, and summarise the run. Event `i`'s observation holds
-/// every decision pushed since event `i - 1`'s: a hook that advances the
+/// Step `sched` through `events` in order, calling
+/// `after_each(sched, i, outcomes)` after event `i`, and summarise the
+/// run. A hook that drives `sched` itself pushes each of its calls'
+/// outcomes onto `outcomes`; event `i + 1`'s observation folds them
+/// followed by the event's own outcome, so a hook that advances the
 /// clock ahead of the next event moves no decision to another event.
+/// After every arrival, the event's outcome must end with its one
+/// verdict: exactly one decision for the tenant of kind `Admit`,
+/// `Queue`, `Reject`, `FailureReject` or `Duplicate`, and it is the last.
 pub fn replay(
     sched: &mut OnlineScheduler,
     events: &[ServiceEvent],
-    mut after_each: impl FnMut(&mut OnlineScheduler, usize),
+    mut after_each: impl FnMut(&mut OnlineScheduler, usize, &mut Vec<Decision>),
 ) -> RunSummary {
     let mut decisions = FNV_OFFSET;
-    let mut seen = sched.stats().decisions().total();
+    let mut outcomes = Vec::new();
     for (i, ev) in events.iter().enumerate() {
-        sched.service_step(ev);
-        decisions = observe(sched, decisions, &mut seen);
-        after_each(sched, i);
+        let outcome = sched.service_step(ev);
+        if let ServiceEvent::Tenant(t) = ev {
+            if matches!(t.kind, TenantEventKind::Arrive { .. }) {
+                check_arrival_verdict(outcome, t.tenant, i);
+            }
+        }
+        outcomes.extend_from_slice(outcome);
+        decisions = observe(sched, decisions, &outcomes);
+        outcomes.clear();
+        after_each(sched, i, &mut outcomes);
     }
     let s = sched.stats();
     RunSummary {
@@ -88,18 +100,23 @@ fn fnv1a(digest: u64, word: u64) -> u64 {
     (digest ^ word).wrapping_mul(0x0000_0100_0000_01B3)
 }
 
-/// Fold the decisions pushed since the ring's total was `seen`, and move
-/// `seen` up to it. The ring keeps its last `capacity` decisions, so more
-/// than that between two observations would go unseen.
-fn observe(sched: &OnlineScheduler, mut digest: u64, seen: &mut u64) -> u64 {
-    let ring = sched.stats().decisions();
-    let new = ring.total() - *seen;
-    assert!(new <= ring.capacity() as u64, "{new} decisions in one event overrun the ring");
-    *seen = ring.total();
-    digest = fnv1a(digest, new);
-    let recent = ring.recent();
-    let pushed: &[Decision] = &recent[recent.len() - new as usize..];
-    for d in pushed {
+/// Panic unless `outcome`, event `i`'s, holds exactly one verdict for
+/// the arriving `tenant` and ends with it.
+fn check_arrival_verdict(outcome: &[Decision], tenant: u64, i: usize) {
+    use DecisionKind::{Admit, Duplicate, FailureReject, Queue, Reject};
+    let verdict = |d: &Decision| {
+        d.tenant == tenant && matches!(d.kind, Admit | Queue | Reject | FailureReject | Duplicate)
+    };
+    let verdicts = outcome.iter().filter(|d| verdict(d)).count();
+    assert_eq!(verdicts, 1, "event {i}: tenant {tenant}'s arrival decided {outcome:?}");
+    assert!(outcome.last().is_some_and(verdict), "event {i}: {outcome:?} ends with the verdict");
+}
+
+/// Fold `outcomes` — the decisions made since the last observation —
+/// with the placement of each decided tenant that is still running.
+fn observe(sched: &OnlineScheduler, mut digest: u64, outcomes: &[Decision]) -> u64 {
+    digest = fnv1a(digest, outcomes.len() as u64);
+    for d in outcomes {
         for b in d.to_json().bytes() {
             digest = fnv1a(digest, b as u64);
         }

@@ -20,7 +20,8 @@ use choreo_repro::metrics::parse::parse;
 use choreo_repro::metrics::span::{self, RegistrySpans};
 use choreo_repro::metrics::Registry;
 use choreo_repro::online::{
-    DriftConfig, OnlineConfig, OnlineScheduler, PlacementPolicy, SchedulerBuilder, ServiceStats,
+    Decision, DriftConfig, OnlineConfig, OnlineScheduler, PlacementPolicy, SchedulerBuilder,
+    ServiceStats, TraceRing,
 };
 use choreo_repro::profile::{
     switch_link_groups, AppPattern, AppProfile, CorrelatedBatchConfig, FlashCrowdConfig,
@@ -67,7 +68,7 @@ fn check_after_event(svc: &mut OnlineScheduler, i: usize) {
 /// Replay `evs` through a fresh scheduler, checking the safety invariants
 /// after every event.
 fn run_checked(cfg: OnlineConfig, seed: u64, evs: &[ServiceEvent]) -> RunSummary {
-    replay(&mut builder(cfg, seed).build(), evs, check_after_event)
+    replay(&mut builder(cfg, seed).build(), evs, |svc, i, _| check_after_event(svc, i))
 }
 
 proptest! {
@@ -130,14 +131,15 @@ fn assert_counters_match(registry: &Registry, stats: &ServiceStats, after: &str)
 
 /// Like [`run_checked`], but with the whole observability stack live:
 /// registered metric families behind a real [`Registry`], the
-/// solver-phase span recorder installed, and the decision trace
-/// rendered to JSONL both mid-run and at the end. Each event is driven
-/// as the service and the perf ledger drive it, `advance_to` and then
-/// the event, plus a forced migration pass after every `force_every`th
-/// event when given. After each of those public calls every exported
-/// counter must equal its [`ServiceStats`] field. Every piece is
-/// observational-only, so a run without forced passes must match the
-/// bare run's summary bit for bit.
+/// solver-phase span recorder installed, and the outcomes of the run's
+/// own scheduler calls kept in a [`TraceRing`] and rendered to JSONL
+/// both mid-run and at the end. Each event is driven as the service and
+/// the perf ledger drive it, `advance_to` and then the event, plus a
+/// forced migration pass after every `force_every`th event when given.
+/// After each of those public calls every exported counter must equal
+/// its [`ServiceStats`] field. Every piece is observational-only, so a
+/// run without forced passes must match the bare run's summary bit for
+/// bit.
 fn run_instrumented(
     cfg: OnlineConfig,
     seed: u64,
@@ -147,29 +149,32 @@ fn run_instrumented(
     let registry = Arc::new(Registry::new());
     span::install(RegistrySpans::new(Arc::clone(&registry)));
     let mut svc = builder(cfg, seed).metrics_registry(&registry).build();
-    let advance = |svc: &mut OnlineScheduler, i: usize| {
-        svc.advance_to(evs[i].at());
+    let mut ring = TraceRing::new(256);
+    let advance = |svc: &mut OnlineScheduler, i: usize, outcomes: &mut Vec<Decision>| {
+        let outcome = svc.advance_to(evs[i].at());
+        outcomes.extend_from_slice(outcome);
         assert_counters_match(&registry, svc.stats(), &format!("advance_to before event {i}"));
     };
-    advance(&mut svc, 0);
-    let run = replay(&mut svc, evs, |svc, i| {
+    advance(&mut svc, 0, &mut Vec::new());
+    let run = replay(&mut svc, evs, |svc, i, outcomes| {
         assert_counters_match(&registry, svc.stats(), &format!("event {i}"));
         if force_every.is_some_and(|k| i % k == k - 1) {
-            svc.force_migration_pass();
+            outcomes.extend_from_slice(svc.force_migration_pass());
             assert_counters_match(&registry, svc.stats(), &format!("a pass after event {i}"));
         }
         check_after_event(svc, i);
+        if i + 1 < evs.len() {
+            advance(svc, i + 1, outcomes);
+        }
+        outcomes.iter().for_each(|&d| ring.push(d));
         if i % 64 == 0 {
             // Exporting mid-run must not perturb the trajectory either.
-            let _ = svc.stats().decisions().to_jsonl(16);
-        }
-        if i + 1 < evs.len() {
-            advance(svc, i + 1);
+            let _ = ring.to_jsonl(16);
         }
     });
     span::uninstall();
-    let trace = svc.stats().decisions().to_jsonl(usize::MAX);
-    assert!(!trace.is_empty(), "a busy run must leave a decision trace");
+    let trace = ring.to_jsonl(usize::MAX);
+    assert!(!trace.is_empty(), "a busy run's own calls must leave a decision trace");
     (run, svc.stats().clone())
 }
 
@@ -475,7 +480,7 @@ fn long_run_reaches_steady_state_churn() {
     // paths (admission, queueing, departure retries, intensity changes,
     // migration passes) actually fire under the default stream.
     let mut svc = builder(service_cfg(PlacementPolicy::Greedy), 3).build();
-    replay(&mut svc, &tenants(11, 900), |_, _| {});
+    replay(&mut svc, &tenants(11, 900), |_, _, _| {});
     svc.check_invariants();
     let s = svc.stats();
     assert_eq!(s.events, 900);

@@ -88,7 +88,7 @@ fn recover_and_check(svc: &mut OnlineScheduler, t0: u64, links: &[u32], prefail:
 fn link_failover_recovers_half_the_prefailure_rate() {
     let topo = tree(8);
     let mut svc = service(&topo, failover_cfg());
-    replay(&mut svc, &steady(2_500), |_, _| {});
+    replay(&mut svc, &steady(2_500), |_, _, _| {});
     let t0 = svc.now();
     let prefail = svc.mean_networked_score().expect("networked tenants running");
     let failed: Vec<u32> = (0..topo.links().len() as u32).step_by(4).collect();
@@ -106,7 +106,7 @@ fn switch_outage_under_tenant_churn_recovers_and_stays_consistent() {
         .expect("the tree has core switches");
     let mut svc = service(&topo, failover_cfg());
     let events = steady(3_000);
-    replay(&mut svc, &events[..2_500], |_, _| {});
+    replay(&mut svc, &events[..2_500], |_, _, _| {});
     let t0 = svc.now();
     let prefail = svc.mean_networked_score().expect("networked tenants running");
     set_links(&mut svc, t0, &group, NetworkEventKind::LinkFail);
@@ -114,7 +114,7 @@ fn switch_outage_under_tenant_churn_recovers_and_stays_consistent() {
     let dark = &events[2_500..];
     let dark = &dark[..dark.partition_point(|ev| ev.at() <= t0 + 16 * SECS)];
     assert!(dark.len() < 500, "the outage outlasts the generated stream");
-    replay(&mut svc, dark, |_, _| {});
+    replay(&mut svc, dark, |_, _, _| {});
     recover_and_check(&mut svc, t0, &group, prefail);
     svc.check_invariants();
 }
@@ -138,7 +138,7 @@ fn load_cfg() -> WorkloadStreamConfig {
 /// queue/reject counters instead of disappearing into slack.
 fn run_squeezed(topo: &Arc<Topology>, cfg: WorkloadStreamConfig) -> OnlineScheduler {
     let mut svc = service(topo, OnlineConfig { queue_capacity: 8, ..Default::default() });
-    replay(&mut svc, &merged(cfg, 13, 2_000, None), |_, _| {});
+    replay(&mut svc, &merged(cfg, 13, 2_000, None), |_, _, _| {});
     svc
 }
 
@@ -200,7 +200,8 @@ fn workload_shapes_spend_the_headroom_nominal_load_keeps() {
 #[test]
 fn warm_solves_carry_mostly_clean_rounds() {
     let topo = tree(2);
-    let st = replay(&mut service(&topo, OnlineConfig::default()), &steady(1_000), |_, _| {}).solve;
+    let st =
+        replay(&mut service(&topo, OnlineConfig::default()), &steady(1_000), |_, _, _| {}).solve;
     let split = (st.warm_solves, st.replayed_rounds, st.chained_rounds);
     assert_eq!(split, (272, 5_458, 2_019), "{st:?}");
     assert!(2 * st.chained_rounds < st.replayed_rounds, "{st:?}");
@@ -236,7 +237,7 @@ fn a_2048_host_cluster_fits_and_schedules() {
             },
             ..Default::default()
         };
-        let run = replay(&mut svc, &merged(cfg, 7, 3_000, None), |svc, i| {
+        let run = replay(&mut svc, &merged(cfg, 7, 3_000, None), |svc, i, _| {
             if i % 64 == 0 {
                 svc.check_invariants();
             }
