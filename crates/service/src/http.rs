@@ -356,6 +356,20 @@ mod tests {
     }
 
     #[test]
+    fn a_shut_down_server_releases_its_listener() {
+        for ip in ["127.0.0.1", "0.0.0.0"] {
+            let mut server =
+                MetricsServer::start((ip, 0), Arc::new(Registry::new()), no_trace()).unwrap();
+            let port = server.local_addr().port();
+            server.shutdown();
+            // Refused: the accept thread was woken and joined, and its
+            // listener closed with it.
+            let err = TcpStream::connect(("127.0.0.1", port)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "{ip}: {err}");
+        }
+    }
+
+    #[test]
     fn scrapes_the_registry_text() {
         let registry = Arc::new(Registry::new());
         let c = registry.counter("demo_total", "a demo counter");

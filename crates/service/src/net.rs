@@ -207,6 +207,19 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_env_releases_its_listener() {
+        for ip in ["127.0.0.1", "0.0.0.0"] {
+            let env = NetEnv::bind((ip, 0)).unwrap();
+            let port = env.local_addr().port();
+            drop(env);
+            // Refused: the acceptor was woken and joined, and its
+            // listener closed with it.
+            let err = TcpStream::connect(("127.0.0.1", port)).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused, "{ip}: {err}");
+        }
+    }
+
+    #[test]
     fn stalled_mid_frame_peer_is_dropped_not_misparsed() {
         let mut env = NetEnv::bind(("127.0.0.1", 0)).unwrap();
         let addr = env.local_addr();

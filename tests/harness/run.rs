@@ -4,7 +4,7 @@
 //! needs no golden includes this file alone with `#[path]`.
 
 use choreo_repro::flowsim::SolveStats;
-use choreo_repro::online::{Decision, DecisionKind, OnlineScheduler};
+use choreo_repro::online::{Decision, DecisionKind, OnlineScheduler, ServiceStats};
 use choreo_repro::profile::{
     merge_events, NetworkEventStream, NetworkEventStreamConfig, ServiceEvent, TenantEventKind,
     WorkloadStream, WorkloadStreamConfig,
@@ -56,11 +56,16 @@ pub struct RunSummary {
 /// After every arrival, the event's outcome must end with its one
 /// verdict: exactly one decision for the tenant of kind `Admit`,
 /// `Queue`, `Reject`, `FailureReject` or `Duplicate`, and it is the last.
+/// After every event and at the end, every decision counter must have
+/// moved since the call began by the decisions seen of its kinds
+/// ([`check_counters`]).
 pub fn replay(
     sched: &mut OnlineScheduler,
     events: &[ServiceEvent],
     mut after_each: impl FnMut(&mut OnlineScheduler, usize, &mut Vec<Decision>),
 ) -> RunSummary {
+    let start = sched.stats().clone();
+    let mut tally = [0; KINDS];
     let mut decisions = FNV_OFFSET;
     let mut outcomes = Vec::new();
     for (i, ev) in events.iter().enumerate() {
@@ -71,10 +76,14 @@ pub fn replay(
             }
         }
         outcomes.extend_from_slice(outcome);
+        outcomes.iter().for_each(|d| tally[d.kind as usize] += 1);
+        check_counters(&start, sched.stats(), &tally, format_args!("event {i}"));
         decisions = observe(sched, decisions, &outcomes);
         outcomes.clear();
         after_each(sched, i, &mut outcomes);
     }
+    outcomes.iter().for_each(|d| tally[d.kind as usize] += 1);
+    check_counters(&start, sched.stats(), &tally, format_args!("the end"));
     let s = sched.stats();
     RunSummary {
         trace_hash: s.trace_hash(),
@@ -110,6 +119,42 @@ fn check_arrival_verdict(outcome: &[Decision], tenant: u64, i: usize) {
     let verdicts = outcome.iter().filter(|d| verdict(d)).count();
     assert_eq!(verdicts, 1, "event {i}: tenant {tenant}'s arrival decided {outcome:?}");
     assert!(outcome.last().is_some_and(verdict), "event {i}: {outcome:?} ends with the verdict");
+}
+
+/// How many `DecisionKind`s there are.
+const KINDS: usize = DecisionKind::FailureReject as usize + 1;
+
+/// Panic unless every decision counter of `now` has moved from `start` by
+/// the count in `tally` (decisions seen, by `DecisionKind as usize`) of
+/// the kinds it counts: one kind each, except that a `FailureReject` is
+/// also a rejection and a `ForcedMigration` also a migration.
+fn check_counters(
+    start: &ServiceStats,
+    now: &ServiceStats,
+    tally: &[u64; KINDS],
+    at: std::fmt::Arguments,
+) {
+    use DecisionKind::*;
+    let n = |k: DecisionKind| tally[k as usize];
+    let moved = |f: fn(&ServiceStats) -> u64| f(now) - f(start);
+    let counters = [
+        ("admitted", moved(|s| s.admitted), n(Admit)),
+        ("queued", moved(|s| s.queued), n(Queue)),
+        ("queue_admitted", moved(|s| s.queue_admitted), n(QueueAdmit)),
+        ("duplicate_arrivals", moved(|s| s.duplicate_arrivals), n(Duplicate)),
+        ("departures", moved(|s| s.departures), n(Depart)),
+        ("intensity_changes", moved(|s| s.intensity_changes), n(Intensity)),
+        ("migration_passes", moved(|s| s.migration_passes), n(MigrationPass)),
+        ("network_events", moved(|s| s.network_events), n(NetworkEvent)),
+        ("drift_detected", moved(|s| s.drift_detected), n(DriftDetected)),
+        ("rejected", moved(|s| s.rejected), n(Reject) + n(FailureReject)),
+        ("failure_rejections", moved(|s| s.failure_rejections), n(FailureReject)),
+        ("migrations", moved(|s| s.migrations), n(Migrate) + n(ForcedMigration)),
+        ("failure_migrations", moved(|s| s.failure_migrations), n(ForcedMigration)),
+    ];
+    for (name, moved, seen) in counters {
+        assert_eq!(moved, seen, "{at}: `{name}` moved {moved}, the outcomes hold {seen}");
+    }
 }
 
 /// Fold `outcomes` — the decisions made since the last observation —
