@@ -5,7 +5,7 @@
 //! from a [`ServiceEnv`] and hands responses back to it. Two backends
 //! implement the trait:
 //!
-//! * [`SimEnv`](crate::SimEnv) — a virtual clock and an in-memory
+//! * [`SimEnv`](crate::SimEnv) — virtual time and an in-memory
 //!   scripted transport with seeded fault injection. It consumes its
 //!   script and releases it as it delivers. Deterministic: the same
 //!   script, seed and fault plan deliver the same event sequence, so
@@ -42,13 +42,9 @@ pub enum NetEvent {
     Closed,
 }
 
-/// The I/O world the service loop runs in: a clock, an ordered event
-/// source, and a response sink.
+/// The I/O world the service loop runs in: an ordered event source and
+/// a response sink.
 pub trait ServiceEnv {
-    /// Current service-clock time: virtual for the simulated backend,
-    /// nanoseconds since startup for the real one.
-    fn now(&self) -> Nanos;
-
     /// The next `(at, conn, event)` triple, or `None` when the env is
     /// finished (script exhausted / listener torn down). `at` is
     /// non-decreasing across calls. The real backend blocks until

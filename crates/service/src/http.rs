@@ -117,25 +117,37 @@ impl MetricsServer {
         respond(stream, status, &body)
     }
 
-    /// Stop serving (idempotent; also runs on drop).
+    /// Stop serving: wake the accept thread and join it (idempotent;
+    /// also runs on drop).
     pub fn shutdown(&mut self) {
-        let Some(handle) = self.handle.take() else { return };
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the thread out of `accept`. A wildcard bind address is
-        // not connectable everywhere; its loopback is.
-        let mut wake = self.addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake {
-                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-            });
-        }
-        // If the wake-up cannot connect the thread stays parked in
-        // `accept` until the process exits; joining it would hang.
-        if TcpStream::connect_timeout(&wake, std::time::Duration::from_secs(1)).is_ok() {
-            let _ = handle.join();
+        if let Some(handle) = self.handle.take() {
+            wake_acceptor(self.addr, &self.stop, handle);
         }
     }
+}
+
+/// Stop the thread `handle`, parked in `accept` on the listener bound at
+/// `addr` and checking `stop` after each accept: raise `stop`, connect
+/// to the listener so the wait returns, and join the thread. If the wake
+/// cannot connect, the thread stays parked until the process exits and
+/// is left unjoined, since joining it would hang.
+pub(crate) fn wake_acceptor(addr: SocketAddr, stop: &AtomicBool, handle: JoinHandle<()>) {
+    stop.store(true, Ordering::SeqCst);
+    if TcpStream::connect_timeout(&connectable(addr), Duration::from_secs(1)).is_ok() {
+        let _ = handle.join();
+    }
+}
+
+/// Where to reach a listener bound at `addr`: a wildcard bind address is
+/// not connectable everywhere, its loopback is.
+fn connectable(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 impl Drop for MetricsServer {
@@ -367,6 +379,14 @@ mod tests {
             let err = TcpStream::connect(("127.0.0.1", port)).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "{ip}: {err}");
         }
+    }
+
+    #[test]
+    fn wildcard_binds_are_woken_on_loopback() {
+        let at = |a: &str| a.parse::<SocketAddr>().unwrap();
+        assert_eq!(connectable(at("0.0.0.0:9")), at("127.0.0.1:9"));
+        assert_eq!(connectable(at("[::]:9")), at("[::1]:9"));
+        assert_eq!(connectable(at("10.1.2.3:9")), at("10.1.2.3:9"));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! clock directly — it consumes `(time, connection, event)` triples
 //! from a [`ServiceEnv`] and hands responses back to it:
 //!
-//! * [`SimEnv`] — a virtual clock and a scripted in-memory transport
+//! * [`SimEnv`] — virtual time and a scripted in-memory transport
 //!   with seeded fault injection ([`FaultPlan`]: drop, duplicate,
 //!   delay, disconnect). It consumes its script, keeps no copy, and
 //!   releases the script's memory as it delivers. Deterministic: the

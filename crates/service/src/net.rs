@@ -1,18 +1,20 @@
 //! The real backend: `std::net` TCP sockets and the wall clock.
 //!
 //! [`NetEnv`] binds a listener, accepts connections on a background
-//! thread, and runs one blocking reader thread per connection. Readers
-//! decode [`ServiceRequest`] frames and stamp each with nanoseconds
-//! since the listener came up; the service loop consumes them through
-//! the same [`ServiceEnv`] interface the simulated
-//! backend implements. Events are ordered by arrival at the internal
-//! channel — close enough to wall-clock order for a service whose
-//! scheduler clamps time monotone, but no determinism promise.
+//! thread that blocks in `accept`, and runs one blocking reader thread
+//! per connection. Readers decode [`ServiceRequest`] frames and stamp
+//! each with nanoseconds since the listener came up; the service loop
+//! consumes them through the same [`ServiceEnv`] interface the simulated
+//! backend implements. Each connection's write half rides to the loop
+//! in its `Open` delivery, so the loop thread alone owns every stream it
+//! writes to. Events are ordered by arrival at the internal channel —
+//! close enough to wall-clock order for a service whose scheduler clamps
+//! time monotone, but no determinism promise.
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -21,20 +23,25 @@ use std::time::{Duration, Instant};
 use choreo_topology::Nanos;
 use choreo_wire::frame::is_timeout;
 use choreo_wire::{ServiceRequest, ServiceResponse};
-use parking_lot::Mutex;
 
 use crate::env::{ConnId, NetEvent, ServiceEnv};
+use crate::http::wake_acceptor;
 
-/// How often parked reader threads wake to re-check the stop flag.
-const READ_POLL: Duration = Duration::from_millis(500);
+/// Longest one read may wait. An idle connection just reads again; a
+/// peer that stalls inside a frame is dropped when it passes.
+const READ_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// One delivery to the loop: an event, and with an `Open`, the new
+/// connection's write half.
+type Delivery = (Nanos, ConnId, NetEvent, Option<TcpStream>);
 
 /// The socket-backed env: one acceptor thread, one reader thread per
 /// connection, responses written straight back to the client's stream.
 pub struct NetEnv {
     addr: SocketAddr,
-    start: Instant,
-    rx: Receiver<(Nanos, ConnId, NetEvent)>,
-    conns: Arc<Mutex<HashMap<ConnId, TcpStream>>>,
+    rx: Receiver<Delivery>,
+    /// Write halves of the open connections; only the loop touches them.
+    conns: HashMap<ConnId, TcpStream>,
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
 }
@@ -45,16 +52,14 @@ impl NetEnv {
     pub fn bind<A: ToSocketAddrs>(addr: A) -> std::io::Result<NetEnv> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let start = Instant::now();
         let (tx, rx) = std::sync::mpsc::channel();
-        let conns: Arc<Mutex<HashMap<ConnId, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
+        let start = Instant::now();
         let stop = Arc::new(AtomicBool::new(false));
         let acceptor = {
-            let (conns, stop) = (conns.clone(), stop.clone());
-            std::thread::spawn(move || Self::accept_loop(listener, start, tx, conns, stop))
+            let stop = stop.clone();
+            std::thread::spawn(move || Self::accept_loop(listener, start, tx, &stop))
         };
-        Ok(NetEnv { addr, start, rx, conns, stop, acceptor: Some(acceptor) })
+        Ok(NetEnv { addr, rx, conns: HashMap::new(), stop, acceptor: Some(acceptor) })
     }
 
     /// The bound address (useful with port 0).
@@ -62,91 +67,67 @@ impl NetEnv {
         self.addr
     }
 
-    fn accept_loop(
-        listener: TcpListener,
-        start: Instant,
-        tx: Sender<(Nanos, ConnId, NetEvent)>,
-        conns: Arc<Mutex<HashMap<ConnId, TcpStream>>>,
-        stop: Arc<AtomicBool>,
-    ) {
-        let next_conn = AtomicU64::new(1);
-        while !stop.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let conn = next_conn.fetch_add(1, Ordering::Relaxed);
-                    stream.set_nonblocking(false).ok();
-                    stream.set_read_timeout(Some(READ_POLL)).ok();
-                    let reader = match stream.try_clone() {
-                        Ok(r) => r,
-                        Err(_) => continue,
-                    };
-                    conns.lock().insert(conn, stream);
-                    if tx.send((start.elapsed().as_nanos() as u64, conn, NetEvent::Open)).is_err() {
-                        return; // service loop gone
-                    }
-                    let (tx, stop) = (tx.clone(), stop.clone());
-                    std::thread::spawn(move || Self::read_loop(reader, conn, start, tx, stop));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => break,
+    /// Block in `accept` until the env's drop raises `stop` and wakes it.
+    fn accept_loop(listener: TcpListener, start: Instant, tx: Sender<Delivery>, stop: &AtomicBool) {
+        for (conn, stream) in (1..).zip(listener.incoming().map_while(Result::ok)) {
+            if stop.load(Ordering::SeqCst) {
+                return;
             }
+            stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
+            let Ok(reader) = stream.try_clone() else { continue };
+            if tx.send((since(start), conn, NetEvent::Open, Some(stream))).is_err() {
+                return; // service loop gone
+            }
+            let tx = tx.clone();
+            std::thread::spawn(move || Self::read_loop(reader, conn, start, tx));
         }
     }
 
-    fn read_loop(
-        mut stream: TcpStream,
-        conn: ConnId,
-        start: Instant,
-        tx: Sender<(Nanos, ConnId, NetEvent)>,
-        stop: Arc<AtomicBool>,
-    ) {
+    /// Read frames until the peer hangs up, stalls mid-frame or sends
+    /// garbage, or the env's drop shuts the stream down.
+    fn read_loop(mut stream: TcpStream, conn: ConnId, start: Instant, tx: Sender<Delivery>) {
         loop {
-            if stop.load(Ordering::Relaxed) {
-                return;
-            }
             let event = match ServiceRequest::read_from(&mut stream) {
                 Ok(req) => NetEvent::Request(req),
-                // An idle poll (zero bytes consumed): re-check the stop
-                // flag. A timeout *mid-frame* is not `is_timeout` — the
-                // frame layer reports the desynchronized stream as
-                // fatal `InvalidData`, so a peer that stalls inside a
-                // frame is dropped below instead of lingering misparsed.
+                // An idle wait (zero bytes consumed): read again. A
+                // timeout *mid-frame* is not `is_timeout` — the frame
+                // layer reports the desynchronized stream as fatal
+                // `InvalidData`, so a peer that stalls inside a frame is
+                // dropped below instead of lingering misparsed.
                 Err(e) if is_timeout(&e) => continue,
                 Err(_) => {
-                    // Peer hung up, stalled mid-frame, or sent garbage:
-                    // report the close and let the env forget the write
-                    // half.
-                    let _ = tx.send((start.elapsed().as_nanos() as u64, conn, NetEvent::Closed));
+                    // Report the close; the loop forgets the write half.
+                    let _ = tx.send((since(start), conn, NetEvent::Closed, None));
                     return;
                 }
             };
-            if tx.send((start.elapsed().as_nanos() as u64, conn, event)).is_err() {
+            if tx.send((since(start), conn, event, None)).is_err() {
                 return; // service loop gone
             }
         }
     }
 }
 
-impl ServiceEnv for NetEnv {
-    fn now(&self) -> Nanos {
-        self.start.elapsed().as_nanos() as u64
-    }
+/// Nanoseconds since `start`.
+fn since(start: Instant) -> Nanos {
+    start.elapsed().as_nanos() as u64
+}
 
+impl ServiceEnv for NetEnv {
     fn next_event(&mut self) -> Option<(Nanos, ConnId, NetEvent)> {
-        let ev = self.rx.recv().ok()?;
-        if let (_, conn, NetEvent::Closed) = &ev {
-            self.conns.lock().remove(conn);
+        let (at, conn, event, stream) = self.rx.recv().ok()?;
+        if let Some(stream) = stream {
+            self.conns.insert(conn, stream);
+        } else if event == NetEvent::Closed {
+            self.conns.remove(&conn);
         }
-        Some(ev)
+        Some((at, conn, event))
     }
 
     fn send(&mut self, conn: ConnId, resp: ServiceResponse) {
         // A client that hung up before reading its reply is a client
         // problem; the reader thread will report the close.
-        let mut conns = self.conns.lock();
-        if let Some(stream) = conns.get_mut(&conn) {
+        if let Some(stream) = self.conns.get_mut(&conn) {
             let _ = resp.write_to(stream).and_then(|()| stream.flush());
         }
     }
@@ -154,19 +135,24 @@ impl ServiceEnv for NetEnv {
 
 impl Drop for NetEnv {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Nudge the acceptor out of its poll and drop every stream so
-        // parked readers fail fast instead of waiting out a poll.
-        let _ = TcpStream::connect(self.addr);
-        self.conns.lock().clear();
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+        if let Some(acceptor) = self.acceptor.take() {
+            wake_acceptor(self.addr, &self.stop, acceptor);
+        }
+        // Shut down every stream, delivered or still queued in an `Open`:
+        // a reader holds a clone of it, so dropping the write half alone
+        // would leave the socket open until the reader's next timeout.
+        // Shut down, the reader's read returns at once and it exits.
+        let queued = self.rx.try_iter().filter_map(|(.., stream)| stream);
+        for stream in self.conns.drain().map(|(_, s)| s).chain(queued) {
+            let _ = stream.shutdown(Shutdown::Both);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::io::Read;
+
     use super::*;
 
     #[test]
@@ -181,10 +167,9 @@ mod tests {
         assert_eq!(ev, NetEvent::Open);
 
         ServiceRequest::Stats.write_to(&mut client).unwrap();
-        let (at, conn2, ev) = env.next_event().unwrap();
+        let (_, conn2, ev) = env.next_event().unwrap();
         assert_eq!(conn2, conn);
         assert_eq!(ev, NetEvent::Request(ServiceRequest::Stats));
-        assert!(at <= env.now());
 
         env.send(conn, ServiceResponse::Done);
         assert_eq!(ServiceResponse::read_from(&mut client).unwrap(), ServiceResponse::Done);
@@ -216,6 +201,24 @@ mod tests {
             // listener closed with it.
             let err = TcpStream::connect(("127.0.0.1", port)).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused, "{ip}: {err}");
+        }
+    }
+
+    #[test]
+    fn clients_read_the_close_as_soon_as_the_env_drops() {
+        let mut env = NetEnv::bind(("127.0.0.1", 0)).unwrap();
+        let addr = env.local_addr();
+        let delivered = TcpStream::connect(addr).unwrap();
+        assert!(matches!(env.next_event(), Some((_, _, NetEvent::Open))));
+        // Accepted before the drop's wake, but its `Open` never delivered.
+        let queued = TcpStream::connect(addr).unwrap();
+        let dropped = Instant::now();
+        drop(env);
+        for mut client in [delivered, queued] {
+            client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            assert_eq!(client.read(&mut [0; 8]).unwrap(), 0, "an orderly close");
+            let waited = dropped.elapsed();
+            assert!(waited < Duration::from_millis(250), "closed after {waited:?}");
         }
     }
 

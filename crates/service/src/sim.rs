@@ -1,4 +1,4 @@
-//! The simulated backend: a virtual clock and a scripted transport.
+//! The simulated backend: virtual time and a scripted transport.
 //!
 //! [`SimEnv`] turns a script of `(at, conn, request)` triples into the
 //! event sequence the service loop consumes, with optional seeded fault
@@ -72,7 +72,7 @@ pub struct FaultCounts {
     pub disconnects: u64,
 }
 
-/// The deterministic in-memory backend: virtual clock, scripted
+/// The deterministic in-memory backend: virtual time, scripted
 /// transport, per-connection response recording.
 ///
 /// The env consumes its script and releases it as it delivers: the
@@ -94,7 +94,6 @@ pub struct SimEnv {
     /// Each connection's `Open` (class 0) and `Closed` (class 2) as
     /// `(at, class, conn)`, latest first; requests are class 1.
     markers: Vec<(Nanos, u8, ConnId)>,
-    now: Nanos,
     responses: BTreeMap<ConnId, Vec<ServiceResponse>>,
     counts: FaultCounts,
 }
@@ -173,15 +172,7 @@ impl SimEnv {
             .collect();
         markers.sort_unstable_by(|a, b| b.cmp(a));
 
-        SimEnv {
-            frames: script,
-            taken: 0,
-            moved,
-            markers,
-            now: 0,
-            responses: BTreeMap::new(),
-            counts,
-        }
+        SimEnv { frames: script, taken: 0, moved, markers, responses: BTreeMap::new(), counts }
     }
 
     /// What the fault layer did to the script.
@@ -222,10 +213,6 @@ fn pop_shrinking<T>(v: &mut Vec<T>) -> Option<T> {
 }
 
 impl ServiceEnv for SimEnv {
-    fn now(&self) -> Nanos {
-        self.now
-    }
-
     fn next_event(&mut self) -> Option<(Nanos, ConnId, NetEvent)> {
         let moved = self.moved_next();
         let request =
@@ -242,7 +229,6 @@ impl ServiceEnv for SimEnv {
             self.taken += 1;
             (at, conn, NetEvent::Request(req))
         };
-        self.now = self.now.max(at);
         Some((at, conn, event))
     }
 

@@ -106,7 +106,6 @@ fn check(ops: &[(u64, u64, u8)], plan: FaultPlan) -> Result<(), String> {
     prop_assert_eq!(env.fault_counts(), want_counts);
     let mut got = Vec::new();
     while let Some(ev) = env.next_event() {
-        prop_assert_eq!(env.now(), ev.0, "the clock follows delivery");
         got.push(ev);
     }
     prop_assert_eq!(env.remaining(), 0);
