@@ -110,7 +110,6 @@ impl OnlineScheduler {
             Forced::Degraded if degraded.is_empty() => return,
             Forced::Degraded => degraded.len(),
         };
-        self.stats.migration_passes += 1;
         self.stats.note(0x4d); // 'M'
         self.decide(TenantId::MAX, DecisionKind::MigrationPass, opened as f64, None);
 
@@ -211,12 +210,10 @@ impl OnlineScheduler {
         self.sim.stop_flows_now(&old_keys);
         // Nothing reads the torn-down flows again; recycle their records.
         self.sim.release_flows(&old_keys);
-        self.stats.migrations += 1;
         self.stats.note(0x56); // 'V' — a move
         self.stats.note(id);
         let baseline = self.run_tenant(id, t.app, placement, t.transfers, t.intensity);
         let kind = if forced {
-            self.stats.failure_migrations += 1;
             self.stats.note(0x46); // 'F' — the move was forced
             DecisionKind::ForcedMigration
         } else {

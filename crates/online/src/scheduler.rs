@@ -199,9 +199,9 @@ impl OnlineScheduler {
         self.metrics.publish(&self.stats, self.queue.len(), self.tenants.len());
     }
 
-    /// Record one decision, made now, in the current call's outcome. Its
-    /// cause rides only there — it is never digested — so attaching one
-    /// cannot fork a trajectory.
+    /// Record one decision, made now, in the current call's outcome, and
+    /// count it (`ServiceStats::count`). Its cause rides only there —
+    /// it is never digested — so attaching one cannot fork a trajectory.
     pub(crate) fn decide(
         &mut self,
         tenant: TenantId,
@@ -209,6 +209,7 @@ impl OnlineScheduler {
         value: f64,
         cause: Option<Cause>,
     ) {
+        self.stats.count(kind);
         self.outcome.push(Decision { at: self.sim.now(), tenant, kind, value, cause });
     }
 
@@ -393,7 +394,6 @@ impl OnlineScheduler {
     /// [`OnlineScheduler::service_step`]'s to return.
     pub fn network_step(&mut self, ev: &NetworkEvent) {
         self.advance_to(ev.at);
-        self.stats.network_events += 1;
         self.stats.note(0x4e); // 'N'
         self.stats.note((ev.link as u64) << 8 | network_event_code(&ev.kind));
         let fraction = match ev.kind {
@@ -464,7 +464,6 @@ impl OnlineScheduler {
             }
         }
         for &(id, err) in &drifted {
-            self.stats.drift_detected += 1;
             self.stats.note(0x64); // 'd'
             self.stats.note(id);
             let cause = Cause::Drift { error: err, threshold: DRIFT_THRESHOLD };
@@ -495,28 +494,21 @@ impl OnlineScheduler {
         // digests a distinct byte so fault-free trajectories are
         // untouched while duplicated ones stay deterministic.
         if self.tenants.contains_key(&id) || self.queue.iter().any(|(t, _, _)| *t == id) {
-            self.stats.duplicate_arrivals += 1;
             self.stats.note(0x58); // 'X'
             self.decide(id, DecisionKind::Duplicate, 0.0, None);
             return;
         }
         match self.try_place(&app, self.cfg.policy) {
-            Some(placement) => {
-                self.admit(id, app, placement, DecisionKind::Admit, 1);
-                self.stats.admitted += 1;
-            }
+            Some(placement) => self.admit(id, app, placement, DecisionKind::Admit, 1),
             None if self.queue.len() < self.cfg.queue_capacity => {
-                self.stats.queued += 1;
                 self.stats.note(0x51); // 'Q'
                 self.decide(id, DecisionKind::Queue, self.queue.len() as f64, None);
                 self.queue.push_back((id, app, 1));
             }
             None => {
-                self.stats.rejected += 1;
                 // Count *why* capacity was gone: a rejection during a
                 // failure epoch is the network's fault, not sizing's.
                 let (kind, reason) = if self.links_down > 0 {
-                    self.stats.failure_rejections += 1;
                     self.stats.note(0x72); // 'r'
                     (DecisionKind::FailureReject, RejectReason::LinksDown)
                 } else {
@@ -724,7 +716,6 @@ impl OnlineScheduler {
     fn depart(&mut self, id: TenantId) {
         if let Some(pos) = self.queue.iter().position(|(t, _, _)| *t == id) {
             // Left before capacity freed up.
-            self.stats.departures += 1;
             self.queue.remove(pos);
             self.stats.note(0x44); // 'D'
             self.decide(id, DecisionKind::Depart, 0.0, None);
@@ -739,8 +730,7 @@ impl OnlineScheduler {
             return;
         };
         // Only a real teardown (queued-drop above, or this live drop)
-        // counts as a departure.
-        self.stats.departures += 1;
+        // decides a `Depart`, and so counts as a departure.
         let score = service_score(&mut self.sim, &t.flows);
         self.stats.record_departed_rate(score);
         self.decide(id, DecisionKind::Depart, score, None);
@@ -774,8 +764,7 @@ impl OnlineScheduler {
             let (id, app, intensity) = self.queue.pop_front().expect("counted above");
             match self.try_place(&app, self.cfg.policy) {
                 Some(placement) => {
-                    self.admit(id, app, placement, DecisionKind::QueueAdmit, intensity);
-                    self.stats.queue_admitted += 1;
+                    self.admit(id, app, placement, DecisionKind::QueueAdmit, intensity)
                 }
                 None => self.queue.push_back((id, app, intensity)),
             }
@@ -802,7 +791,6 @@ impl OnlineScheduler {
         if t.intensity == intensity {
             return;
         }
-        self.stats.intensity_changes += 1;
         self.stats.note(0x49); // 'I'
         self.stats.note(intensity as u64);
         if intensity > t.intensity {

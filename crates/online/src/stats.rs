@@ -263,7 +263,7 @@ impl TraceRing {
 /// verdicts, migrations, departure rates). Two runs with equal digests
 /// made bit-identical decisions — the property the determinism suite
 /// checks across repeats.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceStats {
     /// Tenant events consumed.
     pub events: u64,
@@ -311,48 +311,58 @@ pub struct ServiceStats {
     /// budget and so went on to the placer. Not digested.
     pub pack_undecided: u64,
     rate_sum_bps: f64,
-    hash: u64,
+    hash: Digest,
+}
+
+/// The trajectory digest, which starts from the FNV-1a offset basis.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Digest(u64);
+
+impl Default for Digest {
+    fn default() -> Self {
+        Digest(FNV_OFFSET)
+    }
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-impl Default for ServiceStats {
-    fn default() -> Self {
-        ServiceStats {
-            events: 0,
-            admitted: 0,
-            queued: 0,
-            queue_admitted: 0,
-            rejected: 0,
-            departures: 0,
-            intensity_changes: 0,
-            migration_passes: 0,
-            migrations: 0,
-            departed: 0,
-            duplicate_arrivals: 0,
-            network_events: 0,
-            measurement_passes: 0,
-            drift_detected: 0,
-            failure_migrations: 0,
-            failure_rejections: 0,
-            unpackable_skips: 0,
-            pack_undecided: 0,
-            rate_sum_bps: 0.0,
-            hash: FNV_OFFSET,
-        }
-    }
-}
-
 impl ServiceStats {
+    /// Count one decision of `kind` in its counter. A `FailureReject` is
+    /// also a rejection and a `ForcedMigration` also a migration.
+    pub(crate) fn count(&mut self, kind: DecisionKind) {
+        let counter = match kind {
+            DecisionKind::Admit => &mut self.admitted,
+            DecisionKind::Queue => &mut self.queued,
+            DecisionKind::QueueAdmit => &mut self.queue_admitted,
+            DecisionKind::Reject => &mut self.rejected,
+            DecisionKind::Duplicate => &mut self.duplicate_arrivals,
+            DecisionKind::Depart => &mut self.departures,
+            DecisionKind::Intensity => &mut self.intensity_changes,
+            DecisionKind::Migrate => &mut self.migrations,
+            DecisionKind::MigrationPass => &mut self.migration_passes,
+            DecisionKind::NetworkEvent => &mut self.network_events,
+            DecisionKind::DriftDetected => &mut self.drift_detected,
+            DecisionKind::ForcedMigration => {
+                self.failure_migrations += 1;
+                &mut self.migrations
+            }
+            DecisionKind::FailureReject => {
+                self.failure_rejections += 1;
+                &mut self.rejected
+            }
+        };
+        *counter += 1;
+    }
+
     /// Fold a word into the trajectory digest.
     pub(crate) fn note(&mut self, word: u64) {
-        let mut h = self.hash;
+        let mut h = self.hash.0;
         for byte in word.to_le_bytes() {
             h ^= byte as u64;
             h = h.wrapping_mul(FNV_PRIME);
         }
-        self.hash = h;
+        self.hash.0 = h;
     }
 
     /// Fold a float (by bit pattern) into the trajectory digest.
@@ -370,7 +380,7 @@ impl ServiceStats {
     /// Digest of every decision made so far. Equal digests ⇔ equal
     /// trajectories (placements, queue verdicts, migrations, rates).
     pub fn trace_hash(&self) -> u64 {
-        self.hash
+        self.hash.0
     }
 
     /// Mean service rate over departed tenants (`None` before the first
