@@ -1,10 +1,11 @@
 //! Shared helpers for the figure-regeneration binaries.
 //!
 //! Each binary under `src/bin/` regenerates one figure or inline result
-//! from the paper (see DESIGN.md's experiment index) and prints both the
-//! raw series (tab-separated, ready for plotting) and a summary that can
-//! be compared against the published numbers. Everything is seeded;
-//! running a binary twice produces identical output.
+//! from the paper and prints both the raw series (tab-separated, ready
+//! for plotting) and a summary that can be compared against the
+//! published numbers, printed beside it on a `# paper:` line.
+//! Everything is seeded; running a binary twice produces identical
+//! output.
 
 use choreo_measure::stability::percentile;
 

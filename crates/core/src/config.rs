@@ -1,15 +1,12 @@
 //! Orchestrator configuration.
 
 use choreo_measure::RateModel;
-use choreo_place::ilp::IlpPlacer;
 
 /// Which placement algorithm the orchestrator uses.
 #[derive(Debug, Clone)]
 pub enum PlacerKind {
     /// Algorithm 1 (the default; near-optimal and fast, §5).
     Greedy,
-    /// Exact ILP via branch-and-bound (Appendix).
-    Ilp(IlpPlacer),
     /// §6 baseline: random assignment (seeded).
     Random(u64),
     /// §6 baseline: round-robin assignment.

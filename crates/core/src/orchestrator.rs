@@ -97,11 +97,6 @@ impl Choreo {
                 let load = self.load.network_since(&self.load_at_measure);
                 GreedyPlacer.place(app, &self.machines, snap, &load)
             }
-            PlacerKind::Ilp(placer) => {
-                let snap = self.snapshot.as_ref().expect("measure before placing");
-                let load = self.load.network_since(&self.load_at_measure);
-                placer.place(app, &self.machines, snap, &load).map(|o| o.placement)
-            }
             PlacerKind::Random(_) => self.random.place(app, &self.machines, &self.load),
             PlacerKind::RoundRobin => self.round_robin.place(app, &self.machines, &self.load),
             PlacerKind::MinMachines => MinMachinesPlacer.place(app, &self.machines, &self.load),

@@ -1,5 +1,5 @@
 //! Distribution samplers built on `rand` (no external distribution crate
-//! is used; see DESIGN.md's dependency policy).
+//! is used: the build is offline, and `vendor/` holds the only stand-ins).
 
 use rand::Rng;
 

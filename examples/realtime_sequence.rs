@@ -67,7 +67,7 @@ fn main() {
     }
     println!(
         "  (a single 4-app draw is noisy — the fig10b_sequences bench runs 40 draws\n   \
-         and lands at the paper's 22–43% mean range; see EXPERIMENTS.md)"
+         and lands at the paper's 22–43% mean range)"
     );
 
     // ---- §2.4 re-evaluation demo -------------------------------------
