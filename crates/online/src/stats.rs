@@ -314,6 +314,9 @@ pub struct ServiceStats {
     hash: Digest,
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// The trajectory digest, which starts from the FNV-1a offset basis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Digest(u64);
@@ -323,9 +326,6 @@ impl Default for Digest {
         Digest(FNV_OFFSET)
     }
 }
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl ServiceStats {
     /// Count one decision of `kind` in its counter. A `FailureReject` is

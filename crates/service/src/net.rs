@@ -140,8 +140,8 @@ impl Drop for NetEnv {
         }
         // Shut down every stream, delivered or still queued in an `Open`:
         // a reader holds a clone of it, so dropping the write half alone
-        // would leave the socket open until the reader's next timeout.
-        // Shut down, the reader's read returns at once and it exits.
+        // neither closes the socket nor wakes the reader. Shut down, the
+        // reader's read returns at once and it exits.
         let queued = self.rx.try_iter().filter_map(|(.., stream)| stream);
         for stream in self.conns.drain().map(|(_, s)| s).chain(queued) {
             let _ = stream.shutdown(Shutdown::Both);
